@@ -1,13 +1,21 @@
 // Ablation: FFT vs naive O(n^2) DFT — why the framework computes DFT
 // summaries (SFA, VA+file, MASS) with the FFT, and the Bluestein overhead
 // for non-power-of-two lengths (Deep1B's 96).
+//
+// Usage: abl_fft [reps]
+// Each kernel runs one warm-up call, then `reps` timed calls (default
+// 2000); the table reports mean microseconds per call.
+#include <cmath>
 #include <complex>
-
-#include <benchmark/benchmark.h>
+#include <cstdio>
+#include <cstdlib>
+#include <vector>
 
 #include "transform/dft.h"
 #include "transform/fft.h"
+#include "util/check.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace hydra {
 namespace {
@@ -19,50 +27,68 @@ std::vector<std::complex<double>> RandomComplex(size_t n) {
   return a;
 }
 
-void BM_Fft(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto input = RandomComplex(n);
-  for (auto _ : state) {
-    auto a = input;
-    transform::Fft(&a, false);
-    benchmark::DoNotOptimize(a.data());
-  }
-}
-BENCHMARK(BM_Fft)->Arg(96)->Arg(128)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_NaiveDft(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto input = RandomComplex(n);
-  for (auto _ : state) {
-    std::vector<std::complex<double>> out(n);
-    for (size_t k = 0; k < n; ++k) {
-      std::complex<double> acc(0.0, 0.0);
-      for (size_t j = 0; j < n; ++j) {
-        const double angle =
-            -2.0 * M_PI * static_cast<double>(j * k) / static_cast<double>(n);
-        acc += input[j] * std::complex<double>(std::cos(angle),
-                                               std::sin(angle));
-      }
-      out[k] = acc;
+std::vector<std::complex<double>> NaiveDft(
+    const std::vector<std::complex<double>>& input) {
+  const size_t n = input.size();
+  std::vector<std::complex<double>> out(n);
+  for (size_t k = 0; k < n; ++k) {
+    std::complex<double> acc(0.0, 0.0);
+    for (size_t j = 0; j < n; ++j) {
+      const double angle =
+          -2.0 * M_PI * static_cast<double>(j * k) / static_cast<double>(n);
+      acc += input[j] * std::complex<double>(std::cos(angle),
+                                             std::sin(angle));
     }
-    benchmark::DoNotOptimize(out.data());
+    out[k] = acc;
   }
+  return out;
 }
-BENCHMARK(BM_NaiveDft)->Arg(96)->Arg(128)->Arg(256);
 
-void BM_PackedRealDftSummary(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  util::Rng rng(n);
-  std::vector<float> x(n);
-  for (auto& v : x) v = static_cast<float>(rng.Gaussian());
-  for (auto _ : state) {
-    auto packed = transform::PackedRealDft(x, 16, true);
-    benchmark::DoNotOptimize(packed.data());
-  }
+/// Mean microseconds per call of `fn` (which returns a value folded into
+/// `*sink` so the work cannot be optimized away).
+template <typename Fn>
+double MicrosPerCall(size_t reps, double* sink, Fn fn) {
+  *sink += fn();  // warm-up
+  util::WallTimer timer;
+  for (size_t r = 0; r < reps; ++r) *sink += fn();
+  return timer.Seconds() * 1e6 / static_cast<double>(reps);
 }
-BENCHMARK(BM_PackedRealDftSummary)->Arg(96)->Arg(256)->Arg(1024);
+
+int Run(int argc, char** argv) {
+  const size_t reps = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2000;
+  HYDRA_CHECK_MSG(reps > 0, "reps must be positive");
+  std::printf("FFT vs naive DFT, %zu reps per cell (us per call)\n\n", reps);
+  std::printf("%6s %10s %12s %10s %16s\n", "n", "fft", "naive_dft",
+              "speedup", "packed_dft_16");
+  double sink = 0.0;
+  for (const size_t n : {96, 128, 256, 1024, 4096}) {
+    const auto input = RandomComplex(n);
+    const double fft = MicrosPerCall(reps, &sink, [&] {
+      auto a = input;
+      transform::Fft(&a, false);
+      return a[0].real();
+    });
+    util::Rng rng(n);
+    std::vector<float> x(n);
+    for (auto& v : x) v = static_cast<float>(rng.Gaussian());
+    const double packed = MicrosPerCall(reps, &sink, [&] {
+      return transform::PackedRealDft(x, 16, true)[0];
+    });
+    // The quadratic DFT is only timed where it finishes in reasonable time.
+    if (n <= 256) {
+      const double naive = MicrosPerCall(
+          reps, &sink, [&] { return NaiveDft(input)[0].real(); });
+      std::printf("%6zu %10.3f %12.3f %9.1fx %16.3f\n", n, fft, naive,
+                  naive / fft, packed);
+    } else {
+      std::printf("%6zu %10.3f %12s %10s %16.3f\n", n, fft, "-", "-", packed);
+    }
+  }
+  std::printf("\n(checksum %g)\n", sink);
+  return 0;
+}
 
 }  // namespace
 }  // namespace hydra
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) { return hydra::Run(argc, argv); }

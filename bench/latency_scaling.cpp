@@ -1,6 +1,6 @@
 // Intra-query latency scaling scenario: single-query wall-clock versus
-// --query-threads for the five tree methods whose traversal runs on the
-// shared engine (core::BestFirstTraverse / ParallelScan). This exhibit is
+// --query-threads for the six methods whose traversal runs on the shared
+// engine (core::TreeSearch / ParallelScan). This exhibit is
 // ours, not the paper's — it follows the intra-query operator-parallelism
 // line (MESSI/Hercules): N workers drain one query's candidate frontier
 // cooperatively, pruning against one shared best-so-far. Exact answers are

@@ -51,12 +51,14 @@ int Run(int argc, char** argv) {
     method->Build(data);
     // Warm-up pass so first-touch costs (thread-local scratch, page
     // faults) don't pollute the 1-thread baseline.
-    (void)SearchKnnBatch(method.get(), workload, /*k=*/1, /*threads=*/1);
+    (void)SearchKnnBatch(method.get(), workload, core::QuerySpec::Knn(1),
+                         /*threads=*/1);
     double serial_wall = 0.0;
     for (const size_t threads : sweep) {
       util::WallTimer timer;
-      const core::BatchKnnResult batch =
-          SearchKnnBatch(method.get(), workload, /*k=*/1, threads);
+      const core::BatchResult batch =
+          SearchKnnBatch(method.get(), workload, core::QuerySpec::Knn(1),
+                         threads);
       const double wall = timer.Seconds();
       if (threads == 1) serial_wall = wall;
       const double qps = static_cast<double>(batch.queries.size()) / wall;

@@ -20,16 +20,15 @@ MethodRun RunMethod(core::SearchMethod* method, const core::Dataset& data,
   return RunMethodParallel(method, data, workload, k, /*threads=*/1);
 }
 
-core::BatchKnnResult SearchKnnBatch(core::SearchMethod* method,
-                                    const gen::Workload& workload,
-                                    const core::QuerySpec& spec,
-                                    size_t threads) {
+core::BatchResult SearchKnnBatch(core::SearchMethod* method,
+                                 const gen::Workload& workload,
+                                 const core::QuerySpec& spec, size_t threads) {
   HYDRA_CHECK(method != nullptr);
   HYDRA_CHECK_MSG(threads >= 1, "SearchKnnBatch needs at least one thread");
   HYDRA_CHECK_MSG(spec.kind == core::QueryKind::kKnn,
                   "SearchKnnBatch executes k-NN specs");
   const size_t count = workload.queries.size();
-  core::BatchKnnResult batch;
+  core::BatchResult batch;
   batch.queries.resize(count);
 
   const core::MethodTraits traits = method->traits();
@@ -68,20 +67,14 @@ core::BatchKnnResult SearchKnnBatch(core::SearchMethod* method,
   return batch;
 }
 
-core::BatchKnnResult SearchKnnBatch(core::SearchMethod* method,
-                                    const gen::Workload& workload, size_t k,
-                                    size_t threads) {
-  return SearchKnnBatch(method, workload, core::QuerySpec::Knn(k), threads);
-}
-
 namespace {
 
 /// Folds a batch's per-query answers into the run (shared by the fresh
 /// build and open-from-disk paths).
-void FillRunQueries(core::BatchKnnResult batch, MethodRun* run) {
+void FillRunQueries(core::BatchResult batch, MethodRun* run) {
   run->queries.reserve(batch.queries.size());
   run->nn_dists_sq.reserve(batch.queries.size());
-  for (core::KnnResult& r : batch.queries) {
+  for (core::QueryResult& r : batch.queries) {
     run->queries.push_back(r.stats);
     run->nn_dists_sq.push_back(r.neighbors.front().dist_sq);
   }
@@ -97,7 +90,9 @@ MethodRun RunMethodParallel(core::SearchMethod* method,
   MethodRun run;
   run.method = method->name();
   run.build = method->Build(data);
-  FillRunQueries(SearchKnnBatch(method, workload, k, threads), &run);
+  FillRunQueries(
+      SearchKnnBatch(method, workload, core::QuerySpec::Knn(k), threads),
+      &run);
   return run;
 }
 
@@ -122,7 +117,9 @@ util::Result<MethodRun> RunMethodFromIndex(core::SearchMethod* method,
   MethodRun run;
   run.method = method->name();
   run.build = opened.value();
-  FillRunQueries(SearchKnnBatch(method, workload, k, threads), &run);
+  FillRunQueries(
+      SearchKnnBatch(method, workload, core::QuerySpec::Knn(k), threads),
+      &run);
   return run;
 }
 

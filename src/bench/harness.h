@@ -36,16 +36,9 @@ MethodRun RunMethod(core::SearchMethod* method, const core::Dataset& data,
 /// `total` ledger accumulates in that order regardless of which thread
 /// answered which query. The merged ledger's answer_mode_delivered is the
 /// weakest guarantee delivered across the batch.
-core::BatchKnnResult SearchKnnBatch(core::SearchMethod* method,
-                                    const gen::Workload& workload,
-                                    const core::QuerySpec& spec,
-                                    size_t threads);
-
-/// Legacy overload (deprecated): exact k-NN batch, equivalent to passing
-/// QuerySpec::Knn(k).
-core::BatchKnnResult SearchKnnBatch(core::SearchMethod* method,
-                                    const gen::Workload& workload, size_t k,
-                                    size_t threads);
+core::BatchResult SearchKnnBatch(core::SearchMethod* method,
+                                 const gen::Workload& workload,
+                                 const core::QuerySpec& spec, size_t threads);
 
 /// Parallel counterpart of RunMethod: builds the method on `data`, then
 /// answers the workload through SearchKnnBatch with `threads` workers.

@@ -49,7 +49,8 @@ std::vector<std::string> ShardableNames();
 
 /// The methods whose traits advertise intra-query parallelism: their
 /// traversal runs on the shared engine and honors --query-threads (the
-/// five tree methods; scans have no traversal frontier to share).
+/// five tree indexes and ADS+; flat scans have no traversal frontier to
+/// share).
 std::vector<std::string> IntraQueryCapableNames();
 
 /// The methods whose traits advertise concurrent query answering: `hydra

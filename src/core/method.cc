@@ -61,7 +61,7 @@ std::string ModeFallbackReason(const MethodTraits& traits, QualityMode mode) {
   return std::string("method supports modes: ") + supported;
 }
 
-KnnResult SearchMethod::DoSearchKnnNg(SeriesView /*query*/, size_t /*k*/) {
+QueryResult SearchMethod::DoSearchKnnNg(SeriesView /*query*/, size_t /*k*/) {
   HYDRA_CHECK_MSG(false,
                   "DoSearchKnnNg called on a method whose traits do not "
                   "advertise ng support");
@@ -166,8 +166,7 @@ QueryResult SearchMethod::Execute(SeriesView query, const QuerySpec& spec) {
     // it; everywhere else the request quietly runs serially (the CLI
     // refuses --query-threads on such methods up front).
     if (traits().intra_query_parallel) plan.query_threads = spec.query_threads;
-    RangeResult range = DoSearchRange(query, plan);
-    QueryResult result{std::move(range.matches), range.stats};
+    QueryResult result = DoSearchRange(query, plan);
     result.stats.answer_mode_delivered = QualityMode::kExact;
     return result;
   }

@@ -5,7 +5,6 @@
 
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/dataset.h"
@@ -39,11 +38,11 @@ struct Footprint {
   std::vector<int> leaf_depths;
 };
 
-/// Result of one query executed through SearchMethod::Execute: the answers
-/// (squared distances, sorted ascending — k-NN neighbors or range matches)
-/// plus the measurement ledger for this query alone. The ledger also
-/// records which quality guarantee was actually delivered and whether an
-/// execution budget fired; the accessors below surface both.
+/// Result of one query, from Execute and every driver hook behind it: the
+/// answers (squared distances, sorted ascending — k-NN neighbors or r-range
+/// matches) plus the measurement ledger for this query alone. The ledger
+/// also records which quality guarantee was actually delivered and whether
+/// an execution budget fired; the accessors below surface both.
 struct QueryResult {
   std::vector<Neighbor> neighbors;
   SearchStats stats;
@@ -56,24 +55,12 @@ struct QueryResult {
   bool budget_fired() const { return stats.budget_exhausted; }
 };
 
-/// Result of one exact k-NN query — the legacy name of QueryResult, kept
-/// for the SearchKnn wrapper and its many callers.
-using KnnResult = QueryResult;
-
-/// Result of an r-range query (Definition 2 of the paper): every series
-/// within *unsquared* distance r of the query, sorted by increasing
-/// distance. Matches carry squared distances like every Neighbor.
-struct RangeResult {
-  std::vector<Neighbor> matches;
-  SearchStats stats;
-};
-
 /// Aggregated answers of a batch of k-NN queries executed over one method
 /// (serially or concurrently). Per-query entries are always kept in
 /// workload order, independent of the thread interleaving that produced
 /// them, and `total` is the per-query ledgers merged in that same order —
 /// so a batch run is deterministic and comparable against a serial run.
-struct BatchKnnResult {
+struct BatchResult {
   /// One result per query, in workload order.
   std::vector<QueryResult> queries;
   /// All per-query ledgers accumulated in workload order. cpu_seconds is
@@ -90,11 +77,10 @@ struct BatchKnnResult {
 
 /// Static capabilities a method advertises to the harness.
 struct MethodTraits {
-  /// True when Execute (and the legacy Search* wrappers) on a *built*
-  /// method are safe to call from multiple threads concurrently: query
-  /// answering must not write any state shared between queries (index
-  /// structure, storage cursors, scratch members). Build is never
-  /// concurrent-safe. Defaults to false so new methods opt in explicitly.
+  /// True when Execute on a *built* method is safe to call from multiple
+  /// threads concurrently: query answering must not write any state shared
+  /// between queries (index structure, storage cursors, scratch members).
+  /// Build is never concurrent-safe. Defaults to false so new methods opt in explicitly.
   bool concurrent_queries = false;
   /// Human-readable reason when concurrent_queries is false (shown by the
   /// batch engine when it falls back to serial execution).
@@ -136,14 +122,13 @@ struct MethodTraits {
   /// --shards refusal and by `hydra methods`).
   std::string shard_reason{};
   /// True when the method's traversal drivers run on the shared engine
-  /// (core::BestFirstTraverse / ParallelScan) and honor
-  /// KnnPlan::query_threads / RangePlan::query_threads: N workers drain
-  /// one query's candidate frontier cooperatively, and exact k-NN and
-  /// range answers stay bit-identical to the serial loop at any worker
-  /// count. True for the five tree drivers (ADS+, DSTree, iSAX2+, M-tree,
-  /// SFA); false for the sequential scans (a flat scan has no traversal
-  /// frontier to share — batch --threads already parallelizes them) and
-  /// for the methods not yet restructured onto the engine.
+  /// (core::TreeSearch / ParallelScan) and honor KnnPlan::query_threads /
+  /// RangePlan::query_threads: N workers drain one query's candidate
+  /// frontier cooperatively, and exact k-NN and range answers stay
+  /// bit-identical to the serial loop at any worker count. True for the
+  /// five tree indexes (DSTree, iSAX2+, M-tree, R*-tree, SFA) and ADS+;
+  /// false for the sequential scans (a flat scan has no traversal frontier
+  /// to share — batch --threads already parallelizes them) and VA+file.
   bool intra_query_parallel = false;
   /// Human-readable reason when intra_query_parallel is false (surfaced by
   /// the CLI's --query-threads refusal and by `hydra methods`).
@@ -191,10 +176,7 @@ std::string ModeFallbackReason(const MethodTraits& traits, QualityMode mode);
 /// validates the spec once, resolves the requested quality mode against
 /// traits() (an unsupported mode falls back to the strongest supported
 /// guarantee and the fallback is recorded in the result — never silent),
-/// derives a KnnPlan, and dispatches to the protected Do* hooks. The
-/// legacy SearchKnn / SearchRange / SearchKnnApproximate entry points are
-/// thin wrappers over Execute, kept for existing callers and slated for
-/// removal.
+/// derives a KnnPlan, and dispatches to the protected Do* hooks.
 ///
 /// Lifetime: the Dataset passed to Build / Open must outlive the method;
 /// methods keep a pointer to it as the simulated raw data file.
@@ -261,28 +243,6 @@ class SearchMethod {
   /// from multiple threads on a built index.
   QueryResult Execute(SeriesView query, const QuerySpec& spec);
 
-  /// Legacy entry point (deprecated): exact k-NN, equivalent to
-  /// Execute(query, QuerySpec::Knn(k)).
-  KnnResult SearchKnn(SeriesView query, size_t k) {
-    return Execute(query, QuerySpec::Knn(k));
-  }
-
-  /// Legacy entry point (deprecated): exact r-range query, equivalent to
-  /// Execute(query, QuerySpec::Range(radius)) (`radius` is in distance
-  /// units, not squared; must be non-negative).
-  RangeResult SearchRange(SeriesView query, double radius) {
-    QueryResult result = Execute(query, QuerySpec::Range(radius));
-    return RangeResult{std::move(result.neighbors), result.stats};
-  }
-
-  /// Legacy entry point (deprecated): ng-approximate k-NN (Definition 7),
-  /// equivalent to Execute(query, QuerySpec::NgApprox(k)). Methods whose
-  /// traits lack ng support answer exactly — the result's delivered()
-  /// reports the fallback.
-  KnnResult SearchKnnApproximate(SeriesView query, size_t k) {
-    return Execute(query, QuerySpec::NgApprox(k));
-  }
-
   /// Index footprint; default is an empty footprint (sequential scans).
   virtual Footprint footprint() const { return {}; }
 
@@ -322,19 +282,19 @@ class SearchMethod {
   /// stats.budget_exhausted when an explicit budget stopped them (never
   /// for the delta rule) and leave answer_mode_delivered alone (Execute
   /// owns it). Neighbors are sorted by increasing *squared* distance.
-  virtual KnnResult DoSearchKnn(SeriesView query, const KnnPlan& plan) = 0;
+  virtual QueryResult DoSearchKnn(SeriesView query, const KnnPlan& plan) = 0;
 
   /// ng-approximate hook (Definition 7): traverse one root-to-leaf path,
   /// visiting at most one leaf, and return the best candidates found — no
   /// error guarantee. Only called when traits().supports_ng; the default
   /// CHECK-aborts so ng-capable methods must override it.
-  virtual KnnResult DoSearchKnnNg(SeriesView query, size_t k);
+  virtual QueryResult DoSearchKnnNg(SeriesView query, size_t k);
 
   /// Range driver hook. The plan carries the (guaranteed non-negative)
   /// radius plus the traversal width; query_threads is only ever > 1 for
-  /// methods advertising intra_query_parallel, and a width-1 plan must be
-  /// bit-identical to the pre-plan code paths.
-  virtual RangeResult DoSearchRange(SeriesView query,
+  /// methods advertising intra_query_parallel. The result holds every
+  /// series within distance r, sorted by increasing squared distance.
+  virtual QueryResult DoSearchRange(SeriesView query,
                                     const RangePlan& plan) = 0;
 
   /// Component bridges for composite methods (shard::ShardedIndex): a
@@ -344,15 +304,16 @@ class SearchMethod {
   /// The composite owns the contract the public NVI wrappers normally
   /// enforce: components must be built, plans validated, and specs
   /// resolved against traits before any bridge call.
-  static KnnResult ComponentSearchKnn(SearchMethod* component,
-                                      SeriesView query, const KnnPlan& plan) {
+  static QueryResult ComponentSearchKnn(SearchMethod* component,
+                                        SeriesView query,
+                                        const KnnPlan& plan) {
     return component->DoSearchKnn(query, plan);
   }
-  static KnnResult ComponentSearchKnnNg(SearchMethod* component,
-                                        SeriesView query, size_t k) {
+  static QueryResult ComponentSearchKnnNg(SearchMethod* component,
+                                          SeriesView query, size_t k) {
     return component->DoSearchKnnNg(query, k);
   }
-  static RangeResult ComponentSearchRange(SearchMethod* component,
+  static QueryResult ComponentSearchRange(SearchMethod* component,
                                           SeriesView query,
                                           const RangePlan& plan) {
     return component->DoSearchRange(query, plan);

@@ -3,7 +3,10 @@
 // intra-query parallelism (KnnPlan::query_threads) in the style of the
 // parallel-indexing literature (MESSI/ParIS+ work queues): N workers drain
 // a lock-sharded priority queue cooperatively, pruning against worker-local
-// answer heaps that publish through one lock-free SharedBound.
+// answer heaps that publish through one lock-free SharedBound. On top of
+// it, TreeSearch<Policy> is the one search driver of the five tree
+// indexes: a method supplies only its seeds, child expansion, home descent
+// and leaf loop; the driver owns everything else.
 //
 // Determinism contract: the serial path (workers == 1) reproduces the
 // classic single-queue best-first loop bit for bit — answers AND work
@@ -22,6 +25,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -29,32 +33,35 @@
 #include <optional>
 #include <queue>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/knn.h"
+#include "core/method.h"
 #include "core/query_spec.h"
 #include "core/search_stats.h"
+#include "core/types.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/timer.h"
 
 namespace hydra::core {
 
-/// Drains a best-first candidate queue with `workers` cooperating workers.
+/// Drains a best-first candidate queue with `workers` cooperating workers:
+/// the engine under TreeSearch.
 ///
-/// `Item` is the driver's frontier entry (a lower bound plus a node
-/// pointer) whose operator< orders the priority queue exactly like the
-/// drivers' private loops did (greater-lb-first, i.e. a min-heap on the
-/// bound). `pruned(item, w)` is the driver's stop test — "this lower bound
-/// has reached worker w's current pruning bound" plus any stop/budget
-/// flags; `expand(item, w, push)` visits the item (leaf scan or child
-/// expansion), pushing new frontier entries through `push`.
+/// `Item` is a frontier entry whose operator< orders the priority queue
+/// (TreeItem: a min-heap on the lower bound). `pruned(item, w)` is the
+/// stop test — "this lower bound has reached worker w's current pruning
+/// bound" plus any stop/budget flags; `expand(item, w, push)` visits the
+/// item (leaf scan or child expansion), pushing new frontier entries
+/// through `push`.
 ///
 /// Serial path (workers <= 1): seeds are pushed in order into one
 /// std::priority_queue and the classic loop runs on the calling thread —
-/// pop, break when pruned, expand — bit-identical to the drivers' old
-/// private loops. A pruned pop ends the whole traversal (every remaining
-/// item's bound is at least as large).
+/// pop, break when pruned, expand. A pruned pop ends the whole traversal
+/// (every remaining item's bound is at least as large).
 ///
 /// Parallel path: one mutex-guarded priority queue per worker, seeds dealt
 /// round-robin, workers pop their own queue first and steal from others
@@ -302,6 +309,242 @@ class RangeWorkers {
   size_t workers_;
   std::vector<RangeCollector> collectors_;
   std::vector<SearchStats> extra_stats_;
+};
+
+
+/// One frontier entry of a TreeSearch: a node plus the lower bound that
+/// orders the queue (smallest first) and one policy-defined companion.
+template <typename Node>
+struct TreeItem {
+  double lb = 0.0;
+  const Node* node = nullptr;
+  /// Policy-defined companion value (the M-tree's d(query, node center)).
+  double aux = 0.0;
+
+  bool operator<(const TreeItem& other) const { return lb > other.lb; }
+};
+
+/// Base of a TreeSearch policy over nodes of type `NodeT`: the frontier
+/// entry, the push callback its Seeds and Expand hooks receive, and the
+/// units of its lower bounds (a metric tree shadows kDistanceBounds).
+template <typename NodeT>
+struct TreePolicy {
+  using Node = NodeT;
+  using Item = TreeItem<NodeT>;
+  using Push = std::function<void(Item)>;
+  static constexpr bool kDistanceBounds = false;
+};
+
+/// What one worker of a TreeSearch hands to its policy's hooks: the answer
+/// sink (KnnHeap for k-NN, RangeCollector for range queries), the worker's
+/// ledger, and the pruning tests against the sink's live bound.
+///
+/// `kDistanceBounds` selects the units of every lower bound the policy
+/// tests: squared distances (the default; the k-NN test is
+/// lb < bsf^2 * bound_scale) or true distances for metric trees (the
+/// M-tree's lb < sqrt(bsf^2) * 1/(1+epsilon)). Range queries admit a bound
+/// equal to the radius, since a match at exactly r counts.
+template <typename Sink, bool kDistanceBounds>
+class TreeWorker {
+ public:
+  static constexpr bool kRange = std::is_same_v<Sink, RangeCollector>;
+
+  TreeWorker(size_t index, KnnHeap* heap, SearchStats* stats,
+             const KnnPlan& plan)
+      : index_(index),
+        sink_(heap),
+        stats_(stats),
+        plan_(&plan),
+        scale_(kDistanceBounds ? 1.0 / (1.0 + plan.epsilon)
+                               : plan.bound_scale) {}
+
+  TreeWorker(size_t index, RangeCollector* collector, SearchStats* stats,
+             double radius)
+      : index_(index),
+        sink_(collector),
+        stats_(stats),
+        scale_(kDistanceBounds ? radius : collector->Bound()) {}
+
+  /// Worker index, 0 on the calling thread (for per-worker policy state).
+  size_t index() const { return index_; }
+  Sink& sink() const { return *sink_; }
+  SearchStats& stats() const { return *stats_; }
+
+  /// True when a node or entry with lower bound `lb` may still hold an
+  /// answer (see the class comment for units).
+  bool Admits(double lb) const {
+    if constexpr (kRange) {
+      return lb <= scale_;
+    } else if constexpr (kDistanceBounds) {
+      return lb < std::sqrt(sink_->Bound()) * scale_;
+    } else {
+      return lb < sink_->Bound() * scale_;
+    }
+  }
+
+  /// The raw-series budget, checked before every raw examination (see
+  /// KnnPlan::RawCapReached); range queries have none.
+  bool RawCapReached() const {
+    if constexpr (kRange) {
+      return false;
+    } else {
+      return plan_->RawCapReached(stats_);
+    }
+  }
+
+ private:
+  size_t index_;
+  Sink* sink_;
+  SearchStats* stats_;
+  const KnnPlan* plan_ = nullptr;  // k-NN only
+  // k-NN: bound_scale, or 1/(1+epsilon) on distance bounds; range: the
+  // fixed admission threshold (r^2, or r on distance bounds).
+  double scale_;
+};
+
+/// The one search driver of the tree indexes (DSTree, iSAX2+, SFA trie,
+/// M-tree, R*-tree). A method's Policy derives from TreePolicy<Node> and
+/// supplies only what differs between trees:
+///
+///   Policy(args...);                          // per-query setup
+///   int64_t LeafCount() const;                // delta rule (0 = none)
+///   bool IsLeaf(const Node&) const;
+///   size_t LeafSize(const Node&) const;       // series under a leaf
+///   const Node* Home();                       // ng-capable trees only:
+///                                             // the one-path descent
+///   template <class W> void Seeds(const W&, push);   // first entries
+///   template <class W> void Expand(item, const W&, push);  // children
+///   template <class W> void VerifyLeaf(item, const W&);    // leaf loop
+///
+/// Seeds and Expand compute each lower bound, charge it, and push the
+/// entries `W::Admits`; VerifyLeaf reads the leaf's series in the method's
+/// own read style, checks `W::RawCapReached` before each examination and
+/// offers distances to `W::sink()`. The driver owns the rest: the home
+/// visit and the ng path (Definition 7), skipping the traversal when a
+/// budget fires in the home leaf, best-first k-NN with bound_scale, the
+/// leaf cap and raw cap with per-worker stop flags, KnnWorkers /
+/// RangeWorkers and the SharedBound, the range path, the `leaf_verify`
+/// span, and cpu_seconds (which include the policy's per-query setup).
+template <typename Policy>
+class TreeSearch {
+ public:
+  using Node = typename Policy::Node;
+  using Item = TreeItem<Node>;
+  using Push = std::function<void(Item)>;
+
+  /// k-NN under `plan` (exact, epsilon, delta-epsilon, budgeted; wide
+  /// when plan.query_threads > 1).
+  template <typename... Args>
+  static QueryResult Knn(const KnnPlan& plan, Args&&... args) {
+    return KnnSearch(plan, /*traverse=*/true, std::forward<Args>(args)...);
+  }
+
+  /// ng-approximate k-NN (Definition 7): the home leaf alone.
+  template <typename... Args>
+  static QueryResult Ng(size_t k, Args&&... args) {
+    return KnnSearch(KnnPlan{.k = k}, /*traverse=*/false,
+                     std::forward<Args>(args)...);
+  }
+
+  /// r-range query (Definition 2). Every entry is admitted against the
+  /// fixed radius before it enters the frontier, so the visited set — and
+  /// every counter but the raw-read cursor — is independent of the
+  /// traversal order and the worker count.
+  template <typename... Args>
+  static QueryResult Range(const RangePlan& plan, Args&&... args) {
+    util::WallTimer timer;
+    Policy policy(std::forward<Args>(args)...);
+    QueryResult result;
+    RangeWorkers workers(plan.radius * plan.radius, &result.stats,
+                         plan.query_threads);
+    Traverse(policy, KnnPlan{}, nullptr, workers.workers(), [&](size_t w) {
+      return RangeWorker(w, &workers.collector(w), &workers.stats(w),
+                         plan.radius);
+    });
+    workers.Finish(&result.neighbors);
+    result.stats.cpu_seconds = timer.Seconds();
+    return result;
+  }
+
+ private:
+  static constexpr bool kHasHome = requires(Policy& p) { p.Home(); };
+  using KnnWorker = TreeWorker<KnnHeap, Policy::kDistanceBounds>;
+  using RangeWorker = TreeWorker<RangeCollector, Policy::kDistanceBounds>;
+
+  template <typename... Args>
+  static QueryResult KnnSearch(const KnnPlan& plan, bool traverse,
+                               Args&&... args) {
+    util::WallTimer timer;
+    Policy policy(std::forward<Args>(args)...);
+    QueryResult result;
+    KnnHeap& heap = ScratchKnnHeap(plan.k);
+    KnnWorkers workers(&heap, &result.stats, plan);
+    const auto worker = [&](size_t w) {
+      return KnnWorker(w, &workers.heap(w), &workers.stats(w), plan);
+    };
+    // The home visit primes the bsf on the calling thread (worker 0),
+    // whose bound every other worker then starts from.
+    const Node* home = nullptr;
+    if constexpr (kHasHome) {
+      home = policy.Home();
+      if (home != nullptr) {
+        ++result.stats.nodes_visited;
+        Verify(policy, Item{0.0, home}, worker(0));
+      }
+    }
+    // A budget exhausted already in the home leaf makes the answer final.
+    if (traverse && !result.stats.budget_exhausted) {
+      Traverse(policy, plan, home, workers.workers(), worker);
+    }
+    workers.Finish(plan.k, &result.neighbors);
+    result.stats.cpu_seconds = timer.Seconds();
+    return result;
+  }
+
+  template <typename W>
+  static void Verify(Policy& policy, const Item& leaf, const W& worker) {
+    const size_t series = policy.LeafSize(*leaf.node);
+    if (series == 0) return;
+    HYDRA_OBS_SPAN_ARG("leaf_verify", "series", series);
+    policy.VerifyLeaf(leaf, worker);
+  }
+
+  /// Best-first traversal from the policy's seeds over `workers` workers,
+  /// `worker(w)` viewing worker w's sink and ledger. A pop is pruned once
+  /// its bound is no longer admitted or the worker stopped (leaf cap or
+  /// budget); `home` was already visited and is skipped.
+  template <typename MakeWorker>
+  static void Traverse(Policy& policy, const KnnPlan& plan, const Node* home,
+                       size_t workers, const MakeWorker& worker) {
+    std::vector<Item> seeds;
+    policy.Seeds(worker(0), [&seeds](Item item) { seeds.push_back(item); });
+    std::vector<int64_t> leaves(workers, 0);
+    leaves[0] = home != nullptr ? 1 : 0;
+    std::vector<uint8_t> stop(workers, 0);
+    BestFirstTraverse<Item>(
+        workers, seeds,
+        [&](const Item& item, size_t w) {
+          const auto view = worker(w);
+          return stop[w] != 0 || view.stats().budget_exhausted ||
+                 !view.Admits(item.lb);
+        },
+        [&](const Item& item, size_t w, const Push& push) {
+          const auto view = worker(w);
+          ++view.stats().nodes_visited;
+          if (!policy.IsLeaf(*item.node)) {
+            policy.Expand(item, view, push);
+            return;
+          }
+          if (item.node == home) return;
+          if (plan.LeafCapReached(leaves[w], policy.LeafCount(),
+                                  &view.stats())) {
+            stop[w] = 1;
+            return;
+          }
+          Verify(policy, item, view);
+          ++leaves[w];
+        });
+  }
 };
 
 }  // namespace hydra::core

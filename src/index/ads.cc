@@ -74,11 +74,11 @@ util::Status AdsPlus::DoOpen(io::IndexReader* reader,
   return reader->status();
 }
 
-core::KnnResult AdsPlus::DoSearchKnn(core::SeriesView query,
-                                     const core::KnnPlan& plan) {
+core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
+                                       const core::KnnPlan& plan) {
   HYDRA_CHECK(tree_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap heap(plan.k);
   core::KnnWorkers workers(&heap, &result.stats, plan);
   const core::QueryOrder order(query);
@@ -90,16 +90,12 @@ core::KnnResult AdsPlus::DoSearchKnn(core::SeriesView query,
   // minimal leaf size, then fetch that leaf's series from the raw file.
   // SIMS visits exactly this one leaf, so max_visited_leaves (>= 1 by
   // construction) never fires; the raw budget applies from the start.
-  std::vector<uint8_t> q_word(segments);
-  for (size_t s = 0; s < segments; ++s) {
-    q_word[s] = transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
-  }
-  IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
+  IsaxTree::Node* home = tree_->ApproximateLeaf(paa, pps);
   while (home != nullptr && home->size() > options_.adaptive_leaf_capacity) {
     const size_t before = home->size();
     tree_->SplitLeaf(home);
     if (home->is_leaf) break;  // could not split (max resolution)
-    home = tree_->ApproximateLeaf(q_word, paa, pps);
+    home = tree_->ApproximateLeaf(paa, pps);
     if (home == nullptr || home->size() >= before) break;
   }
   std::vector<bool> evaluated(data_->size(), false);
@@ -199,11 +195,11 @@ core::KnnResult AdsPlus::DoSearchKnn(core::SeriesView query,
   return result;
 }
 
-core::RangeResult AdsPlus::DoSearchRange(core::SeriesView query,
+core::QueryResult AdsPlus::DoSearchRange(core::SeriesView query,
                                          const core::RangePlan& plan) {
   HYDRA_CHECK(tree_ != nullptr);
   util::WallTimer timer;
-  core::RangeResult result;
+  core::QueryResult result;
   const double radius_sq = plan.radius * plan.radius;
   core::RangeWorkers workers(radius_sq, &result.stats, plan.query_threads);
   const core::QueryOrder order(query);
@@ -248,25 +244,21 @@ core::RangeResult AdsPlus::DoSearchRange(core::SeriesView query,
       });
   raw_->ReleasePin();  // raw_ outlives the query; never idle on a frame
 
-  workers.Finish(&result.matches);
+  workers.Finish(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }
 
-core::KnnResult AdsPlus::DoSearchKnnNg(core::SeriesView query, size_t k) {
+core::QueryResult AdsPlus::DoSearchKnnNg(core::SeriesView query, size_t k) {
   HYDRA_CHECK(tree_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap heap(k);
   const core::QueryOrder order(query);
   const auto paa = transform::Paa(query, options_.segments);
   const size_t pps = query.size() / options_.segments;
 
-  std::vector<uint8_t> q_word(options_.segments);
-  for (size_t s = 0; s < options_.segments; ++s) {
-    q_word[s] = transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
-  }
-  IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
+  IsaxTree::Node* home = tree_->ApproximateLeaf(paa, pps);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
     for (const core::SeriesId id : home->ids) {

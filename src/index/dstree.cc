@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-#include <queue>
 
 #include "core/distance.h"
 #include "core/traversal.h"
+#include "index/leaf_scan.h"
 #include "io/index_codec.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -367,191 +366,83 @@ void DsTree::SplitLeaf(Node* leaf) {
   leaf->is_leaf = false;
 }
 
-void DsTree::VisitLeaf(const Node& leaf, const core::QueryOrder& order,
-                       const core::KnnPlan& plan, core::KnnHeap* heap,
-                       core::SearchStats* stats) const {
-  if (leaf.ids.empty()) return;
-  HYDRA_OBS_SPAN_ARG("leaf_verify", "series", leaf.ids.size());
-  io::ChargeLeafRead(leaf.ids.size(), data_->length() * sizeof(core::Value),
-                     stats);
-  io::CountedStorage raw(data_);
-  for (const core::SeriesId id : leaf.ids) {
-    if (plan.RawCapReached(stats)) return;
-    const double d = order.Distance(raw.ReadPrecharged(id, stats),
-                                    heap->Bound());
-    ++stats->distance_computations;
-    ++stats->raw_series_examined;
-    heap->Offer(id, d);
+/// DSTree's TreeSearch policy: EAPCA envelope lower bounds over each
+/// node's own segmentation, and the split-routed descent as home.
+class DsTree::Search : public core::TreePolicy<DsTree::Node> {
+ public:
+  Search(const DsTree& tree, core::SeriesView query)
+      : tree_(tree),
+        order_(core::ScratchQueryOrder(query)),
+        qp_(ComputePrefix(query)) {
+    HYDRA_CHECK(tree.root_ != nullptr);
   }
-}
 
-core::KnnResult DsTree::DoSearchKnn(core::SeriesView query,
-                                    const core::KnnPlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::KnnResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
-  core::KnnWorkers workers(&heap, &result.stats, plan);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const Prefix qp = ComputePrefix(query);
+  int64_t LeafCount() const { return tree_.leaf_count_; }
+  bool IsLeaf(const Node& node) const { return node.is_leaf; }
+  size_t LeafSize(const Node& leaf) const { return leaf.ids.size(); }
 
-  // ng-approximate descent for the initial bsf, always on the calling
-  // thread into the primary heap (its bound is published to every worker).
-  Node* node = root_.get();
-  while (!node->is_leaf) {
-    const auto& cs = node->child_seg;
-    const SegmentStats st = StatOf(qp, cs.begin_of(node->split_segment),
-                                   cs.ends[node->split_segment]);
-    const double v = node->split_on_mean ? st.mean : st.stddev;
-    node = (v <= node->split_value ? node->left : node->right).get();
-  }
-  ++result.stats.nodes_visited;
-  const Node* home = node;
-  VisitLeaf(*home, order, plan, &heap, &result.stats);
-
-  // Best-first traversal with the EAPCA node lower bound. Pruning against
-  // bsf/(1+epsilon)^2 (plan.bound_scale) keeps every reported distance
-  // within (1+epsilon) of the truth; with the default plan this is the
-  // exact search, bit for bit. Caps and budgets only ever bind at width 1
-  // (Execute's pure-exact gate).
-  struct Item {
-    double lb;
-    const Node* node;
-    bool operator<(const Item& other) const {
-      return lb > other.lb;
+  /// One root-to-leaf path, routed by each node's split test.
+  const Node* Home() const {
+    const Node* node = tree_.root_.get();
+    while (!node->is_leaf) {
+      const auto& cs = node->child_seg;
+      const SegmentStats st = StatOf(qp_, cs.begin_of(node->split_segment),
+                                     cs.ends[node->split_segment]);
+      const double v = node->split_on_mean ? st.mean : st.stddev;
+      node = (v <= node->split_value ? node->left : node->right).get();
     }
-  };
-  std::vector<int64_t> leaves(workers.workers(), 0);
-  leaves[0] = 1;
-  std::vector<uint8_t> stop(workers.workers(), 0);
-  core::BestFirstTraverse<Item>(
-      workers.workers(), {Item{0.0, root_.get()}},
-      [&](const Item& item, size_t w) {
-        return stop[w] != 0 || workers.stats(w).budget_exhausted ||
-               item.lb >= workers.heap(w).Bound() * plan.bound_scale;
-      },
-      [&](const Item& item, size_t w,
-          const std::function<void(Item)>& push) {
-        core::SearchStats& stats = workers.stats(w);
-        ++stats.nodes_visited;
-        if (item.node->is_leaf) {
-          if (item.node != home) {
-            if (plan.LeafCapReached(leaves[w], leaf_count_, &stats)) {
-              stop[w] = 1;
-              return;
-            }
-            VisitLeaf(*item.node, order, plan, &workers.heap(w), &stats);
-            ++leaves[w];
-          }
-          return;
-        }
-        for (const Node* child :
-             {item.node->left.get(), item.node->right.get()}) {
-          if (child->count == 0) continue;
-          const auto q_stats = StatsOn(qp, child->seg);
-          const double lb =
-              transform::EapcaNodeLbSq(q_stats, child->ranges, child->seg);
-          ++stats.lower_bound_computations;
-          if (lb < workers.heap(w).Bound() * plan.bound_scale) {
-            push({lb, child});
-          }
-        }
-      });
+    return node;
+  }
 
-  workers.Finish(plan.k, &result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  /// k-NN seeds the root unbounded (the home visit already primed the
+  /// bsf); a range query bounds it like any child.
+  template <typename W>
+  void Seeds(const W& w, const Push& push) const {
+    if constexpr (W::kRange) {
+      Bound(tree_.root_.get(), w, push);
+    } else {
+      push({0.0, tree_.root_.get()});
+    }
+  }
+
+  template <typename W>
+  void Expand(const Item& item, const W& w, const Push& push) const {
+    Bound(item.node->left.get(), w, push);
+    Bound(item.node->right.get(), w, push);
+  }
+
+  template <typename W>
+  void VerifyLeaf(const Item& leaf, const W& w) const {
+    ScanLeaf(leaf.node->ids, tree_.data_, order_, w);
+  }
+
+ private:
+  template <typename W>
+  void Bound(const Node* node, const W& w, const Push& push) const {
+    if (node->count == 0) return;
+    const double lb = transform::EapcaNodeLbSq(StatsOn(qp_, node->seg),
+                                               node->ranges, node->seg);
+    ++w.stats().lower_bound_computations;
+    if (w.Admits(lb)) push({lb, node});
+  }
+
+  const DsTree& tree_;
+  const core::QueryOrder& order_;
+  const Prefix qp_;
+};
+
+core::QueryResult DsTree::DoSearchKnn(core::SeriesView query,
+                                      const core::KnnPlan& plan) {
+  return core::TreeSearch<Search>::Knn(plan, *this, query);
 }
 
-core::RangeResult DsTree::DoSearchRange(core::SeriesView query,
+core::QueryResult DsTree::DoSearchKnnNg(core::SeriesView query, size_t k) {
+  return core::TreeSearch<Search>::Ng(k, *this, query);
+}
+
+core::QueryResult DsTree::DoSearchRange(core::SeriesView query,
                                         const core::RangePlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::RangeResult result;
-  core::RangeWorkers workers(plan.radius * plan.radius, &result.stats,
-                             plan.query_threads);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const Prefix qp = ComputePrefix(query);
-
-  // Engine traversal with the fixed r^2 bound: nodes are bounded before
-  // they enter the frontier, so nothing is ever pruned at pop time and
-  // every counter is traversal-order independent — the parallel sweep
-  // charges exactly the serial counters.
-  struct Item {
-    double lb;
-    const Node* node;
-    bool operator<(const Item& other) const { return lb > other.lb; }
-  };
-  const double radius_sq = plan.radius * plan.radius;
-  auto bounded = [&](const Node* node, core::SearchStats* stats)
-      -> std::optional<Item> {
-    if (node->count == 0) return std::nullopt;
-    const auto q_stats = StatsOn(qp, node->seg);
-    ++stats->lower_bound_computations;
-    const double lb =
-        transform::EapcaNodeLbSq(q_stats, node->ranges, node->seg);
-    if (lb > radius_sq) return std::nullopt;
-    return Item{lb, node};
-  };
-  std::vector<Item> seeds;
-  if (const auto root = bounded(root_.get(), &result.stats)) {
-    seeds.push_back(*root);
-  }
-  core::BestFirstTraverse<Item>(
-      workers.workers(), seeds,
-      [](const Item&, size_t) { return false; },
-      [&](const Item& item, size_t w,
-          const std::function<void(Item)>& push) {
-        core::RangeCollector& collector = workers.collector(w);
-        core::SearchStats& stats = workers.stats(w);
-        ++stats.nodes_visited;
-        if (item.node->is_leaf) {
-          HYDRA_OBS_SPAN_ARG("leaf_verify", "series", item.node->ids.size());
-          io::ChargeLeafRead(item.node->ids.size(),
-                             data_->length() * sizeof(core::Value), &stats);
-          io::CountedStorage raw(data_);
-          for (const core::SeriesId id : item.node->ids) {
-            const double d = order.Distance(
-                raw.ReadPrecharged(id, &stats), collector.Bound());
-            ++stats.distance_computations;
-            ++stats.raw_series_examined;
-            collector.Offer(id, d);
-          }
-          return;
-        }
-        for (const Node* child :
-             {item.node->left.get(), item.node->right.get()}) {
-          if (const auto entry = bounded(child, &stats)) push(*entry);
-        }
-      });
-
-  workers.Finish(&result.matches);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
-}
-
-core::KnnResult DsTree::DoSearchKnnNg(core::SeriesView query, size_t k) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::KnnResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(k);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const Prefix qp = ComputePrefix(query);
-
-  // One root-to-leaf path (Definition 7).
-  Node* node = root_.get();
-  while (!node->is_leaf) {
-    const auto& cs = node->child_seg;
-    const SegmentStats st = StatOf(qp, cs.begin_of(node->split_segment),
-                                   cs.ends[node->split_segment]);
-    const double v = node->split_on_mean ? st.mean : st.stddev;
-    node = (v <= node->split_value ? node->left : node->right).get();
-  }
-  ++result.stats.nodes_visited;
-  VisitLeaf(*node, order, core::KnnPlan{.k = k}, &heap, &result.stats);
-  heap.ExtractSortedTo(&result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearch<Search>::Range(plan, *this, query);
 }
 
 core::Footprint DsTree::footprint() const {

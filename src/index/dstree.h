@@ -8,9 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/distance.h"
 #include "core/method.h"
-#include "io/counted_storage.h"
 #include "transform/eapca.h"
 
 namespace hydra::index {
@@ -52,14 +50,17 @@ class DsTree : public core::SearchMethod {
   void DoSave(io::IndexWriter* writer) const override;
   util::Status DoOpen(io::IndexReader* reader,
                       const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::KnnResult DoSearchKnnNg(core::SeriesView query, size_t k) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchKnnNg(core::SeriesView query,
+                                  size_t k) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:
   struct Node;
+  /// The core::TreeSearch policy of this tree (defined in the .cc).
+  class Search;
 
   /// Per-series cumulative sums enabling O(1) segment mean/stddev.
   struct Prefix {
@@ -80,11 +81,6 @@ class DsTree : public core::SearchMethod {
 
   void Insert(core::SeriesId id, const Prefix& p);
   void SplitLeaf(Node* leaf);
-  /// Scans a leaf's raw series into the heap, honoring the plan's raw
-  /// budget (sets stats->budget_exhausted and stops when it fires).
-  void VisitLeaf(const Node& leaf, const core::QueryOrder& order,
-                 const core::KnnPlan& plan, core::KnnHeap* heap,
-                 core::SearchStats* stats) const;
 
   DsTreeOptions options_;
   const core::Dataset* data_ = nullptr;

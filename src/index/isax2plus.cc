@@ -1,10 +1,10 @@
 #include "index/isax2plus.h"
 
 #include <cmath>
-#include <limits>
 
 #include "core/distance.h"
 #include "core/traversal.h"
+#include "index/leaf_scan.h"
 #include "io/index_codec.h"
 #include "transform/paa.h"
 #include "util/check.h"
@@ -73,153 +73,72 @@ util::Status Isax2Plus::DoOpen(io::IndexReader* reader,
   return reader->status();
 }
 
-void Isax2Plus::VisitLeaf(const IsaxTree::Node& leaf,
-                          const core::QueryOrder& order,
-                          const core::KnnPlan& plan, core::KnnHeap* heap,
-                          core::SearchStats* stats) const {
-  if (leaf.ids.empty()) return;
-  HYDRA_OBS_SPAN_ARG("leaf_verify", "series", leaf.ids.size());
-  io::ChargeLeafRead(leaf.ids.size(), data_->length() * sizeof(core::Value),
-                     stats);
-  io::CountedStorage raw(data_);
-  for (const core::SeriesId id : leaf.ids) {
-    if (plan.RawCapReached(stats)) return;
-    const double d = order.Distance(raw.ReadPrecharged(id, stats),
-                                    heap->Bound());
-    ++stats->distance_computations;
-    ++stats->raw_series_examined;
-    heap->Offer(id, d);
+/// iSAX2+'s TreeSearch policy: iSAX MINDIST lower bounds, seeded with the
+/// first-level fan-out, and the covering-word descent as home.
+class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
+ public:
+  Search(const Isax2Plus& index, core::SeriesView query)
+      : index_(index),
+        order_(core::ScratchQueryOrder(query)),
+        paa_(transform::Paa(query, index.options_.segments)),
+        pps_(query.size() / index.options_.segments) {
+    HYDRA_CHECK(index.tree_ != nullptr);
   }
+
+  int64_t LeafCount() const { return index_.leaf_count_; }
+  bool IsLeaf(const Node& node) const { return node.is_leaf; }
+  size_t LeafSize(const Node& leaf) const { return leaf.ids.size(); }
+
+  /// The leaf covering the query's word (IsaxTree::ApproximateLeaf).
+  const Node* Home() const {
+    return index_.tree_->ApproximateLeaf(paa_, pps_);
+  }
+
+  template <typename W>
+  void Seeds(const W& w, const Push& push) const {
+    for (const auto& [key, node] : index_.tree_->first_level()) {
+      Bound(node.get(), w, push);
+    }
+  }
+
+  template <typename W>
+  void Expand(const Item& item, const W& w, const Push& push) const {
+    Bound(item.node->child0.get(), w, push);
+    Bound(item.node->child1.get(), w, push);
+  }
+
+  template <typename W>
+  void VerifyLeaf(const Item& leaf, const W& w) const {
+    ScanLeaf(leaf.node->ids, index_.data_, order_, w);
+  }
+
+ private:
+  template <typename W>
+  void Bound(const Node* node, const W& w, const Push& push) const {
+    const double lb = transform::IsaxMinDistSq(paa_, node->word, pps_);
+    ++w.stats().lower_bound_computations;
+    if (w.Admits(lb)) push({lb, node});
+  }
+
+  const Isax2Plus& index_;
+  const core::QueryOrder& order_;
+  const std::vector<double> paa_;
+  const size_t pps_;
+};
+
+core::QueryResult Isax2Plus::DoSearchKnn(core::SeriesView query,
+                                         const core::KnnPlan& plan) {
+  return core::TreeSearch<Search>::Knn(plan, *this, query);
 }
 
-core::KnnResult Isax2Plus::DoSearchKnn(core::SeriesView query,
-                                       const core::KnnPlan& plan) {
-  HYDRA_CHECK(tree_ != nullptr);
-  util::WallTimer timer;
-  core::KnnResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
-  core::KnnWorkers workers(&heap, &result.stats, plan);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const auto paa = transform::Paa(query, options_.segments);
-  const size_t pps = query.size() / options_.segments;
-
-  // ng-approximate phase: descend to the query's covering leaf for a bsf.
-  // Always on the calling thread (worker 0), into the primary heap, so
-  // every worker starts from the descent's published bound.
-  std::vector<uint8_t> q_word(options_.segments);
-  for (size_t s = 0; s < options_.segments; ++s) {
-    q_word[s] = transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
-  }
-  IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
-  if (home != nullptr) {
-    ++result.stats.nodes_visited;
-    VisitLeaf(*home, order, plan, &heap, &result.stats);
-  }
-
-  // A budget exhausted already in the home leaf makes the answer final:
-  // skip the traversal outright rather than paying its first-level
-  // MINDIST fan-out just to have the -inf bound prune everything.
-  if (result.stats.budget_exhausted) {
-    workers.Finish(plan.k, &result.neighbors);
-    result.stats.cpu_seconds = timer.Seconds();
-    return result;
-  }
-
-  // Best-first traversal pruned against bsf/(1+epsilon)^2
-  // (plan.bound_scale; exact with the default plan). Once a cap fires the
-  // bound closure collapses to -inf, which stops that worker's traversal
-  // on its next pop. Caps and budgets only ever bind at width 1 (Execute's
-  // pure-exact gate), so the per-worker stop flags never diverge.
-  std::vector<int64_t> leaves(workers.workers(), 0);
-  leaves[0] = home != nullptr ? 1 : 0;
-  std::vector<uint8_t> stop(workers.workers(), 0);
-  tree_->BestFirstSearch(
-      paa, pps, workers.workers(),
-      [&](size_t w) -> double {
-        if (stop[w] != 0 || workers.stats(w).budget_exhausted) {
-          return -std::numeric_limits<double>::infinity();
-        }
-        return workers.heap(w).Bound() * plan.bound_scale;
-      },
-      [&](IsaxTree::Node* leaf, size_t w) {
-        if (stop[w] != 0 || workers.stats(w).budget_exhausted ||
-            leaf == home) {
-          return;
-        }
-        if (plan.LeafCapReached(leaves[w], leaf_count_,
-                                &workers.stats(w))) {
-          stop[w] = 1;
-          return;
-        }
-        VisitLeaf(*leaf, order, plan, &workers.heap(w), &workers.stats(w));
-        ++leaves[w];
-      },
-      [&](size_t w) { return &workers.stats(w); });
-
-  workers.Finish(plan.k, &result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+core::QueryResult Isax2Plus::DoSearchKnnNg(core::SeriesView query,
+                                           size_t k) {
+  return core::TreeSearch<Search>::Ng(k, *this, query);
 }
 
-core::RangeResult Isax2Plus::DoSearchRange(core::SeriesView query,
+core::QueryResult Isax2Plus::DoSearchRange(core::SeriesView query,
                                            const core::RangePlan& plan) {
-  HYDRA_CHECK(tree_ != nullptr);
-  util::WallTimer timer;
-  core::RangeResult result;
-  core::RangeWorkers workers(plan.radius * plan.radius, &result.stats,
-                             plan.query_threads);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const auto paa = transform::Paa(query, options_.segments);
-  const size_t pps = query.size() / options_.segments;
-
-  tree_->BestFirstSearch(
-      paa, pps, workers.workers(),
-      [&](size_t w) { return workers.collector(w).Bound(); },
-      [&](IsaxTree::Node* leaf, size_t w) {
-        if (leaf->ids.empty()) return;
-        HYDRA_OBS_SPAN_ARG("leaf_verify", "series", leaf->ids.size());
-        core::RangeCollector& collector = workers.collector(w);
-        core::SearchStats& stats = workers.stats(w);
-        io::ChargeLeafRead(leaf->ids.size(),
-                           data_->length() * sizeof(core::Value), &stats);
-        io::CountedStorage raw(data_);
-        for (const core::SeriesId id : leaf->ids) {
-          const double d = order.Distance(raw.ReadPrecharged(id, &stats),
-                                          collector.Bound());
-          ++stats.distance_computations;
-          ++stats.raw_series_examined;
-          collector.Offer(id, d);
-        }
-      },
-      [&](size_t w) { return &workers.stats(w); });
-
-  workers.Finish(&result.matches);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
-}
-
-core::KnnResult Isax2Plus::DoSearchKnnNg(core::SeriesView query, size_t k) {
-  HYDRA_CHECK(tree_ != nullptr);
-  util::WallTimer timer;
-  core::KnnResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(k);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const auto paa = transform::Paa(query, options_.segments);
-  const size_t pps = query.size() / options_.segments;
-
-  // One-path traversal, at most one leaf (Definition 7).
-  std::vector<uint8_t> q_word(options_.segments);
-  for (size_t s = 0; s < options_.segments; ++s) {
-    q_word[s] = transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
-  }
-  IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
-  if (home != nullptr) {
-    ++result.stats.nodes_visited;
-    VisitLeaf(*home, order, core::KnnPlan{.k = k}, &heap, &result.stats);
-  }
-  heap.ExtractSortedTo(&result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearch<Search>::Range(plan, *this, query);
 }
 
 core::Footprint Isax2Plus::footprint() const {

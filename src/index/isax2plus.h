@@ -7,10 +7,8 @@
 #include <memory>
 #include <vector>
 
-#include "core/distance.h"
 #include "core/method.h"
 #include "index/isax_tree.h"
-#include "io/counted_storage.h"
 
 namespace hydra::index {
 
@@ -49,18 +47,17 @@ class Isax2Plus : public core::SearchMethod {
   void DoSave(io::IndexWriter* writer) const override;
   util::Status DoOpen(io::IndexReader* reader,
                       const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::KnnResult DoSearchKnnNg(core::SeriesView query, size_t k) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchKnnNg(core::SeriesView query,
+                                  size_t k) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:
-  /// Scans a leaf's raw series into the heap, honoring the plan's raw
-  /// budget (sets stats->budget_exhausted and stops when it fires).
-  void VisitLeaf(const IsaxTree::Node& leaf, const core::QueryOrder& order,
-                 const core::KnnPlan& plan, core::KnnHeap* heap,
-                 core::SearchStats* stats) const;
+  /// The core::TreeSearch policy of this tree (defined in the .cc).
+  class Search;
+
 
   Isax2PlusOptions options_;
   const core::Dataset* data_ = nullptr;

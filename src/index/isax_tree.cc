@@ -2,9 +2,7 @@
 
 #include <cmath>
 #include <limits>
-#include <queue>
 
-#include "core/traversal.h"
 #include "io/index_codec.h"
 #include "util/check.h"
 
@@ -166,10 +164,13 @@ void IsaxTree::SplitLeaf(Node* leaf) {
   }
 }
 
-IsaxTree::Node* IsaxTree::ApproximateLeaf(std::span<const uint8_t> full_word,
-                                          std::span<const double> paa_q,
+IsaxTree::Node* IsaxTree::ApproximateLeaf(std::span<const double> paa_q,
                                           size_t points_per_segment) {
   if (first_level_.empty()) return nullptr;
+  std::vector<uint8_t> full_word(paa_q.size());
+  for (size_t s = 0; s < paa_q.size(); ++s) {
+    full_word[s] = transform::SaxSymbol(paa_q[s], transform::kMaxSaxBits);
+  }
   Node* node = FirstLevelFor(full_word, /*create=*/false);
   if (node == nullptr) {
     // No covering first-level node: fall back to the closest existing one.
@@ -196,49 +197,6 @@ IsaxTree::Node* IsaxTree::ApproximateLeaf(std::span<const uint8_t> full_word,
                : preferred;
   }
   return node;
-}
-
-void IsaxTree::BestFirstSearch(
-    std::span<const double> paa_q, size_t points_per_segment, size_t workers,
-    const std::function<double(size_t)>& bound,
-    const std::function<void(Node*, size_t)>& visit_leaf,
-    const std::function<core::SearchStats*(size_t)>& stats) const {
-  struct Item {
-    double mindist;
-    Node* node;
-    bool operator<(const Item& other) const {
-      return mindist > other.mindist;  // min-heap
-    }
-  };
-  // Seeding runs on the calling thread, in first-level map order, exactly
-  // like the old private loop — the engine pushes the seeds in this order.
-  std::vector<Item> seeds;
-  for (const auto& [key, node] : first_level_) {
-    const double d = transform::IsaxMinDistSq(paa_q, node->word,
-                                              points_per_segment);
-    ++stats(0)->lower_bound_computations;
-    if (d < bound(0)) seeds.push_back({d, node.get()});
-  }
-  core::BestFirstTraverse<Item>(
-      workers, seeds,
-      [&bound](const Item& item, size_t w) {
-        return item.mindist >= bound(w);  // all remaining nodes are pruned
-      },
-      [&](const Item& item, size_t w,
-          const std::function<void(Item)>& push) {
-        ++stats(w)->nodes_visited;
-        if (item.node->is_leaf) {
-          visit_leaf(item.node, w);
-          return;
-        }
-        for (Node* child :
-             {item.node->child0.get(), item.node->child1.get()}) {
-          const double d = transform::IsaxMinDistSq(paa_q, child->word,
-                                                    points_per_segment);
-          ++stats(w)->lower_bound_computations;
-          if (d < bound(w)) push({d, child});
-        }
-      });
 }
 
 void IsaxTree::ForEachNode(const std::function<void(const Node&)>& fn) const {

@@ -65,29 +65,18 @@ class IsaxTree {
   /// word is already at maximum resolution everywhere.
   void SplitLeaf(Node* leaf);
 
-  /// Leaf used by ng-approximate search: the leaf covering `full_word` if
-  /// its first-level node exists, otherwise the leaf under the first-level
-  /// node with the smallest MINDIST. Returns nullptr on an empty tree.
-  Node* ApproximateLeaf(std::span<const uint8_t> full_word,
-                        std::span<const double> paa_q,
+  /// Leaf used by ng-approximate search: the leaf covering the query's
+  /// full-resolution word (from its PAA `paa_q`) if its first-level node
+  /// exists, otherwise the leaf under the first-level node with the
+  /// smallest MINDIST. Returns nullptr on an empty tree.
+  Node* ApproximateLeaf(std::span<const double> paa_q,
                         size_t points_per_segment);
 
-  /// Best-first exact traversal over core::BestFirstTraverse: calls
-  /// `visit_leaf(leaf, w)` from worker w for every leaf whose MINDIST to
-  /// `paa_q` is below the bound returned by `bound(w)` (re-evaluated as
-  /// the search tightens). `workers == 1` runs the classic serial loop on
-  /// the calling thread, bit-identical to the pre-engine traversal; with
-  /// more workers the frontier is drained cooperatively and the callbacks
-  /// must be safe to call concurrently with distinct w. Seeding (the
-  /// first-level MINDIST fan-out) always runs on the calling thread and
-  /// charges `stats(0)`.
-  void BestFirstSearch(
-      std::span<const double> paa_q, size_t points_per_segment,
-      size_t workers, const std::function<double(size_t)>& bound,
-      const std::function<void(Node*, size_t)>& visit_leaf,
-      const std::function<core::SearchStats*(size_t)>& stats) const;
-
-  const IsaxTreeOptions& options() const { return options_; }
+  /// The first-level nodes by key: the seeds of a best-first search, in
+  /// the deterministic order both a built and an opened tree share.
+  const std::map<uint32_t, std::unique_ptr<Node>>& first_level() const {
+    return first_level_;
+  }
 
   /// Walks all nodes (pre-order within each first-level subtree).
   void ForEachNode(const std::function<void(const Node&)>& fn) const;
@@ -128,7 +117,7 @@ class IsaxTree {
   IsaxTreeOptions options_;
   const uint8_t* full_words_;
   // Ordered map: iteration order (ApproximateLeaf fallback ties,
-  // BestFirstSearch seeding) must be deterministic and identical between a
+  // best-first seeding) must be deterministic and identical between a
   // freshly built tree and one rehydrated from disk, or opened indexes
   // could break ties differently than built ones.
   std::map<uint32_t, std::unique_ptr<Node>> first_level_;

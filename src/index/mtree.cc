@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "core/distance.h"
 #include "core/traversal.h"
@@ -37,20 +36,6 @@ MTree::~MTree() = default;
 double MTree::Dist(core::SeriesId a, core::SeriesId b) const {
   ++build_distance_count_;
   return std::sqrt(core::SquaredEuclidean((*data_)[a], (*data_)[b]));
-}
-
-double MTree::DistToQuery(core::SeriesView query, core::SeriesId id,
-                          core::SearchStats* stats) const {
-  ++stats->distance_computations;
-  return std::sqrt(core::SquaredEuclidean(query, (*data_)[id]));
-}
-
-double MTree::DistToQueryRaw(core::SeriesView query, core::SeriesId id,
-                             io::CountedStorage* raw,
-                             core::SearchStats* stats) const {
-  ++stats->distance_computations;
-  return std::sqrt(
-      core::SquaredEuclidean(query, raw->ReadPrecharged(id, stats)));
 }
 
 core::BuildStats MTree::DoBuild(const core::Dataset& data) {
@@ -298,152 +283,80 @@ void MTree::SplitNode(Node* node, std::unique_ptr<Node>* out_left,
   *out_right = std::move(right);
 }
 
-core::KnnResult MTree::DoSearchKnn(core::SeriesView query,
-                                   const core::KnnPlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  // Pruning against bsf/(1+eps) guarantees d(result) <= (1+eps) * d(true).
-  const double shrink = 1.0 / (1.0 + plan.epsilon);
-  util::WallTimer timer;
-  core::KnnResult result;
-  core::KnnHeap& heap =
-      core::ScratchKnnHeap(plan.k);  // squared, like all methods
-  core::KnnWorkers workers(&heap, &result.stats, plan);
+/// The M-tree's TreeSearch policy: covering-sphere bounds on true
+/// distances, with parent-distance and triangle-inequality filters that
+/// skip distance computations. Each item carries d(query, node center).
+/// Subtrees are pruned against bsf/(1+epsilon) — unsquared, through
+/// plan.epsilon rather than the squared plan.bound_scale. Routing centers
+/// are read in memory (the paper's memory-resident M-tree); only leaf
+/// verification reads go through raw storage and its buffer pool.
+class MTree::Search : public core::TreePolicy<MTree::Node> {
+ public:
+  static constexpr bool kDistanceBounds = true;
 
-  struct Item {
-    double dmin;         // lower bound on the distance to any member
-    double dist_center;  // d(q, node center), already computed
-    const Node* node;
-    bool operator<(const Item& other) const {
-      return dmin > other.dmin;
+  Search(const MTree& tree, core::SeriesView query)
+      : tree_(tree), query_(query) {
+    HYDRA_CHECK(tree.root_ != nullptr);
+  }
+
+  int64_t LeafCount() const { return 0; }  // no delta rule on the M-tree
+  bool IsLeaf(const Node& node) const { return node.is_leaf; }
+  size_t LeafSize(const Node& leaf) const { return leaf.entries.size(); }
+
+  template <typename W>
+  void Seeds(const W& w, const Push& push) const {
+    const Node* root = tree_.root_.get();
+    const double d = Distance((*tree_.data_)[root->center], &w.stats());
+    const double dmin = std::max(0.0, d - root->radius);
+    if (w.Admits(dmin)) push({dmin, root, d});
+  }
+
+  template <typename W>
+  void Expand(const Item& item, const W& w, const Push& push) const {
+    for (const auto& child : item.node->children) {
+      // Prune with the parent distance before computing d(q, center).
+      if (!w.Admits(std::fabs(item.aux - child->dist_to_parent) -
+                    child->radius)) {
+        continue;
+      }
+      const double d = Distance((*tree_.data_)[child->center], &w.stats());
+      const double dmin = std::max(0.0, d - child->radius);
+      if (w.Admits(dmin)) push({dmin, child.get(), d});
     }
-  };
-  // The root distance is computed on the calling thread (worker 0) so the
-  // seed — and its charge — matches the serial traversal exactly.
-  const double root_dist = DistToQuery(query, root_->center, &result.stats);
-  std::vector<int64_t> leaves(workers.workers(), 0);
-  std::vector<uint8_t> stop(workers.workers(), 0);
-  core::BestFirstTraverse<Item>(
-      workers.workers(),
-      {Item{std::max(0.0, root_dist - root_->radius), root_dist,
-            root_.get()}},
-      [&](const Item& item, size_t w) {
-        return stop[w] != 0 || workers.stats(w).budget_exhausted ||
-               item.dmin >= std::sqrt(workers.heap(w).Bound()) * shrink;
-      },
-      [&](const Item& item, size_t w,
-          const std::function<void(Item)>& push) {
-        core::KnnHeap& local = workers.heap(w);
-        core::SearchStats& stats = workers.stats(w);
-        ++stats.nodes_visited;
-        const Node* node = item.node;
-        if (node->is_leaf) {
-          // No delta rule on the M-tree (leaf_count 0), so only the
-          // explicit budget can bind here — and budgets only ever bind at
-          // width 1 (Execute's pure-exact gate).
-          if (plan.LeafCapReached(leaves[w], 0, &stats)) {
-            stop[w] = 1;
-            return;
-          }
-          ++leaves[w];
-          HYDRA_OBS_SPAN_ARG("leaf_verify", "series", node->entries.size());
-          io::CountedStorage raw(data_);
-          for (const auto& [id, dist_to_center] : node->entries) {
-            // Triangle-inequality filter using the precomputed distance.
-            if (std::fabs(item.dist_center - dist_to_center) >=
-                std::sqrt(local.Bound()) * shrink) {
-              continue;
-            }
-            if (plan.RawCapReached(&stats)) break;
-            const double d = DistToQueryRaw(query, id, &raw, &stats);
-            ++stats.raw_series_examined;
-            local.Offer(id, d * d);
-          }
-          return;
-        }
-        for (const auto& child : node->children) {
-          const double current_bsf = std::sqrt(local.Bound()) * shrink;
-          // Prune with the parent distance before computing d(q, child
-          // center).
-          if (std::fabs(item.dist_center - child->dist_to_parent) -
-                  child->radius >=
-              current_bsf) {
-            continue;
-          }
-          const double d = DistToQuery(query, child->center, &stats);
-          const double dmin = std::max(0.0, d - child->radius);
-          if (dmin < current_bsf) push({dmin, d, child.get()});
-        }
-      });
+  }
 
-  workers.Finish(plan.k, &result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  template <typename W>
+  void VerifyLeaf(const Item& leaf, const W& w) const {
+    io::CountedStorage raw(tree_.data_);
+    for (const auto& [id, dist_to_center] : leaf.node->entries) {
+      // Triangle-inequality filter using the precomputed distance.
+      if (!w.Admits(std::fabs(leaf.aux - dist_to_center))) continue;
+      if (w.RawCapReached()) return;
+      const double d =
+          Distance(raw.ReadPrecharged(id, &w.stats()), &w.stats());
+      ++w.stats().raw_series_examined;
+      w.sink().Offer(id, d * d);
+    }
+  }
+
+ private:
+  double Distance(core::SeriesView series, core::SearchStats* stats) const {
+    ++stats->distance_computations;
+    return std::sqrt(core::SquaredEuclidean(query_, series));
+  }
+
+  const MTree& tree_;
+  const core::SeriesView query_;
+};
+
+core::QueryResult MTree::DoSearchKnn(core::SeriesView query,
+                                     const core::KnnPlan& plan) {
+  return core::TreeSearch<Search>::Knn(plan, *this, query);
 }
 
-core::RangeResult MTree::DoSearchRange(core::SeriesView query,
+core::QueryResult MTree::DoSearchRange(core::SeriesView query,
                                        const core::RangePlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  const double radius = plan.radius;
-  util::WallTimer timer;
-  core::RangeResult result;
-  core::RangeWorkers workers(radius * radius, &result.stats,
-                             plan.query_threads);
-
-  // Classic metric range query: recurse into children whose covering
-  // sphere intersects the query ball, filtering with parent distances
-  // before computing real ones. All filters use the fixed radius, so every
-  // counter is traversal-order independent and the parallel sweep charges
-  // exactly the serial totals.
-  struct Item {
-    double dmin;         // max(0, d(q, center) - covering radius)
-    double dist_center;  // d(q, node center)
-    const Node* node;
-    bool operator<(const Item& other) const { return dmin > other.dmin; }
-  };
-  std::vector<Item> seeds;
-  const double root_dist = DistToQuery(query, root_->center, &result.stats);
-  if (root_dist - root_->radius <= radius) {
-    seeds.push_back({std::max(0.0, root_dist - root_->radius), root_dist,
-                     root_.get()});
-  }
-  core::BestFirstTraverse<Item>(
-      workers.workers(), seeds,
-      [](const Item&, size_t) { return false; },
-      [&](const Item& item, size_t w,
-          const std::function<void(Item)>& push) {
-        core::RangeCollector& collector = workers.collector(w);
-        core::SearchStats& stats = workers.stats(w);
-        ++stats.nodes_visited;
-        if (item.node->is_leaf) {
-          HYDRA_OBS_SPAN_ARG("leaf_verify", "series",
-                             item.node->entries.size());
-          io::CountedStorage raw(data_);
-          for (const auto& [id, dist_to_center] : item.node->entries) {
-            if (std::fabs(item.dist_center - dist_to_center) > radius) {
-              continue;
-            }
-            const double d = DistToQueryRaw(query, id, &raw, &stats);
-            ++stats.raw_series_examined;
-            collector.Offer(id, d * d);
-          }
-          return;
-        }
-        for (const auto& child : item.node->children) {
-          if (std::fabs(item.dist_center - child->dist_to_parent) -
-                  child->radius >
-              radius) {
-            continue;
-          }
-          const double d = DistToQuery(query, child->center, &stats);
-          if (d - child->radius <= radius) {
-            push({std::max(0.0, d - child->radius), d, child.get()});
-          }
-        }
-      });
-
-  workers.Finish(&result.matches);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearch<Search>::Range(plan, *this, query);
 }
 
 core::Footprint MTree::footprint() const {

@@ -9,10 +9,6 @@
 
 #include "core/method.h"
 
-namespace hydra::io {
-class CountedStorage;
-}
-
 namespace hydra::index {
 
 /// Options for the M-tree (the paper's tuned leaf capacity is very small).
@@ -45,15 +41,6 @@ class MTree : public core::SearchMethod {
             .intra_query_parallel = true};
   }
 
-  /// Legacy entry point (deprecated): epsilon-approximate k-NN
-  /// (Definition 5; Table 1 marks the M-tree as supporting it), equivalent
-  /// to Execute(query, QuerySpec::Epsilon(k, epsilon)). Every result is
-  /// within (1+epsilon) of the true k-th NN distance; epsilon == 0 is the
-  /// exact search.
-  core::KnnResult SearchKnnEpsApproximate(core::SeriesView query, size_t k,
-                                          double epsilon) {
-    return Execute(query, core::QuerySpec::Epsilon(k, epsilon));
-  }
   core::Footprint footprint() const override;
 
  protected:
@@ -61,17 +48,16 @@ class MTree : public core::SearchMethod {
   void DoSave(io::IndexWriter* writer) const override;
   util::Status DoOpen(io::IndexReader* reader,
                       const core::Dataset& data) override;
-  /// Subtrees are pruned against bsf/(1+epsilon) — the M-tree works on
-  /// unsquared distances, so it reads plan.epsilon rather than the squared
-  /// plan.bound_scale — and larger epsilon trades accuracy for fewer
-  /// distance computations.
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  /// Larger epsilon trades accuracy for fewer distance computations.
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:
   struct Node;
+  /// The core::TreeSearch policy of this tree (defined in the .cc).
+  class Search;
   struct Route;
 
   static void SaveNode(const Node& node, io::IndexWriter* writer);
@@ -79,15 +65,6 @@ class MTree : public core::SearchMethod {
                                         size_t series_count);
 
   double Dist(core::SeriesId a, core::SeriesId b) const;
-  double DistToQuery(core::SeriesView query, core::SeriesId id,
-                     core::SearchStats* stats) const;
-  /// DistToQuery for leaf members, fetched through `raw` so file-backed
-  /// datasets serve them from the buffer pool. Routing centers keep the
-  /// direct DistToQuery: the M-tree is the paper's memory-resident method,
-  /// so only its leaf *verification* reads touch raw storage.
-  double DistToQueryRaw(core::SeriesView query, core::SeriesId id,
-                        io::CountedStorage* raw,
-                        core::SearchStats* stats) const;
   /// Inserts into the subtree; on overflow returns two replacement routes.
   bool Insert(Node* node, core::SeriesId id, double dist_to_node_center,
               std::unique_ptr<Node>* out_left,

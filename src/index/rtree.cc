@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <numeric>
-#include <queue>
 
 #include "core/distance.h"
 #include "core/simd/kernels.h"
+#include "core/traversal.h"
 #include "io/counted_storage.h"
 #include "io/index_codec.h"
-#include "obs/trace.h"
 #include "transform/paa.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -427,114 +427,81 @@ void RStarTree::SplitNode(Node* node, std::vector<Node*>& path) {
   }
 }
 
-core::KnnResult RStarTree::DoSearchKnn(core::SeriesView query,
-                                       const core::KnnPlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::KnnResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
-  heap.ShareBound(plan.shared_bound);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  // Per-query raw-file cursor: concurrent queries must not share one.
-  io::CountedStorage raw(data_);
-  const auto paa = transform::Paa(query, dims_);
-  std::vector<double> q(dims_);
-  for (size_t d = 0; d < dims_; ++d) q[d] = paa[d] * scale_;
-
-  struct Item {
-    double lb;
-    const Node* node;
-    bool operator<(const Item& other) const {
-      return lb > other.lb;
-    }
-  };
-  int64_t leaves_visited = 0;
-  // MINDIST pruning against bsf/(1+epsilon)^2 (plan.bound_scale) keeps
-  // every reported distance within (1+epsilon) of the truth (exact with
-  // the default plan).
-  std::priority_queue<Item> pq;
-  pq.push({0.0, root_.get()});
-  while (!pq.empty() && !result.stats.budget_exhausted) {
-    const Item item = pq.top();
-    pq.pop();
-    if (item.lb >= heap.Bound() * plan.bound_scale) break;
-    ++result.stats.nodes_visited;
-    if (item.node->is_leaf()) {
-      // No delta rule on the R*-tree (leaf_count 0), so only the explicit
-      // budget can bind here.
-      if (plan.LeafCapReached(leaves_visited, 0, &result.stats)) break;
-      ++leaves_visited;
-      // One random access per leaf; surviving pointers fetch raw series.
-      ++result.stats.random_seeks;
-      HYDRA_OBS_SPAN_ARG("leaf_verify", "series", item.node->entries.size());
-      for (const Entry& e : item.node->entries) {
-        const double lb = e.rect.MinDistSqTo(q);
-        ++result.stats.lower_bound_computations;
-        if (lb >= heap.Bound() * plan.bound_scale) continue;
-        if (plan.RawCapReached(&result.stats)) break;
-        const core::SeriesView s = raw.Read(e.id, &result.stats);
-        const double d = order.Distance(s, heap.Bound());
-        ++result.stats.distance_computations;
-        ++result.stats.raw_series_examined;
-        heap.Offer(e.id, d);
-      }
-      continue;
-    }
-    for (const Entry& e : item.node->entries) {
-      const double lb = e.rect.MinDistSqTo(q);
-      ++result.stats.lower_bound_computations;
-      if (lb < heap.Bound() * plan.bound_scale) pq.push({lb, e.child.get()});
+/// The R*-tree's TreeSearch policy: rectangle MINDIST in the scaled PAA
+/// space, for child entries and — as a per-entry filter before any raw
+/// read — for leaf entries. Raw reads go through one cursor per worker
+/// for the whole query, so the skip-sequential charge spans leaves.
+class RStarTree::Search : public core::TreePolicy<RStarTree::Node> {
+ public:
+  Search(const RStarTree& tree, core::SeriesView query, size_t workers)
+      : tree_(tree),
+        order_(core::ScratchQueryOrder(query)),
+        q_(transform::Paa(query, tree.dims_)) {
+    HYDRA_CHECK(tree.root_ != nullptr);
+    for (double& v : q_) v *= tree.scale_;
+    for (size_t w = 0; w < std::max<size_t>(1, workers); ++w) {
+      raw_.emplace_back(tree.data_);
     }
   }
 
-  heap.ExtractSortedTo(&result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  int64_t LeafCount() const { return 0; }  // no delta rule on the R*-tree
+  bool IsLeaf(const Node& node) const { return node.is_leaf(); }
+  size_t LeafSize(const Node& leaf) const { return leaf.entries.size(); }
+
+  template <typename W>
+  void Seeds(const W& /*w*/, const Push& push) const {
+    push({0.0, tree_.root_.get()});
+  }
+
+  template <typename W>
+  void Expand(const Item& item, const W& w, const Push& push) const {
+    for (const Entry& e : item.node->entries) {
+      const double lb = e.rect.MinDistSqTo(q_);
+      ++w.stats().lower_bound_computations;
+      if (w.Admits(lb)) push({lb, e.child.get()});
+    }
+  }
+
+  template <typename W>
+  void VerifyLeaf(const Item& leaf, const W& w) {
+    core::SearchStats& stats = w.stats();
+    io::CountedStorage& raw = raw_[w.index()];
+    // One random access per leaf; surviving pointers fetch raw series.
+    ++stats.random_seeks;
+    for (const Entry& e : leaf.node->entries) {
+      const double lb = e.rect.MinDistSqTo(q_);
+      ++stats.lower_bound_computations;
+      if (!w.Admits(lb)) continue;
+      if (w.RawCapReached()) break;
+      const double d = order_.Distance(raw.Read(e.id, &stats),
+                                       w.sink().Bound());
+      ++stats.distance_computations;
+      ++stats.raw_series_examined;
+      w.sink().Offer(e.id, d);
+    }
+    // The cursor outlives the leaf, its pool frame must not: a worker
+    // idling between leaves may never sit on a frame another one waits for.
+    raw.ReleasePin();
+  }
+
+ private:
+  const RStarTree& tree_;
+  const core::QueryOrder& order_;
+  std::vector<double> q_;  // scaled PAA of the query
+  // One raw-file cursor per worker: no two threads may share one.
+  std::deque<io::CountedStorage> raw_;
+};
+
+core::QueryResult RStarTree::DoSearchKnn(core::SeriesView query,
+                                         const core::KnnPlan& plan) {
+  return core::TreeSearch<Search>::Knn(plan, *this, query,
+                                       plan.query_threads);
 }
 
-core::RangeResult RStarTree::DoSearchRange(core::SeriesView query,
+core::QueryResult RStarTree::DoSearchRange(core::SeriesView query,
                                            const core::RangePlan& plan) {
-  const double radius = plan.radius;
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::RangeResult result;
-  core::RangeCollector collector(radius * radius);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  io::CountedStorage raw(data_);
-  const auto paa = transform::Paa(query, dims_);
-  std::vector<double> q(dims_);
-  for (size_t d = 0; d < dims_; ++d) q[d] = paa[d] * scale_;
-
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    ++result.stats.nodes_visited;
-    if (node->is_leaf()) {
-      ++result.stats.random_seeks;
-      HYDRA_OBS_SPAN_ARG("leaf_verify", "series", node->entries.size());
-      for (const Entry& e : node->entries) {
-        ++result.stats.lower_bound_computations;
-        if (e.rect.MinDistSqTo(q) > collector.Bound()) continue;
-        const core::SeriesView s = raw.Read(e.id, &result.stats);
-        const double d = order.Distance(s, collector.Bound());
-        ++result.stats.distance_computations;
-        ++result.stats.raw_series_examined;
-        collector.Offer(e.id, d);
-      }
-      continue;
-    }
-    for (const Entry& e : node->entries) {
-      ++result.stats.lower_bound_computations;
-      if (e.rect.MinDistSqTo(q) <= collector.Bound()) {
-        stack.push_back(e.child.get());
-      }
-    }
-  }
-
-  result.matches = collector.TakeSorted();
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearch<Search>::Range(plan, *this, query,
+                                         plan.query_threads);
 }
 
 core::Footprint RStarTree::footprint() const {

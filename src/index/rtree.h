@@ -39,9 +39,7 @@ class RStarTree : public core::SearchMethod {
             .leaf_visit_budget = true,
             .supports_persistence = true,
             .shardable = true,
-            .intra_query_reason =
-                "R*-tree traversal has not been restructured onto the "
-                "shared engine; use --shards for parallel speedup"};
+            .intra_query_parallel = true};
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;
@@ -51,13 +49,15 @@ class RStarTree : public core::SearchMethod {
   void DoSave(io::IndexWriter* writer) const override;
   util::Status DoOpen(io::IndexReader* reader,
                       const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:
   struct Node;
+  /// The core::TreeSearch policy of this tree (defined in the .cc).
+  class Search;
   struct Entry;
 
   static void SaveNode(const Node& node, io::IndexWriter* writer);

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
-#include <queue>
 
 #include "core/distance.h"
 #include "core/simd/kernels.h"
 #include "core/traversal.h"
+#include "index/leaf_scan.h"
 #include "io/index_codec.h"
 #include "transform/dft.h"
 #include "util/check.h"
@@ -284,201 +283,96 @@ double SfaTrie::NodeLowerBound(std::span<const double> q_dft,
       q_dft.data(), node.mbr_min.data(), node.mbr_max.data(), q_dft.size());
 }
 
-void SfaTrie::VisitLeaf(const Node& leaf, const core::QueryOrder& order,
-                        const core::KnnPlan& plan, core::KnnHeap* heap,
-                        core::SearchStats* stats) const {
-  if (leaf.ids.empty()) return;
-  HYDRA_OBS_SPAN_ARG("leaf_verify", "series", leaf.ids.size());
-  io::ChargeLeafRead(leaf.ids.size(), data_->length() * sizeof(core::Value),
-                     stats);
-  io::CountedStorage raw(data_);
-  for (const core::SeriesId id : leaf.ids) {
-    if (plan.RawCapReached(stats)) return;
-    const double d = order.Distance(raw.ReadPrecharged(id, stats),
-                                    heap->Bound());
-    ++stats->distance_computations;
-    ++stats->raw_series_examined;
-    heap->Offer(id, d);
-  }
-}
-
-core::KnnResult SfaTrie::DoSearchKnn(core::SeriesView query,
-                                     const core::KnnPlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::KnnResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
-  core::KnnWorkers workers(&heap, &result.stats, plan);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const size_t dims = quantizer_.dims();
-  const auto q_dft = transform::PackedRealDft(query, dims, /*skip_dc=*/true);
-  const auto q_word = quantizer_.Quantize(q_dft);
-
-  // ng-approximate descent along the query's word, always on the calling
-  // thread (worker 0) into the primary heap, so every worker starts from
-  // the descent's published bound.
-  Node* node = root_.get();
-  while (!node->is_leaf) {
-    Node* next = node->children[q_word[node->depth]].get();
-    if (next == nullptr) break;  // empty slot: stop early
-    node = next;
-  }
-  const Node* home = node->is_leaf ? node : nullptr;
-  std::vector<int64_t> leaves(workers.workers(), 0);
-  std::vector<uint8_t> stop(workers.workers(), 0);
-  if (home != nullptr) {
-    ++result.stats.nodes_visited;
-    VisitLeaf(*home, order, plan, &heap, &result.stats);
-    leaves[0] = 1;
+/// The SFA trie's TreeSearch policy: DFT-MBR lower bounds, and the
+/// word-routed descent as home.
+class SfaTrie::Search : public core::TreePolicy<SfaTrie::Node> {
+ public:
+  Search(const SfaTrie& trie, core::SeriesView query)
+      : trie_(trie),
+        order_(core::ScratchQueryOrder(query)),
+        q_dft_(transform::PackedRealDft(query, trie.quantizer_.dims(),
+                                        /*skip_dc=*/true)) {
+    HYDRA_CHECK(trie.root_ != nullptr);
   }
 
-  // Best-first traversal with the MBR lower bound; pruning against
-  // bsf/(1+epsilon)^2 (plan.bound_scale) keeps every reported distance
-  // within (1+epsilon) of the truth (exact with the default plan). Caps
-  // and budgets only ever bind at width 1 (Execute's pure-exact gate).
-  struct Item {
-    double lb;
-    const Node* node;
-    bool operator<(const Item& other) const {
-      return lb > other.lb;
-    }
-  };
-  core::BestFirstTraverse<Item>(
-      workers.workers(), {Item{0.0, root_.get()}},
-      [&](const Item& item, size_t w) {
-        return stop[w] != 0 || workers.stats(w).budget_exhausted ||
-               item.lb >= workers.heap(w).Bound() * plan.bound_scale;
-      },
-      [&](const Item& item, size_t w,
-          const std::function<void(Item)>& push) {
-        core::SearchStats& stats = workers.stats(w);
-        ++stats.nodes_visited;
-        if (item.node->is_leaf) {
-          if (item.node != home) {
-            if (plan.LeafCapReached(leaves[w], leaf_count_, &stats)) {
-              stop[w] = 1;
-              return;
-            }
-            VisitLeaf(*item.node, order, plan, &workers.heap(w), &stats);
-            ++leaves[w];
-          }
-          return;
-        }
-        for (const auto& slot : item.node->children) {
+  int64_t LeafCount() const { return trie_.leaf_count_; }
+  bool IsLeaf(const Node& node) const { return node.is_leaf; }
+  size_t LeafSize(const Node& leaf) const { return leaf.ids.size(); }
+
+  /// One path along the query's word; where it dead-ends before a leaf,
+  /// the child with the smallest MBR lower bound continues it. Null when
+  /// no leaf is reachable.
+  const Node* Home() const {
+    const auto q_word = trie_.quantizer_.Quantize(q_dft_);
+    const Node* node = trie_.root_.get();
+    while (!node->is_leaf) {
+      const Node* next = node->children[q_word[node->depth]].get();
+      if (next == nullptr) {
+        double best = std::numeric_limits<double>::infinity();
+        for (const auto& slot : node->children) {
           if (slot == nullptr || slot->count == 0) continue;
-          const double lb = NodeLowerBound(q_dft, *slot);
-          ++stats.lower_bound_computations;
-          if (lb < workers.heap(w).Bound() * plan.bound_scale) {
-            push({lb, slot.get()});
+          const double lb = trie_.NodeLowerBound(q_dft_, *slot);
+          if (lb < best) {
+            best = lb;
+            next = slot.get();
           }
         }
-      });
-
-  workers.Finish(plan.k, &result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
-}
-
-core::RangeResult SfaTrie::DoSearchRange(core::SeriesView query,
-                                         const core::RangePlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::RangeResult result;
-  const double radius_sq = plan.radius * plan.radius;
-  core::RangeWorkers workers(radius_sq, &result.stats, plan.query_threads);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const size_t dims = quantizer_.dims();
-  const auto q_dft = transform::PackedRealDft(query, dims, /*skip_dc=*/true);
-
-  // Engine traversal with the fixed r^2 bound: nodes are bounded before
-  // they enter the frontier, so every counter is traversal-order
-  // independent and the parallel sweep charges exactly the serial totals.
-  struct Item {
-    double lb;
-    const Node* node;
-    bool operator<(const Item& other) const { return lb > other.lb; }
-  };
-  auto bounded = [&](const Node* node, core::SearchStats* stats)
-      -> std::optional<Item> {
-    if (node->count == 0) return std::nullopt;
-    ++stats->lower_bound_computations;
-    const double lb = NodeLowerBound(q_dft, *node);
-    if (lb > radius_sq) return std::nullopt;
-    return Item{lb, node};
-  };
-  std::vector<Item> seeds;
-  if (const auto root = bounded(root_.get(), &result.stats)) {
-    seeds.push_back(*root);
-  }
-  core::BestFirstTraverse<Item>(
-      workers.workers(), seeds,
-      [](const Item&, size_t) { return false; },
-      [&](const Item& item, size_t w,
-          const std::function<void(Item)>& push) {
-        core::RangeCollector& collector = workers.collector(w);
-        core::SearchStats& stats = workers.stats(w);
-        ++stats.nodes_visited;
-        if (item.node->is_leaf) {
-          HYDRA_OBS_SPAN_ARG("leaf_verify", "series", item.node->ids.size());
-          io::ChargeLeafRead(item.node->ids.size(),
-                             data_->length() * sizeof(core::Value), &stats);
-          io::CountedStorage raw(data_);
-          for (const core::SeriesId id : item.node->ids) {
-            const double d = order.Distance(
-                raw.ReadPrecharged(id, &stats), collector.Bound());
-            ++stats.distance_computations;
-            ++stats.raw_series_examined;
-            collector.Offer(id, d);
-          }
-          return;
-        }
-        for (const auto& slot : item.node->children) {
-          if (slot == nullptr) continue;
-          if (const auto entry = bounded(slot.get(), &stats)) push(*entry);
-        }
-      });
-
-  workers.Finish(&result.matches);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
-}
-
-core::KnnResult SfaTrie::DoSearchKnnNg(core::SeriesView query, size_t k) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::KnnResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(k);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const size_t dims = quantizer_.dims();
-  const auto q_dft = transform::PackedRealDft(query, dims, /*skip_dc=*/true);
-  const auto q_word = quantizer_.Quantize(q_dft);
-
-  // One path along the query's word; if the path dead-ends before a leaf,
-  // take the child with the smallest MBR lower bound.
-  Node* node = root_.get();
-  while (!node->is_leaf) {
-    Node* next = node->children[q_word[node->depth]].get();
-    if (next == nullptr) {
-      double best = std::numeric_limits<double>::infinity();
-      for (const auto& slot : node->children) {
-        if (slot == nullptr || slot->count == 0) continue;
-        const double lb = NodeLowerBound(q_dft, *slot);
-        if (lb < best) {
-          best = lb;
-          next = slot.get();
-        }
+        if (next == nullptr) return nullptr;
       }
-      if (next == nullptr) break;
+      node = next;
     }
-    node = next;
+    return node;
   }
-  if (node->is_leaf) {
-    ++result.stats.nodes_visited;
-    VisitLeaf(*node, order, core::KnnPlan{.k = k}, &heap, &result.stats);
+
+  /// k-NN seeds the root unbounded (the home visit already primed the
+  /// bsf); a range query bounds it like any child.
+  template <typename W>
+  void Seeds(const W& w, const Push& push) const {
+    if constexpr (W::kRange) {
+      Bound(trie_.root_.get(), w, push);
+    } else {
+      push({0.0, trie_.root_.get()});
+    }
   }
-  heap.ExtractSortedTo(&result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+
+  template <typename W>
+  void Expand(const Item& item, const W& w, const Push& push) const {
+    for (const auto& slot : item.node->children) {
+      if (slot != nullptr) Bound(slot.get(), w, push);
+    }
+  }
+
+  template <typename W>
+  void VerifyLeaf(const Item& leaf, const W& w) const {
+    ScanLeaf(leaf.node->ids, trie_.data_, order_, w);
+  }
+
+ private:
+  template <typename W>
+  void Bound(const Node* node, const W& w, const Push& push) const {
+    if (node->count == 0) return;
+    const double lb = trie_.NodeLowerBound(q_dft_, *node);
+    ++w.stats().lower_bound_computations;
+    if (w.Admits(lb)) push({lb, node});
+  }
+
+  const SfaTrie& trie_;
+  const core::QueryOrder& order_;
+  const std::vector<double> q_dft_;
+};
+
+core::QueryResult SfaTrie::DoSearchKnn(core::SeriesView query,
+                                       const core::KnnPlan& plan) {
+  return core::TreeSearch<Search>::Knn(plan, *this, query);
+}
+
+core::QueryResult SfaTrie::DoSearchKnnNg(core::SeriesView query, size_t k) {
+  return core::TreeSearch<Search>::Ng(k, *this, query);
+}
+
+core::QueryResult SfaTrie::DoSearchRange(core::SeriesView query,
+                                         const core::RangePlan& plan) {
+  return core::TreeSearch<Search>::Range(plan, *this, query);
 }
 
 core::Footprint SfaTrie::footprint() const {

@@ -4,11 +4,10 @@
 #define HYDRA_INDEX_SFATRIE_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "core/distance.h"
 #include "core/method.h"
-#include "io/counted_storage.h"
 #include "transform/sfa.h"
 
 namespace hydra::index {
@@ -53,14 +52,17 @@ class SfaTrie : public core::SearchMethod {
   void DoSave(io::IndexWriter* writer) const override;
   util::Status DoOpen(io::IndexReader* reader,
                       const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::KnnResult DoSearchKnnNg(core::SeriesView query, size_t k) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchKnnNg(core::SeriesView query,
+                                  size_t k) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:
   struct Node;
+  /// The core::TreeSearch policy of this tree (defined in the .cc).
+  class Search;
 
   static void SaveNode(const Node& node, io::IndexWriter* writer);
   std::unique_ptr<Node> LoadNode(io::IndexReader* reader,
@@ -68,11 +70,6 @@ class SfaTrie : public core::SearchMethod {
 
   void Insert(core::SeriesId id, Node* node);
   void SplitLeaf(Node* leaf);
-  /// Scans a leaf's raw series into the heap, honoring the plan's raw
-  /// budget (sets stats->budget_exhausted and stops when it fires).
-  void VisitLeaf(const Node& leaf, const core::QueryOrder& order,
-                 const core::KnnPlan& plan, core::KnnHeap* heap,
-                 core::SearchStats* stats) const;
   double NodeLowerBound(std::span<const double> q_dft, const Node& node) const;
 
   SfaTrieOptions options_;

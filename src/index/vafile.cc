@@ -122,11 +122,11 @@ util::Status VaFile::DoOpen(io::IndexReader* reader,
   return reader->status();
 }
 
-core::KnnResult VaFile::DoSearchKnn(core::SeriesView query,
-                                    const core::KnnPlan& plan) {
+core::QueryResult VaFile::DoSearchKnn(core::SeriesView query,
+                                      const core::KnnPlan& plan) {
   HYDRA_CHECK(data_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   const size_t count = data_->size();
   const size_t dims = quantizer_.dims();
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
@@ -218,12 +218,12 @@ core::KnnResult VaFile::DoSearchKnn(core::SeriesView query,
   return result;
 }
 
-core::RangeResult VaFile::DoSearchRange(core::SeriesView query,
+core::QueryResult VaFile::DoSearchRange(core::SeriesView query,
                                         const core::RangePlan& plan) {
   const double radius = plan.radius;
   HYDRA_CHECK(data_ != nullptr);
   util::WallTimer timer;
-  core::RangeResult result;
+  core::QueryResult result;
   core::RangeCollector collector(radius * radius);
   const size_t count = data_->size();
   const size_t dims = quantizer_.dims();
@@ -252,7 +252,7 @@ core::RangeResult VaFile::DoSearchRange(core::SeriesView query,
     collector.Offer(static_cast<core::SeriesId>(i), d);
   }
 
-  result.matches = collector.TakeSorted();
+  result.neighbors = collector.TakeSorted();
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }

@@ -60,8 +60,8 @@ core::BuildStats Stepwise::DoBuild(const core::Dataset& data) {
   return stats;
 }
 
-core::KnnResult Stepwise::DoSearchKnn(core::SeriesView query,
-                                      const core::KnnPlan& plan) {
+core::QueryResult Stepwise::DoSearchKnn(core::SeriesView query,
+                                        const core::KnnPlan& plan) {
   HYDRA_CHECK(data_ != nullptr);
   HYDRA_CHECK(query.size() == data_->length());
   const size_t k = plan.k;
@@ -76,7 +76,7 @@ core::KnnResult Stepwise::DoSearchKnn(core::SeriesView query,
     q_tail[level] = tail;
   }
 
-  core::KnnResult result;
+  core::QueryResult result;
   // Partial squared distances (lower bounds) per surviving candidate.
   std::vector<double> partial(count, 0.0);
   std::vector<core::SeriesId> survivors(count);
@@ -151,7 +151,7 @@ core::KnnResult Stepwise::DoSearchKnn(core::SeriesView query,
   return result;
 }
 
-core::RangeResult Stepwise::DoSearchRange(core::SeriesView query,
+core::QueryResult Stepwise::DoSearchRange(core::SeriesView query,
                                           const core::RangePlan& plan) {
   const double radius = plan.radius;
   HYDRA_CHECK(data_ != nullptr);
@@ -161,7 +161,7 @@ core::RangeResult Stepwise::DoSearchRange(core::SeriesView query,
   const double radius_sq = radius * radius;
 
   const std::vector<double> q = transform::HaarTransform(query);
-  core::RangeResult result;
+  core::QueryResult result;
   // With a fixed bound no upper-bounding pass is needed: filter candidates
   // level by level on the partial (lower-bounding) distance alone.
   std::vector<double> partial(count, 0.0);
@@ -206,7 +206,7 @@ core::RangeResult Stepwise::DoSearchRange(core::SeriesView query,
     ++result.stats.raw_series_examined;
     collector.Offer(id, d);
   }
-  result.matches = collector.TakeSorted();
+  result.neighbors = collector.TakeSorted();
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }

@@ -11,13 +11,13 @@ core::BuildStats UcrScan::DoBuild(const core::Dataset& data) {
   return core::BuildStats{};  // no preprocessing
 }
 
-core::KnnResult UcrScan::DoSearchKnn(core::SeriesView query,
-                                     const core::KnnPlan& plan) {
+core::QueryResult UcrScan::DoSearchKnn(core::SeriesView query,
+                                       const core::KnnPlan& plan) {
   HYDRA_CHECK(data_ != nullptr);
   HYDRA_CHECK(query.size() == data_->length());
   util::WallTimer timer;
 
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
   io::ChargeScanStart(&result.stats);
@@ -38,14 +38,14 @@ core::KnnResult UcrScan::DoSearchKnn(core::SeriesView query,
   return result;
 }
 
-core::RangeResult UcrScan::DoSearchRange(core::SeriesView query,
+core::QueryResult UcrScan::DoSearchRange(core::SeriesView query,
                                          const core::RangePlan& plan) {
   const double radius = plan.radius;
   HYDRA_CHECK(data_ != nullptr);
   HYDRA_CHECK(query.size() == data_->length());
   util::WallTimer timer;
 
-  core::RangeResult result;
+  core::QueryResult result;
   core::RangeCollector collector(radius * radius);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
   io::ChargeScanStart(&result.stats);
@@ -57,7 +57,7 @@ core::RangeResult UcrScan::DoSearchRange(core::SeriesView query,
     collector.Offer(static_cast<core::SeriesId>(i), d);
   }
   result.stats.raw_series_examined = static_cast<int64_t>(data_->size());
-  result.matches = collector.TakeSorted();
+  result.neighbors = collector.TakeSorted();
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }

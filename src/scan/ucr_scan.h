@@ -33,9 +33,9 @@ class UcrScan : public core::SearchMethod {
 
  protected:
   core::BuildStats DoBuild(const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:

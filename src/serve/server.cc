@@ -147,12 +147,14 @@ void Server::Shutdown() {
   ::close(listen_fd_);
   acceptor_.join();
   // 2. Drain: admitted queries finish (new ones are refused because
-  //    stopping_ is set); their answer frames still go out because the
-  //    connection sockets are untouched so far.
+  //    stopping_ is set), then the pool's workers are joined, which
+  //    finishes the answer writes still in progress — the connection
+  //    sockets are untouched so far.
   {
     std::unique_lock<std::mutex> lock(inflight_mutex_);
     inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
   }
+  pool_.reset();
   // 3. Wake every reader blocked in recv, then join them. The Connection
   //    destructor closes each fd once its last holder lets go.
   {
@@ -166,8 +168,6 @@ void Server::Shutdown() {
     std::lock_guard<std::mutex> lock(conns_mutex_);
     connections_.clear();
   }
-  // 4. The pool's queue is empty (inflight drained); destroy it.
-  pool_.reset();
 }
 
 std::string Server::StatsJson() const {
@@ -315,9 +315,6 @@ void Server::HandleQuery(const std::shared_ptr<Connection>& conn,
   pool_->Submit([this, conn, request = std::move(request), admitted_at,
                  decode_seconds] {
     ExecuteQuery(conn, request, admitted_at, decode_seconds);
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    --inflight_;
-    inflight_cv_.notify_all();
   });
 }
 
@@ -360,6 +357,14 @@ void Server::ExecuteQuery(const std::shared_ptr<Connection>& conn,
   const double execute = phase_timer.Seconds();
   phase_timer.Reset();
   response.cached = hit;
+  // The admission slot frees before the answer leaves, so a client holding
+  // its answer finds the slot free again (Shutdown still waits for this
+  // write: it joins the pool before closing connections).
+  {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    --inflight_;
+    inflight_cv_.notify_all();
+  }
   SendFrame(conn,
             Frame{FrameType::kAnswer, EncodeAnswerResponse(response)});
   const double encode_write = phase_timer.Seconds();

@@ -24,25 +24,27 @@ const char kManifestSection[] = "sharded-manifest";
 
 /// The one merge used by every query flavor: remaps each shard's local-id
 /// answers to global ids (local + slice begin), folds each shard's ledger
-/// into `*stats` in shard order, and returns all candidates sorted by
-/// (dist_sq, id) — deterministic regardless of which shard finished
-/// first. `neighbors_of` selects the answer vector of the part type
-/// (KnnResult::neighbors / RangeResult::matches).
-template <typename Part, typename NeighborsOf>
-std::vector<core::Neighbor> MergeParts(const std::vector<Part>& parts,
-                                       const std::vector<size_t>& begins,
-                                       core::SearchStats* stats,
-                                       NeighborsOf neighbors_of) {
-  std::vector<core::Neighbor> all;
+/// in shard order, and keeps the `keep` best candidates by (dist_sq, id) —
+/// deterministic regardless of which shard finished first. The merge is
+/// timed as the composite's own CPU work.
+core::QueryResult MergeParts(const std::vector<core::QueryResult>& parts,
+                             const std::vector<size_t>& begins,
+                             size_t keep) {
+  HYDRA_OBS_SPAN_ARG("shard_merge", "shards", parts.size());
+  util::WallTimer timer;
+  core::QueryResult merged;
   for (size_t i = 0; i < parts.size(); ++i) {
     const size_t begin = begins[i];
-    for (const core::Neighbor& n : neighbors_of(parts[i])) {
-      all.push_back({static_cast<core::SeriesId>(begin + n.id), n.dist_sq});
+    for (const core::Neighbor& n : parts[i].neighbors) {
+      merged.neighbors.push_back(
+          {static_cast<core::SeriesId>(begin + n.id), n.dist_sq});
     }
-    stats->Add(parts[i].stats);
+    merged.stats.Add(parts[i].stats);
   }
-  std::sort(all.begin(), all.end());
-  return all;
+  std::sort(merged.neighbors.begin(), merged.neighbors.end());
+  if (merged.neighbors.size() > keep) merged.neighbors.resize(keep);
+  merged.stats.cpu_seconds += timer.Seconds();
+  return merged;
 }
 
 /// Near-equal contiguous partition of [0, count): the first count % shards
@@ -279,10 +281,10 @@ util::Status ShardedIndex::DoOpen(io::IndexReader* reader,
   return util::Status::Ok();
 }
 
-core::KnnResult ShardedIndex::DoSearchKnn(core::SeriesView query,
-                                          const core::KnnPlan& plan) {
+core::QueryResult ShardedIndex::DoSearchKnn(core::SeriesView query,
+                                            const core::KnnPlan& plan) {
   core::SharedBound shared;
-  std::vector<core::KnnResult> parts(shards_.size());
+  std::vector<core::QueryResult> parts(shards_.size());
   ForEachShard([&](size_t i) {
     HYDRA_OBS_SPAN_ARG("shard_search", "shard", i);
     core::KnnPlan local = plan;
@@ -291,58 +293,28 @@ core::KnnResult ShardedIndex::DoSearchKnn(core::SeriesView query,
     local.max_raw = SplitBudget(plan.max_raw, i);
     parts[i] = ComponentSearchKnn(shards_[i].get(), query, local);
   });
-  // Merge (timed as the composite's own CPU work): keep the k best
-  // overall of the per-shard top-k sets.
-  HYDRA_OBS_SPAN_ARG("shard_merge", "shards", shards_.size());
-  util::WallTimer merge_timer;
-  core::KnnResult result;
-  result.neighbors =
-      MergeParts(parts, begins_, &result.stats,
-                 [](const core::KnnResult& r) -> const std::vector<core::Neighbor>& {
-                   return r.neighbors;
-                 });
-  if (result.neighbors.size() > plan.k) result.neighbors.resize(plan.k);
-  result.stats.cpu_seconds += merge_timer.Seconds();
-  return result;
+  // The k best overall of the per-shard top-k sets.
+  return MergeParts(parts, begins_, plan.k);
 }
 
-core::KnnResult ShardedIndex::DoSearchKnnNg(core::SeriesView query,
-                                            size_t k) {
-  std::vector<core::KnnResult> parts(shards_.size());
+core::QueryResult ShardedIndex::DoSearchKnnNg(core::SeriesView query,
+                                              size_t k) {
+  std::vector<core::QueryResult> parts(shards_.size());
   ForEachShard([&](size_t i) {
     HYDRA_OBS_SPAN_ARG("shard_search", "shard", i);
     parts[i] = ComponentSearchKnnNg(shards_[i].get(), query, k);
   });
-  HYDRA_OBS_SPAN_ARG("shard_merge", "shards", shards_.size());
-  util::WallTimer merge_timer;
-  core::KnnResult result;
-  result.neighbors =
-      MergeParts(parts, begins_, &result.stats,
-                 [](const core::KnnResult& r) -> const std::vector<core::Neighbor>& {
-                   return r.neighbors;
-                 });
-  if (result.neighbors.size() > k) result.neighbors.resize(k);
-  result.stats.cpu_seconds += merge_timer.Seconds();
-  return result;
+  return MergeParts(parts, begins_, k);
 }
 
-core::RangeResult ShardedIndex::DoSearchRange(core::SeriesView query,
+core::QueryResult ShardedIndex::DoSearchRange(core::SeriesView query,
                                               const core::RangePlan& plan) {
-  std::vector<core::RangeResult> parts(shards_.size());
+  std::vector<core::QueryResult> parts(shards_.size());
   ForEachShard([&](size_t i) {
     HYDRA_OBS_SPAN_ARG("shard_search", "shard", i);
     parts[i] = ComponentSearchRange(shards_[i].get(), query, plan);
   });
-  HYDRA_OBS_SPAN_ARG("shard_merge", "shards", shards_.size());
-  util::WallTimer merge_timer;
-  core::RangeResult result;
-  result.matches =
-      MergeParts(parts, begins_, &result.stats,
-                 [](const core::RangeResult& r) -> const std::vector<core::Neighbor>& {
-                   return r.matches;
-                 });
-  result.stats.cpu_seconds += merge_timer.Seconds();
-  return result;
+  return MergeParts(parts, begins_, std::numeric_limits<size_t>::max());
 }
 
 }  // namespace hydra::shard

@@ -108,10 +108,10 @@ class ShardedIndex : public core::SearchMethod {
   void DoSave(io::IndexWriter* writer) const override;
   util::Status DoOpen(io::IndexReader* reader,
                       const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::KnnResult DoSearchKnnNg(core::SeriesView query, size_t k) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchKnnNg(core::SeriesView query, size_t k) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:

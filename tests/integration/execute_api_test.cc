@@ -1,5 +1,5 @@
 // The unified Execute(QuerySpec) contract across all ten methods:
-// epsilon = 0 is bit-identical to the legacy exact entry point, the
+// epsilon = 0 is bit-identical to the exact spec, the
 // (1+epsilon) guarantee holds against brute force, ng via Execute visits
 // at most one leaf on every ng-capable tree, unsupported modes fall back
 // with an honest delivered-mode report (never silently), delta = 1
@@ -54,17 +54,18 @@ void ExpectSameAnswersAndCounters(const core::QueryResult& a,
 // Adaptive methods (ADS+) refine their structure during queries, so
 // sequence comparisons always run on two freshly built instances fed the
 // same query order.
-TEST(ExecuteApi, EpsilonZeroIsBitIdenticalToLegacyExact) {
+TEST(ExecuteApi, EpsilonZeroIsBitIdenticalToExact) {
   const auto data = TestData();
   const auto w = TestQueries();
   for (const std::string& name : bench::AllMethodNames()) {
-    auto legacy = bench::CreateMethod(name, kLeaf);
-    auto unified = bench::CreateMethod(name, kLeaf);
-    legacy->Build(data);
-    unified->Build(data);
+    auto exact = bench::CreateMethod(name, kLeaf);
+    auto eps_zero = bench::CreateMethod(name, kLeaf);
+    exact->Build(data);
+    eps_zero->Build(data);
     for (size_t q = 0; q < w.queries.size(); ++q) {
-      const core::QueryResult a = legacy->SearchKnn(w.queries[q], kK);
-      const core::QueryResult b = unified->Execute(
+      const core::QueryResult a =
+          exact->Execute(w.queries[q], core::QuerySpec::Knn(kK));
+      const core::QueryResult b = eps_zero->Execute(
           w.queries[q], core::QuerySpec::Epsilon(kK, 0.0));
       ExpectSameAnswersAndCounters(a, b,
                                    name + " q" + std::to_string(q));
@@ -284,7 +285,7 @@ TEST(ExecuteApi, LeafBudgetCapsTreeTraversal) {
       const core::QueryResult r = capped->Execute(w.queries[q], spec);
       capped_raw += r.stats.raw_series_examined;
       fired_any = fired_any || r.budget_fired();
-      free_raw += free_run->SearchKnn(w.queries[q], 3)
+      free_raw += free_run->Execute(w.queries[q], core::QuerySpec::Knn(3))
                       .stats.raw_series_examined;
     }
     // The capped traversal is a prefix of the free one.
@@ -296,22 +297,32 @@ TEST(ExecuteApi, LeafBudgetCapsTreeTraversal) {
   }
 }
 
-TEST(ExecuteApi, RangeThroughExecuteMatchesLegacy) {
+TEST(ExecuteApi, RangeThroughExecuteIsExactAndReproducible) {
   const auto data = TestData();
   const auto w = TestQueries();
   auto method = bench::CreateMethod("DSTree", kLeaf);
+  auto again = bench::CreateMethod("DSTree", kLeaf);
   method->Build(data);
+  again->Build(data);
   const double radius = 10.0;
-  const core::RangeResult legacy =
-      method->SearchRange(w.queries[0], radius);
-  const core::QueryResult unified =
+  const core::QueryResult first =
       method->Execute(w.queries[0], core::QuerySpec::Range(radius));
-  ASSERT_EQ(legacy.matches.size(), unified.neighbors.size());
-  for (size_t i = 0; i < legacy.matches.size(); ++i) {
-    EXPECT_EQ(legacy.matches[i].id, unified.neighbors[i].id);
-    EXPECT_EQ(legacy.matches[i].dist_sq, unified.neighbors[i].dist_sq);
+  const core::QueryResult second =
+      again->Execute(w.queries[0], core::QuerySpec::Range(radius));
+  ASSERT_EQ(first.neighbors.size(), second.neighbors.size());
+  for (size_t i = 0; i < first.neighbors.size(); ++i) {
+    EXPECT_EQ(first.neighbors[i].id, second.neighbors[i].id);
+    EXPECT_EQ(first.neighbors[i].dist_sq, second.neighbors[i].dist_sq);
   }
-  EXPECT_EQ(unified.delivered(), core::QualityMode::kExact);
+  // Every series within distance r, and nothing else (Definition 2).
+  size_t within = 0;
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (core::SquaredEuclidean(w.queries[0], data[i]) <= radius * radius) {
+      ++within;
+    }
+  }
+  EXPECT_EQ(first.neighbors.size(), within);
+  EXPECT_EQ(second.delivered(), core::QualityMode::kExact);
 }
 
 }  // namespace

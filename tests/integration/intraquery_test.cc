@@ -1,5 +1,5 @@
 // The intra-query parallelism contract: for every method whose traversal
-// runs on the shared engine (core::BestFirstTraverse / ParallelScan),
+// runs on the shared engine (core::TreeSearch / ParallelScan),
 // exact k-NN and range answers are bit-identical to the serial traversal
 // at every worker count; order-dependent disciplines (epsilon, delta,
 // explicit budgets) are kept serial by Execute's gate, so their answers
@@ -27,7 +27,7 @@ constexpr size_t kLeaf = 64;
 constexpr size_t kK = 5;
 constexpr double kRadius = 8.0;
 
-const size_t kQueryThreads[] = {1, 2, 8};
+const size_t kQueryThreads[] = {1, 2, 4, 8};
 
 core::Dataset TestData() {
   return gen::RandomWalkDataset(kCount, kLength, 6801);
@@ -198,13 +198,15 @@ TEST(IntraQueryGating, EpsilonAndBudgetedRunsAreUnmovedByQueryThreads) {
   }
 }
 
-/// Traits are honest on both sides: the five restructured tree methods
-/// advertise the capability, everything else explains its refusal, and
+/// Traits are honest on both sides: the five tree indexes (on
+/// core::TreeSearch) and ADS+ (on ParallelScan) advertise the capability,
+/// the flat scans (UCR-Suite, MASS, Stepwise, VA+file) explain their
+/// refusal, and
 /// the sharded container mirrors its component (so `--shards` composed
 /// with `--query-threads` is accepted or refused for the right reason).
-TEST(IntraQueryTraits, FiveTreeMethodsAdvertiseOthersRefuseWithReasons) {
+TEST(IntraQueryTraits, SixMethodsAdvertiseOthersRefuseWithReasons) {
   const auto capable = bench::IntraQueryCapableNames();
-  EXPECT_EQ(capable.size(), 5u);
+  EXPECT_EQ(capable.size(), 6u);
   for (const std::string& name : bench::AllMethodNames()) {
     const core::MethodTraits t = bench::CreateMethod(name)->traits();
     const bool expected =

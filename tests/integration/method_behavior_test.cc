@@ -35,7 +35,7 @@ TEST(AdsBehavior, AdaptiveRefinementDeepensTheIndex) {
   const auto before = ads.footprint();
   const auto w = gen::RandWorkload(20, 128, 8102);
   for (size_t q = 0; q < w.queries.size(); ++q) {
-    ads.SearchKnn(w.queries[q], 1);
+    ads.Execute(w.queries[q], core::QuerySpec::Knn(1));
   }
   const auto after = ads.footprint();
   EXPECT_GT(after.leaf_nodes, before.leaf_nodes)
@@ -44,7 +44,7 @@ TEST(AdsBehavior, AdaptiveRefinementDeepensTheIndex) {
   const auto probe = gen::RandWorkload(3, 128, 8103);
   for (size_t q = 0; q < probe.queries.size(); ++q) {
     const auto expected = core::BruteForceKnn(data, probe.queries[q], 1);
-    const auto got = ads.SearchKnn(probe.queries[q], 1);
+    const auto got = ads.Execute(probe.queries[q], core::QuerySpec::Knn(1));
     EXPECT_NEAR(got.neighbors[0].dist_sq, expected[0].dist_sq, 1e-6);
   }
 }
@@ -62,7 +62,8 @@ TEST(AdsBehavior, LeafSizeBarelyAffectsQueryWork) {
     ads.Build(data);
     int64_t total = 0;
     for (size_t q = 0; q < w.queries.size(); ++q) {
-      total += ads.SearchKnn(w.queries[q], 1).stats.raw_series_examined;
+      total += ads.Execute(w.queries[q], core::QuerySpec::Knn(1))
+                  .stats.raw_series_examined;
     }
     examined.push_back(total);
   }
@@ -85,7 +86,8 @@ TEST(DsTreeBehavior, DeeperTreesPruneBetter) {
     tree.Build(data);
     int64_t total = 0;
     for (size_t q = 0; q < w.queries.size(); ++q) {
-      total += tree.SearchKnn(w.queries[q], 1).stats.raw_series_examined;
+      total += tree.Execute(w.queries[q], core::QuerySpec::Knn(1))
+                   .stats.raw_series_examined;
     }
     (leaf == 64u ? small_leaf_examined : large_leaf_examined) = total;
   }
@@ -110,7 +112,8 @@ TEST(DsTreeBehavior, VerticalSplittingNeverHurtsAndCanHelp) {
     tree.Build(data);
     int64_t total = 0;
     for (size_t q = 0; q < w.queries.size(); ++q) {
-      total += tree.SearchKnn(w.queries[q], 1).stats.raw_series_examined;
+      total += tree.Execute(w.queries[q], core::QuerySpec::Knn(1))
+                   .stats.raw_series_examined;
     }
     (allow_vertical ? adaptive : frozen) = total;
   }
@@ -128,7 +131,8 @@ TEST(VaFileBehavior, BiggerBudgetExaminesFewerSeries) {
     va.Build(data);
     int64_t total = 0;
     for (size_t q = 0; q < w.queries.size(); ++q) {
-      total += va.SearchKnn(w.queries[q], 1).stats.raw_series_examined;
+      total += va.Execute(w.queries[q], core::QuerySpec::Knn(1))
+                 .stats.raw_series_examined;
     }
     examined.push_back(total);
   }
@@ -163,7 +167,8 @@ TEST(StepwiseBehavior, EveryLevelTightensTheFilter) {
     method.Build(data);
     int64_t total = 0;
     for (size_t q = 0; q < w.queries.size(); ++q) {
-      total += method.SearchKnn(w.queries[q], 1).stats.raw_series_examined;
+      total += method.Execute(w.queries[q], core::QuerySpec::Knn(1))
+                     .stats.raw_series_examined;
     }
     (refine_levels == 3 ? coarse : fine) = total;
   }
@@ -178,7 +183,7 @@ TEST(MTreeBehavior, TriangleFilterSavesDistanceComputations) {
   mtree.Build(data);
   const auto w = gen::CtrlWorkload(data, 6, 8116, 0.05, 0.2);
   for (size_t q = 0; q < w.queries.size(); ++q) {
-    const auto r = mtree.SearchKnn(w.queries[q], 1);
+    const auto r = mtree.Execute(w.queries[q], core::QuerySpec::Knn(1));
     EXPECT_LT(r.stats.distance_computations,
               static_cast<int64_t>(data.size()))
         << "M-tree pruned nothing";
@@ -194,7 +199,7 @@ TEST(RTreeBehavior, LeafVisitsBoundedByLeafCount) {
   const auto fp = rtree.footprint();
   const auto w = gen::RandWorkload(5, 128, 8118);
   for (size_t q = 0; q < w.queries.size(); ++q) {
-    const auto r = rtree.SearchKnn(w.queries[q], 1);
+    const auto r = rtree.Execute(w.queries[q], core::QuerySpec::Knn(1));
     EXPECT_LE(r.stats.nodes_visited, fp.total_nodes);
   }
 }
@@ -234,7 +239,7 @@ TEST(Isax2PlusBehavior, SegmentCountMustDivideLength) {
     method->Build(data);
     const auto w = gen::RandWorkload(2, length, 8122);
     const auto expected = core::BruteForceKnn(data, w.queries[0], 1);
-    const auto got = method->SearchKnn(w.queries[0], 1);
+    const auto got = method->Execute(w.queries[0], core::QuerySpec::Knn(1));
     EXPECT_NEAR(got.neighbors[0].dist_sq, expected[0].dist_sq, 1e-6)
         << "len=" << length;
   }
@@ -246,7 +251,7 @@ TEST(StatsBehavior, CpuSecondsPopulatedEverywhere) {
   for (const std::string& name : bench::AllMethodNames()) {
     auto method = bench::CreateMethod(name, 64);
     method->Build(data);
-    const auto r = method->SearchKnn(w.queries[0], 1);
+    const auto r = method->Execute(w.queries[0], core::QuerySpec::Knn(1));
     EXPECT_GE(r.stats.cpu_seconds, 0.0) << name;
     EXPECT_GT(r.stats.distance_computations, 0) << name;
   }

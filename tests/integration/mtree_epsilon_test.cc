@@ -26,7 +26,7 @@ TEST_P(MTreeEpsilonTest, GuaranteeHolds) {
     for (const size_t k : {1u, 3u}) {
       const auto exact = core::BruteForceKnn(data, w.queries[q], k);
       auto approx =
-          mtree.SearchKnnEpsApproximate(w.queries[q], k, epsilon);
+          mtree.Execute(w.queries[q], core::QuerySpec::Epsilon(k, epsilon));
       ASSERT_EQ(approx.neighbors.size(), k);
       const double true_kth = std::sqrt(exact.back().dist_sq);
       for (const auto& n : approx.neighbors) {
@@ -52,7 +52,8 @@ TEST(MTreeEpsilon, ZeroEpsilonIsExact) {
   mtree.Build(data);
   for (size_t q = 0; q < w.queries.size(); ++q) {
     const auto exact = core::BruteForceKnn(data, w.queries[q], 1);
-    const auto got = mtree.SearchKnnEpsApproximate(w.queries[q], 1, 0.0);
+    const auto got =
+        mtree.Execute(w.queries[q], core::QuerySpec::Epsilon(1, 0.0));
     EXPECT_NEAR(got.neighbors[0].dist_sq, exact[0].dist_sq,
                 1e-6 * std::max(1.0, exact[0].dist_sq));
   }
@@ -66,9 +67,10 @@ TEST(MTreeEpsilon, LargerEpsilonComputesFewerDistances) {
   int64_t exact_dists = 0;
   int64_t approx_dists = 0;
   for (size_t q = 0; q < w.queries.size(); ++q) {
-    exact_dists += mtree.SearchKnnEpsApproximate(w.queries[q], 1, 0.0)
+    exact_dists += mtree.Execute(w.queries[q], core::QuerySpec::Epsilon(1, 0.0))
                        .stats.distance_computations;
-    approx_dists += mtree.SearchKnnEpsApproximate(w.queries[q], 1, 2.0)
+    approx_dists +=
+        mtree.Execute(w.queries[q], core::QuerySpec::Epsilon(1, 2.0))
                         .stats.distance_computations;
   }
   EXPECT_LT(approx_dists, exact_dists);

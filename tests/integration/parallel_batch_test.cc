@@ -47,14 +47,16 @@ TEST_F(ParallelBatchFixture, BatchIsBitIdenticalToSerialAt1And2And8Threads) {
     method->Build(data_);
 
     // Serial reference: plain SearchKnn in workload order.
-    std::vector<core::KnnResult> serial;
+    std::vector<core::QueryResult> serial;
     for (size_t q = 0; q < workload_.queries.size(); ++q) {
-      serial.push_back(method->SearchKnn(workload_.queries[q], kK));
+      serial.push_back(
+          method->Execute(workload_.queries[q], core::QuerySpec::Knn(kK)));
     }
 
     for (const size_t threads : {1u, 2u, 8u}) {
-      const core::BatchKnnResult batch =
-          SearchKnnBatch(method.get(), workload_, kK, threads);
+      const core::BatchResult batch =
+          SearchKnnBatch(method.get(), workload_, core::QuerySpec::Knn(kK),
+                         threads);
       const std::string run = name + " @" + std::to_string(threads);
       EXPECT_TRUE(batch.serial_reason.empty()) << run;
       EXPECT_EQ(batch.threads_used, threads) << run;
@@ -83,8 +85,9 @@ TEST_F(ParallelBatchFixture, BatchIsBitIdenticalToSerialAt1And2And8Threads) {
 TEST_F(ParallelBatchFixture, MergedLedgerIsTheSumOfPerQueryLedgers) {
   auto method = CreateMethod("VA+file");
   method->Build(data_);
-  const core::BatchKnnResult batch =
-      SearchKnnBatch(method.get(), workload_, /*k=*/3, /*threads=*/2);
+  const core::BatchResult batch =
+      SearchKnnBatch(method.get(), workload_, core::QuerySpec::Knn(3),
+                     /*threads=*/2);
   core::SearchStats manual;
   for (const auto& q : batch.queries) manual.Add(q.stats);
   ExpectSameCounters(batch.total, manual, "merged ledger");
@@ -95,8 +98,9 @@ TEST_F(ParallelBatchFixture, AdaptiveAdsFallsBackToSerialWithReason) {
   auto method = CreateMethod("ADS+", 64);
   ASSERT_FALSE(method->traits().concurrent_queries);
   method->Build(data_);
-  const core::BatchKnnResult batch =
-      SearchKnnBatch(method.get(), workload_, /*k=*/1, /*threads=*/4);
+  const core::BatchResult batch =
+      SearchKnnBatch(method.get(), workload_, core::QuerySpec::Knn(1),
+                     /*threads=*/4);
   EXPECT_EQ(batch.threads_used, 1u);
   EXPECT_FALSE(batch.serial_reason.empty());
   // The fallback still answers every query exactly.
@@ -115,8 +119,9 @@ TEST_F(ParallelBatchFixture, AdaptiveAdsFallsBackToSerialWithReason) {
 TEST_F(ParallelBatchFixture, SingleThreadRequestNeverReportsAFallback) {
   auto method = CreateMethod("ADS+", 64);
   method->Build(data_);
-  const core::BatchKnnResult batch =
-      SearchKnnBatch(method.get(), workload_, /*k=*/1, /*threads=*/1);
+  const core::BatchResult batch =
+      SearchKnnBatch(method.get(), workload_, core::QuerySpec::Knn(1),
+                     /*threads=*/1);
   EXPECT_TRUE(batch.serial_reason.empty());
   EXPECT_EQ(batch.threads_used, 1u);
 }
@@ -125,8 +130,9 @@ TEST_F(ParallelBatchFixture, EmptyWorkloadWithThreadsReturnsEmptyBatch) {
   auto method = CreateMethod("UCR-Suite");
   method->Build(data_);
   gen::Workload empty;
-  const core::BatchKnnResult batch =
-      SearchKnnBatch(method.get(), empty, /*k=*/1, /*threads=*/4);
+  const core::BatchResult batch =
+      SearchKnnBatch(method.get(), empty, core::QuerySpec::Knn(1),
+                     /*threads=*/4);
   EXPECT_TRUE(batch.queries.empty());
   EXPECT_EQ(batch.threads_used, 1u);  // no pool is spun up for zero queries
   EXPECT_TRUE(batch.serial_reason.empty());
@@ -137,8 +143,9 @@ TEST_F(ParallelBatchFixture, HugeKStaysCheap) {
   // heap only grows to min(k, candidates offered).
   auto method = CreateMethod("UCR-Suite");
   method->Build(data_);
-  const core::BatchKnnResult batch = SearchKnnBatch(
-      method.get(), workload_, /*k=*/size_t{1} << 40, /*threads=*/2);
+  const core::BatchResult batch =
+      SearchKnnBatch(method.get(), workload_,
+                     core::QuerySpec::Knn(size_t{1} << 40), /*threads=*/2);
   for (const auto& r : batch.queries) {
     EXPECT_EQ(r.neighbors.size(), data_.size());  // everything is a match
   }
@@ -161,7 +168,7 @@ TEST_F(ParallelBatchFixture, SpecBatchIsDeterministicAt1And2And8Threads) {
     }
 
     for (const size_t threads : {1u, 2u, 8u}) {
-      const core::BatchKnnResult batch =
+      const core::BatchResult batch =
           SearchKnnBatch(method.get(), workload_, spec, threads);
       const std::string run = name + " spec @" + std::to_string(threads);
       ASSERT_EQ(batch.queries.size(), serial.size()) << run;

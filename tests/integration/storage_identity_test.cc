@@ -126,10 +126,12 @@ TEST_F(StorageIdentityTest, RangeQueriesMatch) {
       // A radius at the 5th neighbor guarantees a non-trivial match set.
       const auto truth = core::BruteForceKnn(ram_.dataset(), query, 5);
       const double radius = std::sqrt(truth.back().dist_sq) + 1e-6;
-      core::RangeResult a = on_ram->SearchRange(query, radius);
-      core::RangeResult b = on_mmap->SearchRange(query, radius);
-      ASSERT_GE(a.matches.size(), 5u) << name;
-      ExpectSameAnswers(a.matches, b.matches, name);
+      core::QueryResult a =
+          on_ram->Execute(query, core::QuerySpec::Range(radius));
+      core::QueryResult b =
+          on_mmap->Execute(query, core::QuerySpec::Range(radius));
+      ASSERT_GE(a.neighbors.size(), 5u) << name;
+      ExpectSameAnswers(a.neighbors, b.neighbors, name);
     }
   }
 }
@@ -145,28 +147,32 @@ TEST_F(StorageIdentityTest, ShardedCompositionMatches) {
     on_mmap->Build(mmap_.dataset());
     for (size_t qi = 0; qi < workload_.queries.size(); ++qi) {
       const core::SeriesView query = workload_.queries[qi];
-      core::KnnResult a = on_ram->SearchKnn(query, 5);
-      core::KnnResult b = on_mmap->SearchKnn(query, 5);
+      core::QueryResult a = on_ram->Execute(query, core::QuerySpec::Knn(5));
+      core::QueryResult b = on_mmap->Execute(query, core::QuerySpec::Knn(5));
       ExpectSameAnswers(a.neighbors, b.neighbors, name);
       EXPECT_GT(b.stats.pool_misses, 0) << name;
     }
   }
 }
 
+// Eight workers outnumber the pool's four frames: a worker idling between
+// leaves must hold no frame, or the others wait on it forever.
 TEST_F(StorageIdentityTest, IntraQueryParallelMatches) {
-  core::QuerySpec spec = core::QuerySpec::Knn(5);
-  spec.query_threads = 2;
-  for (const std::string& name : bench::IntraQueryCapableNames()) {
-    SCOPED_TRACE(name);
-    auto on_ram = bench::CreateMethod(name, kLeaf);
-    auto on_mmap = bench::CreateMethod(name, kLeaf);
-    on_ram->Build(ram_.dataset());
-    on_mmap->Build(mmap_.dataset());
-    for (size_t qi = 0; qi < workload_.queries.size(); ++qi) {
-      const core::SeriesView query = workload_.queries[qi];
-      core::QueryResult a = on_ram->Execute(query, spec);
-      core::QueryResult b = on_mmap->Execute(query, spec);
-      ExpectSameAnswers(a.neighbors, b.neighbors, name);
+  for (const size_t query_threads : {2, 8}) {
+    core::QuerySpec spec = core::QuerySpec::Knn(5);
+    spec.query_threads = query_threads;
+    for (const std::string& name : bench::IntraQueryCapableNames()) {
+      SCOPED_TRACE(name + " query_threads=" + std::to_string(query_threads));
+      auto on_ram = bench::CreateMethod(name, kLeaf);
+      auto on_mmap = bench::CreateMethod(name, kLeaf);
+      on_ram->Build(ram_.dataset());
+      on_mmap->Build(mmap_.dataset());
+      for (size_t qi = 0; qi < workload_.queries.size(); ++qi) {
+        const core::SeriesView query = workload_.queries[qi];
+        core::QueryResult a = on_ram->Execute(query, spec);
+        core::QueryResult b = on_mmap->Execute(query, spec);
+        ExpectSameAnswers(a.neighbors, b.neighbors, name);
+      }
     }
   }
 }

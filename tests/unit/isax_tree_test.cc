@@ -76,8 +76,7 @@ TEST_F(IsaxTreeTest, ApproximateLeafFindsMemberLeaf) {
   }
   for (core::SeriesId i = 0; i < 100; ++i) {
     const auto paa = transform::Paa(data[i], segments);
-    IsaxTree::Node* leaf = tree.ApproximateLeaf(
-        {words_.data() + i * segments, segments}, paa, 64 / segments);
+    IsaxTree::Node* leaf = tree.ApproximateLeaf(paa, 64 / segments);
     ASSERT_NE(leaf, nullptr);
     EXPECT_TRUE(leaf->is_leaf);
     // The series must be in this leaf (it was routed the same way).
@@ -98,13 +97,9 @@ TEST_F(IsaxTreeTest, ApproximateLeafHandlesUnseenRegion) {
     tree.Insert(static_cast<core::SeriesId>(i));
   }
   // An adversarial word: alternating extreme symbols.
-  std::vector<uint8_t> probe(segments);
   std::vector<double> paa(segments);
-  for (size_t s = 0; s < segments; ++s) {
-    probe[s] = (s % 2 == 0) ? 255 : 0;
-    paa[s] = (s % 2 == 0) ? 4.0 : -4.0;
-  }
-  IsaxTree::Node* leaf = tree.ApproximateLeaf(probe, paa, 64 / segments);
+  for (size_t s = 0; s < segments; ++s) paa[s] = (s % 2 == 0) ? 4.0 : -4.0;
+  IsaxTree::Node* leaf = tree.ApproximateLeaf(paa, 64 / segments);
   ASSERT_NE(leaf, nullptr);
   EXPECT_FALSE(leaf->ids.empty());
 }

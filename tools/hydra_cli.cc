@@ -63,9 +63,9 @@
 //
 // `query` and `range` accept --query-threads N: N workers drain one
 // query's traversal frontier cooperatively (the shared engine in
-// src/core/traversal.h). Only the five tree methods advertise the trait
-// (`hydra methods`, intra-query column); others are refused with the
-// traits-derived reason. Exact k-NN and range answers are bit-identical
+// src/core/traversal.h). Only the five tree indexes and ADS+ advertise
+// the trait (`hydra methods`, intra-query column); others are refused
+// with the traits-derived reason. Exact k-NN and range answers are bit-identical
 // to the serial traversal at any worker count; approximate and budgeted
 // plans keep their traversal serial (their answers depend on visit
 // order), which is reported as a note. Composes with --shards: every
@@ -1060,7 +1060,7 @@ int CmdQuery(int argc, char** argv, uint64_t threads, uint64_t shards,
   const size_t batch_threads =
       shards > 0 ? 1 : static_cast<size_t>(threads);
   util::WallTimer timer;
-  const core::BatchKnnResult batch =
+  const core::BatchResult batch =
       bench::SearchKnnBatch(method.get(), probe, spec, batch_threads);
   const double wall = timer.Seconds();
   for (size_t q = 0; q < batch.queries.size(); ++q) {
