@@ -17,9 +17,11 @@
 //
 // Numerical contract (pinned by tests/unit/kernel_conformance_test.cc):
 //  - Summary lower-bound kernels (sum_sq_diff, box_dist_sq, isax_mindist_sq,
-//    sfa_lb_sq, va_lb_sq, eapca_node_lb_sq) preserve the scalar reduction
-//    order and are bit-identical to the reference in every set. Pruning
-//    decisions therefore never depend on the dispatch level.
+//    sfa_lb_sq, eapca_node_lb_sq) preserve the scalar reduction order and
+//    are bit-identical to the reference in every set. Pruning decisions
+//    therefore never depend on the dispatch level. (VA+file needs no
+//    kernel: its bounds are per-query cell tables, see
+//    VaPlusQuantizer::QueryBounds.)
 //  - Raw-series kernels (euclidean_sq, euclidean_sq_abandon,
 //    euclidean_sq_reordered) may use multiple accumulators; sets with
 //    raw_order_preserved == false agree with the reference to relative
@@ -100,12 +102,6 @@ struct KernelSet {
   /// see SfaQuantizer::FlatEdges). Order-preserving in every set.
   double (*sfa_lb_sq)(const double* q_dft, const uint8_t* word, size_t dims,
                       const double* edges, size_t stride);
-
-  /// VA+ cell lower-bound core: per dimension d, distance from q_dft[d] to
-  /// [edges[offsets[d] + cells[d]], edges[offsets[d] + cells[d] + 1]]
-  /// (see VaPlusQuantizer::FlatEdges). Order-preserving in every set.
-  double (*va_lb_sq)(const double* q_dft, const uint16_t* cells, size_t dims,
-                     const double* edges, const uint32_t* offsets);
 
   /// EAPCA node lower bound: per segment s of the cumulative-`ends`
   /// segmentation, len_s * (dist(q_mean, mean range)^2 +

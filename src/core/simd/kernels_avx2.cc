@@ -150,12 +150,6 @@ inline __m128i Load4U8(const uint8_t* p) {
   return _mm_cvtepu8_epi32(_mm_cvtsi32_si128(static_cast<int>(raw)));
 }
 
-// Widens 4 consecutive uint16 values to an epi32 vector.
-inline __m128i Load4U16(const uint16_t* p) {
-  return _mm_cvtepu16_epi32(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
-}
-
 }  // namespace
 
 double Avx2SumSqDiff(const double* a, const double* b, size_t n) {
@@ -265,33 +259,6 @@ double Avx2SfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,
   return acc;
 }
 
-double Avx2VaLbSq(const double* q_dft, const uint16_t* cells, size_t dims,
-                  const double* edges, const uint32_t* offsets) {
-  double acc = 0.0;
-  size_t d = 0;
-  for (; d + 4 <= dims; d += 4) {
-    const __m128i off =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(offsets + d));
-    const __m128i idx = _mm_add_epi32(off, Load4U16(cells + d));
-    const __m256d lo = _mm256_i32gather_pd(edges, idx, 8);
-    const __m256d hi = _mm256_i32gather_pd(edges + 1, idx, 8);
-    const __m256d dist = IntervalDist(_mm256_loadu_pd(q_dft + d), lo, hi);
-    FoldOrdered(_mm256_mul_pd(dist, dist), &acc);
-  }
-  for (; d < dims; ++d) {
-    const double lo = edges[offsets[d] + cells[d]];
-    const double hi = edges[offsets[d] + cells[d] + 1];
-    double dist = 0.0;
-    if (q_dft[d] < lo) {
-      dist = lo - q_dft[d];
-    } else if (q_dft[d] > hi) {
-      dist = q_dft[d] - hi;
-    }
-    acc += dist * dist;
-  }
-  return acc;
-}
-
 double Avx2EapcaNodeLbSq(const double* q_stats, const double* env,
                          const uint32_t* ends, size_t segments) {
   double acc = 0.0;
@@ -355,7 +322,6 @@ const KernelSet* Avx2KernelsImpl() {
       &Avx2BoxDistSq,
       &Avx2IsaxMinDistSq,
       &Avx2SfaLbSq,
-      &Avx2VaLbSq,
       &Avx2EapcaNodeLbSq,
   };
   return &kAvx2;

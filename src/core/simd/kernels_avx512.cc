@@ -131,7 +131,6 @@ const KernelSet* Avx512KernelsImpl() {
       &Avx2BoxDistSq,
       &Avx2IsaxMinDistSq,
       &Avx2SfaLbSq,
-      &Avx2VaLbSq,
       &Avx2EapcaNodeLbSq,
   };
   return &kAvx512;

@@ -29,8 +29,6 @@ double ScalarIsaxMinDistSq(const double* paa_q, const uint8_t* symbols,
                            const double* flat_lower, const double* flat_upper);
 double ScalarSfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,
                      const double* edges, size_t stride);
-double ScalarVaLbSq(const double* q_dft, const uint16_t* cells, size_t dims,
-                    const double* edges, const uint32_t* offsets);
 double ScalarEapcaNodeLbSq(const double* q_stats, const double* env,
                            const uint32_t* ends, size_t segments);
 
@@ -45,8 +43,6 @@ double Avx2IsaxMinDistSq(const double* paa_q, const uint8_t* symbols,
                          const double* flat_lower, const double* flat_upper);
 double Avx2SfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,
                    const double* edges, size_t stride);
-double Avx2VaLbSq(const double* q_dft, const uint16_t* cells, size_t dims,
-                  const double* edges, const uint32_t* offsets);
 double Avx2EapcaNodeLbSq(const double* q_stats, const double* env,
                          const uint32_t* ends, size_t segments);
 

@@ -109,7 +109,6 @@ const KernelSet* NeonKernelsImpl() {
       &ScalarBoxDistSq,
       &ScalarIsaxMinDistSq,
       &ScalarSfaLbSq,
-      &ScalarVaLbSq,
       &ScalarEapcaNodeLbSq,
   };
   return &kNeon;

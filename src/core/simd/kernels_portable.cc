@@ -117,7 +117,6 @@ const KernelSet& PortableKernelsImpl() {
       &ScalarBoxDistSq,
       &ScalarIsaxMinDistSq,
       &ScalarSfaLbSq,
-      &ScalarVaLbSq,
       &ScalarEapcaNodeLbSq,
   };
   return kPortable;

@@ -121,23 +121,6 @@ double ScalarSfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,
   return acc;
 }
 
-double ScalarVaLbSq(const double* q_dft, const uint16_t* cells, size_t dims,
-                    const double* edges, const uint32_t* offsets) {
-  double acc = 0.0;
-  for (size_t d = 0; d < dims; ++d) {
-    const double lo = edges[offsets[d] + cells[d]];
-    const double hi = edges[offsets[d] + cells[d] + 1];
-    double dist = 0.0;
-    if (q_dft[d] < lo) {
-      dist = lo - q_dft[d];
-    } else if (q_dft[d] > hi) {
-      dist = q_dft[d] - hi;
-    }
-    acc += dist * dist;
-  }
-  return acc;
-}
-
 double ScalarEapcaNodeLbSq(const double* q_stats, const double* env,
                            const uint32_t* ends, size_t segments) {
   double acc = 0.0;
@@ -178,7 +161,6 @@ const KernelSet& ScalarKernelsImpl() {
       &ScalarBoxDistSq,
       &ScalarIsaxMinDistSq,
       &ScalarSfaLbSq,
-      &ScalarVaLbSq,
       &ScalarEapcaNodeLbSq,
   };
   return kScalar;

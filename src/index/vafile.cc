@@ -12,6 +12,23 @@
 #include "util/timer.h"
 
 namespace hydra::index {
+namespace {
+
+/// Per-thread query scratch, reused across queries like ScratchKnnHeap:
+/// the cell-bound tables and phase 1's per-series lower bounds. Every
+/// entry point below re-arms it once per query, so at most one use is live
+/// per thread and concurrent queries never share one.
+struct VaScratch {
+  transform::VaPlusQuantizer::QueryBounds bounds;
+  std::vector<double> lb;
+};
+
+VaScratch& Scratch() {
+  thread_local VaScratch scratch;
+  return scratch;
+}
+
+}  // namespace
 
 core::BuildStats VaFile::DoBuild(const core::Dataset& data) {
   util::WallTimer timer;
@@ -117,6 +134,19 @@ util::Status VaFile::DoOpen(io::IndexReader* reader,
        tail_energy_.size() != data.size())) {
     reader->Fail("VA+ approximation file does not cover the dataset");
   }
+  // A checksum only proves the bytes match themselves: every stored cell
+  // indexes its dimension's edge row (and the query tables), so a crafted
+  // cell must not reach a search.
+  for (size_t j = 0; reader->ok() && j < cells_.size(); ++j) {
+    if (cells_[j] >= size_t{1} << quantizer_.bits_for(j % dims)) {
+      reader->Fail("VA+ approximation cell out of range");
+    }
+  }
+  for (size_t i = 0; reader->ok() && i < tail_energy_.size(); ++i) {
+    if (!std::isfinite(tail_energy_[i]) || tail_energy_[i] < 0.0) {
+      reader->Fail("VA+ residual energy is not finite and non-negative");
+    }
+  }
   if (!reader->ok()) return reader->status();
   data_ = &data;
   return reader->status();
@@ -144,21 +174,22 @@ core::QueryResult VaFile::DoSearchKnn(core::SeriesView query,
   // paper reports VA+file performs virtually no sequential disk I/O).
   // The scratch heap serves both phases in turn: phase 1 only needs the
   // k-th best upper bound, which is extracted before the Reset.
-  std::vector<double> lb(count);
+  VaScratch& scratch = Scratch();
+  scratch.bounds.Reset(quantizer_, q_dft);
+  std::vector<double>& lb = scratch.lb;
+  lb.resize(count);
   core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
   // Phase 1 offers *upper* bounds — real candidates provably within them —
   // so sharing the cross-shard bound here is sound and lets other shards
   // prune against this shard's k-th upper bound early.
   heap.ShareBound(plan.shared_bound);
   for (size_t i = 0; i < count; ++i) {
-    const std::span<const uint16_t> cell(cells_.data() + i * dims, dims);
-    lb[i] = quantizer_.CellLowerBoundSq(q_dft, cell);
+    const auto cell = scratch.bounds.Both(cells_.data() + i * dims);
+    lb[i] = cell.lb_sq;
     // Full-space upper bound: truncated-space bound plus the
     // Cauchy-Schwarz residual term.
     const double rt = q_tail_rt + std::sqrt(tail_energy_[i]);
-    const double ub =
-        quantizer_.CellUpperBoundSq(q_dft, cell) + rt * rt;
-    heap.Offer(static_cast<core::SeriesId>(i), ub);
+    heap.Offer(static_cast<core::SeriesId>(i), cell.ub_sq + rt * rt);
   }
   result.stats.lower_bound_computations += static_cast<int64_t>(2 * count);
   double bound = heap.Bound();
@@ -232,16 +263,16 @@ core::QueryResult VaFile::DoSearchRange(core::SeriesView query,
 
   const auto q_full = transform::PackedRealDft(
       query, transform::MaxPackedCoeffs(query.size(), true), true);
-  const std::span<const double> q_dft(q_full.data(), dims);
+  transform::VaPlusQuantizer::QueryBounds& bounds = Scratch().bounds;
+  bounds.Reset(quantizer_, std::span<const double>(q_full.data(), dims));
 
   // One pass over the memory-resident approximation file, skip-sequential
   // refinement of the survivors against the raw file.
   obs::ObsSpan refine_span("leaf_verify", "series",
                            static_cast<int64_t>(count));
   for (size_t i = 0; i < count; ++i) {
-    const std::span<const uint16_t> cell(cells_.data() + i * dims, dims);
     ++result.stats.lower_bound_computations;
-    if (quantizer_.CellLowerBoundSq(q_dft, cell) > collector.Bound()) {
+    if (bounds.LowerBoundSq(cells_.data() + i * dims) > collector.Bound()) {
       continue;
     }
     const core::SeriesView s =
@@ -277,14 +308,15 @@ double VaFile::MeanTlb(core::SeriesView query) const {
   const size_t dims = quantizer_.dims();
   const auto q_full = transform::PackedRealDft(
       query, transform::MaxPackedCoeffs(query.size(), true), true);
-  const std::span<const double> q_dft(q_full.data(), dims);
+  transform::VaPlusQuantizer::QueryBounds& bounds = Scratch().bounds;
+  bounds.Reset(quantizer_, std::span<const double>(q_full.data(), dims));
   const size_t sample = std::min<size_t>(count, 2000);
   double sum = 0.0;
   size_t used = 0;
   for (size_t j = 0; j < sample; ++j) {
     const size_t i = j * count / sample;
-    const std::span<const uint16_t> cell(cells_.data() + i * dims, dims);
-    const double lb = std::sqrt(quantizer_.CellLowerBoundSq(q_dft, cell));
+    const double lb =
+        std::sqrt(bounds.LowerBoundSq(cells_.data() + i * dims));
     const double truth =
         std::sqrt(core::SquaredEuclidean(query, (*data_)[i]));
     if (truth > 0.0) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/simd/kernels.h"
 #include "transform/kmeans1d.h"
 #include "util/check.h"
 #include "util/stats.h"
@@ -92,7 +91,7 @@ VaPlusQuantizer VaPlusQuantizer::Train(
       }
     }
   }
-  q.BuildFlatEdges();
+  q.BuildEdgeOffsets();
   return q;
 }
 
@@ -112,21 +111,16 @@ VaPlusQuantizer VaPlusQuantizer::FromTables(
   q.edges_ = std::move(edges);
   q.bits_ = std::move(bits);
   q.total_bits_ = total_bits;
-  q.BuildFlatEdges();
+  q.BuildEdgeOffsets();
   return q;
 }
 
-void VaPlusQuantizer::BuildFlatEdges() {
+void VaPlusQuantizer::BuildEdgeOffsets() {
   edge_offsets_.resize(edges_.size());
   size_t total = 0;
   for (size_t d = 0; d < edges_.size(); ++d) {
     edge_offsets_[d] = static_cast<uint32_t>(total);
     total += edges_[d].size();
-  }
-  flat_edges_.clear();
-  flat_edges_.reserve(total);
-  for (const auto& row : edges_) {
-    flat_edges_.insert(flat_edges_.end(), row.begin(), row.end());
   }
 }
 
@@ -150,12 +144,36 @@ std::vector<uint16_t> VaPlusQuantizer::Quantize(
   return cells;
 }
 
+namespace {
+
+// The two per-dimension terms, shared by the scalar reference and the
+// query tables so both evaluate them identically.
+double LowerTerm(double q, double lo, double hi) {
+  double dist = 0.0;
+  if (q < lo) {
+    dist = lo - q;
+  } else if (q > hi) {
+    dist = q - hi;
+  }
+  return dist * dist;
+}
+
+double UpperTerm(double q, double lo, double hi) {
+  const double dist = std::max(std::fabs(q - lo), std::fabs(q - hi));
+  return dist * dist;
+}
+
+}  // namespace
+
 double VaPlusQuantizer::CellLowerBoundSq(
     std::span<const double> q_dft, std::span<const uint16_t> cells) const {
   HYDRA_DCHECK(q_dft.size() == dims());
-  return core::simd::ActiveKernels().va_lb_sq(q_dft.data(), cells.data(),
-                                              dims(), flat_edges_.data(),
-                                              edge_offsets_.data());
+  double acc = 0.0;
+  for (size_t d = 0; d < dims(); ++d) {
+    const auto& edges = edges_[d];
+    acc += LowerTerm(q_dft[d], edges[cells[d]], edges[cells[d] + 1]);
+  }
+  return acc;
 }
 
 double VaPlusQuantizer::CellUpperBoundSq(
@@ -164,13 +182,27 @@ double VaPlusQuantizer::CellUpperBoundSq(
   double acc = 0.0;
   for (size_t d = 0; d < dims(); ++d) {
     const auto& edges = edges_[d];
-    const double lo = edges[cells[d]];
-    const double hi = edges[cells[d] + 1];
-    const double dist =
-        std::max(std::fabs(q_dft[d] - lo), std::fabs(q_dft[d] - hi));
-    acc += dist * dist;
+    acc += UpperTerm(q_dft[d], edges[cells[d]], edges[cells[d] + 1]);
   }
   return acc;
+}
+
+void VaPlusQuantizer::QueryBounds::Reset(const VaPlusQuantizer& quantizer,
+                                         std::span<const double> q_dft) {
+  HYDRA_DCHECK(q_dft.size() == quantizer.dims());
+  offsets_.assign(quantizer.edge_offsets_.begin(),
+                  quantizer.edge_offsets_.end());
+  size_t slots = 0;
+  for (const auto& edges : quantizer.edges_) slots += edges.size();
+  terms_.resize(slots);
+  for (size_t d = 0; d < quantizer.dims(); ++d) {
+    const std::vector<double>& edges = quantizer.edges_[d];
+    Bounds* row = terms_.data() + offsets_[d];
+    for (size_t c = 0; c + 1 < edges.size(); ++c) {
+      row[c] = {LowerTerm(q_dft[d], edges[c], edges[c + 1]),
+                UpperTerm(q_dft[d], edges[c], edges[c + 1])};
+    }
+  }
 }
 
 size_t VaPlusQuantizer::ApproximationBytes() const {
@@ -183,7 +215,6 @@ size_t VaPlusQuantizer::ApproximationBytes() const {
 
 size_t VaPlusQuantizer::MemoryBytes() const {
   size_t bytes = bits_.size() * sizeof(int);
-  bytes += flat_edges_.size() * sizeof(double);
   bytes += edge_offsets_.size() * sizeof(uint32_t);
   for (const auto& edges : edges_) bytes += edges.size() * sizeof(double);
   return bytes;

@@ -46,42 +46,84 @@ class VaPlusQuantizer {
 
   /// Lower bound on squared ED between originals given the query DFT and a
   /// candidate's cell word. Valid in the full space because the packed DFT
-  /// is orthonormal and the untracked tail only adds distance.
+  /// is orthonormal and the untracked tail only adds distance. The plain
+  /// scalar reference; query hot paths use QueryBounds instead.
   double CellLowerBoundSq(std::span<const double> q_dft,
                           std::span<const uint16_t> cells) const;
 
   /// Upper bound on the squared distance *within the truncated DFT space*.
   /// For a full-space upper bound the caller must add the residual-energy
   /// term (sqrt(Eq_tail) + sqrt(Ec_tail))^2; the VA+file index stores each
-  /// series' tail energy in its approximation file for this purpose.
+  /// series' tail energy in its approximation file for this purpose. The
+  /// plain scalar reference, like CellLowerBoundSq.
   double CellUpperBoundSq(std::span<const double> q_dft,
                           std::span<const uint16_t> cells) const;
+
+  /// Per-query cell-bound tables. Reset evaluates, for one query DFT, the
+  /// squared lower- and upper-bound terms of every (dimension, cell) pair
+  /// once, laid out like the concatenated edge rows: dimension d's row
+  /// starts at the total edge count of the dimensions before it, and slot
+  /// c holds cell c (the last slot of each row is unused). A candidate's
+  /// bounds are then one table load per dimension, summed in dimension
+  /// order — the same terms in the same order as CellLowerBoundSq and
+  /// CellUpperBoundSq, so the results are bit-identical to them. Reset
+  /// reuses the buffers, so a long-lived instance is allocation-free once
+  /// warm.
+  class QueryBounds {
+   public:
+    struct Bounds {
+      double lb_sq;
+      double ub_sq;
+    };
+
+    void Reset(const VaPlusQuantizer& quantizer,
+               std::span<const double> q_dft);
+
+    /// Equals CellLowerBoundSq(q_dft, cells) of the last Reset.
+    double LowerBoundSq(const uint16_t* cells) const {
+      double acc = 0.0;
+      for (size_t d = 0; d < offsets_.size(); ++d) {
+        acc += terms_[offsets_[d] + cells[d]].lb_sq;
+      }
+      return acc;
+    }
+
+    /// Both bounds in one pass; each equals its scalar reference.
+    Bounds Both(const uint16_t* cells) const {
+      Bounds acc{0.0, 0.0};
+      for (size_t d = 0; d < offsets_.size(); ++d) {
+        const Bounds& term = terms_[offsets_[d] + cells[d]];
+        acc.lb_sq += term.lb_sq;
+        acc.ub_sq += term.ub_sq;
+      }
+      return acc;
+    }
+
+   private:
+    std::vector<Bounds> terms_;      // one (lb, ub) term per edge slot
+    std::vector<uint32_t> offsets_;  // copy of the quantizer's row starts
+  };
 
   size_t dims() const { return bits_.size(); }
   int bits_for(size_t d) const { return bits_[d]; }
   int total_bits() const { return total_bits_; }
   /// Cell edges of dimension `d` (2^bits_for(d) + 1 ascending values).
   std::span<const double> EdgesFor(size_t d) const { return edges_[d]; }
-  /// Flat concatenation of all per-dimension edge tables for the kernel
-  /// layer: dimension d starts at EdgeOffsets()[d], so cell c spans
-  /// [FlatEdges()[EdgeOffsets()[d] + c], FlatEdges()[... + c + 1]].
-  const double* FlatEdges() const { return flat_edges_.data(); }
-  const uint32_t* EdgeOffsets() const { return edge_offsets_.data(); }
   /// Bytes per stored approximation word (packed, one uint16 per used dim).
   size_t ApproximationBytes() const;
   /// Resident size of the quantizer tables in bytes.
   size_t MemoryBytes() const;
 
  private:
-  /// Rebuilds flat_edges_/edge_offsets_ from edges_; every constructor
-  /// path ends here.
-  void BuildFlatEdges();
+  /// Rebuilds edge_offsets_ from edges_; every constructor path ends here.
+  void BuildEdgeOffsets();
 
   // edges_[d] has 2^bits_[d] + 1 finite ascending edges; cell c of dimension
   // d spans [edges_[d][c], edges_[d][c+1]].
   std::vector<std::vector<double>> edges_;
-  std::vector<double> flat_edges_;      // concatenated edges_ rows
-  std::vector<uint32_t> edge_offsets_;  // start of each row in flat_edges_
+  // Start of row d in the concatenation of the edges_ rows (the
+  // QueryBounds layout).
+  std::vector<uint32_t> edge_offsets_;
   std::vector<int> bits_;
   int total_bits_ = 0;
 };

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -252,6 +253,91 @@ TEST(PersistenceErrors, MismatchesAreRefused) {
   // A missing index directory.
   auto missing = bench::CreateMethod("SFA")->Open(FreshDir("nowhere"), data);
   EXPECT_FALSE(missing.ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistenceErrors, VaFileRefusesCraftedApproximations) {
+  // A crafted approximation section carries valid checksums, so only
+  // DoOpen's own validation stands between it and a search that indexes
+  // edge rows (and the per-query tables) by the stored cells.
+  const core::Dataset data = TestData();
+  auto built = bench::CreateMethod("VA+file");
+  built->Build(data);
+  const std::string dir = FreshDir("va_crafted");
+  ASSERT_TRUE(built->Save(dir).ok());
+  const std::string file = io::IndexFilePath(dir);
+
+  io::IndexReader reader;
+  ASSERT_TRUE(reader.Load(file).ok());
+  ASSERT_TRUE(reader.EnterSection("options").ok());
+  const uint64_t opt_dims = reader.ReadU64();
+  const int32_t opt_bits = reader.ReadI32();
+  const uint8_t allocation = reader.ReadU8();
+  const uint8_t placement = reader.ReadU8();
+  ASSERT_TRUE(reader.EnterSection("quantizer").ok());
+  const int32_t total_bits = reader.ReadI32();
+  const uint64_t dims = reader.ReadU64();
+  std::vector<int32_t> bits;
+  std::vector<std::vector<double>> edges;
+  for (uint64_t d = 0; d < dims; ++d) {
+    bits.push_back(reader.ReadI32());
+    edges.push_back(reader.ReadPodVector<double>());
+  }
+  ASSERT_TRUE(reader.EnterSection("approximations").ok());
+  const std::vector<uint16_t> cells = reader.ReadPodVector<uint16_t>();
+  const std::vector<double> tails = reader.ReadPodVector<double>();
+  ASSERT_TRUE(reader.ok()) << reader.status().message();
+  ASSERT_EQ(cells.size(), kCount * dims);
+
+  const auto open_crafted = [&](const std::vector<uint16_t>& c,
+                                const std::vector<double>& t) {
+    io::IndexWriter writer(reader.method_name(), reader.fingerprint());
+    writer.BeginSection("options");
+    writer.WriteU64(opt_dims);
+    writer.WriteI32(opt_bits);
+    writer.WriteU8(allocation);
+    writer.WriteU8(placement);
+    writer.EndSection();
+    writer.BeginSection("quantizer");
+    writer.WriteI32(total_bits);
+    writer.WriteU64(dims);
+    for (uint64_t d = 0; d < dims; ++d) {
+      writer.WriteI32(bits[d]);
+      writer.WritePodVector(edges[d]);
+    }
+    writer.EndSection();
+    writer.BeginSection("approximations");
+    writer.WritePodVector(c);
+    writer.WritePodVector(t);
+    writer.EndSection();
+    EXPECT_TRUE(writer.Commit(file).ok());
+    return bench::CreateMethod("VA+file")->Open(dir, data);
+  };
+
+  // The faithful rewrite opens: the crafting itself is sound.
+  ASSERT_TRUE(open_crafted(cells, tails).ok());
+
+  // The last series' last cell one past its dimension's cell count.
+  std::vector<uint16_t> bad_cells = cells;
+  bad_cells.back() = static_cast<uint16_t>(1u << bits.back());
+  const auto out_of_range = open_crafted(bad_cells, tails);
+  ASSERT_FALSE(out_of_range.ok());
+  EXPECT_NE(out_of_range.status().message().find(
+                "VA+ approximation cell out of range"),
+            std::string::npos)
+      << out_of_range.status().message();
+
+  for (const double tail :
+       {-1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    std::vector<double> bad_tails = tails;
+    bad_tails[kCount / 2] = tail;
+    const auto bad_energy = open_crafted(cells, bad_tails);
+    ASSERT_FALSE(bad_energy.ok()) << tail;
+    EXPECT_NE(bad_energy.status().message().find("residual energy"),
+              std::string::npos)
+        << bad_energy.status().message();
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -1,9 +1,10 @@
-// Work-counter pins for the five tree methods: on one fixed seeded dataset
-// and workload, the serial traversal of every query mode must charge
-// exactly the recorded work. The answer suites (exactness, approximate,
-// intra-query) check what a search returns; this suite checks how much it
-// did to get there, so a refactor of the shared traversal driver cannot
-// silently visit more nodes, compute more bounds or read more series.
+// Work-counter pins for the five tree methods and the VA+file: on one fixed
+// seeded dataset and workload, the serial search of every query mode must
+// charge exactly the recorded work. The answer suites (exactness,
+// approximate, intra-query) check what a search returns; this suite checks
+// how much it did to get there, so a refactor of the shared traversal
+// driver or of the VA+file's two-phase scan cannot silently visit more
+// nodes, compute more bounds or read more series.
 //
 // A deliberate change in traversal work updates the table below together
 // with a before/after note in CHANGES.md; the failure message prints the
@@ -11,8 +12,10 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -72,7 +75,35 @@ constexpr Pin kPins[] = {
     {"R*-tree", "budget-raw", {392, 8830, 890, 890, 1244, 227840}},
     {"R*-tree", "ng", {671, 15015, 1778, 1778, 2410, 455168}},
     {"R*-tree", "range", {696, 15539, 1748, 1748, 2404, 447488}},
+    {"VA+file", "exact", {0, 48000, 1746, 1746, 1457, 446976}},
+    {"VA+file", "epsilon", {0, 48000, 85, 85, 77, 21760}},
+    {"VA+file", "budget-raw", {0, 48000, 834, 834, 735, 213504}},
+    {"VA+file", "range", {0, 24000, 1455, 1455, 1236, 372480}},
 };
+
+/// The modes each pinned method runs; the VA+file has no leaves, so ng,
+/// the delta rule and the leaf budget do not apply to it.
+struct PinCase {
+  const char* method;
+  std::vector<const char*> modes;
+};
+
+const std::vector<const char*> kTreeModes = {
+    "exact", "epsilon", "delta-epsilon", "budget-leaves", "budget-raw",
+    "ng", "range"};
+
+const PinCase kCases[] = {
+    {"DSTree", kTreeModes},
+    {"iSAX2+", kTreeModes},
+    {"SFA", kTreeModes},
+    {"M-tree", kTreeModes},
+    {"R*-tree", kTreeModes},
+    {"VA+file", {"exact", "epsilon", "budget-raw", "range"}},
+};
+
+void PrintTo(const PinCase& pin_case, std::ostream* os) {
+  *os << pin_case.method;
+}
 
 constexpr size_t kK = 5;
 
@@ -117,18 +148,17 @@ const Counters* PinnedFor(const std::string& method,
   return nullptr;
 }
 
-class WorkCounterPinTest : public ::testing::TestWithParam<std::string> {};
+class WorkCounterPinTest : public ::testing::TestWithParam<PinCase> {};
 
 TEST_P(WorkCounterPinTest, SerialWorkMatchesRecordedCounters) {
-  const std::string& method_name = GetParam();
+  const std::string method_name = GetParam().method;
   const core::Dataset data = gen::RandomWalkDataset(2000, 64, 4242);
   const gen::Workload rand_w = gen::RandWorkload(6, 64, 4243);
   const gen::Workload ctrl_w = gen::CtrlWorkload(data, 6, 4244);
   auto method = bench::CreateMethod(method_name, 32);
   method->Build(data);
 
-  for (const char* mode : {"exact", "epsilon", "delta-epsilon",
-                           "budget-leaves", "budget-raw", "ng", "range"}) {
+  for (const char* mode : GetParam().modes) {
     Counters got{};
     for (const gen::Workload* w : {&rand_w, &ctrl_w}) {
       for (size_t q = 0; q < w->queries.size(); ++q) {
@@ -149,11 +179,10 @@ TEST_P(WorkCounterPinTest, SerialWorkMatchesRecordedCounters) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(FiveTrees, WorkCounterPinTest,
-                         ::testing::Values("DSTree", "iSAX2+", "SFA",
-                                           "M-tree", "R*-tree"),
-                         [](const ::testing::TestParamInfo<std::string>& info) {
-                           std::string name = info.param;
+INSTANTIATE_TEST_SUITE_P(PinnedMethods, WorkCounterPinTest,
+                         ::testing::ValuesIn(kCases),
+                         [](const ::testing::TestParamInfo<PinCase>& info) {
+                           std::string name = info.param.method;
                            for (char& c : name) {
                              if (!std::isalnum(static_cast<unsigned char>(c))) {
                                c = '_';

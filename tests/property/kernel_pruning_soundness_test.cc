@@ -18,7 +18,6 @@
 #include "transform/isax.h"
 #include "transform/paa.h"
 #include "transform/sfa.h"
-#include "transform/vaplus.h"
 
 namespace hydra {
 namespace {
@@ -92,23 +91,6 @@ TEST_P(KernelPruningSoundness, SfaWordBoundNeverOverestimates) {
     const auto dft_q = transform::PackedRealDft(queries_[q], dims, true);
     for (size_t i = 0; i < data_.size(); ++i) {
       const double lb = quant.LowerBoundSq(dft_q, quant.Quantize(dfts[i]));
-      ASSERT_LE(lb, RefDistance(queries_[q], data_[i]) + 1e-7)
-          << set().name << " q=" << q << " i=" << i;
-    }
-  }
-}
-
-TEST_P(KernelPruningSoundness, VaPlusCellBoundNeverOverestimates) {
-  const size_t dims = 16;
-  std::vector<std::vector<double>> dfts;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    dfts.push_back(transform::PackedRealDft(data_[i], dims, true));
-  }
-  const auto quant = transform::VaPlusQuantizer::Train(dfts, 48);
-  for (size_t q = 0; q < queries_.size(); ++q) {
-    const auto dft_q = transform::PackedRealDft(queries_[q], dims, true);
-    for (size_t i = 0; i < data_.size(); ++i) {
-      const double lb = quant.CellLowerBoundSq(dft_q, quant.Quantize(dfts[i]));
       ASSERT_LE(lb, RefDistance(queries_[q], data_[i]) + 1e-7)
           << set().name << " q=" << q << " i=" << i;
     }

@@ -108,13 +108,18 @@ TEST_P(BoundProperty, VaPlusCellLowerBounds) {
     dfts.push_back(transform::PackedRealDft(data_[i], dims, true));
   }
   const auto quant = transform::VaPlusQuantizer::Train(dfts, 48);
+  // The per-query tables are the path VA+file prunes with; the scalar
+  // reference is checked alongside.
+  transform::VaPlusQuantizer::QueryBounds tables;
   for (size_t q = 0; q < queries_.size(); ++q) {
     const auto dft_q = transform::PackedRealDft(queries_[q], dims, true);
+    tables.Reset(quant, dft_q);
     for (size_t i = 0; i < data_.size(); ++i) {
-      const double lb =
-          quant.CellLowerBoundSq(dft_q, quant.Quantize(dfts[i]));
+      const auto cells = quant.Quantize(dfts[i]);
       const double dist = core::SquaredEuclidean(queries_[q], data_[i]);
-      ASSERT_LE(lb, dist + 1e-7);
+      ASSERT_LE(quant.CellLowerBoundSq(dft_q, cells), dist + 1e-7);
+      ASSERT_LE(tables.LowerBoundSq(cells.data()), dist + 1e-7)
+          << "q=" << q << " i=" << i;
     }
   }
 }
@@ -134,17 +139,20 @@ TEST_P(BoundProperty, VaPlusFullSpaceUpperBoundWithTail) {
     dfts.emplace_back(all.begin(), all.begin() + static_cast<long>(dims));
   }
   const auto quant = transform::VaPlusQuantizer::Train(dfts, 48);
+  transform::VaPlusQuantizer::QueryBounds tables;
   for (size_t q = 0; q < queries_.size(); ++q) {
     const auto all_q = transform::PackedRealDft(queries_[q], full, true);
     double q_tail = 0.0;
     for (size_t d = dims; d < all_q.size(); ++d) q_tail += all_q[d] * all_q[d];
     const std::span<const double> dft_q(all_q.data(), dims);
+    tables.Reset(quant, dft_q);
     for (size_t i = 0; i < data_.size(); ++i) {
+      const auto cells = quant.Quantize(dfts[i]);
       const double rt = std::sqrt(q_tail) + std::sqrt(tails[i]);
-      const double ub =
-          quant.CellUpperBoundSq(dft_q, quant.Quantize(dfts[i])) + rt * rt;
       const double dist = core::SquaredEuclidean(queries_[q], data_[i]);
-      ASSERT_GE(ub, dist - 1e-7);
+      ASSERT_GE(quant.CellUpperBoundSq(dft_q, cells) + rt * rt, dist - 1e-7);
+      ASSERT_GE(tables.Both(cells.data()).ub_sq + rt * rt, dist - 1e-7)
+          << "q=" << q << " i=" << i;
     }
   }
 }

@@ -237,32 +237,6 @@ TEST_P(KernelConformanceTest, SfaLowerBoundBitIdenticalOnAllWidths) {
   }
 }
 
-TEST_P(KernelConformanceTest, VaLowerBoundBitIdenticalOnAllWidths) {
-  for (size_t n = 1; n <= kMaxWidth; ++n) {
-    util::Rng rng(1200 + n);
-    std::vector<double> edges;
-    std::vector<uint32_t> offsets(n);
-    std::vector<uint16_t> cells(n);
-    std::vector<double> q(n);
-    for (size_t d = 0; d < n; ++d) {
-      const int bits = static_cast<int>(rng.UniformInt(0, 3));
-      const int num_cells = 1 << bits;
-      offsets[d] = static_cast<uint32_t>(edges.size());
-      std::vector<double> row(num_cells + 1);
-      for (double& x : row) x = rng.Gaussian();
-      std::sort(row.begin(), row.end());
-      edges.insert(edges.end(), row.begin(), row.end());
-      cells[d] = static_cast<uint16_t>(rng.UniformInt(0, num_cells - 1));
-      q[d] = rng.Gaussian() * 2.0;
-    }
-    const double want =
-        ref().va_lb_sq(q.data(), cells.data(), n, edges.data(), offsets.data());
-    const double got =
-        set().va_lb_sq(q.data(), cells.data(), n, edges.data(), offsets.data());
-    EXPECT_BITEQ(got, want) << set().name << " dims " << n;
-  }
-}
-
 TEST_P(KernelConformanceTest, EapcaNodeLbBitIdenticalOnAllWidths) {
   for (size_t n = 1; n <= kMaxWidth; ++n) {
     util::Rng rng(1300 + n);

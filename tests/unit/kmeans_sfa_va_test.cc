@@ -184,5 +184,58 @@ TEST(VaPlusQuantizer, MoreBitsTightenBounds) {
   EXPECT_GT(large_sum, small_sum);
 }
 
+// The per-query tables must reproduce the scalar reference bit for bit:
+// VA+file prunes with them, so any drift would change answers and work
+// counters. Quantizers span 0-bit and kMaxBitsPerDim dimensions (with
+// duplicate edges for degenerate cells), queries fall inside and outside
+// the outer edges, and one QueryBounds is reused across shapes.
+TEST(VaPlusQuantizer, QueryTablesEqualScalarReference) {
+  util::Rng rng(63);
+  VaPlusQuantizer::QueryBounds bounds;
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t dims = static_cast<size_t>(rng.UniformInt(1, 16));
+    std::vector<int> bits(dims);
+    std::vector<std::vector<double>> edges(dims);
+    for (size_t d = 0; d < dims; ++d) {
+      bits[d] = d == 0   ? 0
+                : d == 1 ? VaPlusQuantizer::kMaxBitsPerDim
+                         : static_cast<int>(rng.UniformInt(
+                               0, VaPlusQuantizer::kMaxBitsPerDim));
+      edges[d].resize((size_t{1} << bits[d]) + 1);
+      for (double& e : edges[d]) e = rng.Gaussian() * 3.0;
+      if (edges[d].size() > 2) edges[d][1] = edges[d][0];  // degenerate cell
+      std::sort(edges[d].begin(), edges[d].end());
+    }
+    const auto lo_edge = [&](size_t d) { return edges[d].front(); };
+    const auto hi_edge = [&](size_t d) { return edges[d].back(); };
+    std::vector<std::vector<double>> queries(4, std::vector<double>(dims));
+    for (size_t d = 0; d < dims; ++d) {
+      queries[0][d] = rng.Gaussian();
+      queries[1][d] = lo_edge(d) - 1.0 - std::fabs(rng.Gaussian());
+      queries[2][d] = hi_edge(d) + 1.0 + std::fabs(rng.Gaussian());
+      queries[3][d] = rng.UniformInt(0, 1) ? lo_edge(d) : hi_edge(d);
+    }
+    const auto q = VaPlusQuantizer::FromTables(edges, bits, 1);
+    for (const auto& query : queries) {
+      bounds.Reset(q, query);
+      for (int c = 0; c < 50; ++c) {
+        std::vector<uint16_t> cells(dims);
+        for (size_t d = 0; d < dims; ++d) {
+          cells[d] = static_cast<uint16_t>(
+              c == 0 ? 0
+              : c == 1 ? (1 << bits[d]) - 1
+                       : rng.UniformInt(0, (1 << bits[d]) - 1));
+        }
+        const double lb = q.CellLowerBoundSq(query, cells);
+        const double ub = q.CellUpperBoundSq(query, cells);
+        EXPECT_TRUE(bounds.LowerBoundSq(cells.data()) == lb) << trial;
+        const auto both = bounds.Both(cells.data());
+        EXPECT_TRUE(both.lb_sq == lb) << trial;
+        EXPECT_TRUE(both.ub_sq == ub) << trial;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hydra::transform
