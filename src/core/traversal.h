@@ -382,6 +382,19 @@ class TreeWorker {
     }
   }
 
+  /// True when a leaf member whose in-memory summary bounds its squared
+  /// distance by `lb_sq` may still enter the sink: the sink's own
+  /// admission rule, without bound_scale (a k-NN heap keeps only
+  /// d < Bound(), a range collector d <= r^2), so a rejected member could
+  /// never have been kept.
+  bool MemberAdmits(double lb_sq) const {
+    if constexpr (kRange) {
+      return lb_sq <= sink_->Bound();
+    } else {
+      return lb_sq < sink_->Bound();
+    }
+  }
+
   /// The raw-series budget, checked before every raw examination (see
   /// KnnPlan::RawCapReached); range queries have none.
   bool RawCapReached() const {
@@ -415,11 +428,18 @@ class TreeWorker {
 ///   template <class W> void Seeds(const W&, push);   // first entries
 ///   template <class W> void Expand(item, const W&, push);  // children
 ///   template <class W> void VerifyLeaf(item, const W&);    // leaf loop
+///   void PrepareMemberBounds();               // optional: per-query
+///                                             // member-bound state
 ///
 /// Seeds and Expand compute each lower bound, charge it, and push the
 /// entries `W::Admits`; VerifyLeaf reads the leaf's series in the method's
 /// own read style, checks `W::RawCapReached` before each examination and
-/// offers distances to `W::sink()`. The driver owns the rest: the home
+/// offers distances to `W::sink()` (skipping members whose summary bound
+/// `W::MemberAdmits` rejects). PrepareMemberBounds runs on the calling
+/// thread right before the best-first traversal, after the home visit —
+/// so the home leaf, and with it the whole ng path, stays unfiltered and
+/// pays nothing for it; traversal workers only read what it built. The
+/// driver owns the rest: the home
 /// visit and the ng path (Definition 7), skipping the traversal when a
 /// budget fires in the home leaf, best-first k-NN with bound_scale, the
 /// leaf cap and raw cap with per-worker stop flags, KnnWorkers /
@@ -457,6 +477,7 @@ class TreeSearch {
     QueryResult result;
     RangeWorkers workers(plan.radius * plan.radius, &result.stats,
                          plan.query_threads);
+    PrepareMemberBounds(policy);
     Traverse(policy, KnnPlan{}, nullptr, workers.workers(), [&](size_t w) {
       return RangeWorker(w, &workers.collector(w), &workers.stats(w),
                          plan.radius);
@@ -494,11 +515,18 @@ class TreeSearch {
     }
     // A budget exhausted already in the home leaf makes the answer final.
     if (traverse && !result.stats.budget_exhausted) {
+      PrepareMemberBounds(policy);
       Traverse(policy, plan, home, workers.workers(), worker);
     }
     workers.Finish(plan.k, &result.neighbors);
     result.stats.cpu_seconds = timer.Seconds();
     return result;
+  }
+
+  static void PrepareMemberBounds(Policy& policy) {
+    if constexpr (requires { policy.PrepareMemberBounds(); }) {
+      policy.PrepareMemberBounds();
+    }
   }
 
   template <typename W>

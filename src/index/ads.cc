@@ -20,11 +20,8 @@ core::BuildStats AdsPlus::DoBuild(const core::Dataset& data) {
 
   full_words_.resize(data.size() * options_.segments);
   for (size_t i = 0; i < data.size(); ++i) {
-    const auto paa = transform::Paa(data[i], options_.segments);
-    for (size_t s = 0; s < options_.segments; ++s) {
-      full_words_[i * options_.segments + s] =
-          transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
-    }
+    transform::EncodeFullWord(data[i], options_.segments,
+                              full_words_.data() + i * options_.segments);
   }
   tree_ = std::make_unique<IsaxTree>(
       IsaxTreeOptions{options_.segments, options_.leaf_capacity},
@@ -122,21 +119,18 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
   }
 
   // Phase 2: lower bounds against every full-resolution summary (the
-  // summary array is memory-resident). Disjoint blocks write disjoint
-  // lb[] slots, so the parallel sweep computes exactly the serial values.
+  // summary array is memory-resident), each one table load per segment.
+  // Disjoint blocks write disjoint lb[] slots, so the parallel sweep
+  // computes exactly the serial values; workers only read the table.
   const size_t count = data_->size();
   std::vector<double> lb(count);
+  transform::IsaxQueryTable& table = transform::ScratchIsaxQueryTable();
+  table.Reset(paa, pps);
   core::ParallelScan(
       workers.workers(), count, /*block=*/4096,
       [&](size_t /*w*/, size_t begin, size_t end) {
-        transform::IsaxWord w;
-        w.bits.assign(segments, static_cast<uint8_t>(transform::kMaxSaxBits));
-        w.symbols.resize(segments);
         for (size_t i = begin; i < end; ++i) {
-          for (size_t s = 0; s < segments; ++s) {
-            w.symbols[s] = full_words_[i * segments + s];
-          }
-          lb[i] = transform::IsaxMinDistSq(paa, w, pps);
+          lb[i] = table.LowerBoundSq(full_words_.data() + i * segments);
         }
       });
   result.stats.lower_bound_computations += static_cast<int64_t>(count);
@@ -213,6 +207,8 @@ core::QueryResult AdsPlus::DoSearchRange(core::SeriesView query,
   // the serial distance/lower-bound counters; extra workers read through
   // their own storage cursors.
   const size_t count = data_->size();
+  transform::IsaxQueryTable& table = transform::ScratchIsaxQueryTable();
+  table.Reset(paa, pps);
   raw_->ResetCursor();
   std::vector<std::unique_ptr<io::CountedStorage>> extra_storage;
   for (size_t w = 1; w < workers.workers(); ++w) {
@@ -225,15 +221,12 @@ core::QueryResult AdsPlus::DoSearchRange(core::SeriesView query,
         core::SearchStats& stats = workers.stats(worker);
         io::CountedStorage& storage =
             worker == 0 ? *raw_ : *extra_storage[worker - 1];
-        transform::IsaxWord w;
-        w.bits.assign(segments, static_cast<uint8_t>(transform::kMaxSaxBits));
-        w.symbols.resize(segments);
         for (size_t i = begin; i < end; ++i) {
-          for (size_t s = 0; s < segments; ++s) {
-            w.symbols[s] = full_words_[i * segments + s];
-          }
           ++stats.lower_bound_computations;
-          if (transform::IsaxMinDistSq(paa, w, pps) > radius_sq) continue;
+          if (table.LowerBoundSq(full_words_.data() + i * segments) >
+              radius_sq) {
+            continue;
+          }
           const core::SeriesView s =
               storage.Read(static_cast<core::SeriesId>(i), &stats);
           const double d = order.Distance(s, collector.Bound());

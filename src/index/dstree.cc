@@ -7,6 +7,8 @@
 #include "core/traversal.h"
 #include "index/leaf_scan.h"
 #include "io/index_codec.h"
+#include "transform/isax.h"
+#include "transform/paa.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -80,6 +82,30 @@ double BoxSize(const std::vector<SegmentRange>& ranges,
   return acc;
 }
 
+// Most segments of a per-series iSAX word (one byte each).
+constexpr size_t kMaxWordSegments = 16;
+
+// The segment count of the per-series iSAX words at `length`: the largest
+// divisor of `length` that is at most kMaxWordSegments.
+size_t WordSegments(size_t length) {
+  size_t segments = std::clamp<size_t>(length, 1, kMaxWordSegments);
+  while (length % segments != 0) --segments;
+  return segments;
+}
+
+// True when `seg` cuts [0, length) into non-empty segments: its ends are
+// strictly increasing, inside (0, length], and end at length — what every
+// StatOf over it needs to stay inside a series' prefix sums.
+bool CoversLength(const Segmentation& seg, size_t length) {
+  if (seg.ends.empty() || seg.ends.back() != length) return false;
+  uint32_t begin = 0;
+  for (const uint32_t end : seg.ends) {
+    if (end <= begin) return false;
+    begin = end;
+  }
+  return true;
+}
+
 // A candidate split under evaluation.
 struct Candidate {
   Segmentation child_seg;
@@ -104,6 +130,12 @@ core::BuildStats DsTree::DoBuild(const core::Dataset& data) {
   for (size_t i = 0; i < data.size(); ++i) {
     const Prefix p = ComputePrefix(data[i]);
     Insert(static_cast<core::SeriesId>(i), p);
+  }
+  const size_t segments = WordSegments(data.length());
+  words_.resize(data.size() * segments);
+  for (size_t i = 0; i < data.size(); ++i) {
+    transform::EncodeFullWord(data[i], segments,
+                              words_.data() + i * segments);
   }
 
   core::BuildStats stats;
@@ -160,7 +192,7 @@ std::unique_ptr<DsTree::Node> DsTree::LoadNode(io::IndexReader* r,
   // Stop on a latched error before recursing (zeroed reads would present
   // as an endless chain of internal nodes).
   if (!r->ok()) return node;
-  if (node->seg.ends.empty() || node->seg.ends.back() != series_length ||
+  if (!CoversLength(node->seg, series_length) ||
       node->ranges.size() != node->seg.segments()) {
     r->Fail("DSTree node segmentation does not cover the series length");
     return node;
@@ -180,6 +212,10 @@ std::unique_ptr<DsTree::Node> DsTree::LoadNode(io::IndexReader* r,
   node->split_on_mean = r->ReadBool();
   node->split_value = r->ReadDouble();
   if (!r->ok()) return node;
+  if (!CoversLength(node->child_seg, series_length)) {
+    r->Fail("DSTree node segmentation does not cover the series length");
+    return node;
+  }
   if (node->split_segment < 0 ||
       static_cast<size_t>(node->split_segment) >=
           node->child_seg.segments()) {
@@ -199,6 +235,9 @@ void DsTree::DoSave(io::IndexWriter* writer) const {
   writer->WriteU64(options_.leaf_capacity);
   writer->WriteI64(leaf_count_);
   writer->EndSection();
+  writer->BeginSection("summaries");
+  writer->WritePodVector(words_);
+  writer->EndSection();
   writer->BeginSection("tree");
   SaveNode(*root_, writer);
   writer->EndSection();
@@ -211,6 +250,12 @@ util::Status DsTree::DoOpen(io::IndexReader* reader,
   options_.max_segments = reader->ReadU64();
   options_.leaf_capacity = reader->ReadU64();
   leaf_count_ = reader->ReadI64();
+  reader->EnterSection("summaries");
+  words_ = reader->ReadPodVector<uint8_t>();
+  if (reader->ok() &&
+      words_.size() != data.size() * WordSegments(data.length())) {
+    reader->Fail("DSTree summary words do not cover the dataset");
+  }
   reader->EnterSection("tree");
   if (!reader->ok()) return reader->status();
   data_ = &data;
@@ -270,13 +315,30 @@ void DsTree::SplitLeaf(Node* leaf) {
   Candidate best_horizontal;
   Candidate best_vertical;
   std::vector<double> values(count);
+  std::vector<SegmentStats> stats;  // count x segments of `cs`, row-major
   for (const Segmentation& cs : child_segs) {
     const bool is_horizontal = cs.segments() == leaf->seg.segments();
-    for (size_t s = 0; s < cs.segments(); ++s) {
+    const size_t segs = cs.segments();
+    stats.resize(count * segs);
+    for (size_t i = 0; i < count; ++i) {
+      for (size_t t = 0; t < segs; ++t) {
+        stats[i * segs + t] = StatOf(prefixes[i], cs.begin_of(t), cs.ends[t]);
+      }
+    }
+    // Box sizes are only comparable within one segmentation; normalize by
+    // the parent's box over the same candidate segmentation so vertical
+    // refinements compete fairly with horizontal splits.
+    std::vector<SegmentRange> parent(segs);
+    for (size_t i = 0; i < count; ++i) {
+      for (size_t t = 0; t < segs; ++t) {
+        parent[t].Extend(stats[i * segs + t], i == 0);
+      }
+    }
+    const double parent_box = BoxSize(parent, cs);
+    for (size_t s = 0; s < segs; ++s) {
       for (const bool on_mean : {true, false}) {
         for (size_t i = 0; i < count; ++i) {
-          const SegmentStats st =
-              StatOf(prefixes[i], cs.begin_of(s), cs.ends[s]);
+          const SegmentStats& st = stats[i * segs + s];
           values[i] = on_mean ? st.mean : st.stddev;
         }
         // Median split value balances the children.
@@ -285,32 +347,20 @@ void DsTree::SplitLeaf(Node* leaf) {
                          sorted.end());
         const double split_value = sorted[count / 2];
         // Evaluate the QoS: count-weighted envelope size of the children.
-        std::vector<SegmentRange> lo(cs.segments());
-        std::vector<SegmentRange> hi(cs.segments());
+        std::vector<SegmentRange> lo(segs);
+        std::vector<SegmentRange> hi(segs);
         size_t n_lo = 0;
         size_t n_hi = 0;
         for (size_t i = 0; i < count; ++i) {
           const bool goes_lo = values[i] <= split_value;
           auto& ranges = goes_lo ? lo : hi;
           size_t& n = goes_lo ? n_lo : n_hi;
-          const auto stats = StatsOn(prefixes[i], cs);
-          for (size_t t = 0; t < cs.segments(); ++t) {
-            ranges[t].Extend(stats[t], n == 0);
+          for (size_t t = 0; t < segs; ++t) {
+            ranges[t].Extend(stats[i * segs + t], n == 0);
           }
           ++n;
         }
         if (n_lo == 0 || n_hi == 0) continue;  // degenerate
-        // Box sizes are only comparable within one segmentation; normalize
-        // by the parent's box over the same candidate segmentation so
-        // vertical refinements compete fairly with horizontal splits.
-        std::vector<SegmentRange> parent(cs.segments());
-        for (size_t i = 0; i < count; ++i) {
-          const auto stats = StatsOn(prefixes[i], cs);
-          for (size_t t = 0; t < cs.segments(); ++t) {
-            parent[t].Extend(stats[t], i == 0);
-          }
-        }
-        const double parent_box = BoxSize(parent, cs);
         if (parent_box <= 0.0) continue;
         const double qos =
             (static_cast<double>(n_lo) * BoxSize(lo, cs) +
@@ -367,14 +417,26 @@ void DsTree::SplitLeaf(Node* leaf) {
 }
 
 /// DSTree's TreeSearch policy: EAPCA envelope lower bounds over each
-/// node's own segmentation, and the split-routed descent as home.
+/// node's own segmentation, the split-routed descent as home, and leaf
+/// members bounded by their iSAX words once the traversal starts.
 class DsTree::Search : public core::TreePolicy<DsTree::Node> {
  public:
   Search(const DsTree& tree, core::SeriesView query)
       : tree_(tree),
+        query_(query),
         order_(core::ScratchQueryOrder(query)),
         qp_(ComputePrefix(query)) {
     HYDRA_CHECK(tree.root_ != nullptr);
+  }
+
+  /// Fills the calling thread's iSAX table for the query's PAA.
+  void PrepareMemberBounds() {
+    const size_t segments = WordSegments(query_.size());
+    double paa[kMaxWordSegments];
+    transform::Paa(query_, segments, paa);
+    transform::IsaxQueryTable& table = transform::ScratchIsaxQueryTable();
+    table.Reset({paa, segments}, query_.size() / segments);
+    table_ = &table;
   }
 
   int64_t LeafCount() const { return tree_.leaf_count_; }
@@ -413,7 +475,12 @@ class DsTree::Search : public core::TreePolicy<DsTree::Node> {
 
   template <typename W>
   void VerifyLeaf(const Item& leaf, const W& w) const {
-    ScanLeaf(leaf.node->ids, tree_.data_, order_, w);
+    if (table_ == nullptr) {
+      ScanLeaf(leaf.node->ids, tree_.data_, order_, w);
+    } else {
+      ScanLeaf(leaf.node->ids, tree_.data_, order_, w,
+               IsaxMemberBound{table_, tree_.words_.data()});
+    }
   }
 
  private:
@@ -427,8 +494,11 @@ class DsTree::Search : public core::TreePolicy<DsTree::Node> {
   }
 
   const DsTree& tree_;
+  const core::SeriesView query_;
   const core::QueryOrder& order_;
   const Prefix qp_;
+  // Set by PrepareMemberBounds (null: the home leaf and the ng path).
+  const transform::IsaxQueryTable* table_ = nullptr;
 };
 
 core::QueryResult DsTree::DoSearchKnn(core::SeriesView query,
@@ -469,6 +539,7 @@ core::Footprint DsTree::footprint() const {
       stack.push_back(n->right.get());
     }
   }
+  fp.memory_bytes += static_cast<int64_t>(words_.size());
   fp.disk_bytes = static_cast<int64_t>(data_->bytes());  // leaf files
   return fp;
 }

@@ -21,7 +21,10 @@ struct DsTreeOptions {
   size_t leaf_capacity = 1000;
 };
 
-/// Exact whole-matching k-NN via the DSTree.
+/// Exact whole-matching k-NN via the DSTree. Besides the EAPCA tree it
+/// keeps one full-resolution iSAX word per series, which bounds every
+/// member of a visited leaf before its raw read — the Hercules
+/// series-level filter.
 class DsTree : public core::SearchMethod {
  public:
   explicit DsTree(DsTreeOptions options = {});
@@ -85,6 +88,9 @@ class DsTree : public core::SearchMethod {
   DsTreeOptions options_;
   const core::Dataset* data_ = nullptr;
   std::unique_ptr<Node> root_;
+  // WordSegments(length) full-resolution symbols per series id (the
+  // iSAX2+ summary layout).
+  std::vector<uint8_t> words_;
   int64_t leaf_count_ = 0;  // at Build time; the delta leaf-visit rule
 };
 

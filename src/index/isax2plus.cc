@@ -21,11 +21,8 @@ core::BuildStats Isax2Plus::DoBuild(const core::Dataset& data) {
   // One sequential pass: PAA -> full-resolution words.
   full_words_.resize(data.size() * options_.segments);
   for (size_t i = 0; i < data.size(); ++i) {
-    const auto paa = transform::Paa(data[i], options_.segments);
-    for (size_t s = 0; s < options_.segments; ++s) {
-      full_words_[i * options_.segments + s] =
-          transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
-    }
+    transform::EncodeFullWord(data[i], options_.segments,
+                              full_words_.data() + i * options_.segments);
   }
   tree_ = std::make_unique<IsaxTree>(
       IsaxTreeOptions{options_.segments, options_.leaf_capacity},
@@ -74,7 +71,9 @@ util::Status Isax2Plus::DoOpen(io::IndexReader* reader,
 }
 
 /// iSAX2+'s TreeSearch policy: iSAX MINDIST lower bounds, seeded with the
-/// first-level fan-out, and the covering-word descent as home.
+/// first-level fan-out, the covering-word descent as home, and leaf
+/// members bounded by their full-resolution words once the traversal
+/// starts.
 class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
  public:
   Search(const Isax2Plus& index, core::SeriesView query)
@@ -83,6 +82,13 @@ class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
         paa_(transform::Paa(query, index.options_.segments)),
         pps_(query.size() / index.options_.segments) {
     HYDRA_CHECK(index.tree_ != nullptr);
+  }
+
+  /// Fills the calling thread's iSAX table for the query's PAA.
+  void PrepareMemberBounds() {
+    transform::IsaxQueryTable& table = transform::ScratchIsaxQueryTable();
+    table.Reset(paa_, pps_);
+    table_ = &table;
   }
 
   int64_t LeafCount() const { return index_.leaf_count_; }
@@ -109,7 +115,12 @@ class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
 
   template <typename W>
   void VerifyLeaf(const Item& leaf, const W& w) const {
-    ScanLeaf(leaf.node->ids, index_.data_, order_, w);
+    if (table_ == nullptr) {
+      ScanLeaf(leaf.node->ids, index_.data_, order_, w);
+    } else {
+      ScanLeaf(leaf.node->ids, index_.data_, order_, w,
+               IsaxMemberBound{table_, index_.full_words_.data()});
+    }
   }
 
  private:
@@ -124,6 +135,8 @@ class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
   const core::QueryOrder& order_;
   const std::vector<double> paa_;
   const size_t pps_;
+  // Set by PrepareMemberBounds (null during the home visit).
+  const transform::IsaxQueryTable* table_ = nullptr;
 };
 
 core::QueryResult Isax2Plus::DoSearchKnn(core::SeriesView query,

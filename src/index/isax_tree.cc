@@ -1,5 +1,6 @@
 #include "index/isax_tree.h"
 
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -167,10 +168,12 @@ void IsaxTree::SplitLeaf(Node* leaf) {
 IsaxTree::Node* IsaxTree::ApproximateLeaf(std::span<const double> paa_q,
                                           size_t points_per_segment) {
   if (first_level_.empty()) return nullptr;
-  std::vector<uint8_t> full_word(paa_q.size());
+  HYDRA_DCHECK(paa_q.size() == options_.segments);
+  std::array<uint8_t, kMaxSegments> symbols{};
   for (size_t s = 0; s < paa_q.size(); ++s) {
-    full_word[s] = transform::SaxSymbol(paa_q[s], transform::kMaxSaxBits);
+    symbols[s] = transform::FullResolutionSymbol(paa_q[s]);
   }
+  const std::span<const uint8_t> full_word(symbols.data(), paa_q.size());
   Node* node = FirstLevelFor(full_word, /*create=*/false);
   if (node == nullptr) {
     // No covering first-level node: fall back to the closest existing one.

@@ -208,6 +208,13 @@ util::Status SfaTrie::DoOpen(io::IndexReader* reader,
                        words_.size() != data.size() * quantizer_.dims())) {
     reader->Fail("SFA summary file does not cover the dataset");
   }
+  // Each symbol indexes its dimension's bin edges in the member bounds.
+  if (reader->ok() &&
+      std::any_of(words_.begin(), words_.end(), [&](uint8_t symbol) {
+        return symbol >= options_.alphabet;
+      })) {
+    reader->Fail("SFA summary word symbol out of range");
+  }
   reader->EnterSection("tree");
   if (!reader->ok()) return reader->status();
   data_ = &data;
@@ -283,8 +290,9 @@ double SfaTrie::NodeLowerBound(std::span<const double> q_dft,
       q_dft.data(), node.mbr_min.data(), node.mbr_max.data(), q_dft.size());
 }
 
-/// The SFA trie's TreeSearch policy: DFT-MBR lower bounds, and the
-/// word-routed descent as home.
+/// The SFA trie's TreeSearch policy: DFT-MBR lower bounds, the
+/// word-routed descent as home, and leaf members bounded by their stored
+/// SFA words once the traversal starts.
 class SfaTrie::Search : public core::TreePolicy<SfaTrie::Node> {
  public:
   Search(const SfaTrie& trie, core::SeriesView query)
@@ -294,6 +302,10 @@ class SfaTrie::Search : public core::TreePolicy<SfaTrie::Node> {
                                         /*skip_dc=*/true)) {
     HYDRA_CHECK(trie.root_ != nullptr);
   }
+
+  /// The member bounds need no per-query state beyond q_dft_; this only
+  /// switches them on past the home leaf.
+  void PrepareMemberBounds() { member_bounds_ = true; }
 
   int64_t LeafCount() const { return trie_.leaf_count_; }
   bool IsLeaf(const Node& node) const { return node.is_leaf; }
@@ -344,7 +356,17 @@ class SfaTrie::Search : public core::TreePolicy<SfaTrie::Node> {
 
   template <typename W>
   void VerifyLeaf(const Item& leaf, const W& w) const {
-    ScanLeaf(leaf.node->ids, trie_.data_, order_, w);
+    if (!member_bounds_) {
+      ScanLeaf(leaf.node->ids, trie_.data_, order_, w);
+      return;
+    }
+    const size_t dims = trie_.quantizer_.dims();
+    ScanLeaf(leaf.node->ids, trie_.data_, order_, w,
+             [this, dims](core::SeriesId id) {
+               return trie_.quantizer_.LowerBoundSq(
+                   q_dft_, {trie_.words_.data() + static_cast<size_t>(id) * dims,
+                           dims});
+             });
   }
 
  private:
@@ -359,6 +381,7 @@ class SfaTrie::Search : public core::TreePolicy<SfaTrie::Node> {
   const SfaTrie& trie_;
   const core::QueryOrder& order_;
   const std::vector<double> q_dft_;
+  bool member_bounds_ = false;  // set by PrepareMemberBounds
 };
 
 core::QueryResult SfaTrie::DoSearchKnn(core::SeriesView query,

@@ -273,6 +273,9 @@ void IndexReader::Fail(const std::string& message) {
 }
 
 void IndexReader::ReadPayload(void* out, size_t n) {
+  // An empty vector's data() may be null, which memcpy/memset must never
+  // receive, even for zero bytes.
+  if (n == 0) return;
   if (!ok()) {
     std::memset(out, 0, n);
     return;

@@ -22,8 +22,9 @@ namespace hydra::io {
 uint32_t Crc32(const void* data, size_t size);
 
 /// Version of the container format. Bumped on any incompatible layout
-/// change; readers refuse other versions with a clean error.
-inline constexpr uint32_t kIndexFormatVersion = 1;
+/// change; readers refuse other versions with a clean error. Version 2
+/// added DSTree's "summaries" section (its per-series iSAX words).
+inline constexpr uint32_t kIndexFormatVersion = 2;
 
 /// Identity of the dataset an index was built over. Open refuses an index
 /// whose fingerprint does not match the dataset it is given: a persisted

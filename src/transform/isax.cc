@@ -1,11 +1,27 @@
 #include "transform/isax.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "core/simd/kernels.h"
+#include "transform/paa.h"
 #include "util/check.h"
 
 namespace hydra::transform {
+namespace {
+
+// The full-resolution symbol of `v` over the 255 ascending breakpoints at
+// `table`: the count of breakpoints <= v (std::upper_bound's answer, NaN
+// included), each step halving the candidate range with a select.
+uint8_t SymbolIn(const double* table, double v) {
+  size_t pos = 0;
+  for (size_t step = IsaxQueryTable::kSymbols / 2; step > 0; step /= 2) {
+    pos += v < table[pos + step - 1] ? 0 : step;
+  }
+  return static_cast<uint8_t>(pos);
+}
+
+}  // namespace
 
 std::string IsaxWord::DebugString() const {
   std::string out;
@@ -23,9 +39,29 @@ IsaxWord FullResolutionWord(std::span<const double> paa) {
   w.symbols.resize(paa.size());
   w.bits.assign(paa.size(), static_cast<uint8_t>(kMaxSaxBits));
   for (size_t s = 0; s < paa.size(); ++s) {
-    w.symbols[s] = SaxSymbol(paa[s], kMaxSaxBits);
+    w.symbols[s] = FullResolutionSymbol(paa[s]);
   }
   return w;
+}
+
+uint8_t FullResolutionSymbol(double paa_value) {
+  return SymbolIn(SaxBreakpoints::Get().For(kMaxSaxBits).data(), paa_value);
+}
+
+void EncodeFullWord(core::SeriesView x, size_t segments, uint8_t* out) {
+  HYDRA_CHECK_MSG(segments > 0 && x.size() % segments == 0,
+                  "PAA requires length divisible by segment count");
+  const double* table = SaxBreakpoints::Get().For(kMaxSaxBits).data();
+  const size_t seg_len = x.size() / segments;
+  // Paa sums each segment on its own, so a chunk of segments through a
+  // stack buffer yields exactly the whole-series PAA values.
+  constexpr size_t kChunk = 16;
+  double paa[kChunk];
+  for (size_t first = 0; first < segments; first += kChunk) {
+    const size_t n = std::min(kChunk, segments - first);
+    Paa(x.subspan(first * seg_len, n * seg_len), n, paa);
+    for (size_t s = 0; s < n; ++s) out[first + s] = SymbolIn(table, paa[s]);
+  }
 }
 
 uint8_t ReduceSymbol(uint8_t full_symbol, int to_bits) {
@@ -52,6 +88,38 @@ double IsaxMinDistSq(std::span<const double> paa_q, const IsaxWord& w,
              paa_q.data(), w.symbols.data(), w.bits.data(), w.segments(),
              bp.FlatLower(), bp.FlatUpper()) *
          static_cast<double>(points_per_segment);
+}
+
+void IsaxQueryTable::Reset(std::span<const double> paa_q,
+                           size_t points_per_segment) {
+  const SaxBreakpoints& bp = SaxBreakpoints::Get();
+  // Full-resolution symbols occupy flat entries 2^kMaxSaxBits - 1 + s.
+  const double* lower = bp.FlatLower() + (kSymbols - 1);
+  const double* upper = bp.FlatUpper() + (kSymbols - 1);
+  segments_ = paa_q.size();
+  points_per_segment_ = static_cast<double>(points_per_segment);
+  terms_.resize(segments_ * kSymbols);
+  for (size_t s = 0; s < segments_; ++s) {
+    const double q = paa_q[s];
+    double* row = terms_.data() + s * kSymbols;
+    for (size_t sym = 0; sym < kSymbols; ++sym) {
+      // The branches of the scalar isax_mindist_sq reference.
+      const double lo = lower[sym];
+      const double hi = upper[sym];
+      double d = 0.0;
+      if (q < lo) {
+        d = lo - q;
+      } else if (q > hi) {
+        d = q - hi;
+      }
+      row[sym] = d * d;
+    }
+  }
+}
+
+IsaxQueryTable& ScratchIsaxQueryTable() {
+  thread_local IsaxQueryTable table;
+  return table;
 }
 
 }  // namespace hydra::transform

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/types.h"
 #include "transform/sax.h"
 
 namespace hydra::transform {
@@ -33,6 +34,18 @@ struct IsaxWord {
 /// Full-resolution (kMaxSaxBits per segment) word for a PAA vector.
 IsaxWord FullResolutionWord(std::span<const double> paa);
 
+/// SaxSymbol(paa_value, kMaxSaxBits) by a branch-free binary search over
+/// the 255 full-resolution breakpoints (same tie rule: a value on a
+/// breakpoint takes the upper symbol).
+uint8_t FullResolutionSymbol(double paa_value);
+
+/// Writes the `segments` full-resolution symbols of `x` to `out` without
+/// allocating: Paa's values (through a stack buffer) mapped through
+/// FullResolutionSymbol, so the output equals Paa + SaxSymbol exactly.
+/// `x.size()` must be a multiple of `segments`. The one word encoder of
+/// the iSAX2+, ADS+ and DSTree builds.
+void EncodeFullWord(core::SeriesView x, size_t segments, uint8_t* out);
+
 /// Drops a full-resolution symbol to `to_bits` resolution (keeps the top
 /// bits; valid because Gaussian equi-depth breakpoints are nested).
 /// `to_bits` == 0 yields 0 (the whole-domain symbol).
@@ -47,6 +60,42 @@ bool WordCovers(const IsaxWord& node, const IsaxWord& full);
 /// series whose iSAX word is covered by `w`.
 double IsaxMinDistSq(std::span<const double> paa_q, const IsaxWord& w,
                      size_t points_per_segment);
+
+/// Per-query MINDIST table over full-resolution words. Reset evaluates, for
+/// one query PAA, the squared distance term of every (segment, symbol)
+/// pair once, with the scalar reference's branches; a word's bound is then
+/// one table load per segment, summed in segment order and scaled by the
+/// points per segment — the same terms in the same order as IsaxMinDistSq,
+/// so every bound is bit-identical to it. Reset reuses the buffer, so a
+/// long-lived table is allocation-free once warm.
+class IsaxQueryTable {
+ public:
+  static constexpr size_t kSymbols = size_t{1} << kMaxSaxBits;
+
+  void Reset(std::span<const double> paa_q, size_t points_per_segment);
+
+  /// Equals IsaxMinDistSq(paa_q, full-resolution word, points_per_segment)
+  /// of the last Reset, for the `segments()` symbols at `word`.
+  double LowerBoundSq(const uint8_t* word) const {
+    double acc = 0.0;
+    for (size_t s = 0; s < segments_; ++s) {
+      acc += terms_[s * kSymbols + word[s]];
+    }
+    return acc * points_per_segment_;
+  }
+
+  size_t segments() const { return segments_; }
+
+ private:
+  std::vector<double> terms_;  // segments x kSymbols squared terms
+  size_t segments_ = 0;
+  double points_per_segment_ = 0.0;
+};
+
+/// Thread-local reusable IsaxQueryTable (like core::ScratchKnnHeap): at
+/// most one use is live per thread, re-armed by Reset once per query.
+/// Other threads may read it while the owning thread's query is running.
+IsaxQueryTable& ScratchIsaxQueryTable();
 
 }  // namespace hydra::transform
 

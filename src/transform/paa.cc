@@ -6,16 +6,20 @@
 namespace hydra::transform {
 
 std::vector<double> Paa(core::SeriesView x, size_t segments) {
+  std::vector<double> out(segments);
+  Paa(x, segments, out.data());
+  return out;
+}
+
+void Paa(core::SeriesView x, size_t segments, double* out) {
   HYDRA_CHECK_MSG(segments > 0 && x.size() % segments == 0,
                   "PAA requires length divisible by segment count");
   const size_t seg_len = x.size() / segments;
-  std::vector<double> out(segments);
   for (size_t s = 0; s < segments; ++s) {
     double sum = 0.0;
     for (size_t j = 0; j < seg_len; ++j) sum += x[s * seg_len + j];
     out[s] = sum / static_cast<double>(seg_len);
   }
-  return out;
 }
 
 double PaaLowerBoundSq(std::span<const double> a, std::span<const double> b,

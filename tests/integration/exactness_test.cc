@@ -120,6 +120,39 @@ TEST(ExactnessEdgeCases, SingleSeriesDataset) {
   }
 }
 
+TEST(ExactnessEdgeCases, DsTreeWithTenSegmentWordsStaysExact) {
+  // 100 points do not split into 16 segments, so DSTree's per-series words
+  // have 10 (the largest divisor <= 16) and its member bounds use them.
+  const size_t length = 100;
+  const auto data = gen::MakeDataset("synth", 2000, length, 11);
+  const gen::Workload rand_w = gen::RandWorkload(4, length, 12);
+  const gen::Workload ctrl_w = gen::CtrlWorkload(data, 4, 13);
+  auto method = bench::CreateMethod("DSTree", 64);
+  method->Build(data);
+  for (const gen::Workload* w : {&rand_w, &ctrl_w}) {
+    for (size_t q = 0; q < w->queries.size(); ++q) {
+      const auto expected = core::BruteForceKnn(data, w->queries[q], 6);
+      const auto got = method->Execute(w->queries[q], core::QuerySpec::Knn(5));
+      ASSERT_EQ(got.neighbors.size(), 5u);
+      for (size_t i = 0; i < 5; ++i) {
+        EXPECT_NEAR(got.neighbors[i].dist_sq, expected[i].dist_sq,
+                    1e-5 * std::max(1.0, expected[i].dist_sq))
+            << w->name << " q=" << q << " i=" << i;
+      }
+      // A radius halfway between the 5th and 6th true distances admits
+      // exactly the 5 nearest.
+      const double radius_sq = (expected[4].dist_sq + expected[5].dist_sq) / 2;
+      const auto range = method->Execute(
+          w->queries[q], core::QuerySpec::Range(std::sqrt(radius_sq)));
+      ASSERT_EQ(range.neighbors.size(), 5u) << w->name << " q=" << q;
+      for (size_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(range.neighbors[i].id, got.neighbors[i].id)
+            << w->name << " q=" << q << " i=" << i;
+      }
+    }
+  }
+}
+
 TEST(ExactnessEdgeCases, KEqualsDatasetSize) {
   const auto data = gen::MakeDataset("synth", 50, 64, 7);
   const gen::Workload w = gen::RandWorkload(1, 64, 8);

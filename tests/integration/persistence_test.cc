@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "gen/random_walk.h"
 #include "gen/workload.h"
 #include "io/index_codec.h"
+#include "transform/eapca.h"
 
 namespace hydra {
 namespace {
@@ -166,6 +168,30 @@ TEST(PersistenceRoundTrip, OpenedIndexAnswersBitIdentically) {
     }
     std::filesystem::remove_all(dir);
   }
+}
+
+TEST(PersistenceRoundTrip, DsTreeWithTenSegmentWordsRoundTrips) {
+  // 100 points do not split into 16 segments: DSTree's summaries section
+  // holds 10 symbols per series, and Open must expect that size.
+  const size_t length = 100;
+  const core::Dataset data = gen::RandomWalkDataset(kCount, length, 9303);
+  const gen::Workload workload = gen::RandWorkload(5, length, 9304);
+  const std::string dir = FreshDir("dstree_ten_segments");
+  auto built = bench::CreateMethod("DSTree", kLeaf);
+  built->Build(data);
+  ASSERT_TRUE(built->Save(dir).ok());
+  auto opened = bench::CreateMethod("DSTree");
+  const auto open_stats = opened->Open(dir, data);
+  ASSERT_TRUE(open_stats.ok()) << open_stats.status().message();
+  ExpectSameFootprint(opened->footprint(), built->footprint(), "DSTree");
+  const auto built_answers = RunBattery(built.get(), workload);
+  const auto opened_answers = RunBattery(opened.get(), workload);
+  ASSERT_EQ(built_answers.size(), opened_answers.size());
+  for (size_t i = 0; i < built_answers.size(); ++i) {
+    ExpectBitIdentical(built_answers[i], opened_answers[i],
+                       "battery entry " + std::to_string(i));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PersistenceRoundTrip, SerializationIsDeterministic) {
@@ -337,6 +363,223 @@ TEST(PersistenceErrors, VaFileRefusesCraftedApproximations) {
     EXPECT_NE(bad_energy.status().message().find("residual energy"),
               std::string::npos)
         << bad_energy.status().message();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistenceErrors, DsTreeRefusesCraftedSegmentationsAndSummaries) {
+  // Crafted sections carry valid checksums, so only DoOpen's validation
+  // keeps a search's segment statistics inside each series' prefix sums
+  // and its member bounds inside the summary words.
+  const core::Dataset data = TestData();
+  auto built = bench::CreateMethod("DSTree", kLeaf);
+  built->Build(data);
+  const std::string dir = FreshDir("dstree_crafted");
+  ASSERT_TRUE(built->Save(dir).ok());
+  const std::string file = io::IndexFilePath(dir);
+
+  io::IndexReader reader;
+  ASSERT_TRUE(reader.Load(file).ok());
+  ASSERT_TRUE(reader.EnterSection("options").ok());
+  const uint64_t initial_segments = reader.ReadU64();
+  const uint64_t max_segments = reader.ReadU64();
+  const uint64_t leaf_capacity = reader.ReadU64();
+  const int64_t leaf_count = reader.ReadI64();
+  ASSERT_TRUE(reader.EnterSection("summaries").ok());
+  const std::vector<uint8_t> words = reader.ReadPodVector<uint8_t>();
+  ASSERT_TRUE(reader.ok()) << reader.status().message();
+  ASSERT_EQ(words.size(), kCount * 16);
+
+  // Envelopes wide enough that every node bound is 0 (never prunes).
+  const transform::SegmentRange everything{-1e300, 1e300, 0.0, 1e300};
+  std::vector<core::SeriesId> ids(kCount);
+  for (size_t i = 0; i < kCount; ++i) ids[i] = static_cast<core::SeriesId>(i);
+  const auto write_leaf = [&](io::IndexWriter* w, std::vector<uint32_t> ends,
+                              const std::vector<core::SeriesId>& members) {
+    w->WritePodVector(ends);
+    w->WritePodVector(
+        std::vector<transform::SegmentRange>(ends.size(), everything));
+    w->WriteU64(members.size());
+    w->WriteI32(0);
+    w->WriteBool(true);
+    w->WritePodVector(members);
+  };
+  // A root over `root_ends`: one leaf holding every series, or (with
+  // `child_ends`) an internal node splitting them between two leaves
+  // over that routing segmentation. The leaves' own segmentations stay
+  // valid, so only the internal node's check can refuse a bad one.
+  const auto open_crafted = [&](const std::vector<uint8_t>& summary,
+                                std::vector<uint32_t> root_ends,
+                                std::vector<uint32_t> child_ends) {
+    io::IndexWriter writer(reader.method_name(), reader.fingerprint());
+    writer.BeginSection("options");
+    writer.WriteU64(initial_segments);
+    writer.WriteU64(max_segments);
+    writer.WriteU64(leaf_capacity);
+    writer.WriteI64(leaf_count);
+    writer.EndSection();
+    writer.BeginSection("summaries");
+    writer.WritePodVector(summary);
+    writer.EndSection();
+    writer.BeginSection("tree");
+    if (child_ends.empty()) {
+      write_leaf(&writer, root_ends, ids);
+    } else {
+      writer.WritePodVector(root_ends);
+      writer.WritePodVector(
+          std::vector<transform::SegmentRange>(root_ends.size(), everything));
+      writer.WriteU64(kCount);
+      writer.WriteI32(0);
+      writer.WriteBool(false);
+      writer.WritePodVector(child_ends);
+      writer.WriteI32(0);
+      writer.WriteBool(true);
+      writer.WriteDouble(0.0);
+      const std::vector<core::SeriesId> half(ids.begin(),
+                                             ids.begin() + kCount / 2);
+      const std::vector<core::SeriesId> rest(ids.begin() + kCount / 2,
+                                             ids.end());
+      write_leaf(&writer, {16, 32, 48, 64}, half);
+      write_leaf(&writer, {16, 32, 48, 64}, rest);
+    }
+    writer.EndSection();
+    EXPECT_TRUE(writer.Commit(file).ok());
+    auto method = bench::CreateMethod("DSTree", kLeaf);
+    const util::Status status = method->Open(dir, data).status();
+    return std::make_pair(status, std::move(method));
+  };
+  const auto expect_refused = [](const util::Status& status,
+                                 const std::string& message) {
+    ASSERT_FALSE(status.ok()) << message;
+    EXPECT_NE(status.message().find(message), std::string::npos)
+        << status.message();
+  };
+  const std::string bad_seg =
+      "DSTree node segmentation does not cover the series length";
+
+  // The faithful shapes open and answer exactly: the crafting is sound.
+  for (const auto& child : {std::vector<uint32_t>{},
+                            std::vector<uint32_t>{16, 32, 48, 64}}) {
+    auto [status, opened] = open_crafted(words, {32, 64}, child);
+    ASSERT_TRUE(status.ok()) << status.message();
+    const gen::Workload queries = TestQueries();
+    const auto got = opened->Execute(queries.queries[0],
+                                     core::QuerySpec::Knn(3));
+    const auto truth = core::BruteForceKnn(data, queries.queries[0], 3);
+    ASSERT_EQ(got.neighbors.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(got.neighbors[i].id, truth[i].id);
+    }
+  }
+
+  // Ends past the series, out of order, or an empty segment, at the root
+  // and in the children's shared segmentation.
+  for (const std::vector<uint32_t>& ends :
+       {std::vector<uint32_t>{5000, 10, 20, 64},
+        std::vector<uint32_t>{32, 16, 64}, std::vector<uint32_t>{0, 64},
+        std::vector<uint32_t>{32, 32, 64}, std::vector<uint32_t>{32, 70}}) {
+    expect_refused(open_crafted(words, ends, {}).first, bad_seg);
+    expect_refused(open_crafted(words, {32, 64}, ends).first, bad_seg);
+  }
+
+  // A summary section of the wrong size.
+  const std::string bad_words = "DSTree summary words do not cover the dataset";
+  std::vector<uint8_t> short_words(words.begin(), words.end() - 1);
+  expect_refused(open_crafted(short_words, {32, 64}, {}).first, bad_words);
+  expect_refused(open_crafted({}, {32, 64}, {}).first, bad_words);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistenceErrors, SfaTrieRefusesCraftedSummaryWords) {
+  // Leaf member bounds index each dimension's bin edges by the stored
+  // symbol, so DoOpen must refuse a symbol outside the alphabet even when
+  // the section checksums are valid.
+  const core::Dataset data = TestData();
+  auto built = bench::CreateMethod("SFA", kLeaf);
+  built->Build(data);
+  const std::string dir = FreshDir("sfa_crafted");
+  ASSERT_TRUE(built->Save(dir).ok());
+  const std::string file = io::IndexFilePath(dir);
+
+  io::IndexReader reader;
+  ASSERT_TRUE(reader.Load(file).ok());
+  ASSERT_TRUE(reader.EnterSection("options").ok());
+  const uint64_t word_length = reader.ReadU64();
+  const int32_t alphabet = reader.ReadI32();
+  const uint8_t binning = reader.ReadU8();
+  const uint64_t leaf_capacity = reader.ReadU64();
+  const uint64_t sample_size = reader.ReadU64();
+  const int64_t leaf_count = reader.ReadI64();
+  ASSERT_TRUE(reader.EnterSection("quantizer").ok());
+  const uint64_t dims = reader.ReadU64();
+  std::vector<std::vector<double>> bins;
+  for (uint64_t d = 0; d < dims; ++d) {
+    bins.push_back(reader.ReadPodVector<double>());
+  }
+  ASSERT_TRUE(reader.EnterSection("summaries").ok());
+  const std::vector<double> dfts = reader.ReadPodVector<double>();
+  const std::vector<uint8_t> words = reader.ReadPodVector<uint8_t>();
+  ASSERT_TRUE(reader.ok()) << reader.status().message();
+  ASSERT_EQ(words.size(), kCount * dims);
+
+  // The tree is one leaf holding every series under an all-covering MBR.
+  std::vector<core::SeriesId> ids(kCount);
+  for (size_t i = 0; i < kCount; ++i) ids[i] = static_cast<core::SeriesId>(i);
+  const auto open_crafted = [&](const std::vector<uint8_t>& w) {
+    io::IndexWriter writer(reader.method_name(), reader.fingerprint());
+    writer.BeginSection("options");
+    writer.WriteU64(word_length);
+    writer.WriteI32(alphabet);
+    writer.WriteU8(binning);
+    writer.WriteU64(leaf_capacity);
+    writer.WriteU64(sample_size);
+    writer.WriteI64(leaf_count);
+    writer.EndSection();
+    writer.BeginSection("quantizer");
+    writer.WriteU64(dims);
+    for (const auto& b : bins) writer.WritePodVector(b);
+    writer.EndSection();
+    writer.BeginSection("summaries");
+    writer.WritePodVector(dfts);
+    writer.WritePodVector(w);
+    writer.EndSection();
+    writer.BeginSection("tree");
+    writer.WriteI32(0);
+    writer.WriteBool(true);
+    writer.WriteU64(kCount);
+    writer.WritePodVector(std::vector<double>(dims, -1e300));
+    writer.WritePodVector(std::vector<double>(dims, 1e300));
+    writer.WritePodVector(ids);
+    writer.EndSection();
+    EXPECT_TRUE(writer.Commit(file).ok());
+    auto method = bench::CreateMethod("SFA", kLeaf);
+    const util::Status status = method->Open(dir, data).status();
+    return std::make_pair(status, std::move(method));
+  };
+
+  // The faithful rewrite opens and answers exactly: the crafting is sound.
+  {
+    auto [status, opened] = open_crafted(words);
+    ASSERT_TRUE(status.ok()) << status.message();
+    const gen::Workload queries = TestQueries();
+    const auto got =
+        opened->Execute(queries.queries[0], core::QuerySpec::Knn(3));
+    const auto truth = core::BruteForceKnn(data, queries.queries[0], 3);
+    ASSERT_EQ(got.neighbors.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(got.neighbors[i].id, truth[i].id);
+    }
+  }
+
+  // The last symbol at the alphabet size, and at the byte's maximum.
+  for (const int symbol : {alphabet, 255}) {
+    std::vector<uint8_t> bad_words = words;
+    bad_words.back() = static_cast<uint8_t>(symbol);
+    const util::Status status = open_crafted(bad_words).first;
+    ASSERT_FALSE(status.ok()) << symbol;
+    EXPECT_NE(status.message().find("SFA summary word symbol out of range"),
+              std::string::npos)
+        << status.message();
   }
   std::filesystem::remove_all(dir);
 }

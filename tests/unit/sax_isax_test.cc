@@ -1,8 +1,11 @@
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/distance.h"
+#include "core/simd/kernels.h"
 #include "transform/isax.h"
 #include "transform/paa.h"
 #include "transform/sax.h"
@@ -119,6 +122,111 @@ TEST(IsaxMinDist, LowerBoundsTrueDistanceRandomized) {
     const double lb = IsaxMinDistSq(paa_x, wy, n / segments);
     EXPECT_LE(lb, core::SquaredEuclidean(x, y) + 1e-9);
   }
+}
+
+// A query PAA value of each kind: inside the domain, far outside it, and
+// exactly on a full-resolution breakpoint (where the MINDIST branches
+// switch), plus the breakpoint's float neighbours.
+double QueryValue(util::Rng& rng) {
+  const auto bp = SaxBreakpoints::Get().For(kMaxSaxBits);
+  const double on = bp[rng.UniformInt(0, bp.size() - 1)];
+  switch (rng.UniformInt(0, 4)) {
+    case 0:
+      return rng.Gaussian();
+    case 1:
+      return rng.Gaussian(0.0, 8.0);
+    case 2:
+      return on;
+    case 3:
+      return std::nextafter(on, -std::numeric_limits<double>::infinity());
+    default:
+      return std::nextafter(on, std::numeric_limits<double>::infinity());
+  }
+}
+
+TEST(IsaxQueryTable, BoundsEqualMinDistBitForBit) {
+  util::Rng rng(33);
+  const SaxBreakpoints& bp = SaxBreakpoints::Get();
+  IsaxQueryTable table;  // one table, re-armed for every query
+  for (const size_t segments : {16u, 8u, 24u}) {
+    for (int query = 0; query < 40; ++query) {
+      std::vector<double> paa_q(segments);
+      for (double& v : paa_q) v = QueryValue(rng);
+      const size_t pps = static_cast<size_t>(rng.UniformInt(1, 32));
+      table.Reset(paa_q, pps);
+      ASSERT_EQ(table.segments(), segments);
+      IsaxWord w;
+      w.bits.assign(segments, static_cast<uint8_t>(kMaxSaxBits));
+      w.symbols.resize(segments);
+      for (int trial = 0; trial < 200; ++trial) {
+        for (uint8_t& sym : w.symbols) {
+          sym = static_cast<uint8_t>(rng.UniformInt(0, 255));
+        }
+        const double got = table.LowerBoundSq(w.symbols.data());
+        ASSERT_EQ(got, IsaxMinDistSq(paa_q, w, pps));
+        for (const core::simd::KernelSet* set :
+             core::simd::SupportedKernelSets()) {
+          ASSERT_EQ(got, set->isax_mindist_sq(paa_q.data(), w.symbols.data(),
+                                              w.bits.data(), segments,
+                                              bp.FlatLower(), bp.FlatUpper()) *
+                             static_cast<double>(pps))
+              << set->name;
+        }
+      }
+    }
+  }
+}
+
+TEST(FullResolutionSymbol, EqualsSaxSymbolOnAndAroundBreakpoints) {
+  const auto bp = SaxBreakpoints::Get().For(kMaxSaxBits);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double b : bp) {
+    for (const double v :
+         {b, std::nextafter(b, -inf), std::nextafter(b, inf)}) {
+      EXPECT_EQ(FullResolutionSymbol(v), SaxSymbol(v, kMaxSaxBits)) << v;
+    }
+  }
+  for (const double v : {-inf, inf, -1e300, 1e300, 0.0, -0.0,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(FullResolutionSymbol(v), SaxSymbol(v, kMaxSaxBits)) << v;
+  }
+}
+
+TEST(EncodeFullWord, EqualsPaaPlusSaxSymbol) {
+  util::Rng rng(34);
+  const auto bp = SaxBreakpoints::Get().For(kMaxSaxBits);
+  for (const size_t segments : {16u, 8u}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const size_t n = segments * static_cast<size_t>(rng.UniformInt(1, 16));
+      std::vector<core::Value> x(n);
+      for (core::Value& v : x) {
+        v = static_cast<core::Value>(rng.Gaussian(0.0, 1.5));
+      }
+      if (trial % 3 == 0) {
+        // Constant segments at float-rounded breakpoints: every PAA sits
+        // within a float ulp of a breakpoint.
+        const size_t seg_len = n / segments;
+        for (size_t s = 0; s < segments; ++s) {
+          const auto v = static_cast<core::Value>(
+              bp[rng.UniformInt(0, bp.size() - 1)]);
+          for (size_t j = 0; j < seg_len; ++j) x[s * seg_len + j] = v;
+        }
+      }
+      std::vector<uint8_t> word(segments);
+      EncodeFullWord(x, segments, word.data());
+      const auto paa = Paa(x, segments);
+      for (size_t s = 0; s < segments; ++s) {
+        ASSERT_EQ(word[s], SaxSymbol(paa[s], kMaxSaxBits))
+            << "segment " << s << " paa " << paa[s];
+      }
+    }
+  }
+  // The median breakpoint is exactly 0: an all-zero series lands on it in
+  // every segment, exercising the encoder's tie rule.
+  const std::vector<core::Value> zeros(64, 0.0f);
+  std::vector<uint8_t> word(16);
+  EncodeFullWord(zeros, 16, word.data());
+  for (const uint8_t sym : word) EXPECT_EQ(sym, SaxSymbol(0.0, kMaxSaxBits));
 }
 
 TEST(IsaxWord, DebugStringFormat) {
