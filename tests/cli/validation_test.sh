@@ -38,6 +38,27 @@ expect_ok() {
   fi
 }
 
+# expect_usage <description> <cli args...>: a malformed command line exits
+# 2 and prints the usage synopsis.
+expect_usage() {
+  local desc="$1"
+  shift
+  local out rc
+  out=$("$bin" "$@" 2>&1)
+  rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL ($desc): exit $rc, want 2 — output: $out"
+    fails=1
+  fi
+  case "$out" in
+    *"usage:"*) ;;
+    *)
+      echo "FAIL ($desc): expected the usage synopsis in output: $out"
+      fails=1
+      ;;
+  esac
+}
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 d="$tmp/d.bin"
@@ -172,6 +193,147 @@ if ! HYDRA_KERNELS=scalar "$bin" query "$d" DSTree 3 2 --kernels portable \
   echo "FAIL (flag overrides env): expected success"
   fails=1
 fi
+
+# The flag acceptance matrix: for every flag, one command that accepts it
+# and one that refuses it. The daemon-side flags are shown accepted by
+# reaching a later error (an unknown method, or no daemon on port 1)
+# instead of starting a server.
+refused="only supported by"
+no_daemon="connect 127.0.0.1:1"
+expect_ok "threads on query" query "$d" DSTree 3 2 --threads 2
+expect_err "threads on methods" "$refused" methods --threads 2
+expect_ok "shards on query" query "$d" DSTree 3 2 --shards 2
+expect_err "shards on compare" "$refused" compare "$d" 2 --shards 2
+expect_ok "query-threads on range" range "$d" DSTree 5 2 --query-threads 2
+expect_err "query-threads on build" "$refused" \
+  build "$d" DSTree "$tmp/qt-idx" --query-threads 2
+expect_err "port on serve" "unknown method" serve "$d" NotAMethod --port 0
+expect_err "port on query" "$refused" query "$d" DSTree 3 2 --port 7700
+expect_err "serve-threads on serve" "unknown method" \
+  serve "$d" NotAMethod --serve-threads 2
+expect_err "serve-threads on ping" "$refused" ping --serve-threads 2
+expect_err "cache-mb on serve" "unknown method" \
+  serve "$d" NotAMethod --cache-mb 2
+expect_err "cache-mb on query" "$refused" query "$d" DSTree 3 2 --cache-mb 2
+expect_err "max-inflight on serve" "unknown method" \
+  serve "$d" NotAMethod --max-inflight 2
+expect_err "max-inflight on stats" "$refused" stats --max-inflight 2
+expect_ok "storage on range" range "$d" DSTree 5 2 --storage mmap
+expect_err "storage on compare" "$refused" compare "$d" 2 --storage mmap
+expect_ok "pool-mb on build" \
+  build "$d" DSTree "$tmp/pool-idx" --storage mmap --pool-mb 4
+expect_err "pool-mb on queryd" "$refused" \
+  queryd "$d" 3 2 --storage mmap --pool-mb 4
+expect_ok "mode on query" query "$d" DSTree 3 2 --mode ng
+expect_err "mode on build" "$refused" build "$d" DSTree "$tmp/m-idx" --mode ng
+expect_ok "epsilon on query" query "$d" DSTree 3 2 --mode epsilon --epsilon 1
+expect_err "epsilon on range" "$refused" range "$d" DSTree 5 2 --epsilon 0.5
+expect_err "delta on queryd" "$no_daemon" \
+  queryd "$d" 3 2 --port 1 --mode delta-epsilon --epsilon 1 --delta 0.5
+expect_err "delta on serve" "$refused" serve "$d" DSTree --delta 0.5
+expect_ok "max-leaves on query" query "$d" DSTree 3 2 --max-leaves 2
+expect_err "max-leaves on compare" "$refused" compare "$d" 2 --max-leaves 2
+expect_ok "max-raw on query" query "$d" DSTree 3 2 --max-raw 20
+expect_err "max-raw on gen" "$refused" \
+  gen synth 10 8 1 "$tmp/z.bin" --max-raw 5
+expect_ok "index on range" range "$d" DSTree 5 2 --index "$tmp/idx"
+expect_err "index on build" "$refused" \
+  build "$d" DSTree "$tmp/i-idx" --index "$tmp/idx"
+expect_ok "trace on range" range "$d" DSTree 5 2 --trace "$tmp/t.json"
+expect_err "trace on queryd" "$refused" queryd "$d" 3 2 --trace "$tmp/t.json"
+expect_err "full on stats" "$no_daemon" stats --port 1 --full
+expect_err "full on ping" "$refused" ping --port 1 --full
+expect_ok "kernels on compare" compare "$d" 1 --kernels scalar
+expect_err "kernels on serve" "$refused" serve "$d" DSTree --kernels scalar
+expect_err "port on ping" "$no_daemon" ping --port 1
+
+# Every integer flag one step outside its range on both sides.
+expect_err "threads min-1" "--threads must be an integer in [1, 1024]" \
+  query "$d" DSTree 3 2 --threads 0
+expect_err "threads max+1" "--threads must be an integer in [1, 1024]" \
+  query "$d" DSTree 3 2 --threads 1025
+expect_err "shards min-1" "--shards must be an integer in [1, 1024]" \
+  query "$d" DSTree 3 2 --shards 0
+expect_err "shards max+1" "--shards must be an integer in [1, 1024]" \
+  query "$d" DSTree 3 2 --shards 1025
+expect_err "query-threads min-1" \
+  "--query-threads must be an integer in [1, 1024]" \
+  query "$d" DSTree 3 2 --query-threads 0
+expect_err "query-threads max+1" \
+  "--query-threads must be an integer in [1, 1024]" \
+  query "$d" DSTree 3 2 --query-threads 1025
+expect_err "port min-1" "--port must be an integer in [0, 65535]" \
+  ping --port -1
+expect_err "port max+1" "--port must be an integer in [0, 65535]" \
+  ping --port 65536
+expect_err "serve-threads min-1" \
+  "--serve-threads must be an integer in [1, 1024]" \
+  serve "$d" DSTree --serve-threads 0
+expect_err "serve-threads max+1" \
+  "--serve-threads must be an integer in [1, 1024]" \
+  serve "$d" DSTree --serve-threads 1025
+expect_err "cache-mb min-1" "--cache-mb must be an integer in [0, 4096]" \
+  serve "$d" DSTree --cache-mb -1
+expect_err "cache-mb max+1" "--cache-mb must be an integer in [0, 4096]" \
+  serve "$d" DSTree --cache-mb 4097
+expect_err "max-inflight min-1" \
+  "--max-inflight must be an integer in [1, 1048576]" \
+  serve "$d" DSTree --max-inflight 0
+expect_err "max-inflight max+1" \
+  "--max-inflight must be an integer in [1, 1048576]" \
+  serve "$d" DSTree --max-inflight 1048577
+expect_err "pool-mb min-1" "--pool-mb must be an integer in [1, 65536]" \
+  query "$d" DSTree 3 2 --storage mmap --pool-mb 0
+expect_err "pool-mb max+1" "--pool-mb must be an integer in [1, 65536]" \
+  query "$d" DSTree 3 2 --storage mmap --pool-mb 65537
+expect_err "max-leaves min-1" "--max-leaves must be a positive integer" \
+  query "$d" DSTree 3 2 --max-leaves 0
+expect_err "max-leaves max+1" "--max-leaves must be a positive integer" \
+  query "$d" DSTree 3 2 --max-leaves 9223372036854775808
+expect_err "max-raw min-1" "--max-raw must be a positive integer" \
+  query "$d" DSTree 3 2 --max-raw 0
+expect_err "max-raw max+1" "--max-raw must be a positive integer" \
+  query "$d" DSTree 3 2 --max-raw 9223372036854775808
+
+# The rules that involve two flags.
+expect_err "pool-mb without mmap" "requires --storage mmap" \
+  query "$d" DSTree 3 2 --pool-mb 4
+expect_err "threads on unsharded range" \
+  "--threads is only supported by 'query' and 'compare' (or any sharded" \
+  range "$d" DSTree 5 2 --threads 2
+expect_ok "threads on sharded range" \
+  range "$d" DSTree 5 2 --shards 2 --threads 2
+
+# Nothing on the command line is ignored: a misspelled or unknown flag, a
+# repeated flag, and surplus positionals are all refused.
+expect_err "misspelled query-threads" "unknown flag" \
+  query "$d" DSTree 3 2 --qeury-threads 8
+expect_err "misspelled mode" "unknown flag" range "$d" DSTree 3 2 --mdoe ng
+expect_err "unknown flag on methods" "unknown flag" methods --bogus
+expect_err "repeated flag" "given more than once" \
+  query "$d" DSTree 3 2 --threads 2 --threads 3
+expect_usage "surplus positionals" query "$d" DSTree 3 2 extra junk
+expect_usage "surplus positional on methods" methods extra
+
+# An absurd probe count exits 1 instead of aborting on allocation.
+expect_err "oversized queries on query" "queries must be at most" \
+  query "$d" DSTree 3 99999999999999
+expect_err "oversized queries on range" "queries must be at most" \
+  range "$d" DSTree 3 99999999999999
+expect_err "oversized queries on compare" "queries must be at most" \
+  compare "$d" 99999999999999
+expect_err "oversized queries on queryd" "queries must be at most" \
+  queryd "$d" 3 99999999999999 --port 1
+
+# The range radius is parsed as strictly as --epsilon.
+expect_err "radius inf" "radius must be a non-negative number" \
+  range "$d" DSTree inf 2
+expect_err "radius hex float" "radius must be a non-negative number" \
+  range "$d" DSTree 0x5 2
+expect_err "radius leading space" "radius must be a non-negative number" \
+  range "$d" DSTree " 3" 2
+expect_err "radius negative" "radius must be a non-negative number" \
+  range "$d" DSTree -1 2
 
 # Valid specs run end to end.
 expect_ok "exact default" query "$d" DSTree 3 2

@@ -7,7 +7,7 @@
 //       (a versioned, checksummed container; see docs/ARCHITECTURE.md).
 //   hydra query <data.bin> <method> <k> [queries]
 //       k-NN of generated probe queries against a series file. Defaults to
-//       exact answers; --mode selects a relaxed guarantee (see below).
+//       exact answers; --mode selects a relaxed guarantee (see kFlags).
 //       --index <dir> opens the persisted index instead of rebuilding
 //       (the paper's economics: construction is paid once, amortized over
 //       every later query process).
@@ -15,20 +15,19 @@
 //       Exact r-range queries; accepts --index <dir> like `query`.
 //   hydra compare <data.bin> [queries]
 //       Run the best six methods and print the scenario table.
-//   hydra serve <data.bin> <method> [--index <dir>] [--port P]
-//               [--serve-threads N] [--cache-mb M] [--max-inflight Q]
+//   hydra serve <data.bin> <method>
 //       Long-lived query daemon: builds (or opens, with --index) the
 //       method once, then answers concurrent clients over the framed
 //       binary protocol on 127.0.0.1:P (src/serve). SIGINT/SIGTERM
 //       drains in-flight queries and exits; SIGHUP re-opens the index
-//       without dropping the listener. Accepts --shards like `query`.
-//   hydra ping [--port P]
+//       without dropping the listener.
+//   hydra ping
 //       Round-trip a ping frame to a running daemon.
-//   hydra queryd <data.bin> <k> [queries] [--port P] [spec flags]
+//   hydra queryd <data.bin> <k> [queries]
 //       Send the same probe workload `hydra query` runs to a daemon and
 //       print the answers in the identical format (the smoke script
 //       diffs the two). The data file is read only to derive the probes.
-//   hydra stats [--port P] [--full]
+//   hydra stats
 //       Fetch and print the daemon's STATS document (JSON: uptime, QPS,
 //       bucketed latency percentiles, cache counters, merged search
 //       ledger, slow-query flight records). --full instead prints the
@@ -42,65 +41,32 @@
 //       active dispatch choice); `names` lists the supported set names one
 //       per line for scripting (the CI dispatch matrix loops over it).
 //
-// `build`, `query`, `range`, and `compare` accept --kernels <set>: force
-// the distance/lower-bound kernel set (scalar|portable|avx2|avx512)
-// instead of the best-supported default. The HYDRA_KERNELS environment
-// variable does the same for any process using the library; the flag wins
-// when both are given. Unknown or CPU-unsupported names exit 1 listing
-// the supported sets.
-//
-// `query` and `compare` accept --threads N anywhere after the command:
-// queries of one batch run concurrently when the method supports it
-// (results are identical to the serial run; see docs/ARCHITECTURE.md).
-//
-// `build`, `query`, and `range` accept --shards N: the collection is
-// partitioned into N contiguous shards, each carrying a full index of the
-// method; builds and queries fan out across shards and answers merge back
-// to global ids, identical to the unsharded method. With --shards,
-// --threads sets the fan-out width (the batch runs serially — the
-// parallelism lives inside each query). Unshardable methods (the scans)
-// are refused with the traits-derived reason.
-//
-// `query` and `range` accept --query-threads N: N workers drain one
-// query's traversal frontier cooperatively (the shared engine in
-// src/core/traversal.h). Only the five tree indexes and ADS+ advertise
-// the trait (`hydra methods`, intra-query column); others are refused
-// with the traits-derived reason. Exact k-NN and range answers are bit-identical
-// to the serial traversal at any worker count; approximate and budgeted
-// plans keep their traversal serial (their answers depend on visit
-// order), which is reported as a note. Composes with --shards: every
-// shard's workers share one cross-shard bound.
-//
-// `build`, `query`, `range`, and `serve` accept --trace <path>: record
-// per-query phase spans (execute, traversal, leaf verification, shard
-// fan-out, buffer-pool IO; per-request spans under serve) and write them
-// as Chrome trace-event JSON when the command exits — open the file at
-// ui.perfetto.dev or chrome://tracing. An unwritable path exits 1 before
-// any work is done.
-//
-// `query` additionally accepts the QuerySpec flags:
-//   --mode exact|ng|epsilon|delta-epsilon   quality guarantee requested
-//   --epsilon X      relative error bound (epsilon / delta-epsilon modes)
-//   --delta X        probability the bound holds, in (0,1] (delta-epsilon)
-//   --max-leaves N   budget: stop after N leaf visits
-//   --max-raw N      budget: stop after N raw series examinations
-// A mode the chosen method does not advertise is rejected up front with
-// the traits-derived reason — never silently answered exactly.
+// Every flag is declared once, in kFlags below: its value kind and range,
+// the commands that accept it, the method trait it needs, and its help
+// line. One pass reads argv against that table, so an unknown, repeated,
+// malformed or misplaced flag, and any surplus positional, exits before
+// any work — a flag is never swallowed silently. The usage text (`hydra`
+// with no arguments) is generated from the same rows. A flag the chosen
+// method's traits rule out (a --mode it does not advertise, --shards on a
+// scan) is refused with the traits-derived reason, never silently
+// answered some other way.
 #include <csignal>
 #include <cstring>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
-#include <tuple>
+#include <string_view>
 #include <vector>
 
 #include "bench/harness.h"
@@ -125,98 +91,7 @@
 namespace hydra {
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  hydra gen <family> <count> <length> <seed> <out.bin>\n"
-               "  hydra build <data.bin> <method> <index-dir> [--shards N] "
-               "[--threads N]\n"
-               "  hydra query <data.bin> <method> <k> [queries=10] "
-               "[--threads N]\n"
-               "              [--index <dir>] [--shards N] "
-               "[--query-threads N]\n"
-               "              [--storage ram|mmap] [--pool-mb M]\n"
-               "              [--mode exact|ng|epsilon|delta-epsilon] "
-               "[--epsilon X]\n"
-               "              [--delta X] [--max-leaves N] [--max-raw N]\n"
-               "  hydra range <data.bin> <method> <radius> [queries=10] "
-               "[--index <dir>] [--shards N] [--threads N] "
-               "[--query-threads N]\n"
-               "  hydra compare <data.bin> [queries=10] [--threads N]\n"
-               "  hydra serve <data.bin> <method> [--index <dir>] "
-               "[--shards N] [--port P]\n"
-               "              [--serve-threads N] [--cache-mb M] "
-               "[--max-inflight Q]\n"
-               "  hydra ping [--port P]\n"
-               "  hydra queryd <data.bin> <k> [queries=10] [--port P] "
-               "[spec flags]\n"
-               "  hydra stats [--port P] [--full]\n"
-               "  hydra methods\n"
-               "  hydra kernels [names]\n"
-               "\n"
-               "--kernels <set> forces the distance/lower-bound kernel set "
-               "(see: hydra\n"
-               "kernels) on build/query/range/compare; HYDRA_KERNELS=<set> "
-               "does the same\n"
-               "for any command (the flag wins when both are given).\n"
-               "\n"
-               "--shards N partitions the collection into N contiguous "
-               "shards built and\n"
-               "searched independently (answers are identical to the "
-               "unsharded method);\n"
-               "with --shards, --threads sets the per-query fan-out "
-               "workers instead of\n"
-               "the batch concurrency. A sharded index persists as one "
-               "container whose\n"
-               "shard count is fixed at build time; open it with the same "
-               "--shards flag.\n"
-               "\n"
-               "--query-threads N answers each query with N workers "
-               "draining one shared\n"
-               "traversal frontier (tree methods only; exact and range "
-               "answers are\n"
-               "bit-identical to the serial traversal). Composes with "
-               "--shards: every\n"
-               "shard's workers tighten one cross-shard bound.\n"
-               "\n"
-               "--storage ram|mmap selects how build/query/range/serve open "
-               "<data.bin>:\n"
-               "ram (default) bulk-loads it; mmap maps it without loading "
-               "and serves the\n"
-               "query-time raw-series reads from a bounded buffer pool "
-               "(--pool-mb M,\n"
-               "default 64) with measured hit/miss counters. Answers are "
-               "bit-identical\n"
-               "across backends and compose with --shards and "
-               "--query-threads.\n"
-               "\n"
-               "--trace <path> (build/query/range/serve) records per-query "
-               "phase spans\n"
-               "(execute, traversal, leaf verification, shard fan-out, "
-               "buffer-pool IO;\n"
-               "per-request spans under serve) and writes Chrome "
-               "trace-event JSON on\n"
-               "exit; open it at ui.perfetto.dev or chrome://tracing. "
-               "`stats --full`\n"
-               "prints a running daemon's whole metrics registry "
-               "(counters, gauges,\n"
-               "latency histograms) as text, one metric per line.\n");
-  return 2;
-}
-
-// User input must produce a clean error, never a HYDRA_CHECK abort.
-bool IsKnownMethod(const std::string& name) {
-  for (const std::string& m : bench::AllMethodNames()) {
-    if (m == name) return true;
-  }
-  return false;
-}
-
-int BadMethod(const std::string& name) {
-  std::fprintf(stderr, "error: unknown method '%s' (see: hydra methods)\n",
-               name.c_str());
-  return 1;
-}
+int Usage();
 
 /// Parses a non-negative decimal integer; strtoull alone would wrap "-1"
 /// (even with leading whitespace) to ULLONG_MAX and accept trailing
@@ -261,145 +136,404 @@ bool ParseDouble(const char* arg, double* out) {
   return true;
 }
 
-/// Extracts one `--flag value` option (anywhere in argv) into `*value` and
-/// removes both tokens from `*args`. Returns false (after printing an
-/// error) when the flag is present without a value; `*value` stays nullptr
-/// when the flag is absent.
-bool ExtractOption(std::vector<char*>* args, const char* flag,
-                   const char** value) {
-  *value = nullptr;
-  for (size_t i = 0; i < args->size(); ++i) {
-    if (std::string((*args)[i]) != flag) continue;
-    if (i + 1 >= args->size()) {
-      std::fprintf(stderr, "error: %s needs a value\n", flag);
-      return false;
+/// Splits a '|'-separated list ("query|range") into its items.
+std::vector<std::string_view> SplitList(std::string_view list) {
+  std::vector<std::string_view> items;
+  for (size_t start = 0;;) {
+    const size_t bar = list.find('|', start);
+    items.push_back(list.substr(start, bar - start));
+    if (bar == std::string_view::npos) return items;
+    start = bar + 1;
+  }
+}
+
+bool InList(const char* list, std::string_view word) {
+  const std::vector<std::string_view> items = SplitList(list);
+  return std::find(items.begin(), items.end(), word) != items.end();
+}
+
+/// "'a'", "'a' and 'b'", or "'a', 'b', and 'c'" from "a|b|c".
+std::string QuotedList(const char* list) {
+  const std::vector<std::string_view> items = SplitList(list);
+  std::string out;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) {
+      out += items.size() == 2 ? " and " : i + 1 == items.size() ? ", and "
+                                                                 : ", ";
     }
-    *value = (*args)[i + 1];
-    args->erase(args->begin() + static_cast<long>(i),
-                args->begin() + static_cast<long>(i) + 2);
-    return true;
+    out += "'" + std::string(items[i]) + "'";
+  }
+  return out;
+}
+
+/// How a flag's value is read. Each kind has one parser and one error
+/// message shape, so every flag of a kind fails the same way.
+enum class FlagKind {
+  kBare,      // no value
+  kUint,      // decimal integer in [min, max]
+  kNumber,    // finite non-negative decimal number
+  kFraction,  // decimal number in (0, 1]
+  kEnum,      // one of the '|'-separated choices in `arg`
+  kString,    // any token; paths and kernel-set names are checked in use
+};
+
+enum FlagId {
+  kShards,
+  kPort,
+  kServeThreads,
+  kCacheMb,
+  kMaxInflight,
+  kStorage,
+  kPoolMb,
+  kThreads,
+  kQueryThreads,
+  kMode,
+  kEpsilon,
+  kDelta,
+  kMaxLeaves,
+  kMaxRaw,
+  kIndex,
+  kTrace,
+  kFull,
+  kKernels,
+  kFlagCount,
+};
+
+/// The upper end of the budget flags, which QuerySpec stores as int64_t.
+constexpr uint64_t kUnbounded = std::numeric_limits<int64_t>::max();
+
+/// Everything the CLI knows about one flag.
+struct FlagRow {
+  FlagId id;
+  const char* name;
+  FlagKind kind;
+  /// '|'-separated commands that accept the flag.
+  const char* commands;
+  /// Usage placeholder of the value ("N", "<dir>"); the choices of kEnum.
+  const char* arg;
+  /// What the flag does, as the usage text lists it ('\n' continues).
+  const char* help;
+  /// kUint: the accepted range, and the value read when the flag is absent.
+  uint64_t min = 0;
+  uint64_t max = 0;
+  uint64_t fallback = 0;
+  /// kEnum: what the error calls an unknown choice.
+  const char* noun = nullptr;
+  /// Also accepted by every command that takes --shards, once --shards is
+  /// given (--threads is then the fan-out width).
+  bool sharded_too = false;
+  /// The method trait the flag needs, refused with the trait's own reason
+  /// member or, when that is null, with the fixed `refusal` text.
+  bool core::MethodTraits::*trait = nullptr;
+  std::string core::MethodTraits::*reason = nullptr;
+  const char* refusal = nullptr;
+};
+
+// Rows in FlagId order, which is also the order flags are gated in. The
+// caps keep absurd values from aborting inside std::thread creation or
+// overflowing a size_t byte budget.
+constexpr FlagRow kFlags[] = {
+    {.id = kShards, .name = "--shards", .kind = FlagKind::kUint,
+     .commands = "build|query|range|serve", .arg = "N",
+     .help = "partition the collection into N contiguous shards,\n"
+             "each with a full index; answers match the unsharded\n"
+             "method. A sharded index reopens with the same N",
+     .min = 1, .max = 1024, .trait = &core::MethodTraits::shardable,
+     .reason = &core::MethodTraits::shard_reason},
+    {.id = kPort, .name = "--port", .kind = FlagKind::kUint,
+     .commands = "serve|ping|queryd|stats", .arg = "P",
+     .help = "daemon port on 127.0.0.1 (default 7700; serve --port 0\n"
+             "binds a free port and prints it)",
+     .min = 0, .max = 65535, .fallback = 7700},
+    {.id = kServeThreads, .name = "--serve-threads", .kind = FlagKind::kUint,
+     .commands = "serve", .arg = "N",
+     .help = "daemon query workers (default 1)", .min = 1, .max = 1024,
+     .fallback = 1},
+    {.id = kCacheMb, .name = "--cache-mb", .kind = FlagKind::kUint,
+     .commands = "serve", .arg = "M",
+     .help = "answer cache for exact queries (default 64; 0 = off)",
+     .min = 0, .max = 4096, .fallback = 64},
+    {.id = kMaxInflight, .name = "--max-inflight", .kind = FlagKind::kUint,
+     .commands = "serve", .arg = "Q",
+     .help = "admitted requests; more are refused (default 64)", .min = 1,
+     .max = uint64_t{1} << 20, .fallback = 64},
+    // Only the commands that open <data.bin> take a backend; under serve
+    // the daemon owns it, not a queryd client.
+    {.id = kStorage, .name = "--storage", .kind = FlagKind::kEnum,
+     .commands = "build|query|range|serve", .arg = "ram|mmap",
+     .help = "ram (default) bulk-loads <data.bin>; mmap maps it and\n"
+             "reads through a bounded buffer pool, same answers",
+     .noun = "storage backend"},
+    {.id = kPoolMb, .name = "--pool-mb", .kind = FlagKind::kUint,
+     .commands = "build|query|range|serve", .arg = "M",
+     .help = "buffer-pool budget of --storage mmap (default 64)", .min = 1,
+     .max = 65536},
+    {.id = kThreads, .name = "--threads", .kind = FlagKind::kUint,
+     .commands = "query|compare", .arg = "N",
+     .help = "run a batch's queries concurrently; with --shards, the\n"
+             "per-query fan-out width (the batch runs serially)",
+     .min = 1, .max = 1024, .fallback = 1, .sharded_too = true},
+    {.id = kQueryThreads, .name = "--query-threads", .kind = FlagKind::kUint,
+     .commands = "query|range", .arg = "N",
+     .help = "N workers drain one query's traversal frontier; exact\n"
+             "and range answers match the serial run",
+     .min = 1, .max = 1024, .fallback = 1,
+     .trait = &core::MethodTraits::intra_query_parallel,
+     .reason = &core::MethodTraits::intra_query_reason},
+    {.id = kMode, .name = "--mode", .kind = FlagKind::kEnum,
+     .commands = "query|queryd", .arg = "exact|ng|epsilon|delta-epsilon",
+     .help = "quality guarantee requested (default exact)", .noun = "mode"},
+    {.id = kEpsilon, .name = "--epsilon", .kind = FlagKind::kNumber,
+     .commands = "query|queryd", .arg = "X",
+     .help = "relative error bound of the epsilon modes"},
+    {.id = kDelta, .name = "--delta", .kind = FlagKind::kFraction,
+     .commands = "query|queryd", .arg = "X",
+     .help = "probability the epsilon bound holds (delta-epsilon)"},
+    // A leaf budget that can never bind would be silently inert.
+    {.id = kMaxLeaves, .name = "--max-leaves", .kind = FlagKind::kUint,
+     .commands = "query|queryd", .arg = "N",
+     .help = "budget: stop after N leaf visits", .min = 1,
+     .max = kUnbounded, .trait = &core::MethodTraits::leaf_visit_budget,
+     .refusal = "has no leaf-visit budget unit, so --max-leaves could never "
+                "fire; cap work with --max-raw instead"},
+    {.id = kMaxRaw, .name = "--max-raw", .kind = FlagKind::kUint,
+     .commands = "query|queryd", .arg = "N",
+     .help = "budget: stop after N raw series examinations", .min = 1,
+     .max = kUnbounded},
+    // `build` writes an index; it never reads one.
+    {.id = kIndex, .name = "--index", .kind = FlagKind::kString,
+     .commands = "query|range|serve", .arg = "<dir>",
+     .help = "open the index `hydra build` saved instead of building",
+     .trait = &core::MethodTraits::supports_persistence,
+     .reason = &core::MethodTraits::persistence_reason},
+    {.id = kTrace, .name = "--trace", .kind = FlagKind::kString,
+     .commands = "build|query|range|serve", .arg = "<path>",
+     .help = "write per-phase spans as Chrome trace-event JSON on\n"
+             "exit (open it at ui.perfetto.dev)"},
+    {.id = kFull, .name = "--full", .kind = FlagKind::kBare,
+     .commands = "stats", .arg = nullptr,
+     .help = "print the daemon's whole metrics registry, one metric\n"
+             "per line"},
+    {.id = kKernels, .name = "--kernels", .kind = FlagKind::kString,
+     .commands = "build|query|range|compare", .arg = "<set>",
+     .help = "force a distance kernel set (see: hydra kernels);\n"
+             "HYDRA_KERNELS=<set> does the same, the flag wins"},
+};
+static_assert(std::size(kFlags) == kFlagCount);
+
+constexpr bool RowsInIdOrder() {
+  for (size_t i = 0; i < std::size(kFlags); ++i) {
+    if (kFlags[i].id != static_cast<FlagId>(i)) return false;
   }
   return true;
 }
+static_assert(RowsInIdOrder(), "kFlags rows must follow FlagId order");
 
-/// Extracts a valueless `--flag` (anywhere in argv) from `*args`; returns
-/// true when it was present.
-bool ExtractBareFlag(std::vector<char*>* args, const char* flag) {
-  for (size_t i = 0; i < args->size(); ++i) {
-    if (std::string((*args)[i]) != flag) continue;
-    args->erase(args->begin() + static_cast<long>(i));
-    return true;
+/// One flag as read from argv; `text` stays null while the flag is absent.
+struct FlagValue {
+  const char* text = nullptr;
+  uint64_t num = 0;
+  double real = 0.0;
+};
+
+/// A parsed command line: the positionals (argv[0] the program, argv[1]
+/// the command) and every flag, indexed by FlagId.
+struct Cli {
+  std::vector<char*> argv;
+  std::array<FlagValue, kFlagCount> flags;
+
+  bool has(FlagId id) const { return flags[id].text != nullptr; }
+  const char* text(FlagId id) const { return flags[id].text; }
+  /// kUint value, or the row's fallback when the flag is absent.
+  uint64_t num(FlagId id) const { return flags[id].num; }
+  double real(FlagId id) const { return flags[id].real; }
+};
+
+/// Reads a flag's value by its row's kind; false after printing the
+/// kind's one error shape.
+bool ParseValue(const FlagRow& row, FlagValue* value) {
+  const char* text = value->text;
+  switch (row.kind) {
+    case FlagKind::kBare:
+    case FlagKind::kString:
+      return true;
+    case FlagKind::kUint:
+      if (ParseUint(text, &value->num) && value->num >= row.min &&
+          value->num <= row.max) {
+        return true;
+      }
+      if (row.max == kUnbounded) {
+        std::fprintf(stderr, "error: %s must be a positive integer, got '%s'\n",
+                     row.name, text);
+      } else {
+        std::fprintf(stderr,
+                     "error: %s must be an integer in [%llu, %llu], got "
+                     "'%s'\n",
+                     row.name, static_cast<unsigned long long>(row.min),
+                     static_cast<unsigned long long>(row.max), text);
+      }
+      return false;
+    case FlagKind::kNumber:
+      if (ParseDouble(text, &value->real)) return true;
+      std::fprintf(stderr,
+                   "error: %s must be a finite non-negative number, got "
+                   "'%s'\n",
+                   row.name, text);
+      return false;
+    case FlagKind::kFraction:
+      if (ParseDouble(text, &value->real) && value->real > 0.0 &&
+          value->real <= 1.0) {
+        return true;
+      }
+      std::fprintf(stderr, "error: %s must lie in (0, 1], got '%s'\n",
+                   row.name, text);
+      return false;
+    case FlagKind::kEnum:
+      if (InList(row.arg, text)) return true;
+      std::fprintf(stderr, "error: unknown %s '%s' (%s)\n", row.noun, text,
+                   row.arg);
+      return false;
   }
   return false;
 }
 
-/// The QuerySpec-shaping flags of `hydra query`, as extracted from argv.
-struct QueryFlags {
-  const char* mode = nullptr;
-  const char* epsilon = nullptr;
-  const char* delta = nullptr;
-  const char* max_leaves = nullptr;
-  const char* max_raw = nullptr;
-
-  bool any() const {
-    return mode != nullptr || epsilon != nullptr || delta != nullptr ||
-           max_leaves != nullptr || max_raw != nullptr;
-  }
-};
-
-/// Validates the QuerySpec flags and fills `*spec` (kind kKnn; the caller
-/// sets k). Returns false after printing an error: every malformed value,
-/// inconsistent flag combination, or mode the method's traits do not
-/// advertise exits cleanly instead of reaching a CHECK abort.
-bool BuildQuerySpec(const QueryFlags& flags, const core::MethodTraits& traits,
-                    const std::string& method_name, core::QuerySpec* spec) {
-  if (flags.mode != nullptr) {
-    const std::string mode = flags.mode;
-    if (mode == "exact") {
-      spec->mode = core::QualityMode::kExact;
-    } else if (mode == "ng") {
-      spec->mode = core::QualityMode::kNgApprox;
-    } else if (mode == "epsilon") {
-      spec->mode = core::QualityMode::kEpsilon;
-    } else if (mode == "delta-epsilon") {
-      spec->mode = core::QualityMode::kDeltaEpsilon;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown mode '%s' "
-                   "(exact|ng|epsilon|delta-epsilon)\n",
-                   flags.mode);
+/// The one pass over argv: every `--token` is looked up in kFlags and its
+/// value read and range-checked; every other token is a positional.
+/// Returns false after printing the error.
+bool ParseFlags(int argc, char** argv, Cli* cli) {
+  for (const FlagRow& row : kFlags) cli->flags[row.id].num = row.fallback;
+  for (int i = 0; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0) {
+      cli->argv.push_back(argv[i]);
+      continue;
+    }
+    const FlagRow* row = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&](const FlagRow& r) { return std::strcmp(r.name, argv[i]) == 0; });
+    if (row == std::end(kFlags)) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
       return false;
+    }
+    FlagValue& value = cli->flags[row->id];
+    if (value.text != nullptr) {
+      std::fprintf(stderr, "error: %s given more than once\n", row->name);
+      return false;
+    }
+    if (row->kind == FlagKind::kBare) {
+      value.text = argv[i];
+      continue;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "error: %s needs a value\n", row->name);
+      return false;
+    }
+    value.text = argv[++i];
+    if (!ParseValue(*row, &value)) return false;
+  }
+  return true;
+}
+
+/// Whether `command` takes the flag; `sharded` says --shards is given.
+bool Accepts(const FlagRow& row, std::string_view command, bool sharded) {
+  return InList(row.commands, command) ||
+         (row.sharded_too && sharded &&
+          InList(kFlags[kShards].commands, command));
+}
+
+/// Refuses a flag the command does not use — swallowing it would let the
+/// user believe e.g. a compare ran sharded — plus the one cross-flag rule
+/// outside QuerySpec. Returns false after printing the error.
+bool GateCommand(const Cli& cli) {
+  const std::string_view command = cli.argv[1];
+  for (const FlagRow& row : kFlags) {
+    if (!cli.has(row.id) || Accepts(row, command, cli.has(kShards))) {
+      continue;
+    }
+    std::fprintf(stderr, "error: %s is only supported by %s%s\n", row.name,
+                 QuotedList(row.commands).c_str(),
+                 row.sharded_too ? " (or any sharded command with --shards)"
+                                 : "");
+    return false;
+  }
+  if (cli.has(kPoolMb) &&
+      (!cli.has(kStorage) || std::string_view(cli.text(kStorage)) != "mmap")) {
+    std::fprintf(stderr,
+                 "error: --pool-mb requires --storage mmap (the ram "
+                 "backend has no buffer pool)\n");
+    return false;
+  }
+  return true;
+}
+
+/// Refuses a flag the method's traits rule out, with the method's own
+/// reason — never a silently serial "parallel" run or an inert budget. A
+/// flag left at its fallback value changes nothing and needs no trait
+/// (--query-threads 1 runs on any method).
+bool GateTraits(const core::MethodTraits& traits, const std::string& method,
+                const Cli& cli) {
+  for (const FlagRow& row : kFlags) {
+    if (row.trait == nullptr || traits.*row.trait || !cli.has(row.id) ||
+        (row.kind == FlagKind::kUint && cli.num(row.id) == row.fallback)) {
+      continue;
+    }
+    if (row.reason != nullptr) {
+      std::fprintf(stderr, "error: %s does not support %s (%s)\n",
+                   method.c_str(), row.name, (traits.*row.reason).c_str());
+    } else {
+      std::fprintf(stderr, "error: %s %s\n", method.c_str(), row.refusal);
+    }
+    return false;
+  }
+  return true;
+}
+
+/// Fills `*spec` (kind kKnn; the caller sets k) from the QuerySpec flags,
+/// whose values the parse pass already checked. Returns false after
+/// printing an error: every inconsistent flag combination, or mode the
+/// method's traits do not advertise, exits cleanly instead of reaching a
+/// CHECK abort.
+bool BuildQuerySpec(const Cli& cli, const core::MethodTraits& traits,
+                    const std::string& method_name, core::QuerySpec* spec) {
+  for (const core::QualityMode mode :
+       {core::QualityMode::kExact, core::QualityMode::kNgApprox,
+        core::QualityMode::kEpsilon, core::QualityMode::kDeltaEpsilon}) {
+    if (cli.has(kMode) && core::QualityModeName(mode) ==
+                              std::string_view(cli.text(kMode))) {
+      spec->mode = mode;
     }
   }
   const bool eps_mode = spec->mode == core::QualityMode::kEpsilon ||
                         spec->mode == core::QualityMode::kDeltaEpsilon;
-  if (flags.epsilon != nullptr && !eps_mode) {
+  if (cli.has(kEpsilon) && !eps_mode) {
     std::fprintf(stderr, "error: --epsilon requires --mode epsilon or "
                          "delta-epsilon\n");
     return false;
   }
   // The converse too: a requested relaxation with no bound parameter would
   // silently run at exact cost while labeled approximate.
-  if (eps_mode && flags.epsilon == nullptr) {
+  if (eps_mode && !cli.has(kEpsilon)) {
     std::fprintf(stderr, "error: --mode %s requires --epsilon\n",
                  core::QualityModeName(spec->mode));
     return false;
   }
-  if (flags.delta != nullptr &&
-      spec->mode != core::QualityMode::kDeltaEpsilon) {
+  if (cli.has(kDelta) && spec->mode != core::QualityMode::kDeltaEpsilon) {
     std::fprintf(stderr, "error: --delta requires --mode delta-epsilon\n");
     return false;
   }
-  if (spec->mode == core::QualityMode::kDeltaEpsilon &&
-      flags.delta == nullptr) {
+  if (spec->mode == core::QualityMode::kDeltaEpsilon && !cli.has(kDelta)) {
     std::fprintf(stderr,
                  "error: --mode delta-epsilon requires --delta (1.0 is "
                  "plain epsilon)\n");
     return false;
   }
-  if (flags.epsilon != nullptr &&
-      !ParseDouble(flags.epsilon, &spec->epsilon)) {
-    std::fprintf(stderr,
-                 "error: --epsilon must be a finite non-negative number, "
-                 "got '%s'\n",
-                 flags.epsilon);
-    return false;
-  }
-  if (flags.delta != nullptr) {
-    if (!ParseDouble(flags.delta, &spec->delta) || spec->delta <= 0.0 ||
-        spec->delta > 1.0) {
-      std::fprintf(stderr, "error: --delta must lie in (0, 1], got '%s'\n",
-                   flags.delta);
-      return false;
-    }
-  }
-  for (const auto& [flag, arg, out] :
-       {std::tuple{"--max-leaves", flags.max_leaves,
-                   &spec->max_visited_leaves},
-        std::tuple{"--max-raw", flags.max_raw, &spec->max_raw_series}}) {
-    if (arg == nullptr) continue;
-    uint64_t value = 0;
-    if (!ParseUint(arg, &value) || value == 0 ||
-        value > static_cast<uint64_t>(
-                    std::numeric_limits<int64_t>::max())) {
-      std::fprintf(stderr, "error: %s must be a positive integer, got '%s'\n",
-                   flag, arg);
-      return false;
-    }
-    *out = static_cast<int64_t>(value);
-  }
+  if (cli.has(kEpsilon)) spec->epsilon = cli.real(kEpsilon);
+  if (cli.has(kDelta)) spec->delta = cli.real(kDelta);
+  // Absent budgets read 0, QuerySpec's "no cap".
+  spec->max_visited_leaves = static_cast<int64_t>(cli.num(kMaxLeaves));
+  spec->max_raw_series = static_cast<int64_t>(cli.num(kMaxRaw));
   if (spec->mode == core::QualityMode::kNgApprox && spec->has_budget()) {
     std::fprintf(stderr, "error: budgets do not apply to --mode ng (it "
                          "already visits at most one leaf)\n");
-    return false;
-  }
-  // A leaf budget that can never bind would be silently inert — refuse it
-  // with the same honesty --mode combinations get.
-  if (flags.max_leaves != nullptr && !traits.leaf_visit_budget) {
-    std::fprintf(stderr,
-                 "error: %s has no leaf-visit budget unit, so --max-leaves "
-                 "could never fire; cap work with --max-raw instead\n",
-                 method_name.c_str());
     return false;
   }
   // Honest refusal instead of a silent exact answer: the method must
@@ -414,240 +548,56 @@ bool BuildQuerySpec(const QueryFlags& flags, const core::MethodTraits& traits,
   return true;
 }
 
-/// Extracts a `--shards N` option (anywhere in argv) into `*shards` and
-/// removes it from `*args`. `*shards` stays 0 (= unsharded) when the flag
-/// is absent; returns false (after printing an error) on a missing,
-/// zero, or absurd value.
-bool ExtractShards(std::vector<char*>* args, uint64_t* shards) {
-  *shards = 0;
-  const char* value = nullptr;
-  if (!ExtractOption(args, "--shards", &value)) return false;
-  if (value == nullptr) return true;
-  constexpr uint64_t kMaxShards = 1024;
-  if (!ParseUint(value, shards) || *shards == 0 || *shards > kMaxShards) {
-    std::fprintf(stderr,
-                 "error: --shards must be an integer in [1, %llu], got "
-                 "'%s'\n",
-                 static_cast<unsigned long long>(kMaxShards), value);
+/// Parses the <k> positional of `query` and `queryd`.
+bool ParseK(const char* arg, uint64_t* k) {
+  if (!ParseUint(arg, k)) {
+    BadNumber("k", arg);
+    return false;
+  }
+  if (*k == 0) {
+    std::fprintf(stderr, "error: k must be positive\n");
     return false;
   }
   return true;
 }
 
-/// Creates the method the query-answering commands run: the plain method,
-/// or a sharded container over it when `shards` > 0 (in which case
-/// `threads` feeds the container's fan-out pool). Prints a traits-derived
-/// refusal and returns null for an unshardable method.
-std::unique_ptr<core::SearchMethod> MakeMethod(const std::string& name,
-                                               uint64_t shards,
-                                               uint64_t threads) {
-  auto method = bench::CreateMethod(name);
-  if (shards == 0) return method;
-  const core::MethodTraits traits = method->traits();
-  if (!traits.shardable) {
-    std::fprintf(stderr, "error: %s does not support --shards (%s)\n",
-                 name.c_str(), traits.shard_reason.c_str());
-    return nullptr;
-  }
-  return bench::CreateShardedMethod(name, static_cast<size_t>(shards),
-                                    static_cast<size_t>(threads));
-}
+/// The probe workload is generated up front, so an absurd [queries] count
+/// would abort on allocation instead of exiting 1.
+constexpr uint64_t kMaxQueries = 1000000;
 
-/// Extracts a `--threads N` option (anywhere in argv) into `*threads` and
-/// removes it from `*args`. Returns false (after printing an error) on a
-/// missing or non-positive value.
-bool ExtractThreads(std::vector<char*>* args, uint64_t* threads) {
-  *threads = 1;
-  const char* value = nullptr;
-  if (!ExtractOption(args, "--threads", &value)) return false;
-  if (value == nullptr) return true;
-  // The cap keeps absurd values from aborting inside std::thread
-  // creation (bad user input must exit 1, never SIGABRT).
-  constexpr uint64_t kMaxThreads = 1024;
-  if (!ParseUint(value, threads) || *threads == 0 ||
-      *threads > kMaxThreads) {
-    std::fprintf(stderr, "error: --threads must be an integer in "
-                         "[1, %llu], got '%s'\n",
-                 static_cast<unsigned long long>(kMaxThreads), value);
+/// Parses the optional [queries] positional at argv[i] (default 10).
+bool ParseQueries(const Cli& cli, size_t i, uint64_t* queries) {
+  *queries = 10;
+  if (cli.argv.size() <= i) return true;
+  if (!ParseUint(cli.argv[i], queries)) {
+    BadNumber("queries", cli.argv[i]);
     return false;
   }
-  return true;
-}
-
-/// Extracts a `--query-threads N` option (anywhere in argv) into
-/// `*query_threads` and removes it from `*args`. Returns false (after
-/// printing an error) on a missing, zero, or absurd value; `*query_threads`
-/// stays 1 (= serial traversal) when the flag is absent.
-bool ExtractQueryThreads(std::vector<char*>* args, uint64_t* query_threads) {
-  *query_threads = 1;
-  const char* value = nullptr;
-  if (!ExtractOption(args, "--query-threads", &value)) return false;
-  if (value == nullptr) return true;
-  constexpr uint64_t kMaxQueryThreads = 1024;
-  if (!ParseUint(value, query_threads) || *query_threads == 0 ||
-      *query_threads > kMaxQueryThreads) {
-    std::fprintf(stderr,
-                 "error: --query-threads must be an integer in [1, %llu], "
-                 "got '%s'\n",
-                 static_cast<unsigned long long>(kMaxQueryThreads), value);
-    return false;
-  }
-  return true;
-}
-
-/// The traits-derived --query-threads gate shared by `query` and `range`:
-/// refuses (exit 1 path, returns false) a width > 1 on a method whose
-/// traversal does not run on the shared engine, printing the method's own
-/// reason — never a silently serial "parallel" run.
-bool CheckQueryThreads(const core::MethodTraits& traits,
-                       const std::string& method_name,
-                       uint64_t query_threads) {
-  if (query_threads <= 1 || traits.intra_query_parallel) return true;
-  std::fprintf(stderr, "error: %s does not support --query-threads (%s)\n",
-               method_name.c_str(), traits.intra_query_reason.c_str());
+  if (*queries <= kMaxQueries) return true;
+  std::fprintf(stderr, "error: queries must be at most %llu, got '%s'\n",
+               static_cast<unsigned long long>(kMaxQueries), cli.argv[i]);
   return false;
 }
 
-/// The daemon flags of `hydra serve` (and --port of the client modes),
-/// extracted and validated through the ParseUint path: every malformed or
-/// absurd value exits 1, never reaches a CHECK abort or std::thread throw.
-struct ServeFlags {
-  uint64_t port = 7700;
-  uint64_t serve_threads = 1;
-  uint64_t cache_mb = 64;
-  uint64_t max_inflight = 64;
-  bool had_port = false;
-  bool had_daemon_flags = false;  // --serve-threads/--cache-mb/--max-inflight
-};
-
-bool ExtractServeFlags(std::vector<char*>* args, ServeFlags* flags) {
-  const size_t before = args->size();
-  const char* port = nullptr;
-  const char* serve_threads = nullptr;
-  const char* cache_mb = nullptr;
-  const char* max_inflight = nullptr;
-  if (!ExtractOption(args, "--port", &port) ||
-      !ExtractOption(args, "--serve-threads", &serve_threads) ||
-      !ExtractOption(args, "--cache-mb", &cache_mb) ||
-      !ExtractOption(args, "--max-inflight", &max_inflight)) {
-    return false;
+/// Creates the method a data command runs once the name is known and the
+/// trait gates pass: the plain method, or a sharded container over it
+/// whose fan-out pool is --threads wide. Returns null after printing the
+/// refusal.
+std::unique_ptr<core::SearchMethod> MakeMethod(const std::string& name,
+                                               const Cli& cli) {
+  // User input must produce a clean error, never a HYDRA_CHECK abort.
+  const std::vector<std::string> known = bench::AllMethodNames();
+  if (std::find(known.begin(), known.end(), name) == known.end()) {
+    std::fprintf(stderr, "error: unknown method '%s' (see: hydra methods)\n",
+                 name.c_str());
+    return nullptr;
   }
-  flags->had_port = port != nullptr;
-  flags->had_daemon_flags = args->size() != before - (port != nullptr ? 2 : 0);
-  if (port != nullptr) {
-    // 0 = ephemeral: the daemon prints the port the kernel picked.
-    if (!ParseUint(port, &flags->port) || flags->port > 65535) {
-      std::fprintf(stderr,
-                   "error: --port must be an integer in [0, 65535], got "
-                   "'%s'\n",
-                   port);
-      return false;
-    }
-  }
-  if (serve_threads != nullptr) {
-    constexpr uint64_t kMaxServeThreads = 1024;
-    if (!ParseUint(serve_threads, &flags->serve_threads) ||
-        flags->serve_threads == 0 ||
-        flags->serve_threads > kMaxServeThreads) {
-      std::fprintf(stderr,
-                   "error: --serve-threads must be an integer in [1, %llu], "
-                   "got '%s'\n",
-                   static_cast<unsigned long long>(kMaxServeThreads),
-                   serve_threads);
-      return false;
-    }
-  }
-  if (cache_mb != nullptr) {
-    // 0 disables the cache; the cap keeps the budget inside size_t range
-    // on any platform.
-    constexpr uint64_t kMaxCacheMb = 4096;
-    if (!ParseUint(cache_mb, &flags->cache_mb) ||
-        flags->cache_mb > kMaxCacheMb) {
-      std::fprintf(stderr,
-                   "error: --cache-mb must be an integer in [0, %llu], got "
-                   "'%s'\n",
-                   static_cast<unsigned long long>(kMaxCacheMb), cache_mb);
-      return false;
-    }
-  }
-  if (max_inflight != nullptr) {
-    constexpr uint64_t kMaxInflight = uint64_t{1} << 20;
-    if (!ParseUint(max_inflight, &flags->max_inflight) ||
-        flags->max_inflight == 0 || flags->max_inflight > kMaxInflight) {
-      std::fprintf(stderr,
-                   "error: --max-inflight must be an integer in [1, %llu], "
-                   "got '%s'\n",
-                   static_cast<unsigned long long>(kMaxInflight),
-                   max_inflight);
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The storage-backend flags of the data-touching commands: --storage
-/// ram|mmap selects how <data.bin> is opened (ram, the default, bulk-loads
-/// it; mmap maps it and serves verification reads from a buffer pool) and
-/// --pool-mb sizes the mmap backend's pool. Validated through the same
-/// honesty path as every flag: a malformed value, or --pool-mb without
-/// --storage mmap (it could never matter), exits 1.
-struct StorageFlags {
-  storage::StorageOptions options;
-  bool had_any = false;
-};
-
-bool ExtractStorageFlags(std::vector<char*>* args, StorageFlags* flags) {
-  const char* backend = nullptr;
-  const char* pool_mb = nullptr;
-  if (!ExtractOption(args, "--storage", &backend) ||
-      !ExtractOption(args, "--pool-mb", &pool_mb)) {
-    return false;
-  }
-  flags->had_any = backend != nullptr || pool_mb != nullptr;
-  if (backend != nullptr) {
-    auto parsed = storage::ParseStorageBackend(backend);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "error: %s\n", parsed.status().message().c_str());
-      return false;
-    }
-    flags->options.backend = parsed.value();
-  }
-  if (pool_mb != nullptr) {
-    if (flags->options.backend != storage::StorageBackend::kMmap) {
-      std::fprintf(stderr,
-                   "error: --pool-mb requires --storage mmap (the ram "
-                   "backend has no buffer pool)\n");
-      return false;
-    }
-    // The cap keeps the byte budget inside size_t on any platform.
-    constexpr uint64_t kMaxPoolMb = 65536;
-    uint64_t mb = 0;
-    if (!ParseUint(pool_mb, &mb) || mb == 0 || mb > kMaxPoolMb) {
-      std::fprintf(stderr,
-                   "error: --pool-mb must be an integer in [1, %llu], got "
-                   "'%s'\n",
-                   static_cast<unsigned long long>(kMaxPoolMb), pool_mb);
-      return false;
-    }
-    flags->options.pool.budget_bytes = static_cast<size_t>(mb) << 20;
-  }
-  return true;
-}
-
-/// Opens <data.bin> under the selected backend. The pooled backend prints
-/// its geometry line; the default ram path prints nothing extra, keeping
-/// output byte-identical to historical runs (and to the daemon smoke
-/// diffs). Returns false after printing the error.
-bool OpenStorage(const char* path, const StorageFlags& flags,
-                 storage::StorageHandle* handle) {
-  auto opened = storage::StorageHandle::Open(path, "cli", flags.options);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "error: %s\n", opened.status().message().c_str());
-    return false;
-  }
-  *handle = std::move(opened).value();
-  if (handle->pooled()) std::printf("%s\n", handle->Describe().c_str());
-  return true;
+  auto method = bench::CreateMethod(name);
+  if (!GateTraits(method->traits(), name, cli)) return nullptr;
+  if (!cli.has(kShards)) return method;
+  return bench::CreateShardedMethod(name,
+                                    static_cast<size_t>(cli.num(kShards)),
+                                    static_cast<size_t>(cli.num(kThreads)));
 }
 
 /// The measured-I/O epilogue of `query` and `range` on a pooled backend:
@@ -696,8 +646,8 @@ extern "C" void ServeSignalHandler(int sig) {
       ::write(g_serve_signal_pipe[1], &byte, 1);
 }
 
-int CmdGen(int argc, char** argv) {
-  if (argc != 7) return Usage();
+int CmdGen(const Cli& cli) {
+  char* const* argv = cli.argv.data();
   const std::string family = argv[2];
   if (!gen::IsKnownFamily(family)) {
     std::string known;
@@ -769,10 +719,6 @@ int CmdGen(int argc, char** argv) {
   return 0;
 }
 
-util::Result<core::Dataset> Load(const char* path) {
-  return io::ReadSeriesFile(path, "cli");
-}
-
 /// Builds or opens the method over `data` depending on `index_dir`
 /// (nullptr = fresh build). Prints the phase line; returns false (after
 /// printing an error) when opening the persisted index failed.
@@ -795,37 +741,64 @@ bool BuildOrOpen(core::SearchMethod* method, const core::Dataset& data,
   return true;
 }
 
-/// Prints the sharded-layout line of a query-answering command (the shard
-/// count is a property of the built/opened container, which may differ
-/// from the requested flag after Open — the manifest wins). The fan-out
-/// width reported is the *effective* one: never more workers than shards.
-void PrintShardLayout(const core::SearchMethod& method, uint64_t threads) {
-  const auto* sharded = dynamic_cast<const shard::ShardedIndex*>(&method);
-  if (sharded == nullptr) return;
-  const size_t workers =
-      std::min<size_t>(static_cast<size_t>(threads), sharded->shard_count());
-  std::printf("sharded over %zu shards (fan-out threads: %zu)\n",
-              sharded->shard_count(), workers);
+/// The rest of the preamble `build`, `query`, `range` and `serve` share:
+/// open <data.bin> under the --storage backend, build or open the method
+/// over it, and print the sharded layout. The pooled backend prints its
+/// geometry line; ram prints nothing extra, keeping output byte-identical
+/// to historical runs. The shard count printed is the built/opened
+/// container's (after Open the manifest wins), and the fan-out width the
+/// effective one: never more workers than shards. Returns false after
+/// printing the error.
+bool OpenData(const Cli& cli, core::SearchMethod* method,
+              storage::StorageHandle* stored) {
+  storage::StorageOptions options;
+  if (cli.has(kStorage)) {
+    options.backend = storage::ParseStorageBackend(cli.text(kStorage)).value();
+  }
+  if (cli.has(kPoolMb)) {
+    options.pool.budget_bytes = static_cast<size_t>(cli.num(kPoolMb)) << 20;
+  }
+  auto opened = storage::StorageHandle::Open(cli.argv[2], "cli", options);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "error: %s\n", opened.status().message().c_str());
+    return false;
+  }
+  *stored = std::move(opened).value();
+  if (stored->pooled()) std::printf("%s\n", stored->Describe().c_str());
+  if (!BuildOrOpen(method, stored->dataset(), cli.text(kIndex))) return false;
+  const auto* sharded = dynamic_cast<const shard::ShardedIndex*>(method);
+  if (sharded != nullptr) {
+    std::printf("sharded over %zu shards (fan-out threads: %zu)\n",
+                sharded->shard_count(),
+                std::min<size_t>(static_cast<size_t>(cli.num(kThreads)),
+                                 sharded->shard_count()));
+  }
+  return true;
 }
 
-int CmdServe(int argc, char** argv, uint64_t threads, uint64_t shards,
-             const char* index_dir, const ServeFlags& flags,
-             const StorageFlags& storage_flags) {
-  if (argc != 4) return Usage();
-  if (!IsKnownMethod(argv[3])) return BadMethod(argv[3]);
-  auto method = MakeMethod(argv[3], shards, threads);
-  if (method == nullptr) return 1;
-  const core::MethodTraits traits = method->traits();
-  if (index_dir != nullptr && !traits.supports_persistence) {
-    std::fprintf(stderr, "error: %s does not support --index (%s)\n",
-                 method->name().c_str(), traits.persistence_reason.c_str());
-    return 1;
+/// One k-NN answer line. `query` and `queryd` both print through it, so a
+/// served answer stream diffs byte for byte against a direct run. The
+/// delivered guarantee and budget outcome are part of the answer: without
+/// them an approximate or truncated run is indistinguishable from an
+/// exact one in terminal output.
+void PrintAnswer(size_t q, const core::QueryResult& r) {
+  std::printf("query %2zu: ", q);
+  for (const auto& n : r.neighbors) {
+    std::printf("(%u, %.3f) ", n.id, std::sqrt(n.dist_sq));
   }
+  std::printf("[examined %lld, seeks %lld, mode %s%s]\n",
+              static_cast<long long>(r.stats.raw_series_examined),
+              static_cast<long long>(r.stats.random_seeks),
+              core::QualityModeName(r.delivered()),
+              r.budget_fired() ? ", budget exhausted" : "");
+}
+
+int CmdServe(const Cli& cli) {
+  auto method = MakeMethod(cli.argv[3], cli);
+  if (method == nullptr) return 1;
   storage::StorageHandle stored;
-  if (!OpenStorage(argv[2], storage_flags, &stored)) return 1;
+  if (!OpenData(cli, method.get(), &stored)) return 1;
   const core::Dataset& data = stored.dataset();
-  if (!BuildOrOpen(method.get(), data, index_dir)) return 1;
-  if (shards > 0) PrintShardLayout(*method, threads);
 
   if (::pipe(g_serve_signal_pipe) != 0) {
     std::fprintf(stderr, "error: pipe: %s\n", std::strerror(errno));
@@ -839,10 +812,10 @@ int CmdServe(int argc, char** argv, uint64_t threads, uint64_t shards,
   ::sigaction(SIGHUP, &action, nullptr);
 
   serve::ServerOptions options;
-  options.port = static_cast<uint16_t>(flags.port);
-  options.serve_threads = static_cast<size_t>(flags.serve_threads);
-  options.cache_bytes = static_cast<size_t>(flags.cache_mb) << 20;
-  options.max_inflight = static_cast<size_t>(flags.max_inflight);
+  options.port = static_cast<uint16_t>(cli.num(kPort));
+  options.serve_threads = static_cast<size_t>(cli.num(kServeThreads));
+  options.cache_bytes = static_cast<size_t>(cli.num(kCacheMb)) << 20;
+  options.max_inflight = static_cast<size_t>(cli.num(kMaxInflight));
   serve::Server server(std::move(options));
   std::shared_ptr<core::SearchMethod> shared(std::move(method));
   const util::Status started = server.Start(shared, &data);
@@ -855,9 +828,9 @@ int CmdServe(int argc, char** argv, uint64_t threads, uint64_t shards,
   std::printf("hydra serve: %s on 127.0.0.1:%u (serve-threads %llu, "
               "cache %llu MiB, max-inflight %llu)\n",
               shared->name().c_str(), server.port(),
-              static_cast<unsigned long long>(flags.serve_threads),
-              static_cast<unsigned long long>(flags.cache_mb),
-              static_cast<unsigned long long>(flags.max_inflight));
+              static_cast<unsigned long long>(cli.num(kServeThreads)),
+              static_cast<unsigned long long>(cli.num(kCacheMb)),
+              static_cast<unsigned long long>(cli.num(kMaxInflight)));
   std::fflush(stdout);
 
   for (;;) {
@@ -869,8 +842,9 @@ int CmdServe(int argc, char** argv, uint64_t threads, uint64_t shards,
       // Re-open (or rebuild) the index without dropping the listener:
       // in-flight queries finish on the old instance, the cache stays
       // valid (same dataset fingerprint, exact answers only).
-      auto fresh = MakeMethod(argv[3], shards, threads);
-      if (fresh == nullptr || !BuildOrOpen(fresh.get(), data, index_dir)) {
+      auto fresh = MakeMethod(cli.argv[3], cli);
+      if (fresh == nullptr ||
+          !BuildOrOpen(fresh.get(), data, cli.text(kIndex))) {
         std::fprintf(stderr,
                      "hydra serve: reload failed; keeping the current "
                      "index\n");
@@ -890,26 +864,27 @@ int CmdServe(int argc, char** argv, uint64_t threads, uint64_t shards,
   return 0;
 }
 
-int CmdPing(const ServeFlags& flags) {
+int CmdPing(const Cli& cli) {
   serve::Client client;
   util::WallTimer timer;
   util::Status s =
-      client.Connect("127.0.0.1", static_cast<uint16_t>(flags.port));
+      client.Connect("127.0.0.1", static_cast<uint16_t>(cli.num(kPort)));
   if (s.ok()) s = client.Ping();
   if (!s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.message().c_str());
     return 1;
   }
   std::printf("pong from 127.0.0.1:%llu (%.2f ms)\n",
-              static_cast<unsigned long long>(flags.port),
+              static_cast<unsigned long long>(cli.num(kPort)),
               timer.Seconds() * 1e3);
   return 0;
 }
 
-int CmdStats(const ServeFlags& flags, bool full) {
+int CmdStats(const Cli& cli) {
+  const bool full = cli.has(kFull);
   serve::Client client;
   util::Status s =
-      client.Connect("127.0.0.1", static_cast<uint16_t>(flags.port));
+      client.Connect("127.0.0.1", static_cast<uint16_t>(cli.num(kPort)));
   std::string doc;
   if (s.ok()) s = full ? client.StatsFull(&doc) : client.Stats(&doc);
   if (!s.ok()) {
@@ -925,19 +900,10 @@ int CmdStats(const ServeFlags& flags, bool full) {
   return 0;
 }
 
-int CmdQueryd(int argc, char** argv, const QueryFlags& flags,
-              const ServeFlags& serve_flags) {
-  if (argc < 4) return Usage();
+int CmdQueryd(const Cli& cli) {
   uint64_t k = 0;
-  if (!ParseUint(argv[3], &k)) return BadNumber("k", argv[3]);
-  if (k == 0) {
-    std::fprintf(stderr, "error: k must be positive\n");
-    return 1;
-  }
-  uint64_t queries = 10;
-  if (argc > 4 && !ParseUint(argv[4], &queries)) {
-    return BadNumber("queries", argv[4]);
-  }
+  uint64_t queries = 0;
+  if (!ParseK(cli.argv[3], &k) || !ParseQueries(cli, 4, &queries)) return 1;
   // Client-side parsing is syntactic only: the *server's* method traits
   // decide which modes are honestly answerable, and it refuses with a
   // BAD_QUERY frame — so validate against permissive traits here.
@@ -945,12 +911,11 @@ int CmdQueryd(int argc, char** argv, const QueryFlags& flags,
   permissive.supports_ng = true;
   permissive.supports_epsilon = true;
   permissive.supports_delta_epsilon = true;
-  permissive.leaf_visit_budget = true;
   core::QuerySpec spec = core::QuerySpec::Knn(k);
-  if (!BuildQuerySpec(flags, permissive, "the served method", &spec)) {
+  if (!BuildQuerySpec(cli, permissive, "the served method", &spec)) {
     return 1;
   }
-  auto loaded = Load(argv[2]);
+  auto loaded = io::ReadSeriesFile(cli.argv[2], "cli");
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().message().c_str());
     return 1;
@@ -960,7 +925,7 @@ int CmdQueryd(int argc, char** argv, const QueryFlags& flags,
 
   serve::Client client;
   const util::Status connected =
-      client.Connect("127.0.0.1", static_cast<uint16_t>(serve_flags.port));
+      client.Connect("127.0.0.1", static_cast<uint16_t>(cli.num(kPort)));
   if (!connected.ok()) {
     std::fprintf(stderr, "error: %s\n", connected.message().c_str());
     return 1;
@@ -980,49 +945,29 @@ int CmdQueryd(int argc, char** argv, const QueryFlags& flags,
       return 1;
     }
     if (answer.cached) ++cached;
-    // Byte-identical to the `hydra query` per-query line, so a served
-    // answer stream can be diffed against a direct run.
-    const core::QueryResult& r = answer.result;
-    std::printf("query %2zu: ", q);
-    for (const auto& n : r.neighbors) {
-      std::printf("(%u, %.3f) ", n.id, std::sqrt(n.dist_sq));
-    }
-    std::printf("[examined %lld, seeks %lld, mode %s%s]\n",
-                static_cast<long long>(r.stats.raw_series_examined),
-                static_cast<long long>(r.stats.random_seeks),
-                core::QualityModeName(r.delivered()),
-                r.budget_fired() ? ", budget exhausted" : "");
+    PrintAnswer(q, answer.result);
   }
   std::printf("answered %zu queries via 127.0.0.1:%llu (%zu from cache)\n",
               probe.queries.size(),
-              static_cast<unsigned long long>(serve_flags.port), cached);
+              static_cast<unsigned long long>(cli.num(kPort)), cached);
   return 0;
 }
 
-int CmdQuery(int argc, char** argv, uint64_t threads, uint64_t shards,
-             uint64_t query_threads, const QueryFlags& flags,
-             const char* index_dir, const StorageFlags& storage_flags) {
-  if (argc < 5) return Usage();
+int CmdQuery(const Cli& cli) {
   // Validate the cheap arguments before reading the (possibly huge) file.
-  if (!IsKnownMethod(argv[3])) return BadMethod(argv[3]);
   uint64_t k = 0;
-  if (!ParseUint(argv[4], &k)) return BadNumber("k", argv[4]);
-  if (k == 0) {
-    std::fprintf(stderr, "error: k must be positive\n");
-    return 1;
-  }
-  uint64_t queries = 10;
-  if (argc > 5 && !ParseUint(argv[5], &queries)) {
-    return BadNumber("queries", argv[5]);
-  }
-  auto method = MakeMethod(argv[3], shards, threads);
+  uint64_t queries = 0;
+  if (!ParseK(cli.argv[4], &k) || !ParseQueries(cli, 5, &queries)) return 1;
+  auto method = MakeMethod(cli.argv[3], cli);
   if (method == nullptr) return 1;
   const core::MethodTraits traits = method->traits();
   core::QuerySpec spec = core::QuerySpec::Knn(k);
-  if (!BuildQuerySpec(flags, traits, method->name(), &spec)) {
+  if (!BuildQuerySpec(cli, traits, method->name(), &spec)) {
     return 1;
   }
-  if (!CheckQueryThreads(traits, method->name(), query_threads)) return 1;
+  const uint64_t threads = cli.num(kThreads);
+  const uint64_t query_threads = cli.num(kQueryThreads);
+  const bool sharded = cli.has(kShards);
   spec.query_threads = static_cast<size_t>(query_threads);
   if (query_threads > 1 &&
       (spec.mode != core::QualityMode::kExact || spec.has_budget())) {
@@ -1034,49 +979,25 @@ int CmdQuery(int argc, char** argv, uint64_t threads, uint64_t shards,
                 core::QualityModeName(spec.mode),
                 spec.has_budget() ? " budgeted" : "");
   }
-  if (query_threads > 1 && threads > 1 && shards == 0) {
+  if (query_threads > 1 && threads > 1 && !sharded) {
     std::printf("note: %llu batch threads x %llu traversal workers = %llu "
                 "total threads at peak\n",
                 static_cast<unsigned long long>(threads),
                 static_cast<unsigned long long>(query_threads),
                 static_cast<unsigned long long>(threads * query_threads));
   }
-  // Honest refusal before touching the data file: --index on a method
-  // that cannot persist an index could never succeed.
-  if (index_dir != nullptr && !traits.supports_persistence) {
-    std::fprintf(stderr, "error: %s does not support --index (%s)\n",
-                 method->name().c_str(), traits.persistence_reason.c_str());
-    return 1;
-  }
   storage::StorageHandle stored;
-  if (!OpenStorage(argv[2], storage_flags, &stored)) return 1;
-  const core::Dataset& data = stored.dataset();
-
-  if (!BuildOrOpen(method.get(), data, index_dir)) return 1;
-  if (shards > 0) PrintShardLayout(*method, threads);
-  const gen::Workload probe = gen::CtrlWorkload(data, queries, 1);
+  if (!OpenData(cli, method.get(), &stored)) return 1;
+  const gen::Workload probe = gen::CtrlWorkload(stored.dataset(), queries, 1);
   // With --shards, the parallelism lives inside each query (the fan-out
   // pool); the batch itself runs serially.
-  const size_t batch_threads =
-      shards > 0 ? 1 : static_cast<size_t>(threads);
+  const size_t batch_threads = sharded ? 1 : static_cast<size_t>(threads);
   util::WallTimer timer;
   const core::BatchResult batch =
       bench::SearchKnnBatch(method.get(), probe, spec, batch_threads);
   const double wall = timer.Seconds();
   for (size_t q = 0; q < batch.queries.size(); ++q) {
-    const core::QueryResult& r = batch.queries[q];
-    std::printf("query %2zu: ", q);
-    for (const auto& n : r.neighbors) {
-      std::printf("(%u, %.3f) ", n.id, std::sqrt(n.dist_sq));
-    }
-    // The delivered guarantee and budget outcome are part of the answer:
-    // without them an approximate or truncated run is indistinguishable
-    // from an exact one in terminal output.
-    std::printf("[examined %lld, seeks %lld, mode %s%s]\n",
-                static_cast<long long>(r.stats.raw_series_examined),
-                static_cast<long long>(r.stats.random_seeks),
-                core::QualityModeName(r.delivered()),
-                r.budget_fired() ? ", budget exhausted" : "");
+    PrintAnswer(q, batch.queries[q]);
   }
   // Honest delivery report: the guarantee that held for every query of
   // the batch (budgets downgrade it to "ng" = no guarantee).
@@ -1089,7 +1010,7 @@ int CmdQuery(int argc, char** argv, uint64_t threads, uint64_t shards,
               core::QualityModeName(spec.mode),
               core::QualityModeName(batch.total.answer_mode_delivered),
               budget_fired, batch.queries.size());
-  if (threads > 1 && shards == 0) {
+  if (threads > 1 && !sharded) {
     if (!batch.serial_reason.empty()) {
       std::printf("ran serially: %s\n", batch.serial_reason.c_str());
     } else if (batch.queries.size() == 1) {
@@ -1112,41 +1033,22 @@ int CmdQuery(int argc, char** argv, uint64_t threads, uint64_t shards,
   return 0;
 }
 
-int CmdRange(int argc, char** argv, uint64_t threads, uint64_t shards,
-             uint64_t query_threads, const char* index_dir,
-             const StorageFlags& storage_flags) {
-  if (argc < 5) return Usage();
+int CmdRange(const Cli& cli) {
   // Validate the cheap arguments before reading the (possibly huge) file.
-  if (!IsKnownMethod(argv[3])) return BadMethod(argv[3]);
-  errno = 0;
-  char* end = nullptr;
-  const double radius = std::strtod(argv[4], &end);
-  if (errno != 0 || end == argv[4] || *end != '\0' || !(radius >= 0.0)) {
+  double radius = 0.0;
+  if (!ParseDouble(cli.argv[4], &radius)) {
     std::fprintf(stderr, "error: radius must be a non-negative number\n");
     return 1;
   }
-  uint64_t queries = 10;
-  if (argc > 5 && !ParseUint(argv[5], &queries)) {
-    return BadNumber("queries", argv[5]);
-  }
-  auto method = MakeMethod(argv[3], shards, threads);
+  uint64_t queries = 0;
+  if (!ParseQueries(cli, 5, &queries)) return 1;
+  auto method = MakeMethod(cli.argv[3], cli);
   if (method == nullptr) return 1;
-  const core::MethodTraits traits = method->traits();
-  if (!CheckQueryThreads(traits, method->name(), query_threads)) return 1;
-  if (index_dir != nullptr && !traits.supports_persistence) {
-    std::fprintf(stderr, "error: %s does not support --index (%s)\n",
-                 method->name().c_str(), traits.persistence_reason.c_str());
-    return 1;
-  }
   storage::StorageHandle stored;
-  if (!OpenStorage(argv[2], storage_flags, &stored)) return 1;
-  const core::Dataset& data = stored.dataset();
-
-  if (!BuildOrOpen(method.get(), data, index_dir)) return 1;
-  if (shards > 0) PrintShardLayout(*method, threads);
+  if (!OpenData(cli, method.get(), &stored)) return 1;
   core::QuerySpec spec = core::QuerySpec::Range(radius);
-  spec.query_threads = static_cast<size_t>(query_threads);
-  const gen::Workload probe = gen::CtrlWorkload(data, queries, 1);
+  spec.query_threads = static_cast<size_t>(cli.num(kQueryThreads));
+  const gen::Workload probe = gen::CtrlWorkload(stored.dataset(), queries, 1);
   core::SearchStats total;
   for (size_t q = 0; q < probe.queries.size(); ++q) {
     const core::QueryResult r = method->Execute(probe.queries[q], spec);
@@ -1160,51 +1062,41 @@ int CmdRange(int argc, char** argv, uint64_t threads, uint64_t shards,
   return 0;
 }
 
-int CmdBuild(int argc, char** argv, uint64_t threads, uint64_t shards,
-             const StorageFlags& storage_flags) {
-  if (argc != 5) return Usage();
-  if (!IsKnownMethod(argv[3])) return BadMethod(argv[3]);
-  auto method = MakeMethod(argv[3], shards, threads);
+int CmdBuild(const Cli& cli) {
+  auto method = MakeMethod(cli.argv[3], cli);
   if (method == nullptr) return 1;
-  const core::MethodTraits traits = method->traits();
   // Traits-derived refusal before any expensive work: a method without
   // DoSave/DoOpen hooks can never produce an index directory.
-  if (!traits.supports_persistence) {
+  if (!method->traits().supports_persistence) {
     std::fprintf(stderr,
                  "error: %s does not support a persisted index (%s)\n",
-                 method->name().c_str(), traits.persistence_reason.c_str());
+                 method->name().c_str(),
+                 method->traits().persistence_reason.c_str());
     return 1;
   }
   storage::StorageHandle stored;
-  if (!OpenStorage(argv[2], storage_flags, &stored)) return 1;
-  const core::Dataset& data = stored.dataset();
-  const core::BuildStats build = method->Build(data);
-  std::printf("built %s over %zu series in %.2fs CPU\n",
-              method->name().c_str(), data.size(), build.cpu_seconds);
-  if (shards > 0) PrintShardLayout(*method, threads);
-  const util::Result<int64_t> saved = method->Save(argv[4]);
+  if (!OpenData(cli, method.get(), &stored)) return 1;
+  const util::Result<int64_t> saved = method->Save(cli.argv[4]);
   if (!saved.ok()) {
     std::fprintf(stderr, "error: %s\n", saved.status().message().c_str());
     return 1;
   }
   std::printf("saved %s index to %s (%lld bytes)\n", method->name().c_str(),
-              argv[4], static_cast<long long>(saved.value()));
+              cli.argv[4], static_cast<long long>(saved.value()));
   return 0;
 }
 
-int CmdCompare(int argc, char** argv, uint64_t threads) {
-  if (argc < 3) return Usage();
-  auto loaded = Load(argv[2]);
+int CmdCompare(const Cli& cli) {
+  uint64_t queries = 0;
+  if (!ParseQueries(cli, 3, &queries)) return 1;
+  auto loaded = io::ReadSeriesFile(cli.argv[2], "cli");
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().message().c_str());
     return 1;
   }
   const core::Dataset data = std::move(loaded).value();
-  uint64_t queries = 10;
-  if (argc > 3 && !ParseUint(argv[3], &queries)) {
-    return BadNumber("queries", argv[3]);
-  }
   const gen::Workload probe = gen::CtrlWorkload(data, queries, 1);
+  const uint64_t threads = cli.num(kThreads);
 
   util::Table table({"method", "idx_s", "exact100_HDD_s", "exact100_SSD_s",
                      "pruning"});
@@ -1225,7 +1117,7 @@ int CmdCompare(int argc, char** argv, uint64_t threads) {
                   util::Table::Num(
                       bench::MeanPruningRatio(run, data.size()), 3)});
   }
-  table.Print("method comparison on " + std::string(argv[2]));
+  table.Print("method comparison on " + std::string(cli.argv[2]));
   return 0;
 }
 
@@ -1248,8 +1140,9 @@ bool CheckKernelEnv() {
   return false;
 }
 
-int CmdKernels(int argc, char** argv) {
-  if (argc == 3 && std::string(argv[2]) == "names") {
+int CmdKernels(const Cli& cli) {
+  if (cli.argv.size() == 3) {
+    if (std::string_view(cli.argv[2]) != "names") return Usage();
     // Scripting mode: the supported set names, one per line (the CI
     // dispatch matrix loops over this).
     for (const core::simd::KernelSet* set :
@@ -1258,7 +1151,6 @@ int CmdKernels(int argc, char** argv) {
     }
     return 0;
   }
-  if (argc != 2) return Usage();
   const core::simd::KernelSet& active = core::simd::ActiveKernels();
   util::Table table({"set", "supported", "active", "raw-order-preserving"});
   for (const core::simd::KernelSet* set : core::simd::AllKernelSets()) {
@@ -1272,7 +1164,7 @@ int CmdKernels(int argc, char** argv) {
   return 0;
 }
 
-int CmdMethods() {
+int CmdMethods(const Cli& /*cli*/) {
   // The full traits matrix: quality modes, batch concurrency, and index
   // persistence, each derived from the method's own traits() so this
   // listing can never drift from what Execute/Save/Open actually accept.
@@ -1293,126 +1185,85 @@ int CmdMethods() {
   return 0;
 }
 
+/// Every command: its positional synopsis, how many positionals it takes
+/// after the command name, and its handler.
+struct CommandRow {
+  const char* name;
+  const char* synopsis;
+  size_t min_args;
+  size_t max_args;
+  int (*run)(const Cli&);
+};
+
+constexpr CommandRow kCommands[] = {
+    {"gen", "<family> <count> <length> <seed> <out.bin>", 5, 5, CmdGen},
+    {"build", "<data.bin> <method> <index-dir>", 3, 3, CmdBuild},
+    {"query", "<data.bin> <method> <k> [queries=10]", 3, 4, CmdQuery},
+    {"range", "<data.bin> <method> <radius> [queries=10]", 3, 4, CmdRange},
+    {"compare", "<data.bin> [queries=10]", 1, 2, CmdCompare},
+    {"serve", "<data.bin> <method>", 2, 2, CmdServe},
+    {"ping", "", 0, 0, CmdPing},
+    {"queryd", "<data.bin> <k> [queries=10]", 2, 3, CmdQueryd},
+    {"stats", "", 0, 0, CmdStats},
+    {"methods", "", 0, 0, CmdMethods},
+    {"kernels", "[names]", 0, 1, CmdKernels},
+};
+
+/// "--flag VALUE" as the usage text shows it.
+std::string FlagHead(const FlagRow& row) {
+  return row.arg == nullptr ? row.name
+                            : std::string(row.name) + " " + row.arg;
+}
+
+/// Prints the synopsis of every command, followed by the flags it accepts
+/// wrapped under its first argument, then every flag's help lines.
+int Usage() {
+  std::string text = "usage:\n";
+  for (const CommandRow& command : kCommands) {
+    text += std::string("  hydra ") + command.name +
+            (command.synopsis[0] != '\0' ? " " : "") + command.synopsis;
+    const std::string indent(9 + std::strlen(command.name), ' ');
+    size_t column = text.size() - text.rfind('\n') - 1;
+    for (const FlagRow& row : kFlags) {
+      if (!Accepts(row, command.name, /*sharded=*/true)) continue;
+      const std::string item = "[" + FlagHead(row) + "]";
+      const bool wrap = column + 1 + item.size() > 78;
+      text += (wrap ? "\n" + indent : " ") + item;
+      column = (wrap ? indent.size() : column + 1) + item.size();
+    }
+    text += "\n";
+  }
+  text += "\nflags:\n";
+  constexpr size_t kHelpColumn = 24;
+  const std::string pad(kHelpColumn, ' ');
+  for (const FlagRow& row : kFlags) {
+    const std::string head = "  " + FlagHead(row);
+    text += head.size() < kHelpColumn ? head + pad.substr(head.size())
+                                      : head + "\n" + pad;
+    for (const char* c = row.help; *c != '\0'; ++c) {
+      text += *c == '\n' ? "\n" + pad : std::string(1, *c);
+    }
+    text += "\n";
+  }
+  std::fputs(text.c_str(), stderr);
+  return 2;
+}
+
 int Main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  std::vector<char*> args(argv, argv + argc);
-  uint64_t threads = 1;
-  const size_t before = args.size();
-  if (!ExtractThreads(&args, &threads)) return 1;
-  const bool had_threads = args.size() != before;
-  uint64_t shards = 0;
-  if (!ExtractShards(&args, &shards)) return 1;
-  uint64_t query_threads = 1;
-  const size_t before_qt = args.size();
-  if (!ExtractQueryThreads(&args, &query_threads)) return 1;
-  const bool had_query_threads = args.size() != before_qt;
-  QueryFlags flags;
-  const size_t before_spec = args.size();
-  if (!ExtractOption(&args, "--mode", &flags.mode) ||
-      !ExtractOption(&args, "--epsilon", &flags.epsilon) ||
-      !ExtractOption(&args, "--delta", &flags.delta) ||
-      !ExtractOption(&args, "--max-leaves", &flags.max_leaves) ||
-      !ExtractOption(&args, "--max-raw", &flags.max_raw)) {
-    return 1;
+  Cli cli;
+  if (!ParseFlags(argc, argv, &cli)) return 1;
+  const CommandRow* command = nullptr;
+  if (cli.argv.size() >= 2) {
+    for (const CommandRow& row : kCommands) {
+      if (std::string_view(row.name) == cli.argv[1]) command = &row;
+    }
   }
-  const bool had_spec_flags = args.size() != before_spec;
-  const char* index_dir = nullptr;
-  if (!ExtractOption(&args, "--index", &index_dir)) return 1;
-  const char* kernels = nullptr;
-  if (!ExtractOption(&args, "--kernels", &kernels)) return 1;
-  const char* trace_path = nullptr;
-  if (!ExtractOption(&args, "--trace", &trace_path)) return 1;
-  const bool stats_full = ExtractBareFlag(&args, "--full");
-  ServeFlags serve_flags;
-  if (!ExtractServeFlags(&args, &serve_flags)) return 1;
-  StorageFlags storage_flags;
-  if (!ExtractStorageFlags(&args, &storage_flags)) return 1;
-  if (args.size() < 2) return Usage();  // argv was only flags
-  const int n = static_cast<int>(args.size());
-  const std::string cmd = args[1];
-  // Only the sharding-capable commands accept --shards; stripping it
-  // silently elsewhere would let users believe e.g. a compare ran sharded.
-  if (shards > 0 && cmd != "build" && cmd != "query" && cmd != "range" &&
-      cmd != "serve") {
-    std::fprintf(stderr, "error: --shards is only supported by 'build', "
-                         "'query', 'range', and 'serve'\n");
-    return 1;
+  if (command == nullptr || cli.argv.size() - 2 < command->min_args ||
+      cli.argv.size() - 2 > command->max_args) {
+    return Usage();
   }
-  // The daemon/client flags belong to the serve family only; swallowing
-  // them elsewhere would let users believe e.g. a query was admission-
-  // controlled.
-  if (serve_flags.had_port && cmd != "serve" && cmd != "ping" &&
-      cmd != "queryd" && cmd != "stats") {
-    std::fprintf(stderr, "error: --port is only supported by 'serve', "
-                         "'ping', 'queryd', and 'stats'\n");
-    return 1;
-  }
-  if (serve_flags.had_daemon_flags && cmd != "serve") {
-    std::fprintf(stderr, "error: --serve-threads/--cache-mb/--max-inflight "
-                         "are only supported by 'serve'\n");
-    return 1;
-  }
-  // The storage backend shapes how <data.bin> is opened, which only the
-  // data-touching commands do; swallowing the flags elsewhere would let
-  // users believe e.g. a queryd client pooled its reads (the *daemon*
-  // owns the backend).
-  if (storage_flags.had_any && cmd != "build" && cmd != "query" &&
-      cmd != "range" && cmd != "serve") {
-    std::fprintf(stderr, "error: --storage/--pool-mb are only supported by "
-                         "'build', 'query', 'range', and 'serve'\n");
-    return 1;
-  }
-  // --threads is the batch concurrency on query/compare, and the sharded
-  // fan-out width when --shards is present (which also makes it
-  // meaningful on build/range); anywhere else, stripping it silently
-  // would let users believe a serial run was concurrent.
-  if (had_threads && cmd != "query" && cmd != "compare" && shards == 0) {
-    std::fprintf(stderr, "error: --threads is only supported by 'query' "
-                         "and 'compare' (or any sharded command with "
-                         "--shards)\n");
-    return 1;
-  }
-  // Under serve, --threads is meaningful only as the sharded fan-out
-  // width (the daemon's own concurrency is --serve-threads) — the gate
-  // above already enforces that by requiring --shards.
-  // --query-threads shapes a single query's traversal, which only the
-  // query-answering commands run; swallowing it elsewhere would let
-  // users believe e.g. a build was traversal-parallel.
-  if (had_query_threads && cmd != "query" && cmd != "range") {
-    std::fprintf(stderr, "error: --query-threads is only supported by "
-                         "'query' and 'range'\n");
-    return 1;
-  }
-  // The QuerySpec flags only shape k-NN queries; swallowing them
-  // elsewhere would let users believe e.g. a range query was approximate.
-  if (had_spec_flags && cmd != "query" && cmd != "queryd") {
-    std::fprintf(stderr, "error: --mode/--epsilon/--delta/--max-leaves/"
-                         "--max-raw are only supported by 'query' and "
-                         "'queryd'\n");
-    return 1;
-  }
-  // Same honesty for --index: only the query-answering commands (and the
-  // daemon) can open a persisted index (`build` writes one, it never
-  // reads one).
-  if (index_dir != nullptr && cmd != "query" && cmd != "range" &&
-      cmd != "serve") {
-    std::fprintf(stderr, "error: --index is only supported by 'query', "
-                         "'range', and 'serve'\n");
-    return 1;
-  }
-  // Tracing records per-query spans, which only the index-touching
-  // commands emit; swallowing --trace elsewhere would write an empty
-  // trace and let users believe e.g. a ping was profiled.
-  if (trace_path != nullptr && cmd != "build" && cmd != "query" &&
-      cmd != "range" && cmd != "serve") {
-    std::fprintf(stderr, "error: --trace is only supported by 'build', "
-                         "'query', 'range', and 'serve'\n");
-    return 1;
-  }
-  if (stats_full && cmd != "stats") {
-    std::fprintf(stderr, "error: --full is only supported by 'stats'\n");
-    return 1;
-  }
+  if (!GateCommand(cli)) return 1;
+  const char* trace_path = cli.text(kTrace);
   if (trace_path != nullptr) {
     // Fail before the work, not after: an unwritable trace path must not
     // cost a full build or query batch first.
@@ -1428,51 +1279,18 @@ int Main(int argc, char** argv) {
   // An unusable HYDRA_KERNELS must exit cleanly for every command — the
   // library would otherwise abort at first dispatch resolution.
   if (!CheckKernelEnv()) return 1;
-  if (kernels != nullptr) {
-    // --kernels shapes distance computation, which only the build/search
-    // commands perform; swallowing it elsewhere would let users believe
-    // e.g. `hydra kernels --kernels avx2` changed anything.
-    if (cmd != "build" && cmd != "query" && cmd != "range" &&
-        cmd != "compare") {
-      std::fprintf(stderr, "error: --kernels is only supported by 'build', "
-                           "'query', 'range', and 'compare'\n");
-      return 1;
-    }
-    const util::Status forced = core::simd::UseKernels(kernels);
+  if (cli.has(kKernels)) {
+    const util::Status forced = core::simd::UseKernels(cli.text(kKernels));
     if (!forced.ok()) {
       std::fprintf(stderr, "error: %s\n", forced.message().c_str());
       return 1;
     }
   }
-  const int rc = [&]() -> int {
-    if (cmd == "gen") return CmdGen(n, args.data());
-    if (cmd == "build") {
-      return CmdBuild(n, args.data(), threads, shards, storage_flags);
-    }
-    if (cmd == "query") {
-      return CmdQuery(n, args.data(), threads, shards, query_threads, flags,
-                      index_dir, storage_flags);
-    }
-    if (cmd == "range") {
-      return CmdRange(n, args.data(), threads, shards, query_threads,
-                      index_dir, storage_flags);
-    }
-    if (cmd == "compare") return CmdCompare(n, args.data(), threads);
-    if (cmd == "serve") {
-      return CmdServe(n, args.data(), threads, shards, index_dir,
-                      serve_flags, storage_flags);
-    }
-    if (cmd == "ping") return CmdPing(serve_flags);
-    if (cmd == "queryd") return CmdQueryd(n, args.data(), flags, serve_flags);
-    if (cmd == "stats") return CmdStats(serve_flags, stats_full);
-    if (cmd == "methods") return CmdMethods();
-    if (cmd == "kernels") return CmdKernels(n, args.data());
-    return Usage();
-  }();
+  const int rc = command->run(cli);
   if (trace_path != nullptr) {
     obs::Tracer& tracer = obs::Tracer::Get();
-    tracer.SetMeta("command", cmd);
-    if (n > 3) tracer.SetMeta("method", args[3]);
+    tracer.SetMeta("command", command->name);
+    if (cli.argv.size() > 3) tracer.SetMeta("method", cli.argv[3]);
     tracer.SetMeta("kernels", core::simd::ActiveKernels().name);
     const util::Status written = tracer.WriteJson(trace_path);
     if (!written.ok()) {
