@@ -169,6 +169,8 @@ int Run(int argc, char** argv) {
       json.Int(total.pool_pread_calls);
       json.Key("pool_bytes_read");
       json.Int(total.pool_bytes_read);
+      json.Key("pool_direct_reads");
+      json.Int(total.pool_direct_reads);
       json.Key("hit_rate");
       json.Double(hit_rate);
       json.EndObject();

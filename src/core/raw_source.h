@@ -68,6 +68,19 @@ class RawSeriesSource {
   virtual SeriesView ReadPinned(size_t index, Pin* pin,
                                 SearchStats* stats) = 0;
 
+  /// The skip-sequential run read: copies series [first, first + n) into
+  /// `out` (n * series length values, caller-owned). Series on resident
+  /// pages are copied from their frame and count as hits; series on
+  /// absent pages are read from the file straight into `out`, without
+  /// installing a frame or evicting one (each pread counts one miss).
+  /// Never blocks on another reader's pin, so a caller may hold one.
+  virtual void ReadRun(size_t first, size_t n, Value* out,
+                       SearchStats* stats) = 0;
+
+  /// Series per frame: the largest run a reader should buffer, so that a
+  /// run's scratch never exceeds the memory one pin can already hold.
+  virtual size_t series_per_frame() const = 0;
+
  protected:
   /// Releases the hold `token` identifies (called by Pin::Release).
   virtual void Unpin(uint64_t token) = 0;

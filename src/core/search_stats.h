@@ -68,9 +68,9 @@ struct SearchStats {
   int64_t random_seeks = 0;
   /// Bytes fetched from the simulated raw/leaf/approximation files.
   int64_t bytes_read = 0;
-  /// *Measured* buffer-pool counters (storage::BufferPool): raw-series
-  /// verification reads served from an already-resident page (hits) vs.
-  /// reads that had to pread a page in from the data file (misses). These
+  /// *Measured* buffer-pool counters (storage::BufferPool): raw series
+  /// served from an already-resident page (hits) vs. preads from the data
+  /// file (misses: one per page fetch or per run read's pread). These
   /// count real I/O the process performed, never modeled I/O — they stay
   /// zero on the in-RAM backend and must never be mixed with the modeled
   /// sequential_reads/random_seeks/bytes_read above (io::DiskModel converts
@@ -79,10 +79,14 @@ struct SearchStats {
   int64_t pool_misses = 0;
   /// Resident pages dropped to make room for a missed page.
   int64_t pool_evictions = 0;
-  /// pread(2) calls issued by pool page fetches (one per miss).
+  /// pread(2) calls issued by page fetches and run reads (one per miss).
   int64_t pool_pread_calls = 0;
   /// Bytes actually transferred by those pread calls.
   int64_t pool_bytes_read = 0;
+  /// Reads served from a planned cursor's run scratch (io::CountedStorage
+  /// with a plan): the bytes came from a skip-sequential run pread, whose
+  /// own pread is counted once above, not per series.
+  int64_t pool_direct_reads = 0;
   /// *Measured* wall-clock compute seconds of the query. Excludes modeled
   /// I/O time (io::DiskModel derives that from the counters above).
   double cpu_seconds = 0.0;
@@ -112,6 +116,7 @@ struct SearchStats {
     pool_evictions += other.pool_evictions;
     pool_pread_calls += other.pool_pread_calls;
     pool_bytes_read += other.pool_bytes_read;
+    pool_direct_reads += other.pool_direct_reads;
     cpu_seconds += other.cpu_seconds;
     answer_mode_delivered =
         std::max(answer_mode_delivered, other.answer_mode_delivered);

@@ -1,7 +1,10 @@
 #include "index/ads.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/distance.h"
 #include "core/traversal.h"
@@ -11,6 +14,18 @@
 #include "util/timer.h"
 
 namespace hydra::index {
+namespace {
+
+/// The ascending `candidates` that fall in the scan block [begin, end).
+std::span<const core::SeriesId> CandidatesIn(
+    const std::vector<core::SeriesId>& candidates, size_t begin, size_t end) {
+  const auto first =
+      std::lower_bound(candidates.begin(), candidates.end(), begin);
+  const auto last = std::lower_bound(first, candidates.end(), end);
+  return {first, last};
+}
+
+}  // namespace
 
 core::BuildStats AdsPlus::DoBuild(const core::Dataset& data) {
   util::WallTimer timer;
@@ -135,18 +150,21 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
       });
   result.stats.lower_bound_computations += static_cast<int64_t>(count);
 
-  // The delta stopping rule, over ADS+'s unit of random access: cap the
-  // refinement pass at ceil(delta * candidates-at-start) reads.
-  int64_t delta_cap = core::KnnPlan::kUnlimited;
-  if (plan.delta < 1.0) {
-    int64_t candidates = 0;
-    for (size_t i = 0; i < count; ++i) {
-      if (!evaluated[i] && lb[i] < heap.Bound() * plan.bound_scale) {
-        ++candidates;
-      }
+  // The candidates at phase-3 start: the series the scan below would read
+  // against today's bound. Bounds only tighten, so they are a superset of
+  // what it does read — the storage cursors' read plan — and the delta
+  // stopping rule, over ADS+'s unit of random access, caps the pass at
+  // ceil(delta * their number) reads.
+  std::vector<core::SeriesId> candidates;
+  for (size_t i = 0; i < count; ++i) {
+    if (!evaluated[i] && lb[i] < heap.Bound() * plan.bound_scale) {
+      candidates.push_back(static_cast<core::SeriesId>(i));
     }
-    delta_cap = plan.DeltaCap(candidates);
   }
+  const int64_t delta_cap =
+      plan.delta < 1.0
+          ? plan.DeltaCap(static_cast<int64_t>(candidates.size()))
+          : core::KnnPlan::kUnlimited;
 
   // Phase 3: skip-sequential scan of the raw file over non-pruned series
   // (series already refined in phase 1 are not re-read). Pruning against
@@ -167,6 +185,7 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
         core::KnnHeap& local = workers.heap(w);
         core::SearchStats& stats = workers.stats(w);
         io::CountedStorage& storage = w == 0 ? *raw_ : *extra_storage[w - 1];
+        storage.SetPlan(CandidatesIn(candidates, begin, end));
         for (size_t i = begin; i < end && !stats.budget_exhausted; ++i) {
           if (evaluated[i] || lb[i] >= local.Bound() * plan.bound_scale) {
             continue;  // skip
@@ -182,7 +201,7 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
           local.Offer(static_cast<core::SeriesId>(i), d);
         }
       });
-  raw_->ReleasePin();  // raw_ outlives the query; never idle on a frame
+  raw_->ClearPlan();  // raw_ outlives the query and its plan's ids
 
   workers.Finish(plan.k, &result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
@@ -214,6 +233,9 @@ core::QueryResult AdsPlus::DoSearchRange(core::SeriesView query,
   for (size_t w = 1; w < workers.workers(); ++w) {
     extra_storage.push_back(std::make_unique<io::CountedStorage>(data_));
   }
+  // Each block first collects its survivors of r^2 — exactly the series
+  // it refines, hence also its storage cursor's read plan.
+  std::vector<std::vector<core::SeriesId>> candidates(workers.workers());
   core::ParallelScan(
       workers.workers(), count, /*block=*/1024,
       [&](size_t worker, size_t begin, size_t end) {
@@ -221,21 +243,26 @@ core::QueryResult AdsPlus::DoSearchRange(core::SeriesView query,
         core::SearchStats& stats = workers.stats(worker);
         io::CountedStorage& storage =
             worker == 0 ? *raw_ : *extra_storage[worker - 1];
+        std::vector<core::SeriesId>& survivors = candidates[worker];
+        survivors.clear();
         for (size_t i = begin; i < end; ++i) {
-          ++stats.lower_bound_computations;
           if (table.LowerBoundSq(full_words_.data() + i * segments) >
               radius_sq) {
             continue;
           }
-          const core::SeriesView s =
-              storage.Read(static_cast<core::SeriesId>(i), &stats);
+          survivors.push_back(static_cast<core::SeriesId>(i));
+        }
+        stats.lower_bound_computations += static_cast<int64_t>(end - begin);
+        storage.SetPlan(survivors);
+        for (const core::SeriesId i : survivors) {
+          const core::SeriesView s = storage.Read(i, &stats);
           const double d = order.Distance(s, collector.Bound());
           ++stats.distance_computations;
           ++stats.raw_series_examined;
-          collector.Offer(static_cast<core::SeriesId>(i), d);
+          collector.Offer(i, d);
         }
       });
-  raw_->ReleasePin();  // raw_ outlives the query; never idle on a frame
+  raw_->ClearPlan();  // raw_ outlives the query and its plan's ids
 
   workers.Finish(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();

@@ -15,12 +15,14 @@ namespace hydra::index {
 namespace {
 
 /// Per-thread query scratch, reused across queries like ScratchKnnHeap:
-/// the cell-bound tables and phase 1's per-series lower bounds. Every
+/// the cell-bound tables, phase 1's per-series lower bounds and the
+/// refinement's candidate ids (the raw cursor's read plan). Every
 /// entry point below re-arms it once per query, so at most one use is live
 /// per thread and concurrent queries never share one.
 struct VaScratch {
   transform::VaPlusQuantizer::QueryBounds bounds;
   std::vector<double> lb;
+  std::vector<core::SeriesId> candidates;
 };
 
 VaScratch& Scratch() {
@@ -194,6 +196,19 @@ core::QueryResult VaFile::DoSearchKnn(core::SeriesView query,
   result.stats.lower_bound_computations += static_cast<int64_t>(2 * count);
   double bound = heap.Bound();
 
+  // Over a buffer pool the refinement reads in runs planned over the
+  // series phase 1 left standing. The running bound below only tightens,
+  // so the plan is a superset of what it reads (a shrunken epsilon bound
+  // may stray past it; such a read starts a run of its own).
+  if (raw.pooled()) {
+    std::vector<core::SeriesId>& candidates = scratch.candidates;
+    candidates.clear();
+    for (size_t i = 0; i < count; ++i) {
+      if (lb[i] < bound) candidates.push_back(static_cast<core::SeriesId>(i));
+    }
+    raw.SetPlan(candidates);
+  }
+
   // Phase 2: skip-sequential refinement of candidates in file order.
   //
   // The exact path prunes and early-abandons against `bound`, the running
@@ -263,24 +278,33 @@ core::QueryResult VaFile::DoSearchRange(core::SeriesView query,
 
   const auto q_full = transform::PackedRealDft(
       query, transform::MaxPackedCoeffs(query.size(), true), true);
-  transform::VaPlusQuantizer::QueryBounds& bounds = Scratch().bounds;
-  bounds.Reset(quantizer_, std::span<const double>(q_full.data(), dims));
+  VaScratch& scratch = Scratch();
+  scratch.bounds.Reset(quantizer_,
+                       std::span<const double>(q_full.data(), dims));
 
-  // One pass over the memory-resident approximation file, skip-sequential
-  // refinement of the survivors against the raw file.
+  // One pass over the memory-resident approximation file collects the
+  // survivors of the fixed r^2 bound — exactly the series refined, so they
+  // are also the raw cursor's read plan — then a skip-sequential
+  // refinement of them against the raw file.
   obs::ObsSpan refine_span("leaf_verify", "series",
                            static_cast<int64_t>(count));
+  std::vector<core::SeriesId>& candidates = scratch.candidates;
+  candidates.clear();
   for (size_t i = 0; i < count; ++i) {
-    ++result.stats.lower_bound_computations;
-    if (bounds.LowerBoundSq(cells_.data() + i * dims) > collector.Bound()) {
+    if (scratch.bounds.LowerBoundSq(cells_.data() + i * dims) >
+        collector.Bound()) {
       continue;
     }
-    const core::SeriesView s =
-        raw.Read(static_cast<core::SeriesId>(i), &result.stats);
+    candidates.push_back(static_cast<core::SeriesId>(i));
+  }
+  result.stats.lower_bound_computations += static_cast<int64_t>(count);
+  raw.SetPlan(candidates);
+  for (const core::SeriesId i : candidates) {
+    const core::SeriesView s = raw.Read(i, &result.stats);
     const double d = order.Distance(s, collector.Bound());
     ++result.stats.distance_computations;
     ++result.stats.raw_series_examined;
-    collector.Offer(static_cast<core::SeriesId>(i), d);
+    collector.Offer(i, d);
   }
 
   result.neighbors = collector.TakeSorted();

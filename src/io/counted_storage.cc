@@ -1,5 +1,7 @@
 #include "io/counted_storage.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace hydra::io {
@@ -23,6 +25,53 @@ core::SeriesView CountedStorage::Read(core::SeriesId i,
   }
   cursor_ = static_cast<int64_t>(i);
   return Fetch(i, stats);
+}
+
+void CountedStorage::SetPlan(std::span<const core::SeriesId> ids) {
+  if (source_ == nullptr) return;
+  HYDRA_DCHECK(std::is_sorted(ids.begin(), ids.end()));
+  // Runs end at a planned id, so this keeps every run inside the dataset
+  // (for a shard slice: inside the slice, whatever its raw_base).
+  HYDRA_CHECK(ids.empty() || ids.back() < data_->size());
+  pin_.Release();  // a planned cursor never holds a frame
+  planned_ = true;
+  plan_ = ids;
+  plan_next_ = 0;
+  run_count_ = 0;
+}
+
+void CountedStorage::ClearPlan() {
+  pin_.Release();
+  planned_ = false;
+  plan_ = {};
+  run_count_ = 0;
+}
+
+core::SeriesView CountedStorage::FetchPlanned(core::SeriesId i,
+                                              core::SearchStats* stats) {
+  const size_t length = data_->length();
+  if (i < run_first_ || i - run_first_ >= run_count_) {
+    if (run_ == nullptr) {
+      run_capacity_ = std::min(kRunMaxSeries, source_->series_per_frame());
+      run_ = std::make_unique_for_overwrite<core::Value[]>(run_capacity_ *
+                                                           length);
+    }
+    // The run starts at i and takes in the planned candidates after it
+    // while the gap to each stays small and the run fits the scratch.
+    while (plan_next_ < plan_.size() && plan_[plan_next_] <= i) ++plan_next_;
+    size_t end = size_t{i} + 1;
+    while (plan_next_ < plan_.size()) {
+      const size_t next = plan_[plan_next_];
+      if (next - end > kRunGap || next - i >= run_capacity_) break;
+      end = next + 1;
+      ++plan_next_;
+    }
+    source_->ReadRun(base_ + i, end - i, run_.get(), stats);
+    run_first_ = i;
+    run_count_ = end - i;
+  }
+  if (stats != nullptr) ++stats->pool_direct_reads;
+  return core::SeriesView(run_.get() + (i - run_first_) * length, length);
 }
 
 core::SeriesView CountedStorage::ReadPrecharged(core::SeriesId i,

@@ -13,7 +13,10 @@
 #ifndef HYDRA_IO_COUNTED_STORAGE_H_
 #define HYDRA_IO_COUNTED_STORAGE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 
 #include "core/dataset.h"
 #include "core/raw_source.h"
@@ -35,8 +38,26 @@ namespace hydra::io {
 /// consume the series — compute its distance — before reading the next.
 /// One CountedStorage serves one thread; concurrent readers each get
 /// their own (they share the pool underneath).
+///
+/// Planned reads (SetPlan): a filter-and-refine caller that reads its
+/// survivors in ascending file order hands the cursor its candidate ids
+/// up front. On a pooled dataset a Read outside the current run then
+/// preads one run, from the read series over the following planned
+/// candidates while each gap stays within kRunGap series and the run fits
+/// the cursor's scratch (at most one frame, so no more memory than the one
+/// pin a cursor may hold). Reads inside the run are served from that
+/// scratch and count as pool_direct_reads. Only the bytes' path changes:
+/// the modeled charging is the same with or without a plan.
 class CountedStorage {
  public:
+  /// Largest gap, in series, a run reads through to reach the next planned
+  /// candidate; a wider gap ends the run. Wider gaps mean fewer preads but
+  /// more bytes read and not verified.
+  static constexpr size_t kRunGap = 6;
+  /// Largest run, in series (further capped to the pool's frame): how far
+  /// a run reads ahead over candidates the running bound may yet prune.
+  static constexpr size_t kRunMaxSeries = 128;
+
   explicit CountedStorage(const core::Dataset* data);
 
   /// Reads series `i`, charging the access to `stats` with the
@@ -53,6 +74,20 @@ class CountedStorage {
   /// Forgets the cursor position (e.g., between build and query phases).
   void ResetCursor() { cursor_ = kNoCursor; }
 
+  /// Plans the reads that follow: `ids` are ascending local ids, a superset
+  /// of what the caller will Read, in order (a read outside the plan is
+  /// still served, as the start of a new run). The caller owns `ids` and
+  /// keeps it alive until ClearPlan or the next SetPlan. Drops the current
+  /// run and any held pin. Has no effect on an in-RAM dataset.
+  void SetPlan(std::span<const core::SeriesId> ids);
+
+  /// Returns to page-path reads, as if no plan had been set, and drops
+  /// any held pin (a long-lived cursor calls this at the end of a query).
+  void ClearPlan();
+
+  /// True when reads go through a buffer pool, i.e. when a plan is used.
+  bool pooled() const { return source_ != nullptr; }
+
   /// Drops the buffer-pool frame held since the last read (no-op for RAM
   /// datasets or when nothing is pinned). Long-lived readers call this at
   /// the end of each query: an idle reader must never sit on a frame —
@@ -68,17 +103,31 @@ class CountedStorage {
   /// The one place bytes are fetched: through the pool when the dataset
   /// is file-backed, by dereference otherwise.
   core::SeriesView Fetch(core::SeriesId i, core::SearchStats* stats) {
-    if (source_ != nullptr) {
-      return source_->ReadPinned(base_ + i, &pin_, stats);
-    }
-    return (*data_)[i];
+    if (source_ == nullptr) return (*data_)[i];
+    if (planned_) return FetchPlanned(i, stats);
+    return source_->ReadPinned(base_ + i, &pin_, stats);
   }
+
+  /// Serves series `i` from the run scratch, preading a new run first
+  /// when `i` lies outside the current one.
+  core::SeriesView FetchPlanned(core::SeriesId i, core::SearchStats* stats);
 
   const core::Dataset* data_;
   core::RawSeriesSource* source_;  // from data->raw_source(); may be null
   size_t base_;                    // data's offset within the source
   core::RawSeriesSource::Pin pin_;
   int64_t cursor_ = kNoCursor;
+
+  // The plan and the run it last read: series [run_first_, run_first_ +
+  // run_count_) sit in run_, and plan_[plan_next_] is the first planned
+  // id not yet covered by a run.
+  bool planned_ = false;
+  std::span<const core::SeriesId> plan_;
+  size_t plan_next_ = 0;
+  size_t run_first_ = 0;
+  size_t run_count_ = 0;
+  size_t run_capacity_ = 0;  // series; allocated on the first run
+  std::unique_ptr<core::Value[]> run_;
 };
 
 /// Charges the read of one index leaf holding `series_count` series of

@@ -194,6 +194,8 @@ void PublishSearchStats(const core::SearchStats& stats,
       ->Add(stats.pool_pread_calls);
   registry.GetCounter(prefix + ".pool_bytes_read")
       ->Add(stats.pool_bytes_read);
+  registry.GetCounter(prefix + ".pool_direct_reads")
+      ->Add(stats.pool_direct_reads);
   registry.GetHistogram(prefix + ".cpu_seconds")->Observe(stats.cpu_seconds);
 }
 

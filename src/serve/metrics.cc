@@ -193,6 +193,8 @@ std::string StatsJson(const ServerMetrics::Snapshot& snapshot,
   json.Int(snapshot.merged.pool_pread_calls);
   json.Key("pool_bytes_read");
   json.Int(snapshot.merged.pool_bytes_read);
+  json.Key("pool_direct_reads");
+  json.Int(snapshot.merged.pool_direct_reads);
   json.Key("cpu_seconds");
   json.Double(snapshot.merged.cpu_seconds);
   json.EndObject();

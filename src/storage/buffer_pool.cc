@@ -50,8 +50,9 @@ core::SeriesView BufferPool::ReadPinned(size_t index, Pin* pin,
   }
   std::unique_lock<std::mutex> lock(mutex_);
   // Pinned-page rule: drop the old hold before acquiring the new one, so a
-  // reader never pins two frames at once. Unpin relocks, so release while
-  // unlocked-equivalent path: do it inline here under the lock.
+  // reader never pins two frames at once. Unpin() takes mutex_ itself, so
+  // a hold on this pool is dropped inline here, under the lock already
+  // held; a hold on another source is released through that source.
   if (PinSource(*pin) == this) {
     Frame& held = frames_[PinToken(*pin)];
     HYDRA_CHECK_MSG(held.pins > 0, "BufferPool pin underflow");
@@ -134,19 +135,77 @@ core::SeriesView BufferPool::ReadPinned(size_t index, Pin* pin,
     }
     frame.last_use = ++tick_;
     BindPin(pin, this, victim);
-    if (stats != nullptr) {
-      ++stats->pool_misses;
-      ++stats->pool_pread_calls;
-      stats->pool_bytes_read +=
-          static_cast<int64_t>(n * file_->series_bytes());
-    }
-    total_misses_.fetch_add(1, std::memory_order_relaxed);
-    total_preads_.fetch_add(1, std::memory_order_relaxed);
-    total_bytes_.fetch_add(static_cast<int64_t>(n * file_->series_bytes()),
-                           std::memory_order_relaxed);
+    CountPread(n, stats);
     cv_.notify_all();  // waiters for this page can now pin it
     return core::SeriesView(frame.values.data() + offset, file_->length());
   }
+}
+
+void BufferPool::ReadRun(size_t first, size_t n, core::Value* out,
+                         core::SearchStats* stats) {
+  HYDRA_CHECK_MSG(first <= file_->count() && n <= file_->count() - first,
+                  "BufferPool run beyond the series file");
+  const size_t length = file_->length();
+  const size_t end = first + n;
+  // [absent, i) is the stretch of absent pages not yet read: it is read
+  // with one pread when a resident page (or the run's end) closes it.
+  size_t absent = first;
+  for (size_t i = first; i < end;) {
+    const size_t page = i / per_page_;
+    const size_t page_end = std::min(end, (page + 1) * per_page_);
+    size_t resident = frames_.size();
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto it = resident_.find(static_cast<int64_t>(page));
+      // A page still loading is treated as absent: reading the file
+      // directly is always correct, and a run read never waits.
+      if (it != resident_.end() && !frames_[it->second].loading) {
+        resident = it->second;
+        ++frames_[resident].pins;  // held only for the copy below
+      }
+    }
+    if (resident != frames_.size()) {
+      if (absent < i) {
+        PreadRun(absent, i - absent, out + (absent - first) * length, stats);
+      }
+      const size_t offset = (i - page * per_page_) * length;
+      std::copy_n(frames_[resident].values.data() + offset,
+                  (page_end - i) * length, out + (i - first) * length);
+      Unpin(resident);
+      const auto hits = static_cast<int64_t>(page_end - i);
+      if (stats != nullptr) stats->pool_hits += hits;
+      total_hits_.fetch_add(hits, std::memory_order_relaxed);
+      absent = page_end;
+    }
+    i = page_end;
+  }
+  if (absent < end) {
+    PreadRun(absent, end - absent, out + (absent - first) * length, stats);
+  }
+}
+
+void BufferPool::PreadRun(size_t first, size_t n, core::Value* out,
+                          core::SearchStats* stats) {
+  util::Status read;
+  {
+    HYDRA_OBS_SPAN_ARG("pool_miss_pread", "series", n);
+    read = file_->ReadSeries(first, n, out);
+  }
+  // As in ReadPinned: the validated file vanished or shrank mid-run.
+  HYDRA_CHECK_MSG(read.ok(), read.message().c_str());
+  CountPread(n, stats);
+}
+
+void BufferPool::CountPread(size_t n, core::SearchStats* stats) {
+  const auto bytes = static_cast<int64_t>(n * file_->series_bytes());
+  if (stats != nullptr) {
+    ++stats->pool_misses;
+    ++stats->pool_pread_calls;
+    stats->pool_bytes_read += bytes;
+  }
+  total_misses_.fetch_add(1, std::memory_order_relaxed);
+  total_preads_.fetch_add(1, std::memory_order_relaxed);
+  total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void BufferPool::Unpin(uint64_t token) {

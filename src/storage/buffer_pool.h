@@ -17,6 +17,9 @@
 //     query end) always drops one.
 //   - Single-flight loads: concurrent misses of one page wait for the
 //     first fetcher instead of issuing duplicate preads.
+//   - Run reads (ReadRun) bypass the frames: resident pages are copied
+//     out under a transient pin, absent ones are pread into the caller's
+//     buffer. They install, evict and reorder nothing, and never wait.
 //
 // Counters: per-read deltas go to the caller's SearchStats (pool_hits /
 // pool_misses / pool_evictions / pool_pread_calls / pool_bytes_read —
@@ -73,6 +76,15 @@ class BufferPool : public core::RawSeriesSource {
   core::SeriesView ReadPinned(size_t index, Pin* pin,
                               core::SearchStats* stats) override;
 
+  /// See core::RawSeriesSource. Each maximal stretch of absent pages is
+  /// one pread (one miss, one pread call, its bytes); each series copied
+  /// from a resident frame is one hit. The frames' residency and LRU
+  /// order are left as they were. I/O failures CHECK-abort as in
+  /// ReadPinned.
+  void ReadRun(size_t first, size_t n, core::Value* out,
+               core::SearchStats* stats) override;
+  size_t series_per_frame() const override { return per_page_; }
+
   /// Geometry, fixed at construction.
   size_t series_per_page() const { return per_page_; }
   size_t page_count() const { return page_count_; }
@@ -87,6 +99,12 @@ class BufferPool : public core::RawSeriesSource {
   void Unpin(uint64_t token) override;
 
  private:
+  /// Preads series [first, first + n) into `out`, counting one miss.
+  void PreadRun(size_t first, size_t n, core::Value* out,
+                core::SearchStats* stats);
+  /// Records one pread of `n` series: a miss, a pread call, its bytes.
+  void CountPread(size_t n, core::SearchStats* stats);
+
   struct Frame {
     std::vector<core::Value> values;
     /// Resident page, or -1 for a free frame.

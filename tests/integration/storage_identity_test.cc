@@ -138,8 +138,9 @@ TEST_F(StorageIdentityTest, RangeQueriesMatch) {
 
 TEST_F(StorageIdentityTest, ShardedCompositionMatches) {
   // Sharded slices of a file-backed dataset address the pool through
-  // their slice base — zero copies, same answers.
-  for (const std::string& name : {std::string("DSTree"), std::string("SFA")}) {
+  // their slice base — zero copies, same answers — for page reads and
+  // for the planned run reads of VA+file and ADS+ alike.
+  for (const std::string name : {"DSTree", "SFA", "VA+file", "ADS+"}) {
     SCOPED_TRACE(name);
     auto on_ram = bench::CreateShardedMethod(name, 3, 2, kLeaf);
     auto on_mmap = bench::CreateShardedMethod(name, 3, 2, kLeaf);
@@ -152,6 +153,46 @@ TEST_F(StorageIdentityTest, ShardedCompositionMatches) {
       ExpectSameAnswers(a.neighbors, b.neighbors, name);
       EXPECT_GT(b.stats.pool_misses, 0) << name;
     }
+  }
+}
+
+// VA+file and ADS+ read their candidates through planned run reads over
+// the pool. Only the bytes' path may change: per query, the work counters
+// and the modeled I/O ledger must equal the RAM run's exactly.
+TEST_F(StorageIdentityTest, PlannedRunReadsKeepWorkAndModeledLedger) {
+  core::QuerySpec budgeted = core::QuerySpec::Knn(5);
+  budgeted.max_raw_series = 200;
+  for (const std::string name : {"VA+file", "ADS+"}) {
+    SCOPED_TRACE(name);
+    auto on_ram = bench::CreateMethod(name, kLeaf);
+    auto on_mmap = bench::CreateMethod(name, kLeaf);
+    on_ram->Build(ram_.dataset());
+    on_mmap->Build(mmap_.dataset());
+    int64_t direct_reads = 0;
+    for (size_t qi = 0; qi < workload_.queries.size(); ++qi) {
+      const core::SeriesView query = workload_.queries[qi];
+      const auto truth = core::BruteForceKnn(ram_.dataset(), query, 5);
+      const double radius = std::sqrt(truth.back().dist_sq) + 1e-6;
+      for (const core::QuerySpec& spec :
+           {core::QuerySpec::Knn(5), core::QuerySpec::Epsilon(5, 0.1),
+            budgeted, core::QuerySpec::Range(radius)}) {
+        const core::QueryResult a = on_ram->Execute(query, spec);
+        const core::QueryResult b = on_mmap->Execute(query, spec);
+        ExpectSameAnswers(a.neighbors, b.neighbors, name);
+        EXPECT_EQ(a.stats.random_seeks, b.stats.random_seeks);
+        EXPECT_EQ(a.stats.sequential_reads, b.stats.sequential_reads);
+        EXPECT_EQ(a.stats.bytes_read, b.stats.bytes_read);
+        EXPECT_EQ(a.stats.raw_series_examined, b.stats.raw_series_examined);
+        EXPECT_EQ(a.stats.distance_computations,
+                  b.stats.distance_computations);
+        EXPECT_EQ(a.stats.pool_direct_reads, 0);
+        if (name == "VA+file") {  // every VA+file raw read is planned
+          EXPECT_EQ(b.stats.pool_direct_reads, b.stats.raw_series_examined);
+        }
+        direct_reads += b.stats.pool_direct_reads;
+      }
+    }
+    EXPECT_GT(direct_reads, 0);
   }
 }
 

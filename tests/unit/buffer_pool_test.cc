@@ -1,7 +1,9 @@
 // Unit battery for the out-of-core buffer pool: geometry derivation,
 // LRU victim order, the pinned-page discipline (including a genuine
-// blocking wait on a one-frame pool), counter accounting, and concurrent
-// readers (the TSan CI lane runs this suite via the `storage` label).
+// blocking wait on a one-frame pool), counter accounting, skip-sequential
+// run reads (alone and through planned io::CountedStorage cursors), and
+// concurrent readers (the TSan CI lane runs this suite via the `storage`
+// label).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -13,6 +15,7 @@
 #include "core/dataset.h"
 #include "core/raw_source.h"
 #include "core/search_stats.h"
+#include "io/counted_storage.h"
 #include "io/series_file.h"
 #include "storage/buffer_pool.h"
 
@@ -38,6 +41,18 @@ class PoolTest : public ::testing::Test {
     auto opened = io::SeriesFile::Open(path_);
     ASSERT_TRUE(opened.ok()) << opened.status().message();
     file_ = std::move(opened).value();
+    data_ = std::move(data);
+  }
+
+  // True when `out` holds series [first, first + n) of the file.
+  static bool HoldsSeries(const std::vector<core::Value>& out, size_t first,
+                          size_t n) {
+    for (size_t j = 0; j < n * kLength; ++j) {
+      if (out[j] != static_cast<core::Value>(first + j / kLength)) {
+        return false;
+      }
+    }
+    return true;
   }
 
   void TearDown() override {
@@ -55,6 +70,7 @@ class PoolTest : public ::testing::Test {
 
   io::SeriesFile file_;
   std::string path_;
+  core::Dataset data_{"pool", kLength};  // the file's contents, in RAM
 };
 
 TEST_F(PoolTest, GeometryFromBudget) {
@@ -227,6 +243,183 @@ TEST_F(PoolTest, ConcurrentReadersSeeConsistentData) {
   EXPECT_EQ(totals.hits + totals.misses,
             static_cast<int64_t>(kThreads) * kReadsPerThread);
   EXPECT_GT(totals.misses, 0);
+}
+
+TEST_F(PoolTest, RunOverResidentPageIsAllHits) {
+  OpenFile(8);
+  BufferPoolOptions options;
+  options.page_bytes = 4 * kSeriesBytes;
+  options.budget_bytes = 2 * options.page_bytes;
+  BufferPool pool(&file_, options);
+  core::RawSeriesSource::Pin pin;
+  pool.ReadPinned(1, &pin, nullptr);  // page 0 resident
+  pin.Release();
+  core::SearchStats stats;
+  std::vector<core::Value> out(3 * kLength);
+  pool.ReadRun(1, 3, out.data(), &stats);
+  EXPECT_TRUE(HoldsSeries(out, 1, 3));
+  EXPECT_EQ(stats.pool_hits, 3);
+  EXPECT_EQ(stats.pool_misses, 0);
+  EXPECT_EQ(stats.pool_pread_calls, 0);
+  EXPECT_EQ(stats.pool_bytes_read, 0);
+}
+
+TEST_F(PoolTest, RunOverAbsentPagesPreadsOnceAndLeavesFramesAlone) {
+  OpenFile(16);
+  BufferPoolOptions options;
+  options.page_bytes = 4 * kSeriesBytes;  // pages 0..3
+  options.budget_bytes = 2 * options.page_bytes;
+  BufferPool pool(&file_, options);
+  core::RawSeriesSource::Pin pin;
+  pool.ReadPinned(0, &pin, nullptr);  // page 0, then page 1: page 0 is LRU
+  pool.ReadPinned(4, &pin, nullptr);
+  pin.Release();
+  const PoolCounters before = pool.counters();
+
+  core::SearchStats stats;
+  std::vector<core::Value> out(6 * kLength);
+  pool.ReadRun(9, 6, out.data(), &stats);  // series 9..14: pages 2 and 3
+  EXPECT_TRUE(HoldsSeries(out, 9, 6));
+  EXPECT_EQ(stats.pool_misses, 1);
+  EXPECT_EQ(stats.pool_pread_calls, 1);
+  EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(6 * kSeriesBytes));
+  EXPECT_EQ(stats.pool_hits, 0);
+  EXPECT_EQ(stats.pool_evictions, 0);
+  EXPECT_EQ(pool.counters().evictions, before.evictions);
+
+  // Residency and LRU order are as before the run: pages 0 and 1 are
+  // still resident, and page 0 is still the victim of the next miss.
+  core::SearchStats after;
+  pool.ReadPinned(8, &pin, &after);  // page 2: evicts page 0
+  pool.ReadPinned(5, &pin, &after);  // page 1: still resident
+  EXPECT_EQ(after.pool_misses, 1);
+  EXPECT_EQ(after.pool_hits, 1);
+  EXPECT_EQ(after.pool_evictions, 1);
+  pool.ReadPinned(0, &pin, &after);  // page 0 was the one evicted
+  EXPECT_EQ(after.pool_misses, 2);
+}
+
+TEST_F(PoolTest, RunSplitsAroundResidentPage) {
+  OpenFile(12);
+  BufferPoolOptions options;
+  options.page_bytes = 4 * kSeriesBytes;
+  options.budget_bytes = options.page_bytes;
+  BufferPool pool(&file_, options);
+  core::RawSeriesSource::Pin pin;
+  pool.ReadPinned(5, &pin, nullptr);  // page 1 resident, and stays pinned
+  core::SearchStats stats;
+  std::vector<core::Value> out(10 * kLength);
+  // A run never waits on a pin, even one the reader holds itself.
+  pool.ReadRun(2, 10, out.data(), &stats);  // 2..3 | 4..7 | 8..11
+  EXPECT_TRUE(HoldsSeries(out, 2, 10));
+  EXPECT_EQ(stats.pool_hits, 4);
+  EXPECT_EQ(stats.pool_misses, 2);
+  EXPECT_EQ(stats.pool_pread_calls, 2);
+  EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(6 * kSeriesBytes));
+}
+
+TEST_F(PoolTest, PlannedCursorCoalescesCandidatesIntoRuns) {
+  OpenFile(64);
+  BufferPoolOptions options;
+  options.page_bytes = 64 * kSeriesBytes;  // runs may span 64 series
+  options.budget_bytes = options.page_bytes;
+  BufferPool pool(&file_, options);
+  data_.AttachRawSource(&pool);
+  io::CountedStorage storage(&data_);
+  ASSERT_TRUE(storage.pooled());
+  // Two clusters far apart: each becomes one run, gaps read through.
+  const std::vector<core::SeriesId> plan = {3, 5, 9, 40, 41};
+  storage.SetPlan(plan);
+  core::SearchStats stats;
+  for (const core::SeriesId i : {3, 9, 40, 41}) {  // 5 is pruned
+    EXPECT_FLOAT_EQ(storage.Read(i, &stats)[0], static_cast<core::Value>(i));
+  }
+  EXPECT_EQ(stats.pool_direct_reads, 4);
+  EXPECT_EQ(stats.pool_misses, 2);
+  EXPECT_EQ(stats.pool_pread_calls, 2);
+  EXPECT_EQ(stats.pool_bytes_read,
+            static_cast<int64_t>((7 + 2) * kSeriesBytes));  // 3..9, 40..41
+  EXPECT_EQ(stats.pool_hits, 0);
+  // The modeled ledger is that of the plain cursor: every skip a seek.
+  EXPECT_EQ(stats.random_seeks, 3);
+  EXPECT_EQ(stats.sequential_reads, 4);
+  // A read outside the plan is still served, as a run of its own.
+  EXPECT_FLOAT_EQ(storage.Read(50, &stats)[0], 50.0f);
+  EXPECT_EQ(stats.pool_misses, 3);
+  // Without a plan the cursor is back on the page path.
+  storage.ClearPlan();
+  storage.Read(52, &stats);
+  EXPECT_EQ(stats.pool_direct_reads, 5);
+  EXPECT_EQ(stats.pool_misses, 4);
+  storage.ReleasePin();
+  EXPECT_EQ(pool.counters().evictions, 0);  // one frame, one page load
+}
+
+TEST_F(PoolTest, RunNeverCrossesSliceEnd) {
+  OpenFile(32);
+  BufferPoolOptions options;
+  options.page_bytes = 32 * kSeriesBytes;
+  options.budget_bytes = options.page_bytes;
+  BufferPool pool(&file_, options);
+  data_.AttachRawSource(&pool);
+  // A shard slice over series [10, 16): its reads address the pool at
+  // raw_base 10, and no run may reach past series 15.
+  const core::Dataset slice = data_.Slice(10, 6);
+  io::CountedStorage storage(&slice);
+  const std::vector<core::SeriesId> plan = {1, 3, 5};
+  storage.SetPlan(plan);
+  core::SearchStats stats;
+  for (const core::SeriesId i : plan) {
+    EXPECT_FLOAT_EQ(storage.Read(i, &stats)[0],
+                    static_cast<core::Value>(10 + i));
+  }
+  EXPECT_EQ(stats.pool_pread_calls, 1);
+  EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(5 * kSeriesBytes));
+}
+
+TEST_F(PoolTest, PlannedCursorsAndPageReaderShareOneFrame) {
+  constexpr size_t kCount = 96;
+  constexpr int kPasses = 40;
+  OpenFile(kCount);
+  BufferPoolOptions options;
+  options.page_bytes = 4 * kSeriesBytes;
+  options.budget_bytes = options.page_bytes;  // a single frame
+  BufferPool pool(&file_, options);
+  data_.AttachRawSource(&pool);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 2; ++t) {
+    readers.emplace_back([this, &wrong, t] {
+      std::vector<core::SeriesId> plan;
+      for (size_t i = t; i < kCount; i += 3 + t) {
+        plan.push_back(static_cast<core::SeriesId>(i));
+      }
+      io::CountedStorage storage(&data_);
+      core::SearchStats stats;
+      for (int pass = 0; pass < kPasses; ++pass) {
+        storage.SetPlan(plan);
+        for (size_t j = 0; j < plan.size(); j += 1 + (j + pass) % 2) {
+          if (storage.Read(plan[j], &stats)[kLength - 1] !=
+              static_cast<core::Value>(plan[j])) {
+            wrong.fetch_add(1);
+          }
+        }
+      }
+      storage.ClearPlan();
+    });
+  }
+  readers.emplace_back([this, &pool, &wrong] {
+    core::RawSeriesSource::Pin pin;
+    for (int r = 0; r < kPasses * 40; ++r) {
+      const size_t i = (static_cast<size_t>(r) * 13) % kCount;
+      if (pool.ReadPinned(i, &pin, nullptr)[0] !=
+          static_cast<core::Value>(i)) {
+        wrong.fetch_add(1);
+      }
+    }
+  });
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

@@ -603,10 +603,12 @@ std::unique_ptr<core::SearchMethod> MakeMethod(const std::string& name,
 /// The measured-I/O epilogue of `query` and `range` on a pooled backend:
 /// the pool ledger of the batch, plus the reconciliation of measured pool
 /// misses against the modeled random-access count (the paper's ledger).
-/// Pages coalesce neighboring series and stay warm across queries, so
-/// measured misses <= modeled accesses; the line makes that relation
-/// visible instead of leaving two unconnected numbers. Prints nothing on
-/// the ram backend, whose output must stay byte-identical.
+/// Pages coalesce neighboring series and stay warm across queries, and
+/// the skip-sequential run reads of VA+file and ADS+ coalesce nearby
+/// candidates into one pread, so measured misses <= modeled accesses; the
+/// line makes that relation visible instead of leaving two unconnected
+/// numbers. Prints nothing on the ram backend, whose output must stay
+/// byte-identical.
 void PrintStorageSummary(const storage::StorageHandle& handle,
                          const core::SearchStats& total) {
   if (!handle.pooled()) return;
@@ -618,8 +620,10 @@ void PrintStorageSummary(const storage::StorageHandle& handle,
                       static_cast<double>(reads)
                 : 0.0;
   std::printf("storage: %lld pool reads (hits %lld, misses %lld, hit rate "
-              "%.1f%%), %lld preads, %lld bytes, %lld evictions\n",
+              "%.1f%%), %lld direct reads, %lld preads, %lld bytes, %lld "
+              "evictions\n",
               reads, hits, misses, hit_rate,
+              static_cast<long long>(total.pool_direct_reads),
               static_cast<long long>(total.pool_pread_calls),
               static_cast<long long>(total.pool_bytes_read),
               static_cast<long long>(total.pool_evictions));
@@ -627,8 +631,8 @@ void PrintStorageSummary(const storage::StorageHandle& handle,
               "accesses %lld (%s)\n",
               misses, static_cast<long long>(total.random_seeks),
               misses <= total.random_seeks
-                  ? "consistent: page coalescing and reuse make measured "
-                    "<= modeled"
+                  ? "consistent: page and run coalescing and page reuse "
+                    "make measured <= modeled"
                   : "measured exceeds modeled: pool thrashing below the "
                     "working set");
 }

@@ -61,6 +61,20 @@ fi
 diff "$TMP/p1.txt" "$TMP/p4.txt" \
   || { echo "FAIL: answers changed with the pool budget"; exit 1; }
 
+# VA+file and ADS+ verify their candidates through skip-sequential run
+# reads: a pooled VA+file run serves them from run scratch (direct
+# reads), and both answer the same at any pool budget.
+"$HYDRA" query "$TMP/data.bin" VA+file 5 4 $POOL > "$TMP/va_pooled.txt"
+grep -Eq '^storage: .*, [1-9][0-9]* direct reads,' "$TMP/va_pooled.txt" \
+  || { echo "FAIL: pooled VA+file run reported no direct reads"; exit 1; }
+for m in "VA+file" "ADS+"; do
+  "$HYDRA" query "$TMP/data.bin" "$m" 5 4 $POOL | answers > "$TMP/p1.txt"
+  "$HYDRA" query "$TMP/data.bin" "$m" 5 4 --storage mmap --pool-mb 4 \
+    | answers > "$TMP/p4.txt"
+  diff "$TMP/p1.txt" "$TMP/p4.txt" \
+    || { echo "FAIL($m): answers changed with the pool budget"; exit 1; }
+done
+
 # Sharded slices and intra-query workers compose with the pool.
 "$HYDRA" query "$TMP/data.bin" DSTree 5 4 --shards 3 --threads 2 \
   --query-threads 2 | answers_no_ledger > "$TMP/shard_ram.txt"
