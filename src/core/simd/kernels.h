@@ -16,12 +16,13 @@
 // available and always the conformance baseline.
 //
 // Numerical contract (pinned by tests/unit/kernel_conformance_test.cc):
-//  - Summary lower-bound kernels (sum_sq_diff, box_dist_sq, isax_mindist_sq,
-//    sfa_lb_sq, eapca_node_lb_sq) preserve the scalar reduction order and
-//    are bit-identical to the reference in every set. Pruning decisions
-//    therefore never depend on the dispatch level. (VA+file needs no
-//    kernel: its bounds are per-query cell tables, see
-//    VaPlusQuantizer::QueryBounds.)
+//  - Summary lower-bound kernels (sum_sq_diff, box_dist_sq, sfa_lb_sq,
+//    eapca_node_lb_sq) preserve the scalar reduction order and are
+//    bit-identical to the reference in every set. Pruning decisions
+//    therefore never depend on the dispatch level. (VA+file and iSAX need
+//    no kernel: their bounds are per-query tables, see
+//    VaPlusQuantizer::QueryBounds and transform::IsaxQueryTable, pinned to
+//    scalar references outside the dispatch.)
 //  - Raw-series kernels (euclidean_sq, euclidean_sq_abandon,
 //    euclidean_sq_reordered) may use multiple accumulators; sets with
 //    raw_order_preserved == false agree with the reference to relative
@@ -85,16 +86,6 @@ struct KernelSet {
   /// bounds.
   double (*box_dist_sq)(const double* q, const double* lo, const double* hi,
                         size_t n);
-
-  /// iSAX MINDIST core (unscaled): per segment s, distance from paa_q[s]
-  /// to the breakpoint interval of symbols[s] at bits[s] resolution, via
-  /// the flat nested tables (entry (1 << bits) - 1 + symbol; see
-  /// SaxBreakpoints::FlatLower). Segments with bits == 0 contribute 0.
-  /// Order-preserving in every set.
-  double (*isax_mindist_sq)(const double* paa_q, const uint8_t* symbols,
-                            const uint8_t* bits, size_t segments,
-                            const double* flat_lower,
-                            const double* flat_upper);
 
   /// SFA lower-bound core: per dimension d, distance from q_dft[d] to the
   /// bin [edges[d*stride + word[d]], edges[d*stride + word[d] + 1]] of a

@@ -189,46 +189,6 @@ double Avx2BoxDistSq(const double* q, const double* lo, const double* hi,
   return acc;
 }
 
-double Avx2IsaxMinDistSq(const double* paa_q, const uint8_t* symbols,
-                         const uint8_t* bits, size_t segments,
-                         const double* flat_lower, const double* flat_upper) {
-  double acc = 0.0;
-  size_t s = 0;
-  const __m128i ones = _mm_set1_epi32(1);
-  for (; s + 4 <= segments; s += 4) {
-    const __m128i vbits = Load4U8(bits + s);
-    const __m128i vsym = Load4U8(symbols + s);
-    // Flat-table index (1 << bits) - 1 + symbol; in bounds for any
-    // symbol/bits combination within the 8-bit domain.
-    const __m128i idx = _mm_add_epi32(
-        _mm_sub_epi32(_mm_sllv_epi32(ones, vbits), ones), vsym);
-    const __m256d lo = _mm256_i32gather_pd(flat_lower, idx, 8);
-    const __m256d hi = _mm256_i32gather_pd(flat_upper, idx, 8);
-    const __m256d d = IntervalDist(_mm256_loadu_pd(paa_q + s), lo, hi);
-    // Zero the lanes of whole-domain segments (bits == 0): the reference
-    // skips them, and adding +0.0 to a nonnegative accumulator is exact —
-    // but only if the lane really is +0.0 regardless of its symbol value.
-    const __m256d keep = _mm256_castsi256_pd(
-        _mm256_cvtepi32_epi64(_mm_cmpgt_epi32(vbits, _mm_setzero_si128())));
-    FoldOrdered(_mm256_and_pd(_mm256_mul_pd(d, d), keep), &acc);
-  }
-  for (; s < segments; ++s) {
-    if (bits[s] == 0) continue;
-    const size_t idx = (size_t{1} << bits[s]) - 1 + symbols[s];
-    const double lo = flat_lower[idx];
-    const double hi = flat_upper[idx];
-    const double q = paa_q[s];
-    double d = 0.0;
-    if (q < lo) {
-      d = lo - q;
-    } else if (q > hi) {
-      d = q - hi;
-    }
-    acc += d * d;
-  }
-  return acc;
-}
-
 double Avx2SfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,
                    const double* edges, size_t stride) {
   double acc = 0.0;
@@ -320,7 +280,6 @@ const KernelSet* Avx2KernelsImpl() {
       &Avx2EuclideanSqReordered,
       &Avx2SumSqDiff,
       &Avx2BoxDistSq,
-      &Avx2IsaxMinDistSq,
       &Avx2SfaLbSq,
       &Avx2EapcaNodeLbSq,
   };

@@ -129,7 +129,6 @@ const KernelSet* Avx512KernelsImpl() {
       &Avx512EuclideanSqReordered,
       &Avx2SumSqDiff,
       &Avx2BoxDistSq,
-      &Avx2IsaxMinDistSq,
       &Avx2SfaLbSq,
       &Avx2EapcaNodeLbSq,
   };

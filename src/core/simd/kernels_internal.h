@@ -24,9 +24,6 @@ double ScalarEuclideanSqReordered(const Value* q_ordered,
 double ScalarSumSqDiff(const double* a, const double* b, size_t n);
 double ScalarBoxDistSq(const double* q, const double* lo, const double* hi,
                        size_t n);
-double ScalarIsaxMinDistSq(const double* paa_q, const uint8_t* symbols,
-                           const uint8_t* bits, size_t segments,
-                           const double* flat_lower, const double* flat_upper);
 double ScalarSfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,
                      const double* edges, size_t stride);
 double ScalarEapcaNodeLbSq(const double* q_stats, const double* env,
@@ -38,9 +35,6 @@ double ScalarEapcaNodeLbSq(const double* q_stats, const double* env,
 double Avx2SumSqDiff(const double* a, const double* b, size_t n);
 double Avx2BoxDistSq(const double* q, const double* lo, const double* hi,
                      size_t n);
-double Avx2IsaxMinDistSq(const double* paa_q, const uint8_t* symbols,
-                         const uint8_t* bits, size_t segments,
-                         const double* flat_lower, const double* flat_upper);
 double Avx2SfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,
                    const double* edges, size_t stride);
 double Avx2EapcaNodeLbSq(const double* q_stats, const double* env,

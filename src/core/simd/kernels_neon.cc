@@ -107,7 +107,6 @@ const KernelSet* NeonKernelsImpl() {
       &ScalarEuclideanSqReordered,  // no gather on NEON
       &ScalarSumSqDiff,
       &ScalarBoxDistSq,
-      &ScalarIsaxMinDistSq,
       &ScalarSfaLbSq,
       &ScalarEapcaNodeLbSq,
   };

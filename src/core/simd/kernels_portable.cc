@@ -115,7 +115,6 @@ const KernelSet& PortableKernelsImpl() {
       &PortableEuclideanSqReordered,
       &ScalarSumSqDiff,
       &ScalarBoxDistSq,
-      &ScalarIsaxMinDistSq,
       &ScalarSfaLbSq,
       &ScalarEapcaNodeLbSq,
   };

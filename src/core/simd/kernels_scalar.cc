@@ -82,27 +82,6 @@ double ScalarBoxDistSq(const double* q, const double* lo, const double* hi,
   return acc;
 }
 
-double ScalarIsaxMinDistSq(const double* paa_q, const uint8_t* symbols,
-                           const uint8_t* bits, size_t segments,
-                           const double* flat_lower, const double* flat_upper) {
-  double acc = 0.0;
-  for (size_t s = 0; s < segments; ++s) {
-    if (bits[s] == 0) continue;  // whole-domain segment contributes 0
-    const size_t idx = (size_t{1} << bits[s]) - 1 + symbols[s];
-    const double lo = flat_lower[idx];
-    const double hi = flat_upper[idx];
-    const double q = paa_q[s];
-    double d = 0.0;
-    if (q < lo) {
-      d = lo - q;
-    } else if (q > hi) {
-      d = q - hi;
-    }
-    acc += d * d;
-  }
-  return acc;
-}
-
 double ScalarSfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,
                      const double* edges, size_t stride) {
   double acc = 0.0;
@@ -159,7 +138,6 @@ const KernelSet& ScalarKernelsImpl() {
       &ScalarEuclideanSqReordered,
       &ScalarSumSqDiff,
       &ScalarBoxDistSq,
-      &ScalarIsaxMinDistSq,
       &ScalarSfaLbSq,
       &ScalarEapcaNodeLbSq,
   };

@@ -71,8 +71,8 @@ util::Status Isax2Plus::DoOpen(io::IndexReader* reader,
 }
 
 /// iSAX2+'s TreeSearch policy: iSAX MINDIST lower bounds, seeded with the
-/// first-level fan-out, the covering-word descent as home, and leaf
-/// members bounded by their full-resolution words once the traversal
+/// first-level fan-out, the covering-word descent as home, and node words
+/// and leaf members bounded from the query's iSAX table once the traversal
 /// starts.
 class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
  public:
@@ -84,7 +84,8 @@ class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
     HYDRA_CHECK(index.tree_ != nullptr);
   }
 
-  /// Fills the calling thread's iSAX table for the query's PAA.
+  /// Fills the calling thread's iSAX table for the query's PAA: the node
+  /// bounds of Seeds/Expand and the leaf-member bounds.
   void PrepareMemberBounds() {
     transform::IsaxQueryTable& table = transform::ScratchIsaxQueryTable();
     table.Reset(paa_, pps_);
@@ -126,7 +127,8 @@ class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
  private:
   template <typename W>
   void Bound(const Node* node, const W& w, const Push& push) const {
-    const double lb = transform::IsaxMinDistSq(paa_, node->word, pps_);
+    HYDRA_DCHECK(table_ != nullptr);
+    const double lb = table_->NodeBoundSq(node->word);
     ++w.stats().lower_bound_computations;
     if (w.Admits(lb)) push({lb, node});
   }
@@ -135,7 +137,8 @@ class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
   const core::QueryOrder& order_;
   const std::vector<double> paa_;
   const size_t pps_;
-  // Set by PrepareMemberBounds (null during the home visit).
+  // Set by PrepareMemberBounds (null during the home visit and the whole
+  // ng path, which never fills it).
   const transform::IsaxQueryTable* table_ = nullptr;
 };
 

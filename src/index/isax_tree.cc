@@ -1,5 +1,6 @@
 #include "index/isax_tree.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
@@ -93,6 +94,7 @@ IsaxTree::Node* IsaxTree::FirstLevelFor(std::span<const uint8_t> full_word,
   }
   Node* raw = node.get();
   first_level_.emplace(key, std::move(node));
+  first_level_flat_.push_back({key, raw});
   return raw;
 }
 
@@ -165,6 +167,52 @@ void IsaxTree::SplitLeaf(Node* leaf) {
   }
 }
 
+IsaxTree::Node* IsaxTree::ClosestFirstLevel(std::span<const double> paa_q,
+                                            size_t points_per_segment) const {
+  // A key's MINDIST sums one 1-bit term per segment (its bits, most
+  // significant first) in segment order, then scales. The partial sums of
+  // the first `prefix` segments are memoized for every bit pattern (level
+  // k extends level k - 1 by one term, so each entry is exactly the
+  // sequential partial sum); a key whose scaled prefix already exceeds the
+  // best is dropped, the rest add their remaining terms. Ties go to the
+  // smallest key, the first minimum in key order.
+  constexpr size_t kMaxPrefix = 10;
+  const size_t segments = options_.segments;
+  const size_t prefix = std::min(segments, kMaxPrefix);
+  std::array<double, 2 * kMaxSegments> terms{};
+  transform::OneBitTermsSq(paa_q, terms.data());
+  // Level k (its 2^k partial sums) occupies entries [2^k - 1, 2^(k+1) - 1).
+  std::array<double, (size_t{2} << kMaxPrefix) - 1> partial{};
+  for (size_t k = 1; k <= prefix; ++k) {
+    const double* shorter = partial.data() + ((size_t{1} << (k - 1)) - 1);
+    double* level = partial.data() + ((size_t{1} << k) - 1);
+    for (size_t bits = 0; bits < (size_t{1} << (k - 1)); ++bits) {
+      level[2 * bits] = shorter[bits] + terms[2 * (k - 1)];
+      level[2 * bits + 1] = shorter[bits] + terms[2 * (k - 1) + 1];
+    }
+  }
+  const double* prefix_sum = partial.data() + ((size_t{1} << prefix) - 1);
+
+  const double pps = static_cast<double>(points_per_segment);
+  double best = std::numeric_limits<double>::infinity();
+  uint32_t best_key = 0;
+  Node* closest = nullptr;
+  for (const FirstLevelEntry& entry : first_level_flat_) {
+    double acc = prefix_sum[entry.key >> (segments - prefix)];
+    if (acc * pps > best) continue;  // the remaining terms only add
+    for (size_t s = prefix; s < segments; ++s) {
+      acc += terms[2 * s + ((entry.key >> (segments - 1 - s)) & 1u)];
+    }
+    const double d = acc * pps;
+    if (d < best || (d == best && entry.key < best_key)) {
+      best = d;
+      best_key = entry.key;
+      closest = entry.node;
+    }
+  }
+  return closest;
+}
+
 IsaxTree::Node* IsaxTree::ApproximateLeaf(std::span<const double> paa_q,
                                           size_t points_per_segment) {
   if (first_level_.empty()) return nullptr;
@@ -177,15 +225,7 @@ IsaxTree::Node* IsaxTree::ApproximateLeaf(std::span<const double> paa_q,
   Node* node = FirstLevelFor(full_word, /*create=*/false);
   if (node == nullptr) {
     // No covering first-level node: fall back to the closest existing one.
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& [key, candidate] : first_level_) {
-      const double d = transform::IsaxMinDistSq(paa_q, candidate->word,
-                                                points_per_segment);
-      if (d < best) {
-        best = d;
-        node = candidate.get();
-      }
-    }
+    node = ClosestFirstLevel(paa_q, points_per_segment);
   }
   while (!node->is_leaf) {
     const int s = node->split_segment;
@@ -226,10 +266,35 @@ void IsaxTree::SaveTo(io::IndexWriter* writer) const {
 
 void IsaxTree::LoadFrom(io::IndexReader* reader, size_t series_count) {
   first_level_.clear();
+  first_level_flat_.clear();
+  const size_t segments = options_.segments;
   const uint64_t count = reader->ReadU64();
   for (uint64_t i = 0; i < count && reader->ok(); ++i) {
     const uint32_t key = reader->ReadU32();
-    first_level_[key] = LoadNode(reader, options_.segments, series_count);
+    auto node = LoadNode(reader, segments, series_count);
+    if (!reader->ok()) break;
+    if ((uint64_t{key} >> segments) != 0) {
+      reader->Fail("iSAX first-level key exceeds the segment count");
+      break;
+    }
+    if (first_level_.count(key) != 0) {
+      reader->Fail("iSAX first-level key is repeated");
+      break;
+    }
+    if (node->depth != 1) {
+      reader->Fail("iSAX first-level node is not at depth 1");
+      break;
+    }
+    for (size_t s = 0; s < segments; ++s) {
+      if (node->word.bits[s] != 1 ||
+          node->word.symbols[s] != ((key >> (segments - 1 - s)) & 1u)) {
+        reader->Fail("iSAX first-level node word does not match its key");
+        break;
+      }
+    }
+    if (!reader->ok()) break;
+    first_level_flat_.push_back({key, node.get()});
+    first_level_.emplace(key, std::move(node));
   }
 }
 
@@ -260,6 +325,8 @@ std::unique_ptr<IsaxTree> IsaxTree::OpenShared(
 
 core::Footprint IsaxTree::StructureFootprint() const {
   core::Footprint fp;
+  fp.memory_bytes = static_cast<int64_t>(first_level_flat_.size() *
+                                         sizeof(FirstLevelEntry));
   ForEachNode([&](const Node& node) {
     ++fp.total_nodes;
     fp.memory_bytes += static_cast<int64_t>(

@@ -68,7 +68,9 @@ class IsaxTree {
   /// Leaf used by ng-approximate search: the leaf covering the query's
   /// full-resolution word (from its PAA `paa_q`) if its first-level node
   /// exists, otherwise the leaf under the first-level node with the
-  /// smallest MINDIST. Returns nullptr on an empty tree.
+  /// smallest MINDIST (ties to the smallest key; the bounds equal
+  /// transform::IsaxMinDistSq bit for bit). Returns nullptr on an empty
+  /// tree.
   Node* ApproximateLeaf(std::span<const double> paa_q,
                         size_t points_per_segment);
 
@@ -90,8 +92,10 @@ class IsaxTree {
 
   /// Rebuilds the structure from the reader's current section (inverse of
   /// SaveTo), replacing the current contents. Leaf ids are validated
-  /// against `series_count`; failures latch into the reader's sticky
-  /// status.
+  /// against `series_count`, and every first-level entry must be a unique
+  /// key below 2^segments whose node is its depth-1, 1-bit word — else an
+  /// opened tree could route a query differently than the built one.
+  /// Failures latch into the reader's sticky status.
   void LoadFrom(io::IndexReader* reader, size_t series_count);
 
   /// Shared deserialization tail of the two iSAX-based methods (ADS+,
@@ -112,15 +116,26 @@ class IsaxTree {
   }
   uint32_t FirstLevelKey(std::span<const uint8_t> full_word) const;
   Node* FirstLevelFor(std::span<const uint8_t> full_word, bool create);
+  // The ng fallback: the first-level node with the smallest MINDIST.
+  Node* ClosestFirstLevel(std::span<const double> paa_q,
+                          size_t points_per_segment) const;
   int ChooseSplitSegment(const Node& leaf) const;
+
+  struct FirstLevelEntry {
+    uint32_t key;
+    Node* node;
+  };
 
   IsaxTreeOptions options_;
   const uint8_t* full_words_;
-  // Ordered map: iteration order (ApproximateLeaf fallback ties,
-  // best-first seeding) must be deterministic and identical between a
-  // freshly built tree and one rehydrated from disk, or opened indexes
-  // could break ties differently than built ones.
+  // Ordered map: iteration order (best-first seeding) must be
+  // deterministic and identical between a freshly built tree and one
+  // rehydrated from disk, or opened indexes could break ties differently
+  // than built ones.
   std::map<uint32_t, std::unique_ptr<Node>> first_level_;
+  // The same nodes as a flat array in creation order: the ng fallback's
+  // scan, which breaks ties by key and so is order-independent.
+  std::vector<FirstLevelEntry> first_level_flat_;
 };
 
 }  // namespace hydra::index

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/simd/kernels.h"
 #include "transform/paa.h"
 #include "util/check.h"
 
@@ -19,6 +18,19 @@ uint8_t SymbolIn(const double* table, double v) {
     pos += v < table[pos + step - 1] ? 0 : step;
   }
   return static_cast<uint8_t>(pos);
+}
+
+// The squared distance from `q` to the interval [lo, hi]: every iSAX
+// MINDIST term, with the reference's branches (NaN-safe: a NaN query value
+// is inside every interval).
+double IntervalTermSq(double q, double lo, double hi) {
+  double d = 0.0;
+  if (q < lo) {
+    d = lo - q;
+  } else if (q > hi) {
+    d = q - hi;
+  }
+  return d * d;
 }
 
 }  // namespace
@@ -84,10 +96,24 @@ double IsaxMinDistSq(std::span<const double> paa_q, const IsaxWord& w,
                      size_t points_per_segment) {
   HYDRA_DCHECK(paa_q.size() == w.segments());
   const SaxBreakpoints& bp = SaxBreakpoints::Get();
-  return core::simd::ActiveKernels().isax_mindist_sq(
-             paa_q.data(), w.symbols.data(), w.bits.data(), w.segments(),
-             bp.FlatLower(), bp.FlatUpper()) *
-         static_cast<double>(points_per_segment);
+  double acc = 0.0;
+  for (size_t s = 0; s < w.segments(); ++s) {
+    if (w.bits[s] == 0) continue;  // whole-domain segment contributes 0
+    const size_t idx = (size_t{1} << w.bits[s]) - 1 + w.symbols[s];
+    acc += IntervalTermSq(paa_q[s], bp.FlatLower()[idx], bp.FlatUpper()[idx]);
+  }
+  return acc * static_cast<double>(points_per_segment);
+}
+
+void OneBitTermsSq(std::span<const double> paa_q, double* out) {
+  const SaxBreakpoints& bp = SaxBreakpoints::Get();
+  // 1-bit symbols occupy flat entries 1 and 2.
+  const double* lower = bp.FlatLower() + 1;
+  const double* upper = bp.FlatUpper() + 1;
+  for (size_t s = 0; s < paa_q.size(); ++s) {
+    out[2 * s] = IntervalTermSq(paa_q[s], lower[0], upper[0]);
+    out[2 * s + 1] = IntervalTermSq(paa_q[s], lower[1], upper[1]);
+  }
 }
 
 void IsaxQueryTable::Reset(std::span<const double> paa_q,
@@ -98,21 +124,22 @@ void IsaxQueryTable::Reset(std::span<const double> paa_q,
   const double* upper = bp.FlatUpper() + (kSymbols - 1);
   segments_ = paa_q.size();
   points_per_segment_ = static_cast<double>(points_per_segment);
-  terms_.resize(segments_ * kSymbols);
+  terms_.resize(segments_ * kRow);
   for (size_t s = 0; s < segments_; ++s) {
     const double q = paa_q[s];
-    double* row = terms_.data() + s * kSymbols;
+    double* row = terms_.data() + s * kRow;
+    double* full = row + (kSymbols - 1);
     for (size_t sym = 0; sym < kSymbols; ++sym) {
-      // The branches of the scalar isax_mindist_sq reference.
-      const double lo = lower[sym];
-      const double hi = upper[sym];
-      double d = 0.0;
-      if (q < lo) {
-        d = lo - q;
-      } else if (q > hi) {
-        d = q - hi;
+      full[sym] = IntervalTermSq(q, lower[sym], upper[sym]);
+    }
+    // Coarser levels, finest first: symbol `sym` at `bits` covers symbols
+    // 2*sym and 2*sym+1 at bits + 1, down to the whole domain (entry 0).
+    for (size_t width = kSymbols / 2; width > 0; width /= 2) {
+      const double* finer = row + (2 * width - 1);
+      double* coarse = row + (width - 1);
+      for (size_t sym = 0; sym < width; ++sym) {
+        coarse[sym] = std::min(finer[2 * sym], finer[2 * sym + 1]);
       }
-      row[sym] = d * d;
     }
   }
 }

@@ -57,29 +57,58 @@ bool WordCovers(const IsaxWord& node, const IsaxWord& full);
 
 /// MINDIST^2: lower bound on the squared Euclidean distance between the
 /// original of `paa_q` (query PAA, `points_per_segment` points each) and any
-/// series whose iSAX word is covered by `w`.
+/// series whose iSAX word is covered by `w`. The plain scalar reference
+/// every iSAX bound is pinned to: per segment, the squared distance from
+/// the query value to the symbol's breakpoint interval (segments with 0
+/// bits contribute nothing), summed in segment order, then scaled.
 double IsaxMinDistSq(std::span<const double> paa_q, const IsaxWord& w,
                      size_t points_per_segment);
 
-/// Per-query MINDIST table over full-resolution words. Reset evaluates, for
-/// one query PAA, the squared distance term of every (segment, symbol)
-/// pair once, with the scalar reference's branches; a word's bound is then
-/// one table load per segment, summed in segment order and scaled by the
-/// points per segment — the same terms in the same order as IsaxMinDistSq,
-/// so every bound is bit-identical to it. Reset reuses the buffer, so a
-/// long-lived table is allocation-free once warm.
+/// The IsaxMinDistSq terms of the two 1-bit symbols of every segment
+/// (unscaled): out[2 * s + bit] for segment s of `paa_q`. A first-level
+/// word's bound is the sum of its segments' terms in segment order, times
+/// the points per segment.
+void OneBitTermsSq(std::span<const double> paa_q, double* out);
+
+/// Per-query MINDIST table over every cardinality. Reset evaluates, for one
+/// query PAA, the squared distance term of every full-resolution
+/// (segment, symbol) pair once, with the scalar reference's branches, and
+/// fills each coarser row by the pairwise min of the next finer one — exact,
+/// because the breakpoints are nested (a coarse interval is the union of
+/// its two finer halves, which share an edge), so every row equals the
+/// reference's term. A word's bound is then one table load per segment,
+/// summed in segment order and scaled by the points per segment — the same
+/// terms in the same order as IsaxMinDistSq, so every bound is
+/// bit-identical to it. Reset reuses the buffer, so a long-lived table is
+/// allocation-free once warm.
 class IsaxQueryTable {
  public:
   static constexpr size_t kSymbols = size_t{1} << kMaxSaxBits;
+  /// One segment's row: entry (1 << bits) - 1 + symbol, the layout of
+  /// SaxBreakpoints::FlatLower (entry 0 is the whole-domain symbol).
+  static constexpr size_t kRow = 2 * kSymbols;
 
   void Reset(std::span<const double> paa_q, size_t points_per_segment);
 
   /// Equals IsaxMinDistSq(paa_q, full-resolution word, points_per_segment)
   /// of the last Reset, for the `segments()` symbols at `word`.
   double LowerBoundSq(const uint8_t* word) const {
+    const double* full = terms_.data() + (kSymbols - 1);
     double acc = 0.0;
     for (size_t s = 0; s < segments_; ++s) {
-      acc += terms_[s * kSymbols + word[s]];
+      acc += full[s * kRow + word[s]];
+    }
+    return acc * points_per_segment_;
+  }
+
+  /// Equals IsaxMinDistSq(paa_q, w, points_per_segment) of the last Reset
+  /// for a node word of any per-segment cardinality.
+  double NodeBoundSq(const IsaxWord& w) const {
+    const double* row = terms_.data();
+    double acc = 0.0;
+    for (size_t s = 0; s < segments_; ++s, row += kRow) {
+      if (w.bits[s] == 0) continue;  // whole-domain segment contributes 0
+      acc += row[(size_t{1} << w.bits[s]) - 1 + w.symbols[s]];
     }
     return acc * points_per_segment_;
   }
@@ -87,7 +116,7 @@ class IsaxQueryTable {
   size_t segments() const { return segments_; }
 
  private:
-  std::vector<double> terms_;  // segments x kSymbols squared terms
+  std::vector<double> terms_;  // segments x kRow squared terms
   size_t segments_ = 0;
   double points_per_segment_ = 0.0;
 };

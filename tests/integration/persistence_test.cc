@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -582,6 +583,141 @@ TEST(PersistenceErrors, SfaTrieRefusesCraftedSummaryWords) {
         << status.message();
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(PersistenceErrors, IsaxTreeRefusesCraftedFirstLevel) {
+  // The ng fallback scores first-level keys while the best-first seeds and
+  // the descent read node words, so DoOpen must refuse a first level whose
+  // keys and words disagree even when the section checksums are valid:
+  // such a file would send an opened tree to another home leaf than the
+  // built one.
+  const core::Dataset data = TestData();
+  for (const std::string name : {"iSAX2+", "ADS+"}) {
+    SCOPED_TRACE(name);
+    auto built = bench::CreateMethod(name, kLeaf);
+    built->Build(data);
+    const std::string dir = FreshDir("isax_crafted");
+    ASSERT_TRUE(built->Save(dir).ok());
+    const std::string file = io::IndexFilePath(dir);
+
+    io::IndexReader reader;
+    ASSERT_TRUE(reader.Load(file).ok());
+    // Both methods persist three 8-byte options, segments first.
+    ASSERT_TRUE(reader.EnterSection("options").ok());
+    const uint64_t segments = reader.ReadU64();
+    const uint64_t option1 = reader.ReadU64();
+    const uint64_t option2 = reader.ReadU64();
+    ASSERT_TRUE(reader.EnterSection("summaries").ok());
+    const std::vector<uint8_t> words = reader.ReadPodVector<uint8_t>();
+    ASSERT_TRUE(reader.ok()) << reader.status().message();
+    ASSERT_EQ(words.size(), kCount * segments);
+
+    // A faithful first level: one leaf per first-level key holding every
+    // series whose word reduces to it.
+    struct Entry {
+      uint32_t key;
+      std::vector<uint8_t> symbols;
+      std::vector<uint8_t> bits;
+      int32_t depth = 1;
+      std::vector<core::SeriesId> ids;
+    };
+    std::map<uint32_t, std::vector<core::SeriesId>> groups;
+    for (size_t i = 0; i < kCount; ++i) {
+      uint32_t key = 0;
+      for (size_t s = 0; s < segments; ++s) {
+        key = (key << 1) | (words[i * segments + s] >> 7);
+      }
+      groups[key].push_back(static_cast<core::SeriesId>(i));
+    }
+    ASSERT_GE(groups.size(), 2u);
+    std::vector<Entry> faithful;
+    for (const auto& [key, ids] : groups) {
+      Entry entry{key, {}, std::vector<uint8_t>(segments, 1), 1, ids};
+      for (size_t s = 0; s < segments; ++s) {
+        entry.symbols.push_back(
+            static_cast<uint8_t>((key >> (segments - 1 - s)) & 1u));
+      }
+      faithful.push_back(std::move(entry));
+    }
+
+    const auto open_crafted = [&](const std::vector<Entry>& entries) {
+      io::IndexWriter writer(reader.method_name(), reader.fingerprint());
+      writer.BeginSection("options");
+      writer.WriteU64(segments);
+      writer.WriteU64(option1);
+      writer.WriteU64(option2);
+      writer.EndSection();
+      writer.BeginSection("summaries");
+      writer.WritePodVector(words);
+      writer.EndSection();
+      writer.BeginSection("tree");
+      writer.WriteU64(entries.size());
+      for (const Entry& entry : entries) {
+        writer.WriteU32(entry.key);
+        writer.WritePodVector(entry.symbols);
+        writer.WritePodVector(entry.bits);
+        writer.WriteI32(entry.depth);
+        writer.WriteBool(true);
+        writer.WriteI32(-1);
+        writer.WritePodVector(entry.ids);
+      }
+      writer.EndSection();
+      EXPECT_TRUE(writer.Commit(file).ok());
+      auto method = bench::CreateMethod(name, kLeaf);
+      const util::Status status = method->Open(dir, data).status();
+      return std::make_pair(status, std::move(method));
+    };
+    const auto expect_refused = [&](const std::vector<Entry>& entries,
+                                    const std::string& message) {
+      const util::Status status = open_crafted(entries).first;
+      ASSERT_FALSE(status.ok()) << message;
+      EXPECT_NE(status.message().find(message), std::string::npos)
+          << status.message();
+    };
+
+    // The faithful rewrite opens and answers exactly: the crafting is sound.
+    {
+      auto [status, opened] = open_crafted(faithful);
+      ASSERT_TRUE(status.ok()) << status.message();
+      const gen::Workload queries = TestQueries();
+      const auto got =
+          opened->Execute(queries.queries[0], core::QuerySpec::Knn(3));
+      const auto truth = core::BruteForceKnn(data, queries.queries[0], 3);
+      ASSERT_EQ(got.neighbors.size(), 3u);
+      for (size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(got.neighbors[i].id, truth[i].id);
+      }
+    }
+    {  // A key with a bit beyond the segment count.
+      auto crafted = faithful;
+      crafted.back().key |= uint32_t{1} << segments;
+      expect_refused(crafted, "first-level key exceeds the segment count");
+    }
+    {  // The same key twice.
+      auto crafted = faithful;
+      crafted.push_back(crafted.front());
+      crafted.back().ids.clear();
+      expect_refused(crafted, "first-level key is repeated");
+    }
+    {  // A word symbol that is not its key's bit.
+      auto crafted = faithful;
+      crafted.front().symbols[segments / 2] ^= 1u;
+      expect_refused(crafted, "first-level node word does not match its key");
+    }
+    {  // A 2-bit segment under a 1-bit key.
+      auto crafted = faithful;
+      crafted.front().bits[0] = 2;
+      crafted.front().symbols[0] =
+          static_cast<uint8_t>(crafted.front().symbols[0] << 1);
+      expect_refused(crafted, "first-level node word does not match its key");
+    }
+    {  // A first-level node below depth 1.
+      auto crafted = faithful;
+      crafted.front().depth = 2;
+      expect_refused(crafted, "first-level node is not at depth 1");
+    }
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(PersistenceErrors, ScansRefuseSaveAndOpenHonestly) {

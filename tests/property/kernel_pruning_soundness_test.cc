@@ -67,13 +67,27 @@ TEST_P(KernelPruningSoundness, PaaAndIsaxBoundsNeverOverestimate) {
   const size_t pps = data_.length() / segments;
   for (size_t q = 0; q < queries_.size(); ++q) {
     const auto paa_q = transform::Paa(queries_[q], segments);
+    transform::IsaxQueryTable table;
+    table.Reset(paa_q, pps);
     for (size_t i = 0; i < data_.size(); ++i) {
       const auto paa_c = transform::Paa(data_[i], segments);
-      const auto word = transform::FullResolutionWord(paa_c);
+      auto word = transform::FullResolutionWord(paa_c);
       const double d = RefDistance(queries_[q], data_[i]);
       ASSERT_LE(transform::PaaLowerBoundSq(paa_q, paa_c, pps), d + 1e-7)
           << set().name << " q=" << q << " i=" << i;
       ASSERT_LE(transform::IsaxMinDistSq(paa_q, word, pps), d + 1e-7)
+          << set().name << " q=" << q << " i=" << i;
+      ASSERT_EQ(table.LowerBoundSq(word.symbols.data()),
+                transform::IsaxMinDistSq(paa_q, word, pps))
+          << set().name << " q=" << q << " i=" << i;
+      // The first-level word, the coarsest node bound a tree computes.
+      for (size_t s = 0; s < segments; ++s) {
+        word.symbols[s] = transform::ReduceSymbol(word.symbols[s], 1);
+        word.bits[s] = 1;
+      }
+      const double node_lb = transform::IsaxMinDistSq(paa_q, word, pps);
+      ASSERT_LE(node_lb, d + 1e-7) << set().name << " q=" << q << " i=" << i;
+      ASSERT_EQ(table.NodeBoundSq(word), node_lb)
           << set().name << " q=" << q << " i=" << i;
     }
   }

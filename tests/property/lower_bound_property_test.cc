@@ -54,12 +54,25 @@ TEST_P(BoundProperty, IsaxMinDistLowerBounds) {
   const size_t pps = data_.length() / segments;
   for (size_t q = 0; q < queries_.size(); ++q) {
     const auto paa_q = transform::Paa(queries_[q], segments);
+    transform::IsaxQueryTable table;
+    table.Reset(paa_q, pps);
     for (size_t i = 0; i < data_.size(); ++i) {
       const auto paa_c = transform::Paa(data_[i], segments);
-      const auto word = transform::FullResolutionWord(paa_c);
-      const double lb = transform::IsaxMinDistSq(paa_q, word, pps);
+      auto word = transform::FullResolutionWord(paa_c);
       const double d = core::SquaredEuclidean(queries_[q], data_[i]);
-      ASSERT_LE(lb, d + 1e-7) << "q=" << q << " i=" << i;
+      // The full-resolution word, then every coarser node word covering
+      // it (one bit less per segment each round, down to the root).
+      for (int bits = transform::kMaxSaxBits; bits >= 0; --bits) {
+        for (size_t s = 0; s < segments; ++s) {
+          word.symbols[s] = transform::ReduceSymbol(
+              transform::FullResolutionSymbol(paa_c[s]), bits);
+          word.bits[s] = static_cast<uint8_t>(bits);
+        }
+        const double lb = transform::IsaxMinDistSq(paa_q, word, pps);
+        ASSERT_LE(lb, d + 1e-7) << "q=" << q << " i=" << i;
+        ASSERT_EQ(table.NodeBoundSq(word), lb)
+            << "q=" << q << " i=" << i << " bits=" << bits;
+      }
     }
   }
 }

@@ -1,10 +1,15 @@
+#include <filesystem>
+#include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "gen/random_walk.h"
 #include "index/isax_tree.h"
+#include "io/index_codec.h"
 #include "transform/paa.h"
+#include "util/rng.h"
 
 namespace hydra::index {
 namespace {
@@ -24,6 +29,51 @@ class IsaxTreeTest : public ::testing::Test {
 
   std::vector<uint8_t> words_;
 };
+
+/// The ng fallback's reference: the scalar IsaxMinDistSq over the first
+/// level in key order, keeping the first strictly smaller value, then the
+/// same covering-word descent ApproximateLeaf takes.
+const IsaxTree::Node* ReferenceFallbackLeaf(const IsaxTree& tree,
+                                            std::span<const double> paa,
+                                            size_t pps) {
+  const IsaxTree::Node* node = nullptr;
+  double best = std::numeric_limits<double>::infinity();
+  for (const auto& [key, candidate] : tree.first_level()) {
+    const double d = transform::IsaxMinDistSq(paa, candidate->word, pps);
+    if (d < best) {
+      best = d;
+      node = candidate.get();
+    }
+  }
+  if (node == nullptr) return nullptr;
+  while (!node->is_leaf) {
+    const int s = node->split_segment;
+    const uint8_t bit =
+        transform::ReduceSymbol(transform::FullResolutionSymbol(paa[s]),
+                                node->word.bits[s] + 1) &
+        1u;
+    const IsaxTree::Node* preferred =
+        (bit == 0 ? node->child0 : node->child1).get();
+    const IsaxTree::Node* other =
+        (bit == 0 ? node->child1 : node->child0).get();
+    node = (preferred->is_leaf && preferred->ids.empty() &&
+            !(other->is_leaf && other->ids.empty()))
+               ? other
+               : preferred;
+  }
+  return node;
+}
+
+/// True when no first-level node covers the query's word, so
+/// ApproximateLeaf takes its fallback.
+bool FirstLevelAbsent(const IsaxTree& tree, std::span<const double> paa) {
+  uint32_t key = 0;
+  for (const double v : paa) {
+    key = (key << 1) |
+          transform::ReduceSymbol(transform::FullResolutionSymbol(v), 1);
+  }
+  return tree.first_level().count(key) == 0;
+}
 
 TEST_F(IsaxTreeTest, AllSeriesLandInExactlyOneLeaf) {
   const auto data = gen::RandomWalkDataset(2000, 64, 71);
@@ -102,6 +152,70 @@ TEST_F(IsaxTreeTest, ApproximateLeafHandlesUnseenRegion) {
   IsaxTree::Node* leaf = tree.ApproximateLeaf(paa, 64 / segments);
   ASSERT_NE(leaf, nullptr);
   EXPECT_FALSE(leaf->ids.empty());
+}
+
+TEST_F(IsaxTreeTest, FallbackLeafEqualsReferenceArgmin) {
+  // Queries whose first-level key is absent must land exactly where the
+  // scalar reference argmin descends, in a built tree and in the same tree
+  // after a SaveTo/LoadFrom round trip. PAA values of exactly 0.0 sit on
+  // the median breakpoint, where both 1-bit terms are 0 and keys tie.
+  const std::string file = ::testing::TempDir() + "/isax_fallback.idx";
+  for (const size_t segments : {8u, 16u}) {
+    SCOPED_TRACE(segments);
+    const auto data = gen::RandomWalkDataset(1500, 64, 177);
+    const size_t pps = 64 / segments;
+    BuildWords(data, segments);
+    IsaxTree built({segments, 12}, words_.data());
+    for (size_t i = 0; i < data.size(); ++i) {
+      built.Insert(static_cast<core::SeriesId>(i));
+    }
+    io::IndexWriter writer("iSAX tree", io::DatasetFingerprint{});
+    writer.BeginSection("tree");
+    built.SaveTo(&writer);
+    writer.EndSection();
+    ASSERT_TRUE(writer.Commit(file).ok());
+    io::IndexReader reader;
+    ASSERT_TRUE(reader.Load(file).ok());
+    ASSERT_TRUE(reader.EnterSection("tree").ok());
+    IsaxTree opened({segments, 12}, words_.data());
+    opened.LoadFrom(&reader, data.size());
+    ASSERT_TRUE(reader.ok()) << reader.status().message();
+
+    util::Rng rng(178);
+    const auto breakpoints = transform::SaxBreakpoints::Get().For(1);
+    size_t fallbacks = 0;
+    for (int q = 0; q < 600; ++q) {
+      std::vector<double> paa(segments);
+      for (double& v : paa) {
+        switch (rng.UniformInt(0, 3)) {
+          case 0:
+            v = 0.0;  // the median breakpoint: a tie of both 1-bit terms
+            break;
+          case 1:
+            v = std::nextafter(breakpoints[0], rng.UniformInt(0, 1) == 0
+                                                   ? -1.0
+                                                   : 1.0);
+            break;
+          default:
+            v = rng.Gaussian(0.0, 1.5);
+        }
+      }
+      if (!FirstLevelAbsent(built, paa)) continue;
+      ++fallbacks;
+      for (const IsaxTree* tree : {&built, &opened}) {
+        const IsaxTree::Node* want = ReferenceFallbackLeaf(*tree, paa, pps);
+        ASSERT_NE(want, nullptr);
+        const IsaxTree::Node* got =
+            const_cast<IsaxTree*>(tree)->ApproximateLeaf(paa, pps);
+        ASSERT_EQ(got, want) << "query " << q;
+      }
+      EXPECT_EQ(opened.ApproximateLeaf(paa, pps)->ids,
+                built.ApproximateLeaf(paa, pps)->ids)
+          << "query " << q;
+    }
+    EXPECT_GE(fallbacks, 200u);
+  }
+  std::filesystem::remove(file);
 }
 
 TEST_F(IsaxTreeTest, LeavesRespectCapacityWhereSplittable) {

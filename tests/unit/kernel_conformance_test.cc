@@ -18,7 +18,6 @@
 
 #include "core/simd/kernels.h"
 #include "core/simd/kernels_internal.h"
-#include "transform/sax.h"
 #include "util/rng.h"
 
 namespace hydra::core::simd {
@@ -179,34 +178,6 @@ TEST_P(KernelConformanceTest, BoxDistBitIdenticalOnAllWidths) {
     const double want = ref().box_dist_sq(q.data(), lo.data(), hi.data(), n);
     const double got = set().box_dist_sq(q.data(), lo.data(), hi.data(), n);
     EXPECT_BITEQ(got, want) << set().name << " width " << n;
-  }
-}
-
-TEST_P(KernelConformanceTest, IsaxMinDistBitIdenticalOnAllWidths) {
-  const transform::SaxBreakpoints& bp = transform::SaxBreakpoints::Get();
-  for (size_t n = 1; n <= kMaxWidth; ++n) {
-    util::Rng rng(1000 + n);
-    std::vector<double> paa_q(n);
-    std::vector<uint8_t> symbols(n);
-    std::vector<uint8_t> bits(n);
-    for (size_t i = 0; i < n; ++i) {
-      paa_q[i] = rng.Gaussian() * 2.0;
-      bits[i] = static_cast<uint8_t>(
-          rng.UniformInt(0, transform::kMaxSaxBits));
-      // Whole-domain segments may carry a stale nonzero symbol; the kernel
-      // must still contribute exactly zero for them.
-      symbols[i] = bits[i] == 0
-                       ? static_cast<uint8_t>(rng.UniformInt(0, 255))
-                       : static_cast<uint8_t>(
-                             rng.UniformInt(0, (1 << bits[i]) - 1));
-    }
-    const double want = ref().isax_mindist_sq(paa_q.data(), symbols.data(),
-                                              bits.data(), n, bp.FlatLower(),
-                                              bp.FlatUpper());
-    const double got = set().isax_mindist_sq(paa_q.data(), symbols.data(),
-                                             bits.data(), n, bp.FlatLower(),
-                                             bp.FlatUpper());
-    EXPECT_BITEQ(got, want) << set().name << " segments " << n;
   }
 }
 

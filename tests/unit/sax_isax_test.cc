@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/distance.h"
-#include "core/simd/kernels.h"
 #include "transform/isax.h"
 #include "transform/paa.h"
 #include "transform/sax.h"
@@ -146,7 +145,6 @@ double QueryValue(util::Rng& rng) {
 
 TEST(IsaxQueryTable, BoundsEqualMinDistBitForBit) {
   util::Rng rng(33);
-  const SaxBreakpoints& bp = SaxBreakpoints::Get();
   IsaxQueryTable table;  // one table, re-armed for every query
   for (const size_t segments : {16u, 8u, 24u}) {
     for (int query = 0; query < 40; ++query) {
@@ -164,14 +162,67 @@ TEST(IsaxQueryTable, BoundsEqualMinDistBitForBit) {
         }
         const double got = table.LowerBoundSq(w.symbols.data());
         ASSERT_EQ(got, IsaxMinDistSq(paa_q, w, pps));
-        for (const core::simd::KernelSet* set :
-             core::simd::SupportedKernelSets()) {
-          ASSERT_EQ(got, set->isax_mindist_sq(paa_q.data(), w.symbols.data(),
-                                              w.bits.data(), segments,
-                                              bp.FlatLower(), bp.FlatUpper()) *
-                             static_cast<double>(pps))
-              << set->name;
+      }
+    }
+  }
+}
+
+// Node words at every cardinality 0..kMaxSaxBits — uniform per word, then
+// mixed per segment — against the scalar reference, for query values on
+// breakpoints and one ulp either side. The coarse rows come from pairwise
+// mins of finer rows, so this pins the nesting argument too.
+TEST(IsaxQueryTable, NodeBoundsEqualMinDistAtEveryCardinality) {
+  util::Rng rng(35);
+  IsaxQueryTable table;
+  for (const size_t segments : {8u, 16u, 24u}) {
+    for (int query = 0; query < 30; ++query) {
+      std::vector<double> paa_q(segments);
+      for (double& v : paa_q) v = QueryValue(rng);
+      const size_t pps = static_cast<size_t>(rng.UniformInt(1, 32));
+      table.Reset(paa_q, pps);
+      IsaxWord w;
+      w.bits.resize(segments);
+      w.symbols.resize(segments);
+      for (int bits = 0; bits <= kMaxSaxBits + 1; ++bits) {
+        for (int trial = 0; trial < 40; ++trial) {
+          for (size_t s = 0; s < segments; ++s) {
+            // bits == kMaxSaxBits + 1 mixes cardinalities per segment.
+            const int b = bits <= kMaxSaxBits
+                              ? bits
+                              : static_cast<int>(rng.UniformInt(0, kMaxSaxBits));
+            w.bits[s] = static_cast<uint8_t>(b);
+            w.symbols[s] =
+                static_cast<uint8_t>(rng.UniformInt(0, (1 << b) - 1));
+          }
+          ASSERT_EQ(table.NodeBoundSq(w), IsaxMinDistSq(paa_q, w, pps))
+              << "segments " << segments << " bits " << bits << " word "
+              << w.DebugString();
         }
+      }
+    }
+  }
+}
+
+TEST(OneBitTermsSq, SumToFirstLevelMinDist) {
+  util::Rng rng(36);
+  for (const size_t segments : {8u, 16u, 24u}) {
+    for (int query = 0; query < 30; ++query) {
+      std::vector<double> paa_q(segments);
+      for (double& v : paa_q) v = query == 0 ? 0.0 : QueryValue(rng);
+      const size_t pps = static_cast<size_t>(rng.UniformInt(1, 32));
+      std::vector<double> terms(2 * segments);
+      OneBitTermsSq(paa_q, terms.data());
+      IsaxWord w;
+      w.bits.assign(segments, 1);
+      w.symbols.resize(segments);
+      for (int trial = 0; trial < 50; ++trial) {
+        double acc = 0.0;
+        for (size_t s = 0; s < segments; ++s) {
+          w.symbols[s] = static_cast<uint8_t>(rng.UniformInt(0, 1));
+          acc += terms[2 * s + w.symbols[s]];
+        }
+        ASSERT_EQ(acc * static_cast<double>(pps),
+                  IsaxMinDistSq(paa_q, w, pps));
       }
     }
   }
