@@ -102,20 +102,10 @@ inline void JsonRunRecord(util::JsonWriter* json, const MethodRun& run,
   json->Double(ExactWorkloadSeconds(run, ssd));
   json->Key("stats");
   json->BeginObject();
-  json->Key("distance_computations");
-  json->Int(total.distance_computations);
-  json->Key("raw_series_examined");
-  json->Int(total.raw_series_examined);
-  json->Key("lower_bound_computations");
-  json->Int(total.lower_bound_computations);
-  json->Key("nodes_visited");
-  json->Int(total.nodes_visited);
-  json->Key("sequential_reads");
-  json->Int(total.sequential_reads);
-  json->Key("random_seeks");
-  json->Int(total.random_seeks);
-  json->Key("bytes_read");
-  json->Int(total.bytes_read);
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    json->Key(counter.name);
+    json->Int(total.*counter.member);
+  }
   json->EndObject();
   json->EndObject();
 }

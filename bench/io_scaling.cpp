@@ -83,8 +83,10 @@ int Run(int argc, char** argv) {
   json.Key("runs");
   json.BeginArray();
 
-  util::Table table({"method", "pool_mb", "query_wall_s", "pool_misses",
-                     "pool_hits", "hit_rate", "evictions", "modeled_seeks",
+  util::Table table({"method", "pool_mb", "query_wall_s",
+                     core::CounterName(&core::SearchStats::pool_misses),
+                     core::CounterName(&core::SearchStats::pool_hits),
+                     "hit_rate", "evictions", "modeled_seeks",
                      "identical"});
   bool all_identical = true;
   for (const std::string name : {"DSTree", "ADS+"}) {
@@ -157,31 +159,23 @@ int Run(int argc, char** argv) {
       json.Double(query_wall);
       json.Key("identical");
       json.Bool(identical);
+      // The ledger split by kind: measured pool I/O vs the modeled ledger.
+      const auto put_counters = [&](core::CounterKind kind) {
+        for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+          if (counter.kind != kind) continue;
+          json.Key(counter.name);
+          json.Int(total.*counter.member);
+        }
+      };
       json.Key("measured");
       json.BeginObject();
-      json.Key("pool_hits");
-      json.Int(total.pool_hits);
-      json.Key("pool_misses");
-      json.Int(total.pool_misses);
-      json.Key("pool_evictions");
-      json.Int(total.pool_evictions);
-      json.Key("pool_pread_calls");
-      json.Int(total.pool_pread_calls);
-      json.Key("pool_bytes_read");
-      json.Int(total.pool_bytes_read);
-      json.Key("pool_direct_reads");
-      json.Int(total.pool_direct_reads);
+      put_counters(core::CounterKind::kMeasured);
       json.Key("hit_rate");
       json.Double(hit_rate);
       json.EndObject();
       json.Key("modeled");
       json.BeginObject();
-      json.Key("random_seeks");
-      json.Int(total.random_seeks);
-      json.Key("sequential_reads");
-      json.Int(total.sequential_reads);
-      json.Key("bytes_read");
-      json.Int(total.bytes_read);
+      put_counters(core::CounterKind::kModeled);
       json.EndObject();
       json.EndObject();
     }

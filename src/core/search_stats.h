@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 
 namespace hydra::core {
 
@@ -68,13 +69,10 @@ struct SearchStats {
   int64_t random_seeks = 0;
   /// Bytes fetched from the simulated raw/leaf/approximation files.
   int64_t bytes_read = 0;
-  /// *Measured* buffer-pool counters (storage::BufferPool): raw series
+  /// *Measured* buffer-pool counters (CounterKind::kMeasured): raw series
   /// served from an already-resident page (hits) vs. preads from the data
-  /// file (misses: one per page fetch or per run read's pread). These
-  /// count real I/O the process performed, never modeled I/O — they stay
-  /// zero on the in-RAM backend and must never be mixed with the modeled
-  /// sequential_reads/random_seeks/bytes_read above (io::DiskModel converts
-  /// only the modeled counters to seconds).
+  /// file (misses: one per page fetch or per run read's pread). Never
+  /// mixed with the modeled counters above.
   int64_t pool_hits = 0;
   int64_t pool_misses = 0;
   /// Resident pages dropped to make room for a missed page.
@@ -99,30 +97,76 @@ struct SearchStats {
   /// max_raw_series) stopped the traversal before it finished.
   bool budget_exhausted = false;
 
-  /// Accumulates `other` into this ledger (all counters and cpu_seconds).
-  /// The delivered mode merges to the *weakest* guarantee of the two and
-  /// budget_exhausted to "any budget fired", so a batch ledger reports the
-  /// guarantee that holds for every query of the batch.
-  void Add(const SearchStats& other) {
-    distance_computations += other.distance_computations;
-    raw_series_examined += other.raw_series_examined;
-    lower_bound_computations += other.lower_bound_computations;
-    nodes_visited += other.nodes_visited;
-    sequential_reads += other.sequential_reads;
-    random_seeks += other.random_seeks;
-    bytes_read += other.bytes_read;
-    pool_hits += other.pool_hits;
-    pool_misses += other.pool_misses;
-    pool_evictions += other.pool_evictions;
-    pool_pread_calls += other.pool_pread_calls;
-    pool_bytes_read += other.pool_bytes_read;
-    pool_direct_reads += other.pool_direct_reads;
-    cpu_seconds += other.cpu_seconds;
-    answer_mode_delivered =
-        std::max(answer_mode_delivered, other.answer_mode_delivered);
-    budget_exhausted = budget_exhausted || other.budget_exhausted;
-  }
+  /// Accumulates `other` into this ledger (every kLedgerCounters row and
+  /// cpu_seconds). The delivered mode merges to the *weakest* guarantee of
+  /// the two and budget_exhausted to "any budget fired", so a batch ledger
+  /// reports the guarantee that holds for every query of the batch.
+  void Add(const SearchStats& other);
 };
+
+/// kModeled counters are charged by the algorithm (deterministic on any
+/// backend; io::DiskModel prices the access ones); kMeasured ones count
+/// real buffer-pool I/O (zero on the in-RAM backend).
+enum class CounterKind : uint8_t { kModeled, kMeasured };
+
+/// One integer counter of the ledger. `name` is its one spelling: the
+/// registry suffix (`<prefix>.<name>`), the STATS and bench JSON key.
+struct LedgerCounter {
+  const char* name;
+  CounterKind kind;
+  int64_t SearchStats::*member;
+};
+
+/// The ledger's integer counters in struct order. Every enumeration of the
+/// ledger loops over this table: a new counter is one member plus one row.
+inline constexpr LedgerCounter kLedgerCounters[] = {
+    {.name = "distance_computations", .kind = CounterKind::kModeled,
+     .member = &SearchStats::distance_computations},
+    {.name = "raw_series_examined", .kind = CounterKind::kModeled,
+     .member = &SearchStats::raw_series_examined},
+    {.name = "lower_bound_computations", .kind = CounterKind::kModeled,
+     .member = &SearchStats::lower_bound_computations},
+    {.name = "nodes_visited", .kind = CounterKind::kModeled,
+     .member = &SearchStats::nodes_visited},
+    {.name = "sequential_reads", .kind = CounterKind::kModeled,
+     .member = &SearchStats::sequential_reads},
+    {.name = "random_seeks", .kind = CounterKind::kModeled,
+     .member = &SearchStats::random_seeks},
+    {.name = "bytes_read", .kind = CounterKind::kModeled,
+     .member = &SearchStats::bytes_read},
+    {.name = "pool_hits", .kind = CounterKind::kMeasured,
+     .member = &SearchStats::pool_hits},
+    {.name = "pool_misses", .kind = CounterKind::kMeasured,
+     .member = &SearchStats::pool_misses},
+    {.name = "pool_evictions", .kind = CounterKind::kMeasured,
+     .member = &SearchStats::pool_evictions},
+    {.name = "pool_pread_calls", .kind = CounterKind::kMeasured,
+     .member = &SearchStats::pool_pread_calls},
+    {.name = "pool_bytes_read", .kind = CounterKind::kMeasured,
+     .member = &SearchStats::pool_bytes_read},
+    {.name = "pool_direct_reads", .kind = CounterKind::kMeasured,
+     .member = &SearchStats::pool_direct_reads},
+};
+static_assert(sizeof(SearchStats) == (std::size(kLedgerCounters) + 2) * 8,
+              "every int64_t member of SearchStats needs a table row");
+
+/// The table name of `member` ("" if it has no row).
+constexpr const char* CounterName(int64_t SearchStats::*member) {
+  for (const LedgerCounter& counter : kLedgerCounters) {
+    if (counter.member == member) return counter.name;
+  }
+  return "";
+}
+
+inline void SearchStats::Add(const SearchStats& other) {
+  for (const LedgerCounter& counter : kLedgerCounters) {
+    this->*counter.member += other.*counter.member;
+  }
+  cpu_seconds += other.cpu_seconds;
+  answer_mode_delivered =
+      std::max(answer_mode_delivered, other.answer_mode_delivered);
+  budget_exhausted = budget_exhausted || other.budget_exhausted;
+}
 
 /// Index-construction ledger. Output time is modeled from bytes_written and
 /// random_writes via io::DiskModel.

@@ -1,7 +1,6 @@
 #include "index/ads.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <span>
 #include <vector>
@@ -306,26 +305,7 @@ core::Footprint AdsPlus::footprint() const {
 
 double AdsPlus::MeanTlb(core::SeriesView query) const {
   HYDRA_CHECK(tree_ != nullptr);
-  const size_t segments = options_.segments;
-  const auto paa = transform::Paa(query, segments);
-  const size_t pps = query.size() / segments;
-  double sum = 0.0;
-  int64_t leaves = 0;
-  tree_->ForEachNode([&](const IsaxTree::Node& node) {
-    if (!node.is_leaf || node.ids.empty()) return;
-    const double lb =
-        std::sqrt(transform::IsaxMinDistSq(paa, node.word, pps));
-    double true_sum = 0.0;
-    for (const core::SeriesId id : node.ids) {
-      true_sum += std::sqrt(core::SquaredEuclidean(query, (*data_)[id]));
-    }
-    const double mean_true = true_sum / static_cast<double>(node.ids.size());
-    if (mean_true > 0.0) {
-      sum += lb / mean_true;
-      ++leaves;
-    }
-  });
-  return leaves == 0 ? 0.0 : sum / static_cast<double>(leaves);
+  return tree_->MeanTlb(query, *data_);
 }
 
 }  // namespace hydra::index

@@ -1,7 +1,5 @@
 #include "index/isax2plus.h"
 
-#include <cmath>
-
 #include "core/distance.h"
 #include "core/traversal.h"
 #include "index/leaf_scan.h"
@@ -167,25 +165,7 @@ core::Footprint Isax2Plus::footprint() const {
 
 double Isax2Plus::MeanTlb(core::SeriesView query) const {
   HYDRA_CHECK(tree_ != nullptr);
-  const auto paa = transform::Paa(query, options_.segments);
-  const size_t pps = query.size() / options_.segments;
-  double sum = 0.0;
-  int64_t leaves = 0;
-  tree_->ForEachNode([&](const IsaxTree::Node& node) {
-    if (!node.is_leaf || node.ids.empty()) return;
-    const double lb =
-        std::sqrt(transform::IsaxMinDistSq(paa, node.word, pps));
-    double true_sum = 0.0;
-    for (const core::SeriesId id : node.ids) {
-      true_sum += std::sqrt(core::SquaredEuclidean(query, (*data_)[id]));
-    }
-    const double mean_true = true_sum / static_cast<double>(node.ids.size());
-    if (mean_true > 0.0) {
-      sum += lb / mean_true;
-      ++leaves;
-    }
-  });
-  return leaves == 0 ? 0.0 : sum / static_cast<double>(leaves);
+  return tree_->MeanTlb(query, *data_);
 }
 
 }  // namespace hydra::index

@@ -58,7 +58,6 @@ class Isax2Plus : public core::SearchMethod {
   /// The core::TreeSearch policy of this tree (defined in the .cc).
   class Search;
 
-
   Isax2PlusOptions options_;
   const core::Dataset* data_ = nullptr;
   std::vector<uint8_t> full_words_;  // segments symbols per series

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <limits>
 
+#include "core/distance.h"
 #include "io/index_codec.h"
+#include "transform/paa.h"
 #include "util/check.h"
 
 namespace hydra::index {
@@ -321,6 +323,29 @@ std::unique_ptr<IsaxTree> IsaxTree::OpenShared(
   auto tree = std::make_unique<IsaxTree>(options, full_words->data());
   tree->LoadFrom(reader, data.size());
   return tree;
+}
+
+double IsaxTree::MeanTlb(core::SeriesView query,
+                         const core::Dataset& data) const {
+  const auto paa = transform::Paa(query, options_.segments);
+  const size_t pps = query.size() / options_.segments;
+  double sum = 0.0;
+  int64_t leaves = 0;
+  ForEachNode([&](const Node& node) {
+    if (!node.is_leaf || node.ids.empty()) return;
+    const double lb =
+        std::sqrt(transform::IsaxMinDistSq(paa, node.word, pps));
+    double true_sum = 0.0;
+    for (const core::SeriesId id : node.ids) {
+      true_sum += std::sqrt(core::SquaredEuclidean(query, data[id]));
+    }
+    const double mean_true = true_sum / static_cast<double>(node.ids.size());
+    if (mean_true > 0.0) {
+      sum += lb / mean_true;
+      ++leaves;
+    }
+  });
+  return leaves == 0 ? 0.0 : sum / static_cast<double>(leaves);
 }
 
 core::Footprint IsaxTree::StructureFootprint() const {

@@ -83,6 +83,10 @@ class IsaxTree {
   /// Walks all nodes (pre-order within each first-level subtree).
   void ForEachNode(const std::function<void(const Node&)>& fn) const;
 
+  /// SearchMethod::MeanTlb of both iSAX methods (Section 4.2): the mean
+  /// over non-empty leaves of MINDIST / mean true distance of its members.
+  double MeanTlb(core::SeriesView query, const core::Dataset& data) const;
+
   /// Number of nodes / leaf nodes and resident bytes of the structure.
   core::Footprint StructureFootprint() const;
 

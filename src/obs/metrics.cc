@@ -176,26 +176,10 @@ void PublishSearchStats(const core::SearchStats& stats,
                         const std::string& prefix) {
   Registry& registry = Registry::Get();
   registry.GetCounter(prefix + ".queries")->Add(1);
-  registry.GetCounter(prefix + ".distance_computations")
-      ->Add(stats.distance_computations);
-  registry.GetCounter(prefix + ".raw_series_examined")
-      ->Add(stats.raw_series_examined);
-  registry.GetCounter(prefix + ".lower_bound_computations")
-      ->Add(stats.lower_bound_computations);
-  registry.GetCounter(prefix + ".nodes_visited")->Add(stats.nodes_visited);
-  registry.GetCounter(prefix + ".sequential_reads")
-      ->Add(stats.sequential_reads);
-  registry.GetCounter(prefix + ".random_seeks")->Add(stats.random_seeks);
-  registry.GetCounter(prefix + ".bytes_read")->Add(stats.bytes_read);
-  registry.GetCounter(prefix + ".pool_hits")->Add(stats.pool_hits);
-  registry.GetCounter(prefix + ".pool_misses")->Add(stats.pool_misses);
-  registry.GetCounter(prefix + ".pool_evictions")->Add(stats.pool_evictions);
-  registry.GetCounter(prefix + ".pool_pread_calls")
-      ->Add(stats.pool_pread_calls);
-  registry.GetCounter(prefix + ".pool_bytes_read")
-      ->Add(stats.pool_bytes_read);
-  registry.GetCounter(prefix + ".pool_direct_reads")
-      ->Add(stats.pool_direct_reads);
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    registry.GetCounter(prefix + "." + counter.name)
+        ->Add(stats.*counter.member);
+  }
   registry.GetHistogram(prefix + ".cpu_seconds")->Observe(stats.cpu_seconds);
 }
 

@@ -123,9 +123,10 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/// Folds one query's SearchStats ledger into registry counters named
-/// `<prefix>.<counter>` (e.g. "query.distance_computations"), so CLI runs
-/// and the serve daemon publish through the same registry.
+/// Folds one query's SearchStats ledger into the registry: a counter
+/// `<prefix>.<name>` per core::kLedgerCounters row (e.g.
+/// "query.distance_computations"), `<prefix>.queries` and the
+/// `<prefix>.cpu_seconds` histogram, for CLI runs and the serve daemon.
 void PublishSearchStats(const core::SearchStats& stats,
                         const std::string& prefix);
 

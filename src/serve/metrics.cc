@@ -19,11 +19,12 @@ void ServerMetrics::RecordQuery(double latency_seconds,
   obs::Registry::Get()
       .GetHistogram("serve.latency_seconds")
       ->Observe(latency_seconds);
-  obs::PublishSearchStats(stats, "serve");
+  // A hit replays a ledger already counted at its miss: no work merges.
+  if (!cache_hit) obs::PublishSearchStats(stats, "serve");
   std::lock_guard<std::mutex> lock(mutex_);
   ++completed_;
   if (cache_hit) ++cache_hits_;
-  merged_.Add(stats);
+  if (!cache_hit) merged_.Add(stats);
 }
 
 void ServerMetrics::RecordRejected() {
@@ -166,35 +167,12 @@ std::string StatsJson(const ServerMetrics::Snapshot& snapshot,
   json.BeginObject();
   json.Key(method_name);
   json.BeginObject();
-  json.Key("distance_computations");
-  json.Int(snapshot.merged.distance_computations);
-  json.Key("raw_series_examined");
-  json.Int(snapshot.merged.raw_series_examined);
-  json.Key("lower_bound_computations");
-  json.Int(snapshot.merged.lower_bound_computations);
-  json.Key("nodes_visited");
-  json.Int(snapshot.merged.nodes_visited);
-  json.Key("sequential_reads");
-  json.Int(snapshot.merged.sequential_reads);
-  json.Key("random_seeks");
-  json.Int(snapshot.merged.random_seeks);
-  json.Key("bytes_read");
-  json.Int(snapshot.merged.bytes_read);
-  // Measured storage-layer counters (buffer pool); all zero when the
-  // daemon serves the in-RAM backend. Kept beside the modeled counters
-  // above but never mixed with them.
-  json.Key("pool_hits");
-  json.Int(snapshot.merged.pool_hits);
-  json.Key("pool_misses");
-  json.Int(snapshot.merged.pool_misses);
-  json.Key("pool_evictions");
-  json.Int(snapshot.merged.pool_evictions);
-  json.Key("pool_pread_calls");
-  json.Int(snapshot.merged.pool_pread_calls);
-  json.Key("pool_bytes_read");
-  json.Int(snapshot.merged.pool_bytes_read);
-  json.Key("pool_direct_reads");
-  json.Int(snapshot.merged.pool_direct_reads);
+  // Table order: modeled counters, then the measured pool counters (all
+  // zero when the daemon serves the in-RAM backend).
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    json.Key(counter.name);
+    json.Int(snapshot.merged.*counter.member);
+  }
   json.Key("cpu_seconds");
   json.Double(snapshot.merged.cpu_seconds);
   json.EndObject();

@@ -1,5 +1,5 @@
 // Observability of the serve daemon: monotonic request counters, the
-// merged SearchStats ledger of every query answered, and a log-scale
+// merged SearchStats ledger of every query executed, and a log-scale
 // latency histogram (obs::Histogram) from which the STATS reply derives
 // bucketed p50/p95/p99 — whole-lifetime, with a documented quantile error
 // bound (<= 18.9% relative, one histogram bucket ratio) instead of the
@@ -37,9 +37,10 @@ class ServerMetrics {
   ServerMetrics& operator=(const ServerMetrics&) = delete;
 
   /// One answered query: wall seconds from admission to response written,
-  /// the query's stats ledger (merged into the lifetime ledger), and
-  /// whether the answer came from the cache. Also publishes the ledger
-  /// and the latency into the process-wide obs::Registry.
+  /// the query's stats ledger, and whether the answer came from the cache.
+  /// Latency goes to the histogram and the obs::Registry; only an executed
+  /// answer merges and publishes ("serve.*") its ledger, since a hit
+  /// replays work already counted at its miss.
   void RecordQuery(double latency_seconds, const core::SearchStats& stats,
                    bool cache_hit);
   /// One request refused by admission control (RESOURCE_EXHAUSTED).
@@ -77,7 +78,7 @@ class ServerMetrics {
     /// (seconds) and observation counts.
     std::vector<double> bucket_bounds;
     std::vector<uint64_t> bucket_counts;
-    /// Every answered query's ledger, accumulated.
+    /// Every executed query's ledger, accumulated (cache hits add none).
     core::SearchStats merged;
   };
   Snapshot snapshot() const;

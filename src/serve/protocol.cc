@@ -136,28 +136,21 @@ bool KnownFrameType(uint8_t type) {
          type <= static_cast<uint8_t>(FrameType::kStatsFull);
 }
 
-/// Encodes the stats ledger fields shared by every answer.
+/// Encodes the full ledger: every kLedgerCounters row in table order, then
+/// cpu_seconds, the delivered mode and the budget flag.
 void PutStats(WireWriter* w, const core::SearchStats& stats) {
-  w->I64(stats.distance_computations);
-  w->I64(stats.raw_series_examined);
-  w->I64(stats.lower_bound_computations);
-  w->I64(stats.nodes_visited);
-  w->I64(stats.sequential_reads);
-  w->I64(stats.random_seeks);
-  w->I64(stats.bytes_read);
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    w->I64(stats.*counter.member);
+  }
   w->F64(stats.cpu_seconds);
   w->U8(static_cast<uint8_t>(stats.answer_mode_delivered));
   w->U8(stats.budget_exhausted ? 1 : 0);
 }
 
 void GetStats(WireReader* r, core::SearchStats* stats) {
-  stats->distance_computations = r->I64();
-  stats->raw_series_examined = r->I64();
-  stats->lower_bound_computations = r->I64();
-  stats->nodes_visited = r->I64();
-  stats->sequential_reads = r->I64();
-  stats->random_seeks = r->I64();
-  stats->bytes_read = r->I64();
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    stats->*counter.member = r->I64();
+  }
   stats->cpu_seconds = r->F64();
   const uint8_t mode = r->U8();
   if (mode > static_cast<uint8_t>(core::QualityMode::kNgApprox)) {

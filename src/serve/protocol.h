@@ -40,7 +40,9 @@ namespace hydra::serve {
 /// v2: QueryRequest carries a client request id (trace-context
 /// propagation into the daemon's flight recorder and spans), and the
 /// kStatsFull request returns the metrics-registry text dump.
-inline constexpr uint32_t kProtocolVersion = 2;
+/// v3: an ANSWER carries every core::kLedgerCounters row, the six measured
+/// pool counters included.
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /// Frame magic: "HYSv" as little-endian bytes.
 inline constexpr uint32_t kFrameMagic = 0x76535948;
@@ -146,9 +148,9 @@ struct QueryRequest {
   uint64_t request_id = 0;
 };
 
-/// A query answer: the QueryResult (neighbors + stats digest, which carries
-/// the delivered mode and budget outcome) plus whether the answer came from
-/// the server's answer cache.
+/// A query answer: the QueryResult (neighbors + the full stats ledger,
+/// which carries the delivered mode and budget outcome) plus whether the
+/// answer came from the server's answer cache.
 struct AnswerResponse {
   core::QueryResult result;
   bool cached = false;

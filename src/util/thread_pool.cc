@@ -27,11 +27,11 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::Submit(std::function<void()> task) {
   HYDRA_CHECK(task != nullptr);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    HYDRA_CHECK_MSG(!stop_, "Submit after ThreadPool destruction began");
-    queue_.push_back(std::move(task));
-  }
+  // Notify under the lock: no worker takes the task before this call is
+  // done with cv_, so the pool may be destroyed as soon as its tasks end.
+  std::lock_guard<std::mutex> lock(mutex_);
+  HYDRA_CHECK_MSG(!stop_, "Submit after ThreadPool destruction began");
+  queue_.push_back(std::move(task));
   cv_.notify_one();
 }
 

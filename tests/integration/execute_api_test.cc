@@ -16,6 +16,7 @@
 #include "core/distance.h"
 #include "core/method.h"
 #include "core/query_spec.h"
+#include "core/search_stats.h"
 #include "gen/random_walk.h"
 #include "gen/workload.h"
 
@@ -39,16 +40,10 @@ void ExpectSameAnswersAndCounters(const core::QueryResult& a,
     // Bit-identical, not approximately equal.
     EXPECT_EQ(a.neighbors[i].dist_sq, b.neighbors[i].dist_sq) << context;
   }
-  EXPECT_EQ(a.stats.distance_computations, b.stats.distance_computations)
-      << context;
-  EXPECT_EQ(a.stats.raw_series_examined, b.stats.raw_series_examined)
-      << context;
-  EXPECT_EQ(a.stats.lower_bound_computations,
-            b.stats.lower_bound_computations)
-      << context;
-  EXPECT_EQ(a.stats.nodes_visited, b.stats.nodes_visited) << context;
-  EXPECT_EQ(a.stats.random_seeks, b.stats.random_seeks) << context;
-  EXPECT_EQ(a.stats.bytes_read, b.stats.bytes_read) << context;
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    EXPECT_EQ(a.stats.*counter.member, b.stats.*counter.member)
+        << context << " " << counter.name;
+  }
 }
 
 // Adaptive methods (ADS+) refine their structure during queries, so

@@ -15,6 +15,7 @@
 #include "bench/registry.h"
 #include "core/method.h"
 #include "core/query_spec.h"
+#include "core/search_stats.h"
 #include "gen/random_walk.h"
 #include "gen/workload.h"
 
@@ -50,15 +51,10 @@ void ExpectSameAnswers(const std::vector<core::Neighbor>& got,
 void ExpectSameWork(const core::SearchStats& got,
                     const core::SearchStats& want,
                     const std::string& context) {
-  EXPECT_EQ(got.distance_computations, want.distance_computations)
-      << context;
-  EXPECT_EQ(got.raw_series_examined, want.raw_series_examined) << context;
-  EXPECT_EQ(got.lower_bound_computations, want.lower_bound_computations)
-      << context;
-  EXPECT_EQ(got.nodes_visited, want.nodes_visited) << context;
-  EXPECT_EQ(got.sequential_reads, want.sequential_reads) << context;
-  EXPECT_EQ(got.random_seeks, want.random_seeks) << context;
-  EXPECT_EQ(got.bytes_read, want.bytes_read) << context;
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    EXPECT_EQ(got.*counter.member, want.*counter.member)
+        << context << " " << counter.name;
+  }
   EXPECT_EQ(got.answer_mode_delivered, want.answer_mode_delivered)
       << context;
   EXPECT_EQ(got.budget_exhausted, want.budget_exhausted) << context;

@@ -9,6 +9,7 @@
 
 #include "bench/harness.h"
 #include "bench/registry.h"
+#include "core/search_stats.h"
 #include "gen/random_walk.h"
 #include "gen/workload.h"
 
@@ -30,13 +31,10 @@ class ParallelBatchFixture : public ::testing::Test {
 // wall-clock and legitimately varies between runs).
 void ExpectSameCounters(const core::SearchStats& a, const core::SearchStats& b,
                         const std::string& context) {
-  EXPECT_EQ(a.distance_computations, b.distance_computations) << context;
-  EXPECT_EQ(a.raw_series_examined, b.raw_series_examined) << context;
-  EXPECT_EQ(a.lower_bound_computations, b.lower_bound_computations) << context;
-  EXPECT_EQ(a.nodes_visited, b.nodes_visited) << context;
-  EXPECT_EQ(a.sequential_reads, b.sequential_reads) << context;
-  EXPECT_EQ(a.random_seeks, b.random_seeks) << context;
-  EXPECT_EQ(a.bytes_read, b.bytes_read) << context;
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    EXPECT_EQ(a.*counter.member, b.*counter.member)
+        << context << " " << counter.name;
+  }
 }
 
 TEST_F(ParallelBatchFixture, BatchIsBitIdenticalToSerialAt1And2And8Threads) {

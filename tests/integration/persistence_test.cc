@@ -21,6 +21,7 @@
 #include "bench/registry.h"
 #include "core/method.h"
 #include "core/query_spec.h"
+#include "core/search_stats.h"
 #include "gen/random_walk.h"
 #include "gen/workload.h"
 #include "io/index_codec.h"
@@ -85,17 +86,10 @@ void ExpectBitIdentical(const core::QueryResult& a, const core::QueryResult& b,
     EXPECT_EQ(a.neighbors[i].dist_sq, b.neighbors[i].dist_sq) << context;
   }
   // Everything stats-relevant except measured wall-clock time.
-  EXPECT_EQ(a.stats.distance_computations, b.stats.distance_computations)
-      << context;
-  EXPECT_EQ(a.stats.raw_series_examined, b.stats.raw_series_examined)
-      << context;
-  EXPECT_EQ(a.stats.lower_bound_computations,
-            b.stats.lower_bound_computations)
-      << context;
-  EXPECT_EQ(a.stats.nodes_visited, b.stats.nodes_visited) << context;
-  EXPECT_EQ(a.stats.sequential_reads, b.stats.sequential_reads) << context;
-  EXPECT_EQ(a.stats.random_seeks, b.stats.random_seeks) << context;
-  EXPECT_EQ(a.stats.bytes_read, b.stats.bytes_read) << context;
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    EXPECT_EQ(a.stats.*counter.member, b.stats.*counter.member)
+        << context << " " << counter.name;
+  }
   EXPECT_EQ(a.stats.answer_mode_delivered, b.stats.answer_mode_delivered)
       << context;
   EXPECT_EQ(a.stats.budget_exhausted, b.stats.budget_exhausted) << context;

@@ -2,14 +2,18 @@
 // sockets: concurrent clients receive answers bit-identical to a direct
 // Execute on the same index; a cache hit returns the identical answer
 // bytes; approximate and budgeted queries bypass the cache; admission
-// control answers overload with an explicit rejection frame; malformed
-// bytes get an error frame and a closed connection, never a crash; and
-// Reload swaps the index without dropping the listener.
+// control answers overload with an explicit rejection frame; a cache hit
+// merges no work into STATS; a pooled daemon's answers carry their
+// measured pool counters; malformed bytes get an error frame and a closed
+// connection, never a crash; and Reload swaps the index without dropping
+// the listener.
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <set>
@@ -22,12 +26,15 @@
 #include "bench/registry.h"
 #include "core/method.h"
 #include "core/query_spec.h"
+#include "core/search_stats.h"
 #include "gen/random_walk.h"
 #include "gen/workload.h"
 #include "index/isax2plus.h"
+#include "io/series_file.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "storage/backend.h"
 #include "transform/isax.h"
 
 namespace hydra::serve {
@@ -258,6 +265,96 @@ TEST_F(ServeFixture, CacheHitReturnsIdenticalBytesAndIsVisibleInStats) {
   EXPECT_NE(json.find("\"hits\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"hit_rate\":0.5"), std::string::npos) << json;
   server.Shutdown();
+}
+
+/// The STATS document once the server has recorded `completed` answers: a
+/// worker records its answer after writing it, so a client holding the
+/// answer can ask for STATS a moment before the answer is counted.
+std::string StatsAfter(Client* client, uint64_t completed) {
+  const std::string want = "\"completed\":" + std::to_string(completed) + ",";
+  std::string json;
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    if (!client->Stats(&json).ok()) return "";
+    if (json.find(want) != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return json;
+}
+
+/// Counter `name` of the merged ledger in a STATS document (-1 if absent).
+int64_t StatsLedgerValue(const std::string& json, const char* name) {
+  const size_t block = json.find("\"search_stats\"");
+  if (block == std::string::npos) return -1;
+  const std::string key = "\"" + std::string(name) + "\":";
+  const size_t at = json.find(key, block);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + key.size()));
+}
+
+TEST_F(ServeFixture, CacheHitsMergeNoWorkIntoStats) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start(BuildMethod(), &data_).ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  const QueryRequest request = RequestFor(2, core::QuerySpec::Knn(3));
+  AnswerResponse first, second;
+  ASSERT_TRUE(client.Query(request, &first, nullptr).ok());
+  ASSERT_TRUE(client.Query(request, &second, nullptr).ok());
+  ASSERT_TRUE(second.cached);
+
+  // Two answers, one execution: the server's ledger is the first answer's.
+  const std::string json = StatsAfter(&client, 2);
+  ASSERT_GT(first.result.stats.distance_computations, 0);
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    EXPECT_EQ(StatsLedgerValue(json, counter.name),
+              first.result.stats.*counter.member)
+        << counter.name;
+  }
+  server.Shutdown();
+}
+
+TEST_F(ServeFixture, PooledAnswersCarryTheirMeasuredPoolCounters) {
+  const std::string path = ::testing::TempDir() + "/hydra_serve_pooled.bin";
+  ASSERT_TRUE(io::WriteSeriesFile(path, data_).ok());
+  storage::StorageOptions options;
+  options.backend = storage::StorageBackend::kMmap;
+  options.pool.budget_bytes = 32 << 10;
+  options.pool.page_bytes = 8 << 10;
+  auto opened = storage::StorageHandle::Open(path, "pooled", options);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const storage::StorageHandle pooled = std::move(opened).value();
+  ASSERT_TRUE(pooled.pooled());
+  std::shared_ptr<core::SearchMethod> method =
+      bench::CreateMethod("DSTree", 64);
+  method->Build(pooled.dataset());
+
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start(method, &pooled.dataset()).ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  // Each answer's ledger, pool counters included, is exactly what its
+  // request added to the server's ledger.
+  core::SearchStats sum;
+  for (size_t q = 0; q < 3; ++q) {
+    AnswerResponse answer;
+    ASSERT_TRUE(
+        client.Query(RequestFor(q, core::QuerySpec::Knn(3)), &answer, nullptr)
+            .ok());
+    ASSERT_FALSE(answer.cached);
+    EXPECT_GT(answer.result.stats.pool_hits + answer.result.stats.pool_misses,
+              0)
+        << "query " << q;
+    sum.Add(answer.result.stats);
+    const std::string json = StatsAfter(&client, q + 1);
+    for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+      EXPECT_EQ(StatsLedgerValue(json, counter.name), sum.*counter.member)
+          << "query " << q << " " << counter.name;
+    }
+  }
+  server.Shutdown();
+  std::remove(path.c_str());
 }
 
 TEST_F(ServeFixture, ApproximateAndBudgetedQueriesBypassTheCache) {

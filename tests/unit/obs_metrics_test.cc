@@ -116,19 +116,22 @@ TEST_F(ObsMetricsTest, TextDumpListsEveryMetric) {
 
 TEST_F(ObsMetricsTest, PublishSearchStatsBridgesTheLedger) {
   core::SearchStats stats;
-  stats.distance_computations = 11;
-  stats.raw_series_examined = 22;
-  stats.random_seeks = 3;
-  stats.pool_misses = 2;
+  int64_t value = 11;
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    stats.*counter.member = value;
+    value += 11;
+  }
   stats.cpu_seconds = 0.004;
   PublishSearchStats(stats, "test");
   PublishSearchStats(stats, "test");  // accumulates, not overwrites
   Registry& reg = Registry::Get();
   EXPECT_EQ(reg.GetCounter("test.queries")->value(), 2);
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    EXPECT_EQ(reg.GetCounter(std::string("test.") + counter.name)->value(),
+              2 * (stats.*counter.member))
+        << counter.name;
+  }
   EXPECT_EQ(reg.GetCounter("test.distance_computations")->value(), 22);
-  EXPECT_EQ(reg.GetCounter("test.raw_series_examined")->value(), 44);
-  EXPECT_EQ(reg.GetCounter("test.random_seeks")->value(), 6);
-  EXPECT_EQ(reg.GetCounter("test.pool_misses")->value(), 4);
   EXPECT_EQ(reg.GetHistogram("test.cpu_seconds")->count(), 2u);
 }
 

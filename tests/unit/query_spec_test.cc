@@ -124,6 +124,26 @@ TEST(ModeFallback, ReasonListsSupportedModes) {
             "");
 }
 
+TEST(SearchStatsMerge, AddSumsEveryLedgerCounter) {
+  SearchStats a;
+  SearchStats b;
+  int64_t value = 1;
+  for (const LedgerCounter& counter : kLedgerCounters) {
+    a.*counter.member = value;
+    b.*counter.member = 1000 * value;
+    ++value;
+  }
+  a.cpu_seconds = 0.5;
+  b.cpu_seconds = 0.25;
+  a.Add(b);
+  value = 1;
+  for (const LedgerCounter& counter : kLedgerCounters) {
+    EXPECT_EQ(a.*counter.member, 1001 * value) << counter.name;
+    ++value;
+  }
+  EXPECT_EQ(a.cpu_seconds, 0.75);
+}
+
 TEST(SearchStatsMerge, KeepsWeakestGuaranteeAndAnyBudget) {
   SearchStats a;
   a.answer_mode_delivered = QualityMode::kEpsilon;

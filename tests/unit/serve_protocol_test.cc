@@ -13,6 +13,7 @@
 
 #include "core/method.h"
 #include "core/query_spec.h"
+#include "core/search_stats.h"
 #include "serve/protocol.h"
 
 namespace hydra::serve {
@@ -220,9 +221,13 @@ TEST(ServeProtocolTest, AnswerResponseRoundTrip) {
   AnswerResponse sent;
   sent.cached = true;
   sent.result.neighbors = {{3, 0.25}, {11, 1.5}, {7, 2.75}};
-  sent.result.stats.distance_computations = 42;
-  sent.result.stats.raw_series_examined = 17;
-  sent.result.stats.random_seeks = 5;
+  // A distinct value per ledger counter: a counter the codec drops, or two
+  // it swaps, cannot decode to its own value.
+  int64_t value = 100;
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    sent.result.stats.*counter.member = value;
+    value += 7;
+  }
   sent.result.stats.cpu_seconds = 0.125;
   sent.result.stats.answer_mode_delivered = QualityMode::kEpsilon;
   sent.result.stats.budget_exhausted = true;
@@ -234,9 +239,11 @@ TEST(ServeProtocolTest, AnswerResponseRoundTrip) {
   ASSERT_EQ(received.result.neighbors.size(), 3u);
   EXPECT_EQ(received.result.neighbors[1].id, 11u);
   EXPECT_EQ(received.result.neighbors[1].dist_sq, 1.5);
-  EXPECT_EQ(received.result.stats.distance_computations, 42);
-  EXPECT_EQ(received.result.stats.raw_series_examined, 17);
-  EXPECT_EQ(received.result.stats.random_seeks, 5);
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    EXPECT_EQ(received.result.stats.*counter.member,
+              sent.result.stats.*counter.member)
+        << counter.name;
+  }
   EXPECT_EQ(received.result.stats.cpu_seconds, 0.125);
   EXPECT_EQ(received.result.delivered(), QualityMode::kEpsilon);
   EXPECT_TRUE(received.result.budget_fired());

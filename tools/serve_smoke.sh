@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Serve smoke: the daemon must answer concurrent socket clients exactly the
 # lines a direct `hydra query` run prints (same probe workload, same seed),
-# repeat queries from the answer cache, report its traffic over STATS,
-# answer pings, and drain cleanly on SIGTERM — all through the real binary.
+# repeat queries from the answer cache (merging no work), report its traffic
+# over STATS, answer pings, and drain cleanly on SIGTERM — via the binary.
 set -euo pipefail
 HYDRA="${1:?usage: serve_smoke.sh <path-to-hydra-binary>}"
 TMP="$(mktemp -d)"
@@ -56,6 +56,20 @@ for c in 1 2 3 4; do
     || { echo "FAIL: client $c answers differ from direct query"; exit 1; }
 done
 
+# STATS into file $2 once the daemon counted $1 answers (a worker counts
+# its answer just after writing it to the client).
+stats_after() {
+  for _ in $(seq 1 100); do
+    "$HYDRA" stats --port "$PORT" > "$2"
+    grep -q "\"completed\":$1," "$2" && return 0
+    sleep 0.1
+  done
+  echo "FAIL: STATS never counted $1 answers"; cat "$2"; exit 1
+}
+ledger() { sed -n 's/.*\("search_stats":{[^}]*}}\).*/\1/p' "$1"; }
+cache_hits() { sed -n 's/.*"cache":{"hits":\([0-9]*\).*/\1/p' "$1"; }
+stats_after 24 "$TMP/stats_before.json"
+
 # The workload repeats across clients, so by now every exact answer is
 # cached: one more run must be answered entirely from the cache.
 "$HYDRA" queryd "$TMP/data.bin" 5 6 --port "$PORT" > "$TMP/cached.txt"
@@ -67,13 +81,22 @@ diff "$TMP/ref.txt" "$TMP/cached_answers.txt" \
   || { echo "FAIL: cached answers differ from direct query"; exit 1; }
 
 # STATS sees the traffic: hits happened, nothing was malformed or rejected.
-"$HYDRA" stats --port "$PORT" > "$TMP/stats.json"
+stats_after 30 "$TMP/stats.json"
 grep -q '"rejected":0' "$TMP/stats.json" \
   || { echo "FAIL: unexpected rejections"; cat "$TMP/stats.json"; exit 1; }
 grep -q '"malformed":0' "$TMP/stats.json" \
   || { echo "FAIL: unexpected malformed frames"; exit 1; }
 grep -q '"hits":' "$TMP/stats.json" && ! grep -q '"hits":0,' "$TMP/stats.json" \
   || { echo "FAIL: STATS shows no cache hits"; cat "$TMP/stats.json"; exit 1; }
+
+# Hits replay answers executed earlier: the cached pass grows the hit count
+# but merges no work, so the merged ledger is byte-identical across it.
+[[ -n "$(ledger "$TMP/stats.json")" &&
+   "$(ledger "$TMP/stats_before.json")" == "$(ledger "$TMP/stats.json")" ]] \
+  || { echo "FAIL: no search_stats, or cache hits merged work into it"; \
+       ledger "$TMP/stats_before.json"; ledger "$TMP/stats.json"; exit 1; }
+(( $(cache_hits "$TMP/stats.json") > $(cache_hits "$TMP/stats_before.json") )) \
+  || { echo "FAIL: the cached pass did not grow cache.hits"; exit 1; }
 
 # Graceful shutdown: SIGTERM drains and the daemon reports it stopped.
 kill -TERM "$SERVE_PID"
