@@ -1,12 +1,16 @@
 // Out-of-core I/O scaling scenario: measured buffer-pool traffic and
-// query wall-clock versus pool budget, for one leaf-materializing tree
-// (DSTree) and the skip-sequential ADS+ — the two raw-read styles of the
-// study. This exhibit is ours, not the paper's: their experiments hold
-// the dataset either fully in memory or fully on disk, while the pool
-// sweeps the space between — at 1MB the working set thrashes (measured
-// misses exceed the modeled random accesses), at 64MB the whole file is
-// resident after the cold pass. Answers are asserted bit-identical to
-// the in-RAM backend at every budget; only the traffic may change.
+// query wall-clock versus pool budget, for the summarized trees (DSTree,
+// iSAX2+, SFA trie) and the skip-sequential ADS+. This exhibit is ours,
+// not the paper's: their experiments hold the dataset either fully in
+// memory or fully on disk, while the pool sweeps the space between. The
+// trees read each leaf's filter survivors as planned runs, never through
+// pool frames, so their traffic is the same at every budget: no hits, no
+// evictions, and pread bytes within about 1.1x (DSTree, iSAX2+) to 2.1x
+// (SFA) of the series verified — at 1MB as at 64MB, where a warm pool
+// would have served them from memory. ADS+ still reads part of its work
+// through pages: at 1MB it evicts, from 16MB on the file is resident after
+// the cold pass. Answers are asserted bit-identical to the in-RAM backend
+// at every budget; only the traffic may change.
 //
 // Usage: io_scaling [count] [length] [queries] [--json <path>]
 // Writes the machine-readable sweep to BENCH_storage.json by default.
@@ -52,9 +56,9 @@ int Run(int argc, char** argv) {
   Banner("I/O scaling",
          "measured pool traffic + query seconds vs pool budget (mmap "
          "backend)",
-         "a pool below the verified working set thrashes (measured misses "
-         "> modeled random accesses); growing the budget converts misses "
-         "to hits without changing a single answer");
+         "tree leaf scans read planned runs, so their traffic ignores the "
+         "budget; ADS+ page reads thrash below its working set and turn "
+         "into hits above it, without changing a single answer");
 
   const auto data = gen::MakeDataset("synth", count, length, 41);
   const gen::Workload workload = gen::CtrlWorkload(data, queries, 42);
@@ -85,11 +89,12 @@ int Run(int argc, char** argv) {
 
   util::Table table({"method", "pool_mb", "query_wall_s",
                      core::CounterName(&core::SearchStats::pool_misses),
+                     core::CounterName(&core::SearchStats::pool_bytes_read),
                      core::CounterName(&core::SearchStats::pool_hits),
                      "hit_rate", "evictions", "modeled_seeks",
                      "identical"});
   bool all_identical = true;
-  for (const std::string name : {"DSTree", "ADS+"}) {
+  for (const std::string name : {"DSTree", "iSAX2+", "SFA", "ADS+"}) {
     // The in-RAM reference answers: the identity baseline for every
     // budget (ADS+ adapts per query, so each sweep point rebuilds).
     std::vector<std::vector<core::Neighbor>> reference;
@@ -139,6 +144,8 @@ int Run(int argc, char** argv) {
                     util::Table::Num(query_wall, 3),
                     util::Table::Num(static_cast<double>(total.pool_misses),
                                      0),
+                    util::Table::Num(
+                        static_cast<double>(total.pool_bytes_read), 0),
                     util::Table::Num(static_cast<double>(total.pool_hits),
                                      0),
                     util::Table::Num(hit_rate, 3),

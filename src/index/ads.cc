@@ -7,6 +7,7 @@
 
 #include "core/distance.h"
 #include "core/traversal.h"
+#include "index/leaf_scan.h"
 #include "io/index_codec.h"
 #include "transform/paa.h"
 #include "util/check.h"
@@ -22,6 +23,27 @@ std::span<const core::SeriesId> CandidatesIn(
       std::lower_bound(candidates.begin(), candidates.end(), begin);
   const auto last = std::lower_bound(first, candidates.end(), end);
   return {first, last};
+}
+
+/// True when the leaves under `node` list `count` distinct ids below
+/// `series_count`, each leaf strictly ascending: a split leaf's subtree
+/// still lists exactly the ids the leaf held, so the tree's leaves keep
+/// partitioning the collection (checked without walking the whole tree).
+bool SubtreeListsIds(const IsaxTree::Node& node, size_t count,
+                     size_t series_count) {
+  LeafIdPartition leaves(series_count);
+  std::vector<const IsaxTree::Node*> stack = {&node};
+  while (!stack.empty()) {
+    const IsaxTree::Node* n = stack.back();
+    stack.pop_back();
+    if (n->is_leaf) {
+      if (leaves.Add(n->ids) != nullptr) return false;
+    } else {
+      stack.push_back(n->child0.get());
+      stack.push_back(n->child1.get());
+    }
+  }
+  return leaves.listed() == count;
 }
 
 }  // namespace
@@ -43,6 +65,7 @@ core::BuildStats AdsPlus::DoBuild(const core::Dataset& data) {
   for (size_t i = 0; i < data.size(); ++i) {
     tree_->Insert(static_cast<core::SeriesId>(i));
   }
+  HYDRA_DCHECK(tree_->PartitionsIds(data.size()));
   raw_ = std::make_unique<io::CountedStorage>(data_);
 
   core::BuildStats stats;
@@ -105,6 +128,7 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
   while (home != nullptr && home->size() > options_.adaptive_leaf_capacity) {
     const size_t before = home->size();
     tree_->SplitLeaf(home);
+    HYDRA_DCHECK(SubtreeListsIds(*home, before, data_->size()));
     if (home->is_leaf) break;  // could not split (max resolution)
     home = tree_->ApproximateLeaf(paa, pps);
     if (home == nullptr || home->size() >= before) break;

@@ -131,6 +131,19 @@ core::BuildStats DsTree::DoBuild(const core::Dataset& data) {
     const Prefix p = ComputePrefix(data[i]);
     Insert(static_cast<core::SeriesId>(i), p);
   }
+  HYDRA_DCHECK(LeavesPartitionIds(data.size(), [this](const auto& visit) {
+    std::vector<const Node*> stack = {root_.get()};
+    while (!stack.empty()) {
+      const Node* n = stack.back();
+      stack.pop_back();
+      if (n->is_leaf) {
+        visit(n->ids);
+      } else {
+        stack.push_back(n->left.get());
+        stack.push_back(n->right.get());
+      }
+    }
+  }));
   const size_t segments = WordSegments(data.length());
   words_.resize(data.size() * segments);
   for (size_t i = 0; i < data.size(); ++i) {
@@ -181,7 +194,7 @@ void DsTree::SaveNode(const Node& node, io::IndexWriter* w) {
 
 std::unique_ptr<DsTree::Node> DsTree::LoadNode(io::IndexReader* r,
                                                size_t series_length,
-                                               size_t series_count) {
+                                               LeafIdPartition* leaves) {
   const io::IndexReader::NodeGuard guard(r);
   auto node = std::make_unique<Node>();
   node->seg.ends = r->ReadPodVector<uint32_t>();
@@ -199,11 +212,9 @@ std::unique_ptr<DsTree::Node> DsTree::LoadNode(io::IndexReader* r,
   }
   if (node->is_leaf) {
     node->ids = r->ReadPodVector<core::SeriesId>();
-    for (const core::SeriesId id : node->ids) {
-      if (id >= series_count) {
-        r->Fail("DSTree leaf entry is out of the dataset's range");
-        return node;
-      }
+    if (!r->ok()) return node;
+    if (const char* error = leaves->Add(node->ids)) {
+      r->Fail(std::string("DSTree ") + error);
     }
     return node;
   }
@@ -222,8 +233,8 @@ std::unique_ptr<DsTree::Node> DsTree::LoadNode(io::IndexReader* r,
     r->Fail("DSTree internal node has an invalid split segment");
     return node;
   }
-  node->left = LoadNode(r, series_length, series_count);
-  node->right = LoadNode(r, series_length, series_count);
+  node->left = LoadNode(r, series_length, leaves);
+  node->right = LoadNode(r, series_length, leaves);
   return node;
 }
 
@@ -259,7 +270,13 @@ util::Status DsTree::DoOpen(io::IndexReader* reader,
   reader->EnterSection("tree");
   if (!reader->ok()) return reader->status();
   data_ = &data;
-  root_ = LoadNode(reader, data.length(), data.size());
+  LeafIdPartition leaves(data.size());
+  root_ = LoadNode(reader, data.length(), &leaves);
+  if (reader->ok()) {
+    if (const char* error = leaves.Finish()) {
+      reader->Fail(std::string("DSTree ") + error);
+    }
+  }
   return reader->status();
 }
 
@@ -421,11 +438,12 @@ void DsTree::SplitLeaf(Node* leaf) {
 /// members bounded by their iSAX words once the traversal starts.
 class DsTree::Search : public core::TreePolicy<DsTree::Node> {
  public:
-  Search(const DsTree& tree, core::SeriesView query)
+  Search(const DsTree& tree, core::SeriesView query, size_t workers)
       : tree_(tree),
         query_(query),
         order_(core::ScratchQueryOrder(query)),
-        qp_(ComputePrefix(query)) {
+        qp_(ComputePrefix(query)),
+        raw_(tree.data_, workers) {
     HYDRA_CHECK(tree.root_ != nullptr);
   }
 
@@ -474,11 +492,12 @@ class DsTree::Search : public core::TreePolicy<DsTree::Node> {
   }
 
   template <typename W>
-  void VerifyLeaf(const Item& leaf, const W& w) const {
+  void VerifyLeaf(const Item& leaf, const W& w) {
+    io::CountedStorage& raw = raw_[w.index()];
     if (table_ == nullptr) {
-      ScanLeaf(leaf.node->ids, tree_.data_, order_, w);
+      ScanLeaf(leaf.node->ids, raw, order_, w);
     } else {
-      ScanLeaf(leaf.node->ids, tree_.data_, order_, w,
+      ScanLeaf(leaf.node->ids, raw, order_, w,
                IsaxMemberBound{table_, tree_.words_.data()});
     }
   }
@@ -497,22 +516,25 @@ class DsTree::Search : public core::TreePolicy<DsTree::Node> {
   const core::SeriesView query_;
   const core::QueryOrder& order_;
   const Prefix qp_;
+  io::WorkerCursors raw_;
   // Set by PrepareMemberBounds (null: the home leaf and the ng path).
   const transform::IsaxQueryTable* table_ = nullptr;
 };
 
 core::QueryResult DsTree::DoSearchKnn(core::SeriesView query,
                                       const core::KnnPlan& plan) {
-  return core::TreeSearch<Search>::Knn(plan, *this, query);
+  return core::TreeSearch<Search>::Knn(plan, *this, query,
+                                       plan.query_threads);
 }
 
 core::QueryResult DsTree::DoSearchKnnNg(core::SeriesView query, size_t k) {
-  return core::TreeSearch<Search>::Ng(k, *this, query);
+  return core::TreeSearch<Search>::Ng(k, *this, query, size_t{1});
 }
 
 core::QueryResult DsTree::DoSearchRange(core::SeriesView query,
                                         const core::RangePlan& plan) {
-  return core::TreeSearch<Search>::Range(plan, *this, query);
+  return core::TreeSearch<Search>::Range(plan, *this, query,
+                                         plan.query_threads);
 }
 
 core::Footprint DsTree::footprint() const {

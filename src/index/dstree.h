@@ -13,6 +13,8 @@
 
 namespace hydra::index {
 
+class LeafIdPartition;
+
 /// Options for DSTree. Segmentations start uniform with `initial_segments`
 /// and may refine up to `max_segments` via vertical splits.
 struct DsTreeOptions {
@@ -74,7 +76,7 @@ class DsTree : public core::SearchMethod {
   static void SaveNode(const Node& node, io::IndexWriter* writer);
   static std::unique_ptr<Node> LoadNode(io::IndexReader* reader,
                                         size_t series_length,
-                                        size_t series_count);
+                                        LeafIdPartition* leaves);
 
   static Prefix ComputePrefix(core::SeriesView x);
   static transform::SegmentStats StatOf(const Prefix& p, uint32_t begin,

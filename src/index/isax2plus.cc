@@ -28,6 +28,7 @@ core::BuildStats Isax2Plus::DoBuild(const core::Dataset& data) {
   for (size_t i = 0; i < data.size(); ++i) {
     tree_->Insert(static_cast<core::SeriesId>(i));
   }
+  HYDRA_DCHECK(tree_->PartitionsIds(data.size()));
 
   core::BuildStats stats;
   stats.cpu_seconds = timer.Seconds();
@@ -74,11 +75,12 @@ util::Status Isax2Plus::DoOpen(io::IndexReader* reader,
 /// starts.
 class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
  public:
-  Search(const Isax2Plus& index, core::SeriesView query)
+  Search(const Isax2Plus& index, core::SeriesView query, size_t workers)
       : index_(index),
         order_(core::ScratchQueryOrder(query)),
         paa_(transform::Paa(query, index.options_.segments)),
-        pps_(query.size() / index.options_.segments) {
+        pps_(query.size() / index.options_.segments),
+        raw_(index.data_, workers) {
     HYDRA_CHECK(index.tree_ != nullptr);
   }
 
@@ -113,11 +115,12 @@ class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
   }
 
   template <typename W>
-  void VerifyLeaf(const Item& leaf, const W& w) const {
+  void VerifyLeaf(const Item& leaf, const W& w) {
+    io::CountedStorage& raw = raw_[w.index()];
     if (table_ == nullptr) {
-      ScanLeaf(leaf.node->ids, index_.data_, order_, w);
+      ScanLeaf(leaf.node->ids, raw, order_, w);
     } else {
-      ScanLeaf(leaf.node->ids, index_.data_, order_, w,
+      ScanLeaf(leaf.node->ids, raw, order_, w,
                IsaxMemberBound{table_, index_.full_words_.data()});
     }
   }
@@ -135,6 +138,7 @@ class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
   const core::QueryOrder& order_;
   const std::vector<double> paa_;
   const size_t pps_;
+  io::WorkerCursors raw_;
   // Set by PrepareMemberBounds (null during the home visit and the whole
   // ng path, which never fills it).
   const transform::IsaxQueryTable* table_ = nullptr;
@@ -142,17 +146,19 @@ class Isax2Plus::Search : public core::TreePolicy<IsaxTree::Node> {
 
 core::QueryResult Isax2Plus::DoSearchKnn(core::SeriesView query,
                                          const core::KnnPlan& plan) {
-  return core::TreeSearch<Search>::Knn(plan, *this, query);
+  return core::TreeSearch<Search>::Knn(plan, *this, query,
+                                       plan.query_threads);
 }
 
 core::QueryResult Isax2Plus::DoSearchKnnNg(core::SeriesView query,
                                            size_t k) {
-  return core::TreeSearch<Search>::Ng(k, *this, query);
+  return core::TreeSearch<Search>::Ng(k, *this, query, size_t{1});
 }
 
 core::QueryResult Isax2Plus::DoSearchRange(core::SeriesView query,
                                            const core::RangePlan& plan) {
-  return core::TreeSearch<Search>::Range(plan, *this, query);
+  return core::TreeSearch<Search>::Range(plan, *this, query,
+                                         plan.query_threads);
 }
 
 core::Footprint Isax2Plus::footprint() const {

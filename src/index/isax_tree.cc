@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "core/distance.h"
+#include "index/leaf_scan.h"
 #include "io/index_codec.h"
 #include "transform/paa.h"
 #include "util/check.h"
@@ -29,7 +30,7 @@ void SaveNode(const IsaxTree::Node& node, io::IndexWriter* w) {
 
 std::unique_ptr<IsaxTree::Node> LoadNode(io::IndexReader* r,
                                          size_t segments,
-                                         size_t series_count) {
+                                         LeafIdPartition* leaves) {
   const io::IndexReader::NodeGuard guard(r);
   auto node = std::make_unique<IsaxTree::Node>();
   node->word.symbols = r->ReadPodVector<uint8_t>();
@@ -47,11 +48,9 @@ std::unique_ptr<IsaxTree::Node> LoadNode(io::IndexReader* r,
   }
   if (node->is_leaf) {
     node->ids = r->ReadPodVector<core::SeriesId>();
-    for (const core::SeriesId id : node->ids) {
-      if (id >= series_count) {
-        r->Fail("iSAX leaf entry is out of the dataset's range");
-        return node;
-      }
+    if (!r->ok()) return node;
+    if (const char* error = leaves->Add(node->ids)) {
+      r->Fail(std::string("iSAX ") + error);
     }
   } else {
     if (node->split_segment < 0 ||
@@ -59,8 +58,8 @@ std::unique_ptr<IsaxTree::Node> LoadNode(io::IndexReader* r,
       r->Fail("iSAX internal node has an invalid split segment");
       return node;
     }
-    node->child0 = LoadNode(r, segments, series_count);
-    node->child1 = LoadNode(r, segments, series_count);
+    node->child0 = LoadNode(r, segments, leaves);
+    node->child1 = LoadNode(r, segments, leaves);
   }
   return node;
 }
@@ -271,9 +270,10 @@ void IsaxTree::LoadFrom(io::IndexReader* reader, size_t series_count) {
   first_level_flat_.clear();
   const size_t segments = options_.segments;
   const uint64_t count = reader->ReadU64();
+  LeafIdPartition leaves(series_count);
   for (uint64_t i = 0; i < count && reader->ok(); ++i) {
     const uint32_t key = reader->ReadU32();
-    auto node = LoadNode(reader, segments, series_count);
+    auto node = LoadNode(reader, segments, &leaves);
     if (!reader->ok()) break;
     if ((uint64_t{key} >> segments) != 0) {
       reader->Fail("iSAX first-level key exceeds the segment count");
@@ -298,6 +298,19 @@ void IsaxTree::LoadFrom(io::IndexReader* reader, size_t series_count) {
     first_level_flat_.push_back({key, node.get()});
     first_level_.emplace(key, std::move(node));
   }
+  if (reader->ok()) {
+    if (const char* error = leaves.Finish()) {
+      reader->Fail(std::string("iSAX ") + error);
+    }
+  }
+}
+
+bool IsaxTree::PartitionsIds(size_t series_count) const {
+  return LeavesPartitionIds(series_count, [this](const auto& visit) {
+    ForEachNode([&](const Node& node) {
+      if (node.is_leaf) visit(node.ids);
+    });
+  });
 }
 
 std::unique_ptr<IsaxTree> IsaxTree::OpenShared(

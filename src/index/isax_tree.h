@@ -83,6 +83,10 @@ class IsaxTree {
   /// Walks all nodes (pre-order within each first-level subtree).
   void ForEachNode(const std::function<void(const Node&)>& fn) const;
 
+  /// True when the leaves partition [0, series_count), each in strictly
+  /// ascending id order (see LeafIdPartition; for DCHECKs).
+  bool PartitionsIds(size_t series_count) const;
+
   /// SearchMethod::MeanTlb of both iSAX methods (Section 4.2): the mean
   /// over non-empty leaves of MINDIST / mean true distance of its members.
   double MeanTlb(core::SeriesView query, const core::Dataset& data) const;
@@ -95,10 +99,11 @@ class IsaxTree {
   void SaveTo(io::IndexWriter* writer) const;
 
   /// Rebuilds the structure from the reader's current section (inverse of
-  /// SaveTo), replacing the current contents. Leaf ids are validated
-  /// against `series_count`, and every first-level entry must be a unique
-  /// key below 2^segments whose node is its depth-1, 1-bit word — else an
-  /// opened tree could route a query differently than the built one.
+  /// SaveTo), replacing the current contents. The leaves must partition
+  /// [0, series_count) in ascending order (LeafIdPartition), and every
+  /// first-level entry must be a unique key below 2^segments whose node
+  /// is its depth-1, 1-bit word — else an opened tree could route a query
+  /// differently than the built one.
   /// Failures latch into the reader's sticky status.
   void LoadFrom(io::IndexReader* reader, size_t series_count);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <numeric>
 
@@ -436,12 +435,10 @@ class RStarTree::Search : public core::TreePolicy<RStarTree::Node> {
   Search(const RStarTree& tree, core::SeriesView query, size_t workers)
       : tree_(tree),
         order_(core::ScratchQueryOrder(query)),
-        q_(transform::Paa(query, tree.dims_)) {
+        q_(transform::Paa(query, tree.dims_)),
+        raw_(tree.data_, workers) {
     HYDRA_CHECK(tree.root_ != nullptr);
     for (double& v : q_) v *= tree.scale_;
-    for (size_t w = 0; w < std::max<size_t>(1, workers); ++w) {
-      raw_.emplace_back(tree.data_);
-    }
   }
 
   int64_t LeafCount() const { return 0; }  // no delta rule on the R*-tree
@@ -488,8 +485,7 @@ class RStarTree::Search : public core::TreePolicy<RStarTree::Node> {
   const RStarTree& tree_;
   const core::QueryOrder& order_;
   std::vector<double> q_;  // scaled PAA of the query
-  // One raw-file cursor per worker: no two threads may share one.
-  std::deque<io::CountedStorage> raw_;
+  io::WorkerCursors raw_;
 };
 
 core::QueryResult RStarTree::DoSearchKnn(core::SeriesView query,

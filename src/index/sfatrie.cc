@@ -73,6 +73,17 @@ core::BuildStats SfaTrie::DoBuild(const core::Dataset& data) {
   for (size_t i = 0; i < data.size(); ++i) {
     Insert(static_cast<core::SeriesId>(i), root_.get());
   }
+  HYDRA_DCHECK(LeavesPartitionIds(data.size(), [this](const auto& visit) {
+    std::vector<const Node*> stack = {root_.get()};
+    while (!stack.empty()) {
+      const Node* n = stack.back();
+      stack.pop_back();
+      if (n->is_leaf) visit(n->ids);
+      for (const auto& slot : n->children) {
+        if (slot != nullptr) stack.push_back(slot.get());
+      }
+    }
+  }));
 
   core::BuildStats stats;
   stats.cpu_seconds = timer.Seconds();
@@ -101,8 +112,8 @@ void SfaTrie::SaveNode(const Node& node, io::IndexWriter* w) {
   }
 }
 
-std::unique_ptr<SfaTrie::Node> SfaTrie::LoadNode(io::IndexReader* r,
-                                                 size_t series_count) const {
+std::unique_ptr<SfaTrie::Node> SfaTrie::LoadNode(
+    io::IndexReader* r, LeafIdPartition* leaves) const {
   const io::IndexReader::NodeGuard guard(r);
   const size_t dims = quantizer_.dims();
   auto node = std::make_unique<Node>();
@@ -126,11 +137,9 @@ std::unique_ptr<SfaTrie::Node> SfaTrie::LoadNode(io::IndexReader* r,
   }
   if (node->is_leaf) {
     node->ids = r->ReadPodVector<core::SeriesId>();
-    for (const core::SeriesId id : node->ids) {
-      if (id >= series_count) {
-        r->Fail("SFA leaf entry is out of the dataset's range");
-        return node;
-      }
+    if (!r->ok()) return node;
+    if (const char* error = leaves->Add(node->ids)) {
+      r->Fail(std::string("SFA ") + error);
     }
     return node;
   }
@@ -142,7 +151,7 @@ std::unique_ptr<SfaTrie::Node> SfaTrie::LoadNode(io::IndexReader* r,
   }
   node->children.resize(slots);
   for (uint64_t s = 0; s < slots && r->ok(); ++s) {
-    if (r->ReadBool()) node->children[s] = LoadNode(r, series_count);
+    if (r->ReadBool()) node->children[s] = LoadNode(r, leaves);
   }
   return node;
 }
@@ -218,7 +227,13 @@ util::Status SfaTrie::DoOpen(io::IndexReader* reader,
   reader->EnterSection("tree");
   if (!reader->ok()) return reader->status();
   data_ = &data;
-  root_ = LoadNode(reader, data.size());
+  LeafIdPartition leaves(data.size());
+  root_ = LoadNode(reader, &leaves);
+  if (reader->ok()) {
+    if (const char* error = leaves.Finish()) {
+      reader->Fail(std::string("SFA ") + error);
+    }
+  }
   return reader->status();
 }
 
@@ -295,11 +310,12 @@ double SfaTrie::NodeLowerBound(std::span<const double> q_dft,
 /// SFA words once the traversal starts.
 class SfaTrie::Search : public core::TreePolicy<SfaTrie::Node> {
  public:
-  Search(const SfaTrie& trie, core::SeriesView query)
+  Search(const SfaTrie& trie, core::SeriesView query, size_t workers)
       : trie_(trie),
         order_(core::ScratchQueryOrder(query)),
         q_dft_(transform::PackedRealDft(query, trie.quantizer_.dims(),
-                                        /*skip_dc=*/true)) {
+                                        /*skip_dc=*/true)),
+        raw_(trie.data_, workers) {
     HYDRA_CHECK(trie.root_ != nullptr);
   }
 
@@ -355,13 +371,14 @@ class SfaTrie::Search : public core::TreePolicy<SfaTrie::Node> {
   }
 
   template <typename W>
-  void VerifyLeaf(const Item& leaf, const W& w) const {
+  void VerifyLeaf(const Item& leaf, const W& w) {
+    io::CountedStorage& raw = raw_[w.index()];
     if (!member_bounds_) {
-      ScanLeaf(leaf.node->ids, trie_.data_, order_, w);
+      ScanLeaf(leaf.node->ids, raw, order_, w);
       return;
     }
     const size_t dims = trie_.quantizer_.dims();
-    ScanLeaf(leaf.node->ids, trie_.data_, order_, w,
+    ScanLeaf(leaf.node->ids, raw, order_, w,
              [this, dims](core::SeriesId id) {
                return trie_.quantizer_.LowerBoundSq(
                    q_dft_, {trie_.words_.data() + static_cast<size_t>(id) * dims,
@@ -381,21 +398,24 @@ class SfaTrie::Search : public core::TreePolicy<SfaTrie::Node> {
   const SfaTrie& trie_;
   const core::QueryOrder& order_;
   const std::vector<double> q_dft_;
+  io::WorkerCursors raw_;
   bool member_bounds_ = false;  // set by PrepareMemberBounds
 };
 
 core::QueryResult SfaTrie::DoSearchKnn(core::SeriesView query,
                                        const core::KnnPlan& plan) {
-  return core::TreeSearch<Search>::Knn(plan, *this, query);
+  return core::TreeSearch<Search>::Knn(plan, *this, query,
+                                       plan.query_threads);
 }
 
 core::QueryResult SfaTrie::DoSearchKnnNg(core::SeriesView query, size_t k) {
-  return core::TreeSearch<Search>::Ng(k, *this, query);
+  return core::TreeSearch<Search>::Ng(k, *this, query, size_t{1});
 }
 
 core::QueryResult SfaTrie::DoSearchRange(core::SeriesView query,
                                          const core::RangePlan& plan) {
-  return core::TreeSearch<Search>::Range(plan, *this, query);
+  return core::TreeSearch<Search>::Range(plan, *this, query,
+                                         plan.query_threads);
 }
 
 core::Footprint SfaTrie::footprint() const {

@@ -12,6 +12,8 @@
 
 namespace hydra::index {
 
+class LeafIdPartition;
+
 /// Options for the SFA trie. The paper's tuned configuration: word length
 /// 16, alphabet 8, equi-depth binning.
 struct SfaTrieOptions {
@@ -66,7 +68,7 @@ class SfaTrie : public core::SearchMethod {
 
   static void SaveNode(const Node& node, io::IndexWriter* writer);
   std::unique_ptr<Node> LoadNode(io::IndexReader* reader,
-                                 size_t series_count) const;
+                                 LeafIdPartition* leaves) const;
 
   void Insert(core::SeriesId id, Node* node);
   void SplitLeaf(Node* leaf);

@@ -13,8 +13,10 @@
 #ifndef HYDRA_IO_COUNTED_STORAGE_H_
 #define HYDRA_IO_COUNTED_STORAGE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 
@@ -71,6 +73,22 @@ class CountedStorage {
   /// recorded — they track what the storage layer actually did.
   core::SeriesView ReadPrecharged(core::SeriesId i, core::SearchStats* stats);
 
+  /// Asks the CPU to bring series `i` into cache ahead of its read: every
+  /// cache line of it on an in-RAM dataset, so a distance kernel that
+  /// visits the series out of order does not stall on memory. Does
+  /// nothing on a pooled dataset, whose bytes a planned run brings in.
+  /// Always inlined: GCC deems an out-of-line call that only prefetches
+  /// free of effects and deletes it.
+  [[gnu::always_inline]] void Prefetch(core::SeriesId i) const {
+    if (source_ != nullptr) return;
+    const auto* first = reinterpret_cast<const char*>((*data_)[i].data());
+    const auto begin = reinterpret_cast<uintptr_t>(first) & ~(kCacheLine - 1);
+    const uintptr_t end = reinterpret_cast<uintptr_t>(first) + series_bytes();
+    for (uintptr_t line = begin; line < end; line += kCacheLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    }
+  }
+
   /// Forgets the cursor position (e.g., between build and query phases).
   void ResetCursor() { cursor_ = kNoCursor; }
 
@@ -99,6 +117,7 @@ class CountedStorage {
 
  private:
   static constexpr int64_t kNoCursor = -2;
+  static constexpr uintptr_t kCacheLine = 64;
 
   /// The one place bytes are fetched: through the pool when the dataset
   /// is file-backed, by dereference otherwise.
@@ -128,6 +147,24 @@ class CountedStorage {
   size_t run_count_ = 0;
   size_t run_capacity_ = 0;  // series; allocated on the first run
   std::unique_ptr<core::Value[]> run_;
+};
+
+/// One cursor per traversal worker, kept for the whole query (a cursor
+/// that reads planned runs then allocates its run scratch once, not on
+/// every leaf). Indexed by core::TreeWorker::index(); no two threads may
+/// share a cursor.
+class WorkerCursors {
+ public:
+  WorkerCursors(const core::Dataset* data, size_t workers) {
+    for (size_t w = 0; w < std::max<size_t>(1, workers); ++w) {
+      cursors_.emplace_back(data);
+    }
+  }
+
+  CountedStorage& operator[](size_t w) { return cursors_[w]; }
+
+ private:
+  std::deque<CountedStorage> cursors_;  // a deque: cursors do not move
 };
 
 /// Charges the read of one index leaf holding `series_count` series of

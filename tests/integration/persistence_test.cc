@@ -5,6 +5,7 @@
 // the file on disk, serialization is deterministic, corrupt or mismatched
 // index files fail with a clean error status (never a CHECK abort), and
 // lifecycle misuse (Save before Build, double Open) dies loudly.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -482,6 +483,26 @@ TEST(PersistenceErrors, DsTreeRefusesCraftedSegmentationsAndSummaries) {
   std::vector<uint8_t> short_words(words.begin(), words.end() - 1);
   expect_refused(open_crafted(short_words, {32, 64}, {}).first, bad_words);
   expect_refused(open_crafted({}, {32, 64}, {}).first, bad_words);
+
+  // Leaves must partition the ids in ascending order (the leaf scan plans
+  // its reads on it): a swapped pair, in one leaf and in the second of
+  // two; a series listed by both leaves (in place of another, so the
+  // counts still add up); and a series no leaf lists.
+  const std::vector<core::SeriesId> faithful = ids;
+  const std::vector<uint32_t> two_leaves = {16, 32, 48, 64};
+  std::swap(ids[kCount - 2], ids[kCount - 1]);
+  for (const auto& child : {std::vector<uint32_t>{}, two_leaves}) {
+    expect_refused(open_crafted(words, {32, 64}, child).first,
+                   "DSTree leaf ids are not strictly ascending");
+  }
+  ids = faithful;
+  ids[kCount / 2] = ids[0];
+  expect_refused(open_crafted(words, {32, 64}, two_leaves).first,
+                 "DSTree leaves list a series twice");
+  ids = faithful;
+  ids.pop_back();
+  expect_refused(open_crafted(words, {32, 64}, two_leaves).first,
+                 "DSTree leaves do not list every series");
   std::filesystem::remove_all(dir);
 }
 
@@ -576,6 +597,24 @@ TEST(PersistenceErrors, SfaTrieRefusesCraftedSummaryWords) {
               std::string::npos)
         << status.message();
   }
+
+  // The one leaf must list every series once, in ascending order: a
+  // swapped pair, a duplicated id (in place of another) and a missing one.
+  const auto expect_refused = [&](const std::string& message) {
+    const util::Status status = open_crafted(words).first;
+    ASSERT_FALSE(status.ok()) << message;
+    EXPECT_NE(status.message().find(message), std::string::npos)
+        << status.message();
+  };
+  const std::vector<core::SeriesId> faithful = ids;
+  std::swap(ids[0], ids[1]);
+  expect_refused("SFA leaf ids are not strictly ascending");
+  ids = faithful;
+  ids[1] = ids[0];
+  expect_refused("SFA leaf ids are not strictly ascending");
+  ids = faithful;
+  ids.pop_back();
+  expect_refused("SFA leaves do not list every series");
   std::filesystem::remove_all(dir);
 }
 
@@ -709,6 +748,31 @@ TEST(PersistenceErrors, IsaxTreeRefusesCraftedFirstLevel) {
       auto crafted = faithful;
       crafted.front().depth = 2;
       expect_refused(crafted, "first-level node is not at depth 1");
+    }
+    // The leaves must partition the ids in ascending order (the leaf scan
+    // plans its reads on it).
+    const auto largest = std::max_element(
+        faithful.begin(), faithful.end(), [](const Entry& a, const Entry& b) {
+          return a.ids.size() < b.ids.size();
+        });
+    ASSERT_GE(largest->ids.size(), 2u);
+    const size_t at = static_cast<size_t>(largest - faithful.begin());
+    {  // A swapped pair in one leaf.
+      auto crafted = faithful;
+      std::swap(crafted[at].ids[0], crafted[at].ids[1]);
+      expect_refused(crafted, "iSAX leaf ids are not strictly ascending");
+    }
+    {  // One series in two leaves, in place of another of its leaf.
+      auto crafted = faithful;
+      const size_t other = at == 0 ? 1 : 0;
+      crafted[at].ids.back() = crafted[other].ids.front();
+      std::sort(crafted[at].ids.begin(), crafted[at].ids.end());
+      expect_refused(crafted, "iSAX leaves list a series twice");
+    }
+    {  // A series no leaf lists.
+      auto crafted = faithful;
+      crafted[at].ids.pop_back();
+      expect_refused(crafted, "iSAX leaves do not list every series");
     }
     std::filesystem::remove_all(dir);
   }

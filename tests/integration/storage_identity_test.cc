@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -196,6 +197,54 @@ TEST_F(StorageIdentityTest, PlannedRunReadsKeepWorkAndModeledLedger) {
   }
 }
 
+// DSTree, iSAX2+ and the SFA trie verify a leaf's filter survivors
+// through one planned cursor per worker: over the pool every verified
+// series comes from a run read (no frame is installed, so none is
+// evicted), and only the bytes' path changes — the answers and, serially,
+// every modeled ledger counter equal the RAM run's.
+TEST_F(StorageIdentityTest, LeafSurvivorScanReadsRunsAndKeepsModeledLedger) {
+  core::QuerySpec budgeted = core::QuerySpec::Knn(5);
+  budgeted.max_raw_series = 200;
+  core::QuerySpec wide = core::QuerySpec::Knn(5);
+  wide.query_threads = 4;
+  for (const std::string name : {"DSTree", "iSAX2+", "SFA"}) {
+    SCOPED_TRACE(name);
+    auto on_ram = bench::CreateMethod(name, kLeaf);
+    auto on_mmap = bench::CreateMethod(name, kLeaf);
+    on_ram->Build(ram_.dataset());
+    on_mmap->Build(mmap_.dataset());
+    for (size_t qi = 0; qi < workload_.queries.size(); ++qi) {
+      const core::SeriesView query = workload_.queries[qi];
+      const auto truth = core::BruteForceKnn(ram_.dataset(), query, 5);
+      const double radius = std::sqrt(truth.back().dist_sq) + 1e-6;
+      const std::pair<const char*, core::QuerySpec> specs[] = {
+          {"exact", core::QuerySpec::Knn(5)},
+          {"epsilon", core::QuerySpec::Epsilon(5, 0.1)},
+          {"range", core::QuerySpec::Range(radius)},
+          {"ng", core::QuerySpec::NgApprox(5)},
+          {"budget-raw", budgeted},
+          {"exact query_threads=4", wide}};
+      for (const auto& [label, spec] : specs) {
+        SCOPED_TRACE(label);
+        const core::QueryResult a = on_ram->Execute(query, spec);
+        const core::QueryResult b = on_mmap->Execute(query, spec);
+        ExpectSameAnswers(a.neighbors, b.neighbors, name);
+        EXPECT_EQ(b.stats.pool_direct_reads, b.stats.raw_series_examined);
+        EXPECT_EQ(b.stats.pool_evictions, 0);
+        EXPECT_GT(b.stats.pool_bytes_read, 0);
+        // Wide workers' counters follow bound-arrival timing.
+        if (spec.query_threads > 1) continue;
+        for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+          if (counter.kind != core::CounterKind::kModeled) continue;
+          EXPECT_EQ(a.stats.*counter.member, b.stats.*counter.member)
+              << counter.name;
+        }
+        EXPECT_EQ(a.stats.budget_exhausted, b.stats.budget_exhausted);
+      }
+    }
+  }
+}
+
 // Eight workers outnumber the pool's four frames: a worker idling between
 // leaves must hold no frame, or the others wait on it forever.
 TEST_F(StorageIdentityTest, IntraQueryParallelMatches) {
@@ -218,8 +267,10 @@ TEST_F(StorageIdentityTest, IntraQueryParallelMatches) {
   }
 }
 
+// The R*-tree still reads through pool pages (the summarized trees read
+// planned runs and install no frame).
 TEST_F(StorageIdentityTest, ColdPoolMissesWarmPoolHits) {
-  auto method = bench::CreateMethod("DSTree", kLeaf);
+  auto method = bench::CreateMethod("R*-tree", kLeaf);
   method->Build(mmap_.dataset());
   auto run = [&] {
     core::SearchStats total;
@@ -240,6 +291,7 @@ TEST_F(StorageIdentityTest, ColdPoolMissesWarmPoolHits) {
   };
   // The pool retains pages across queries: the identical second pass
   // finds more of its working set resident.
+  EXPECT_GT(warm.pool_hits, 0);
   EXPECT_GE(rate(warm), rate(cold));
   EXPECT_LE(warm.pool_misses, cold.pool_misses);
 }

@@ -75,6 +75,25 @@ for m in "VA+file" "ADS+"; do
     || { echo "FAIL($m): answers changed with the pool budget"; exit 1; }
 done
 
+# The summarized trees (DSTree, iSAX2+, SFA) read each leaf's filter
+# survivors as planned runs, never through pool frames: behind a pool a
+# quarter of the 4 MiB file nothing is evicted, and the preads stay within
+# 4x the 1 KiB series they served (a page-per-member leaf scan preads
+# hundreds of MB here).
+"$HYDRA" gen synth 4000 256 7 "$TMP/wide.bin" > /dev/null
+for m in DSTree iSAX2+ SFA; do
+  line="$("$HYDRA" query "$TMP/wide.bin" "$m" 10 10 $POOL \
+    | grep '^storage: [0-9]')"
+  direct="$(sed -E 's/.* ([0-9]+) direct reads.*/\1/' <<< "$line")"
+  bytes="$(sed -E 's/.* ([0-9]+) bytes.*/\1/' <<< "$line")"
+  evictions="$(sed -E 's/.* ([0-9]+) evictions$/\1/' <<< "$line")"
+  if [ "$direct" -eq 0 ] || [ "$evictions" -ne 0 ] \
+      || [ "$bytes" -gt $((4 * direct * 1024)) ]; then
+    echo "FAIL($m): leaf scan thrashes the pool: $line"; exit 1
+  fi
+done
+echo "OK tree leaf scans read runs: no evictions, preads <= 4x served"
+
 # Sharded slices and intra-query workers compose with the pool.
 "$HYDRA" query "$TMP/data.bin" DSTree 5 4 --shards 3 --threads 2 \
   --query-threads 2 | answers_no_ledger > "$TMP/shard_ram.txt"
