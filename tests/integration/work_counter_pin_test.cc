@@ -1,10 +1,11 @@
-// Work-counter pins for the five tree methods, ADS+ and the VA+file: on one
-// fixed seeded dataset and workload, the serial search of every query mode
-// must charge exactly the recorded work. The answer suites (exactness,
-// approximate, intra-query) check what a search returns; this suite checks
-// how much it did to get there, so a refactor of the shared traversal
-// driver or of the ADS+ and VA+file scans cannot silently visit more
-// nodes, compute more bounds or read more series.
+// Work-counter pins for the five tree methods, ADS+, the VA+file and the
+// three sequential scans: on one fixed seeded dataset and workload, the
+// serial search of every query mode must charge exactly the recorded work.
+// The answer suites (exactness, approximate, intra-query) check what a
+// search returns; this suite checks how much it did to get there, so a
+// refactor of the shared traversal driver, of the filter-and-refine loop
+// or of the scans cannot silently visit more nodes, compute more bounds or
+// read more series.
 //
 // A deliberate change in traversal work updates the table below together
 // with a before/after note in CHANGES.md; the failure message prints the
@@ -85,11 +86,21 @@ constexpr Pin kPins[] = {
     {"VA+file", "epsilon", {0, 48000, 85, 85, 77, 21760}},
     {"VA+file", "budget-raw", {0, 48000, 834, 834, 735, 213504}},
     {"VA+file", "range", {0, 24000, 1455, 1455, 1236, 372480}},
+    {"UCR-Suite", "exact", {0, 0, 24000, 24000, 12, 6144000}},
+    {"UCR-Suite", "budget-raw", {0, 0, 1200, 1200, 12, 307200}},
+    {"UCR-Suite", "range", {0, 0, 24000, 24000, 12, 6144000}},
+    {"MASS", "exact", {0, 0, 24000, 24000, 12, 6144000}},
+    {"MASS", "budget-raw", {0, 0, 1200, 1200, 12, 307200}},
+    {"MASS", "range", {0, 0, 24000, 24000, 12, 6144000}},
+    {"Stepwise", "exact", {0, 91105, 1325, 1325, 14036, 1353984}},
+    {"Stepwise", "budget-raw", {0, 91105, 627, 627, 13490, 1175296}},
+    {"Stepwise", "range", {0, 72519, 756, 756, 13343, 809160}},
 };
 
 /// The modes each pinned method runs. ADS+ visits one leaf per query, so
 /// its leaf budget cannot bind; the VA+file has no leaves, so ng, the delta
-/// rule and the leaf budget do not apply to it.
+/// rule and the leaf budget do not apply to it; the scans are exact-only
+/// (an approximate mode would run the exact search again).
 struct PinCase {
   const char* method;
   std::vector<const char*> modes;
@@ -98,6 +109,9 @@ struct PinCase {
 const std::vector<const char*> kTreeModes = {
     "exact", "epsilon", "delta-epsilon", "budget-leaves", "budget-raw",
     "ng", "range"};
+
+const std::vector<const char*> kScanModes = {"exact", "budget-raw",
+                                              "range"};
 
 const PinCase kCases[] = {
     {"DSTree", kTreeModes},
@@ -108,6 +122,9 @@ const PinCase kCases[] = {
     {"ADS+",
      {"exact", "epsilon", "delta-epsilon", "budget-raw", "ng", "range"}},
     {"VA+file", {"exact", "epsilon", "budget-raw", "range"}},
+    {"UCR-Suite", kScanModes},
+    {"MASS", kScanModes},
+    {"Stepwise", kScanModes},
 };
 
 void PrintTo(const PinCase& pin_case, std::ostream* os) {
