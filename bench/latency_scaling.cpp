@@ -1,11 +1,13 @@
 // Intra-query latency scaling scenario: single-query wall-clock versus
-// --query-threads for the six methods whose traversal runs on the shared
-// engine (core::TreeSearch / ParallelScan). This exhibit is
-// ours, not the paper's — it follows the intra-query operator-parallelism
-// line (MESSI/Hercules): N workers drain one query's candidate frontier
-// cooperatively, pruning against one shared best-so-far. Exact answers are
-// bit-identical to the serial traversal at every worker count (asserted
-// here per sweep), so any latency win is accuracy-free.
+// --query-threads for all ten methods (the trees drain one frontier
+// through core::TreeSearch, the filter-and-refine methods deal out their
+// candidates through core::RefineCandidates, the scans their series
+// through core::ParallelScan). This exhibit is ours, not the paper's — it
+// follows the intra-query operator-parallelism line (MESSI/Hercules): N
+// workers share one query's work, pruning against one shared
+// best-so-far. Exact answers are bit-identical to the serial search at
+// every worker count (asserted here per sweep), so any latency win is
+// accuracy-free.
 //
 // Usage: latency_scaling [count] [length] [queries] [--json <path>]
 // Writes the machine-readable sweep to BENCH_latency.json by default.
@@ -48,9 +50,9 @@ int Run(int argc, char** argv) {
 
   Banner("Intra-query latency scaling",
          "per-query wall-clock vs --query-threads (serial batch)",
-         "cooperative frontier draining shrinks single-query latency "
-         "while cores last; exact answers stay bit-identical to the "
-         "serial traversal at every worker count");
+         "sharing one query's work shrinks its latency while cores "
+         "last; exact answers stay bit-identical to the serial search "
+         "at every worker count");
 
   const auto data = gen::MakeDataset("synth", count, length, 47);
   const gen::Workload workload = gen::CtrlWorkload(data, queries, 32);
@@ -71,14 +73,14 @@ int Run(int argc, char** argv) {
   util::Table table({"method", "query_threads", "query_wall_s", "speedup",
                      "identical"});
   bool all_identical = true;
-  for (const std::string& name : IntraQueryCapableNames()) {
+  for (const std::string& name : AllMethodNames()) {
     // One build per method; the sweep only changes the query-time plan.
     auto method = CreateMethod(name, LeafFor(name, count));
     MethodRun base_run;
     base_run.method = method->name();
     base_run.build = method->Build(data);
 
-    // The serial traversal's answers (and its latency as the 1x line).
+    // The serial search's answers (and its latency as the 1x line).
     std::vector<std::vector<core::Neighbor>> reference;
     double base_wall = 0.0;
     for (const size_t query_threads : {1, 2, 4, 8}) {
@@ -101,7 +103,7 @@ int Run(int argc, char** argv) {
         base_wall = query_wall;
       } else {
         // Bit-identity caveat: exact ties at the k-th distance break by
-        // id in the merge but first-visited in a single traversal; on
+        // id in the merge but first-visited in a single search; on
         // this continuous random-walk data such ties are measure-zero.
         identical = SameAnswers(answers, reference);
         all_identical = all_identical && identical;
@@ -119,7 +121,7 @@ int Run(int argc, char** argv) {
       "intra-query latency scaling (speedup = query_wall_1 / _N)");
   if (hw < 2) {
     std::printf("\nnote: this machine exposes %zu core(s); the workers "
-                "drain the frontier cooperatively but cannot overlap, so "
+                "share the query's work but cannot overlap, so "
                 "measured speedup is ~1.0x here — multi-core hardware is "
                 "needed for the latency exhibit. (The bit-identity column "
                 "is hardware-independent.)\n", hw);

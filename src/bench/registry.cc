@@ -111,10 +111,6 @@ std::vector<std::string> ShardableNames() {
   return NamesSupporting(&core::MethodTraits::shardable);
 }
 
-std::vector<std::string> IntraQueryCapableNames() {
-  return NamesSupporting(&core::MethodTraits::intra_query_parallel);
-}
-
 std::vector<std::string> ConcurrentCapableNames() {
   return NamesSupporting(&core::MethodTraits::concurrent_queries);
 }

@@ -47,12 +47,6 @@ std::vector<std::string> PersistentCapableNames();
 /// methods; the sequential scans have no index partition to build).
 std::vector<std::string> ShardableNames();
 
-/// The methods whose traits advertise intra-query parallelism: their
-/// traversal runs on the shared engine and honors --query-threads (the
-/// five tree indexes and ADS+; flat scans have no traversal frontier to
-/// share).
-std::vector<std::string> IntraQueryCapableNames();
-
 /// The methods whose traits advertise concurrent query answering: `hydra
 /// serve` executes their queries on all --serve-threads workers at once
 /// (others are served too, but with execution serialized).

@@ -162,10 +162,8 @@ QueryResult SearchMethod::Execute(SeriesView query, const QuerySpec& spec) {
     RangePlan plan;
     plan.radius = spec.radius;
     // Range answers are visit-order independent under the fixed r^2
-    // bound, so any width is safe — but only engine-backed drivers honor
-    // it; everywhere else the request quietly runs serially (the CLI
-    // refuses --query-threads on such methods up front).
-    if (traits().intra_query_parallel) plan.query_threads = spec.query_threads;
+    // bound, so any width is safe.
+    plan.query_threads = spec.query_threads;
     QueryResult result = DoSearchRange(query, plan);
     result.stats.answer_mode_delivered = QualityMode::kExact;
     return result;
@@ -199,8 +197,7 @@ QueryResult SearchMethod::Execute(SeriesView query, const QuerySpec& spec) {
     // shrink, delta caps, and explicit budgets make the answer depend on
     // the visit order, so those plans keep the serial traversal and stay
     // bit-identical at any requested width.
-    if (method_traits.intra_query_parallel &&
-        effective == QualityMode::kExact && !spec.has_budget()) {
+    if (effective == QualityMode::kExact && !spec.has_budget()) {
       plan.query_threads = spec.query_threads;
     }
     result = DoSearchKnn(query, plan);

@@ -121,18 +121,6 @@ struct MethodTraits {
   /// Human-readable reason when shardable is false (surfaced by the CLI's
   /// --shards refusal and by `hydra methods`).
   std::string shard_reason{};
-  /// True when the method's traversal drivers run on the shared engine
-  /// (core::TreeSearch / ParallelScan) and honor KnnPlan::query_threads /
-  /// RangePlan::query_threads: N workers drain one query's candidate
-  /// frontier cooperatively, and exact k-NN and range answers stay
-  /// bit-identical to the serial loop at any worker count. True for the
-  /// five tree indexes (DSTree, iSAX2+, M-tree, R*-tree, SFA) and ADS+;
-  /// false for the sequential scans (a flat scan has no traversal frontier
-  /// to share — batch --threads already parallelizes them) and VA+file.
-  bool intra_query_parallel = false;
-  /// Human-readable reason when intra_query_parallel is false (surfaced by
-  /// the CLI's --query-threads refusal and by `hydra methods`).
-  std::string intra_query_reason{};
 
   /// Whether queries of mode `mode` run natively (kExact always does).
   bool SupportsMode(QualityMode mode) const {
@@ -196,10 +184,7 @@ class SearchMethod {
             .persistence_reason =
                 "method implements no DoSave/DoOpen hooks",
             .shard_reason =
-                "method has not been audited for sharded execution",
-            .intra_query_reason =
-                "method has not been restructured onto the shared "
-                "traversal engine"};
+                "method has not been audited for sharded execution"};
   }
 
   /// Builds the index / pre-organizes the data. For sequential scans this
@@ -291,8 +276,7 @@ class SearchMethod {
   virtual QueryResult DoSearchKnnNg(SeriesView query, size_t k);
 
   /// Range driver hook. The plan carries the (guaranteed non-negative)
-  /// radius plus the traversal width; query_threads is only ever > 1 for
-  /// methods advertising intra_query_parallel. The result holds every
+  /// radius plus the search width (query_threads). The result holds every
   /// series within distance r, sorted by increasing squared distance.
   virtual QueryResult DoSearchRange(SeriesView query,
                                     const RangePlan& plan) = 0;

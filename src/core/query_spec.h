@@ -51,10 +51,9 @@ struct QuerySpec {
   /// Budget: raw series examinations allowed before the traversal stops
   /// (0 = no cap).
   int64_t max_raw_series = 0;
-  /// Workers cooperating on this one query's traversal (>= 1; 1 = the
-  /// classic serial loop). Only methods advertising
-  /// MethodTraits::intra_query_parallel honor more than one, and only for
-  /// traversals whose answers are visit-order independent: exact
+  /// Workers cooperating on this one query's search (>= 1; 1 = the
+  /// classic serial loop). Every method honors more than one, but only
+  /// for searches whose answers are visit-order independent: exact
   /// unbudgeted k-NN plans and range queries. Order-dependent disciplines
   /// (epsilon shrink, delta caps, explicit budgets) always run serially so
   /// their answers stay bit-identical to a query-threads=1 run.
@@ -119,11 +118,11 @@ struct KnnPlan {
   /// ScratchKnnHeap via KnnHeap::ShareBound; null (the unsharded case) is
   /// a no-op, so plan-driven code paths stay bit-identical without it.
   SharedBound* shared_bound = nullptr;
-  /// Workers cooperating on this traversal through core::BestFirstTraverse
-  /// (see core/traversal.h). Execute sets it above 1 only on "pure exact"
-  /// plans (bound_scale == 1, delta == 1, no explicit budgets) of methods
-  /// whose traits advertise intra_query_parallel, because only
-  /// order-independent answers survive a cooperative traversal
+  /// Workers cooperating on this search: a tree's core::BestFirstTraverse,
+  /// a flat method's core::ParallelScan blocks (see core/traversal.h and
+  /// core/refine.h). Execute sets it above 1 only on "pure exact" plans
+  /// (bound_scale == 1, delta == 1, no explicit budgets), because only
+  /// order-independent answers survive a cooperative search
   /// bit-identically. Composes with shared_bound: under a sharded fan-out
   /// every shard's workers attach to the one cross-shard bound.
   size_t query_threads = 1;
@@ -178,9 +177,8 @@ struct KnnPlan {
 struct RangePlan {
   /// Range radius in *unsquared* distance units (>= 0; drivers square it).
   double radius = 0.0;
-  /// Workers cooperating on the traversal (>= 1); see
-  /// KnnPlan::query_threads. Only set above 1 for methods advertising
-  /// intra_query_parallel.
+  /// Workers cooperating on the search (>= 1); see
+  /// KnnPlan::query_threads.
   size_t query_threads = 1;
 };
 

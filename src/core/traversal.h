@@ -162,9 +162,9 @@ void BestFirstTraverse(
 /// called for disjoint blocks of `block` indices, workers grabbing the next
 /// block off an atomic cursor. The serial path (workers <= 1) makes exactly
 /// one call, scan(0, 0, count), so a driver's old flat loop moves into the
-/// callback unchanged and stays bit-identical. ADS+'s summary pass and
-/// skip-sequential refinement use this (its unit of work is a flat id
-/// range, not a tree frontier).
+/// callback unchanged and stays bit-identical. ADS+'s summary pass, the
+/// flat refine driver and the scans' series loops use this (their unit of
+/// work is a flat id range, not a tree frontier; see core/refine.h).
 inline void ParallelScan(
     size_t workers, size_t count, size_t block,
     const std::function<void(size_t, size_t, size_t)>& scan) {

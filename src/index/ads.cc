@@ -1,13 +1,14 @@
 #include "index/ads.h"
 
-#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "core/distance.h"
+#include "core/refine.h"
 #include "core/traversal.h"
 #include "index/leaf_scan.h"
+#include "io/counted_storage.h"
 #include "io/index_codec.h"
 #include "transform/paa.h"
 #include "util/check.h"
@@ -15,15 +16,6 @@
 
 namespace hydra::index {
 namespace {
-
-/// The ascending `candidates` that fall in the scan block [begin, end).
-std::span<const core::SeriesId> CandidatesIn(
-    const std::vector<core::SeriesId>& candidates, size_t begin, size_t end) {
-  const auto first =
-      std::lower_bound(candidates.begin(), candidates.end(), begin);
-  const auto last = std::lower_bound(first, candidates.end(), end);
-  return {first, last};
-}
 
 /// True when the leaves under `node` list `count` distinct ids below
 /// `series_count`, each leaf strictly ascending: a split leaf's subtree
@@ -46,6 +38,21 @@ bool SubtreeListsIds(const IsaxTree::Node& node, size_t count,
   return leaves.listed() == count;
 }
 
+/// Phase-3 refinement of one worker: core::KnnRefine plus the delta
+/// stopping rule, which stops after `cap` refined series without flagging
+/// a budget (delta < 1 plans run at width 1, so one worker counts them
+/// all).
+struct DeltaRefine : core::KnnRefine {
+  int64_t cap;
+  int64_t refined = 0;
+
+  bool Stop() { return KnnRefine::Stop() || refined >= cap; }
+  void Offer(core::SeriesId id, double d) {
+    ++refined;
+    KnnRefine::Offer(id, d);
+  }
+};
+
 }  // namespace
 
 core::BuildStats AdsPlus::DoBuild(const core::Dataset& data) {
@@ -66,7 +73,6 @@ core::BuildStats AdsPlus::DoBuild(const core::Dataset& data) {
     tree_->Insert(static_cast<core::SeriesId>(i));
   }
   HYDRA_DCHECK(tree_->PartitionsIds(data.size()));
-  raw_ = std::make_unique<io::CountedStorage>(data_);
 
   core::BuildStats stats;
   stats.cpu_seconds = timer.Seconds();
@@ -104,8 +110,24 @@ util::Status AdsPlus::DoOpen(io::IndexReader* reader,
       data, &full_words_);
   if (!reader->ok()) return reader->status();
   data_ = &data;
-  raw_ = std::make_unique<io::CountedStorage>(data_);
   return reader->status();
+}
+
+std::vector<double> AdsPlus::SummaryBounds(core::SeriesView query,
+                                           size_t workers) const {
+  const size_t segments = options_.segments;
+  const size_t count = data_->size();
+  std::vector<double> lb(count);
+  transform::IsaxQueryTable& table = transform::ScratchIsaxQueryTable();
+  table.Reset(transform::Paa(query, segments), query.size() / segments);
+  core::ParallelScan(
+      workers, count, /*block=*/4096,
+      [&](size_t /*w*/, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          lb[i] = table.LowerBoundSq(full_words_.data() + i * segments);
+        }
+      });
+  return lb;
 }
 
 core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
@@ -115,10 +137,10 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
   core::QueryResult result;
   core::KnnHeap heap(plan.k);
   core::KnnWorkers workers(&heap, &result.stats, plan);
+  io::WorkerCursors cursors(data_, workers.workers());
   const core::QueryOrder order(query);
-  const size_t segments = options_.segments;
-  const auto paa = transform::Paa(query, segments);
-  const size_t pps = query.size() / segments;
+  const auto paa = transform::Paa(query, options_.segments);
+  const size_t pps = query.size() / options_.segments;
 
   // Phase 1 (ng-approximate): adaptively refine the query path down to the
   // minimal leaf size, then fetch that leaf's series from the raw file.
@@ -133,98 +155,53 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
     home = tree_->ApproximateLeaf(paa, pps);
     if (home == nullptr || home->size() >= before) break;
   }
-  std::vector<bool> evaluated(data_->size(), false);
+  std::span<const core::SeriesId> evaluated;
   if (home != nullptr) {
     ++result.stats.nodes_visited;
-    for (const core::SeriesId id : home->ids) {
-      if (plan.RawCapReached(&result.stats)) break;
-      const core::SeriesView s = raw_->Read(id, &result.stats);
-      const double d = order.Distance(s, heap.Bound());
-      ++result.stats.distance_computations;
-      ++result.stats.raw_series_examined;
-      evaluated[id] = true;
-      heap.Offer(id, d);
-    }
+    core::KnnRefine refine{&heap, &result.stats, &plan};
+    core::RefineLoop(home->ids, {}, cursors[0], order, refine);
+    evaluated = home->ids;
   }
 
   // A budget exhausted already in phase 1 makes the answer final: skip the
   // O(N) summary pass and the refinement scan outright — the whole point
-  // of a budget is to keep truncated queries cheap.
+  // of a budget is to keep truncated queries cheap. Otherwise phase 1
+  // refined every series of its leaf, all of `evaluated`.
   if (result.stats.budget_exhausted) {
     workers.Finish(plan.k, &result.neighbors);
     result.stats.cpu_seconds = timer.Seconds();
     return result;
   }
 
-  // Phase 2: lower bounds against every full-resolution summary (the
-  // summary array is memory-resident), each one table load per segment.
-  // Disjoint blocks write disjoint lb[] slots, so the parallel sweep
-  // computes exactly the serial values; workers only read the table.
-  const size_t count = data_->size();
-  std::vector<double> lb(count);
-  transform::IsaxQueryTable& table = transform::ScratchIsaxQueryTable();
-  table.Reset(paa, pps);
-  core::ParallelScan(
-      workers.workers(), count, /*block=*/4096,
-      [&](size_t /*w*/, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          lb[i] = table.LowerBoundSq(full_words_.data() + i * segments);
-        }
-      });
-  result.stats.lower_bound_computations += static_cast<int64_t>(count);
-
-  // The candidates at phase-3 start: the series the scan below would read
-  // against today's bound. Bounds only tighten, so they are a superset of
-  // what it does read — the storage cursors' read plan — and the delta
+  // Phase 2: lower bounds against every full-resolution summary. The
+  // candidates are the series phase 3 would refine against today's bound,
+  // less the home leaf (already refined, its ids ascending). Bounds only
+  // tighten, so they are a superset of what it does refine, and the delta
   // stopping rule, over ADS+'s unit of random access, caps the pass at
   // ceil(delta * their number) reads.
-  std::vector<core::SeriesId> candidates;
-  for (size_t i = 0; i < count; ++i) {
-    if (!evaluated[i] && lb[i] < heap.Bound() * plan.bound_scale) {
-      candidates.push_back(static_cast<core::SeriesId>(i));
+  const std::vector<double> lb = SummaryBounds(query, workers.workers());
+  result.stats.lower_bound_computations += static_cast<int64_t>(lb.size());
+  core::Candidates candidates;
+  size_t next_home = 0;
+  for (size_t i = 0; i < lb.size(); ++i) {
+    if (next_home < evaluated.size() && evaluated[next_home] == i) {
+      ++next_home;
+    } else if (lb[i] < heap.Bound() * plan.bound_scale) {
+      candidates.Add(static_cast<core::SeriesId>(i), lb[i]);
     }
   }
   const int64_t delta_cap =
-      plan.delta < 1.0
-          ? plan.DeltaCap(static_cast<int64_t>(candidates.size()))
-          : core::KnnPlan::kUnlimited;
+      plan.DeltaCap(static_cast<int64_t>(candidates.ids.size()));
 
-  // Phase 3: skip-sequential scan of the raw file over non-pruned series
-  // (series already refined in phase 1 are not re-read). Pruning against
+  // Phase 3: skip-sequential refinement of the candidates. Pruning against
   // bsf/(1+epsilon)^2 (plan.bound_scale) keeps every reported distance
-  // within (1+epsilon) of the truth (exact with the default plan). Extra
-  // workers read through their own storage cursors; budgets and the delta
-  // rule only ever bind at width 1 (Execute's pure-exact gate), where the
-  // single block replays the serial scan exactly.
-  raw_->ResetCursor();
-  std::vector<std::unique_ptr<io::CountedStorage>> extra_storage;
-  for (size_t w = 1; w < workers.workers(); ++w) {
-    extra_storage.push_back(std::make_unique<io::CountedStorage>(data_));
-  }
-  std::vector<int64_t> refined(workers.workers(), 0);
-  core::ParallelScan(
-      workers.workers(), count, /*block=*/1024,
-      [&](size_t w, size_t begin, size_t end) {
-        core::KnnHeap& local = workers.heap(w);
-        core::SearchStats& stats = workers.stats(w);
-        io::CountedStorage& storage = w == 0 ? *raw_ : *extra_storage[w - 1];
-        storage.SetPlan(CandidatesIn(candidates, begin, end));
-        for (size_t i = begin; i < end && !stats.budget_exhausted; ++i) {
-          if (evaluated[i] || lb[i] >= local.Bound() * plan.bound_scale) {
-            continue;  // skip
-          }
-          if (plan.RawCapReached(&stats)) break;
-          if (refined[w] >= delta_cap) break;  // delta rule: no budget flag
-          const core::SeriesView s =
-              storage.Read(static_cast<core::SeriesId>(i), &stats);
-          const double d = order.Distance(s, local.Bound());
-          ++stats.distance_computations;
-          ++stats.raw_series_examined;
-          ++refined[w];
-          local.Offer(static_cast<core::SeriesId>(i), d);
-        }
-      });
-  raw_->ClearPlan();  // raw_ outlives the query and its plan's ids
+  // within (1+epsilon) of the truth (exact with the default plan).
+  core::RefineCandidates(candidates, workers.workers(), cursors, order,
+                         [&](size_t w) {
+                           return DeltaRefine{
+                               {&workers.heap(w), &workers.stats(w), &plan},
+                               delta_cap};
+                         });
 
   workers.Finish(plan.k, &result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
@@ -236,58 +213,18 @@ core::QueryResult AdsPlus::DoSearchRange(core::SeriesView query,
   HYDRA_CHECK(tree_ != nullptr);
   util::WallTimer timer;
   core::QueryResult result;
-  const double radius_sq = plan.radius * plan.radius;
-  core::RangeWorkers workers(radius_sq, &result.stats, plan.query_threads);
-  const core::QueryOrder order(query);
-  const size_t segments = options_.segments;
-  const auto paa = transform::Paa(query, segments);
-  const size_t pps = query.size() / segments;
-
   // SIMS with a fixed bound: the approximate phase is unnecessary — prune
   // every summary against r^2, then skip-sequentially refine survivors.
-  // Every test uses the fixed radius, so the parallel sweep charges exactly
-  // the serial distance/lower-bound counters; extra workers read through
-  // their own storage cursors.
-  const size_t count = data_->size();
-  transform::IsaxQueryTable& table = transform::ScratchIsaxQueryTable();
-  table.Reset(paa, pps);
-  raw_->ResetCursor();
-  std::vector<std::unique_ptr<io::CountedStorage>> extra_storage;
-  for (size_t w = 1; w < workers.workers(); ++w) {
-    extra_storage.push_back(std::make_unique<io::CountedStorage>(data_));
+  const std::vector<double> lb = SummaryBounds(query, plan.query_threads);
+  result.stats.lower_bound_computations += static_cast<int64_t>(lb.size());
+  core::Candidates candidates;
+  for (size_t i = 0; i < lb.size(); ++i) {
+    if (lb[i] <= plan.radius * plan.radius) {
+      candidates.ids.push_back(static_cast<core::SeriesId>(i));
+    }
   }
-  // Each block first collects its survivors of r^2 — exactly the series
-  // it refines, hence also its storage cursor's read plan.
-  std::vector<std::vector<core::SeriesId>> candidates(workers.workers());
-  core::ParallelScan(
-      workers.workers(), count, /*block=*/1024,
-      [&](size_t worker, size_t begin, size_t end) {
-        core::RangeCollector& collector = workers.collector(worker);
-        core::SearchStats& stats = workers.stats(worker);
-        io::CountedStorage& storage =
-            worker == 0 ? *raw_ : *extra_storage[worker - 1];
-        std::vector<core::SeriesId>& survivors = candidates[worker];
-        survivors.clear();
-        for (size_t i = begin; i < end; ++i) {
-          if (table.LowerBoundSq(full_words_.data() + i * segments) >
-              radius_sq) {
-            continue;
-          }
-          survivors.push_back(static_cast<core::SeriesId>(i));
-        }
-        stats.lower_bound_computations += static_cast<int64_t>(end - begin);
-        storage.SetPlan(survivors);
-        for (const core::SeriesId i : survivors) {
-          const core::SeriesView s = storage.Read(i, &stats);
-          const double d = order.Distance(s, collector.Bound());
-          ++stats.distance_computations;
-          ++stats.raw_series_examined;
-          collector.Offer(i, d);
-        }
-      });
-  raw_->ClearPlan();  // raw_ outlives the query and its plan's ids
-
-  workers.Finish(&result.neighbors);
+  core::RefineRange(candidates, *data_, plan, core::QueryOrder(query),
+                    &result);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }
@@ -304,15 +241,11 @@ core::QueryResult AdsPlus::DoSearchKnnNg(core::SeriesView query, size_t k) {
   IsaxTree::Node* home = tree_->ApproximateLeaf(paa, pps);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
-    for (const core::SeriesId id : home->ids) {
-      const core::SeriesView s = raw_->Read(id, &result.stats);
-      const double d = order.Distance(s, heap.Bound());
-      ++result.stats.distance_computations;
-      ++result.stats.raw_series_examined;
-      heap.Offer(id, d);
-    }
+    const core::KnnPlan plan{.k = k};
+    io::CountedStorage raw(data_);
+    core::KnnRefine refine{&heap, &result.stats, &plan};
+    core::RefineLoop(home->ids, {}, raw, order, refine);
   }
-  raw_->ReleasePin();  // raw_ outlives the query; never idle on a frame
   result.neighbors = heap.TakeSorted();
   result.stats.cpu_seconds = timer.Seconds();
   return result;

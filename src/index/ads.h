@@ -10,7 +10,6 @@
 
 #include "core/method.h"
 #include "index/isax_tree.h"
-#include "io/counted_storage.h"
 
 namespace hydra::index {
 
@@ -29,8 +28,8 @@ class AdsPlus : public core::SearchMethod {
 
   std::string name() const override { return "ADS+"; }
   /// ADS+ is adaptive: exact queries split leaves along the query path
-  /// (mutating the shared iSAX tree) and all queries share one raw-file
-  /// cursor, so the batch engine must keep its queries serial. ng-capable
+  /// (mutating the shared iSAX tree), so the batch engine must keep its
+  /// queries serial. ng-capable
   /// tree (Table 1), so every approximate mode is supported; the delta
   /// rule applies to its skip-sequential candidate list (one series is
   /// its unit of random access, not one leaf).
@@ -47,11 +46,7 @@ class AdsPlus : public core::SearchMethod {
             // the fan-out gives each shard's adaptive tree exactly one
             // thread per query, so concurrent_queries can stay honestly
             // false.
-            .shardable = true,
-            // Within one query the tree-mutating phase 1 stays on the
-            // calling thread; only the order-independent summary and
-            // refinement scans fan out.
-            .intra_query_parallel = true};
+            .shardable = true};
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;
@@ -70,11 +65,17 @@ class AdsPlus : public core::SearchMethod {
                                   const core::RangePlan& plan) override;
 
  private:
+  /// SIMS phase 2: the lower bound of every series from its memory-resident
+  /// full-resolution summary, one table load per segment, swept by
+  /// `workers` workers over disjoint blocks (the values do not depend on
+  /// the width).
+  std::vector<double> SummaryBounds(core::SeriesView query,
+                                    size_t workers) const;
+
   AdsOptions options_;
   const core::Dataset* data_ = nullptr;
   std::vector<uint8_t> full_words_;
   std::unique_ptr<IsaxTree> tree_;
-  std::unique_ptr<io::CountedStorage> raw_;
 };
 
 }  // namespace hydra::index

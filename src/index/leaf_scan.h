@@ -1,10 +1,9 @@
 // The leaf loop of the summarized trees (DSTree, iSAX2+, SFA trie): one
 // bulk-charged leaf read, a filter pass that keeps the members whose
-// in-memory summary bound may still enter the answer, then a verify pass
-// over those survivors only — prefetched one ahead in RAM, read as planned
-// skip-sequential runs over a buffer pool. Shared by their core::TreeSearch
-// policies, with the id partition check their loaders and builds apply to
-// the leaves.
+// in-memory summary bound may still enter the answer, then the shared
+// refine loop (core/refine.h) over those survivors only. Shared by their
+// core::TreeSearch policies, with the id partition check their loaders and
+// builds apply to the leaves.
 #ifndef HYDRA_INDEX_LEAF_SCAN_H_
 #define HYDRA_INDEX_LEAF_SCAN_H_
 
@@ -14,6 +13,7 @@
 
 #include "core/dataset.h"
 #include "core/distance.h"
+#include "core/refine.h"
 #include "core/types.h"
 #include "io/counted_storage.h"
 #include "transform/isax.h"
@@ -37,88 +37,82 @@ struct IsaxMemberBound {
   }
 };
 
-/// The survivors of one leaf's member filter with their bounds, as
-/// parallel arrays so the ids can be handed to a read plan.
-struct LeafSurvivors {
-  std::vector<core::SeriesId> ids;
-  std::vector<double> bounds;
-};
-
-/// The calling thread's survivor scratch (reused across leaves and
-/// queries; a traversal worker thread gets its own).
-inline LeafSurvivors& ScratchLeafSurvivors() {
-  thread_local LeafSurvivors survivors;
+/// The calling thread's scratch for the survivors of one leaf's member
+/// filter (reused across leaves and queries; a traversal worker thread
+/// gets its own).
+inline core::Candidates& ScratchLeafSurvivors() {
+  thread_local core::Candidates survivors;
   return survivors;
 }
+
+/// The refine policy of a tree leaf (core::RefineLoop) for a
+/// core::TreeWorker `w`: the sink's own admission rule, its live bound,
+/// the raw-series budget, and reads precharged by ChargeLeafRead. Records
+/// the last series it offered (if any), for ScanLeaf's closing budget
+/// check.
+template <typename W>
+struct LeafRefine {
+  static constexpr bool kPrecharged = true;
+
+  const W* w;
+  core::SeriesId last = 0;
+
+  core::SearchStats& stats() const { return w->stats(); }
+  bool Admits(double lb) const { return w->MemberAdmits(lb); }
+  bool Stop() const { return w->RawCapReached(); }
+  double AbandonBound() const { return w->sink().Bound(); }
+  void Offer(core::SeriesId id, double d) {
+    w->sink().Offer(id, d);
+    last = id;
+  }
+};
 
 /// Verifies the series `ids` (strictly ascending) of one leaf for a
 /// core::TreeWorker `w`, reading through the worker's cursor `raw`:
 /// charges the leaf as one random access plus contiguous reads (the
-/// paper's tree I/O model), then computes each early-abandoning distance
-/// against the sink's live bound, stopping when the raw-series budget
-/// fires.
+/// paper's tree I/O model), then refines its members with
+/// core::RefineLoop against the sink's live bound, stopping when the
+/// raw-series budget fires.
 ///
 /// With a `member_lb(id)` (a squared-distance lower bound from an
-/// in-memory summary), pass 1 bounds every member once — one lower-bound
-/// computation each — and keeps those `W::MemberAdmits` at leaf entry.
-/// Pass 2 verifies the survivors in leaf order, re-checking each stored
-/// bound against the live sink just before its distance. The sink's bound
-/// only tightens, so a member dropped at entry would also be dropped live:
-/// the answer, the bsf trajectory and every counter are those of a
-/// member-by-member loop, except the lower bounds of a leaf that the raw
-/// cap interrupts (pass 1 has bounded all of its members). Skipped members
-/// spend no raw budget. Without a member bound every member survives.
-///
-/// The survivors are the cursor's read plan: over a buffer pool they are
-/// read as skip-sequential runs (CountedStorage::SetPlan), never through
-/// pool frames; in RAM the next survivor is prefetched while the current
-/// one is verified.
+/// in-memory summary), a filter pass bounds every member once — one
+/// lower-bound computation each — and keeps those `W::MemberAdmits` at
+/// leaf entry; the refine loop re-checks each stored bound against the
+/// live sink just before its distance. The sink's bound only tightens, so
+/// a member dropped at entry would also be dropped live: the answer, the
+/// bsf trajectory and every counter are those of a member-by-member loop,
+/// except the lower bounds of a leaf that the raw cap interrupts (the
+/// filter pass has bounded all of its members). Skipped members spend no
+/// raw budget. Without a member bound every member survives.
 template <typename W, typename MemberBound = NoMemberBound>
 void ScanLeaf(std::span<const core::SeriesId> ids, io::CountedStorage& raw,
               const core::QueryOrder& order, const W& w,
               const MemberBound& member_lb = {}) {
-  constexpr bool kFiltered = !std::is_same_v<MemberBound, NoMemberBound>;
   core::SearchStats& stats = w.stats();
   io::ChargeLeafRead(ids.size(), raw.series_bytes(), &stats);
   if (ids.empty() || w.RawCapReached()) return;
 
   std::span<const core::SeriesId> survivors = ids;
   std::span<const double> bounds;
-  if constexpr (kFiltered) {
-    LeafSurvivors& scratch = ScratchLeafSurvivors();
-    scratch.ids.clear();
-    scratch.bounds.clear();
+  if constexpr (!std::is_same_v<MemberBound, NoMemberBound>) {
+    core::Candidates& scratch = ScratchLeafSurvivors();
+    scratch.Clear();
     for (const core::SeriesId id : ids) {
       const double lb = member_lb(id);
       ++stats.lower_bound_computations;
-      if (!w.MemberAdmits(lb)) continue;
-      scratch.ids.push_back(id);
-      scratch.bounds.push_back(lb);
+      if (w.MemberAdmits(lb)) scratch.Add(id, lb);
     }
     survivors = scratch.ids;
     bounds = scratch.bounds;
   }
 
-  raw.SetPlan(survivors);
-  for (size_t j = 0; j < survivors.size(); ++j) {
-    if (j + 1 < survivors.size()) raw.Prefetch(survivors[j + 1]);
-    if (w.RawCapReached()) return;
-    if constexpr (kFiltered) {
-      if (!w.MemberAdmits(bounds[j])) continue;
-    }
-    const core::SeriesId id = survivors[j];
-    const double d =
-        order.Distance(raw.ReadPrecharged(id, &stats), w.sink().Bound());
-    ++stats.distance_computations;
-    ++stats.raw_series_examined;
-    w.sink().Offer(id, d);
-  }
+  LeafRefine<W> refine{&w};
+  core::RefineLoop(survivors, bounds, raw, order, refine);
   // A member-by-member loop checks the cap before every member: when the
-  // last survivor reached it and filtered members follow, the budget
-  // counts as exhausted in this leaf, not at the next leaf's entry.
-  if (!survivors.empty() && survivors.back() != ids.back()) {
-    w.RawCapReached();
-  }
+  // last series read reached it and members follow it in the leaf, the
+  // budget counts as exhausted in this leaf, not at the next leaf's entry.
+  // (With nothing read the cap is as unreached as it was at entry.)
+  if (refine.last != ids.back()) w.RawCapReached();
 }
 
 /// Checks that the leaves of an index over `series_count` series

@@ -37,8 +37,7 @@ class MTree : public core::SearchMethod {
             .supports_epsilon = true,
             .leaf_visit_budget = true,
             .supports_persistence = true,
-            .shardable = true,
-            .intra_query_parallel = true};
+            .shardable = true};
   }
 
   core::Footprint footprint() const override;

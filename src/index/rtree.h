@@ -38,8 +38,7 @@ class RStarTree : public core::SearchMethod {
             .supports_epsilon = true,
             .leaf_visit_budget = true,
             .supports_persistence = true,
-            .shardable = true,
-            .intra_query_parallel = true};
+            .shardable = true};
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;

@@ -43,8 +43,7 @@ class SfaTrie : public core::SearchMethod {
             .supports_delta_epsilon = true,
             .leaf_visit_budget = true,
             .supports_persistence = true,
-            .shardable = true,
-            .intra_query_parallel = true};
+            .shardable = true};
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;

@@ -4,9 +4,9 @@
 #include <cmath>
 
 #include "core/distance.h"
+#include "core/refine.h"
 #include "io/counted_storage.h"
 #include "io/index_codec.h"
-#include "obs/trace.h"
 #include "transform/dft.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -16,19 +16,38 @@ namespace {
 
 /// Per-thread query scratch, reused across queries like ScratchKnnHeap:
 /// the cell-bound tables, phase 1's per-series lower bounds and the
-/// refinement's candidate ids (the raw cursor's read plan). Every
-/// entry point below re-arms it once per query, so at most one use is live
-/// per thread and concurrent queries never share one.
+/// refinement's candidates. Every entry point below re-arms it once per
+/// query, so at most one use is live per thread and concurrent queries
+/// never share one.
 struct VaScratch {
   transform::VaPlusQuantizer::QueryBounds bounds;
   std::vector<double> lb;
-  std::vector<core::SeriesId> candidates;
+  core::Candidates candidates;
 };
 
 VaScratch& Scratch() {
   thread_local VaScratch scratch;
   return scratch;
 }
+
+/// The phase-2 refinement of one worker (see DoSearchKnn): the exact
+/// criterion prunes against min(seed, heap bound) always, the epsilon
+/// shrink additionally once the heap is full; abandoning is against that
+/// running bound, or against the heap's own with `exact_values`.
+struct VaRefine : core::KnnRefine {
+  double seed;  // phase 1's k-th best upper bound
+  bool exact_values;
+
+  double Running() const { return std::min(seed, heap->Bound()); }
+  bool Admits(double lb) const {
+    if (lb >= Running()) return false;
+    return plan->bound_scale == 1.0 || heap->size() < plan->k ||
+           lb < heap->Bound() * plan->bound_scale;
+  }
+  double AbandonBound() const {
+    return exact_values ? heap->Bound() : Running();
+  }
+};
 
 }  // namespace
 
@@ -162,8 +181,6 @@ core::QueryResult VaFile::DoSearchKnn(core::SeriesView query,
   const size_t count = data_->size();
   const size_t dims = quantizer_.dims();
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  // Per-query raw-file cursor: concurrent queries must not share one.
-  io::CountedStorage raw(data_);
 
   const auto q_full = transform::PackedRealDft(
       query, transform::MaxPackedCoeffs(query.size(), true), true);
@@ -194,37 +211,32 @@ core::QueryResult VaFile::DoSearchKnn(core::SeriesView query,
     heap.Offer(static_cast<core::SeriesId>(i), cell.ub_sq + rt * rt);
   }
   result.stats.lower_bound_computations += static_cast<int64_t>(2 * count);
-  double bound = heap.Bound();
+  const double seed = heap.Bound();
 
-  // Over a buffer pool the refinement reads in runs planned over the
-  // series phase 1 left standing. The running bound below only tightens,
-  // so the plan is a superset of what it reads (a shrunken epsilon bound
-  // may stray past it; such a read starts a run of its own).
-  if (raw.pooled()) {
-    std::vector<core::SeriesId>& candidates = scratch.candidates;
-    candidates.clear();
-    for (size_t i = 0; i < count; ++i) {
-      if (lb[i] < bound) candidates.push_back(static_cast<core::SeriesId>(i));
-    }
-    raw.SetPlan(candidates);
+  // The candidates are the series phase 1 left standing; the running bound
+  // of phase 2 only tightens, so they cover every series it refines.
+  core::Candidates& candidates = scratch.candidates;
+  candidates.Clear();
+  for (size_t i = 0; i < count; ++i) {
+    if (lb[i] < seed) candidates.Add(static_cast<core::SeriesId>(i), lb[i]);
   }
 
-  // Phase 2: skip-sequential refinement of candidates in file order.
+  // Phase 2: skip-sequential refinement of the candidates in file order.
   //
-  // The exact path prunes and early-abandons against `bound`, the running
-  // min of the phase-1 upper-bound estimate and the heap's k-th actual
-  // distance. Abandoned partial distances may then enter a not-yet-full
-  // heap, which is sound only because the exact path always refines the
-  // true top-k afterwards and evicts them. A plan that can stop early
-  // (epsilon shrink or a raw budget) loses that eviction guarantee, so it
-  // switches to the tree-style abandon discipline: abandon against
-  // heap.Bound() — +inf until the heap holds k, so every resident value
-  // is an exact distance, and any abandoned value is rejected by the
-  // heap. The epsilon modes additionally prune against heap.Bound() *
-  // bound_scale (= bsf/(1+epsilon)^2) once the heap is full, which is
-  // what makes every reported distance provably within (1+epsilon) of the
-  // truth; until then the exact criterion applies unshrunken, so a large
-  // epsilon cannot prune everything and return an empty answer.
+  // The exact path prunes and early-abandons against the running min of
+  // the phase-1 seed and the heap's k-th actual distance. Abandoned
+  // partial distances may then enter a not-yet-full heap, which is sound
+  // only because the exact path always refines the true top-k afterwards
+  // and evicts them. A plan that can stop early (epsilon shrink or a raw
+  // budget) loses that eviction guarantee, so it switches to the
+  // tree-style abandon discipline: abandon against heap.Bound() — +inf
+  // until the heap holds k, so every resident value is an exact distance,
+  // and any abandoned value is rejected by the heap. The epsilon modes
+  // additionally prune against heap.Bound() * bound_scale
+  // (= bsf/(1+epsilon)^2) once the heap is full, which is what makes every
+  // reported distance provably within (1+epsilon) of the truth; until then
+  // only the exact criterion applies, so a large epsilon cannot prune
+  // everything and return an empty answer.
   // A budget alone (no epsilon) keeps the exact prune criterion — it must
   // only cap work, never add it — but still needs the exact-values
   // abandon discipline so a truncated answer reports true distances.
@@ -233,48 +245,34 @@ core::QueryResult VaFile::DoSearchKnn(core::SeriesView query,
   // refinement reaches it), so it too forces the exact-values discipline:
   // every abandoned value then exceeds a bound that never drops below the
   // final global k-th distance, and the merge rejects it.
-  const bool shrunken = plan.bound_scale != 1.0;
-  const bool exact_values = shrunken ||
+  const bool exact_values = plan.bound_scale != 1.0 ||
                             plan.max_raw != core::KnnPlan::kUnlimited ||
                             plan.shared_bound != nullptr;
   heap.Reset(plan.k);
-  heap.ShareBound(plan.shared_bound);  // Reset detached the phase-1 bound
-  // VA+file's leaf-verification analog: the skip-sequential refinement
-  // sweep. Scope-bound to the function; the tail extract is trivial.
-  obs::ObsSpan refine_span("leaf_verify", "series",
-                           static_cast<int64_t>(count));
-  for (size_t i = 0; i < count; ++i) {
-    bound = std::min(bound, heap.Bound());
-    if (shrunken && heap.size() >= plan.k) {
-      if (lb[i] >= heap.Bound() * plan.bound_scale) continue;
-    } else {
-      if (lb[i] >= bound) continue;
-    }
-    if (plan.RawCapReached(&result.stats)) break;
-    const core::SeriesView s =
-        raw.Read(static_cast<core::SeriesId>(i), &result.stats);
-    const double d = order.Distance(s, exact_values ? heap.Bound() : bound);
-    ++result.stats.distance_computations;
-    ++result.stats.raw_series_examined;
-    heap.Offer(static_cast<core::SeriesId>(i), d);
-  }
+  // Re-attaches the cross-shard bound that Reset detached.
+  core::KnnWorkers workers(&heap, &result.stats, plan);
+  io::WorkerCursors cursors(data_, workers.workers());
+  core::RefineCandidates(candidates, workers.workers(), cursors, order,
+                         [&](size_t w) {
+                           return VaRefine{
+                               {&workers.heap(w), &workers.stats(w), &plan},
+                               seed,
+                               exact_values};
+                         });
 
-  heap.ExtractSortedTo(&result.neighbors);
+  workers.Finish(plan.k, &result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }
 
 core::QueryResult VaFile::DoSearchRange(core::SeriesView query,
                                         const core::RangePlan& plan) {
-  const double radius = plan.radius;
   HYDRA_CHECK(data_ != nullptr);
   util::WallTimer timer;
   core::QueryResult result;
-  core::RangeCollector collector(radius * radius);
   const size_t count = data_->size();
   const size_t dims = quantizer_.dims();
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  io::CountedStorage raw(data_);
 
   const auto q_full = transform::PackedRealDft(
       query, transform::MaxPackedCoeffs(query.size(), true), true);
@@ -283,31 +281,18 @@ core::QueryResult VaFile::DoSearchRange(core::SeriesView query,
                        std::span<const double>(q_full.data(), dims));
 
   // One pass over the memory-resident approximation file collects the
-  // survivors of the fixed r^2 bound — exactly the series refined, so they
-  // are also the raw cursor's read plan — then a skip-sequential
-  // refinement of them against the raw file.
-  obs::ObsSpan refine_span("leaf_verify", "series",
-                           static_cast<int64_t>(count));
-  std::vector<core::SeriesId>& candidates = scratch.candidates;
-  candidates.clear();
+  // survivors of the fixed r^2 bound — exactly the series refined — then
+  // a skip-sequential refinement of them against the raw file.
+  core::Candidates& candidates = scratch.candidates;
+  candidates.Clear();
   for (size_t i = 0; i < count; ++i) {
-    if (scratch.bounds.LowerBoundSq(cells_.data() + i * dims) >
-        collector.Bound()) {
-      continue;
+    if (scratch.bounds.LowerBoundSq(cells_.data() + i * dims) <=
+        plan.radius * plan.radius) {
+      candidates.ids.push_back(static_cast<core::SeriesId>(i));
     }
-    candidates.push_back(static_cast<core::SeriesId>(i));
   }
   result.stats.lower_bound_computations += static_cast<int64_t>(count);
-  raw.SetPlan(candidates);
-  for (const core::SeriesId i : candidates) {
-    const core::SeriesView s = raw.Read(i, &result.stats);
-    const double d = order.Distance(s, collector.Bound());
-    ++result.stats.distance_computations;
-    ++result.stats.raw_series_examined;
-    collector.Offer(i, d);
-  }
-
-  result.neighbors = collector.TakeSorted();
+  core::RefineRange(candidates, *data_, plan, order, &result);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }

@@ -41,10 +41,7 @@ class VaFile : public core::SearchMethod {
             .serial_reason = "",
             .supports_epsilon = true,
             .supports_persistence = true,
-            .shardable = true,
-            .intra_query_reason =
-                "two-phase sequential VA scan has no traversal frontier "
-                "to share; use --shards for parallel speedup"};
+            .shardable = true};
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;

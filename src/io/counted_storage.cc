@@ -40,13 +40,6 @@ void CountedStorage::SetPlan(std::span<const core::SeriesId> ids) {
   run_count_ = 0;
 }
 
-void CountedStorage::ClearPlan() {
-  pin_.Release();
-  planned_ = false;
-  plan_ = {};
-  run_count_ = 0;
-}
-
 core::SeriesView CountedStorage::FetchPlanned(core::SeriesId i,
                                               core::SearchStats* stats) {
   const size_t length = data_->length();

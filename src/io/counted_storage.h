@@ -95,16 +95,9 @@ class CountedStorage {
   /// Plans the reads that follow: `ids` are ascending local ids, a superset
   /// of what the caller will Read, in order (a read outside the plan is
   /// still served, as the start of a new run). The caller owns `ids` and
-  /// keeps it alive until ClearPlan or the next SetPlan. Drops the current
-  /// run and any held pin. Has no effect on an in-RAM dataset.
+  /// keeps it alive until the next SetPlan or its last read. Drops the
+  /// current run and any held pin. Has no effect on an in-RAM dataset.
   void SetPlan(std::span<const core::SeriesId> ids);
-
-  /// Returns to page-path reads, as if no plan had been set, and drops
-  /// any held pin (a long-lived cursor calls this at the end of a query).
-  void ClearPlan();
-
-  /// True when reads go through a buffer pool, i.e. when a plan is used.
-  bool pooled() const { return source_ != nullptr; }
 
   /// Drops the buffer-pool frame held since the last read (no-op for RAM
   /// datasets or when nothing is pinned). Long-lived readers call this at
@@ -151,8 +144,8 @@ class CountedStorage {
 
 /// One cursor per traversal worker, kept for the whole query (a cursor
 /// that reads planned runs then allocates its run scratch once, not on
-/// every leaf). Indexed by core::TreeWorker::index(); no two threads may
-/// share a cursor.
+/// every leaf). Indexed by the worker: core::TreeWorker::index(), or the
+/// `w` of a core::ParallelScan block; no two threads may share a cursor.
 class WorkerCursors {
  public:
   WorkerCursors(const core::Dataset* data, size_t workers) {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 
+#include "io/series_file.h"
 #include "util/check.h"
 
 namespace hydra::io {
@@ -126,20 +127,9 @@ util::Result<int64_t> IndexWriter::Commit(const std::string& path) {
     AppendPod(&out, Crc32(s.payload.data(), s.payload.size()));
   }
 
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return util::Status::Error("cannot open index file for write: " + path);
-  }
-  if (!out.empty() &&
-      std::fwrite(out.data(), 1, out.size(), f.get()) != out.size()) {
-    return util::Status::Error("index file write failed: " + path);
-  }
-  // fwrite only fills the stdio buffer; a full disk surfaces at flush
-  // time, and a Save that silently leaves a truncated index behind would
-  // break every later Open.
-  if (std::fflush(f.get()) != 0) {
-    return util::Status::Error("index file flush failed: " + path);
-  }
+  const util::Status written =
+      WriteFileAtomically(path, {{out.data(), out.size()}});
+  if (!written.ok()) return written;
   return static_cast<int64_t>(out.size());
 }
 

@@ -74,7 +74,9 @@ class IndexWriter {
     AppendPayload(v.data(), v.size() * sizeof(T));
   }
 
-  /// Writes the whole container to `path`. Returns the file size in bytes.
+  /// Writes the whole container to `path` through WriteFileAtomically (a
+  /// failed Commit leaves the previous file at `path` intact). Returns the
+  /// file size in bytes.
   util::Result<int64_t> Commit(const std::string& path);
 
  private:

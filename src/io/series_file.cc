@@ -64,21 +64,47 @@ util::Status SizeMismatch(const std::string& path, size_t count,
 
 }  // namespace
 
+util::Status WriteFileAtomically(const std::string& path,
+                                 std::initializer_list<FileBytes> parts) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) {
+    return util::Status::Error("cannot open " + tmp + " for write: " +
+                               std::strerror(errno));
+  }
+  const char* failed = nullptr;
+  int cause = 0;
+  const auto check = [&](bool ok, const char* step) {
+    if (!ok && failed == nullptr) {
+      failed = step;
+      cause = errno;
+    }
+  };
+  for (const FileBytes& part : parts) {
+    check(failed != nullptr || part.size == 0 ||
+              std::fwrite(part.data, 1, part.size, f) == part.size,
+          "write");
+  }
+  // fwrite only fills the stdio buffer: a full disk surfaces at the
+  // flush, the fsync or the close, and each must be checked.
+  check(failed != nullptr || std::fflush(f) == 0, "flush");
+  check(failed != nullptr || ::fsync(::fileno(f)) == 0, "fsync");
+  check(std::fclose(f) == 0, "close");
+  check(failed != nullptr || std::rename(tmp.c_str(), path.c_str()) == 0,
+        "rename");
+  if (failed == nullptr) return util::Status::Ok();
+  std::remove(tmp.c_str());
+  return util::Status::Error(std::string(failed) + " of " + tmp +
+                             " failed: " + std::strerror(cause));
+}
+
 util::Status WriteSeriesFile(const std::string& path,
                              const core::Dataset& data) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) return util::Status::Error("cannot open for write: " + path);
   const uint64_t header[3] = {kMagic, data.size(), data.length()};
-  if (std::fwrite(header, sizeof(header), 1, f.get()) != 1) {
-    return util::Status::Error("header write failed: " + path);
-  }
   const auto values = data.values();
-  if (!values.empty() &&
-      std::fwrite(values.data(), sizeof(core::Value), values.size(),
-                  f.get()) != values.size()) {
-    return util::Status::Error("value write failed: " + path);
-  }
-  return util::Status::Ok();
+  return WriteFileAtomically(
+      path, {{header, sizeof(header)},
+             {values.data(), values.size() * sizeof(core::Value)}});
 }
 
 util::Result<core::Dataset> ReadSeriesFile(const std::string& path,

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 
 #include "core/dataset.h"
@@ -22,8 +23,24 @@
 
 namespace hydra::io {
 
+/// One contiguous piece of a file's content.
+struct FileBytes {
+  const void* data;
+  size_t size;
+};
+
+/// Replaces the file at `path` with the concatenated `parts`, never
+/// leaving it half written: writes `<path>.tmp`, checks every write and
+/// the flush, fsyncs it, checks the close, then renames it over `path`.
+/// On any error the temp file is removed, whatever was at `path` stays as
+/// it was, and the returned error names the failed step and the cause.
+/// Both file writers (WriteSeriesFile, IndexWriter::Commit) go through it.
+util::Status WriteFileAtomically(const std::string& path,
+                                 std::initializer_list<FileBytes> parts);
+
 /// Writes `data` as a binary series file: a 24-byte header (magic, series
-/// count, series length) followed by series-major float32 values.
+/// count, series length) followed by series-major float32 values, through
+/// WriteFileAtomically.
 util::Status WriteSeriesFile(const std::string& path,
                              const core::Dataset& data);
 

@@ -1,5 +1,8 @@
 #include "scan/mass_scan.h"
 
+#include <algorithm>
+
+#include "core/refine.h"
 #include "transform/fft.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -22,13 +25,9 @@ core::BuildStats MassScan::DoBuild(const core::Dataset& data) {
   return stats;
 }
 
-template <typename Offer>
-core::SearchStats MassScan::ScanAll(core::SeriesView query,
-                                    const core::KnnPlan& plan,
-                                    Offer&& offer) {
+auto MassScan::Distances(core::SeriesView query) const {
   HYDRA_CHECK(data_ != nullptr);
   HYDRA_CHECK(query.size() == data_->length());
-  util::WallTimer timer;
   const size_t n = query.size();
   const size_t fft_size = transform::NextPowerOfTwo(2 * n);
 
@@ -43,53 +42,28 @@ core::SearchStats MassScan::ScanAll(core::SeriesView query,
   }
   transform::Fft(&query_freq, /*inverse=*/false);
 
-  core::SearchStats stats;
-  io::ChargeScanStart(&stats);
-  std::vector<std::complex<double>> buf(fft_size);
-  for (size_t i = 0; i < data_->size(); ++i) {
-    if (plan.RawCapReached(&stats)) break;
-    ++stats.raw_series_examined;
+  return [this, n, query_norm_sq, query_freq = std::move(query_freq)](
+             size_t i, double /*bound*/) {
+    thread_local std::vector<std::complex<double>> buf;
+    buf.assign(query_freq.size(), std::complex<double>(0.0, 0.0));
     const core::SeriesView c = (*data_)[i];
-    std::fill(buf.begin(), buf.end(), std::complex<double>(0.0, 0.0));
     for (size_t j = 0; j < n; ++j) buf[j] = std::complex<double>(c[j], 0.0);
     transform::Fft(&buf, /*inverse=*/false);
-    for (size_t j = 0; j < fft_size; ++j) buf[j] *= query_freq[j];
+    for (size_t j = 0; j < buf.size(); ++j) buf[j] *= query_freq[j];
     transform::Fft(&buf, /*inverse=*/true);
     const double dot = buf[n - 1].real();
-    const double dist_sq = query_norm_sq + norms_sq_[i] - 2.0 * dot;
-    ++stats.distance_computations;
-    offer(static_cast<core::SeriesId>(i), std::max(0.0, dist_sq));
-  }
-  // Only the series actually scanned are charged (a budgeted scan is a
-  // prefix scan).
-  io::ChargeSequentialRead(static_cast<size_t>(stats.raw_series_examined),
-                           n * sizeof(core::Value), &stats);
-  stats.cpu_seconds = timer.Seconds();
-  return stats;
+    return std::max(0.0, query_norm_sq + norms_sq_[i] - 2.0 * dot);
+  };
 }
 
 core::QueryResult MassScan::DoSearchKnn(core::SeriesView query,
                                         const core::KnnPlan& plan) {
-  core::QueryResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
-  result.stats = ScanAll(query, plan, [&](core::SeriesId id, double dist_sq) {
-    heap.Offer(id, dist_sq);
-  });
-  heap.ExtractSortedTo(&result.neighbors);
-  return result;
+  return core::ScanKnn(*data_, plan, Distances(query));
 }
 
 core::QueryResult MassScan::DoSearchRange(core::SeriesView query,
                                           const core::RangePlan& plan) {
-  const double radius = plan.radius;
-  core::QueryResult result;
-  core::RangeCollector collector(radius * radius);
-  result.stats = ScanAll(query, core::KnnPlan{},
-                         [&](core::SeriesId id, double dist_sq) {
-                           collector.Offer(id, dist_sq);
-                         });
-  result.neighbors = collector.TakeSorted();
-  return result;
+  return core::ScanRange(*data_, plan, Distances(query));
 }
 
 }  // namespace hydra::scan

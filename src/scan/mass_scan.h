@@ -29,10 +29,7 @@ class MassScan : public core::SearchMethod {
                 "norms, cheaper to redo than to persist",
             .shard_reason =
                 "sequential scan: no index partition to build per shard — "
-                "the batch engine's --threads already parallelizes it",
-            .intra_query_reason =
-                "sequential scan has no traversal frontier to share; "
-                "batch --threads already parallelizes workloads"};
+                "the batch engine's --threads already parallelizes it"};
   }
 
  protected:
@@ -43,14 +40,12 @@ class MassScan : public core::SearchMethod {
                                   const core::RangePlan& plan) override;
 
  private:
-  /// Computes Fourier-domain distances for the first min(size, plan
-  /// max_raw) series, feeding each into `offer`; sets budget_exhausted
-  /// when the cap truncated the pass.
-  template <typename Offer>
-  core::SearchStats ScanAll(core::SeriesView query,
-                            const core::KnnPlan& plan, Offer&& offer);
+  /// The squared distance of `query` to series i through the Fourier
+  /// domain, as a callable `(i, bound)` for core::ScanKnn / ScanRange
+  /// (no early abandoning: `bound` is ignored). Each calling thread keeps
+  /// its own FFT buffer.
+  auto Distances(core::SeriesView query) const;
 
- private:
   const core::Dataset* data_ = nullptr;
   std::vector<double> norms_sq_;  // per-series squared L2 norm, precomputed
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/distance.h"
+#include "core/refine.h"
 #include "transform/haar.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -132,21 +133,21 @@ core::QueryResult Stepwise::DoSearchKnn(core::SeriesView query,
     if (survivors.empty()) break;  // cannot happen: k best always survive
   }
 
-  // Final refinement on the raw file (random access per surviving run).
-  // The max_raw budget truncates this pass: coefficient-level filtering
-  // reads level files, not raw series, so the budget binds only here.
+  // Final refinement on the raw file, skip-sequentially over the
+  // survivors (ascending: every level keeps the id order). The max_raw
+  // budget truncates this pass: coefficient-level filtering reads level
+  // files, not raw series, so the budget binds only here.
   core::KnnHeap& heap = core::ScratchKnnHeap(k);
-  io::CountedStorage raw(data_);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  for (const core::SeriesId id : survivors) {
-    if (plan.RawCapReached(&result.stats)) break;
-    const core::SeriesView c = raw.Read(id, &result.stats);
-    const double d = order.Distance(c, heap.Bound());
-    ++result.stats.distance_computations;
-    ++result.stats.raw_series_examined;
-    heap.Offer(id, d);
-  }
-  heap.ExtractSortedTo(&result.neighbors);
+  core::KnnWorkers workers(&heap, &result.stats, plan);
+  io::WorkerCursors cursors(data_, workers.workers());
+  const core::Candidates candidates{.ids = std::move(survivors),
+                                    .bounds = {}};
+  core::RefineCandidates(
+      candidates, workers.workers(), cursors, core::ScratchQueryOrder(query),
+      [&](size_t w) {
+        return core::KnnRefine{&workers.heap(w), &workers.stats(w), &plan};
+      });
+  workers.Finish(k, &result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }
@@ -196,17 +197,9 @@ core::QueryResult Stepwise::DoSearchRange(core::SeriesView query,
     survivors = std::move(next);
   }
 
-  core::RangeCollector collector(radius_sq);
-  io::CountedStorage raw(data_);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  for (const core::SeriesId id : survivors) {
-    const core::SeriesView c = raw.Read(id, &result.stats);
-    const double d = order.Distance(c, radius_sq);
-    ++result.stats.distance_computations;
-    ++result.stats.raw_series_examined;
-    collector.Offer(id, d);
-  }
-  result.neighbors = collector.TakeSorted();
+  core::RefineRange(
+      core::Candidates{.ids = std::move(survivors), .bounds = {}}, *data_,
+      plan, core::ScratchQueryOrder(query), &result);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }

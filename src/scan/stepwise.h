@@ -42,10 +42,7 @@ class Stepwise : public core::SearchMethod {
                 "to persist",
             .shard_reason =
                 "sequential scan: no index partition to build per shard — "
-                "the batch engine's --threads already parallelizes it",
-            .intra_query_reason =
-                "sequential scan has no traversal frontier to share; "
-                "batch --threads already parallelizes workloads"};
+                "the batch engine's --threads already parallelizes it"};
   }
 
  protected:

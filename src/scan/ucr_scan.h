@@ -25,10 +25,7 @@ class UcrScan : public core::SearchMethod {
                 "sequential scan: there is no index structure to persist",
             .shard_reason =
                 "sequential scan: no index partition to build per shard — "
-                "the batch engine's --threads already parallelizes it",
-            .intra_query_reason =
-                "sequential scan has no traversal frontier to share; "
-                "batch --threads already parallelizes workloads"};
+                "the batch engine's --threads already parallelizes it"};
   }
 
  protected:

@@ -205,6 +205,11 @@ expect_err "threads on methods" "$refused" methods --threads 2
 expect_ok "shards on query" query "$d" DSTree 3 2 --shards 2
 expect_err "shards on compare" "$refused" compare "$d" 2 --shards 2
 expect_ok "query-threads on range" range "$d" DSTree 5 2 --query-threads 2
+# Every method takes --query-threads, the flat ones included.
+for m in VA+file UCR-Suite Stepwise; do
+  expect_ok "query-threads on $m query" query "$d" "$m" 3 2 --query-threads 2
+  expect_ok "query-threads on $m range" range "$d" "$m" 5 2 --query-threads 2
+done
 expect_err "query-threads on build" "$refused" \
   build "$d" DSTree "$tmp/qt-idx" --query-threads 2
 expect_err "port on serve" "unknown method" serve "$d" NotAMethod --port 0

@@ -3,13 +3,16 @@
 // cheaper) and its effectiveness on easy queries (the bsf it seeds for
 // exact search is what makes SIMS and the tree searches fast).
 #include <cmath>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "bench/registry.h"
 #include "core/distance.h"
 #include "core/method.h"
+#include "core/search_stats.h"
 #include "gen/random_walk.h"
 #include "gen/workload.h"
 
@@ -134,6 +137,33 @@ TEST(ApproximateDefault, ScansFallBackToExact) {
   ASSERT_EQ(exact.neighbors.size(), approx.neighbors.size());
   for (size_t i = 0; i < exact.neighbors.size(); ++i) {
     EXPECT_EQ(exact.neighbors[i].id, approx.neighbors[i].id);
+  }
+}
+
+// An ng query's ledger is its own: ADS+ reads the home leaf through a
+// cursor that lives for that query alone, so the first read is one seek
+// whatever the query before it read last. On this collection series 0's
+// home leaf ends right before series 1's begins, so a cursor kept from one
+// query to the next would charge series 1's first read as sequential.
+TEST(ApproximateAdsPlus, NgLedgerDoesNotDependOnThePreviousQuery) {
+  const auto data = gen::RandomWalkDataset(1000, 64, 4242);
+  const core::QuerySpec ng = core::QuerySpec::NgApprox(5);
+  const auto ledger = [&](std::initializer_list<size_t> earlier,
+                          size_t query) {
+    auto method = bench::CreateMethod("ADS+", 32);
+    method->Build(data);
+    for (const size_t q : earlier) method->Execute(data[q], ng);
+    return method->Execute(data[query], ng).stats;
+  };
+  for (const auto& [first, second] : {std::pair{0, 1}, std::pair{1, 0}}) {
+    const core::SearchStats alone = ledger({}, second);
+    const core::SearchStats after = ledger({size_t(first)}, second);
+    EXPECT_GT(alone.random_seeks, 0) << second;
+    for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+      EXPECT_EQ(alone.*counter.member, after.*counter.member)
+          << "series " << second << " after series " << first << ": "
+          << counter.name;
+    }
   }
 }
 

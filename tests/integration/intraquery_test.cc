@@ -1,13 +1,17 @@
-// The intra-query parallelism contract: for every method whose traversal
-// runs on the shared engine (core::TreeSearch / ParallelScan),
-// exact k-NN and range answers are bit-identical to the serial traversal
-// at every worker count; order-dependent disciplines (epsilon, delta,
-// explicit budgets) are kept serial by Execute's gate, so their answers
-// and their work ledgers never move with --query-threads; traits refuse
-// honestly; and query_threads composes with the sharded fan-out (shards x
+// The intra-query parallelism contract: every method splits one query's
+// work over query_threads workers — the trees through core::TreeSearch,
+// the filter-and-refine methods through core::RefineCandidates, the scans
+// through core::ParallelScan — and exact k-NN and range answers are
+// bit-identical to the serial search at every worker count, in RAM and
+// over a buffer pool far smaller than the file; order-dependent
+// disciplines (epsilon, delta, explicit budgets) are kept serial by
+// Execute's gate, so their answers and their work ledgers never move with
+// --query-threads; every method, sharded or not, accepts more than one
+// worker; and query_threads composes with the sharded fan-out (shards x
 // workers pruning against one cross-shard bound).
-#include <algorithm>
+#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +22,8 @@
 #include "core/search_stats.h"
 #include "gen/random_walk.h"
 #include "gen/workload.h"
+#include "io/series_file.h"
+#include "storage/backend.h"
 
 namespace hydra {
 namespace {
@@ -46,7 +52,7 @@ void ExpectSameAnswers(const std::vector<core::Neighbor>& got,
 }
 
 /// Work-ledger equality for the gated (serial-kept) disciplines: every
-/// counter must match because the traversal is the *same* loop, not merely
+/// counter must match because the search is the *same* loop, not merely
 /// an equivalent one. cpu_seconds is measured wall-clock and exempt.
 void ExpectSameWork(const core::SearchStats& got,
                     const core::SearchStats& want,
@@ -60,79 +66,118 @@ void ExpectSameWork(const core::SearchStats& got,
   EXPECT_EQ(got.budget_exhausted, want.budget_exhausted) << context;
 }
 
-/// The headline guarantee: exact k-NN through the cooperative traversal
-/// matches the serial traversal bit for bit at every worker count. Fresh
-/// index per cell — ADS+ adapts its tree during queries, and the contract
-/// must hold from the same starting state the serial reference saw.
-TEST(IntraQueryBitIdentity, ExactKnnMatchesSerialAtEveryWidth) {
-  const core::Dataset data = TestData();
-  const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::IntraQueryCapableNames()) {
+/// The test collection twice: in RAM, and mapped from a file behind a
+/// buffer pool that holds under a third of it, so every wide query reads
+/// through pages and planned runs while its workers compete for frames.
+class IntraQueryBackends : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "/hydra_intraquery.bin";
+    ASSERT_TRUE(io::WriteSeriesFile(path_, ram_).ok());
+    storage::StorageOptions options;
+    options.backend = storage::StorageBackend::kMmap;
+    options.pool.budget_bytes = 32 << 10;
+    options.pool.page_bytes = 8 << 10;
+    auto opened = storage::StorageHandle::Open(path_, "intraquery", options);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    mmap_ = std::move(opened).value();
+    ASSERT_TRUE(mmap_.pooled());
+    ASSERT_LT(options.pool.budget_bytes,
+              kCount * kLength * sizeof(core::Value) / 3);
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Both backends, labeled.
+  std::vector<std::pair<std::string, const core::Dataset*>> Backends()
+      const {
+    return {{"ram", &ram_}, {"mmap", &mmap_.dataset()}};
+  }
+
+  const core::Dataset ram_ = TestData();
+  const gen::Workload workload_ = TestQueries();
+
+ private:
+  std::string path_;
+  storage::StorageHandle mmap_;
+};
+
+/// The headline guarantee: exact k-NN split over query_threads workers
+/// matches the serial RAM search bit for bit at every worker count, on
+/// both backends. Fresh index per cell — ADS+ adapts its tree during
+/// queries, and the contract must hold from the same starting state the
+/// serial reference saw.
+TEST_F(IntraQueryBackends, ExactKnnMatchesSerialAtEveryWidth) {
+  const gen::Workload& workload = workload_;
+  for (const std::string& name : bench::AllMethodNames()) {
     auto reference = bench::CreateMethod(name, kLeaf);
-    reference->Build(data);
+    reference->Build(ram_);
     std::vector<std::vector<core::Neighbor>> knn_ref;
     for (size_t q = 0; q < workload.queries.size(); ++q) {
       knn_ref.push_back(
           reference->Execute(workload.queries[q], core::QuerySpec::Knn(kK))
               .neighbors);
     }
-    for (const size_t query_threads : kQueryThreads) {
-      auto method = bench::CreateMethod(name, kLeaf);
-      method->Build(data);
-      core::QuerySpec spec = core::QuerySpec::Knn(kK);
-      spec.query_threads = query_threads;
-      const std::string context =
-          name + " query_threads=" + std::to_string(query_threads);
-      for (size_t q = 0; q < workload.queries.size(); ++q) {
-        const core::QueryResult r =
-            method->Execute(workload.queries[q], spec);
-        ExpectSameAnswers(r.neighbors, knn_ref[q],
-                          context + " knn query " + std::to_string(q));
-        EXPECT_EQ(r.delivered(), core::QualityMode::kExact) << context;
-        EXPECT_FALSE(r.budget_fired()) << context;
+    for (const auto& [backend, data] : Backends()) {
+      for (const size_t query_threads : kQueryThreads) {
+        auto method = bench::CreateMethod(name, kLeaf);
+        method->Build(*data);
+        core::QuerySpec spec = core::QuerySpec::Knn(kK);
+        spec.query_threads = query_threads;
+        const std::string context = name + " " + backend +
+                                    " query_threads=" +
+                                    std::to_string(query_threads);
+        for (size_t q = 0; q < workload.queries.size(); ++q) {
+          const core::QueryResult r =
+              method->Execute(workload.queries[q], spec);
+          ExpectSameAnswers(r.neighbors, knn_ref[q],
+                            context + " knn query " + std::to_string(q));
+          EXPECT_EQ(r.delivered(), core::QualityMode::kExact) << context;
+          EXPECT_FALSE(r.budget_fired()) << context;
+        }
       }
     }
   }
 }
 
-/// Range twin: the fixed r^2 bound makes the whole traversal visit-order
+/// Range twin: the fixed r^2 bound makes the whole search visit-order
 /// independent, so not only the matches but the pruning-work counters
 /// (lower bounds charged, nodes visited, raw refinements) must match the
-/// serial loop exactly at any width.
-TEST(IntraQueryBitIdentity, RangeMatchesSerialAtEveryWidth) {
-  const core::Dataset data = TestData();
-  const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::IntraQueryCapableNames()) {
+/// serial loop exactly at any width, on both backends.
+TEST_F(IntraQueryBackends, RangeMatchesSerialAtEveryWidth) {
+  const gen::Workload& workload = workload_;
+  for (const std::string& name : bench::AllMethodNames()) {
     auto reference = bench::CreateMethod(name, kLeaf);
-    reference->Build(data);
+    reference->Build(ram_);
     std::vector<core::QueryResult> range_ref;
     for (size_t q = 0; q < workload.queries.size(); ++q) {
       range_ref.push_back(reference->Execute(workload.queries[q],
                                              core::QuerySpec::Range(kRadius)));
     }
-    for (const size_t query_threads : kQueryThreads) {
-      auto method = bench::CreateMethod(name, kLeaf);
-      method->Build(data);
-      core::QuerySpec spec = core::QuerySpec::Range(kRadius);
-      spec.query_threads = query_threads;
-      const std::string context =
-          name + " query_threads=" + std::to_string(query_threads);
-      for (size_t q = 0; q < workload.queries.size(); ++q) {
-        const core::QueryResult r =
-            method->Execute(workload.queries[q], spec);
-        ExpectSameAnswers(r.neighbors, range_ref[q].neighbors,
-                          context + " range query " + std::to_string(q));
-        EXPECT_EQ(r.stats.lower_bound_computations,
-                  range_ref[q].stats.lower_bound_computations)
-            << context << " query " << q;
-        EXPECT_EQ(r.stats.nodes_visited, range_ref[q].stats.nodes_visited)
-            << context << " query " << q;
-        EXPECT_EQ(r.stats.distance_computations,
-                  range_ref[q].stats.distance_computations)
-            << context << " query " << q;
-        EXPECT_EQ(r.stats.raw_series_examined,
-                  range_ref[q].stats.raw_series_examined)
-            << context << " query " << q;
+    for (const auto& [backend, data] : Backends()) {
+      for (const size_t query_threads : kQueryThreads) {
+        auto method = bench::CreateMethod(name, kLeaf);
+        method->Build(*data);
+        core::QuerySpec spec = core::QuerySpec::Range(kRadius);
+        spec.query_threads = query_threads;
+        const std::string context = name + " " + backend +
+                                    " query_threads=" +
+                                    std::to_string(query_threads);
+        for (size_t q = 0; q < workload.queries.size(); ++q) {
+          const core::QueryResult r =
+              method->Execute(workload.queries[q], spec);
+          const core::SearchStats& want = range_ref[q].stats;
+          const std::string at = context + " query " + std::to_string(q);
+          ExpectSameAnswers(r.neighbors, range_ref[q].neighbors, at);
+          EXPECT_EQ(r.stats.lower_bound_computations,
+                    want.lower_bound_computations)
+              << at;
+          EXPECT_EQ(r.stats.nodes_visited, want.nodes_visited) << at;
+          EXPECT_EQ(r.stats.distance_computations, want.distance_computations)
+              << at;
+          EXPECT_EQ(r.stats.raw_series_examined, want.raw_series_examined)
+              << at;
+        }
       }
     }
   }
@@ -147,7 +192,7 @@ TEST(IntraQueryBitIdentity, RangeMatchesSerialAtEveryWidth) {
 TEST(IntraQueryGating, EpsilonAndBudgetedRunsAreUnmovedByQueryThreads) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::IntraQueryCapableNames()) {
+  for (const std::string& name : bench::AllMethodNames()) {
     const core::MethodTraits traits =
         bench::CreateMethod(name, kLeaf)->traits();
 
@@ -194,31 +239,35 @@ TEST(IntraQueryGating, EpsilonAndBudgetedRunsAreUnmovedByQueryThreads) {
   }
 }
 
-/// Traits are honest on both sides: the five tree indexes (on
-/// core::TreeSearch) and ADS+ (on ParallelScan) advertise the capability,
-/// the flat scans (UCR-Suite, MASS, Stepwise, VA+file) explain their
-/// refusal, and
-/// the sharded container mirrors its component (so `--shards` composed
-/// with `--query-threads` is accepted or refused for the right reason).
-TEST(IntraQueryTraits, SixMethodsAdvertiseOthersRefuseWithReasons) {
-  const auto capable = bench::IntraQueryCapableNames();
-  EXPECT_EQ(capable.size(), 6u);
+/// No method refuses width: every one, and every sharded container over a
+/// shardable one, answers an exact k-NN and a range query at
+/// query_threads 4 exactly as at width 1 (MethodTraits has no
+/// intra-query capability flag to gate it).
+TEST(IntraQueryAcceptance, EveryMethodShardedOrNotAcceptsQueryThreads) {
+  const core::Dataset data = TestData();
+  const gen::Workload workload = TestQueries();
+  const core::SeriesView query = workload.queries[0];
+  core::QuerySpec knn = core::QuerySpec::Knn(kK);
+  core::QuerySpec range = core::QuerySpec::Range(kRadius);
+  core::QuerySpec wide_knn = knn;
+  core::QuerySpec wide_range = range;
+  wide_knn.query_threads = wide_range.query_threads = 4;
+  const auto check = [&](core::SearchMethod* method,
+                         const std::string& context) {
+    method->Build(data);
+    ExpectSameAnswers(method->Execute(query, wide_knn).neighbors,
+                      method->Execute(query, knn).neighbors,
+                      context + " knn");
+    ExpectSameAnswers(method->Execute(query, wide_range).neighbors,
+                      method->Execute(query, range).neighbors,
+                      context + " range");
+  };
   for (const std::string& name : bench::AllMethodNames()) {
-    const core::MethodTraits t = bench::CreateMethod(name)->traits();
-    const bool expected =
-        std::find(capable.begin(), capable.end(), name) != capable.end();
-    EXPECT_EQ(t.intra_query_parallel, expected) << name;
-    if (!t.intra_query_parallel) {
-      EXPECT_FALSE(t.intra_query_reason.empty()) << name;
-    }
+    check(bench::CreateMethod(name, kLeaf).get(), name);
   }
   for (const std::string& name : bench::ShardableNames()) {
-    const core::MethodTraits inner = bench::CreateMethod(name)->traits();
-    const core::MethodTraits outer =
-        bench::CreateShardedMethod(name, 2, 1)->traits();
-    EXPECT_EQ(outer.intra_query_parallel, inner.intra_query_parallel)
-        << name;
-    EXPECT_EQ(outer.intra_query_reason, inner.intra_query_reason) << name;
+    check(bench::CreateShardedMethod(name, 2, 1, kLeaf).get(),
+          name + " shards=2");
   }
 }
 
@@ -228,7 +277,7 @@ TEST(IntraQueryTraits, SixMethodsAdvertiseOthersRefuseWithReasons) {
 TEST(IntraQueryComposition, ShardsTimesWorkersMatchesUnshardedSerial) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::IntraQueryCapableNames()) {
+  for (const std::string& name : bench::ShardableNames()) {
     auto reference = bench::CreateMethod(name, kLeaf);
     reference->Build(data);
     std::vector<std::vector<core::Neighbor>> knn_ref;

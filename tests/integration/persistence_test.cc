@@ -253,6 +253,37 @@ TEST(PersistenceErrors, CorruptionFailsWithCleanStatus) {
   std::filesystem::remove_all(dir);
 }
 
+// A failed Save must not destroy the index it would have replaced: the
+// writer fills <index file>.tmp and renames it over the old file only
+// once every byte is flushed and synced. A directory squatting on the
+// temp path makes the temp open fail; the old index must still open and
+// answer bit-identically.
+TEST(PersistenceErrors, FailedSaveKeepsThePreviousIndex) {
+  const core::Dataset data = TestData();
+  const gen::Workload workload = TestQueries();
+  auto built = bench::CreateMethod("DSTree", kLeaf);
+  built->Build(data);
+  const std::string dir = FreshDir("failed_save");
+  ASSERT_TRUE(built->Save(dir).ok());
+  std::filesystem::create_directory(io::IndexFilePath(dir) + ".tmp");
+  const auto failed = built->Save(dir);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find(".tmp"), std::string::npos)
+      << failed.status().message();
+
+  auto opened = bench::CreateMethod("DSTree");
+  const auto open_stats = opened->Open(dir, data);
+  ASSERT_TRUE(open_stats.ok()) << open_stats.status().message();
+  const auto built_answers = RunBattery(built.get(), workload);
+  const auto opened_answers = RunBattery(opened.get(), workload);
+  ASSERT_EQ(built_answers.size(), opened_answers.size());
+  for (size_t i = 0; i < built_answers.size(); ++i) {
+    ExpectBitIdentical(built_answers[i], opened_answers[i],
+                       "battery entry " + std::to_string(i));
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PersistenceErrors, MismatchesAreRefused) {
   const core::Dataset data = TestData();
   auto built = bench::CreateMethod("SFA", kLeaf);

@@ -197,17 +197,20 @@ TEST_F(StorageIdentityTest, PlannedRunReadsKeepWorkAndModeledLedger) {
   }
 }
 
-// DSTree, iSAX2+ and the SFA trie verify a leaf's filter survivors
-// through one planned cursor per worker: over the pool every verified
-// series comes from a run read (no frame is installed, so none is
-// evicted), and only the bytes' path changes — the answers and, serially,
-// every modeled ledger counter equal the RAM run's.
-TEST_F(StorageIdentityTest, LeafSurvivorScanReadsRunsAndKeepsModeledLedger) {
+// Every filter-and-refine path verifies its candidates on the shared
+// refine loop through one planned cursor per worker — a leaf's filter
+// survivors in DSTree, iSAX2+ and the SFA trie; the candidates of ADS+
+// (its home leaf too), the VA+file and Stepwise: over the pool every
+// verified series comes from a run read (no frame is installed, so none
+// is evicted), and only the bytes' path changes — the answers and,
+// serially, every modeled ledger counter equal the RAM run's.
+TEST_F(StorageIdentityTest, RefineLoopReadsRunsAndKeepsModeledLedger) {
   core::QuerySpec budgeted = core::QuerySpec::Knn(5);
   budgeted.max_raw_series = 200;
   core::QuerySpec wide = core::QuerySpec::Knn(5);
   wide.query_threads = 4;
-  for (const std::string name : {"DSTree", "iSAX2+", "SFA"}) {
+  for (const std::string name :
+       {"DSTree", "iSAX2+", "SFA", "ADS+", "VA+file", "Stepwise"}) {
     SCOPED_TRACE(name);
     auto on_ram = bench::CreateMethod(name, kLeaf);
     auto on_mmap = bench::CreateMethod(name, kLeaf);
@@ -251,7 +254,7 @@ TEST_F(StorageIdentityTest, IntraQueryParallelMatches) {
   for (const size_t query_threads : {2, 8}) {
     core::QuerySpec spec = core::QuerySpec::Knn(5);
     spec.query_threads = query_threads;
-    for (const std::string& name : bench::IntraQueryCapableNames()) {
+    for (const std::string& name : bench::AllMethodNames()) {
       SCOPED_TRACE(name + " query_threads=" + std::to_string(query_threads));
       auto on_ram = bench::CreateMethod(name, kLeaf);
       auto on_mmap = bench::CreateMethod(name, kLeaf);

@@ -326,7 +326,7 @@ TEST_F(PoolTest, PlannedCursorCoalescesCandidatesIntoRuns) {
   BufferPool pool(&file_, options);
   data_.AttachRawSource(&pool);
   io::CountedStorage storage(&data_);
-  ASSERT_TRUE(storage.pooled());
+  ASSERT_NE(data_.raw_source(), nullptr);
   // Two clusters far apart: each becomes one run, gaps read through.
   const std::vector<core::SeriesId> plan = {3, 5, 9, 40, 41};
   storage.SetPlan(plan);
@@ -346,13 +346,7 @@ TEST_F(PoolTest, PlannedCursorCoalescesCandidatesIntoRuns) {
   // A read outside the plan is still served, as a run of its own.
   EXPECT_FLOAT_EQ(storage.Read(50, &stats)[0], 50.0f);
   EXPECT_EQ(stats.pool_misses, 3);
-  // Without a plan the cursor is back on the page path.
-  storage.ClearPlan();
-  storage.Read(52, &stats);
-  EXPECT_EQ(stats.pool_direct_reads, 5);
-  EXPECT_EQ(stats.pool_misses, 4);
-  storage.ReleasePin();
-  EXPECT_EQ(pool.counters().evictions, 0);  // one frame, one page load
+  EXPECT_EQ(pool.counters().evictions, 0);  // runs install no frame
 }
 
 TEST_F(PoolTest, RunNeverCrossesSliceEnd) {
@@ -405,7 +399,6 @@ TEST_F(PoolTest, PlannedCursorsAndPageReaderShareOneFrame) {
           }
         }
       }
-      storage.ClearPlan();
     });
   }
   readers.emplace_back([this, &pool, &wrong] {

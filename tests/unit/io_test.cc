@@ -1,3 +1,4 @@
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -109,6 +110,34 @@ TEST(SeriesFile, RoundTrip) {
       EXPECT_FLOAT_EQ(d[i][j], data[i][j]);
     }
   }
+  std::remove(path.c_str());
+}
+
+// A failed write must not destroy the file it would have replaced: the
+// writer fills <path>.tmp and renames it over the old file only once
+// every byte is flushed and synced. A directory squatting on the temp
+// path makes the temp open fail.
+TEST(SeriesFile, FailedWriteKeepsThePreviousFile) {
+  const auto old_data = MakeData(5, 16);
+  const std::string path = ::testing::TempDir() + "/hydra_kept.bin";
+  const std::string tmp = path + ".tmp";
+  ::rmdir(tmp.c_str());  // left by an earlier run that stopped early
+  ASSERT_TRUE(WriteSeriesFile(path, old_data).ok());
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+  const util::Status failed = WriteSeriesFile(path, MakeData(3, 8));
+  EXPECT_FALSE(failed.ok());
+  EXPECT_NE(failed.message().find(tmp), std::string::npos)
+      << failed.message();
+  auto kept = ReadSeriesFile(path, "kept");
+  ASSERT_TRUE(kept.ok()) << kept.status().message();
+  ASSERT_EQ(kept.value().size(), 5u);
+  ASSERT_EQ(kept.value().length(), 16u);
+  for (size_t i = 0; i < 5; ++i) {
+    for (size_t j = 0; j < 16; ++j) {
+      EXPECT_EQ(kept.value()[i][j], old_data[i][j]);
+    }
+  }
+  ::rmdir(tmp.c_str());
   std::remove(path.c_str());
 }
 

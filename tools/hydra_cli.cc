@@ -275,11 +275,9 @@ constexpr FlagRow kFlags[] = {
      .min = 1, .max = 1024, .fallback = 1, .sharded_too = true},
     {.id = kQueryThreads, .name = "--query-threads", .kind = FlagKind::kUint,
      .commands = "query|range", .arg = "N",
-     .help = "N workers drain one query's traversal frontier; exact\n"
-             "and range answers match the serial run",
-     .min = 1, .max = 1024, .fallback = 1,
-     .trait = &core::MethodTraits::intra_query_parallel,
-     .reason = &core::MethodTraits::intra_query_reason},
+     .help = "N workers share one query's search; exact and range\n"
+             "answers match the serial run",
+     .min = 1, .max = 1024, .fallback = 1},
     {.id = kMode, .name = "--mode", .kind = FlagKind::kEnum,
      .commands = "query|queryd", .arg = "exact|ng|epsilon|delta-epsilon",
      .help = "quality guarantee requested (default exact)", .noun = "mode"},
@@ -466,14 +464,11 @@ bool GateCommand(const Cli& cli) {
 }
 
 /// Refuses a flag the method's traits rule out, with the method's own
-/// reason — never a silently serial "parallel" run or an inert budget. A
-/// flag left at its fallback value changes nothing and needs no trait
-/// (--query-threads 1 runs on any method).
+/// reason — never a silently unsharded "sharded" run or an inert budget.
 bool GateTraits(const core::MethodTraits& traits, const std::string& method,
                 const Cli& cli) {
   for (const FlagRow& row : kFlags) {
-    if (row.trait == nullptr || traits.*row.trait || !cli.has(row.id) ||
-        (row.kind == FlagKind::kUint && cli.num(row.id) == row.fallback)) {
+    if (row.trait == nullptr || traits.*row.trait || !cli.has(row.id)) {
       continue;
     }
     if (row.reason != nullptr) {
@@ -976,15 +971,15 @@ int CmdQuery(const Cli& cli) {
   if (query_threads > 1 &&
       (spec.mode != core::QualityMode::kExact || spec.has_budget())) {
     // Approximate and budgeted answers depend on visit order, so the
-    // engine keeps their traversal serial — note it rather than let the
-    // user believe the relaxed run was parallel.
+    // search stays serial — note it rather than let the user believe the
+    // relaxed run was parallel.
     std::printf("note: --query-threads applies to pure exact plans only; "
-                "this %s%s run keeps its traversal serial\n",
+                "this %s%s run keeps its search serial\n",
                 core::QualityModeName(spec.mode),
                 spec.has_budget() ? " budgeted" : "");
   }
   if (query_threads > 1 && threads > 1 && !sharded) {
-    std::printf("note: %llu batch threads x %llu traversal workers = %llu "
+    std::printf("note: %llu batch threads x %llu query workers = %llu "
                 "total threads at peak\n",
                 static_cast<unsigned long long>(threads),
                 static_cast<unsigned long long>(query_threads),
@@ -1022,10 +1017,7 @@ int CmdQuery(const Cli& cli) {
       // does nothing — say so instead of implying a concurrent run.
       std::printf("note: --threads parallelizes across queries and a "
                   "single-query batch runs serially; use --query-threads "
-                  "to parallelize within the query%s\n",
-                  traits.intra_query_parallel
-                      ? ""
-                      : " (not supported by this method)");
+                  "to parallelize within the query\n");
     } else {
       std::printf("%zu queries on %zu threads: %.3fs wall (%.1f queries/s)\n",
                   batch.queries.size(), batch.threads_used, wall,
@@ -1173,7 +1165,7 @@ int CmdMethods(const Cli& /*cli*/) {
   // persistence, each derived from the method's own traits() so this
   // listing can never drift from what Execute/Save/Open actually accept.
   util::Table table({"method", "modes", "concurrent", "persistent",
-                     "shardable", "intra-query"});
+                     "shardable"});
   for (const std::string& name : bench::AllMethodNames()) {
     const core::MethodTraits traits = bench::CreateMethod(name)->traits();
     std::string modes = "exact";
@@ -1182,8 +1174,7 @@ int CmdMethods(const Cli& /*cli*/) {
     if (traits.supports_delta_epsilon) modes += ",delta-epsilon";
     table.AddRow({name, modes, traits.concurrent_queries ? "yes" : "no",
                   traits.supports_persistence ? "yes" : "no",
-                  traits.shardable ? "yes" : "no",
-                  traits.intra_query_parallel ? "yes" : "no"});
+                  traits.shardable ? "yes" : "no"});
   }
   table.Print("method traits");
   return 0;
