@@ -63,10 +63,10 @@ struct Candidates {
 /// is skipped for free; otherwise a stop ends the loop before its read.
 /// So a budget fires only on a read it refuses, and skipped candidates
 /// spend none of it. The ids are the cursor's read plan: over a buffer
-/// pool they are read as skip-sequential runs (CountedStorage::SetPlan),
-/// never through pool frames; in RAM the next candidate is prefetched
-/// while the current one is verified. Every call is one skip-sequential
-/// pass: its first read costs a seek, whatever the cursor read before.
+/// pool they are read as skip-sequential runs (CountedStorage::SetPlan);
+/// in RAM the next candidate is prefetched while the current one is
+/// verified. Every call is one skip-sequential pass: its first read costs
+/// a seek, whatever the cursor read before.
 template <typename Policy>
 void RefineLoop(std::span<const SeriesId> ids, std::span<const double> bounds,
                 io::CountedStorage& raw, const QueryOrder& order, Policy& p) {

@@ -69,21 +69,22 @@ struct SearchStats {
   int64_t random_seeks = 0;
   /// Bytes fetched from the simulated raw/leaf/approximation files.
   int64_t bytes_read = 0;
-  /// *Measured* buffer-pool counters (CounterKind::kMeasured): raw series
-  /// served from an already-resident page (hits) vs. preads from the data
-  /// file (misses: one per page fetch or per run read's pread). Never
-  /// mixed with the modeled counters above.
+  /// *Measured* buffer-pool counters (CounterKind::kMeasured), never
+  /// mixed with the modeled counters above. pool_hits (series served from
+  /// a resident page) and pool_evictions (resident pages dropped) are
+  /// always 0: the pool holds no pages. They stay in the ledger because
+  /// protocol v3 and the benchmark read them. pool_misses counts run reads
+  /// from the data file, one per pread.
   int64_t pool_hits = 0;
   int64_t pool_misses = 0;
-  /// Resident pages dropped to make room for a missed page.
   int64_t pool_evictions = 0;
-  /// pread(2) calls issued by page fetches and run reads (one per miss).
+  /// pread(2) calls issued by run reads (one per miss).
   int64_t pool_pread_calls = 0;
   /// Bytes actually transferred by those pread calls.
   int64_t pool_bytes_read = 0;
-  /// Reads served from a planned cursor's run scratch (io::CountedStorage
-  /// with a plan): the bytes came from a skip-sequential run pread, whose
-  /// own pread is counted once above, not per series.
+  /// Reads served from a cursor's run scratch (io::CountedStorage): the
+  /// bytes came from a run pread, whose own pread is counted once above,
+  /// not per series.
   int64_t pool_direct_reads = 0;
   /// *Measured* wall-clock compute seconds of the query. Excludes modeled
   /// I/O time (io::DiskModel derives that from the counters above).

@@ -6,7 +6,6 @@
 
 #include "core/distance.h"
 #include "core/traversal.h"
-#include "io/counted_storage.h"
 #include "io/index_codec.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -287,9 +286,10 @@ void MTree::SplitNode(Node* node, std::unique_ptr<Node>* out_left,
 /// distances, with parent-distance and triangle-inequality filters that
 /// skip distance computations. Each item carries d(query, node center).
 /// Subtrees are pruned against bsf/(1+epsilon) — unsquared, through
-/// plan.epsilon rather than the squared plan.bound_scale. Routing centers
-/// are read in memory (the paper's memory-resident M-tree); only leaf
-/// verification reads go through raw storage and its buffer pool.
+/// plan.epsilon rather than the squared plan.bound_scale. The paper's
+/// M-tree is memory-resident: routing centers and leaf entries alike are
+/// read in place from the dataset (the mapping on the mmap backend), with
+/// no modeled or measured I/O.
 class MTree::Search : public core::TreePolicy<MTree::Node> {
  public:
   static constexpr bool kDistanceBounds = true;
@@ -327,13 +327,11 @@ class MTree::Search : public core::TreePolicy<MTree::Node> {
 
   template <typename W>
   void VerifyLeaf(const Item& leaf, const W& w) const {
-    io::CountedStorage raw(tree_.data_);
     for (const auto& [id, dist_to_center] : leaf.node->entries) {
       // Triangle-inequality filter using the precomputed distance.
       if (!w.Admits(std::fabs(leaf.aux - dist_to_center))) continue;
       if (w.RawCapReached()) return;
-      const double d =
-          Distance(raw.ReadPrecharged(id, &w.stats()), &w.stats());
+      const double d = Distance((*tree_.data_)[id], &w.stats());
       ++w.stats().raw_series_examined;
       w.sink().Offer(id, d * d);
     }

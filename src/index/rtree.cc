@@ -429,7 +429,8 @@ void RStarTree::SplitNode(Node* node, std::vector<Node*>& path) {
 /// The R*-tree's TreeSearch policy: rectangle MINDIST in the scaled PAA
 /// space, for child entries and — as a per-entry filter before any raw
 /// read — for leaf entries. Raw reads go through one cursor per worker
-/// for the whole query, so the skip-sequential charge spans leaves.
+/// for the whole query, so the skip-sequential charge spans leaves; over
+/// a pool each is a run read of one series.
 class RStarTree::Search : public core::TreePolicy<RStarTree::Node> {
  public:
   Search(const RStarTree& tree, core::SeriesView query, size_t workers)
@@ -476,9 +477,6 @@ class RStarTree::Search : public core::TreePolicy<RStarTree::Node> {
       ++stats.raw_series_examined;
       w.sink().Offer(e.id, d);
     }
-    // The cursor outlives the leaf, its pool frame must not: a worker
-    // idling between leaves may never sit on a frame another one waits for.
-    raw.ReleasePin();
   }
 
  private:

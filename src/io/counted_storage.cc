@@ -13,6 +13,10 @@ CountedStorage::CountedStorage(const core::Dataset* data)
   HYDRA_CHECK(data != nullptr);
 }
 
+CountedStorage::~CountedStorage() {
+  if (lent_ != 0) source_->ReturnRun(lent_);
+}
+
 core::SeriesView CountedStorage::Read(core::SeriesId i,
                                       core::SearchStats* stats) {
   HYDRA_DCHECK(i < data_->size());
@@ -33,19 +37,18 @@ void CountedStorage::SetPlan(std::span<const core::SeriesId> ids) {
   // Runs end at a planned id, so this keeps every run inside the dataset
   // (for a shard slice: inside the slice, whatever its raw_base).
   HYDRA_CHECK(ids.empty() || ids.back() < data_->size());
-  pin_.Release();  // a planned cursor never holds a frame
-  planned_ = true;
   plan_ = ids;
   plan_next_ = 0;
   run_count_ = 0;
 }
 
-core::SeriesView CountedStorage::FetchPlanned(core::SeriesId i,
-                                              core::SearchStats* stats) {
+core::SeriesView CountedStorage::FetchRun(core::SeriesId i,
+                                          core::SearchStats* stats) {
   const size_t length = data_->length();
   if (i < run_first_ || i - run_first_ >= run_count_) {
     if (run_ == nullptr) {
-      run_capacity_ = std::min(kRunMaxSeries, source_->series_per_frame());
+      lent_ = source_->BorrowRun(kRunMaxSeries);
+      run_capacity_ = std::max<size_t>(1, lent_);
       run_ = std::make_unique_for_overwrite<core::Value[]>(run_capacity_ *
                                                            length);
     }

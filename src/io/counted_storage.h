@@ -35,32 +35,40 @@ namespace hydra::io {
 /// VA+file: every skip is one random access.
 ///
 /// The returned view stays valid until this reader's next Read /
-/// ReadPrecharged (on a pooled dataset the view points into a buffer-pool
-/// frame that the reader keeps pinned only until its next fetch); callers
-/// consume the series — compute its distance — before reading the next.
-/// One CountedStorage serves one thread; concurrent readers each get
-/// their own (they share the pool underneath).
+/// ReadPrecharged (on a pooled dataset the view points into the reader's
+/// run scratch); callers consume the series — compute its distance —
+/// before reading the next. One CountedStorage serves one thread;
+/// concurrent readers each get their own (they share the pool underneath).
 ///
-/// Planned reads (SetPlan): a filter-and-refine caller that reads its
-/// survivors in ascending file order hands the cursor its candidate ids
-/// up front. On a pooled dataset a Read outside the current run then
-/// preads one run, from the read series over the following planned
-/// candidates while each gap stays within kRunGap series and the run fits
-/// the cursor's scratch (at most one frame, so no more memory than the one
-/// pin a cursor may hold). Reads inside the run are served from that
-/// scratch and count as pool_direct_reads. Only the bytes' path changes:
-/// the modeled charging is the same with or without a plan.
+/// On a pooled dataset every read is a run read (RawSeriesSource::ReadRun)
+/// into the cursor's run scratch, which the cursor borrows from the pool's
+/// budget at its first run and returns when destroyed (a cursor the budget
+/// cannot cover reads one series at a time). Without a plan a read outside
+/// the current run is a run of one series. Planned reads (SetPlan): a
+/// filter-and-refine caller that reads its survivors in ascending file
+/// order hands the cursor its candidate ids up front; a read outside the
+/// current run then preads one run, from the read series over the
+/// following planned candidates while each gap stays within kRunGap series
+/// and the run fits the scratch. Reads inside the run are served from that
+/// scratch. Every pooled read counts as one pool_direct_read. Only the
+/// bytes' path changes: the modeled charging is the same with or without a
+/// plan, and with or without a pool.
 class CountedStorage {
  public:
   /// Largest gap, in series, a run reads through to reach the next planned
   /// candidate; a wider gap ends the run. Wider gaps mean fewer preads but
   /// more bytes read and not verified.
   static constexpr size_t kRunGap = 6;
-  /// Largest run, in series (further capped to the pool's frame): how far
-  /// a run reads ahead over candidates the running bound may yet prune.
+  /// Largest run, in series (further capped to the pool's largest run and
+  /// to what its budget lends): how far a run reads ahead over candidates
+  /// the running bound may yet prune.
   static constexpr size_t kRunMaxSeries = 128;
 
   explicit CountedStorage(const core::Dataset* data);
+  /// Returns the run scratch's loan to the pool.
+  ~CountedStorage();
+  CountedStorage(const CountedStorage&) = delete;
+  CountedStorage& operator=(const CountedStorage&) = delete;
 
   /// Reads series `i`, charging the access to `stats` with the
   /// skip-sequential model (and recording measured pool counters when the
@@ -96,14 +104,8 @@ class CountedStorage {
   /// of what the caller will Read, in order (a read outside the plan is
   /// still served, as the start of a new run). The caller owns `ids` and
   /// keeps it alive until the next SetPlan or its last read. Drops the
-  /// current run and any held pin. Has no effect on an in-RAM dataset.
+  /// current run. Has no effect on an in-RAM dataset.
   void SetPlan(std::span<const core::SeriesId> ids);
-
-  /// Drops the buffer-pool frame held since the last read (no-op for RAM
-  /// datasets or when nothing is pinned). Long-lived readers call this at
-  /// the end of each query: an idle reader must never sit on a frame —
-  /// that is what makes the pool's blocking wait deadlock-free.
-  void ReleasePin() { pin_.Release(); }
 
   const core::Dataset& data() const { return *data_; }
   size_t series_bytes() const { return data_->length() * sizeof(core::Value); }
@@ -112,33 +114,31 @@ class CountedStorage {
   static constexpr int64_t kNoCursor = -2;
   static constexpr uintptr_t kCacheLine = 64;
 
-  /// The one place bytes are fetched: through the pool when the dataset
-  /// is file-backed, by dereference otherwise.
+  /// The one place bytes are fetched: as a run read when the dataset is
+  /// file-backed, by dereference otherwise.
   core::SeriesView Fetch(core::SeriesId i, core::SearchStats* stats) {
     if (source_ == nullptr) return (*data_)[i];
-    if (planned_) return FetchPlanned(i, stats);
-    return source_->ReadPinned(base_ + i, &pin_, stats);
+    return FetchRun(i, stats);
   }
 
   /// Serves series `i` from the run scratch, preading a new run first
   /// when `i` lies outside the current one.
-  core::SeriesView FetchPlanned(core::SeriesId i, core::SearchStats* stats);
+  core::SeriesView FetchRun(core::SeriesId i, core::SearchStats* stats);
 
   const core::Dataset* data_;
   core::RawSeriesSource* source_;  // from data->raw_source(); may be null
   size_t base_;                    // data's offset within the source
-  core::RawSeriesSource::Pin pin_;
   int64_t cursor_ = kNoCursor;
 
   // The plan and the run it last read: series [run_first_, run_first_ +
   // run_count_) sit in run_, and plan_[plan_next_] is the first planned
-  // id not yet covered by a run.
-  bool planned_ = false;
+  // id not yet covered by a run (an empty plan: every run is one series).
   std::span<const core::SeriesId> plan_;
   size_t plan_next_ = 0;
   size_t run_first_ = 0;
   size_t run_count_ = 0;
   size_t run_capacity_ = 0;  // series; allocated on the first run
+  size_t lent_ = 0;          // series of run_capacity_ borrowed from source_
   std::unique_ptr<core::Value[]> run_;
 };
 

@@ -43,11 +43,11 @@ util::Result<StorageHandle> StorageHandle::Open(const std::string& path,
 std::string StorageHandle::Describe() const {
   if (file_ == nullptr) return "storage: ram (whole dataset resident)";
   const BufferPool& pool = file_->pool();
-  const size_t pool_bytes = pool.frame_count() * pool.frame_bytes();
+  const size_t pool_bytes =
+      pool.budget_series() * file_->file().series_bytes();
   return "storage: mmap pool=" + std::to_string(pool_bytes / (1 << 20)) +
-         "MiB (" + std::to_string(pool.frame_count()) + " frames x " +
-         std::to_string(pool.series_per_page()) + " series/page, " +
-         std::to_string(pool.page_count()) + " pages on disk)";
+         "MiB (run scratch for readers, runs of at most " +
+         std::to_string(pool.max_run_series()) + " series)";
 }
 
 }  // namespace hydra::storage

@@ -18,7 +18,7 @@ namespace hydra::storage {
 
 enum class StorageBackend {
   kRam,   // bulk-load the whole file into an owning Dataset
-  kMmap,  // map the file; verification reads through the buffer pool
+  kMmap,  // map the file; verification reads are the pool's run reads
 };
 
 /// Parses "ram" / "mmap". Returns an error Status naming the bad token.
@@ -49,13 +49,9 @@ class StorageHandle {
   StorageBackend backend() const { return backend_; }
   /// True when verification reads go through a buffer pool (mmap backend).
   bool pooled() const { return file_ != nullptr; }
-  /// Pool totals; zeroes for the RAM backend.
-  PoolCounters counters() const {
-    return file_ != nullptr ? file_->pool().counters() : PoolCounters{};
-  }
   /// One-line human summary of the backend geometry, e.g.
-  /// "storage: mmap pool=16MiB (16 frames x 256 series/page)" or
-  /// "storage: ram (whole dataset resident)".
+  /// "storage: mmap pool=16MiB (run scratch for readers, runs of at most
+  /// 256 series)" or "storage: ram (whole dataset resident)".
   std::string Describe() const;
 
  private:

@@ -67,8 +67,9 @@ void ExpectSameWork(const core::SearchStats& got,
 }
 
 /// The test collection twice: in RAM, and mapped from a file behind a
-/// buffer pool that holds under a third of it, so every wide query reads
-/// through pages and planned runs while its workers compete for frames.
+/// buffer pool whose budget is under a third of it: every wide query reads
+/// runs, and at eight workers half of them get no run scratch on loan and
+/// read one series at a time.
 class IntraQueryBackends : public ::testing::Test {
  protected:
   void SetUp() override {

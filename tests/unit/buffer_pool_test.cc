@@ -1,19 +1,18 @@
-// Unit battery for the out-of-core buffer pool: geometry derivation,
-// LRU victim order, the pinned-page discipline (including a genuine
-// blocking wait on a one-frame pool), counter accounting, skip-sequential
-// run reads (alone and through planned io::CountedStorage cursors), and
-// concurrent readers (the TSan CI lane runs this suite via the `storage`
-// label).
+// Unit battery for the out-of-core run reader: geometry derivation,
+// counter accounting, run reads (alone, through planned and unplanned
+// io::CountedStorage cursors, and inside a shard slice), the budget's
+// loans of run scratch to cursors, and concurrent readers (the TSan CI
+// lane runs this suite via the `storage` label).
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dataset.h"
-#include "core/raw_source.h"
 #include "core/search_stats.h"
 #include "io/counted_storage.h"
 #include "io/series_file.h"
@@ -59,12 +58,11 @@ class PoolTest : public ::testing::Test {
     if (!path_.empty()) std::remove(path_.c_str());
   }
 
-  // One series per page, `frames` frames: the smallest geometry that
-  // still exercises eviction, so victim choice is fully observable.
-  BufferPoolOptions TinyPool(size_t frames) {
+  // Runs of one series, a budget of `series` series.
+  BufferPoolOptions TinyPool(size_t series) {
     BufferPoolOptions options;
     options.page_bytes = kSeriesBytes;
-    options.budget_bytes = frames * kSeriesBytes;
+    options.budget_bytes = series * kSeriesBytes;
     return options;
   }
 
@@ -79,243 +77,172 @@ TEST_F(PoolTest, GeometryFromBudget) {
   options.page_bytes = 4 * kSeriesBytes;
   options.budget_bytes = 10 * 4 * kSeriesBytes;
   BufferPool pool(&file_, options);
-  EXPECT_EQ(pool.series_per_page(), 4u);
-  EXPECT_EQ(pool.page_count(), 25u);  // ceil(100 / 4)
-  EXPECT_EQ(pool.frame_count(), 10u);
-  EXPECT_EQ(pool.frame_bytes(), 4 * kSeriesBytes);
+  EXPECT_EQ(pool.max_run_series(), 4u);
+  EXPECT_EQ(pool.budget_series(), 40u);
+  EXPECT_EQ(pool.available_series(), 40u);
 }
 
 TEST_F(PoolTest, GeometryClampsToMinimums) {
   OpenFile(10);
   BufferPoolOptions options;
   options.page_bytes = 1;    // below one series: rounds up to one
-  options.budget_bytes = 1;  // below one frame: rounds up to one
+  options.budget_bytes = 1;  // below one series: nothing to lend
   BufferPool pool(&file_, options);
-  EXPECT_EQ(pool.series_per_page(), 1u);
-  EXPECT_EQ(pool.frame_count(), 1u);
+  EXPECT_EQ(pool.max_run_series(), 1u);
+  EXPECT_EQ(pool.budget_series(), 0u);
+  EXPECT_EQ(pool.BorrowRun(1), 0u);
 }
 
-TEST_F(PoolTest, FramesNeverExceedPages) {
+TEST_F(PoolTest, LoanNeverExceedsLargestRun) {
   OpenFile(3);
   BufferPoolOptions options;
   options.page_bytes = kSeriesBytes;
-  options.budget_bytes = 100 * kSeriesBytes;  // budget for 100 frames
+  options.budget_bytes = 100 * kSeriesBytes;
   BufferPool pool(&file_, options);
-  EXPECT_EQ(pool.frame_count(), 3u);  // only 3 pages exist
+  EXPECT_EQ(pool.BorrowRun(128), 1u);  // runs are one series here
+  EXPECT_EQ(pool.available_series(), 99u);
+  pool.ReturnRun(1);
+  EXPECT_EQ(pool.available_series(), 100u);
 }
 
 TEST_F(PoolTest, ReadReturnsRequestedSeries) {
   OpenFile(20);
   BufferPool pool(&file_, TinyPool(2));
-  core::RawSeriesSource::Pin pin;
+  std::vector<core::Value> out(kLength);
   for (size_t i : {size_t{0}, size_t{7}, size_t{19}, size_t{7}}) {
-    const core::SeriesView view = pool.ReadPinned(i, &pin, nullptr);
-    ASSERT_EQ(view.size(), kLength);
-    EXPECT_FLOAT_EQ(view[0], static_cast<core::Value>(i));
-    EXPECT_FLOAT_EQ(view[kLength - 1], static_cast<core::Value>(i));
+    pool.ReadRun(i, 1, out.data(), nullptr);
+    EXPECT_TRUE(HoldsSeries(out, i, 1));
   }
-}
-
-TEST_F(PoolTest, LruEvictsLeastRecentlyUsed) {
-  OpenFile(4);
-  BufferPool pool(&file_, TinyPool(2));
-  core::RawSeriesSource::Pin pin;
-  core::SearchStats stats;
-  pool.ReadPinned(0, &pin, &stats);  // miss: load page 0
-  pool.ReadPinned(1, &pin, &stats);  // miss: load page 1
-  pool.ReadPinned(0, &pin, &stats);  // hit: page 0 is now most recent
-  pool.ReadPinned(2, &pin, &stats);  // miss: must evict page 1, not 0
-  EXPECT_EQ(stats.pool_evictions, 1);
-  pool.ReadPinned(0, &pin, &stats);  // still resident: hit
-  EXPECT_EQ(stats.pool_hits, 2);
-  pool.ReadPinned(1, &pin, &stats);  // was evicted: miss again
-  EXPECT_EQ(stats.pool_misses, 4);
-  EXPECT_EQ(stats.pool_evictions, 2);
 }
 
 TEST_F(PoolTest, CountersMeasureRealReads) {
   OpenFile(8);
   BufferPool pool(&file_, TinyPool(2));
-  core::RawSeriesSource::Pin pin;
   core::SearchStats stats;
-  pool.ReadPinned(0, &pin, &stats);
-  pool.ReadPinned(0, &pin, &stats);
-  pool.ReadPinned(1, &pin, &stats);
-  EXPECT_EQ(stats.pool_misses, 2);
-  EXPECT_EQ(stats.pool_hits, 1);
-  EXPECT_EQ(stats.pool_pread_calls, 2);
-  EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(2 * kSeriesBytes));
-  const PoolCounters totals = pool.counters();
-  EXPECT_EQ(totals.misses, 2);
-  EXPECT_EQ(totals.hits, 1);
-  EXPECT_EQ(totals.pread_calls, 2);
-  EXPECT_EQ(totals.bytes_read, static_cast<int64_t>(2 * kSeriesBytes));
-  EXPECT_EQ(totals.evictions, 0);  // two frames, two pages touched
+  std::vector<core::Value> out(kLength);
+  pool.ReadRun(0, 1, out.data(), &stats);
+  pool.ReadRun(0, 1, out.data(), &stats);  // nothing is cached: a pread
+  pool.ReadRun(1, 1, out.data(), &stats);
+  EXPECT_EQ(stats.pool_misses, 3);
+  EXPECT_EQ(stats.pool_hits, 0);
+  EXPECT_EQ(stats.pool_evictions, 0);
+  EXPECT_EQ(stats.pool_pread_calls, 3);
+  EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(3 * kSeriesBytes));
 }
 
-TEST_F(PoolTest, SamePagePinnedReadIsAHit) {
-  OpenFile(8);
-  BufferPoolOptions options;
-  options.page_bytes = 4 * kSeriesBytes;  // series 0..3 share page 0
-  options.budget_bytes = options.page_bytes;
-  BufferPool pool(&file_, options);
-  core::RawSeriesSource::Pin pin;
-  core::SearchStats stats;
-  const core::SeriesView a = pool.ReadPinned(1, &pin, &stats);
-  const core::SeriesView b = pool.ReadPinned(3, &pin, &stats);
-  EXPECT_FLOAT_EQ(a[0], 1.0f);  // still valid: same pin, same page
-  EXPECT_FLOAT_EQ(b[0], 3.0f);
-  EXPECT_EQ(stats.pool_misses, 1);
-  EXPECT_EQ(stats.pool_hits, 1);
-}
-
-TEST_F(PoolTest, ReaderBlocksUntilPinReleased) {
-  OpenFile(4);
-  BufferPool pool(&file_, TinyPool(1));  // a single frame
-  core::RawSeriesSource::Pin holder;
-  pool.ReadPinned(0, &holder, nullptr);  // the only frame is now pinned
-  std::atomic<bool> done{false};
-  std::thread blocked([&] {
-    core::RawSeriesSource::Pin pin;
-    const core::SeriesView view = pool.ReadPinned(1, &pin, nullptr);
-    EXPECT_FLOAT_EQ(view[0], 1.0f);
-    done.store(true);
-  });
-  // The reader cannot proceed while the frame is pinned; give it a
-  // moment to prove it is actually waiting rather than racing past.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(done.load());
-  holder.Release();
-  blocked.join();
-  EXPECT_TRUE(done.load());
-}
-
-TEST_F(PoolTest, ReleaseIsIdempotent) {
-  OpenFile(4);
-  BufferPool pool(&file_, TinyPool(1));
-  core::RawSeriesSource::Pin pin;
-  pool.ReadPinned(2, &pin, nullptr);
-  pin.Release();
-  pin.Release();  // second release is a no-op, not a double-unpin
-  core::RawSeriesSource::Pin other;
-  const core::SeriesView view = pool.ReadPinned(3, &other, nullptr);
-  EXPECT_FLOAT_EQ(view[0], 3.0f);
-}
-
-TEST_F(PoolTest, RepinningReleasesPreviousHold) {
-  OpenFile(4);
-  BufferPool pool(&file_, TinyPool(1));
-  core::RawSeriesSource::Pin pin;
-  // With one frame, each fetch through the same pin must implicitly
-  // release the previous hold — otherwise the second read deadlocks.
-  pool.ReadPinned(0, &pin, nullptr);
-  pool.ReadPinned(1, &pin, nullptr);
-  const core::SeriesView view = pool.ReadPinned(2, &pin, nullptr);
-  EXPECT_FLOAT_EQ(view[0], 2.0f);
-}
-
-TEST_F(PoolTest, ConcurrentReadersSeeConsistentData) {
-  constexpr size_t kCount = 64;
-  constexpr int kThreads = 8;
-  constexpr int kReadsPerThread = 400;
-  OpenFile(kCount);
-  BufferPool pool(&file_, TinyPool(3));  // far smaller than the file
-  std::atomic<int> wrong{0};
-  std::vector<std::thread> readers;
-  readers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    readers.emplace_back([&pool, &wrong, t] {
-      core::RawSeriesSource::Pin pin;
-      core::SearchStats stats;
-      for (int r = 0; r < kReadsPerThread; ++r) {
-        const size_t i = (static_cast<size_t>(t) * 31 + r * 7) % kCount;
-        const core::SeriesView view = pool.ReadPinned(i, &pin, &stats);
-        if (view[0] != static_cast<core::Value>(i) ||
-            view[kLength - 1] != static_cast<core::Value>(i)) {
-          wrong.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& r : readers) r.join();
-  EXPECT_EQ(wrong.load(), 0);
-  const PoolCounters totals = pool.counters();
-  EXPECT_EQ(totals.hits + totals.misses,
-            static_cast<int64_t>(kThreads) * kReadsPerThread);
-  EXPECT_GT(totals.misses, 0);
-}
-
-TEST_F(PoolTest, RunOverResidentPageIsAllHits) {
-  OpenFile(8);
-  BufferPoolOptions options;
-  options.page_bytes = 4 * kSeriesBytes;
-  options.budget_bytes = 2 * options.page_bytes;
-  BufferPool pool(&file_, options);
-  core::RawSeriesSource::Pin pin;
-  pool.ReadPinned(1, &pin, nullptr);  // page 0 resident
-  pin.Release();
-  core::SearchStats stats;
-  std::vector<core::Value> out(3 * kLength);
-  pool.ReadRun(1, 3, out.data(), &stats);
-  EXPECT_TRUE(HoldsSeries(out, 1, 3));
-  EXPECT_EQ(stats.pool_hits, 3);
-  EXPECT_EQ(stats.pool_misses, 0);
-  EXPECT_EQ(stats.pool_pread_calls, 0);
-  EXPECT_EQ(stats.pool_bytes_read, 0);
-}
-
-TEST_F(PoolTest, RunOverAbsentPagesPreadsOnceAndLeavesFramesAlone) {
+TEST_F(PoolTest, RunIsOnePread) {
   OpenFile(16);
   BufferPoolOptions options;
-  options.page_bytes = 4 * kSeriesBytes;  // pages 0..3
-  options.budget_bytes = 2 * options.page_bytes;
+  options.page_bytes = 8 * kSeriesBytes;  // the largest run
+  options.budget_bytes = options.page_bytes;
   BufferPool pool(&file_, options);
-  core::RawSeriesSource::Pin pin;
-  pool.ReadPinned(0, &pin, nullptr);  // page 0, then page 1: page 0 is LRU
-  pool.ReadPinned(4, &pin, nullptr);
-  pin.Release();
-  const PoolCounters before = pool.counters();
-
   core::SearchStats stats;
   std::vector<core::Value> out(6 * kLength);
-  pool.ReadRun(9, 6, out.data(), &stats);  // series 9..14: pages 2 and 3
-  EXPECT_TRUE(HoldsSeries(out, 9, 6));
+  pool.ReadRun(5, 6, out.data(), &stats);  // crosses the 8-series mark
+  EXPECT_TRUE(HoldsSeries(out, 5, 6));
   EXPECT_EQ(stats.pool_misses, 1);
   EXPECT_EQ(stats.pool_pread_calls, 1);
   EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(6 * kSeriesBytes));
   EXPECT_EQ(stats.pool_hits, 0);
   EXPECT_EQ(stats.pool_evictions, 0);
-  EXPECT_EQ(pool.counters().evictions, before.evictions);
-
-  // Residency and LRU order are as before the run: pages 0 and 1 are
-  // still resident, and page 0 is still the victim of the next miss.
-  core::SearchStats after;
-  pool.ReadPinned(8, &pin, &after);  // page 2: evicts page 0
-  pool.ReadPinned(5, &pin, &after);  // page 1: still resident
-  EXPECT_EQ(after.pool_misses, 1);
-  EXPECT_EQ(after.pool_hits, 1);
-  EXPECT_EQ(after.pool_evictions, 1);
-  pool.ReadPinned(0, &pin, &after);  // page 0 was the one evicted
-  EXPECT_EQ(after.pool_misses, 2);
 }
 
-TEST_F(PoolTest, RunSplitsAroundResidentPage) {
-  OpenFile(12);
+// Concurrent readers of one pool: run reads and loans race on the pool's
+// one atomic, and every read still returns the series it asked for (the
+// TSan CI lane runs this suite via the `storage` label).
+TEST_F(PoolTest, ConcurrentReadersSeeConsistentData) {
+  constexpr size_t kCount = 64;
+  constexpr int kThreads = 8;
+  constexpr int kReadsPerThread = 400;
+  OpenFile(kCount);
   BufferPoolOptions options;
   options.page_bytes = 4 * kSeriesBytes;
+  options.budget_bytes = 3 * options.page_bytes;  // lends to 3 of 8
+  BufferPool pool(&file_, options);
+  std::atomic<int> wrong{0};
+  std::atomic<int64_t> preads{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&pool, &wrong, &preads, t] {
+      core::SearchStats stats;
+      std::vector<core::Value> out(4 * kLength);
+      for (int r = 0; r < kReadsPerThread; ++r) {
+        const size_t lent = pool.BorrowRun(4);
+        const size_t n = std::max<size_t>(1, lent);
+        const size_t i = (static_cast<size_t>(t) * 31 + r * 7) % (kCount - n);
+        pool.ReadRun(i, n, out.data(), &stats);
+        if (!HoldsSeries(out, i, n)) wrong.fetch_add(1);
+        if (lent != 0) pool.ReturnRun(lent);
+      }
+      preads.fetch_add(stats.pool_pread_calls);
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(preads.load(), static_cast<int64_t>(kThreads) * kReadsPerThread);
+  EXPECT_EQ(pool.available_series(), pool.budget_series());
+}
+
+// The budget caps the run scratch lent to open cursors: two cursors take
+// it all, a third reads one series per pread instead of waiting, and a
+// destroyed cursor gives its loan back for the next one.
+TEST_F(PoolTest, BudgetLendsRunScratchToCursors) {
+  OpenFile(16);
+  BufferPoolOptions options;
+  options.page_bytes = 4 * kSeriesBytes;          // runs of up to 4 series
+  options.budget_bytes = 2 * options.page_bytes;  // two runs' scratch
+  BufferPool pool(&file_, options);
+  data_.AttachRawSource(&pool);
+  const std::vector<core::SeriesId> plan = {4, 5, 6, 7};
+  const auto read_plan = [&](io::CountedStorage& storage) {
+    core::SearchStats stats;
+    storage.SetPlan(plan);
+    for (const core::SeriesId i : plan) {
+      EXPECT_FLOAT_EQ(storage.Read(i, &stats)[0],
+                      static_cast<core::Value>(i));
+    }
+    return stats;
+  };
+  auto first = std::make_unique<io::CountedStorage>(&data_);
+  io::CountedStorage second(&data_);
+  io::CountedStorage third(&data_);
+  EXPECT_EQ(pool.available_series(), 8u);  // loans start at the first run
+  EXPECT_EQ(read_plan(*first).pool_pread_calls, 1);
+  EXPECT_EQ(read_plan(second).pool_pread_calls, 1);
+  EXPECT_EQ(pool.available_series(), 0u);
+  const core::SearchStats unlent = read_plan(third);
+  EXPECT_EQ(unlent.pool_pread_calls, 4);  // one-series runs, no wait
+  EXPECT_EQ(unlent.pool_direct_reads, 4);
+  EXPECT_EQ(unlent.pool_bytes_read, static_cast<int64_t>(4 * kSeriesBytes));
+  first.reset();
+  EXPECT_EQ(pool.available_series(), 4u);
+  io::CountedStorage fourth(&data_);
+  EXPECT_EQ(read_plan(fourth).pool_pread_calls, 1);
+  EXPECT_EQ(pool.available_series(), 0u);
+}
+
+// A read without a plan (the R*-tree's leaf entries) is a run of one
+// series: one pread of exactly that series, and no hit.
+TEST_F(PoolTest, UnplannedReadPreadsOneSeries) {
+  OpenFile(16);
+  BufferPoolOptions options;
+  options.page_bytes = 8 * kSeriesBytes;
   options.budget_bytes = options.page_bytes;
   BufferPool pool(&file_, options);
-  core::RawSeriesSource::Pin pin;
-  pool.ReadPinned(5, &pin, nullptr);  // page 1 resident, and stays pinned
+  data_.AttachRawSource(&pool);
+  io::CountedStorage storage(&data_);
   core::SearchStats stats;
-  std::vector<core::Value> out(10 * kLength);
-  // A run never waits on a pin, even one the reader holds itself.
-  pool.ReadRun(2, 10, out.data(), &stats);  // 2..3 | 4..7 | 8..11
-  EXPECT_TRUE(HoldsSeries(out, 2, 10));
-  EXPECT_EQ(stats.pool_hits, 4);
-  EXPECT_EQ(stats.pool_misses, 2);
+  EXPECT_FLOAT_EQ(storage.Read(6, &stats)[kLength - 1], 6.0f);
+  EXPECT_EQ(stats.pool_pread_calls, 1);
+  EXPECT_EQ(stats.pool_misses, 1);
+  EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(kSeriesBytes));
+  EXPECT_EQ(stats.pool_hits, 0);
+  EXPECT_EQ(stats.pool_direct_reads, 1);
+  // The next series is a run of its own too: nothing was read ahead.
+  EXPECT_FLOAT_EQ(storage.Read(7, &stats)[0], 7.0f);
   EXPECT_EQ(stats.pool_pread_calls, 2);
-  EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(6 * kSeriesBytes));
+  EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(2 * kSeriesBytes));
 }
 
 TEST_F(PoolTest, PlannedCursorCoalescesCandidatesIntoRuns) {
@@ -346,7 +273,6 @@ TEST_F(PoolTest, PlannedCursorCoalescesCandidatesIntoRuns) {
   // A read outside the plan is still served, as a run of its own.
   EXPECT_FLOAT_EQ(storage.Read(50, &stats)[0], 50.0f);
   EXPECT_EQ(stats.pool_misses, 3);
-  EXPECT_EQ(pool.counters().evictions, 0);  // runs install no frame
 }
 
 TEST_F(PoolTest, RunNeverCrossesSliceEnd) {
@@ -369,50 +295,6 @@ TEST_F(PoolTest, RunNeverCrossesSliceEnd) {
   }
   EXPECT_EQ(stats.pool_pread_calls, 1);
   EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(5 * kSeriesBytes));
-}
-
-TEST_F(PoolTest, PlannedCursorsAndPageReaderShareOneFrame) {
-  constexpr size_t kCount = 96;
-  constexpr int kPasses = 40;
-  OpenFile(kCount);
-  BufferPoolOptions options;
-  options.page_bytes = 4 * kSeriesBytes;
-  options.budget_bytes = options.page_bytes;  // a single frame
-  BufferPool pool(&file_, options);
-  data_.AttachRawSource(&pool);
-  std::atomic<int> wrong{0};
-  std::vector<std::thread> readers;
-  for (size_t t = 0; t < 2; ++t) {
-    readers.emplace_back([this, &wrong, t] {
-      std::vector<core::SeriesId> plan;
-      for (size_t i = t; i < kCount; i += 3 + t) {
-        plan.push_back(static_cast<core::SeriesId>(i));
-      }
-      io::CountedStorage storage(&data_);
-      core::SearchStats stats;
-      for (int pass = 0; pass < kPasses; ++pass) {
-        storage.SetPlan(plan);
-        for (size_t j = 0; j < plan.size(); j += 1 + (j + pass) % 2) {
-          if (storage.Read(plan[j], &stats)[kLength - 1] !=
-              static_cast<core::Value>(plan[j])) {
-            wrong.fetch_add(1);
-          }
-        }
-      }
-    });
-  }
-  readers.emplace_back([this, &pool, &wrong] {
-    core::RawSeriesSource::Pin pin;
-    for (int r = 0; r < kPasses * 40; ++r) {
-      const size_t i = (static_cast<size_t>(r) * 13) % kCount;
-      if (pool.ReadPinned(i, &pin, nullptr)[0] !=
-          static_cast<core::Value>(i)) {
-        wrong.fetch_add(1);
-      }
-    }
-  });
-  for (std::thread& r : readers) r.join();
-  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

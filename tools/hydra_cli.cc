@@ -597,13 +597,12 @@ std::unique_ptr<core::SearchMethod> MakeMethod(const std::string& name,
 
 /// The measured-I/O epilogue of `query` and `range` on a pooled backend:
 /// the pool ledger of the batch, plus the reconciliation of measured pool
-/// misses against the modeled random-access count (the paper's ledger).
-/// Pages coalesce neighboring series and stay warm across queries, and
-/// the skip-sequential run reads of VA+file and ADS+ coalesce nearby
-/// candidates into one pread, so measured misses <= modeled accesses; the
-/// line makes that relation visible instead of leaving two unconnected
-/// numbers. Prints nothing on the ram backend, whose output must stay
-/// byte-identical.
+/// misses (one per run read) against the modeled random-access count (the
+/// paper's ledger). Run reads coalesce nearby candidates into one pread,
+/// so measured misses <= modeled accesses unless a leaf's survivors lie
+/// far apart in the file and take several runs; the line makes that
+/// relation visible instead of leaving two unconnected numbers. Prints
+/// nothing on the ram backend, whose output must stay byte-identical.
 void PrintStorageSummary(const storage::StorageHandle& handle,
                          const core::SearchStats& total) {
   if (!handle.pooled()) return;
@@ -626,10 +625,9 @@ void PrintStorageSummary(const storage::StorageHandle& handle,
               "accesses %lld (%s)\n",
               misses, static_cast<long long>(total.random_seeks),
               misses <= total.random_seeks
-                  ? "consistent: page and run coalescing and page reuse "
-                    "make measured <= modeled"
-                  : "measured exceeds modeled: pool thrashing below the "
-                    "working set");
+                  ? "consistent: run coalescing makes measured <= modeled"
+                  : "measured exceeds modeled: a leaf's survivors span "
+                    "several runs");
 }
 
 /// Self-pipe bridging POSIX signals into the serve loop: the handler only

@@ -17,7 +17,7 @@ trap 'rm -rf "$TMP"' EXIT
 # proves the streamed file is well-formed.
 "$HYDRA" gen sald 6000 64 11 "$TMP/data.bin" > /dev/null
 
-# ~1.5MB of data behind a 1MB pool: eviction is guaranteed.
+# ~1.5MB of data behind a 1MB pool: the run scratch cannot hold the file.
 POOL="--storage mmap --pool-mb 1"
 
 answers() { grep '^query'; }
@@ -76,12 +76,12 @@ for m in "VA+file" "ADS+"; do
 done
 
 # The summarized trees (DSTree, iSAX2+, SFA) read each leaf's filter
-# survivors as planned runs, never through pool frames: behind a pool a
-# quarter of the 4 MiB file nothing is evicted, and the preads stay within
-# 4x the 1 KiB series they served (a page-per-member leaf scan preads
-# hundreds of MB here).
+# survivors as planned runs, and the R*-tree each surviving leaf entry as a
+# run of one series: behind a pool a quarter of the 4 MiB file nothing is
+# evicted, and the preads stay within 4x the 1 KiB series they served (a
+# page-per-member leaf scan preads hundreds of MB here).
 "$HYDRA" gen synth 4000 256 7 "$TMP/wide.bin" > /dev/null
-for m in DSTree iSAX2+ SFA; do
+for m in DSTree iSAX2+ SFA "R*-tree"; do
   line="$("$HYDRA" query "$TMP/wide.bin" "$m" 10 10 $POOL \
     | grep '^storage: [0-9]')"
   direct="$(sed -E 's/.* ([0-9]+) direct reads.*/\1/' <<< "$line")"
@@ -93,6 +93,15 @@ for m in DSTree iSAX2+ SFA; do
   fi
 done
 echo "OK tree leaf scans read runs: no evictions, preads <= 4x served"
+
+# The memory-resident M-tree reads its leaves from the mapping in place:
+# no pread at all, and its measured ledger agrees with the modeled one.
+"$HYDRA" query "$TMP/wide.bin" M-tree 10 10 $POOL > "$TMP/mtree.txt"
+grep -Eq '^storage: .*, 0 preads,' "$TMP/mtree.txt" \
+  || { echo "FAIL(M-tree): pooled M-tree preads"; exit 1; }
+grep -q '^storage check: .*(consistent' "$TMP/mtree.txt" \
+  || { echo "FAIL(M-tree): storage check is not consistent"; exit 1; }
+echo "OK M-tree reads the mapping in place"
 
 # Sharded slices and intra-query workers compose with the pool.
 "$HYDRA" query "$TMP/data.bin" DSTree 5 4 --shards 3 --threads 2 \
