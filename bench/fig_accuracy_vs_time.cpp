@@ -37,24 +37,16 @@ void Run(size_t count, size_t length, size_t queries, size_t k) {
   util::Table table({"method", "mode", "recall@k", "approx_err",
                      "raw_frac", "ssd_s_per_q", "speedup_vs_exact"});
   for (const std::string& name : EpsilonCapableNames()) {
-    auto shared = CreateMethod(name, LeafFor(name, count));
-    shared->Build(data);
-    const core::MethodTraits traits = shared->traits();
-    // Adaptive methods (ADS+, the one method whose queries mutate the
-    // index — the same property that forbids concurrent queries) get a
-    // fresh build per sweep: reusing one instance would let every later
-    // row ride on the adaptation the exact baseline paid for, overstating
-    // the approximate speedups. Immutable methods build once.
-    const bool adaptive = !traits.concurrent_queries;
-
+    const core::MethodTraits traits =
+        CreateMethod(name, LeafFor(name, count))->traits();
+    // Every sweep runs on a fresh build: an adaptive method (ADS+) would
+    // otherwise let every later row ride on the adaptation the exact
+    // baseline paid for, overstating the approximate speedups. Build is
+    // deterministic, so the other methods' rows do not depend on it.
     auto sweep = [&](const std::string& label, const core::QuerySpec& spec,
                      double exact_seconds) -> double {
-      std::unique_ptr<core::SearchMethod> fresh;
-      if (adaptive) {
-        fresh = CreateMethod(name, LeafFor(name, count));
-        fresh->Build(data);
-      }
-      core::SearchMethod* method = adaptive ? fresh.get() : shared.get();
+      auto method = CreateMethod(name, LeafFor(name, count));
+      method->Build(data);
       double recall = 0.0;
       double err = 0.0;
       double seconds = 0.0;

@@ -6,9 +6,10 @@
 // space between. Every method reads the series it verifies as run preads:
 // the summarized trees and ADS+ plan their filter survivors into runs,
 // and the R*-tree reads each surviving leaf entry as a run of one series.
-// The pool caches no pages, so the traffic is the same at every budget,
-// with no hits and no evictions; the budget only caps the run scratch
-// lent to readers, and this serial sweep's one reader fits in 1MB.
+// The pool caches no pages, so the traffic is the same at every budget
+// (the ledger's pool_hits and pool_evictions stay 0, and the table leaves
+// them out); the budget only caps the run scratch lent to readers, and
+// this serial sweep's one reader fits in 1MB.
 // Answers are asserted bit-identical to the in-RAM backend at every
 // budget.
 //
@@ -90,9 +91,7 @@ int Run(int argc, char** argv) {
   util::Table table({"method", "pool_mb", "query_wall_s",
                      core::CounterName(&core::SearchStats::pool_misses),
                      core::CounterName(&core::SearchStats::pool_bytes_read),
-                     core::CounterName(&core::SearchStats::pool_hits),
-                     "hit_rate", "evictions", "modeled_seeks",
-                     "identical"});
+                     "modeled_seeks", "identical"});
   bool all_identical = true;
   for (const std::string name :
        {"DSTree", "iSAX2+", "SFA", "ADS+", "R*-tree"}) {
@@ -136,22 +135,12 @@ int Run(int argc, char** argv) {
       const double query_wall = query_timer.Seconds();
       const bool identical = SameAnswers(answers, reference);
       all_identical = all_identical && identical;
-      const int64_t lookups = total.pool_hits + total.pool_misses;
-      const double hit_rate =
-          lookups == 0 ? 0.0
-                       : static_cast<double>(total.pool_hits) /
-                             static_cast<double>(lookups);
       table.AddRow({name, util::Table::Num(static_cast<double>(pool_mb), 0),
                     util::Table::Num(query_wall, 3),
                     util::Table::Num(static_cast<double>(total.pool_misses),
                                      0),
                     util::Table::Num(
                         static_cast<double>(total.pool_bytes_read), 0),
-                    util::Table::Num(static_cast<double>(total.pool_hits),
-                                     0),
-                    util::Table::Num(hit_rate, 3),
-                    util::Table::Num(static_cast<double>(
-                                         total.pool_evictions), 0),
                     util::Table::Num(static_cast<double>(total.random_seeks),
                                      0),
                     identical ? "yes" : "NO"});
@@ -178,8 +167,6 @@ int Run(int argc, char** argv) {
       json.Key("measured");
       json.BeginObject();
       put_counters(core::CounterKind::kMeasured);
-      json.Key("hit_rate");
-      json.Double(hit_rate);
       json.EndObject();
       json.Key("modeled");
       json.BeginObject();

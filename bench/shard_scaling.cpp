@@ -1,9 +1,8 @@
 // Sharded-index scaling scenario: build and query time versus shard count
-// at a fixed fan-out width, for one adaptive method (ADS+ — the method
-// sharding finally parallelizes, its batch path being serial-only) and two
-// concurrent-capable ones. This exhibit is ours, not the paper's — it
-// follows the follow-up parallel-indexing line ("Data Series Indexing Gone
-// Parallel", Hercules): partition the collection, build and search the
+// at a fixed fan-out width, for one adaptive method (ADS+, each shard
+// splitting its own tree) and two static ones. This exhibit is ours, not
+// the paper's — it follows the follow-up parallel-indexing line ("Data
+// Series Indexing Gone Parallel", Hercules): partition the collection, build and search the
 // partitions independently, merge per-partition candidates. Sharded exact
 // answers are bit-identical to the unsharded method (asserted here per
 // sweep), so any speedup is accuracy-free.

@@ -22,7 +22,7 @@ int Run(int argc, char** argv) {
          "queries/sec vs worker threads (batch engine, shared index)",
          "near-linear scaling while cores last — batch answers are "
          "bit-identical to the serial path, so speedup is free accuracy-"
-         "wise; ADS+ is excluded (adaptive, serial-only)");
+         "wise; ADS+ is excluded (each sweep adapts its tree further)");
 
   const size_t count = 20000;
   const size_t length = 256;

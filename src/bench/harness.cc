@@ -31,25 +31,18 @@ core::BatchResult SearchKnnBatch(core::SearchMethod* method,
   core::BatchResult batch;
   batch.queries.resize(count);
 
-  const core::MethodTraits traits = method->traits();
-  if (threads > 1 && !traits.concurrent_queries) {
-    batch.serial_reason = traits.serial_reason.empty()
-                              ? "method does not support concurrent queries"
-                              : traits.serial_reason;
-  }
   // The serial branch also covers an empty workload (a pool of
   // min(threads, 0) workers would be invalid).
-  if (threads <= 1 || !traits.concurrent_queries || count == 0) {
-    batch.threads_used = 1;
+  if (threads <= 1 || count == 0) {
     for (size_t q = 0; q < count; ++q) {
       batch.queries[q] = method->Execute(workload.queries[q], spec);
     }
   } else {
     // Each worker answers whole queries and writes to its own slot; no
-    // state is shared between queries beyond the method's immutable index.
-    // Never spawn more workers than there are queries — the extras would
-    // only be created and joined idle, and threads_used reports workers
-    // that actually ran.
+    // state is shared between queries beyond the method's index (which
+    // only ADS+ writes, under its own lock). Never spawn more workers than
+    // there are queries — the extras would only be created and joined
+    // idle, and threads_used reports workers that actually ran.
     util::ThreadPool pool(std::min(threads, count));
     batch.threads_used = pool.size();
     pool.ParallelFor(0, count, [&](size_t q) {

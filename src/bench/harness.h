@@ -28,14 +28,14 @@ MethodRun RunMethod(core::SearchMethod* method, const core::Dataset& data,
 
 /// Answers every workload query over an already-built method, executing
 /// the same QuerySpec (k-NN kinds only) for each, running up to `threads`
-/// queries concurrently when the method's traits().concurrent_queries
-/// allows it. Falls back to serial execution (recording the method's
-/// serial_reason) otherwise, so it is safe to call for any method.
-/// Results are deterministic and bit-identical to calling Execute
-/// serially: per-query entries stay in workload order and the merged
-/// `total` ledger accumulates in that order regardless of which thread
-/// answered which query. The merged ledger's answer_mode_delivered is the
-/// weakest guarantee delivered across the batch.
+/// queries concurrently. Per-query entries stay in workload order and the
+/// merged `total` ledger accumulates in that order regardless of which
+/// thread answered which query, so results are bit-identical to calling
+/// Execute serially — except ADS+'s: its queries split the shared tree,
+/// so its approximate answers and counters depend on which query split
+/// first (its exact answers stay bit-identical). The merged ledger's
+/// answer_mode_delivered is the weakest guarantee delivered across the
+/// batch.
 core::BatchResult SearchKnnBatch(core::SearchMethod* method,
                                  const gen::Workload& workload,
                                  const core::QuerySpec& spec, size_t threads);
@@ -43,9 +43,9 @@ core::BatchResult SearchKnnBatch(core::SearchMethod* method,
 /// Parallel counterpart of RunMethod: builds the method on `data`, then
 /// answers the workload through SearchKnnBatch with `threads` workers.
 /// The returned MethodRun is bit-identical (stats counters, neighbor
-/// distances, query order) to the serial RunMethod for every
-/// concurrent-safe method; only the measured cpu_seconds differ run to run
-/// (as they do between two serial runs).
+/// distances, query order) to the serial RunMethod for every method but
+/// ADS+ (see SearchKnnBatch); only the measured cpu_seconds differ run to
+/// run (as they do between two serial runs).
 MethodRun RunMethodParallel(core::SearchMethod* method,
                             const core::Dataset& data,
                             const gen::Workload& workload, size_t k,
@@ -55,8 +55,7 @@ MethodRun RunMethodParallel(core::SearchMethod* method,
 /// `shards` per-shard instances of the named method over `data` (per-shard
 /// builds fan out over `threads` workers) and answers every workload query
 /// through the fan-out/merge path. Queries of the batch run serially —
-/// with sharding, the parallelism lives *inside* each query — so the run
-/// is valid for every shardable method, including serial-only ADS+. The
+/// with sharding, the parallelism lives *inside* each query. The
 /// returned run's method is the container name ("Sharded[<name>]"); exact
 /// answers are bit-identical to the unsharded RunMethod.
 MethodRun RunMethodSharded(const std::string& method_name, size_t shards,

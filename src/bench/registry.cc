@@ -111,10 +111,6 @@ std::vector<std::string> ShardableNames() {
   return NamesSupporting(&core::MethodTraits::shardable);
 }
 
-std::vector<std::string> ConcurrentCapableNames() {
-  return NamesSupporting(&core::MethodTraits::concurrent_queries);
-}
-
 std::unique_ptr<core::SearchMethod> CreateShardedMethod(
     const std::string& name, size_t shards, size_t threads,
     size_t leaf_capacity) {

@@ -47,11 +47,6 @@ std::vector<std::string> PersistentCapableNames();
 /// methods; the sequential scans have no index partition to build).
 std::vector<std::string> ShardableNames();
 
-/// The methods whose traits advertise concurrent query answering: `hydra
-/// serve` executes their queries on all --serve-threads workers at once
-/// (others are served too, but with execution serialized).
-std::vector<std::string> ConcurrentCapableNames();
-
 /// Creates a sharded container over `shards` per-shard instances of the
 /// named method (which must be shardable — the CLI refuses others up
 /// front), fanning builds and queries out over `threads` workers (0 =

@@ -68,23 +68,12 @@ struct BatchResult {
   /// batch wall-clock time (which shrinks with threads). The merged
   /// answer_mode_delivered is the weakest guarantee of the batch.
   SearchStats total;
-  /// Worker threads the batch actually ran on (1 for a serial fallback).
+  /// Worker threads the batch actually ran on.
   size_t threads_used = 1;
-  /// Why the batch fell back to serial execution; empty when it ran
-  /// concurrently or a single thread was requested.
-  std::string serial_reason;
 };
 
 /// Static capabilities a method advertises to the harness.
 struct MethodTraits {
-  /// True when Execute on a *built* method is safe to call from multiple
-  /// threads concurrently: query answering must not write any state shared
-  /// between queries (index structure, storage cursors, scratch members).
-  /// Build is never concurrent-safe. Defaults to false so new methods opt in explicitly.
-  bool concurrent_queries = false;
-  /// Human-readable reason when concurrent_queries is false (shown by the
-  /// batch engine when it falls back to serial execution).
-  std::string serial_reason;
   /// Per-mode quality support matrix (Table 1 of the companion study).
   /// kExact is universal; the flags advertise the approximate modes so
   /// the harness and CLI can report honest fallbacks instead of silently
@@ -176,12 +165,9 @@ class SearchMethod {
   virtual std::string name() const = 0;
 
   /// Capabilities of this method; see MethodTraits. The default is the
-  /// conservative "queries must run serially, exact-only, no persistence".
+  /// conservative "exact-only, no persistence, no shards".
   virtual MethodTraits traits() const {
-    return {.concurrent_queries = false,
-            .serial_reason = "method has not been audited for concurrent "
-                             "query execution",
-            .persistence_reason =
+    return {.persistence_reason =
                 "method implements no DoSave/DoOpen hooks",
             .shard_reason =
                 "method has not been audited for sharded execution"};
@@ -222,10 +208,9 @@ class SearchMethod {
   /// queries, budgets under kNgApprox — user input must be validated
   /// before building a spec), resolves the quality mode against traits(),
   /// and dispatches. The result records the guarantee actually delivered
-  /// and whether a budget fired. Non-const because adaptive methods
-  /// (ADS+) refine their structure during query answering; methods whose
-  /// traits().concurrent_queries is true guarantee the call is still safe
-  /// from multiple threads on a built index.
+  /// and whether a budget fired. Safe to call from multiple threads on a
+  /// built index. Non-const because adaptive methods (ADS+) refine their
+  /// structure during query answering, under their own lock.
   QueryResult Execute(SeriesView query, const QuerySpec& spec);
 
   /// Index footprint; default is an empty footprint (sequential scans).

@@ -1,6 +1,8 @@
 #include "index/ads.h"
 
 #include <memory>
+#include <mutex>
+#include <shared_mutex>
 #include <span>
 #include <vector>
 
@@ -130,6 +132,34 @@ std::vector<double> AdsPlus::SummaryBounds(core::SeriesView query,
   return lb;
 }
 
+IsaxTree::Node* AdsPlus::AdaptiveLeaf(
+    std::span<const double> paa, size_t pps,
+    std::shared_lock<std::shared_mutex>& shared) {
+  IsaxTree::Node* home = tree_->ApproximateLeaf(paa, pps);
+  if (home == nullptr || home->size() <= options_.adaptive_leaf_capacity) {
+    return home;
+  }
+  shared.unlock();
+  {
+    // Another query may have split this path since the shared descent, so
+    // descend afresh. Run serially, this splits exactly the leaves a
+    // single descend-and-split pass would.
+    std::unique_lock<std::shared_mutex> exclusive(tree_mutex_);
+    home = tree_->ApproximateLeaf(paa, pps);
+    while (home != nullptr &&
+           home->size() > options_.adaptive_leaf_capacity) {
+      const size_t before = home->size();
+      tree_->SplitLeaf(home);
+      HYDRA_DCHECK(SubtreeListsIds(*home, before, data_->size()));
+      if (home->is_leaf) break;  // could not split (max resolution)
+      home = tree_->ApproximateLeaf(paa, pps);
+      if (home == nullptr || home->size() >= before) break;
+    }
+  }
+  shared.lock();
+  return tree_->ApproximateLeaf(paa, pps);
+}
+
 core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
                                        const core::KnnPlan& plan) {
   HYDRA_CHECK(tree_ != nullptr);
@@ -146,15 +176,9 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
   // minimal leaf size, then fetch that leaf's series from the raw file.
   // SIMS visits exactly this one leaf, so max_visited_leaves (>= 1 by
   // construction) never fires; the raw budget applies from the start.
-  IsaxTree::Node* home = tree_->ApproximateLeaf(paa, pps);
-  while (home != nullptr && home->size() > options_.adaptive_leaf_capacity) {
-    const size_t before = home->size();
-    tree_->SplitLeaf(home);
-    HYDRA_DCHECK(SubtreeListsIds(*home, before, data_->size()));
-    if (home->is_leaf) break;  // could not split (max resolution)
-    home = tree_->ApproximateLeaf(paa, pps);
-    if (home == nullptr || home->size() >= before) break;
-  }
+  // The shared lock covers every use of a node, `evaluated` included.
+  std::shared_lock<std::shared_mutex> shared(tree_mutex_);
+  IsaxTree::Node* home = AdaptiveLeaf(paa, pps, shared);
   std::span<const core::SeriesId> evaluated;
   if (home != nullptr) {
     ++result.stats.nodes_visited;
@@ -190,6 +214,7 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
       candidates.Add(static_cast<core::SeriesId>(i), lb[i]);
     }
   }
+  shared.unlock();
   const int64_t delta_cap =
       plan.DeltaCap(static_cast<int64_t>(candidates.ids.size()));
 
@@ -238,6 +263,7 @@ core::QueryResult AdsPlus::DoSearchKnnNg(core::SeriesView query, size_t k) {
   const auto paa = transform::Paa(query, options_.segments);
   const size_t pps = query.size() / options_.segments;
 
+  std::shared_lock<std::shared_mutex> shared(tree_mutex_);
   IsaxTree::Node* home = tree_->ApproximateLeaf(paa, pps);
   if (home != nullptr) {
     ++result.stats.nodes_visited;

@@ -6,6 +6,8 @@
 #define HYDRA_INDEX_ADS_H_
 
 #include <memory>
+#include <shared_mutex>
+#include <span>
 #include <vector>
 
 #include "core/method.h"
@@ -27,25 +29,14 @@ class AdsPlus : public core::SearchMethod {
   explicit AdsPlus(AdsOptions options = {}) : options_(options) {}
 
   std::string name() const override { return "ADS+"; }
-  /// ADS+ is adaptive: exact queries split leaves along the query path
-  /// (mutating the shared iSAX tree), so the batch engine must keep its
-  /// queries serial. ng-capable
-  /// tree (Table 1), so every approximate mode is supported; the delta
-  /// rule applies to its skip-sequential candidate list (one series is
-  /// its unit of random access, not one leaf).
+  /// An ng-capable tree (Table 1), so every approximate mode is
+  /// supported; the delta rule applies to its skip-sequential candidate
+  /// list (one series is its unit of random access, not one leaf).
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = false,
-            .serial_reason =
-                "adaptive query-path leaf splitting mutates the shared "
-                "iSAX tree during queries",
-            .supports_ng = true,
+    return {.supports_ng = true,
             .supports_epsilon = true,
             .supports_delta_epsilon = true,
             .supports_persistence = true,
-            // Sharding is what finally parallelizes ADS+ across queries:
-            // the fan-out gives each shard's adaptive tree exactly one
-            // thread per query, so concurrent_queries can stay honestly
-            // false.
             .shardable = true};
   }
   core::Footprint footprint() const override;
@@ -71,11 +62,20 @@ class AdsPlus : public core::SearchMethod {
   /// the width).
   std::vector<double> SummaryBounds(core::SeriesView query,
                                     size_t workers) const;
+  /// SIMS phase 1's home leaf: the leaf the query's path ends in, split
+  /// down to `adaptive_leaf_capacity`. Called and returns with `shared`
+  /// held on `tree_mutex_`; a leaf over the capacity swaps it for the
+  /// exclusive lock to split, then descends again under the shared lock.
+  IsaxTree::Node* AdaptiveLeaf(std::span<const double> paa, size_t pps,
+                               std::shared_lock<std::shared_mutex>& shared);
 
   AdsOptions options_;
   const core::Dataset* data_ = nullptr;
   std::vector<uint8_t> full_words_;
   std::unique_ptr<IsaxTree> tree_;
+  /// Queries adapt the tree as they go: a query holds this shared while it
+  /// uses any node (SplitLeaf frees a leaf's ids), exclusive to split.
+  std::shared_mutex tree_mutex_;
 };
 
 }  // namespace hydra::index

@@ -32,9 +32,7 @@ class MTree : public core::SearchMethod {
   /// Table 1 marks the M-tree epsilon-approximate; it has no ng one-path
   /// descent and no delta rule.
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .supports_epsilon = true,
+    return {.supports_epsilon = true,
             .leaf_visit_budget = true,
             .supports_persistence = true,
             .shardable = true};

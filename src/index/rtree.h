@@ -33,9 +33,7 @@ class RStarTree : public core::SearchMethod {
   /// pruning admits the epsilon relaxation; there is no ng descent (the
   /// tree is not a covering trie) and no delta rule.
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .supports_epsilon = true,
+    return {.supports_epsilon = true,
             .leaf_visit_budget = true,
             .supports_persistence = true,
             .shardable = true};

@@ -36,9 +36,7 @@ class SfaTrie : public core::SearchMethod {
   /// The trie is immutable after Build, so queries can run concurrently.
   /// ng-capable tree (Table 1), so every approximate mode is supported.
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .supports_ng = true,
+    return {.supports_ng = true,
             .supports_epsilon = true,
             .supports_delta_epsilon = true,
             .leaf_visit_budget = true,

@@ -37,9 +37,7 @@ class VaFile : public core::SearchMethod {
   /// so ng and the delta rule do not apply (and the max_visited_leaves
   /// budget can never fire).
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .supports_epsilon = true,
+    return {.supports_epsilon = true,
             .supports_persistence = true,
             .shardable = true};
   }

@@ -22,9 +22,7 @@ class MassScan : public core::SearchMethod {
   /// Fourier domain with no bound to relax (approximate modes fall back to
   /// exact, reported); the max_raw_series budget truncates the scan.
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .persistence_reason =
+    return {.persistence_reason =
                 "sequential scan: Build only precomputes per-series "
                 "norms, cheaper to redo than to persist",
             .shard_reason =

@@ -34,9 +34,7 @@ class Stepwise : public core::SearchMethod {
   /// modes fall back to exact, reported); the max_raw_series budget
   /// truncates the final raw-refinement pass.
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .persistence_reason =
+    return {.persistence_reason =
                 "sequential scan: the Haar coefficient files are a "
                 "deterministic one-pass transform, cheaper to redo than "
                 "to persist",

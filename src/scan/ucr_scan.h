@@ -19,9 +19,7 @@ class UcrScan : public core::SearchMethod {
   /// bound against (approximate modes fall back to exact, reported); the
   /// max_raw_series budget truncates the scan.
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .persistence_reason =
+    return {.persistence_reason =
                 "sequential scan: there is no index structure to persist",
             .shard_reason =
                 "sequential scan: no index partition to build per shard — "

@@ -346,12 +346,7 @@ void Server::ExecuteQuery(const std::shared_ptr<Connection>& conn,
       std::lock_guard<std::mutex> lock(method_mutex_);
       method = method_;
     }
-    if (traits_.concurrent_queries) {
-      response.result = method->Execute(request.query, request.spec);
-    } else {
-      std::lock_guard<std::mutex> lock(exec_mutex_);
-      response.result = method->Execute(request.query, request.spec);
-    }
+    response.result = method->Execute(request.query, request.spec);
     if (cacheable) cache_.Insert(key, response.result);
   }
   const double execute = phase_timer.Seconds();

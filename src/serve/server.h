@@ -141,9 +141,6 @@ class Server {
   /// shared_ptr under method_mutex_ and execute on their copy.
   std::shared_ptr<core::SearchMethod> method_;
   mutable std::mutex method_mutex_;
-  /// Serializes Execute for methods whose traits lack concurrent_queries
-  /// (ADS+ mutates its structure while answering).
-  std::mutex exec_mutex_;
 
   std::unique_ptr<util::ThreadPool> pool_;
   int listen_fd_ = -1;

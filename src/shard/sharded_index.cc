@@ -87,10 +87,6 @@ std::string ShardedIndex::name() const {
 
 core::MethodTraits ShardedIndex::traits() const {
   core::MethodTraits traits = component_traits_;
-  // The fan-out pool is per-call state and components tolerate concurrent
-  // queries iff they advertise it, so the composite's concurrency mirrors
-  // the component's (ADS+ stays serial across queries — but still fans
-  // each single query out across its shards).
   traits.shardable = false;
   traits.shard_reason =
       "already a sharded container; nested sharding is not supported";

@@ -83,10 +83,11 @@ class ShardedIndex : public core::SearchMethod {
   /// build (and of the persisted manifest), not of the identity.
   std::string name() const override;
 
-  /// Mirrors the component's quality/concurrency/budget traits: a fan-out
-  /// delivers exactly the guarantees its components do, and concurrent
-  /// *outer* queries are safe iff component queries are. Not itself
-  /// shardable (no nested sharding) and persistent iff the component is.
+  /// Mirrors the component's quality/budget traits: a fan-out delivers
+  /// exactly the guarantees its components do (the fan-out pool is
+  /// per-call state, so concurrent outer queries are as safe as component
+  /// queries). Not itself shardable (no nested sharding) and persistent
+  /// iff the component is.
   core::MethodTraits traits() const override;
 
   /// Summed component footprints (leaf vectors concatenated, shard order).

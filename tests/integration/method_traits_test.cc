@@ -15,22 +15,6 @@ TEST(MethodTraits, TenMethodsExist) {
   EXPECT_EQ(bench::AllMethodNames().size(), 10u);
 }
 
-TEST(MethodTraits, OnlyAdaptiveAdsDeclinesConcurrentQueries) {
-  // docs/METHODS.md's thread-safety column, kept honest: nine methods
-  // advertise concurrent queries; ADS+ must not (its SIMS search splits
-  // leaves during queries) and must say why.
-  for (const std::string& name : bench::AllMethodNames()) {
-    auto m = bench::CreateMethod(name);
-    const core::MethodTraits t = m->traits();
-    if (name == "ADS+") {
-      EXPECT_FALSE(t.concurrent_queries);
-      EXPECT_FALSE(t.serial_reason.empty());
-    } else {
-      EXPECT_TRUE(t.concurrent_queries) << name;
-    }
-  }
-}
-
 TEST(MethodTraits, IndexesExposeFootprints) {
   const auto data = gen::RandomWalkDataset(800, 64, 61);
   for (const std::string name :

@@ -1,7 +1,9 @@
 // The batch engine's core promise: answering a workload concurrently over a
-// shared immutable index returns bit-identical results to the serial path —
-// same neighbor offsets, same squared distances, same per-query order, and
-// the same deterministic ledger counters — at any thread count.
+// shared index returns bit-identical results to the serial path — same
+// neighbor offsets, same squared distances, same per-query order, and the
+// same deterministic ledger counters — at any thread count. ADS+, whose
+// queries split the shared tree, keeps its exact answers bit-identical;
+// its ledger at more than one thread depends on which query split first.
 #include <string>
 #include <vector>
 
@@ -37,44 +39,54 @@ void ExpectSameCounters(const core::SearchStats& a, const core::SearchStats& b,
   }
 }
 
+// Bit-identical, not approximately equal: the parallel path runs the very
+// same per-query code.
+void ExpectSameNeighbors(const core::QueryResult& a,
+                         const core::QueryResult& b,
+                         const std::string& context) {
+  ASSERT_EQ(a.neighbors.size(), b.neighbors.size()) << context;
+  for (size_t n = 0; n < a.neighbors.size(); ++n) {
+    EXPECT_EQ(a.neighbors[n].id, b.neighbors[n].id) << context;
+    EXPECT_EQ(a.neighbors[n].dist_sq, b.neighbors[n].dist_sq) << context;
+  }
+}
+
 TEST_F(ParallelBatchFixture, BatchIsBitIdenticalToSerialAt1And2And8Threads) {
   constexpr size_t kK = 5;
   for (const std::string& name : AllMethodNames()) {
-    auto method = CreateMethod(name, 64);
-    if (!method->traits().concurrent_queries) continue;
-    method->Build(data_);
+    // Every run starts from its own fresh build, so an adaptive method
+    // (ADS+) starts each one from the same tree.
+    const auto built = [&] {
+      auto method = CreateMethod(name, 64);
+      method->Build(data_);
+      return method;
+    };
 
-    // Serial reference: plain SearchKnn in workload order.
+    // Serial reference: plain Execute in workload order.
     std::vector<core::QueryResult> serial;
-    for (size_t q = 0; q < workload_.queries.size(); ++q) {
-      serial.push_back(
-          method->Execute(workload_.queries[q], core::QuerySpec::Knn(kK)));
+    {
+      auto method = built();
+      for (size_t q = 0; q < workload_.queries.size(); ++q) {
+        serial.push_back(
+            method->Execute(workload_.queries[q], core::QuerySpec::Knn(kK)));
+      }
     }
 
     for (const size_t threads : {1u, 2u, 8u}) {
+      auto method = built();
       const core::BatchResult batch =
           SearchKnnBatch(method.get(), workload_, core::QuerySpec::Knn(kK),
                          threads);
       const std::string run = name + " @" + std::to_string(threads);
-      EXPECT_TRUE(batch.serial_reason.empty()) << run;
       EXPECT_EQ(batch.threads_used, threads) << run;
       ASSERT_EQ(batch.queries.size(), serial.size()) << run;
       for (size_t q = 0; q < serial.size(); ++q) {
         const std::string context = run + " query " + std::to_string(q);
-        ASSERT_EQ(batch.queries[q].neighbors.size(),
-                  serial[q].neighbors.size())
-            << context;
-        for (size_t n = 0; n < serial[q].neighbors.size(); ++n) {
-          // Bit-identical, not approximately equal: the parallel path runs
-          // the very same serial per-query code.
-          EXPECT_EQ(batch.queries[q].neighbors[n].id,
-                    serial[q].neighbors[n].id)
-              << context;
-          EXPECT_EQ(batch.queries[q].neighbors[n].dist_sq,
-                    serial[q].neighbors[n].dist_sq)
-              << context;
+        ExpectSameNeighbors(batch.queries[q], serial[q], context);
+        if (name != "ADS+" || threads == 1) {
+          ExpectSameCounters(batch.queries[q].stats, serial[q].stats,
+                             context);
         }
-        ExpectSameCounters(batch.queries[q].stats, serial[q].stats, context);
       }
     }
   }
@@ -92,36 +104,39 @@ TEST_F(ParallelBatchFixture, MergedLedgerIsTheSumOfPerQueryLedgers) {
   EXPECT_DOUBLE_EQ(batch.total.cpu_seconds, manual.cpu_seconds);
 }
 
-TEST_F(ParallelBatchFixture, AdaptiveAdsFallsBackToSerialWithReason) {
-  auto method = CreateMethod("ADS+", 64);
-  ASSERT_FALSE(method->traits().concurrent_queries);
-  method->Build(data_);
-  const core::BatchResult batch =
-      SearchKnnBatch(method.get(), workload_, core::QuerySpec::Knn(1),
-                     /*threads=*/4);
-  EXPECT_EQ(batch.threads_used, 1u);
-  EXPECT_FALSE(batch.serial_reason.empty());
-  // The fallback still answers every query exactly.
-  ASSERT_EQ(batch.queries.size(), workload_.queries.size());
-  for (size_t q = 0; q < batch.queries.size(); ++q) {
-    const auto truth = core::BruteForceKnn(data_, workload_.queries[q], 1);
-    ASSERT_EQ(batch.queries[q].neighbors.size(), 1u);
-    EXPECT_EQ(batch.queries[q].neighbors[0].id, truth[0].id);
-    // Reordered early abandoning sums dimensions in a different order than
-    // brute force, so exactness here is up to floating-point associativity.
-    EXPECT_NEAR(batch.queries[q].neighbors[0].dist_sq, truth[0].dist_sq,
-                1e-9 * (1.0 + truth[0].dist_sq));
+TEST_F(ParallelBatchFixture, AdsSplitsConcurrentlyAndKeepsExactAnswers) {
+  // ADS+ at leaf 64 refines query paths down to 8 series, so every batch
+  // splits leaves of the shared tree while other queries read it.
+  constexpr size_t kK = 5;
+  const core::QuerySpec spec = core::QuerySpec::Knn(kK);
+  auto reference = CreateMethod("ADS+", 64);
+  reference->Build(data_);
+  const int64_t leaves_built = reference->footprint().leaf_nodes;
+  std::vector<core::QueryResult> serial;
+  for (size_t q = 0; q < workload_.queries.size(); ++q) {
+    serial.push_back(reference->Execute(workload_.queries[q], spec));
   }
-}
+  ASSERT_GT(reference->footprint().leaf_nodes, leaves_built);
 
-TEST_F(ParallelBatchFixture, SingleThreadRequestNeverReportsAFallback) {
-  auto method = CreateMethod("ADS+", 64);
-  method->Build(data_);
-  const core::BatchResult batch =
-      SearchKnnBatch(method.get(), workload_, core::QuerySpec::Knn(1),
-                     /*threads=*/1);
-  EXPECT_TRUE(batch.serial_reason.empty());
-  EXPECT_EQ(batch.threads_used, 1u);
+  for (const size_t threads : {1u, 2u, 8u}) {
+    auto method = CreateMethod("ADS+", 64);
+    method->Build(data_);
+    const core::BatchResult batch =
+        SearchKnnBatch(method.get(), workload_, spec, threads);
+    const std::string run = "ADS+ @" + std::to_string(threads);
+    EXPECT_EQ(batch.threads_used, threads) << run;
+    EXPECT_GT(method->footprint().leaf_nodes, leaves_built) << run;
+    ASSERT_EQ(batch.queries.size(), serial.size()) << run;
+    for (size_t q = 0; q < serial.size(); ++q) {
+      const std::string context = run + " query " + std::to_string(q);
+      ExpectSameNeighbors(batch.queries[q], serial[q], context);
+      // Concurrent queries split in whichever order they arrive, so only a
+      // one-thread batch replays the serial ledger.
+      if (threads == 1) {
+        ExpectSameCounters(batch.queries[q].stats, serial[q].stats, context);
+      }
+    }
+  }
 }
 
 TEST_F(ParallelBatchFixture, EmptyWorkloadWithThreadsReturnsEmptyBatch) {
@@ -133,7 +148,6 @@ TEST_F(ParallelBatchFixture, EmptyWorkloadWithThreadsReturnsEmptyBatch) {
                      /*threads=*/4);
   EXPECT_TRUE(batch.queries.empty());
   EXPECT_EQ(batch.threads_used, 1u);  // no pool is spun up for zero queries
-  EXPECT_TRUE(batch.serial_reason.empty());
 }
 
 TEST_F(ParallelBatchFixture, HugeKStaysCheap) {

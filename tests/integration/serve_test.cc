@@ -1,8 +1,9 @@
 // The serve daemon's end-to-end promises, driven through real loopback
 // sockets: concurrent clients receive answers bit-identical to a direct
-// Execute on the same index; a cache hit returns the identical answer
-// bytes; approximate and budgeted queries bypass the cache; admission
-// control answers overload with an explicit rejection frame; a cache hit
+// Execute on the same index (for adaptive ADS+, exact answers identical to
+// a serial run); a cache hit returns the identical answer bytes;
+// approximate and budgeted queries bypass the cache; admission control
+// answers overload with an explicit rejection frame; a cache hit
 // merges no work into STATS; a pooled daemon's answers carry their
 // measured pool counters; malformed bytes get an error frame and a closed
 // connection, never a crash; and Reload swaps the index without dropping
@@ -142,6 +143,75 @@ TEST_F(ServeFixture, EightConcurrentClientsAreBitIdenticalToDirectExecute) {
     EXPECT_EQ(failures[c], "") << "client " << c;
   }
   server.Shutdown();
+}
+
+TEST_F(ServeFixture, AdsDaemonSplitsUnderConcurrentClientsWithExactAnswers) {
+  // ADS+ splits its shared tree as it answers, now from every serve
+  // worker at once. Its exact answers must equal a serial reference's;
+  // the ledger depends on which query split first, so it is not compared.
+  const auto build = [&] {
+    std::shared_ptr<core::SearchMethod> method =
+        bench::CreateMethod("ADS+", 64);
+    method->Build(data_);
+    return method;
+  };
+  auto method = build();
+  auto reference = build();
+  const int64_t leaves_built = method->footprint().leaf_nodes;
+  const core::QuerySpec spec = core::QuerySpec::Knn(5);
+  std::vector<std::vector<core::Neighbor>> expected;
+  for (size_t q = 0; q < workload_.queries.size(); ++q) {
+    expected.push_back(
+        reference->Execute(workload_.queries[q], spec).neighbors);
+  }
+
+  ServerOptions options;
+  options.serve_threads = 4;
+  options.cache_bytes = 0;  // every request executes
+  Server server(options);
+  ASSERT_TRUE(server.Start(method, &data_).ok());
+  constexpr size_t kClients = 4;
+  std::vector<std::string> failures(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Client client;
+      const util::Status connected =
+          client.Connect("127.0.0.1", server.port());
+      if (!connected.ok()) {
+        failures[c] = connected.message();
+        return;
+      }
+      // Every client walks the workload in the same order, so concurrent
+      // requests race for the same leaves' splits.
+      for (size_t q = 0; q < workload_.queries.size(); ++q) {
+        AnswerResponse answer;
+        const util::Status s =
+            client.Query(RequestFor(q, spec), &answer, nullptr);
+        if (!s.ok()) {
+          failures[c] = s.message();
+          return;
+        }
+        const std::vector<core::Neighbor>& got = answer.result.neighbors;
+        bool same = got.size() == expected[q].size();
+        for (size_t n = 0; same && n < got.size(); ++n) {
+          same = got[n].id == expected[q][n].id &&
+                 got[n].dist_sq == expected[q][n].dist_sq;
+        }
+        if (!same) {
+          failures[c] = "answer to query " + std::to_string(q) +
+                        " differs from the serial reference";
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  server.Shutdown();
+  for (size_t c = 0; c < kClients; ++c) {
+    EXPECT_EQ(failures[c], "") << "client " << c;
+  }
+  EXPECT_GT(method->footprint().leaf_nodes, leaves_built);
 }
 
 TEST_F(ServeFixture, IsaxNgFallbackIsIdenticalFromThreadsAndServer) {

@@ -181,7 +181,6 @@ TEST(ShardedTraits, SevenIndexMethodsShardScansDoNot) {
     EXPECT_EQ(outer.leaf_visit_budget, inner.leaf_visit_budget) << name;
     EXPECT_EQ(outer.supports_persistence, inner.supports_persistence)
         << name;
-    EXPECT_EQ(outer.concurrent_queries, inner.concurrent_queries) << name;
     EXPECT_FALSE(outer.shardable) << name;
     EXPECT_FALSE(outer.shard_reason.empty()) << name;
   }

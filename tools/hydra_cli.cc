@@ -606,21 +606,12 @@ std::unique_ptr<core::SearchMethod> MakeMethod(const std::string& name,
 void PrintStorageSummary(const storage::StorageHandle& handle,
                          const core::SearchStats& total) {
   if (!handle.pooled()) return;
-  const long long hits = static_cast<long long>(total.pool_hits);
   const long long misses = static_cast<long long>(total.pool_misses);
-  const long long reads = hits + misses;
-  const double hit_rate =
-      reads > 0 ? 100.0 * static_cast<double>(hits) /
-                      static_cast<double>(reads)
-                : 0.0;
-  std::printf("storage: %lld pool reads (hits %lld, misses %lld, hit rate "
-              "%.1f%%), %lld direct reads, %lld preads, %lld bytes, %lld "
-              "evictions\n",
-              reads, hits, misses, hit_rate,
-              static_cast<long long>(total.pool_direct_reads),
+  std::printf("storage: %lld pool misses, %lld direct reads, %lld preads, "
+              "%lld bytes\n",
+              misses, static_cast<long long>(total.pool_direct_reads),
               static_cast<long long>(total.pool_pread_calls),
-              static_cast<long long>(total.pool_bytes_read),
-              static_cast<long long>(total.pool_evictions));
+              static_cast<long long>(total.pool_bytes_read));
   std::printf("storage check: measured pool misses %lld vs modeled random "
               "accesses %lld (%s)\n",
               misses, static_cast<long long>(total.random_seeks),
@@ -1008,9 +999,7 @@ int CmdQuery(const Cli& cli) {
               core::QualityModeName(batch.total.answer_mode_delivered),
               budget_fired, batch.queries.size());
   if (threads > 1 && !sharded) {
-    if (!batch.serial_reason.empty()) {
-      std::printf("ran serially: %s\n", batch.serial_reason.c_str());
-    } else if (batch.queries.size() == 1) {
+    if (batch.queries.size() == 1) {
       // --threads parallelizes across queries; with one query it silently
       // does nothing — say so instead of implying a concurrent run.
       std::printf("note: --threads parallelizes across queries and a "
@@ -1098,11 +1087,6 @@ int CmdCompare(const Cli& cli) {
   const auto ssd = io::DiskModel::Ssd();
   for (const std::string& name : bench::BestSixNames()) {
     auto method = bench::CreateMethod(name);
-    const core::MethodTraits traits = method->traits();
-    if (threads > 1 && !traits.concurrent_queries) {
-      std::printf("note: %s ran serially: %s\n", name.c_str(),
-                  traits.serial_reason.c_str());
-    }
     const bench::MethodRun run = bench::RunMethodParallel(
         method.get(), data, probe, /*k=*/1, static_cast<size_t>(threads));
     table.AddRow({name, util::Table::Num(bench::IndexSeconds(run, hdd), 3),
@@ -1159,19 +1143,17 @@ int CmdKernels(const Cli& cli) {
 }
 
 int CmdMethods(const Cli& /*cli*/) {
-  // The full traits matrix: quality modes, batch concurrency, and index
-  // persistence, each derived from the method's own traits() so this
-  // listing can never drift from what Execute/Save/Open actually accept.
-  util::Table table({"method", "modes", "concurrent", "persistent",
-                     "shardable"});
+  // The full traits matrix: quality modes, index persistence and
+  // sharding, each derived from the method's own traits() so this listing
+  // can never drift from what Execute/Save/Open actually accept.
+  util::Table table({"method", "modes", "persistent", "shardable"});
   for (const std::string& name : bench::AllMethodNames()) {
     const core::MethodTraits traits = bench::CreateMethod(name)->traits();
     std::string modes = "exact";
     if (traits.supports_ng) modes += ",ng";
     if (traits.supports_epsilon) modes += ",epsilon";
     if (traits.supports_delta_epsilon) modes += ",delta-epsilon";
-    table.AddRow({name, modes, traits.concurrent_queries ? "yes" : "no",
-                  traits.supports_persistence ? "yes" : "no",
+    table.AddRow({name, modes, traits.supports_persistence ? "yes" : "no",
                   traits.shardable ? "yes" : "no"});
   }
   table.Print("method traits");
