@@ -1,6 +1,9 @@
 // Work-counter pins for the five tree methods, ADS+, the VA+file and the
 // three sequential scans: on one fixed seeded dataset and workload, the
 // serial search of every query mode must charge exactly the recorded work.
+// Structure pins do the same for what every index reports about itself
+// right after Build: its footprint (Fig. 8) and its mean TLB (Section 4.2),
+// so a refactor of the node walks behind them cannot move either.
 // The answer suites (exactness, approximate, intra-query) check what a
 // search returns; this suite checks how much it did to get there, so a
 // refactor of the shared traversal driver, of the filter-and-refine loop
@@ -13,6 +16,9 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <iomanip>
+#include <limits>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -204,6 +210,117 @@ TEST_P(WorkCounterPinTest, SerialWorkMatchesRecordedCounters) {
     EXPECT_EQ(*pinned, got) << "measured:\n" << row.str();
   }
 }
+
+/// What an index reports about itself right after Build: its footprint
+/// (`leaf_fill_fractions` and `leaf_depths` summed in their visit order)
+/// and MeanTlb of the first three rand queries (NaN where the method
+/// reports none).
+struct StructurePin {
+  const char* method;
+  int64_t total_nodes;
+  int64_t leaf_nodes;
+  int64_t memory_bytes;
+  int64_t disk_bytes;
+  double fill_sum;
+  int64_t depth_sum;
+  std::array<double, 3> tlb;
+
+  bool operator==(const StructurePin& other) const {
+    auto same = [](double a, double b) {
+      return a == b || (std::isnan(a) && std::isnan(b));
+    };
+    return total_nodes == other.total_nodes &&
+           leaf_nodes == other.leaf_nodes &&
+           memory_bytes == other.memory_bytes &&
+           disk_bytes == other.disk_bytes && fill_sum == other.fill_sum &&
+           depth_sum == other.depth_sum && same(tlb[0], other.tlb[0]) &&
+           same(tlb[1], other.tlb[1]) && same(tlb[2], other.tlb[2]);
+  }
+};
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+// "DSTree x2" is a 2-shard DSTree container. Recorded from the build;
+// see the file comment before editing.
+constexpr StructurePin kStructurePins[] = {
+    {"DSTree", 181, 91, 92128, 512000, 62.5, 621,
+     {0.59344862080487581, 0.54729031165749753, 0.48147148369237353}},
+    {"iSAX2+", 963, 949, 185928, 512000, 62.5, 983,
+     {0.43901789285383752, 0.46350035790597538, 0.44388202985471631}},
+    {"SFA", 276, 241, 143616, 512000, 62.5, 687,
+     {0.67875770993597984, 0.68129517839251241, 0.65827989579765567}},
+    {"M-tree", 129, 115, 554320, 0, 62.5, 230, {kNan, kNan, kNan}},
+    {"R*-tree", 96, 93, 673472, 768000, 62.5, 186,
+     {0.44018507162142229, 0.38705116435177056, 0.46212903106710768}},
+    {"ADS+", 963, 949, 185928, 32000, 62.5, 983,
+     {0.43901789285383752, 0.46350035790597538, 0.44388202985471631}},
+    {"VA+file", 0, 0, 121216, 72000, 0, 0,
+     {0.93206271090378867, 0.93753003914394495, 0.93579565595114089}},
+    {"DSTree x2", 186, 94, 93568, 512000, 62.5, 539,
+     {0.56472794183703678, 0.49303004141690282, 0.45326061500643944}},
+};
+
+/// The measured row in table syntax (doubles to 17 digits round-trip).
+std::string RowOf(const StructurePin& pin) {
+  auto num = [](double v) {
+    if (std::isnan(v)) return std::string("kNan");
+    std::ostringstream os;
+    os << std::setprecision(17) << v;
+    return os.str();
+  };
+  std::ostringstream row;
+  row << "{\"" << pin.method << "\", " << pin.total_nodes << ", "
+      << pin.leaf_nodes << ", " << pin.memory_bytes << ", "
+      << pin.disk_bytes << ", " << num(pin.fill_sum) << ", "
+      << pin.depth_sum << ", {" << num(pin.tlb[0]) << ", "
+      << num(pin.tlb[1]) << ", " << num(pin.tlb[2]) << "}},";
+  return row.str();
+}
+
+class StructurePinTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(StructurePinTest, FootprintAndTlbMatchRecordedValues) {
+  const std::string label = GetParam();
+  const core::Dataset data = gen::RandomWalkDataset(2000, 64, 4242);
+  const gen::Workload rand_w = gen::RandWorkload(6, 64, 4243);
+  auto method = label == "DSTree x2"
+                    ? bench::CreateShardedMethod("DSTree", 2, 1, 32)
+                    : bench::CreateMethod(label, 32);
+  method->Build(data);
+
+  const core::Footprint fp = method->footprint();
+  StructurePin got{GetParam(), fp.total_nodes, fp.leaf_nodes,
+                   fp.memory_bytes, fp.disk_bytes,
+                   std::accumulate(fp.leaf_fill_fractions.begin(),
+                                   fp.leaf_fill_fractions.end(), 0.0),
+                   std::accumulate(fp.leaf_depths.begin(),
+                                   fp.leaf_depths.end(), int64_t{0}),
+                   {}};
+  for (size_t q = 0; q < got.tlb.size(); ++q) {
+    got.tlb[q] = method->MeanTlb(rand_w.queries[q]);
+  }
+  for (const StructurePin& pin : kStructurePins) {
+    if (label == pin.method) {
+      EXPECT_EQ(pin, got) << "measured:\n" << RowOf(got);
+      return;
+    }
+  }
+  ADD_FAILURE() << "no pin recorded; measured:\n" << RowOf(got);
+}
+
+INSTANTIATE_TEST_SUITE_P(PinnedIndexes, StructurePinTest,
+                         ::testing::Values("DSTree", "iSAX2+", "SFA",
+                                           "M-tree", "R*-tree", "ADS+",
+                                           "VA+file", "DSTree x2"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (!std::isalnum(static_cast<unsigned char>(c))) {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
 
 INSTANTIATE_TEST_SUITE_P(PinnedMethods, WorkCounterPinTest,
                          ::testing::ValuesIn(kCases),
