@@ -19,27 +19,6 @@
 namespace hydra::index {
 namespace {
 
-/// True when the leaves under `node` list `count` distinct ids below
-/// `series_count`, each leaf strictly ascending: a split leaf's subtree
-/// still lists exactly the ids the leaf held, so the tree's leaves keep
-/// partitioning the collection (checked without walking the whole tree).
-bool SubtreeListsIds(const IsaxTree::Node& node, size_t count,
-                     size_t series_count) {
-  LeafIdPartition leaves(series_count);
-  std::vector<const IsaxTree::Node*> stack = {&node};
-  while (!stack.empty()) {
-    const IsaxTree::Node* n = stack.back();
-    stack.pop_back();
-    if (n->is_leaf) {
-      if (leaves.Add(n->ids) != nullptr) return false;
-    } else {
-      stack.push_back(n->child0.get());
-      stack.push_back(n->child1.get());
-    }
-  }
-  return leaves.listed() == count;
-}
-
 /// Phase-3 refinement of one worker: core::KnnRefine plus the delta
 /// stopping rule, which stops after `cap` refined series without flagging
 /// a budget (delta < 1 plans run at width 1, so one worker counts them
@@ -74,7 +53,8 @@ core::BuildStats AdsPlus::DoBuild(const core::Dataset& data) {
   for (size_t i = 0; i < data.size(); ++i) {
     tree_->Insert(static_cast<core::SeriesId>(i));
   }
-  HYDRA_DCHECK(tree_->PartitionsIds(data.size()));
+  HYDRA_DCHECK(LeavesPartitionIds(
+      data.size(), [this](const auto& visit) { tree_->ForEachNode(visit); }));
 
   core::BuildStats stats;
   stats.cpu_seconds = timer.Seconds();
@@ -150,7 +130,12 @@ IsaxTree::Node* AdsPlus::AdaptiveLeaf(
            home->size() > options_.adaptive_leaf_capacity) {
       const size_t before = home->size();
       tree_->SplitLeaf(home);
-      HYDRA_DCHECK(SubtreeListsIds(*home, before, data_->size()));
+      // The split leaf's subtree lists exactly the ids the leaf held, so
+      // the leaves still partition the collection.
+      HYDRA_DCHECK(LeavesPartitionIds(
+          data_->size(),
+          [&](const auto& visit) { tree_->ForEachNode(visit, home); },
+          before));
       if (home->is_leaf) break;  // could not split (max resolution)
       home = tree_->ApproximateLeaf(paa, pps);
       if (home == nullptr || home->size() >= before) break;

@@ -117,6 +117,20 @@ struct Candidate {
 
 }  // namespace
 
+template <typename Visit>
+void DsTree::ForEachNode(Visit&& visit) const {
+  std::vector<std::pair<const Node*, int>> stack = {{root_.get(), 0}};
+  while (!stack.empty()) {
+    const auto [node, depth] = stack.back();
+    stack.pop_back();
+    visit(*node, depth);
+    if (!node->is_leaf) {
+      stack.push_back({node->left.get(), depth + 1});
+      stack.push_back({node->right.get(), depth + 1});
+    }
+  }
+}
+
 core::BuildStats DsTree::DoBuild(const core::Dataset& data) {
   util::WallTimer timer;
   data_ = &data;
@@ -131,19 +145,9 @@ core::BuildStats DsTree::DoBuild(const core::Dataset& data) {
     const Prefix p = ComputePrefix(data[i]);
     Insert(static_cast<core::SeriesId>(i), p);
   }
-  HYDRA_DCHECK(LeavesPartitionIds(data.size(), [this](const auto& visit) {
-    std::vector<const Node*> stack = {root_.get()};
-    while (!stack.empty()) {
-      const Node* n = stack.back();
-      stack.pop_back();
-      if (n->is_leaf) {
-        visit(n->ids);
-      } else {
-        stack.push_back(n->left.get());
-        stack.push_back(n->right.get());
-      }
-    }
-  }));
+  HYDRA_DCHECK(LeavesPartitionIds(
+      data.size(), [this](const auto& visit) { ForEachNode(visit); }));
+  ForEachNode([this](const Node& n, int) { leaf_count_ += n.is_leaf; });
   const size_t segments = WordSegments(data.length());
   words_.resize(data.size() * segments);
   for (size_t i = 0; i < data.size(); ++i) {
@@ -157,20 +161,7 @@ core::BuildStats DsTree::DoBuild(const core::Dataset& data) {
   stats.random_reads = 1;
   // Leaf files hold the clustered raw series.
   stats.bytes_written = static_cast<int64_t>(data.bytes());
-  int64_t leaves = 0;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (n->is_leaf) {
-      ++leaves;
-    } else {
-      stack.push_back(n->left.get());
-      stack.push_back(n->right.get());
-    }
-  }
-  stats.random_writes = leaves;
-  leaf_count_ = leaves;
+  stats.random_writes = leaf_count_;
   return stats;
 }
 
@@ -260,7 +251,7 @@ util::Status DsTree::DoOpen(io::IndexReader* reader,
   options_.initial_segments = reader->ReadU64();
   options_.max_segments = reader->ReadU64();
   options_.leaf_capacity = reader->ReadU64();
-  leaf_count_ = reader->ReadI64();
+  reader->ReadI64();  // the saved leaf count; the loaded tree's is counted
   reader->EnterSection("summaries");
   words_ = reader->ReadPodVector<uint8_t>();
   if (reader->ok() &&
@@ -277,6 +268,7 @@ util::Status DsTree::DoOpen(io::IndexReader* reader,
       reader->Fail(std::string("DSTree ") + error);
     }
   }
+  leaf_count_ = leaves.leaves();
   return reader->status();
 }
 
@@ -539,28 +531,14 @@ core::QueryResult DsTree::DoSearchRange(core::SeriesView query,
 
 core::Footprint DsTree::footprint() const {
   HYDRA_CHECK(root_ != nullptr);
-  core::Footprint fp;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    ++fp.total_nodes;
-    fp.memory_bytes += static_cast<int64_t>(
-        sizeof(Node) + n->ranges.size() * sizeof(SegmentRange) +
-        n->seg.ends.size() * sizeof(uint32_t));
-    if (n->is_leaf) {
-      ++fp.leaf_nodes;
-      fp.memory_bytes +=
-          static_cast<int64_t>(n->ids.size() * sizeof(core::SeriesId));
-      fp.leaf_fill_fractions.push_back(
-          static_cast<double>(n->ids.size()) /
-          static_cast<double>(options_.leaf_capacity));
-      fp.leaf_depths.push_back(n->depth);
-    } else {
-      stack.push_back(n->left.get());
-      stack.push_back(n->right.get());
-    }
-  }
+  FootprintSum sum(options_.leaf_capacity);
+  ForEachNode([&](const Node& n, int depth) {
+    sum.Add(sizeof(Node) + n.ranges.size() * sizeof(SegmentRange) +
+                n.seg.ends.size() * sizeof(uint32_t) +
+                n.ids.size() * sizeof(core::SeriesId),
+            n.is_leaf, n.ids.size(), depth);
+  });
+  core::Footprint fp = sum.Take();
   fp.memory_bytes += static_cast<int64_t>(words_.size());
   fp.disk_bytes = static_cast<int64_t>(data_->bytes());  // leaf files
   return fp;
@@ -569,32 +547,14 @@ core::Footprint DsTree::footprint() const {
 double DsTree::MeanTlb(core::SeriesView query) const {
   HYDRA_CHECK(root_ != nullptr);
   const Prefix qp = ComputePrefix(query);
-  double sum = 0.0;
-  int64_t leaves = 0;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (!n->is_leaf) {
-      stack.push_back(n->left.get());
-      stack.push_back(n->right.get());
-      continue;
-    }
-    if (n->ids.empty()) continue;
-    const auto q_stats = StatsOn(qp, n->seg);
-    const double lb =
-        std::sqrt(transform::EapcaNodeLbSq(q_stats, n->ranges, n->seg));
-    double true_sum = 0.0;
-    for (const core::SeriesId id : n->ids) {
-      true_sum += std::sqrt(core::SquaredEuclidean(query, (*data_)[id]));
-    }
-    const double mean_true = true_sum / static_cast<double>(n->ids.size());
-    if (mean_true > 0.0) {
-      sum += lb / mean_true;
-      ++leaves;
-    }
-  }
-  return leaves == 0 ? 0.0 : sum / static_cast<double>(leaves);
+  return MeanLeafTlb(query, *data_, [&](const auto& visit) {
+    ForEachNode([&](const Node& n, int) {
+      if (!n.is_leaf) return;
+      visit(n.ids, [&] {
+        return transform::EapcaNodeLbSq(StatsOn(qp, n.seg), n.ranges, n.seg);
+      });
+    });
+  });
 }
 
 }  // namespace hydra::index

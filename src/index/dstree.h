@@ -70,6 +70,11 @@ class DsTree : public core::SearchMethod {
     std::vector<double> sum_sq;
   };
 
+  /// Calls `visit(node, depth)` on every node, depth first from the root
+  /// (depth 0), the right child before the left.
+  template <typename Visit>
+  void ForEachNode(Visit&& visit) const;
+
   static void SaveNode(const Node& node, io::IndexWriter* writer);
   static std::unique_ptr<Node> LoadNode(io::IndexReader* reader,
                                         size_t series_length,
@@ -90,7 +95,7 @@ class DsTree : public core::SearchMethod {
   // WordSegments(length) full-resolution symbols per series id (the
   // iSAX2+ summary layout).
   std::vector<uint8_t> words_;
-  int64_t leaf_count_ = 0;  // at Build time; the delta leaf-visit rule
+  int64_t leaf_count_ = 0;  // built or loaded; the delta leaf-visit rule
 };
 
 }  // namespace hydra::index

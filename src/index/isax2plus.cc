@@ -28,7 +28,9 @@ core::BuildStats Isax2Plus::DoBuild(const core::Dataset& data) {
   for (size_t i = 0; i < data.size(); ++i) {
     tree_->Insert(static_cast<core::SeriesId>(i));
   }
-  HYDRA_DCHECK(tree_->PartitionsIds(data.size()));
+  HYDRA_DCHECK(LeavesPartitionIds(
+      data.size(), [this](const auto& visit) { tree_->ForEachNode(visit); }));
+  CountLeaves();
 
   core::BuildStats stats;
   stats.cpu_seconds = timer.Seconds();
@@ -36,8 +38,7 @@ core::BuildStats Isax2Plus::DoBuild(const core::Dataset& data) {
   stats.random_reads = 1;
   // Leaf materialization: the raw collection is clustered into leaf files.
   stats.bytes_written = static_cast<int64_t>(data.bytes());
-  stats.random_writes = tree_->StructureFootprint().leaf_nodes;
-  leaf_count_ = stats.random_writes;
+  stats.random_writes = leaf_count_;
   return stats;
 }
 
@@ -60,13 +61,20 @@ util::Status Isax2Plus::DoOpen(io::IndexReader* reader,
   reader->EnterSection("options");
   options_.segments = reader->ReadU64();
   options_.leaf_capacity = reader->ReadU64();
-  leaf_count_ = reader->ReadI64();
+  reader->ReadI64();  // the saved leaf count; the loaded tree's is counted
   tree_ = IsaxTree::OpenShared(
       reader, IsaxTreeOptions{options_.segments, options_.leaf_capacity},
       data, &full_words_);
   if (!reader->ok()) return reader->status();
   data_ = &data;
+  CountLeaves();
   return reader->status();
+}
+
+void Isax2Plus::CountLeaves() {
+  leaf_count_ = 0;
+  tree_->ForEachNode(
+      [this](const IsaxTree::Node& n, int) { leaf_count_ += n.is_leaf; });
 }
 
 /// iSAX2+'s TreeSearch policy: iSAX MINDIST lower bounds, seeded with the

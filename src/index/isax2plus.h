@@ -55,11 +55,14 @@ class Isax2Plus : public core::SearchMethod {
   /// The core::TreeSearch policy of this tree (defined in the .cc).
   class Search;
 
+  /// Sets leaf_count_ from the tree (built or loaded).
+  void CountLeaves();
+
   Isax2PlusOptions options_;
   const core::Dataset* data_ = nullptr;
   std::vector<uint8_t> full_words_;  // segments symbols per series
   std::unique_ptr<IsaxTree> tree_;
-  int64_t leaf_count_ = 0;  // at Build time; the delta leaf-visit rule
+  int64_t leaf_count_ = 0;  // built or loaded; the delta leaf-visit rule
 };
 
 }  // namespace hydra::index

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/distance.h"
 #include "index/leaf_scan.h"
 #include "io/index_codec.h"
 #include "transform/paa.h"
@@ -243,20 +242,6 @@ IsaxTree::Node* IsaxTree::ApproximateLeaf(std::span<const double> paa_q,
   return node;
 }
 
-void IsaxTree::ForEachNode(const std::function<void(const Node&)>& fn) const {
-  std::vector<const Node*> stack;
-  for (const auto& [key, node] : first_level_) stack.push_back(node.get());
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    fn(*node);
-    if (!node->is_leaf) {
-      stack.push_back(node->child0.get());
-      stack.push_back(node->child1.get());
-    }
-  }
-}
-
 void IsaxTree::SaveTo(io::IndexWriter* writer) const {
   writer->WriteU64(first_level_.size());
   for (const auto& [key, node] : first_level_) {
@@ -305,14 +290,6 @@ void IsaxTree::LoadFrom(io::IndexReader* reader, size_t series_count) {
   }
 }
 
-bool IsaxTree::PartitionsIds(size_t series_count) const {
-  return LeavesPartitionIds(series_count, [this](const auto& visit) {
-    ForEachNode([&](const Node& node) {
-      if (node.is_leaf) visit(node.ids);
-    });
-  });
-}
-
 std::unique_ptr<IsaxTree> IsaxTree::OpenShared(
     io::IndexReader* reader, IsaxTreeOptions options,
     const core::Dataset& data, std::vector<uint8_t>* full_words) {
@@ -342,43 +319,26 @@ double IsaxTree::MeanTlb(core::SeriesView query,
                          const core::Dataset& data) const {
   const auto paa = transform::Paa(query, options_.segments);
   const size_t pps = query.size() / options_.segments;
-  double sum = 0.0;
-  int64_t leaves = 0;
-  ForEachNode([&](const Node& node) {
-    if (!node.is_leaf || node.ids.empty()) return;
-    const double lb =
-        std::sqrt(transform::IsaxMinDistSq(paa, node.word, pps));
-    double true_sum = 0.0;
-    for (const core::SeriesId id : node.ids) {
-      true_sum += std::sqrt(core::SquaredEuclidean(query, data[id]));
-    }
-    const double mean_true = true_sum / static_cast<double>(node.ids.size());
-    if (mean_true > 0.0) {
-      sum += lb / mean_true;
-      ++leaves;
-    }
+  return MeanLeafTlb(query, data, [&](const auto& visit) {
+    ForEachNode([&](const Node& node, int) {
+      if (!node.is_leaf) return;
+      visit(node.ids,
+            [&] { return transform::IsaxMinDistSq(paa, node.word, pps); });
+    });
   });
-  return leaves == 0 ? 0.0 : sum / static_cast<double>(leaves);
 }
 
 core::Footprint IsaxTree::StructureFootprint() const {
-  core::Footprint fp;
-  fp.memory_bytes = static_cast<int64_t>(first_level_flat_.size() *
-                                         sizeof(FirstLevelEntry));
-  ForEachNode([&](const Node& node) {
-    ++fp.total_nodes;
-    fp.memory_bytes += static_cast<int64_t>(
-        sizeof(Node) + 2 * options_.segments);  // word symbols + bits
-    if (node.is_leaf) {
-      ++fp.leaf_nodes;
-      fp.memory_bytes +=
-          static_cast<int64_t>(node.ids.size() * sizeof(core::SeriesId));
-      fp.leaf_fill_fractions.push_back(
-          static_cast<double>(node.size()) /
-          static_cast<double>(options_.leaf_capacity));
-      fp.leaf_depths.push_back(node.depth);
-    }
+  const size_t node_bytes =
+      sizeof(Node) + 2 * options_.segments;  // word symbols + bits
+  FootprintSum sum(options_.leaf_capacity);
+  ForEachNode([&](const Node& node, int depth) {
+    sum.Add(node_bytes + node.ids.size() * sizeof(core::SeriesId),
+            node.is_leaf, node.size(), depth);
   });
+  core::Footprint fp = sum.Take();
+  fp.memory_bytes += static_cast<int64_t>(first_level_flat_.size() *
+                                          sizeof(FirstLevelEntry));
   return fp;
 }
 

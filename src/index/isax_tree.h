@@ -4,10 +4,10 @@
 #ifndef HYDRA_INDEX_ISAX_TREE_H_
 #define HYDRA_INDEX_ISAX_TREE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/method.h"
@@ -80,12 +80,29 @@ class IsaxTree {
     return first_level_;
   }
 
-  /// Walks all nodes (pre-order within each first-level subtree).
-  void ForEachNode(const std::function<void(const Node&)>& fn) const;
-
-  /// True when the leaves partition [0, series_count), each in strictly
-  /// ascending id order (see LeafIdPartition; for DCHECKs).
-  bool PartitionsIds(size_t series_count) const;
+  /// Calls `visit(node, depth)` on every node, depth first: the first
+  /// level (depth 1) in descending key order, child1 before child0. With
+  /// a `root`, walks only the subtree under it (from its own depth).
+  template <typename Visit>
+  void ForEachNode(Visit&& visit, const Node* root = nullptr) const {
+    std::vector<std::pair<const Node*, int>> stack;
+    if (root != nullptr) {
+      stack.push_back({root, root->depth});
+    } else {
+      for (const auto& [key, node] : first_level_) {
+        stack.push_back({node.get(), 1});
+      }
+    }
+    while (!stack.empty()) {
+      const auto [node, depth] = stack.back();
+      stack.pop_back();
+      visit(*node, depth);
+      if (!node->is_leaf) {
+        stack.push_back({node->child0.get(), depth + 1});
+        stack.push_back({node->child1.get(), depth + 1});
+      }
+    }
+  }
 
   /// SearchMethod::MeanTlb of both iSAX methods (Section 4.2): the mean
   /// over non-empty leaves of MINDIST / mean true distance of its members.

@@ -2,17 +2,24 @@
 // bulk-charged leaf read, a filter pass that keeps the members whose
 // in-memory summary bound may still enter the answer, then the shared
 // refine loop (core/refine.h) over those survivors only. Shared by their
-// core::TreeSearch policies, with the id partition check their loaders and
-// builds apply to the leaves.
+// core::TreeSearch policies. Also the whole-tree computations every tree
+// index runs on its one node walk (`ForEachNode`): the id partition check
+// of loaders and builds, the footprint and the mean TLB.
 #ifndef HYDRA_INDEX_LEAF_SCAN_H_
 #define HYDRA_INDEX_LEAF_SCAN_H_
 
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <ranges>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/dataset.h"
 #include "core/distance.h"
+#include "core/method.h"
 #include "core/refine.h"
 #include "core/types.h"
 #include "io/counted_storage.h"
@@ -137,11 +144,14 @@ class LeafIdPartition {
       listed_[ids[i]] = true;
     }
     count_ += ids.size();
+    ++leaves_;
     return nullptr;
   }
 
   /// The number of ids added so far.
   size_t listed() const { return count_; }
+  /// The number of leaves added so far: a loader's leaf count.
+  int64_t leaves() const { return leaves_; }
 
   /// After the last leaf: null, or what is wrong with the whole set.
   const char* Finish() const {
@@ -152,18 +162,76 @@ class LeafIdPartition {
  private:
   std::vector<bool> listed_;
   size_t count_ = 0;
+  int64_t leaves_ = 0;
 };
 
-/// True when `for_each_leaf(visit)`, calling `visit(ids)` once per leaf,
-/// lists a partition of [0, series_count) (for DCHECKs).
-template <typename ForEachLeaf>
-bool LeavesPartitionIds(size_t series_count, ForEachLeaf&& for_each_leaf) {
+/// True when the leaves of a node walk list exactly `count` distinct ids of
+/// [0, series_count) (by default all of them: a partition), each leaf
+/// strictly ascending (for DCHECKs). `for_each_node(visit)` calls
+/// `visit(node, depth)` per node; a leaf has `is_leaf` set and lists `ids`.
+template <typename ForEachNode>
+bool LeavesPartitionIds(size_t series_count, ForEachNode&& for_each_node,
+                        std::optional<size_t> count = std::nullopt) {
   LeafIdPartition partition(series_count);
   bool ok = true;
-  for_each_leaf([&](std::span<const core::SeriesId> ids) {
-    ok = ok && partition.Add(ids) == nullptr;
+  for_each_node([&](const auto& node, int) {
+    if (node.is_leaf) ok = ok && partition.Add(node.ids) == nullptr;
   });
-  return ok && partition.Finish() == nullptr;
+  return ok && partition.listed() == count.value_or(series_count);
+}
+
+/// Sums a core::Footprint over a tree's node walk: every node counts with
+/// its resident bytes, a leaf also with its fill (members over the leaf
+/// capacity) and depth, in walk order. The caller adds what lives outside
+/// the nodes.
+class FootprintSum {
+ public:
+  explicit FootprintSum(size_t leaf_capacity)
+      : capacity_(static_cast<double>(leaf_capacity)) {}
+
+  /// One node of `bytes` resident bytes; a `leaf` holds `members` at
+  /// `depth`.
+  void Add(size_t bytes, bool leaf, size_t members, int depth) {
+    ++fp_.total_nodes;
+    fp_.memory_bytes += static_cast<int64_t>(bytes);
+    if (!leaf) return;
+    ++fp_.leaf_nodes;
+    fp_.leaf_fill_fractions.push_back(static_cast<double>(members) /
+                                      capacity_);
+    fp_.leaf_depths.push_back(depth);
+  }
+
+  core::Footprint Take() { return std::move(fp_); }
+
+ private:
+  double capacity_;
+  core::Footprint fp_;
+};
+
+/// Section 4.2's tightness of the lower bound for `query`: the mean, over
+/// the leaves `for_each_leaf(visit)` lists as `visit(ids, node_lb_sq)`, of
+/// the leaf's node bound `sqrt(node_lb_sq())` over the mean true distance
+/// from `query` to its members `ids`. Empty leaves and leaves at mean
+/// distance 0 are skipped; 0 when none is left.
+template <typename ForEachLeaf>
+double MeanLeafTlb(core::SeriesView query, const core::Dataset& data,
+                   ForEachLeaf&& for_each_leaf) {
+  double sum = 0.0;
+  int64_t leaves = 0;
+  for_each_leaf([&](const auto& ids, const auto& node_lb_sq) {
+    if (std::ranges::empty(ids)) return;
+    double true_sum = 0.0;
+    for (const core::SeriesId id : ids) {
+      true_sum += std::sqrt(core::SquaredEuclidean(query, data[id]));
+    }
+    const double mean_true =
+        true_sum / static_cast<double>(std::ranges::size(ids));
+    if (mean_true > 0.0) {
+      sum += std::sqrt(node_lb_sq()) / mean_true;
+      ++leaves;
+    }
+  });
+  return leaves == 0 ? 0.0 : sum / static_cast<double>(leaves);
 }
 
 }  // namespace hydra::index

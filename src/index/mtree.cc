@@ -6,6 +6,7 @@
 
 #include "core/distance.h"
 #include "core/traversal.h"
+#include "index/leaf_scan.h"
 #include "io/index_codec.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -31,6 +32,19 @@ struct MTree::Node {
 
 MTree::MTree(MTreeOptions options) : options_(options) {}
 MTree::~MTree() = default;
+
+template <typename Visit>
+void MTree::ForEachNode(Visit&& visit) const {
+  std::vector<std::pair<const Node*, int>> stack = {{root_.get(), 0}};
+  while (!stack.empty()) {
+    const auto [node, depth] = stack.back();
+    stack.pop_back();
+    visit(*node, depth);
+    for (const auto& child : node->children) {
+      stack.push_back({child.get(), depth + 1});
+    }
+  }
+}
 
 double MTree::Dist(core::SeriesId a, core::SeriesId b) const {
   ++build_distance_count_;
@@ -359,31 +373,13 @@ core::QueryResult MTree::DoSearchRange(core::SeriesView query,
 
 core::Footprint MTree::footprint() const {
   HYDRA_CHECK(root_ != nullptr);
-  core::Footprint fp;
-  struct Frame {
-    const Node* node;
-    int depth;
-  };
-  std::vector<Frame> stack = {{root_.get(), 0}};
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    ++fp.total_nodes;
-    fp.memory_bytes += static_cast<int64_t>(
-        sizeof(Node) +
-        f.node->entries.size() * sizeof(std::pair<core::SeriesId, double>));
-    if (f.node->is_leaf) {
-      ++fp.leaf_nodes;
-      fp.leaf_fill_fractions.push_back(
-          static_cast<double>(f.node->entries.size()) /
-          static_cast<double>(options_.leaf_capacity));
-      fp.leaf_depths.push_back(f.depth);
-    } else {
-      for (const auto& c : f.node->children) {
-        stack.push_back({c.get(), f.depth + 1});
-      }
-    }
-  }
+  FootprintSum sum(options_.leaf_capacity);
+  ForEachNode([&](const Node& n, int depth) {
+    sum.Add(sizeof(Node) +
+                n.entries.size() * sizeof(std::pair<core::SeriesId, double>),
+            n.is_leaf, n.entries.size(), depth);
+  });
+  core::Footprint fp = sum.Take();
   // Memory-resident: the series themselves count toward the footprint.
   fp.memory_bytes += static_cast<int64_t>(data_->bytes());
   return fp;

@@ -57,6 +57,11 @@ class MTree : public core::SearchMethod {
   class Search;
   struct Route;
 
+  /// Calls `visit(node, depth)` on every node, depth first from the root
+  /// (depth 0), the last child first.
+  template <typename Visit>
+  void ForEachNode(Visit&& visit) const;
+
   static void SaveNode(const Node& node, io::IndexWriter* writer);
   static std::unique_ptr<Node> LoadNode(io::IndexReader* reader,
                                         size_t series_count);

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <ranges>
 
 #include "core/distance.h"
 #include "core/simd/kernels.h"
 #include "core/traversal.h"
+#include "index/leaf_scan.h"
 #include "io/counted_storage.h"
 #include "io/index_codec.h"
 #include "transform/paa.h"
@@ -97,6 +99,20 @@ struct RStarTree::Node {
 RStarTree::RStarTree(RTreeOptions options) : options_(options) {}
 RStarTree::~RStarTree() = default;
 
+template <typename Visit>
+void RStarTree::ForEachNode(Visit&& visit) const {
+  std::vector<std::pair<const Node*, int>> stack = {{root_.get(), 0}};
+  while (!stack.empty()) {
+    const auto [node, depth] = stack.back();
+    stack.pop_back();
+    visit(*node, depth);
+    if (node->is_leaf()) continue;
+    for (const Entry& e : node->entries) {
+      stack.push_back({e.child.get(), depth + 1});
+    }
+  }
+}
+
 core::BuildStats RStarTree::DoBuild(const core::Dataset& data) {
   util::WallTimer timer;
   data_ = &data;
@@ -111,7 +127,6 @@ core::BuildStats RStarTree::DoBuild(const core::Dataset& data) {
     for (size_t d = 0; d < dims_; ++d) points_[i * dims_ + d] = paa[d] * scale_;
   }
   root_ = std::make_unique<Node>();
-  height_ = 0;
   for (size_t i = 0; i < data.size(); ++i) {
     InsertPoint(static_cast<core::SeriesId>(i));
   }
@@ -122,7 +137,7 @@ core::BuildStats RStarTree::DoBuild(const core::Dataset& data) {
   stats.random_reads = 1;
   stats.bytes_written =
       static_cast<int64_t>(points_.size() * sizeof(double));
-  stats.random_writes = footprint().total_nodes;
+  ForEachNode([&](const Node&, int) { ++stats.random_writes; });
   return stats;
 }
 
@@ -182,7 +197,7 @@ void RStarTree::DoSave(io::IndexWriter* writer) const {
   writer->WriteDouble(options_.reinsert_fraction);
   writer->WriteU64(dims_);
   writer->WriteDouble(scale_);
-  writer->WriteI32(height_);
+  writer->WriteI32(root_->level);  // the height
   writer->EndSection();
   writer->BeginSection("points");
   writer->WritePodVector(points_);
@@ -201,7 +216,7 @@ util::Status RStarTree::DoOpen(io::IndexReader* reader,
   options_.reinsert_fraction = reader->ReadDouble();
   dims_ = reader->ReadU64();
   scale_ = reader->ReadDouble();
-  height_ = reader->ReadI32();
+  reader->ReadI32();  // the height, the loaded root's level
   if (reader->ok() && (dims_ == 0 || data.length() % dims_ != 0)) {
     reader->Fail("R*-tree options are inconsistent with the dataset");
   }
@@ -403,7 +418,6 @@ void RStarTree::SplitNode(Node* node, std::vector<Node*>& path) {
     new_root->entries.push_back(std::move(left_e));
     new_root->entries.push_back(std::move(right_e));
     root_ = std::move(new_root);
-    ++height_;
     return;
   }
 
@@ -500,25 +514,13 @@ core::QueryResult RStarTree::DoSearchRange(core::SeriesView query,
 
 core::Footprint RStarTree::footprint() const {
   HYDRA_CHECK(root_ != nullptr);
-  core::Footprint fp;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    ++fp.total_nodes;
-    fp.memory_bytes += static_cast<int64_t>(
-        sizeof(Node) + n->entries.size() *
-                           (sizeof(Entry) + 2 * dims_ * sizeof(double)));
-    if (n->is_leaf()) {
-      ++fp.leaf_nodes;
-      fp.leaf_fill_fractions.push_back(
-          static_cast<double>(n->entries.size()) /
-          static_cast<double>(options_.leaf_capacity));
-      fp.leaf_depths.push_back(height_ - n->level);
-    } else {
-      for (const Entry& e : n->entries) stack.push_back(e.child.get());
-    }
-  }
+  FootprintSum sum(options_.leaf_capacity);
+  ForEachNode([&](const Node& n, int depth) {
+    sum.Add(sizeof(Node) + n.entries.size() *
+                               (sizeof(Entry) + 2 * dims_ * sizeof(double)),
+            n.is_leaf(), n.entries.size(), depth);
+  });
+  core::Footprint fp = sum.Take();
   fp.disk_bytes = static_cast<int64_t>(points_.size() * sizeof(double)) +
                   static_cast<int64_t>(data_->bytes());
   return fp;
@@ -529,30 +531,13 @@ double RStarTree::MeanTlb(core::SeriesView query) const {
   const auto paa = transform::Paa(query, dims_);
   std::vector<double> q(dims_);
   for (size_t d = 0; d < dims_; ++d) q[d] = paa[d] * scale_;
-  double sum = 0.0;
-  int64_t leaves = 0;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (!n->is_leaf()) {
-      for (const Entry& e : n->entries) stack.push_back(e.child.get());
-      continue;
-    }
-    if (n->entries.empty()) continue;
-    const double lb = std::sqrt(n->Mbr().MinDistSqTo(q));
-    double true_sum = 0.0;
-    for (const Entry& e : n->entries) {
-      true_sum += std::sqrt(core::SquaredEuclidean(query, (*data_)[e.id]));
-    }
-    const double mean_true =
-        true_sum / static_cast<double>(n->entries.size());
-    if (mean_true > 0.0) {
-      sum += lb / mean_true;
-      ++leaves;
-    }
-  }
-  return leaves == 0 ? 0.0 : sum / static_cast<double>(leaves);
+  return MeanLeafTlb(query, *data_, [&](const auto& visit) {
+    ForEachNode([&](const Node& n, int) {
+      if (!n.is_leaf()) return;
+      visit(std::views::transform(n.entries, &Entry::id),
+            [&] { return n.Mbr().MinDistSqTo(q); });
+    });
+  });
 }
 
 }  // namespace hydra::index

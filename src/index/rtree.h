@@ -57,6 +57,11 @@ class RStarTree : public core::SearchMethod {
   class Search;
   struct Entry;
 
+  /// Calls `visit(node, depth)` on every node, depth first from the root
+  /// (depth 0), the last entry's child first.
+  template <typename Visit>
+  void ForEachNode(Visit&& visit) const;
+
   static void SaveNode(const Node& node, io::IndexWriter* writer);
   std::unique_ptr<Node> LoadNode(io::IndexReader* reader,
                                  size_t series_count) const;
@@ -74,8 +79,7 @@ class RStarTree : public core::SearchMethod {
   size_t dims_ = 0;
   double scale_ = 1.0;  // sqrt(points per segment)
   std::vector<double> points_;  // scaled PAA point per series
-  std::unique_ptr<Node> root_;
-  int height_ = 0;  // leaf level = 0
+  std::unique_ptr<Node> root_;  // its level is the height (leaf level = 0)
 };
 
 }  // namespace hydra::index

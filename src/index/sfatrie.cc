@@ -1,7 +1,6 @@
 #include "index/sfatrie.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "core/distance.h"
@@ -30,6 +29,19 @@ struct SfaTrie::Node {
 
 SfaTrie::SfaTrie(SfaTrieOptions options) : options_(options) {}
 SfaTrie::~SfaTrie() = default;
+
+template <typename Visit>
+void SfaTrie::ForEachNode(Visit&& visit) const {
+  std::vector<std::pair<const Node*, int>> stack = {{root_.get(), 0}};
+  while (!stack.empty()) {
+    const auto [node, depth] = stack.back();
+    stack.pop_back();
+    visit(*node, depth);
+    for (const auto& slot : node->children) {
+      if (slot != nullptr) stack.push_back({slot.get(), depth + 1});
+    }
+  }
+}
 
 core::BuildStats SfaTrie::DoBuild(const core::Dataset& data) {
   util::WallTimer timer;
@@ -73,25 +85,16 @@ core::BuildStats SfaTrie::DoBuild(const core::Dataset& data) {
   for (size_t i = 0; i < data.size(); ++i) {
     Insert(static_cast<core::SeriesId>(i), root_.get());
   }
-  HYDRA_DCHECK(LeavesPartitionIds(data.size(), [this](const auto& visit) {
-    std::vector<const Node*> stack = {root_.get()};
-    while (!stack.empty()) {
-      const Node* n = stack.back();
-      stack.pop_back();
-      if (n->is_leaf) visit(n->ids);
-      for (const auto& slot : n->children) {
-        if (slot != nullptr) stack.push_back(slot.get());
-      }
-    }
-  }));
+  HYDRA_DCHECK(LeavesPartitionIds(
+      data.size(), [this](const auto& visit) { ForEachNode(visit); }));
+  ForEachNode([this](const Node& n, int) { leaf_count_ += n.is_leaf; });
 
   core::BuildStats stats;
   stats.cpu_seconds = timer.Seconds();
   stats.bytes_read = static_cast<int64_t>(data.bytes());
   stats.random_reads = 1;
   stats.bytes_written = static_cast<int64_t>(data.bytes());
-  stats.random_writes = footprint().leaf_nodes;
-  leaf_count_ = stats.random_writes;
+  stats.random_writes = leaf_count_;
   return stats;
 }
 
@@ -191,7 +194,7 @@ util::Status SfaTrie::DoOpen(io::IndexReader* reader,
       static_cast<transform::SfaQuantizer::Binning>(reader->ReadU8());
   options_.leaf_capacity = reader->ReadU64();
   options_.sample_size = reader->ReadU64();
-  leaf_count_ = reader->ReadI64();
+  reader->ReadI64();  // the saved leaf count; the loaded trie's is counted
   if (reader->ok() && (options_.alphabet < 2 || options_.alphabet > 256 ||
                        options_.leaf_capacity == 0)) {
     reader->Fail("SFA options are out of range");
@@ -234,6 +237,7 @@ util::Status SfaTrie::DoOpen(io::IndexReader* reader,
       reader->Fail(std::string("SFA ") + error);
     }
   }
+  leaf_count_ = leaves.leaves();
   return reader->status();
 }
 
@@ -420,29 +424,14 @@ core::QueryResult SfaTrie::DoSearchRange(core::SeriesView query,
 
 core::Footprint SfaTrie::footprint() const {
   HYDRA_CHECK(root_ != nullptr);
-  core::Footprint fp;
-  const size_t dims = quantizer_.dims();
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    ++fp.total_nodes;
-    fp.memory_bytes +=
-        static_cast<int64_t>(sizeof(Node) + 2 * dims * sizeof(double));
-    if (n->is_leaf) {
-      ++fp.leaf_nodes;
-      fp.memory_bytes +=
-          static_cast<int64_t>(n->ids.size() * sizeof(core::SeriesId));
-      fp.leaf_fill_fractions.push_back(
-          static_cast<double>(n->ids.size()) /
-          static_cast<double>(options_.leaf_capacity));
-      fp.leaf_depths.push_back(n->depth);
-    } else {
-      for (const auto& slot : n->children) {
-        if (slot != nullptr) stack.push_back(slot.get());
-      }
-    }
-  }
+  const size_t node_bytes =
+      sizeof(Node) + 2 * quantizer_.dims() * sizeof(double);
+  FootprintSum sum(options_.leaf_capacity);
+  ForEachNode([&](const Node& n, int depth) {
+    sum.Add(node_bytes + n.ids.size() * sizeof(core::SeriesId), n.is_leaf,
+            n.ids.size(), depth);
+  });
+  core::Footprint fp = sum.Take();
   fp.memory_bytes += static_cast<int64_t>(quantizer_.MemoryBytes() +
                                           words_.size() * sizeof(uint8_t));
   fp.disk_bytes = static_cast<int64_t>(data_->bytes());  // leaf files
@@ -451,34 +440,14 @@ core::Footprint SfaTrie::footprint() const {
 
 double SfaTrie::MeanTlb(core::SeriesView query) const {
   HYDRA_CHECK(root_ != nullptr);
-  const size_t dims = quantizer_.dims();
-  const auto q_dft = transform::PackedRealDft(query, dims, /*skip_dc=*/true);
-  double sum = 0.0;
-  int64_t leaves = 0;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (!n->is_leaf) {
-      for (const auto& slot : n->children) {
-        if (slot != nullptr) stack.push_back(slot.get());
-      }
-      continue;
-    }
-    if (n->ids.empty()) continue;
-    // The tight SFA bound (DFT MBRs), the variant the paper evaluates.
-    const double lb_sq = NodeLowerBound(q_dft, *n);
-    double true_sum = 0.0;
-    for (const core::SeriesId id : n->ids) {
-      true_sum += std::sqrt(core::SquaredEuclidean(query, (*data_)[id]));
-    }
-    const double mean_true = true_sum / static_cast<double>(n->ids.size());
-    if (mean_true > 0.0) {
-      sum += std::sqrt(lb_sq) / mean_true;
-      ++leaves;
-    }
-  }
-  return leaves == 0 ? 0.0 : sum / static_cast<double>(leaves);
+  const auto q_dft =
+      transform::PackedRealDft(query, quantizer_.dims(), /*skip_dc=*/true);
+  // The tight SFA bound (DFT MBRs), the variant the paper evaluates.
+  return MeanLeafTlb(query, *data_, [&](const auto& visit) {
+    ForEachNode([&](const Node& n, int) {
+      if (n.is_leaf) visit(n.ids, [&] { return NodeLowerBound(q_dft, n); });
+    });
+  });
 }
 
 }  // namespace hydra::index

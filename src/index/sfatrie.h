@@ -63,6 +63,11 @@ class SfaTrie : public core::SearchMethod {
   /// The core::TreeSearch policy of this tree (defined in the .cc).
   class Search;
 
+  /// Calls `visit(node, depth)` on every node, depth first from the root
+  /// (depth 0), children in descending symbol order.
+  template <typename Visit>
+  void ForEachNode(Visit&& visit) const;
+
   static void SaveNode(const Node& node, io::IndexWriter* writer);
   std::unique_ptr<Node> LoadNode(io::IndexReader* reader,
                                  LeafIdPartition* leaves) const;
@@ -77,7 +82,7 @@ class SfaTrie : public core::SearchMethod {
   std::vector<double> dfts_;     // flat word_length doubles per series
   std::vector<uint8_t> words_;   // flat word_length symbols per series
   std::unique_ptr<Node> root_;
-  int64_t leaf_count_ = 0;  // at Build time; the delta leaf-visit rule
+  int64_t leaf_count_ = 0;  // built or loaded; the delta leaf-visit rule
 };
 
 }  // namespace hydra::index

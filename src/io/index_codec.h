@@ -128,6 +128,8 @@ class IndexReader {
   uint64_t ReadU64();
   double ReadDouble();
   std::string ReadString();
+  /// Payload bytes left unread in the current section.
+  size_t RemainingInSection() const { return section_end_ - cursor_; }
 
   /// RAII recursion guard for deserializing recursive structures (tree
   /// nodes). A checksum only proves the bytes match themselves, so a
@@ -172,7 +174,6 @@ class IndexReader {
  private:
   static constexpr int kMaxNodeDepth = 10000;
 
-  size_t RemainingInSection() const { return section_end_ - cursor_; }
   /// Copies `n` payload bytes to `out`; latches an error on truncation.
   void ReadPayload(void* out, size_t n);
 

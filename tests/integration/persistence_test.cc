@@ -809,6 +809,76 @@ TEST(PersistenceErrors, IsaxTreeRefusesCraftedFirstLevel) {
   }
 }
 
+/// A tree with the delta leaf-visit rule, by the sections of its index
+/// file in write order; each "options" section ends with the persisted
+/// leaf count. `label` names the test and its directory.
+struct LeafCountCase {
+  const char* method;
+  const char* label;
+  std::vector<const char*> sections;
+};
+
+void PrintTo(const LeafCountCase& c, std::ostream* os) { *os << c.method; }
+
+class PersistedLeafCountTest : public ::testing::TestWithParam<LeafCountCase> {
+};
+
+TEST_P(PersistedLeafCountTest, OpenCountsTheLeavesItLoads) {
+  // The delta rule caps a query at ceil(delta * leaves) leaf visits. A
+  // CRC-valid file whose stored count reads 1 would cap every query at
+  // one leaf, so an opened tree must count the leaves it loads.
+  const std::string name = GetParam().method;
+  const core::Dataset data = TestData();
+  auto built = bench::CreateMethod(name, kLeaf);
+  built->Build(data);
+  const std::string dir =
+      FreshDir(std::string("leaf_count_") + GetParam().label);
+  ASSERT_TRUE(built->Save(dir).ok());
+  const std::string file = io::IndexFilePath(dir);
+
+  // Re-emit the file byte for byte, except the count, which becomes 1.
+  io::IndexReader reader;
+  ASSERT_TRUE(reader.Load(file).ok());
+  io::IndexWriter writer(reader.method_name(), reader.fingerprint());
+  for (const std::string section : GetParam().sections) {
+    ASSERT_TRUE(reader.EnterSection(section).ok()) << section;
+    writer.BeginSection(section);
+    const size_t keep = section == "options" ? sizeof(int64_t) : 0;
+    while (reader.RemainingInSection() > keep) {
+      writer.WriteU8(reader.ReadU8());
+    }
+    if (keep != 0) {
+      EXPECT_GT(reader.ReadI64(), 1);
+      writer.WriteI64(1);
+    }
+    writer.EndSection();
+  }
+  ASSERT_TRUE(reader.ok()) << reader.status().message();
+  ASSERT_TRUE(writer.Commit(file).ok());
+
+  auto opened = bench::CreateMethod(name);
+  ASSERT_TRUE(opened->Open(dir, data).ok());
+  const gen::Workload workload = TestQueries();
+  const core::QuerySpec spec = core::QuerySpec::DeltaEpsilon(5, 0.5, 0.1);
+  for (size_t q = 0; q < workload.queries.size(); ++q) {
+    ExpectBitIdentical(built->Execute(workload.queries[q], spec),
+                       opened->Execute(workload.queries[q], spec),
+                       name + " query " + std::to_string(q));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DeltaTrees, PersistedLeafCountTest,
+    ::testing::Values(
+        LeafCountCase{"DSTree", "DSTree", {"options", "summaries", "tree"}},
+        LeafCountCase{
+            "SFA", "SFA", {"options", "quantizer", "summaries", "tree"}},
+        LeafCountCase{"iSAX2+", "Isax2Plus", {"options", "summaries", "tree"}}),
+    [](const ::testing::TestParamInfo<LeafCountCase>& info) {
+      return std::string(info.param.label);
+    });
+
 TEST(PersistenceErrors, ScansRefuseSaveAndOpenHonestly) {
   const core::Dataset data = TestData();
   for (const std::string name : {"UCR-Suite", "MASS", "Stepwise"}) {

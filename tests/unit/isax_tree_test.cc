@@ -84,7 +84,7 @@ TEST_F(IsaxTreeTest, AllSeriesLandInExactlyOneLeaf) {
     tree.Insert(static_cast<core::SeriesId>(i));
   }
   std::multiset<core::SeriesId> seen;
-  tree.ForEachNode([&](const IsaxTree::Node& node) {
+  tree.ForEachNode([&](const IsaxTree::Node& node, int) {
     if (node.is_leaf) {
       for (const auto id : node.ids) seen.insert(id);
     }
@@ -103,7 +103,7 @@ TEST_F(IsaxTreeTest, LeafWordsCoverTheirMembers) {
   for (size_t i = 0; i < data.size(); ++i) {
     tree.Insert(static_cast<core::SeriesId>(i));
   }
-  tree.ForEachNode([&](const IsaxTree::Node& node) {
+  tree.ForEachNode([&](const IsaxTree::Node& node, int) {
     if (!node.is_leaf) return;
     for (const auto id : node.ids) {
       transform::IsaxWord full;
@@ -227,7 +227,7 @@ TEST_F(IsaxTreeTest, LeavesRespectCapacityWhereSplittable) {
   for (size_t i = 0; i < data.size(); ++i) {
     tree.Insert(static_cast<core::SeriesId>(i));
   }
-  tree.ForEachNode([&](const IsaxTree::Node& node) {
+  tree.ForEachNode([&](const IsaxTree::Node& node, int) {
     if (!node.is_leaf) return;
     bool splittable = false;
     for (const auto bits : node.word.bits) {
@@ -269,7 +269,7 @@ TEST_F(IsaxTreeTest, SplitLeafCreatesTwoChildren) {
   // Find the biggest first-level leaf and split it by hand.
   IsaxTree::Node* target = nullptr;
   size_t best = 0;
-  tree.ForEachNode([&](const IsaxTree::Node& node) {
+  tree.ForEachNode([&](const IsaxTree::Node& node, int) {
     if (node.is_leaf && node.size() > best) {
       best = node.size();
       target = const_cast<IsaxTree::Node*>(&node);
