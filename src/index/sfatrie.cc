@@ -54,8 +54,8 @@ core::BuildStats SfaTrie::DoBuild(const core::Dataset& data) {
   // on a sample (the original uses sampling; at our scale "all" is cheap).
   dfts_.resize(data.size() * dims);
   for (size_t i = 0; i < data.size(); ++i) {
-    const auto dft = transform::PackedRealDft(data[i], dims, /*skip_dc=*/true);
-    std::copy(dft.begin(), dft.end(), dfts_.begin() + i * dims);
+    transform::PackedRealDft(data[i], /*skip_dc=*/true,
+                             std::span<double>(dfts_.data() + i * dims, dims));
   }
   const size_t sample =
       options_.sample_size == 0

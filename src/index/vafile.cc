@@ -20,6 +20,7 @@ namespace {
 /// query, so at most one use is live per thread and concurrent queries
 /// never share one.
 struct VaScratch {
+  std::vector<double> q_full;  // the query's full packed DFT
   transform::VaPlusQuantizer::QueryBounds bounds;
   std::vector<double> lb;
   core::Candidates candidates;
@@ -28,6 +29,14 @@ struct VaScratch {
 VaScratch& Scratch() {
   thread_local VaScratch scratch;
   return scratch;
+}
+
+/// The query's full packed DFT (DC skipped), in the thread's scratch.
+std::span<const double> QueryDft(core::SeriesView query) {
+  std::vector<double>& q_full = Scratch().q_full;
+  q_full.resize(transform::MaxPackedCoeffs(query.size(), /*skip_dc=*/true));
+  transform::PackedRealDft(query, /*skip_dc=*/true, q_full);
+  return q_full;
 }
 
 /// The phase-2 refinement of one worker (see DoSearchKnn): the exact
@@ -61,11 +70,11 @@ core::BuildStats VaFile::DoBuild(const core::Dataset& data) {
   // One pass: DFT of every series (the paper's DFT-for-KLT substitution).
   std::vector<std::vector<double>> dfts(data.size());
   tail_energy_.resize(data.size());
+  std::vector<double> full(transform::MaxPackedCoeffs(data.length(), true));
   for (size_t i = 0; i < data.size(); ++i) {
     // Full transform to account for the residual (tail) energy, truncated
     // summary for the approximation file.
-    const auto full = transform::PackedRealDft(
-        data[i], transform::MaxPackedCoeffs(data.length(), true), true);
+    transform::PackedRealDft(data[i], /*skip_dc=*/true, full);
     double tail = 0.0;
     for (size_t d = dims; d < full.size(); ++d) tail += full[d] * full[d];
     tail_energy_[i] = tail;
@@ -182,9 +191,8 @@ core::QueryResult VaFile::DoSearchKnn(core::SeriesView query,
   const size_t dims = quantizer_.dims();
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
 
-  const auto q_full = transform::PackedRealDft(
-      query, transform::MaxPackedCoeffs(query.size(), true), true);
-  const std::span<const double> q_dft(q_full.data(), dims);
+  const std::span<const double> q_full = QueryDft(query);
+  const std::span<const double> q_dft = q_full.first(dims);
   double q_tail = 0.0;
   for (size_t d = dims; d < q_full.size(); ++d) q_tail += q_full[d] * q_full[d];
   const double q_tail_rt = std::sqrt(q_tail);
@@ -274,11 +282,8 @@ core::QueryResult VaFile::DoSearchRange(core::SeriesView query,
   const size_t dims = quantizer_.dims();
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
 
-  const auto q_full = transform::PackedRealDft(
-      query, transform::MaxPackedCoeffs(query.size(), true), true);
   VaScratch& scratch = Scratch();
-  scratch.bounds.Reset(quantizer_,
-                       std::span<const double>(q_full.data(), dims));
+  scratch.bounds.Reset(quantizer_, QueryDft(query).first(dims));
 
   // One pass over the memory-resident approximation file collects the
   // survivors of the fixed r^2 bound — exactly the series refined — then
@@ -315,10 +320,8 @@ double VaFile::MeanTlb(core::SeriesView query) const {
   // strided sample to keep TLB evaluation cheap.
   const size_t count = data_->size();
   const size_t dims = quantizer_.dims();
-  const auto q_full = transform::PackedRealDft(
-      query, transform::MaxPackedCoeffs(query.size(), true), true);
   transform::VaPlusQuantizer::QueryBounds& bounds = Scratch().bounds;
-  bounds.Reset(quantizer_, std::span<const double>(q_full.data(), dims));
+  bounds.Reset(quantizer_, QueryDft(query).first(dims));
   const size_t sample = std::min<size_t>(count, 2000);
   double sum = 0.0;
   size_t used = 0;

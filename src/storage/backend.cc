@@ -1,7 +1,9 @@
 #include "storage/backend.h"
 
+#include <algorithm>
 #include <utility>
 
+#include "io/counted_storage.h"
 #include "io/series_file.h"
 
 namespace hydra::storage {
@@ -45,9 +47,14 @@ std::string StorageHandle::Describe() const {
   const BufferPool& pool = file_->pool();
   const size_t pool_bytes =
       pool.budget_series() * file_->file().series_bytes();
+  // A cursor borrows at most kRunMaxSeries of the pool's largest run; one
+  // the budget cannot cover reads one series per pread.
+  const size_t run = std::min(io::CountedStorage::kRunMaxSeries,
+                              pool.max_run_series());
+  const size_t cap = pool.budget_series() >= run ? run : 1;
   return "storage: mmap pool=" + std::to_string(pool_bytes / (1 << 20)) +
          "MiB (run scratch for readers, runs of at most " +
-         std::to_string(pool.max_run_series()) + " series)";
+         std::to_string(cap) + " series)";
 }
 
 }  // namespace hydra::storage

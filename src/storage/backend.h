@@ -51,7 +51,10 @@ class StorageHandle {
   bool pooled() const { return file_ != nullptr; }
   /// One-line human summary of the backend geometry, e.g.
   /// "storage: mmap pool=16MiB (run scratch for readers, runs of at most
-  /// 256 series)" or "storage: ram (whole dataset resident)".
+  /// 128 series)" or "storage: ram (whole dataset resident)". The run cap
+  /// is the one a cursor reads with: io::CountedStorage::kRunMaxSeries
+  /// capped by the pool's largest run, or 1 when the budget cannot lend
+  /// that much.
   std::string Describe() const;
 
  private:

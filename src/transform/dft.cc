@@ -1,5 +1,6 @@
 #include "transform/dft.h"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 
@@ -14,30 +15,39 @@ size_t MaxPackedCoeffs(size_t n, bool skip_dc) {
 
 std::vector<double> PackedRealDft(core::SeriesView x, size_t num_coeffs,
                                   bool skip_dc) {
+  HYDRA_CHECK(x.size() >= 2);
+  std::vector<double> packed(
+      std::min(num_coeffs, MaxPackedCoeffs(x.size(), skip_dc)));
+  PackedRealDft(x, skip_dc, packed);
+  return packed;
+}
+
+void PackedRealDft(core::SeriesView x, bool skip_dc, std::span<double> out) {
   const size_t n = x.size();
   HYDRA_CHECK(n >= 2);
-  std::vector<std::complex<double>> freq(n);
+  HYDRA_CHECK(out.size() <= MaxPackedCoeffs(n, skip_dc));
+  thread_local std::vector<std::complex<double>> freq;
+  freq.resize(n);
   for (size_t i = 0; i < n; ++i) freq[i] = std::complex<double>(x[i], 0.0);
   Fft(&freq, /*inverse=*/false);
 
   const double unit = 1.0 / std::sqrt(static_cast<double>(n));
   const double paired = unit * std::sqrt(2.0);
-  std::vector<double> packed;
-  packed.reserve(MaxPackedCoeffs(n, skip_dc));
-  if (!skip_dc) packed.push_back(freq[0].real() * unit);
-  const size_t half = n / 2;
-  for (size_t k = 1; k < half + (n % 2 == 1 ? 1 : 0); ++k) {
-    packed.push_back(freq[k].real() * paired);
-    packed.push_back(freq[k].imag() * paired);
+  // Packed slot q (counting the DC slot even when skipped) holds X0 at 0,
+  // Re Xk at 2k-1 and Im Xk at 2k. The Nyquist coefficient of an
+  // even-length real series (k = n/2) is real-valued and unpaired.
+  const size_t first = skip_dc ? 1 : 0;
+  for (size_t p = 0; p < out.size(); ++p) {
+    const size_t q = p + first;
+    const size_t k = (q + 1) / 2;
+    if (q == 0 || (q % 2 == 1 && 2 * k == n)) {
+      out[p] = freq[k].real() * unit;
+    } else if (q % 2 == 1) {
+      out[p] = freq[k].real() * paired;
+    } else {
+      out[p] = freq[k].imag() * paired;
+    }
   }
-  if (n % 2 == 0) {
-    // The Nyquist coefficient of an even-length real series is real-valued
-    // and unpaired.
-    packed.push_back(freq[half].real() * unit);
-  }
-  HYDRA_DCHECK(packed.size() == MaxPackedCoeffs(n, skip_dc));
-  if (packed.size() > num_coeffs) packed.resize(num_coeffs);
-  return packed;
 }
 
 }  // namespace hydra::transform

@@ -4,6 +4,7 @@
 #define HYDRA_TRANSFORM_DFT_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/types.h"
@@ -22,6 +23,12 @@ namespace hydra::transform {
 /// Returns min(num_coeffs, available) packed coefficients.
 std::vector<double> PackedRealDft(core::SeriesView x, size_t num_coeffs,
                                   bool skip_dc);
+
+/// The same transform written into `out`: its first out.size() packed
+/// coefficients, bit for bit those of the form above. out.size() must not
+/// exceed MaxPackedCoeffs(x.size(), skip_dc). Allocates nothing once the
+/// calling thread has transformed a series of this length.
+void PackedRealDft(core::SeriesView x, bool skip_dc, std::span<double> out);
 
 /// Number of packed coefficients available for length-n series.
 size_t MaxPackedCoeffs(size_t n, bool skip_dc);

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/search_stats.h"
 #include "io/counted_storage.h"
 #include "io/series_file.h"
+#include "storage/backend.h"
 #include "storage/buffer_pool.h"
 
 namespace hydra::storage {
@@ -295,6 +297,49 @@ TEST_F(PoolTest, RunNeverCrossesSliceEnd) {
   }
   EXPECT_EQ(stats.pool_pread_calls, 1);
   EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(5 * kSeriesBytes));
+}
+
+// Describe() names the run cap a cursor actually reads with: a planned
+// cursor over 1,000 consecutive ids never preads a longer run, and reaches
+// that cap, under a page that would allow far longer runs.
+TEST_F(PoolTest, DescribedRunCapBoundsPlannedRuns) {
+  OpenFile(1000);
+  StorageOptions options;
+  options.backend = StorageBackend::kMmap;
+  options.pool.page_bytes = size_t{1} << 20;  // 32,768 series
+  options.pool.budget_bytes = size_t{6} << 20;
+  auto handle = StorageHandle::Open(path_, "pool", options);
+  ASSERT_TRUE(handle.ok()) << handle.status().message();
+  const std::string text = handle.value().Describe();
+  const std::string marker = "runs of at most ";
+  const size_t at = text.find(marker);
+  ASSERT_NE(at, std::string::npos) << text;
+  const size_t cap = std::stoul(text.substr(at + marker.size()));
+  EXPECT_EQ(cap, io::CountedStorage::kRunMaxSeries) << text;
+
+  const core::Dataset& data = handle.value().dataset();
+  std::vector<core::SeriesId> plan(data.size());
+  for (size_t i = 0; i < plan.size(); ++i) {
+    plan[i] = static_cast<core::SeriesId>(i);
+  }
+  io::CountedStorage storage(&data);
+  storage.SetPlan(plan);
+  core::SearchStats stats;
+  size_t run_start = 0;
+  size_t longest = 0;
+  for (const core::SeriesId i : plan) {
+    const int64_t preads = stats.pool_pread_calls;
+    EXPECT_FLOAT_EQ(storage.Read(i, &stats)[0], static_cast<core::Value>(i));
+    if (stats.pool_pread_calls != preads) {  // series i starts a new run
+      longest = std::max<size_t>(longest, i - run_start);
+      run_start = i;
+    }
+  }
+  longest = std::max(longest, plan.size() - run_start);
+  EXPECT_LE(longest, cap);
+  EXPECT_EQ(longest, cap);
+  EXPECT_EQ(stats.pool_bytes_read,
+            static_cast<int64_t>(plan.size() * kSeriesBytes));
 }
 
 }  // namespace
