@@ -10,7 +10,8 @@ namespace hydra::transform {
 
 /// In-place discrete Fourier transform of `a` (any size). Forward maps
 /// a_j -> sum_k a_k e^{-2*pi*i*j*k/n}; the inverse includes the 1/n factor,
-/// so Fft(Fft(x), inverse=true) == x.
+/// so Fft(Fft(x), inverse=true) == x. Each thread builds its plan for a
+/// (size, direction) on first use and keeps it (no lock is taken).
 void Fft(std::vector<std::complex<double>>* a, bool inverse);
 
 /// True if n is a power of two (radix-2 path; otherwise Bluestein is used).

@@ -336,7 +336,6 @@ TEST_F(PoolTest, DescribedRunCapBoundsPlannedRuns) {
     }
   }
   longest = std::max(longest, plan.size() - run_start);
-  EXPECT_LE(longest, cap);
   EXPECT_EQ(longest, cap);
   EXPECT_EQ(stats.pool_bytes_read,
             static_cast<int64_t>(plan.size() * kSeriesBytes));
