@@ -4,9 +4,13 @@
 //
 // Usage: abl_fft [reps]
 // Each kernel runs one warm-up call, then `reps` timed calls (default
-// 2000); the table reports mean microseconds per call.
+// 2000); the table reports mean microseconds per call. The closing
+// checksum is a 64-bit FNV-1a hash over every bit of every output (each
+// FFT, packed real DFT and naive DFT result), so a change to any
+// coefficient shows in it.
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -44,6 +48,15 @@ std::vector<std::complex<double>> NaiveDft(
   return out;
 }
 
+/// Folds every byte of `values` into the FNV-1a hash `*hash`.
+template <typename T>
+void HashBits(const std::vector<T>& values, uint64_t* hash) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+  for (size_t i = 0; i < values.size() * sizeof(T); ++i) {
+    *hash = (*hash ^ bytes[i]) * 0x100000001b3ULL;
+  }
+}
+
 /// Mean microseconds per call of `fn` (which returns a value folded into
 /// `*sink` so the work cannot be optimized away).
 template <typename Fn>
@@ -61,6 +74,7 @@ int Run(int argc, char** argv) {
   std::printf("%6s %10s %12s %10s %16s\n", "n", "fft", "naive_dft",
               "speedup", "packed_dft_16");
   double sink = 0.0;
+  uint64_t hash = 0xcbf29ce484222325ULL;
   for (const size_t n : {96, 128, 256, 1024, 4096}) {
     const auto input = RandomComplex(n);
     const double fft = MicrosPerCall(reps, &sink, [&] {
@@ -74,17 +88,26 @@ int Run(int argc, char** argv) {
     const double packed = MicrosPerCall(reps, &sink, [&] {
       return transform::PackedRealDft(x, 16, true)[0];
     });
+    auto transformed = input;
+    transform::Fft(&transformed, false);
+    HashBits(transformed, &hash);
+    HashBits(transform::PackedRealDft(x, 16, true), &hash);
     // The quadratic DFT is only timed where it finishes in reasonable time.
     if (n <= 256) {
       const double naive = MicrosPerCall(
           reps, &sink, [&] { return NaiveDft(input)[0].real(); });
+      HashBits(NaiveDft(input), &hash);
       std::printf("%6zu %10.3f %12.3f %9.1fx %16.3f\n", n, fft, naive,
                   naive / fft, packed);
     } else {
       std::printf("%6zu %10.3f %12s %10s %16.3f\n", n, fft, "-", "-", packed);
     }
   }
-  std::printf("\n(checksum %g)\n", sink);
+  // A volatile store keeps the timed calls from being elided.
+  volatile double keep = sink;
+  (void)keep;
+  std::printf("\n(checksum %016llx)\n",
+              static_cast<unsigned long long>(hash));
   return 0;
 }
 

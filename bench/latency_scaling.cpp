@@ -1,8 +1,9 @@
 // Intra-query latency scaling scenario: single-query wall-clock versus
-// --query-threads for all ten methods (the trees drain one frontier
-// through core::TreeSearch, the filter-and-refine methods deal out their
-// candidates through core::RefineCandidates, the scans their series
-// through core::ParallelScan). This exhibit is ours, not the paper's — it
+// --query-threads for all ten methods (the trees expand their frontier on
+// the calling thread and deal out its leaves through core::TreeSearch, the
+// filter-and-refine methods their candidates through
+// core::RefineCandidates, the scans their series; all three run on
+// core::ParallelScan). This exhibit is ours, not the paper's — it
 // follows the intra-query operator-parallelism line (MESSI/Hercules): N
 // workers share one query's work, pruning against one shared
 // best-so-far. Exact answers are bit-identical to the serial search at

@@ -118,13 +118,14 @@ struct KnnPlan {
   /// ScratchKnnHeap via KnnHeap::ShareBound; null (the unsharded case) is
   /// a no-op, so plan-driven code paths stay bit-identical without it.
   SharedBound* shared_bound = nullptr;
-  /// Workers cooperating on this search: a tree's core::BestFirstTraverse,
-  /// a flat method's core::ParallelScan blocks (see core/traversal.h and
-  /// core/refine.h). Execute sets it above 1 only on "pure exact" plans
-  /// (bound_scale == 1, delta == 1, no explicit budgets), because only
-  /// order-independent answers survive a cooperative search
-  /// bit-identically. Composes with shared_bound: under a sharded fan-out
-  /// every shard's workers attach to the one cross-shard bound.
+  /// Workers cooperating on this search: core::ParallelScan deals them a
+  /// tree's collected leaves or a flat method's blocks (see
+  /// core/traversal.h and core/refine.h). Execute sets it above 1 only on
+  /// "pure exact" plans (bound_scale == 1, delta == 1, no explicit
+  /// budgets), because only order-independent answers survive a
+  /// cooperative search bit-identically. Composes with shared_bound:
+  /// under a sharded fan-out every shard's workers attach to the one
+  /// cross-shard bound.
   size_t query_threads = 1;
 
   /// The delta-epsilon stopping rule over `total` units of random access:

@@ -1,25 +1,27 @@
-// Shared concurrent best-first traversal engine: the one candidate-queue
-// loop behind every tree driver's k-NN and range search, with optional
-// intra-query parallelism (KnnPlan::query_threads) in the style of the
-// parallel-indexing literature (MESSI/ParIS+ work queues): N workers drain
-// a lock-sharded priority queue cooperatively, pruning against worker-local
-// answer heaps that publish through one lock-free SharedBound. On top of
-// it, TreeSearch<Policy> is the one search driver of the five tree
-// indexes: a method supplies only its seeds, child expansion, home descent
-// and leaf loop; the driver owns everything else.
+// The tree search driver and the one parallel primitive. TreeSearch<Policy>
+// is the one search driver of the five tree indexes: a method supplies only
+// its seeds, child expansion, home descent and leaf loop, and the driver
+// runs the best-first candidate queue for k-NN and range search.
+// ParallelScan deals a flat index range out to a query's workers; every
+// intra-query parallel method (KnnPlan::query_threads) runs on it.
 //
-// Determinism contract: the serial path (workers == 1) reproduces the
-// classic single-queue best-first loop bit for bit — answers AND work
-// counters. The parallel path guarantees bit-identical *answers* for exact
-// k-NN and range queries at any worker count (worker-local heaps are merged
-// by (dist_sq, id), and every worker's pruning bound is always >= the final
-// k-th true distance — the SharedBound soundness contract — so no true
-// neighbor is ever pruned or early-abandoned away); per-worker work
-// counters vary with bound-arrival timing, like the sharded fan-out.
-// Order-dependent disciplines (epsilon shrink, delta leaf caps, explicit
-// budgets) are visit-order-sensitive, so SearchMethod::Execute only ever
-// sets query_threads > 1 on pure-exact unbudgeted plans; the engine still
-// honors every KnnPlan knob on the serial path.
+// Trees go wide in the MESSI/ParIS+ shape: the calling thread expands the
+// internal nodes, pruning against its bound, and collects the leaves; the
+// leaves are sorted by lower bound and dealt out one at a time, each worker
+// re-testing a leaf against its own answer heap, which publishes through
+// one lock-free SharedBound.
+//
+// Determinism contract: the serial path (workers == 1) is the classic
+// single-queue best-first loop, answers AND work counters. The parallel
+// path gives bit-identical *answers* for exact k-NN and range queries at
+// any worker count (worker-local heaps are merged by (dist_sq, id), and
+// every worker's pruning bound is always >= the final k-th true distance,
+// the SharedBound soundness contract, so no true neighbor is pruned or
+// early-abandoned away); per-worker work counters vary with bound-arrival
+// timing, like the sharded fan-out. Order-dependent disciplines (epsilon
+// shrink, delta leaf caps, explicit budgets) depend on the visit order, so
+// SearchMethod::Execute only sets query_threads > 1 on pure-exact
+// unbudgeted plans.
 #ifndef HYDRA_CORE_TRAVERSAL_H_
 #define HYDRA_CORE_TRAVERSAL_H_
 
@@ -29,8 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <optional>
 #include <queue>
 #include <thread>
 #include <type_traits>
@@ -48,123 +48,13 @@
 
 namespace hydra::core {
 
-/// Drains a best-first candidate queue with `workers` cooperating workers:
-/// the engine under TreeSearch.
-///
-/// `Item` is a frontier entry whose operator< orders the priority queue
-/// (TreeItem: a min-heap on the lower bound). `pruned(item, w)` is the
-/// stop test — "this lower bound has reached worker w's current pruning
-/// bound" plus any stop/budget flags; `expand(item, w, push)` visits the
-/// item (leaf scan or child expansion), pushing new frontier entries
-/// through `push`.
-///
-/// Serial path (workers <= 1): seeds are pushed in order into one
-/// std::priority_queue and the classic loop runs on the calling thread —
-/// pop, break when pruned, expand. A pruned pop ends the whole traversal
-/// (every remaining item's bound is at least as large).
-///
-/// Parallel path: one mutex-guarded priority queue per worker, seeds dealt
-/// round-robin, workers pop their own queue first and steal from others
-/// when empty; `push` appends to the pushing worker's own queue. An atomic
-/// outstanding-item counter provides termination (a worker exits when every
-/// queue is empty and no item is mid-expand). A pruned pop discards that
-/// item — and, when it came from the worker's own queue (where nobody else
-/// can interleave a push), the whole queue, since the popped item was its
-/// minimum and pruning bounds only ever tighten. Worker 0 always runs on
-/// the calling thread; workers 1..N-1 are spawned per traversal (the
-/// fixed util::ThreadPool must not be nested from a pool worker, and
-/// queries arrive on pool workers under batch and shard fan-out).
-template <typename Item>
-void BestFirstTraverse(
-    size_t workers, const std::vector<Item>& seeds,
-    const std::function<bool(const Item&, size_t)>& pruned,
-    const std::function<void(const Item&, size_t,
-                             const std::function<void(Item)>&)>& expand) {
-  if (workers <= 1) {
-    HYDRA_OBS_SPAN_ARG("traversal", "worker", 0);
-    std::priority_queue<Item> queue;
-    for (const Item& seed : seeds) queue.push(seed);
-    const std::function<void(Item)> push = [&queue](Item item) {
-      queue.push(std::move(item));
-    };
-    while (!queue.empty()) {
-      const Item item = queue.top();
-      queue.pop();
-      if (pruned(item, 0)) break;
-      expand(item, 0, push);
-    }
-    return;
-  }
-
-  struct Slot {
-    std::mutex mu;
-    std::priority_queue<Item> queue;
-  };
-  std::vector<Slot> slots(workers);
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    slots[i % workers].queue.push(seeds[i]);
-  }
-  std::atomic<int64_t> outstanding{static_cast<int64_t>(seeds.size())};
-
-  auto worker_loop = [&](size_t w) {
-    HYDRA_OBS_SPAN_ARG("traversal", "worker", w);
-    const std::function<void(Item)> push = [&slots, &outstanding,
-                                            w](Item item) {
-      outstanding.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(slots[w].mu);
-      slots[w].queue.push(std::move(item));
-    };
-    for (;;) {
-      std::optional<Item> item;
-      size_t from = w;
-      for (size_t scan = 0; scan < workers && !item.has_value(); ++scan) {
-        const size_t q = (w + scan) % workers;
-        std::lock_guard<std::mutex> lock(slots[q].mu);
-        if (!slots[q].queue.empty()) {
-          item = slots[q].queue.top();
-          slots[q].queue.pop();
-          from = q;
-        }
-      }
-      if (!item.has_value()) {
-        if (outstanding.load(std::memory_order_acquire) == 0) return;
-        std::this_thread::yield();
-        continue;
-      }
-      if (pruned(*item, w)) {
-        int64_t cleared = 1;
-        if (from == w) {
-          // Only this worker pushes into its own queue, so nothing can
-          // have arrived since the pop: every remaining item is >= the
-          // pruned minimum, and bounds only tighten — the queue is dead.
-          std::lock_guard<std::mutex> lock(slots[w].mu);
-          while (!slots[w].queue.empty()) {
-            slots[w].queue.pop();
-            ++cleared;
-          }
-        }
-        outstanding.fetch_sub(cleared, std::memory_order_acq_rel);
-        continue;
-      }
-      expand(*item, w, push);
-      outstanding.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (size_t w = 1; w < workers; ++w) threads.emplace_back(worker_loop, w);
-  worker_loop(0);
-  for (std::thread& t : threads) t.join();
-}
-
 /// Block-cyclic parallel scan over [0, count): `scan(w, begin, end)` is
 /// called for disjoint blocks of `block` indices, workers grabbing the next
 /// block off an atomic cursor. The serial path (workers <= 1) makes exactly
 /// one call, scan(0, 0, count), so a driver's old flat loop moves into the
 /// callback unchanged and stays bit-identical. ADS+'s summary pass, the
-/// flat refine driver and the scans' series loops use this (their unit of
-/// work is a flat id range, not a tree frontier; see core/refine.h).
+/// flat refine driver, the scans' series loops (see core/refine.h) and
+/// the tree driver's collected leaves use this.
 inline void ParallelScan(
     size_t workers, size_t count, size_t block,
     const std::function<void(size_t, size_t, size_t)>& scan) {
@@ -438,13 +328,13 @@ class TreeWorker {
 /// `W::MemberAdmits` rejects). PrepareMemberBounds runs on the calling
 /// thread right before the best-first traversal, after the home visit —
 /// so the home leaf, and with it the whole ng path, stays unfiltered and
-/// pays nothing for it; traversal workers only read what it built. The
+/// pays nothing for it; leaf workers only read what it built. The
 /// driver owns the rest: the home
 /// visit and the ng path (Definition 7), skipping the traversal when a
 /// budget fires in the home leaf, best-first k-NN with bound_scale, the
-/// leaf cap and raw cap with per-worker stop flags, KnnWorkers /
-/// RangeWorkers and the SharedBound, the range path, the `leaf_verify`
-/// span, and cpu_seconds (which include the policy's per-query setup).
+/// leaf cap and raw cap, KnnWorkers / RangeWorkers and the SharedBound,
+/// the range path, the `leaf_verify` span, and cpu_seconds (which include
+/// the policy's per-query setup).
 template <typename Policy>
 class TreeSearch {
  public:
@@ -537,41 +427,62 @@ class TreeSearch {
     policy.VerifyLeaf(leaf, worker);
   }
 
-  /// Best-first traversal from the policy's seeds over `workers` workers,
-  /// `worker(w)` viewing worker w's sink and ledger. A pop is pruned once
-  /// its bound is no longer admitted or the worker stopped (leaf cap or
-  /// budget); `home` was already visited and is skipped.
+  /// Best-first traversal from the policy's seeds on the calling thread,
+  /// `worker(w)` viewing worker w's sink and ledger. A pop stops the loop
+  /// once its bound is no longer admitted, a budget fired or the leaf cap
+  /// is reached; `home` was already visited and is skipped. With one
+  /// worker each leaf is verified as it pops. With more, a leaf that pops
+  /// once worker 0's bound is finite is collected instead (the home leaf
+  /// makes it finite, a range bound always is), and the collected leaves
+  /// are verified in bound order by ParallelScan, each worker re-testing
+  /// the leaf against its own live bound.
   template <typename MakeWorker>
   static void Traverse(Policy& policy, const KnnPlan& plan, const Node* home,
                        size_t workers, const MakeWorker& worker) {
-    std::vector<Item> seeds;
-    policy.Seeds(worker(0), [&seeds](Item item) { seeds.push_back(item); });
-    std::vector<int64_t> leaves(workers, 0);
-    leaves[0] = home != nullptr ? 1 : 0;
-    std::vector<uint8_t> stop(workers, 0);
-    BestFirstTraverse<Item>(
-        workers, seeds,
-        [&](const Item& item, size_t w) {
-          const auto view = worker(w);
-          return stop[w] != 0 || view.stats().budget_exhausted ||
-                 !view.Admits(item.lb);
-        },
-        [&](const Item& item, size_t w, const Push& push) {
-          const auto view = worker(w);
-          ++view.stats().nodes_visited;
-          if (!policy.IsLeaf(*item.node)) {
-            policy.Expand(item, view, push);
-            return;
-          }
-          if (item.node == home) return;
-          if (plan.LeafCapReached(leaves[w], policy.LeafCount(),
-                                  &view.stats())) {
-            stop[w] = 1;
-            return;
-          }
+    // Execute's gate keeps every visit-order-dependent knob serial.
+    HYDRA_DCHECK(workers == 1 ||
+                 (plan.bound_scale == 1.0 && plan.epsilon == 0.0 &&
+                  plan.delta >= 1.0 && plan.max_leaves == KnnPlan::kUnlimited &&
+                  plan.max_raw == KnnPlan::kUnlimited));
+    const auto view = worker(0);
+    std::vector<Item> leaves;
+    {
+      HYDRA_OBS_SPAN_ARG("traversal", "worker", 0);
+      std::priority_queue<Item> queue;
+      const Push push = [&queue](Item item) { queue.push(std::move(item)); };
+      policy.Seeds(view, push);
+      int64_t visited = home != nullptr ? 1 : 0;
+      while (!queue.empty()) {
+        const Item item = queue.top();
+        queue.pop();
+        if (view.stats().budget_exhausted || !view.Admits(item.lb)) break;
+        ++view.stats().nodes_visited;
+        if (!policy.IsLeaf(*item.node)) {
+          policy.Expand(item, view, push);
+        } else if (item.node == home) {
+          continue;
+        } else if (workers > 1 && std::isfinite(view.sink().Bound())) {
+          leaves.push_back(item);
+        } else if (plan.LeafCapReached(visited, policy.LeafCount(),
+                                       &view.stats())) {
+          break;
+        } else {
           Verify(policy, item, view);
-          ++leaves[w];
-        });
+          ++visited;
+        }
+      }
+    }
+    std::stable_sort(leaves.begin(), leaves.end(),
+                     [](const Item& a, const Item& b) { return a.lb < b.lb; });
+    ParallelScan(workers, leaves.size(), /*block=*/1,
+                 [&](size_t w, size_t begin, size_t end) {
+                   const auto own = worker(w);
+                   for (size_t i = begin; i < end; ++i) {
+                     if (own.Admits(leaves[i].lb)) {
+                       Verify(policy, leaves[i], own);
+                     }
+                   }
+                 });
   }
 };
 

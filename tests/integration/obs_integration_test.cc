@@ -103,8 +103,8 @@ TEST_F(ObsIntegrationTest, ShardedPooledQueryEmitsFullPhaseHierarchy) {
   // Every query fans out over every shard and merges once.
   EXPECT_EQ(shard_searches.size(), kQueries * kShards);
   EXPECT_EQ(merges.size(), kQueries);
-  // Cooperative traversal ran (workers each open a traversal span), and
-  // leaves were verified inside it.
+  // The traversal ran (each shard's search opens one traversal span), and
+  // leaves were verified.
   EXPECT_GE(traversals.size(), kQueries * kShards);
   EXPECT_FALSE(leaf_verifies.empty());
   // The starved pool forced real IO under the trace.
@@ -136,22 +136,23 @@ TEST_F(ObsIntegrationTest, ShardedPooledQueryEmitsFullPhaseHierarchy) {
     EXPECT_TRUE(has_parent)
         << child.name << " at depth " << child.depth << " has no parent";
   }
-  // And specifically: engine-visited leaves record inside a traversal
-  // span (the greedy bound-seeding descent legitimately verifies its
-  // first leaves under shard_search, before the engine starts).
-  const bool leaf_inside_traversal = std::any_of(
+  // And specifically: at two query-threads the calling thread expands the
+  // frontier under `traversal` and the workers verify the collected leaves
+  // under `scan`, so engine-visited leaves record inside a scan span (the
+  // home descent legitimately verifies its leaf under shard_search, before
+  // the engine starts).
+  const auto scans = named("scan");
+  const bool leaf_inside_scan = std::any_of(
       leaf_verifies.begin(), leaf_verifies.end(),
-      [&traversals](const obs::CollectedEvent& lv) {
+      [&scans](const obs::CollectedEvent& lv) {
         return std::any_of(
-            traversals.begin(), traversals.end(),
-            [&lv](const obs::CollectedEvent& t) {
+            scans.begin(), scans.end(), [&lv](const obs::CollectedEvent& t) {
               return t.tid == lv.tid && lv.depth == t.depth + 1 &&
                      t.start_ns <= lv.start_ns &&
                      lv.start_ns + lv.dur_ns <= t.start_ns + t.dur_ns;
             });
       });
-  EXPECT_TRUE(leaf_inside_traversal)
-      << "no leaf_verify nested in any traversal span";
+  EXPECT_TRUE(leaf_inside_scan) << "no leaf_verify nested in any scan span";
 
   // Clock reconciliation: sharded cpu_seconds is the *sum* of per-shard
   // search walls (plus a tiny merge), and each shard_search span wraps
