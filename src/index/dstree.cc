@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/distance.h"
 #include "core/traversal.h"
@@ -39,48 +40,47 @@ struct DsTree::Node {
 DsTree::DsTree(DsTreeOptions options) : options_(options) {}
 DsTree::~DsTree() = default;
 
-DsTree::Prefix DsTree::ComputePrefix(core::SeriesView x) {
-  Prefix p;
-  p.sum.resize(x.size() + 1, 0.0);
-  p.sum_sq.resize(x.size() + 1, 0.0);
+void DsTree::Prefix::Assign(core::SeriesView x) {
+  sum.resize(x.size() + 1);
+  sum_sq.resize(x.size() + 1);
+  double a = 0.0;
+  double q = 0.0;
+  sum[0] = sum_sq[0] = 0.0;
   for (size_t i = 0; i < x.size(); ++i) {
-    p.sum[i + 1] = p.sum[i] + x[i];
-    p.sum_sq[i + 1] = p.sum_sq[i] + static_cast<double>(x[i]) * x[i];
+    a = a + x[i];
+    q = q + static_cast<double>(x[i]) * x[i];
+    sum[i + 1] = a;
+    sum_sq[i + 1] = q;
   }
-  return p;
-}
-
-SegmentStats DsTree::StatOf(const Prefix& p, uint32_t begin, uint32_t end) {
-  const double len = static_cast<double>(end - begin);
-  const double mean = (p.sum[end] - p.sum[begin]) / len;
-  const double var =
-      std::max(0.0, (p.sum_sq[end] - p.sum_sq[begin]) / len - mean * mean);
-  return {mean, std::sqrt(var)};
-}
-
-std::vector<SegmentStats> DsTree::StatsOn(const Prefix& p,
-                                          const Segmentation& seg) {
-  std::vector<SegmentStats> stats(seg.segments());
-  for (size_t s = 0; s < seg.segments(); ++s) {
-    stats[s] = StatOf(p, seg.begin_of(s), seg.ends[s]);
-  }
-  return stats;
 }
 
 namespace {
 
-// "Size" of a node's envelope: how loose its lower bound can be. The QoS
-// heuristic minimizes the count-weighted envelope size of the children.
-double BoxSize(const std::vector<SegmentRange>& ranges,
-               const Segmentation& seg) {
-  double acc = 0.0;
-  for (size_t s = 0; s < seg.segments(); ++s) {
-    const double dm = ranges[s].max_mean - ranges[s].min_mean;
-    const double ds = ranges[s].max_std - ranges[s].min_std;
-    acc += static_cast<double>(seg.length_of(s)) * (dm * dm + ds * ds);
-  }
-  return acc;
+// Mean and stddev of `len` points whose values sum to `sum` and whose
+// squares sum to `sum_sq` (each a difference of two prefix sums). Every
+// segment statistic of the build and the query goes through here.
+SegmentStats SegmentStatsOf(double sum, double sum_sq, double len) {
+  const double mean = sum / len;
+  const double var = std::max(0.0, sum_sq / len - mean * mean);
+  return {mean, std::sqrt(var)};
 }
+
+}  // namespace
+
+SegmentStats DsTree::StatOf(const Prefix& p, uint32_t begin, uint32_t end) {
+  return SegmentStatsOf(p.sum[end] - p.sum[begin],
+                        p.sum_sq[end] - p.sum_sq[begin],
+                        static_cast<double>(end - begin));
+}
+
+void DsTree::StatsOn(const Prefix& p, const Segmentation& seg,
+                     SegmentStats* out) {
+  for (size_t s = 0; s < seg.segments(); ++s) {
+    out[s] = StatOf(p, seg.begin_of(s), seg.ends[s]);
+  }
+}
+
+namespace {
 
 // Most segments of a per-series iSAX word (one byte each).
 constexpr size_t kMaxWordSegments = 16;
@@ -106,16 +106,55 @@ bool CoversLength(const Segmentation& seg, size_t length) {
   return true;
 }
 
-// A candidate split under evaluation.
-struct Candidate {
-  Segmentation child_seg;
-  int split_segment = -1;
-  bool split_on_mean = true;
-  double split_value = 0.0;
-  double qos = std::numeric_limits<double>::infinity();
-};
-
 }  // namespace
+
+// Scratch reused by every Insert and SplitLeaf of one build (one per
+// build, so parallel shard builds share nothing).
+//
+// A split scores candidate child segmentations: the leaf's own
+// (horizontal splits) and each segment refined into two halves (vertical
+// splits). Each candidate segment is a *piece* of the leaf's
+// segmentation: a whole segment or one of its halves. SplitLeaf folds
+// each member once, recording its prefix sums at the boundary points
+// only, and tabulates every member's stats on every piece; a candidate
+// reads its segments' stats from that table. A split of the members is
+// named by its piece and statistic (mean or stddev), and every candidate
+// that splits on the same piece shares its median, its member sides and
+// its children's per-piece envelopes.
+struct DsTree::BuildScratch {
+  // A piece: the boundary points it spans and its length.
+  struct Piece {
+    uint32_t begin = 0;  // index into `points`
+    uint32_t end = 0;
+    uint32_t length = 0;
+  };
+  // How one piece's statistic splits the members.
+  struct Split {
+    double value = 0.0;   // the median
+    size_t n_lo = 0;      // members with stat <= value
+    bool ready = false;
+  };
+  // Child envelopes of one piece under one split.
+  struct Children {
+    SegmentRange lo;
+    SegmentRange hi;
+    bool ready = false;
+  };
+
+  Prefix prefix;  // the series being inserted
+  std::vector<uint32_t> points;  // the leaf's boundary points, ascending
+  std::vector<Piece> pieces;
+  // Per segment of the leaf: its whole piece and its halves (-1: none).
+  std::vector<int> whole, left, right;
+  std::vector<double> sum, sum_sq;   // one member's sums at `points`
+  std::vector<SegmentStats> stats;   // [piece * count + member]
+  std::vector<SegmentRange> parent;  // [piece]: envelope over all members
+  std::vector<Split> splits;         // [piece * 2 + (stddev ? 1 : 0)]
+  std::vector<uint8_t> goes_lo;      // [split * count + member]
+  std::vector<Children> children;    // [split * pieces + piece]
+  std::vector<double> sorted;
+  std::vector<int> candidate;        // the pieces of one candidate
+};
 
 template <typename Visit>
 void DsTree::ForEachNode(Visit&& visit) const {
@@ -141,9 +180,10 @@ core::BuildStats DsTree::DoBuild(const core::Dataset& data) {
   root_->seg = Segmentation::Uniform(data.length(), options_.initial_segments);
   root_->ranges.resize(root_->seg.segments());
 
+  BuildScratch scratch;
   for (size_t i = 0; i < data.size(); ++i) {
-    const Prefix p = ComputePrefix(data[i]);
-    Insert(static_cast<core::SeriesId>(i), p);
+    scratch.prefix.Assign(data[i]);
+    Insert(static_cast<core::SeriesId>(i), &scratch);
   }
   HYDRA_DCHECK(LeavesPartitionIds(
       data.size(), [this](const auto& visit) { ForEachNode(visit); }));
@@ -272,13 +312,15 @@ util::Status DsTree::DoOpen(io::IndexReader* reader,
   return reader->status();
 }
 
-void DsTree::Insert(core::SeriesId id, const Prefix& p) {
+void DsTree::Insert(core::SeriesId id, BuildScratch* scratch) {
+  const Prefix& p = scratch->prefix;
   Node* node = root_.get();
   while (true) {
     // Extend the envelope of every node on the path.
-    const auto stats = StatsOn(p, node->seg);
-    for (size_t s = 0; s < stats.size(); ++s) {
-      node->ranges[s].Extend(stats[s], node->count == 0);
+    const Segmentation& seg = node->seg;
+    for (size_t s = 0; s < seg.segments(); ++s) {
+      node->ranges[s].Extend(StatOf(p, seg.begin_of(s), seg.ends[s]),
+                             node->count == 0);
     }
     ++node->count;
     if (node->is_leaf) break;
@@ -290,98 +332,197 @@ void DsTree::Insert(core::SeriesId id, const Prefix& p) {
     node = (v <= node->split_value ? node->left : node->right).get();
   }
   node->ids.push_back(id);
-  if (node->ids.size() > options_.leaf_capacity) SplitLeaf(node);
+  if (node->ids.size() > options_.leaf_capacity) SplitLeaf(node, scratch);
 }
 
-void DsTree::SplitLeaf(Node* leaf) {
+void DsTree::SplitLeaf(Node* leaf, BuildScratch* sc) {
+  using Piece = BuildScratch::Piece;
   const size_t count = leaf->ids.size();
-  std::vector<Prefix> prefixes(count);
-  for (size_t i = 0; i < count; ++i) {
-    prefixes[i] = ComputePrefix((*data_)[leaf->ids[i]]);
-  }
+  const Segmentation& seg = leaf->seg;
+  const size_t segs = seg.segments();
+  const bool refine = segs < options_.max_segments;
 
-  // Enumerate candidate child segmentations: the current one (horizontal
-  // splits) and, if allowed, each segment refined into two halves
-  // (vertical splits).
-  std::vector<Segmentation> child_segs;
-  child_segs.push_back(leaf->seg);
-  if (leaf->seg.segments() < options_.max_segments) {
-    for (size_t s = 0; s < leaf->seg.segments(); ++s) {
-      const uint32_t b = leaf->seg.begin_of(s);
-      const uint32_t e = leaf->seg.ends[s];
-      if (e - b < 2) continue;
-      Segmentation refined = leaf->seg;
-      refined.ends.insert(refined.ends.begin() + static_cast<long>(s),
-                          (b + e) / 2);
-      child_segs.push_back(std::move(refined));
+  // Pieces and boundary points: each segment's begin, its midpoint when
+  // it can be refined (vertical splits allowed, length >= 2), its end.
+  sc->points.assign(1, 0);
+  sc->pieces.clear();
+  sc->whole.assign(segs, -1);
+  sc->left.assign(segs, -1);
+  sc->right.assign(segs, -1);
+  for (size_t s = 0; s < segs; ++s) {
+    const uint32_t b = seg.begin_of(s);
+    const uint32_t e = seg.ends[s];
+    const auto first = static_cast<uint32_t>(sc->points.size() - 1);
+    if (refine && e - b >= 2) {
+      const uint32_t m = (b + e) / 2;
+      sc->points.push_back(m);
+      sc->left[s] = static_cast<int>(sc->pieces.size());
+      sc->pieces.push_back({first, first + 1, m - b});
+      sc->right[s] = static_cast<int>(sc->pieces.size());
+      sc->pieces.push_back({first + 1, first + 2, e - m});
+    }
+    sc->points.push_back(e);
+    sc->whole[s] = static_cast<int>(sc->pieces.size());
+    sc->pieces.push_back(
+        {first, static_cast<uint32_t>(sc->points.size() - 1), e - b});
+  }
+  const size_t n_pieces = sc->pieces.size();
+  const size_t n_points = sc->points.size();
+
+  // One left fold per member, recording the sums at the boundary points:
+  // the same fold as Prefix::Assign, so each recorded value equals that
+  // prefix entry bit for bit, and each piece's stats equal StatOf's.
+  sc->sum.resize(n_points);
+  sc->sum_sq.resize(n_points);
+  sc->stats.resize(n_pieces * count);
+  sc->parent.resize(n_pieces);
+  const size_t series_bytes = data_->length() * sizeof(core::Value);
+  for (size_t i = 0; i < count; ++i) {
+    if (i + 1 < count) {
+      const auto* next =
+          reinterpret_cast<const char*>((*data_)[leaf->ids[i + 1]].data());
+      for (size_t off = 0; off < series_bytes; off += 64) {
+        __builtin_prefetch(next + off);
+      }
+    }
+    const core::SeriesView x = (*data_)[leaf->ids[i]];
+    double a = 0.0;
+    double q = 0.0;
+    sc->sum[0] = sc->sum_sq[0] = 0.0;
+    uint32_t j = 0;
+    for (size_t k = 1; k < n_points; ++k) {
+      for (; j < sc->points[k]; ++j) {
+        a = a + x[j];
+        q = q + static_cast<double>(x[j]) * x[j];
+      }
+      sc->sum[k] = a;
+      sc->sum_sq[k] = q;
+    }
+    for (size_t p = 0; p < n_pieces; ++p) {
+      const Piece& piece = sc->pieces[p];
+      const SegmentStats st = SegmentStatsOf(
+          sc->sum[piece.end] - sc->sum[piece.begin],
+          sc->sum_sq[piece.end] - sc->sum_sq[piece.begin],
+          static_cast<double>(piece.length));
+      sc->stats[p * count + i] = st;
+      sc->parent[p].Extend(st, i == 0);
     }
   }
 
-  // Horizontal and vertical candidates are scored separately; a vertical
-  // split (which refines the segmentation and deepens every future lower
-  // bound computation) is only taken when it is clearly better than the
-  // best horizontal one.
-  Candidate best_horizontal;
-  Candidate best_vertical;
-  std::vector<double> values(count);
-  std::vector<SegmentStats> stats;  // count x segments of `cs`, row-major
-  for (const Segmentation& cs : child_segs) {
-    const bool is_horizontal = cs.segments() == leaf->seg.segments();
-    const size_t segs = cs.segments();
-    stats.resize(count * segs);
+  sc->splits.assign(n_pieces * 2, {});
+  sc->goes_lo.resize(n_pieces * 2 * count);
+  sc->children.assign(n_pieces * 2 * n_pieces, {});
+  sc->sorted.resize(count);
+  // The median split of piece `p` on its mean (or stddev) and each
+  // member's side, taken once per piece and statistic.
+  const auto split_of = [&](size_t p, bool on_mean) -> size_t {
+    const size_t k = p * 2 + (on_mean ? 0 : 1);
+    BuildScratch::Split& split = sc->splits[k];
+    if (split.ready) return k;
+    const SegmentStats* st = &sc->stats[p * count];
     for (size_t i = 0; i < count; ++i) {
-      for (size_t t = 0; t < segs; ++t) {
-        stats[i * segs + t] = StatOf(prefixes[i], cs.begin_of(t), cs.ends[t]);
+      sc->sorted[i] = on_mean ? st[i].mean : st[i].stddev;
+    }
+    // Median split value balances the children.
+    std::nth_element(sc->sorted.begin(), sc->sorted.begin() + count / 2,
+                     sc->sorted.end());
+    split.value = sc->sorted[count / 2];
+    uint8_t* lo = &sc->goes_lo[k * count];
+    for (size_t i = 0; i < count; ++i) {
+      lo[i] = (on_mean ? st[i].mean : st[i].stddev) <= split.value;
+      split.n_lo += lo[i];
+    }
+    split.ready = true;
+    return k;
+  };
+  // The envelopes of piece `p` over the two sides of split `k`.
+  const auto children_of = [&](size_t k, size_t p)
+      -> const BuildScratch::Children& {
+    BuildScratch::Children& c = sc->children[k * n_pieces + p];
+    if (c.ready) return c;
+    const SegmentStats* st = &sc->stats[p * count];
+    const uint8_t* lo = &sc->goes_lo[k * count];
+    size_t n_lo = 0;
+    size_t n_hi = 0;
+    for (size_t i = 0; i < count; ++i) {
+      if (lo[i]) {
+        c.lo.Extend(st[i], n_lo++ == 0);
+      } else {
+        c.hi.Extend(st[i], n_hi++ == 0);
+      }
+    }
+    c.ready = true;
+    return c;
+  };
+  // "Size" of an envelope over the candidate's pieces: how loose its
+  // lower bound can be. The QoS heuristic minimizes the count-weighted
+  // envelope size of the children.
+  const auto box_size = [&](const auto& range_of) {
+    double acc = 0.0;
+    for (const int p : sc->candidate) {
+      const SegmentRange& r = range_of(static_cast<size_t>(p));
+      const double dm = r.max_mean - r.min_mean;
+      const double ds = r.max_std - r.min_std;
+      acc += static_cast<double>(sc->pieces[p].length) * (dm * dm + ds * ds);
+    }
+    return acc;
+  };
+
+  // Candidate child segmentations: -1 is the leaf's own (horizontal
+  // splits), r >= 0 refines segment r (a vertical split). Horizontal and
+  // vertical candidates are scored separately; a vertical split (which
+  // refines the segmentation and deepens every future lower bound
+  // computation) is only taken when it is clearly better than the best
+  // horizontal one.
+  struct Best {
+    int refined = -1;
+    int split_segment = -1;
+    bool split_on_mean = true;
+    size_t split = 0;
+    double qos = std::numeric_limits<double>::infinity();
+  };
+  Best best_horizontal;
+  Best best_vertical;
+  for (int r = -1; r < static_cast<int>(segs); ++r) {
+    if (r >= 0 && sc->left[r] < 0) continue;
+    sc->candidate.clear();
+    for (size_t t = 0; t < segs; ++t) {
+      if (static_cast<int>(t) == r) {
+        sc->candidate.push_back(sc->left[t]);
+        sc->candidate.push_back(sc->right[t]);
+      } else {
+        sc->candidate.push_back(sc->whole[t]);
       }
     }
     // Box sizes are only comparable within one segmentation; normalize by
     // the parent's box over the same candidate segmentation so vertical
     // refinements compete fairly with horizontal splits.
-    std::vector<SegmentRange> parent(segs);
-    for (size_t i = 0; i < count; ++i) {
-      for (size_t t = 0; t < segs; ++t) {
-        parent[t].Extend(stats[i * segs + t], i == 0);
-      }
-    }
-    const double parent_box = BoxSize(parent, cs);
-    for (size_t s = 0; s < segs; ++s) {
+    const double parent_box =
+        box_size([&](size_t p) -> const SegmentRange& {
+          return sc->parent[p];
+        });
+    for (size_t s = 0; s < sc->candidate.size(); ++s) {
       for (const bool on_mean : {true, false}) {
-        for (size_t i = 0; i < count; ++i) {
-          const SegmentStats& st = stats[i * segs + s];
-          values[i] = on_mean ? st.mean : st.stddev;
-        }
-        // Median split value balances the children.
-        std::vector<double> sorted = values;
-        std::nth_element(sorted.begin(), sorted.begin() + count / 2,
-                         sorted.end());
-        const double split_value = sorted[count / 2];
-        // Evaluate the QoS: count-weighted envelope size of the children.
-        std::vector<SegmentRange> lo(segs);
-        std::vector<SegmentRange> hi(segs);
-        size_t n_lo = 0;
-        size_t n_hi = 0;
-        for (size_t i = 0; i < count; ++i) {
-          const bool goes_lo = values[i] <= split_value;
-          auto& ranges = goes_lo ? lo : hi;
-          size_t& n = goes_lo ? n_lo : n_hi;
-          for (size_t t = 0; t < segs; ++t) {
-            ranges[t].Extend(stats[i * segs + t], n == 0);
-          }
-          ++n;
-        }
+        const size_t k =
+            split_of(static_cast<size_t>(sc->candidate[s]), on_mean);
+        const size_t n_lo = sc->splits[k].n_lo;
+        const size_t n_hi = count - n_lo;
         if (n_lo == 0 || n_hi == 0) continue;  // degenerate
         if (parent_box <= 0.0) continue;
+        // Evaluate the QoS: count-weighted envelope size of the children.
         const double qos =
-            (static_cast<double>(n_lo) * BoxSize(lo, cs) +
-             static_cast<double>(n_hi) * BoxSize(hi, cs)) /
+            (static_cast<double>(n_lo) *
+                 box_size([&](size_t p) -> const SegmentRange& {
+                   return children_of(k, p).lo;
+                 }) +
+             static_cast<double>(n_hi) *
+                 box_size([&](size_t p) -> const SegmentRange& {
+                   return children_of(k, p).hi;
+                 })) /
             (static_cast<double>(count) * parent_box);
-        Candidate& best = is_horizontal ? best_horizontal : best_vertical;
+        Best& best = r < 0 ? best_horizontal : best_vertical;
         if (qos < best.qos) {
-          best.child_seg = cs;
-          best.split_segment = static_cast<int>(s);
-          best.split_on_mean = on_mean;
-          best.split_value = split_value;
-          best.qos = qos;
+          best = {r, static_cast<int>(s), on_mean, k, qos};
         }
       }
     }
@@ -391,34 +532,43 @@ void DsTree::SplitLeaf(Node* leaf) {
       best_vertical.split_segment >= 0 &&
       (best_horizontal.split_segment < 0 ||
        best_vertical.qos < kVerticalMargin * best_horizontal.qos);
-  Candidate& best = take_vertical ? best_vertical : best_horizontal;
+  const Best& best = take_vertical ? best_vertical : best_horizontal;
   if (best.split_segment < 0) return;  // all candidates degenerate
 
-  leaf->child_seg = best.child_seg;
+  leaf->child_seg = seg;
+  if (best.refined >= 0) {
+    const auto r = static_cast<size_t>(best.refined);
+    leaf->child_seg.ends.insert(leaf->child_seg.ends.begin() +
+                                    static_cast<long>(r),
+                                (seg.begin_of(r) + seg.ends[r]) / 2);
+  }
   leaf->split_segment = best.split_segment;
   leaf->split_on_mean = best.split_on_mean;
-  leaf->split_value = best.split_value;
-  auto make_child = [&] {
-    auto child = std::make_unique<Node>();
-    child->seg = best.child_seg;
-    child->ranges.resize(best.child_seg.segments());
-    child->depth = leaf->depth + 1;
-    return child;
-  };
-  leaf->left = make_child();
-  leaf->right = make_child();
-  for (size_t i = 0; i < count; ++i) {
-    const SegmentStats st =
-        StatOf(prefixes[i], best.child_seg.begin_of(best.split_segment),
-               best.child_seg.ends[best.split_segment]);
-    const double v = best.split_on_mean ? st.mean : st.stddev;
-    Node* child = (v <= best.split_value ? leaf->left : leaf->right).get();
-    const auto child_stats = StatsOn(prefixes[i], child->seg);
-    for (size_t t = 0; t < child_stats.size(); ++t) {
-      child->ranges[t].Extend(child_stats[t], child->count == 0);
+  leaf->split_value = sc->splits[best.split].value;
+  // The children's envelopes are the winning split's, which scored it.
+  sc->candidate.clear();
+  for (size_t t = 0; t < segs; ++t) {
+    if (static_cast<int>(t) == best.refined) {
+      sc->candidate.push_back(sc->left[t]);
+      sc->candidate.push_back(sc->right[t]);
+    } else {
+      sc->candidate.push_back(sc->whole[t]);
     }
-    ++child->count;
-    child->ids.push_back(leaf->ids[i]);
+  }
+  const uint8_t* goes_lo = &sc->goes_lo[best.split * count];
+  for (const bool lo : {true, false}) {
+    auto child = std::make_unique<Node>();
+    child->seg = leaf->child_seg;
+    child->depth = leaf->depth + 1;
+    for (const int p : sc->candidate) {
+      const BuildScratch::Children& c = children_of(best.split, p);
+      child->ranges.push_back(lo ? c.lo : c.hi);
+    }
+    for (size_t i = 0; i < count; ++i) {
+      if (goes_lo[i] == lo) child->ids.push_back(leaf->ids[i]);
+    }
+    child->count = child->ids.size();
+    (lo ? leaf->left : leaf->right) = std::move(child);
   }
   leaf->ids.clear();
   leaf->ids.shrink_to_fit();
@@ -434,9 +584,9 @@ class DsTree::Search : public core::TreePolicy<DsTree::Node> {
       : tree_(tree),
         query_(query),
         order_(core::ScratchQueryOrder(query)),
-        qp_(ComputePrefix(query)),
         raw_(tree.data_, workers) {
     HYDRA_CHECK(tree.root_ != nullptr);
+    qp_.Assign(query);
   }
 
   /// Fills the calling thread's iSAX table for the query's PAA.
@@ -469,7 +619,7 @@ class DsTree::Search : public core::TreePolicy<DsTree::Node> {
   /// k-NN seeds the root unbounded (the home visit already primed the
   /// bsf); a range query bounds it like any child.
   template <typename W>
-  void Seeds(const W& w, const Push& push) const {
+  void Seeds(const W& w, const Push& push) {
     if constexpr (W::kRange) {
       Bound(tree_.root_.get(), w, push);
     } else {
@@ -478,7 +628,7 @@ class DsTree::Search : public core::TreePolicy<DsTree::Node> {
   }
 
   template <typename W>
-  void Expand(const Item& item, const W& w, const Push& push) const {
+  void Expand(const Item& item, const W& w, const Push& push) {
     Bound(item.node->left.get(), w, push);
     Bound(item.node->right.get(), w, push);
   }
@@ -496,10 +646,12 @@ class DsTree::Search : public core::TreePolicy<DsTree::Node> {
 
  private:
   template <typename W>
-  void Bound(const Node* node, const W& w, const Push& push) const {
+  void Bound(const Node* node, const W& w, const Push& push) {
     if (node->count == 0) return;
-    const double lb = transform::EapcaNodeLbSq(StatsOn(qp_, node->seg),
-                                               node->ranges, node->seg);
+    node_stats_.resize(node->seg.segments());
+    StatsOn(qp_, node->seg, node_stats_.data());
+    const double lb =
+        transform::EapcaNodeLbSq(node_stats_, node->ranges, node->seg);
     ++w.stats().lower_bound_computations;
     if (w.Admits(lb)) push({lb, node});
   }
@@ -507,7 +659,10 @@ class DsTree::Search : public core::TreePolicy<DsTree::Node> {
   const DsTree& tree_;
   const core::SeriesView query_;
   const core::QueryOrder& order_;
-  const Prefix qp_;
+  Prefix qp_;
+  // The query's stats over the node being bounded (the calling thread
+  // bounds every node: Seeds and Expand run there).
+  std::vector<SegmentStats> node_stats_;
   io::WorkerCursors raw_;
   // Set by PrepareMemberBounds (null: the home leaf and the ng path).
   const transform::IsaxQueryTable* table_ = nullptr;
@@ -546,12 +701,16 @@ core::Footprint DsTree::footprint() const {
 
 double DsTree::MeanTlb(core::SeriesView query) const {
   HYDRA_CHECK(root_ != nullptr);
-  const Prefix qp = ComputePrefix(query);
+  Prefix qp;
+  qp.Assign(query);
+  std::vector<SegmentStats> stats;
   return MeanLeafTlb(query, *data_, [&](const auto& visit) {
     ForEachNode([&](const Node& n, int) {
       if (!n.is_leaf) return;
       visit(n.ids, [&] {
-        return transform::EapcaNodeLbSq(StatsOn(qp, n.seg), n.ranges, n.seg);
+        stats.resize(n.seg.segments());
+        StatsOn(qp, n.seg, stats.data());
+        return transform::EapcaNodeLbSq(stats, n.ranges, n.seg);
       });
     });
   });

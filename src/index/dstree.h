@@ -64,11 +64,17 @@ class DsTree : public core::SearchMethod {
   /// The core::TreeSearch policy of this tree (defined in the .cc).
   class Search;
 
-  /// Per-series cumulative sums enabling O(1) segment mean/stddev.
+  /// Cumulative sums of one series: sum[i] and sum_sq[i] fold x[0, i)
+  /// left to right, so any segment's mean/stddev is O(1). Assign refills
+  /// the same buffers, so one Prefix serves a whole build or query.
   struct Prefix {
     std::vector<double> sum;
     std::vector<double> sum_sq;
+
+    void Assign(core::SeriesView x);
   };
+  /// The reusable scratch of one Build (defined in the .cc).
+  struct BuildScratch;
 
   /// Calls `visit(node, depth)` on every node, depth first from the root
   /// (depth 0), the right child before the left.
@@ -80,14 +86,14 @@ class DsTree : public core::SearchMethod {
                                         size_t series_length,
                                         LeafIdPartition* leaves);
 
-  static Prefix ComputePrefix(core::SeriesView x);
   static transform::SegmentStats StatOf(const Prefix& p, uint32_t begin,
                                         uint32_t end);
-  static std::vector<transform::SegmentStats> StatsOn(
-      const Prefix& p, const transform::Segmentation& seg);
+  /// Writes StatOf over each segment of `seg` to out[0, seg.segments()).
+  static void StatsOn(const Prefix& p, const transform::Segmentation& seg,
+                      transform::SegmentStats* out);
 
-  void Insert(core::SeriesId id, const Prefix& p);
-  void SplitLeaf(Node* leaf);
+  void Insert(core::SeriesId id, BuildScratch* scratch);
+  void SplitLeaf(Node* leaf, BuildScratch* scratch);
 
   DsTreeOptions options_;
   const core::Dataset* data_ = nullptr;

@@ -40,18 +40,6 @@ std::vector<SegmentStats> ComputeEapca(core::SeriesView x,
   return out;
 }
 
-void SegmentRange::Extend(const SegmentStats& s, bool first) {
-  if (first) {
-    min_mean = max_mean = s.mean;
-    min_std = max_std = s.stddev;
-    return;
-  }
-  min_mean = std::min(min_mean, s.mean);
-  max_mean = std::max(max_mean, s.mean);
-  min_std = std::min(min_std, s.stddev);
-  max_std = std::max(max_std, s.stddev);
-}
-
 double EapcaPointLbSq(std::span<const SegmentStats> a,
                       std::span<const SegmentStats> b,
                       const Segmentation& seg) {

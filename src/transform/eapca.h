@@ -3,6 +3,7 @@
 #ifndef HYDRA_TRANSFORM_EAPCA_H_
 #define HYDRA_TRANSFORM_EAPCA_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -41,7 +42,17 @@ struct SegmentRange {
   double max_std = 0.0;
 
   /// Extends the envelope to cover `s` (first call initializes).
-  void Extend(const SegmentStats& s, bool first);
+  void Extend(const SegmentStats& s, bool first) {
+    if (first) {
+      min_mean = max_mean = s.mean;
+      min_std = max_std = s.stddev;
+      return;
+    }
+    min_mean = std::min(min_mean, s.mean);
+    max_mean = std::max(max_mean, s.mean);
+    min_std = std::min(min_std, s.stddev);
+    max_std = std::max(max_std, s.stddev);
+  }
 };
 
 /// Lower bound on ED^2 between two series from their EAPCA summaries on the
