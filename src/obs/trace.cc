@@ -14,10 +14,15 @@ namespace {
 // Per-thread tracer state: the ring handle (shared with the registry so
 // flushes survive thread exit) and the span nesting depth. depth lives
 // here, not in ObsSpan, so sibling spans on one thread see a consistent
-// parent count.
+// parent count. At thread exit the ring goes back to the tracer's free
+// list (the tracer is never destroyed, so it outlives every thread).
 struct TlsState {
   std::shared_ptr<ThreadRing> ring;
   uint32_t depth = 0;
+
+  ~TlsState() {
+    if (ring) Tracer::Get().Release(std::move(ring));
+  }
 };
 
 thread_local TlsState tls_state;
@@ -88,12 +93,23 @@ void Tracer::Disable() { enabled_.store(false, std::memory_order_relaxed); }
 ThreadRing* Tracer::ring() {
   if (!tls_state.ring) {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto ring = std::make_shared<ThreadRing>(
-        static_cast<uint32_t>(rings_.size()), ring_capacity_);
-    rings_.push_back(ring);
-    tls_state.ring = std::move(ring);
+    if (!free_.empty()) {
+      // The mutex orders the earlier owner's last Record before ours.
+      tls_state.ring = std::move(free_.back());
+      free_.pop_back();
+    } else {
+      auto ring = std::make_shared<ThreadRing>(
+          static_cast<uint32_t>(rings_.size()), ring_capacity_);
+      rings_.push_back(ring);
+      tls_state.ring = std::move(ring);
+    }
   }
   return tls_state.ring.get();
+}
+
+void Tracer::Release(std::shared_ptr<ThreadRing> ring) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  free_.push_back(std::move(ring));
 }
 
 void Tracer::SetMeta(const std::string& key, std::string value) {

@@ -7,8 +7,12 @@
 //     (`Tracer::enabled()`); no allocation, no lock, no clock read.
 //   - Enabled cost is two steady_clock reads plus six relaxed stores into
 //     the calling thread's own ring slot; threads never contend on a lock
-//     to record (the registry mutex is only taken once per thread, at
-//     first use, to register its ring).
+//     to record (the registry mutex is only taken twice per thread: at
+//     first use, to take a ring, and at exit, to hand it back).
+//   - Rings are recycled: an exiting thread's ring goes onto a free list
+//     and the next new thread adopts it and appends to it, so a process
+//     that spawns workers per query holds as many rings as it ever had
+//     threads alive at once, and no event is lost before a flush.
 //   - Rings are fixed capacity and overwrite-oldest on wrap; the total
 //     write index keeps counting, so the flusher reports exactly how many
 //     events were dropped instead of silently truncating.
@@ -46,11 +50,16 @@ struct CollectedEvent {
   uint64_t start_ns = 0;  // since the tracer epoch
   uint64_t dur_ns = 0;
   uint32_t depth = 0;  // nesting depth on the recording thread, 0 = root
-  uint32_t tid = 0;    // small sequential ring id, stable per thread
+  // The recording ring's small sequential id. A ring is reused only after
+  // its earlier owner has exited, so one tid may name several threads in
+  // turn, but never two at once.
+  uint32_t tid = 0;
 };
 
 /// One thread's span storage. Only the owning thread records; any thread
-/// may Collect (see the header comment for the concurrency contract).
+/// may Collect (see the header comment for the concurrency contract). A
+/// ring passes to a new owner only through the tracer's free list, under
+/// its mutex.
 class ThreadRing {
  public:
   ThreadRing(uint32_t tid, size_t capacity);
@@ -104,7 +113,7 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   /// Turns recording on. `ring_capacity` applies to rings created after
-  /// this call (already-registered threads keep their ring).
+  /// this call (existing rings, in use or free, keep theirs).
   void Enable(size_t ring_capacity = kDefaultRingCapacity);
   void Disable();
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -117,8 +126,12 @@ class Tracer {
             .count());
   }
 
-  /// The calling thread's ring, registering it on first use.
+  /// The calling thread's ring. On first use the thread adopts a ring an
+  /// exited thread handed back, or registers a new one.
   ThreadRing* ring();
+
+  /// Hands an exiting thread's ring back for the next new thread.
+  void Release(std::shared_ptr<ThreadRing> ring);
 
   /// Attaches a key/value tag to the trace (emitted in "otherData"), e.g.
   /// the selected kernel dispatch set or the traced method's name.
@@ -147,8 +160,10 @@ class Tracer {
 
   std::atomic<bool> enabled_{false};
   const std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mutex_;  // guards rings_ vector + meta_ (not slots)
-  std::vector<std::shared_ptr<ThreadRing>> rings_;
+  // Guards rings_, free_ and meta_ (not slots).
+  mutable std::mutex mutex_;
+  std::vector<std::shared_ptr<ThreadRing>> rings_;  // every ring, by tid
+  std::vector<std::shared_ptr<ThreadRing>> free_;   // rings of exited threads
   std::vector<std::pair<std::string, std::string>> meta_;
   size_t ring_capacity_ = kDefaultRingCapacity;
 };

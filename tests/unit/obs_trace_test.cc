@@ -1,13 +1,16 @@
 // Span tracer battery: ring wraparound with exact drop accounting, span
-// nesting depths, disabled-tracer inertness, trace-event JSON that
-// parses back, and typed errors (never aborts) on unwritable paths.
+// nesting depths, disabled-tracer inertness, ring hand-over between
+// threads, trace-event JSON that parses back, and typed errors (never
+// aborts) on unwritable paths.
 #include "obs/trace.h"
 
 #include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -224,6 +227,30 @@ TEST_F(ObsTraceTest, SetArgAttachesLateValue) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].arg_name, "count");
   EXPECT_EQ(events[0].arg_value, 17);
+}
+
+// A thread's ring outlives it: the next new thread adopts it and appends,
+// so threads spawned one after another share a ring (and its tid) and
+// every event they recorded survives until the flush.
+TEST_F(ObsTraceTest, ExitedThreadsHandTheirRingOn) {
+  Tracer::Get().Enable();
+  constexpr int kThreads = 64;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([t] { HYDRA_OBS_SPAN_ARG("worker", "t", t); }).join();
+  }
+  std::vector<CollectedEvent> events;
+  const Tracer::CollectResult r = Tracer::Get().Collect(&events);
+  ASSERT_EQ(r.events, static_cast<size_t>(kThreads));
+  EXPECT_EQ(r.dropped, 0u);
+  std::set<uint32_t> tids;
+  std::set<int64_t> args;
+  for (const CollectedEvent& e : events) {
+    EXPECT_STREQ(e.name, "worker");
+    tids.insert(e.tid);
+    args.insert(e.arg_value);
+  }
+  EXPECT_LE(tids.size(), 2u);
+  EXPECT_EQ(args.size(), static_cast<size_t>(kThreads));
 }
 
 TEST_F(ObsTraceTest, JsonParsesBackWithMetaAndDropCount) {
