@@ -483,8 +483,7 @@ void DsTree::SplitLeaf(Node* leaf, BuildScratch* sc) {
   };
   Best best_horizontal;
   Best best_vertical;
-  for (int r = -1; r < static_cast<int>(segs); ++r) {
-    if (r >= 0 && sc->left[r] < 0) continue;
+  const auto set_candidate = [&](int r) {
     sc->candidate.clear();
     for (size_t t = 0; t < segs; ++t) {
       if (static_cast<int>(t) == r) {
@@ -494,6 +493,10 @@ void DsTree::SplitLeaf(Node* leaf, BuildScratch* sc) {
         sc->candidate.push_back(sc->whole[t]);
       }
     }
+  };
+  for (int r = -1; r < static_cast<int>(segs); ++r) {
+    if (r >= 0 && sc->left[r] < 0) continue;
+    set_candidate(r);
     // Box sizes are only comparable within one segmentation; normalize by
     // the parent's box over the same candidate segmentation so vertical
     // refinements compete fairly with horizontal splits.
@@ -545,16 +548,8 @@ void DsTree::SplitLeaf(Node* leaf, BuildScratch* sc) {
   leaf->split_segment = best.split_segment;
   leaf->split_on_mean = best.split_on_mean;
   leaf->split_value = sc->splits[best.split].value;
-  // The children's envelopes are the winning split's, which scored it.
-  sc->candidate.clear();
-  for (size_t t = 0; t < segs; ++t) {
-    if (static_cast<int>(t) == best.refined) {
-      sc->candidate.push_back(sc->left[t]);
-      sc->candidate.push_back(sc->right[t]);
-    } else {
-      sc->candidate.push_back(sc->whole[t]);
-    }
-  }
+  // The children's envelopes are the ones that scored the winning split.
+  set_candidate(best.refined);
   const uint8_t* goes_lo = &sc->goes_lo[best.split * count];
   for (const bool lo : {true, false}) {
     auto child = std::make_unique<Node>();
