@@ -127,8 +127,11 @@ std::vector<double> PackedRealDft(core::SeriesView x, size_t num_coeffs,
 
 template <typename T>
 bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  // memcmp's pointers must be valid even for 0 bytes; an empty vector's
+  // data() may be null.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 std::vector<Complex> RandomComplex(size_t n, uint64_t seed) {
