@@ -49,9 +49,9 @@ Dataset Dataset::Slice(size_t begin, size_t count) const {
   slice.length_ = length_;
   slice.count_ = count;
   slice.borrowed_ = data() + begin * length_;
-  // File-backed datasets hand their verification-read source down to every
-  // slice (shard views stay zero-copy and pool-served); the base shifts so
-  // the slice's local ids address the right file series.
+  // File-backed datasets hand their run reader down to every slice (shard
+  // views stay zero-copy and pread-served); the base shifts so the slice's
+  // local ids address the right file series.
   slice.raw_source_ = raw_source_;
   slice.raw_base_ = raw_base_ + begin;
   return slice;

@@ -8,9 +8,11 @@
 
 #include "core/types.h"
 
-namespace hydra::core {
+namespace hydra::io {
+class RunReader;
+}  // namespace hydra::io
 
-class RawSeriesSource;
+namespace hydra::core {
 
 /// A collection of equal-length data series stored contiguously
 /// (series-major), mirroring the raw binary files of the paper's framework.
@@ -27,15 +29,15 @@ class RawSeriesSource;
 /// [0, count_i); the sharded container maps local ids back to global ones
 /// by adding begin_i. Slices are read-only and never copy series values.
 ///
-/// A dataset may additionally carry a RawSeriesSource (the out-of-core
-/// storage layer's buffer pool; see core/raw_source.h). operator[] and
-/// values() always read the backing buffer directly — for a file-backed
-/// dataset that buffer is the read-only mmap view, so bulk access (index
-/// construction, scans) streams through the kernel page cache — while
-/// io::CountedStorage routes the query-time verification reads through the
-/// source so they become real, measured, budget-bounded I/O. Slices
-/// propagate the source with their offset, so sharded slices over a
-/// file-backed dataset compose zero-copy.
+/// A file-backed dataset (the mmap storage backend) additionally carries
+/// the io::RunReader over its file. operator[] and values() always read
+/// the backing buffer directly — for a file-backed dataset that buffer is
+/// the read-only mmap view, so bulk access (index construction, scans)
+/// streams through the kernel page cache — while io::CountedStorage routes
+/// the query-time verification reads through the reader so they become
+/// real, measured, budget-bounded preads. Slices propagate the reader with
+/// their offset, so sharded slices over a file-backed dataset compose
+/// zero-copy.
 class Dataset {
  public:
   Dataset() = default;
@@ -87,19 +89,19 @@ class Dataset {
   /// True when this dataset borrows another's buffer (see Slice).
   bool is_slice() const { return borrowed_ != nullptr; }
 
-  /// Attaches the raw-series source serving this dataset's verification
-  /// reads (called once by the storage layer on the dataset it returns;
-  /// `source` must outlive the dataset and every slice cut from it).
-  /// `base` is the index of this dataset's first series within the source.
-  void AttachRawSource(RawSeriesSource* source, size_t base = 0) {
+  /// Attaches the run reader serving this dataset's verification reads
+  /// (called once by the storage layer on the dataset it returns; `source`
+  /// must outlive the dataset and every slice cut from it). `base` is the
+  /// index of this dataset's first series within the reader's file.
+  void AttachRawSource(io::RunReader* source, size_t base = 0) {
     raw_source_ = source;
     raw_base_ = base;
   }
-  /// The attached raw-series source, or nullptr for a fully RAM-resident
-  /// dataset (reads stay pointer dereferences).
-  RawSeriesSource* raw_source() const { return raw_source_; }
-  /// Index of this dataset's series 0 within raw_source() — nonzero for
-  /// slices of a file-backed dataset.
+  /// The attached run reader, or nullptr for a fully RAM-resident dataset
+  /// (reads stay pointer dereferences).
+  io::RunReader* raw_source() const { return raw_source_; }
+  /// Index of this dataset's series 0 within raw_source()'s file —
+  /// nonzero for slices of a file-backed dataset.
   size_t raw_base() const { return raw_base_; }
 
   /// Mutable access for generators that fill series in place.
@@ -125,7 +127,7 @@ class Dataset {
   const Value* borrowed_ = nullptr;
   /// Out-of-core verification-read source (see AttachRawSource); nullptr
   /// for RAM-resident datasets.
-  RawSeriesSource* raw_source_ = nullptr;
+  io::RunReader* raw_source_ = nullptr;
   size_t raw_base_ = 0;
 };
 

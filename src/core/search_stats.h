@@ -69,18 +69,16 @@ struct SearchStats {
   int64_t random_seeks = 0;
   /// Bytes fetched from the simulated raw/leaf/approximation files.
   int64_t bytes_read = 0;
-  /// *Measured* buffer-pool counters (CounterKind::kMeasured), never
-  /// mixed with the modeled counters above. pool_hits (series served from
-  /// a resident page) and pool_evictions (resident pages dropped) are
-  /// always 0: the pool holds no pages. They stay in the ledger because
-  /// protocol v3 and the benchmark read them. pool_misses counts run reads
-  /// from the data file, one per pread.
+  /// *Measured* storage counters (CounterKind::kMeasured), never mixed
+  /// with the modeled counters above. pool_hits (series served from a
+  /// resident page) and pool_evictions (resident pages dropped) are always
+  /// 0: io::RunReader holds no pages. They stay in the ledger because
+  /// the serve protocol and the benchmark read them. pool_misses counts
+  /// run reads from the data file, each one pread(2) call.
   int64_t pool_hits = 0;
   int64_t pool_misses = 0;
   int64_t pool_evictions = 0;
-  /// pread(2) calls issued by run reads (one per miss).
-  int64_t pool_pread_calls = 0;
-  /// Bytes actually transferred by those pread calls.
+  /// Bytes actually transferred by those preads.
   int64_t pool_bytes_read = 0;
   /// Reads served from a cursor's run scratch (io::CountedStorage): the
   /// bytes came from a run pread, whose own pread is counted once above,
@@ -107,7 +105,7 @@ struct SearchStats {
 
 /// kModeled counters are charged by the algorithm (deterministic on any
 /// backend; io::DiskModel prices the access ones); kMeasured ones count
-/// real buffer-pool I/O (zero on the in-RAM backend).
+/// real pread I/O of the mmap backend (zero on the in-RAM backend).
 enum class CounterKind : uint8_t { kModeled, kMeasured };
 
 /// One integer counter of the ledger. `name` is its one spelling: the
@@ -141,8 +139,6 @@ inline constexpr LedgerCounter kLedgerCounters[] = {
      .member = &SearchStats::pool_misses},
     {.name = "pool_evictions", .kind = CounterKind::kMeasured,
      .member = &SearchStats::pool_evictions},
-    {.name = "pool_pread_calls", .kind = CounterKind::kMeasured,
-     .member = &SearchStats::pool_pread_calls},
     {.name = "pool_bytes_read", .kind = CounterKind::kMeasured,
      .member = &SearchStats::pool_bytes_read},
     {.name = "pool_direct_reads", .kind = CounterKind::kMeasured,

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 
+#include "io/series_file.h"
+#include "obs/trace.h"
 #include "util/check.h"
+#include "util/status.h"
 
 namespace hydra::io {
 
@@ -47,7 +50,7 @@ core::SeriesView CountedStorage::FetchRun(core::SeriesId i,
   const size_t length = data_->length();
   if (i < run_first_ || i - run_first_ >= run_count_) {
     if (run_ == nullptr) {
-      lent_ = source_->BorrowRun(kRunMaxSeries);
+      lent_ = source_->BorrowRun(source_->run_cap());
       run_capacity_ = std::max<size_t>(1, lent_);
       run_ = std::make_unique_for_overwrite<core::Value[]>(run_capacity_ *
                                                            length);
@@ -74,6 +77,56 @@ core::SeriesView CountedStorage::ReadPrecharged(core::SeriesId i,
                                                 core::SearchStats* stats) {
   HYDRA_DCHECK(i < data_->size());
   return Fetch(i, stats);
+}
+
+RunReader::RunReader(const SeriesFile* file, const RunReaderOptions& options)
+    : file_(file), budget_bytes_(options.budget_bytes) {
+  HYDRA_CHECK_MSG(file_ != nullptr && file_->fd() >= 0,
+                  "RunReader needs an open SeriesFile");
+  max_run_ = std::max<size_t>(1, options.page_bytes / file_->series_bytes());
+  available_.store(budget_series(), std::memory_order_relaxed);
+}
+
+void RunReader::ReadRun(size_t first, size_t n, core::Value* out,
+                        core::SearchStats* stats) {
+  HYDRA_CHECK_MSG(first <= file_->count() && n <= file_->count() - first,
+                  "RunReader run beyond the series file");
+  HYDRA_DCHECK(n <= max_run_);
+  util::Status read;
+  {
+    HYDRA_OBS_SPAN_ARG("pool_miss_pread", "series", n);
+    read = file_->ReadSeries(first, n, out);
+  }
+  // The validated file vanished or shrank mid-run; the answer this read
+  // was verifying can no longer be computed correctly.
+  HYDRA_CHECK_MSG(read.ok(), read.message().c_str());
+  if (stats != nullptr) {
+    ++stats->pool_misses;
+    stats->pool_bytes_read += static_cast<int64_t>(n * file_->series_bytes());
+  }
+}
+
+size_t RunReader::BorrowRun(size_t series) {
+  const size_t want = std::min(series, max_run_);
+  size_t available = available_.load(std::memory_order_relaxed);
+  do {
+    if (available < want) return 0;
+  } while (!available_.compare_exchange_weak(available, available - want,
+                                             std::memory_order_relaxed));
+  return want;
+}
+
+void RunReader::ReturnRun(size_t series) {
+  available_.fetch_add(series, std::memory_order_relaxed);
+}
+
+size_t RunReader::run_cap() const {
+  const size_t run = std::min(CountedStorage::kRunMaxSeries, max_run_);
+  return budget_series() >= run ? run : 1;
+}
+
+size_t RunReader::budget_series() const {
+  return budget_bytes_ / file_->series_bytes();
 }
 
 void ChargeLeafRead(size_t series_count, size_t series_bytes,

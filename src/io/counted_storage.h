@@ -2,18 +2,19 @@
 //   - *modeled* counters (sequential_reads / random_seeks / bytes_read),
 //     charged with the paper's sequential/random semantics and converted
 //     to seconds by io::DiskModel — these exist for every backend;
-//   - *measured* counters (pool_hits / pool_misses / ...), recorded only
-//     when the dataset is file-backed (Dataset::raw_source() non-null):
-//     the read is then served by the storage layer's buffer pool as a
-//     real pread instead of a pointer dereference.
-// The two never mix: routing a read through the pool does not change what
-// is charged to the model, and the pool's counters are never fed to the
-// DiskModel. Answers are bit-identical either way — the backend changes
+//   - *measured* counters (pool_misses / pool_bytes_read / ...), recorded
+//     only when the dataset is file-backed (Dataset::raw_source() non-null):
+//     the read is then a real pread of the file by its RunReader instead
+//     of a pointer dereference.
+// The two never mix: routing a read through the reader does not change
+// what is charged to the model, and the measured counters are never fed to
+// the DiskModel. Answers are bit-identical either way — the backend changes
 // where the bytes live, never which bytes are compared.
 #ifndef HYDRA_IO_COUNTED_STORAGE_H_
 #define HYDRA_IO_COUNTED_STORAGE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -21,11 +22,13 @@
 #include <span>
 
 #include "core/dataset.h"
-#include "core/raw_source.h"
 #include "core/search_stats.h"
 #include "core/types.h"
 
 namespace hydra::io {
+
+class RunReader;
+class SeriesFile;
 
 /// Cursor-tracking reader over the raw data file (the Dataset).
 ///
@@ -35,13 +38,13 @@ namespace hydra::io {
 /// VA+file: every skip is one random access.
 ///
 /// The returned view stays valid until this reader's next Read /
-/// ReadPrecharged (on a pooled dataset the view points into the reader's
+/// ReadPrecharged (on a pooled dataset the view points into the cursor's
 /// run scratch); callers consume the series — compute its distance —
 /// before reading the next. One CountedStorage serves one thread;
-/// concurrent readers each get their own (they share the pool underneath).
+/// concurrent cursors each get their own (they share the RunReader).
 ///
-/// On a pooled dataset every read is a run read (RawSeriesSource::ReadRun)
-/// into the cursor's run scratch, which the cursor borrows from the pool's
+/// On a pooled dataset every read is a run read (RunReader::ReadRun) into
+/// the cursor's run scratch, which the cursor borrows from the reader's
 /// budget at its first run and returns when destroyed (a cursor the budget
 /// cannot cover reads one series at a time). Without a plan a read outside
 /// the current run is a run of one series. Planned reads (SetPlan): a
@@ -59,13 +62,12 @@ class CountedStorage {
   /// candidate; a wider gap ends the run. Wider gaps mean fewer preads but
   /// more bytes read and not verified.
   static constexpr size_t kRunGap = 6;
-  /// Largest run, in series (further capped to the pool's largest run and
-  /// to what its budget lends): how far a run reads ahead over candidates
-  /// the running bound may yet prune.
+  /// Largest run, in series (further capped by RunReader::run_cap): how
+  /// far a run reads ahead over candidates the running bound may yet prune.
   static constexpr size_t kRunMaxSeries = 128;
 
   explicit CountedStorage(const core::Dataset* data);
-  /// Returns the run scratch's loan to the pool.
+  /// Returns the run scratch's loan to the reader.
   ~CountedStorage();
   CountedStorage(const CountedStorage&) = delete;
   CountedStorage& operator=(const CountedStorage&) = delete;
@@ -126,8 +128,8 @@ class CountedStorage {
   core::SeriesView FetchRun(core::SeriesId i, core::SearchStats* stats);
 
   const core::Dataset* data_;
-  core::RawSeriesSource* source_;  // from data->raw_source(); may be null
-  size_t base_;                    // data's offset within the source
+  RunReader* source_;  // from data->raw_source(); may be null
+  size_t base_;        // data's offset within the file
   int64_t cursor_ = kNoCursor;
 
   // The plan and the run it last read: series [run_first_, run_first_ +
@@ -140,6 +142,76 @@ class CountedStorage {
   size_t run_capacity_ = 0;  // series; allocated on the first run
   size_t lent_ = 0;          // series of run_capacity_ borrowed from source_
   std::unique_ptr<core::Value[]> run_;
+};
+
+/// Geometry of a RunReader: the run scratch it may lend, and its largest
+/// run.
+struct RunReaderOptions {
+  /// Cap on the run scratch lent to all open cursors at once.
+  size_t budget_bytes = size_t{64} << 20;
+  /// Largest run; rounded down to a whole number of series (and up to at
+  /// least one series).
+  size_t page_bytes = size_t{1} << 20;
+};
+
+/// The raw layer of the out-of-core backend: every read is one pread(2) of
+/// consecutive series of a SeriesFile straight into the caller's buffer,
+/// with measured accounting — the skip-sequential access the paper charges
+/// a leaf or a refined candidate, made an actual bounded I/O path instead
+/// of a pointer dereference. It caches nothing, so nothing is evicted,
+/// pinned or waited for.
+///
+/// Memory is bounded: the budget caps the run scratch lent to all open
+/// cursors at once (BorrowRun / ReturnRun, one atomic). A cursor the
+/// budget cannot cover reads one series at a time from a one-series
+/// scratch of its own, so no read ever waits for a loan.
+///
+/// Counters: each run is one pool_miss and its bytes in the caller's
+/// SearchStats — *measured*, disjoint from the modeled DiskModel counters.
+/// pool_hits and pool_evictions stay 0: there is no resident page.
+class RunReader {
+ public:
+  /// `file` must stay open for the reader's lifetime.
+  RunReader(const SeriesFile* file, const RunReaderOptions& options);
+
+  /// Copies series [first, first + n) of the file into `out` (n * series
+  /// length values, caller-owned) with one pread, recording it into
+  /// `stats` (may be null). `n` is at most max_run_series(). An I/O
+  /// failure (the backing file truncated or replaced mid-run) CHECK-aborts
+  /// with the pread's typed message: by then the data the query was
+  /// promised no longer exists, and a wrong answer would be worse than a
+  /// crash.
+  void ReadRun(size_t first, size_t n, core::Value* out,
+               core::SearchStats* stats);
+
+  /// Lends run scratch from the budget: returns the series the caller may
+  /// buffer per run — `series`, capped to max_run_series() — or 0 when the
+  /// budget cannot cover that right now, in which case the caller reads
+  /// one series at a time. Never blocks.
+  size_t BorrowRun(size_t series);
+  /// Gives back a loan of `series` that BorrowRun granted.
+  void ReturnRun(size_t series);
+
+  /// The longest run a cursor reads: CountedStorage::kRunMaxSeries capped
+  /// by max_run_series(), or 1 when the whole budget cannot lend that
+  /// many. Cursors borrow this much at their first run.
+  size_t run_cap() const;
+
+  /// Geometry, fixed at construction: the largest run in series, and the
+  /// budget as given and in whole series.
+  size_t max_run_series() const { return max_run_; }
+  size_t budget_bytes() const { return budget_bytes_; }
+  size_t budget_series() const;
+  /// Series of the budget not lent out right now.
+  size_t available_series() const {
+    return available_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const SeriesFile* file_;
+  size_t max_run_;
+  size_t budget_bytes_;
+  std::atomic<size_t> available_;
 };
 
 /// One cursor per traversal worker, kept for the whole query (a cursor

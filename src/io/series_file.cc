@@ -241,10 +241,6 @@ util::Status SeriesFile::ReadSeries(size_t first, size_t n,
   return util::Status::Ok();
 }
 
-util::Status SeriesFile::ReadAt(size_t i, core::Value* out) const {
-  return ReadSeries(i, 1, out);
-}
-
 SeriesFileWriter::~SeriesFileWriter() {
   if (file_ != nullptr) std::fclose(file_);
 }

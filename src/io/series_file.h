@@ -7,8 +7,8 @@
 //     (`hydra gen` emits chunks through it; the header's count is patched
 //     on Finish, so an interrupted write is rejected by every reader).
 //   - SeriesFile: an open, validated handle that reads *nothing* up front
-//     — the out-of-core backend mmaps through it and preads pages on
-//     demand (storage::BufferPool).
+//     — the out-of-core backend mmaps through it and preads runs of
+//     series on demand (io::RunReader).
 #ifndef HYDRA_IO_SERIES_FILE_H_
 #define HYDRA_IO_SERIES_FILE_H_
 
@@ -53,7 +53,7 @@ util::Result<core::Dataset> ReadSeriesFile(const std::string& path,
 
 /// An open read-only handle on a series file: Open validates the header
 /// with exactly the bulk loader's rigor (magic, overflow-safe volume,
-/// exact file size) but loads no values; ReadSeries/ReadAt pread them
+/// exact file size) but loads no values; ReadSeries preads them
 /// positionally on demand. A file truncated *after* Open — the SIGBUS
 /// trap of a bare mmap — surfaces as a typed error Status from the pread
 /// path, never a signal. Movable, not copyable; the destructor closes
@@ -87,9 +87,6 @@ class SeriesFile {
   /// — callers index within the validated metadata); a short or failed
   /// pread (file truncated or replaced after Open) returns a typed error.
   util::Status ReadSeries(size_t first, size_t n, core::Value* out) const;
-
-  /// preads the single series `i` into `out` (length() values).
-  util::Status ReadAt(size_t i, core::Value* out) const;
 
  private:
   int fd_ = -1;

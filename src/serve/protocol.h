@@ -42,7 +42,9 @@ namespace hydra::serve {
 /// kStatsFull request returns the metrics-registry text dump.
 /// v3: an ANSWER carries every core::kLedgerCounters row, the six measured
 /// pool counters included.
-inline constexpr uint32_t kProtocolVersion = 3;
+/// v4: the ledger dropped its pread-call counter (it always equalled
+/// pool_misses), so an ANSWER carries five measured counters.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Frame magic: "HYSv" as little-endian bytes.
 inline constexpr uint32_t kFrameMagic = 0x76535948;

@@ -82,7 +82,7 @@ class IntraQueryBackends : public ::testing::Test {
     auto opened = storage::StorageHandle::Open(path_, "intraquery", options);
     ASSERT_TRUE(opened.ok()) << opened.status().message();
     mmap_ = std::move(opened).value();
-    ASSERT_TRUE(mmap_.pooled());
+    ASSERT_EQ(mmap_.backend(), storage::StorageBackend::kMmap);
     ASSERT_LT(options.pool.budget_bytes,
               kCount * kLength * sizeof(core::Value) / 3);
   }

@@ -46,7 +46,7 @@ class ObsIntegrationTest : public ::testing::Test {
     auto opened = storage::StorageHandle::Open(path_, "obs", options);
     ASSERT_TRUE(opened.ok()) << opened.status().message();
     stored_ = std::move(opened).value();
-    ASSERT_TRUE(stored_.pooled());
+    ASSERT_EQ(stored_.backend(), storage::StorageBackend::kMmap);
   }
 
   void TearDown() override {

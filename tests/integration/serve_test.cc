@@ -394,7 +394,7 @@ TEST_F(ServeFixture, PooledAnswersCarryTheirMeasuredPoolCounters) {
   auto opened = storage::StorageHandle::Open(path, "pooled", options);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
   const storage::StorageHandle pooled = std::move(opened).value();
-  ASSERT_TRUE(pooled.pooled());
+  ASSERT_EQ(pooled.backend(), storage::StorageBackend::kMmap);
   std::shared_ptr<core::SearchMethod> method =
       bench::CreateMethod("DSTree", 64);
   method->Build(pooled.dataset());

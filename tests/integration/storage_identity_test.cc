@@ -63,7 +63,7 @@ class StorageIdentityTest : public ::testing::Test {
     auto mmap_opened = storage::StorageHandle::Open(path_, "ident", mmap);
     ASSERT_TRUE(mmap_opened.ok()) << mmap_opened.status().message();
     mmap_ = std::move(mmap_opened).value();
-    ASSERT_TRUE(mmap_.pooled());
+    ASSERT_EQ(mmap_.backend(), storage::StorageBackend::kMmap);
     // The premise of the battery: the pool cannot hold the dataset.
     ASSERT_LT(mmap.pool.budget_bytes,
               kCount * kLength * sizeof(core::Value) / 4);

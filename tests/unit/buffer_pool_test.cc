@@ -1,8 +1,9 @@
-// Unit battery for the out-of-core run reader: geometry derivation,
-// counter accounting, run reads (alone, through planned and unplanned
-// io::CountedStorage cursors, and inside a shard slice), the budget's
-// loans of run scratch to cursors, and concurrent readers (the TSan CI
-// lane runs this suite via the `storage` label).
+// Unit battery for the out-of-core run reader (io::RunReader): geometry
+// derivation, counter accounting, run reads (alone, through planned and
+// unplanned io::CountedStorage cursors, and inside a shard slice), the
+// budget's loans of run scratch to cursors, the run cap and budget
+// StorageHandle::Describe prints, and concurrent readers (the TSan CI lane
+// runs this suite via the `storage` label).
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -18,7 +19,6 @@
 #include "io/counted_storage.h"
 #include "io/series_file.h"
 #include "storage/backend.h"
-#include "storage/buffer_pool.h"
 
 namespace hydra::storage {
 namespace {
@@ -61,8 +61,8 @@ class PoolTest : public ::testing::Test {
   }
 
   // Runs of one series, a budget of `series` series.
-  BufferPoolOptions TinyPool(size_t series) {
-    BufferPoolOptions options;
+  io::RunReaderOptions TinyPool(size_t series) {
+    io::RunReaderOptions options;
     options.page_bytes = kSeriesBytes;
     options.budget_bytes = series * kSeriesBytes;
     return options;
@@ -75,10 +75,10 @@ class PoolTest : public ::testing::Test {
 
 TEST_F(PoolTest, GeometryFromBudget) {
   OpenFile(100);
-  BufferPoolOptions options;
+  io::RunReaderOptions options;
   options.page_bytes = 4 * kSeriesBytes;
   options.budget_bytes = 10 * 4 * kSeriesBytes;
-  BufferPool pool(&file_, options);
+  io::RunReader pool(&file_, options);
   EXPECT_EQ(pool.max_run_series(), 4u);
   EXPECT_EQ(pool.budget_series(), 40u);
   EXPECT_EQ(pool.available_series(), 40u);
@@ -86,10 +86,10 @@ TEST_F(PoolTest, GeometryFromBudget) {
 
 TEST_F(PoolTest, GeometryClampsToMinimums) {
   OpenFile(10);
-  BufferPoolOptions options;
+  io::RunReaderOptions options;
   options.page_bytes = 1;    // below one series: rounds up to one
   options.budget_bytes = 1;  // below one series: nothing to lend
-  BufferPool pool(&file_, options);
+  io::RunReader pool(&file_, options);
   EXPECT_EQ(pool.max_run_series(), 1u);
   EXPECT_EQ(pool.budget_series(), 0u);
   EXPECT_EQ(pool.BorrowRun(1), 0u);
@@ -97,10 +97,10 @@ TEST_F(PoolTest, GeometryClampsToMinimums) {
 
 TEST_F(PoolTest, LoanNeverExceedsLargestRun) {
   OpenFile(3);
-  BufferPoolOptions options;
+  io::RunReaderOptions options;
   options.page_bytes = kSeriesBytes;
   options.budget_bytes = 100 * kSeriesBytes;
-  BufferPool pool(&file_, options);
+  io::RunReader pool(&file_, options);
   EXPECT_EQ(pool.BorrowRun(128), 1u);  // runs are one series here
   EXPECT_EQ(pool.available_series(), 99u);
   pool.ReturnRun(1);
@@ -109,7 +109,7 @@ TEST_F(PoolTest, LoanNeverExceedsLargestRun) {
 
 TEST_F(PoolTest, ReadReturnsRequestedSeries) {
   OpenFile(20);
-  BufferPool pool(&file_, TinyPool(2));
+  io::RunReader pool(&file_, TinyPool(2));
   std::vector<core::Value> out(kLength);
   for (size_t i : {size_t{0}, size_t{7}, size_t{19}, size_t{7}}) {
     pool.ReadRun(i, 1, out.data(), nullptr);
@@ -119,7 +119,7 @@ TEST_F(PoolTest, ReadReturnsRequestedSeries) {
 
 TEST_F(PoolTest, CountersMeasureRealReads) {
   OpenFile(8);
-  BufferPool pool(&file_, TinyPool(2));
+  io::RunReader pool(&file_, TinyPool(2));
   core::SearchStats stats;
   std::vector<core::Value> out(kLength);
   pool.ReadRun(0, 1, out.data(), &stats);
@@ -128,22 +128,20 @@ TEST_F(PoolTest, CountersMeasureRealReads) {
   EXPECT_EQ(stats.pool_misses, 3);
   EXPECT_EQ(stats.pool_hits, 0);
   EXPECT_EQ(stats.pool_evictions, 0);
-  EXPECT_EQ(stats.pool_pread_calls, 3);
   EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(3 * kSeriesBytes));
 }
 
 TEST_F(PoolTest, RunIsOnePread) {
   OpenFile(16);
-  BufferPoolOptions options;
+  io::RunReaderOptions options;
   options.page_bytes = 8 * kSeriesBytes;  // the largest run
   options.budget_bytes = options.page_bytes;
-  BufferPool pool(&file_, options);
+  io::RunReader pool(&file_, options);
   core::SearchStats stats;
   std::vector<core::Value> out(6 * kLength);
   pool.ReadRun(5, 6, out.data(), &stats);  // crosses the 8-series mark
   EXPECT_TRUE(HoldsSeries(out, 5, 6));
   EXPECT_EQ(stats.pool_misses, 1);
-  EXPECT_EQ(stats.pool_pread_calls, 1);
   EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(6 * kSeriesBytes));
   EXPECT_EQ(stats.pool_hits, 0);
   EXPECT_EQ(stats.pool_evictions, 0);
@@ -157,10 +155,10 @@ TEST_F(PoolTest, ConcurrentReadersSeeConsistentData) {
   constexpr int kThreads = 8;
   constexpr int kReadsPerThread = 400;
   OpenFile(kCount);
-  BufferPoolOptions options;
+  io::RunReaderOptions options;
   options.page_bytes = 4 * kSeriesBytes;
   options.budget_bytes = 3 * options.page_bytes;  // lends to 3 of 8
-  BufferPool pool(&file_, options);
+  io::RunReader pool(&file_, options);
   std::atomic<int> wrong{0};
   std::atomic<int64_t> preads{0};
   std::vector<std::thread> readers;
@@ -177,7 +175,7 @@ TEST_F(PoolTest, ConcurrentReadersSeeConsistentData) {
         if (!HoldsSeries(out, i, n)) wrong.fetch_add(1);
         if (lent != 0) pool.ReturnRun(lent);
       }
-      preads.fetch_add(stats.pool_pread_calls);
+      preads.fetch_add(stats.pool_misses);
     });
   }
   for (std::thread& r : readers) r.join();
@@ -191,10 +189,10 @@ TEST_F(PoolTest, ConcurrentReadersSeeConsistentData) {
 // destroyed cursor gives its loan back for the next one.
 TEST_F(PoolTest, BudgetLendsRunScratchToCursors) {
   OpenFile(16);
-  BufferPoolOptions options;
+  io::RunReaderOptions options;
   options.page_bytes = 4 * kSeriesBytes;          // runs of up to 4 series
   options.budget_bytes = 2 * options.page_bytes;  // two runs' scratch
-  BufferPool pool(&file_, options);
+  io::RunReader pool(&file_, options);
   data_.AttachRawSource(&pool);
   const std::vector<core::SeriesId> plan = {4, 5, 6, 7};
   const auto read_plan = [&](io::CountedStorage& storage) {
@@ -210,17 +208,17 @@ TEST_F(PoolTest, BudgetLendsRunScratchToCursors) {
   io::CountedStorage second(&data_);
   io::CountedStorage third(&data_);
   EXPECT_EQ(pool.available_series(), 8u);  // loans start at the first run
-  EXPECT_EQ(read_plan(*first).pool_pread_calls, 1);
-  EXPECT_EQ(read_plan(second).pool_pread_calls, 1);
+  EXPECT_EQ(read_plan(*first).pool_misses, 1);
+  EXPECT_EQ(read_plan(second).pool_misses, 1);
   EXPECT_EQ(pool.available_series(), 0u);
   const core::SearchStats unlent = read_plan(third);
-  EXPECT_EQ(unlent.pool_pread_calls, 4);  // one-series runs, no wait
+  EXPECT_EQ(unlent.pool_misses, 4);  // one-series runs, no wait
   EXPECT_EQ(unlent.pool_direct_reads, 4);
   EXPECT_EQ(unlent.pool_bytes_read, static_cast<int64_t>(4 * kSeriesBytes));
   first.reset();
   EXPECT_EQ(pool.available_series(), 4u);
   io::CountedStorage fourth(&data_);
-  EXPECT_EQ(read_plan(fourth).pool_pread_calls, 1);
+  EXPECT_EQ(read_plan(fourth).pool_misses, 1);
   EXPECT_EQ(pool.available_series(), 0u);
 }
 
@@ -228,31 +226,30 @@ TEST_F(PoolTest, BudgetLendsRunScratchToCursors) {
 // series: one pread of exactly that series, and no hit.
 TEST_F(PoolTest, UnplannedReadPreadsOneSeries) {
   OpenFile(16);
-  BufferPoolOptions options;
+  io::RunReaderOptions options;
   options.page_bytes = 8 * kSeriesBytes;
   options.budget_bytes = options.page_bytes;
-  BufferPool pool(&file_, options);
+  io::RunReader pool(&file_, options);
   data_.AttachRawSource(&pool);
   io::CountedStorage storage(&data_);
   core::SearchStats stats;
   EXPECT_FLOAT_EQ(storage.Read(6, &stats)[kLength - 1], 6.0f);
-  EXPECT_EQ(stats.pool_pread_calls, 1);
   EXPECT_EQ(stats.pool_misses, 1);
   EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(kSeriesBytes));
   EXPECT_EQ(stats.pool_hits, 0);
   EXPECT_EQ(stats.pool_direct_reads, 1);
   // The next series is a run of its own too: nothing was read ahead.
   EXPECT_FLOAT_EQ(storage.Read(7, &stats)[0], 7.0f);
-  EXPECT_EQ(stats.pool_pread_calls, 2);
+  EXPECT_EQ(stats.pool_misses, 2);
   EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(2 * kSeriesBytes));
 }
 
 TEST_F(PoolTest, PlannedCursorCoalescesCandidatesIntoRuns) {
   OpenFile(64);
-  BufferPoolOptions options;
+  io::RunReaderOptions options;
   options.page_bytes = 64 * kSeriesBytes;  // runs may span 64 series
   options.budget_bytes = options.page_bytes;
-  BufferPool pool(&file_, options);
+  io::RunReader pool(&file_, options);
   data_.AttachRawSource(&pool);
   io::CountedStorage storage(&data_);
   ASSERT_NE(data_.raw_source(), nullptr);
@@ -265,7 +262,6 @@ TEST_F(PoolTest, PlannedCursorCoalescesCandidatesIntoRuns) {
   }
   EXPECT_EQ(stats.pool_direct_reads, 4);
   EXPECT_EQ(stats.pool_misses, 2);
-  EXPECT_EQ(stats.pool_pread_calls, 2);
   EXPECT_EQ(stats.pool_bytes_read,
             static_cast<int64_t>((7 + 2) * kSeriesBytes));  // 3..9, 40..41
   EXPECT_EQ(stats.pool_hits, 0);
@@ -279,10 +275,10 @@ TEST_F(PoolTest, PlannedCursorCoalescesCandidatesIntoRuns) {
 
 TEST_F(PoolTest, RunNeverCrossesSliceEnd) {
   OpenFile(32);
-  BufferPoolOptions options;
+  io::RunReaderOptions options;
   options.page_bytes = 32 * kSeriesBytes;
   options.budget_bytes = options.page_bytes;
-  BufferPool pool(&file_, options);
+  io::RunReader pool(&file_, options);
   data_.AttachRawSource(&pool);
   // A shard slice over series [10, 16): its reads address the pool at
   // raw_base 10, and no run may reach past series 15.
@@ -295,50 +291,94 @@ TEST_F(PoolTest, RunNeverCrossesSliceEnd) {
     EXPECT_FLOAT_EQ(storage.Read(i, &stats)[0],
                     static_cast<core::Value>(10 + i));
   }
-  EXPECT_EQ(stats.pool_pread_calls, 1);
+  EXPECT_EQ(stats.pool_misses, 1);
   EXPECT_EQ(stats.pool_bytes_read, static_cast<int64_t>(5 * kSeriesBytes));
 }
 
 // Describe() names the run cap a cursor actually reads with: a planned
 // cursor over 1,000 consecutive ids never preads a longer run, and reaches
-// that cap, under a page that would allow far longer runs.
+// that cap. Three geometries: the cursor's own kRunMaxSeries under a page
+// that would allow far longer runs, a page shorter than that, and a budget
+// that cannot lend one run (every read is then one series).
 TEST_F(PoolTest, DescribedRunCapBoundsPlannedRuns) {
   OpenFile(1000);
+  struct Geometry {
+    size_t page_bytes;
+    size_t budget_bytes;
+    size_t cap;
+  };
+  const Geometry geometries[] = {
+      {size_t{1} << 20, size_t{6} << 20, io::CountedStorage::kRunMaxSeries},
+      {10 * kSeriesBytes, size_t{6} << 20, 10},
+      {size_t{1} << 20, 100 * kSeriesBytes, 1},
+  };
+  for (const Geometry& geometry : geometries) {
+    SCOPED_TRACE(geometry.cap);
+    StorageOptions options;
+    options.backend = StorageBackend::kMmap;
+    options.pool.page_bytes = geometry.page_bytes;
+    options.pool.budget_bytes = geometry.budget_bytes;
+    auto handle = StorageHandle::Open(path_, "pool", options);
+    ASSERT_TRUE(handle.ok()) << handle.status().message();
+    const std::string text = handle.value().Describe();
+    const std::string marker = "runs of at most ";
+    const size_t at = text.find(marker);
+    ASSERT_NE(at, std::string::npos) << text;
+    const size_t cap = std::stoul(text.substr(at + marker.size()));
+    EXPECT_EQ(cap, geometry.cap) << text;
+
+    const core::Dataset& data = handle.value().dataset();
+    std::vector<core::SeriesId> plan(data.size());
+    for (size_t i = 0; i < plan.size(); ++i) {
+      plan[i] = static_cast<core::SeriesId>(i);
+    }
+    io::CountedStorage storage(&data);
+    storage.SetPlan(plan);
+    core::SearchStats stats;
+    size_t run_start = 0;
+    size_t longest = 0;
+    for (const core::SeriesId i : plan) {
+      const int64_t preads = stats.pool_misses;
+      EXPECT_FLOAT_EQ(storage.Read(i, &stats)[0],
+                      static_cast<core::Value>(i));
+      if (stats.pool_misses != preads) {  // series i starts a new run
+        longest = std::max<size_t>(longest, i - run_start);
+        run_start = i;
+      }
+    }
+    longest = std::max(longest, plan.size() - run_start);
+    EXPECT_EQ(longest, cap);
+    EXPECT_EQ(stats.pool_bytes_read,
+              static_cast<int64_t>(plan.size() * kSeriesBytes));
+  }
+}
+
+// Describe() prints the budget as given. 1 MiB is not a whole number of
+// 384-byte series (length 96), and still reads pool=1MiB; a budget that is
+// not a whole number of MiB prints in bytes.
+TEST_F(PoolTest, DescribePrintsBudgetAsGiven) {
+  constexpr size_t kWide = 96;
+  path_ = ::testing::TempDir() + "/hydra_pool_test_wide.bin";
+  core::Dataset data("wide", kWide);
+  for (size_t i = 0; i < 3000; ++i) {
+    std::vector<core::Value> row(kWide, static_cast<core::Value>(i));
+    data.Append(row);
+  }
+  ASSERT_TRUE(io::WriteSeriesFile(path_, data).ok());
   StorageOptions options;
   options.backend = StorageBackend::kMmap;
-  options.pool.page_bytes = size_t{1} << 20;  // 32,768 series
-  options.pool.budget_bytes = size_t{6} << 20;
-  auto handle = StorageHandle::Open(path_, "pool", options);
+  options.pool.budget_bytes = size_t{1} << 20;
+  auto handle = StorageHandle::Open(path_, "wide", options);
   ASSERT_TRUE(handle.ok()) << handle.status().message();
-  const std::string text = handle.value().Describe();
-  const std::string marker = "runs of at most ";
-  const size_t at = text.find(marker);
-  ASSERT_NE(at, std::string::npos) << text;
-  const size_t cap = std::stoul(text.substr(at + marker.size()));
-  EXPECT_EQ(cap, io::CountedStorage::kRunMaxSeries) << text;
-
-  const core::Dataset& data = handle.value().dataset();
-  std::vector<core::SeriesId> plan(data.size());
-  for (size_t i = 0; i < plan.size(); ++i) {
-    plan[i] = static_cast<core::SeriesId>(i);
-  }
-  io::CountedStorage storage(&data);
-  storage.SetPlan(plan);
-  core::SearchStats stats;
-  size_t run_start = 0;
-  size_t longest = 0;
-  for (const core::SeriesId i : plan) {
-    const int64_t preads = stats.pool_pread_calls;
-    EXPECT_FLOAT_EQ(storage.Read(i, &stats)[0], static_cast<core::Value>(i));
-    if (stats.pool_pread_calls != preads) {  // series i starts a new run
-      longest = std::max<size_t>(longest, i - run_start);
-      run_start = i;
-    }
-  }
-  longest = std::max(longest, plan.size() - run_start);
-  EXPECT_EQ(longest, cap);
-  EXPECT_EQ(stats.pool_bytes_read,
-            static_cast<int64_t>(plan.size() * kSeriesBytes));
+  EXPECT_EQ(handle.value().Describe(),
+            "storage: mmap pool=1MiB (run scratch for readers, runs of at "
+            "most 128 series)");
+  options.pool.budget_bytes = (size_t{3} << 20) / 2;
+  handle = StorageHandle::Open(path_, "wide", options);
+  ASSERT_TRUE(handle.ok()) << handle.status().message();
+  EXPECT_EQ(handle.value().Describe(),
+            "storage: mmap pool=1572864B (run scratch for readers, runs of "
+            "at most 128 series)");
 }
 
 }  // namespace

@@ -206,7 +206,7 @@ TEST(SeriesFile, OpenReadsPositionally) {
   EXPECT_EQ(file.count(), 6u);
   EXPECT_EQ(file.length(), 16u);
   std::vector<core::Value> row(16);
-  ASSERT_TRUE(file.ReadAt(4, row.data()).ok());
+  ASSERT_TRUE(file.ReadSeries(4, 1, row.data()).ok());
   EXPECT_FLOAT_EQ(row[0], 4.0f);
   // A block read out of order: positional access has no cursor.
   std::vector<core::Value> block(3 * 16);
@@ -214,7 +214,7 @@ TEST(SeriesFile, OpenReadsPositionally) {
   EXPECT_FLOAT_EQ(block[0], 1.0f);
   EXPECT_FLOAT_EQ(block[16], 2.0f);
   EXPECT_FLOAT_EQ(block[32], 3.0f);
-  ASSERT_TRUE(file.ReadAt(0, row.data()).ok());
+  ASSERT_TRUE(file.ReadSeries(0, 1, row.data()).ok());
   EXPECT_FLOAT_EQ(row[0], 0.0f);
   std::remove(path.c_str());
 }
@@ -241,9 +241,9 @@ TEST(SeriesFile, TruncationAfterOpenIsTypedError) {
   const SeriesFile file = std::move(opened).value();
   ASSERT_EQ(truncate(path.c_str(), 24 + 2 * 16 * 4), 0);  // keep 2 of 5
   std::vector<core::Value> row(16);
-  ASSERT_TRUE(file.ReadAt(1, row.data()).ok());  // still inside the file
+  ASSERT_TRUE(file.ReadSeries(1, 1, row.data()).ok());  // inside the file
   EXPECT_FLOAT_EQ(row[0], 1.0f);
-  const auto status = file.ReadAt(4, row.data());  // beyond the new end
+  const auto status = file.ReadSeries(4, 1, row.data());  // beyond its end
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("truncated"), std::string::npos)
       << status.message();

@@ -595,8 +595,9 @@ std::unique_ptr<core::SearchMethod> MakeMethod(const std::string& name,
                                     static_cast<size_t>(cli.num(kThreads)));
 }
 
-/// The measured-I/O epilogue of `query` and `range` on a pooled backend:
-/// the pool ledger of the batch, plus the reconciliation of measured pool
+/// The measured-I/O epilogue of `query` and `range` on the mmap backend:
+/// the pool ledger of the batch (a miss is one run pread, so the `preads`
+/// slot repeats the misses), plus the reconciliation of measured pool
 /// misses (one per run read) against the modeled random-access count (the
 /// paper's ledger). Run reads coalesce nearby candidates into one pread,
 /// so measured misses <= modeled accesses unless a leaf's survivors lie
@@ -605,12 +606,11 @@ std::unique_ptr<core::SearchMethod> MakeMethod(const std::string& name,
 /// nothing on the ram backend, whose output must stay byte-identical.
 void PrintStorageSummary(const storage::StorageHandle& handle,
                          const core::SearchStats& total) {
-  if (!handle.pooled()) return;
+  if (handle.backend() != storage::StorageBackend::kMmap) return;
   const long long misses = static_cast<long long>(total.pool_misses);
   std::printf("storage: %lld pool misses, %lld direct reads, %lld preads, "
               "%lld bytes\n",
-              misses, static_cast<long long>(total.pool_direct_reads),
-              static_cast<long long>(total.pool_pread_calls),
+              misses, static_cast<long long>(total.pool_direct_reads), misses,
               static_cast<long long>(total.pool_bytes_read));
   std::printf("storage check: measured pool misses %lld vs modeled random "
               "accesses %lld (%s)\n",
@@ -752,7 +752,7 @@ bool OpenData(const Cli& cli, core::SearchMethod* method,
     return false;
   }
   *stored = std::move(opened).value();
-  if (stored->pooled()) std::printf("%s\n", stored->Describe().c_str());
+  if (stored->backend() == storage::StorageBackend::kMmap) std::printf("%s\n", stored->Describe().c_str());
   if (!BuildOrOpen(method, stored->dataset(), cli.text(kIndex))) return false;
   const auto* sharded = dynamic_cast<const shard::ShardedIndex*>(method);
   if (sharded != nullptr) {

@@ -38,6 +38,14 @@ for m in "ADS+" "DSTree" "iSAX2+" "M-tree" "R*-tree" "SFA" "VA+file" \
 done
 echo "OK all methods identical ram vs mmap"
 
+# Describe prints the budget as given: 1 MiB is not a whole number of
+# 384-byte series (length 96), and the line must still read pool=1MiB.
+"$HYDRA" gen synth 3000 96 7 "$TMP/len96.bin" > /dev/null
+"$HYDRA" query "$TMP/len96.bin" DSTree 5 3 $POOL > "$TMP/len96.txt"
+grep -q '^storage: mmap pool=1MiB' "$TMP/len96.txt" \
+  || { echo "FAIL: a 1 MiB pool over length 96 is not described as 1MiB"
+       grep '^storage: mmap' "$TMP/len96.txt"; exit 1; }
+
 # The index methods verify raw candidates through the pool: measured
 # misses must be nonzero cold, and the reconciliation line must appear.
 "$HYDRA" query "$TMP/data.bin" DSTree 5 4 $POOL > "$TMP/pooled.txt"
