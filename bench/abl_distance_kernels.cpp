@@ -1,6 +1,7 @@
 // Ablation: the paper applies three optimizations to all methods — no
-// square root, early abandoning, reordered early abandoning. This exhibit
-// quantifies each, and since the distance layer now dispatches to SIMD
+// square root, early abandoning, reordered early abandoning (here by whole
+// 16-value cache lines ranked by query energy, core::QueryOrder, whose
+// per-query Reset cost is printed too). This exhibit quantifies each, and since the distance layer now dispatches to SIMD
 // kernel sets, it sweeps every set the CPU supports (scalar, portable,
 // avx2, avx512) against the scalar reference: throughput per op and
 // series length, speedup versus scalar, and an inline conformance check
@@ -13,11 +14,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/distance.h"
 #include "core/simd/kernels.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -35,8 +37,7 @@ struct Workbench {
   core::Dataset data;
   size_t length = 0;
   std::vector<Value> query;
-  std::vector<Value> query_ordered;
-  std::vector<uint32_t> order;
+  core::QueryOrder order;  // the line ranking the query paths use
   double bound = 0.0;  // steady-state bsf: 1.1x the 1-NN distance
 };
 
@@ -45,16 +46,7 @@ Workbench MakeWorkbench(size_t count, size_t length, uint64_t seed) {
   w.length = length;
   const core::Dataset q = gen::RandomWalkDataset(1, length, seed + 1);
   w.query.assign(q[0].data(), q[0].data() + length);
-
-  w.order.resize(length);
-  std::iota(w.order.begin(), w.order.end(), 0u);
-  std::sort(w.order.begin(), w.order.end(), [&](uint32_t a, uint32_t b) {
-    return std::fabs(w.query[a]) > std::fabs(w.query[b]);
-  });
-  w.query_ordered.resize(length);
-  for (size_t i = 0; i < length; ++i) {
-    w.query_ordered[i] = w.query[w.order[i]];
-  }
+  w.order.Reset(w.query);
 
   const auto& scalar = core::simd::ScalarKernels();
   double best = kInf;
@@ -81,19 +73,38 @@ double RunOp(const KernelSet& set, const std::string& op, const Workbench& w) {
     }
   } else {
     for (size_t i = 0; i < w.data.size(); ++i) {
-      acc += set.euclidean_sq_reordered(w.query_ordered.data(),
-                                        w.data[i].data(), w.order.data(), n,
-                                        w.bound);
+      acc += set.euclidean_sq_lines(w.order.ranked_query().data(),
+                                    w.data[i].data(), w.order.lines().data(),
+                                    n, w.bound);
     }
   }
   return acc;
 }
 
+// Mean wall time of one QueryOrder::Reset on the workbench query: the
+// per-query cost of ranking its lines (buffers warm, as in ScratchQueryOrder).
+double ResetMicros(const Workbench& w, size_t reps) {
+  core::QueryOrder order(w.query);
+  const size_t calls = 1000 * reps;
+  size_t sink = 0;
+  util::WallTimer timer;
+  for (size_t i = 0; i < calls; ++i) {
+    order.Reset(w.query);
+    sink += order.lines()[0];
+  }
+  const double secs = timer.Seconds();
+  HYDRA_CHECK(sink < calls * w.length);
+  return secs * 1e6 / static_cast<double>(calls);
+}
+
 // Inline conformance: the full (non-abandoning) distance of every series
-// under `set` against the scalar reference. Abandoning ops are only
-// bound-comparable, so conformance is checked on the plain op.
+// under `set` against the scalar reference, for the plain op and for the
+// line kernel at an infinite bound. Abandoning results are only
+// bound-comparable, so conformance is checked on full distances.
 bool Conforms(const KernelSet& set, const Workbench& w) {
   const auto& scalar = core::simd::ScalarKernels();
+  const double tol =
+      16.0 * static_cast<double>(w.length) * std::ldexp(1.0, -53);
   for (size_t i = 0; i < w.data.size(); ++i) {
     const double want =
         scalar.euclidean_sq(w.query.data(), w.data[i].data(), w.length);
@@ -101,11 +112,14 @@ bool Conforms(const KernelSet& set, const Workbench& w) {
         set.euclidean_sq(w.query.data(), w.data[i].data(), w.length);
     if (set.raw_order_preserved) {
       if (got != want) return false;
-    } else {
-      const double tol =
-          16.0 * static_cast<double>(w.length) * std::ldexp(1.0, -53);
-      if (std::fabs(got - want) > std::fabs(want) * tol) return false;
+    } else if (std::fabs(got - want) > std::fabs(want) * tol) {
+      return false;
     }
+    // The line kernel sums in rank order in every set, scalar included.
+    const double lines = set.euclidean_sq_lines(
+        w.order.ranked_query().data(), w.data[i].data(),
+        w.order.lines().data(), w.length, kInf);
+    if (std::fabs(lines - want) > std::fabs(want) * tol) return false;
   }
   return true;
 }
@@ -139,10 +153,16 @@ int Run(int argc, char** argv) {
 
   util::Table table(
       {"set", "op", "length", "series_per_s", "vs_scalar", "conforms"});
+  util::Table reset_rows({"length", "reset_us"});
+  std::vector<std::pair<size_t, double>> json_resets;
   bool all_conform = true;
   for (const size_t length : {64u, 256u, 1024u}) {
     const Workbench w = MakeWorkbench(count, length, 1000 + length);
-    for (const char* op : {"euclidean", "early_abandon", "reordered_abandon"}) {
+    const double reset_us = ResetMicros(w, reps);
+    reset_rows.AddRow({util::Table::Num(static_cast<double>(length), 0),
+                       util::Table::Num(reset_us, 3)});
+    json_resets.push_back({length, reset_us});
+    for (const char* op : {"euclidean", "early_abandon", "line_abandon"}) {
       double scalar_rate = 0.0;
       for (const KernelSet* set : sets) {
         // One warm-up sweep, then timed reps.
@@ -182,6 +202,8 @@ int Run(int argc, char** argv) {
     }
   }
   table.Print("distance kernels (vs_scalar = rate / scalar rate, same op)");
+  reset_rows.Print("QueryOrder::Reset (ranks the query's 16-value lines), "
+                   "microseconds per call");
   if (sets.back() == &core::simd::ScalarKernels() ||
       std::strcmp(sets.back()->name, "portable") == 0) {
     std::printf("\nnote: this machine exposes no AVX2/AVX-512, so the SIMD "
@@ -189,6 +211,17 @@ int Run(int argc, char** argv) {
                 "set only — run on wider hardware for the full exhibit.\n");
   }
 
+  json.EndArray();
+  json.Key("query_order_reset");
+  json.BeginArray();
+  for (const auto& [length, us] : json_resets) {
+    json.BeginObject();
+    json.Key("length");
+    json.Uint(length);
+    json.Key("microseconds");
+    json.Double(us);
+    json.EndObject();
+  }
   json.EndArray();
   json.EndObject();
   if (json_path != nullptr) {

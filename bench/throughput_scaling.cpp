@@ -20,11 +20,11 @@ int Run(int argc, char** argv) {
   const char* json_path = ExtractJsonPath(&argc, argv, nullptr);
   Banner("Batch throughput",
          "queries/sec vs worker threads (batch engine, shared index)",
-         "bounded by memory bandwidth, not cores: on a 4-core VM, 4 batch "
-         "threads gave UCR-Suite 1.08x, DSTree 0.96x and VA+file 0.79x, "
-         "while host reads stayed near 9.3 GB/s from 1 to 4 threads at "
-         "256 MiB — batch answers are bit-identical to the serial path; "
-         "ADS+ is excluded (each sweep adapts its tree further)");
+         "none (the paper answers queries serially). Each row is one "
+         "timed pass of the batch below; a short wall carries run-to-run "
+         "noise, so read the speedups as this run's measurement, not as "
+         "a ceiling. ADS+ is excluded (each sweep adapts its tree "
+         "further)");
 
   const size_t count = 20000;
   const size_t length = 256;

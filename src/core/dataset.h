@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/types.h"
+#include "util/aligned.h"
 
 namespace hydra::io {
 class RunReader;
@@ -122,7 +123,9 @@ class Dataset {
   std::string name_;
   size_t length_ = 0;
   size_t count_ = 0;
-  std::vector<Value> values_;
+  /// Line-aligned, so a series whose length is a multiple of 16 values
+  /// starts on a cache line (see QueryOrder).
+  std::vector<Value, util::LineAlignedAllocator<Value>> values_;
   /// Borrowed series-major buffer of a slice; nullptr for owning datasets.
   const Value* borrowed_ = nullptr;
   /// Out-of-core verification-read source (see AttachRawSource); nullptr

@@ -1,7 +1,6 @@
 #include "core/distance.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <numeric>
 
@@ -22,17 +21,29 @@ double SquaredEuclideanEarlyAbandon(SeriesView a, SeriesView b, double bound) {
 }
 
 void QueryOrder::Reset(SeriesView query) {
-  query_.assign(query.begin(), query.end());
-  order_.resize(query.size());
-  std::iota(order_.begin(), order_.end(), 0u);
-  std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
-    return std::fabs(query_[a]) > std::fabs(query_[b]);
+  constexpr size_t kLine = simd::kLineValues;
+  length_ = query.size();
+  const size_t blocks = (length_ + kLine - 1) / kLine;
+  energy_.resize(blocks);
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t end = std::min((b + 1) * kLine, length_);
+    double energy = 0.0;
+    for (size_t i = b * kLine; i < end; ++i) {
+      const double v = query[i];
+      energy += v * v;
+    }
+    energy_[b] = energy;
+  }
+  lines_.resize(blocks);
+  std::iota(lines_.begin(), lines_.end(), 0u);
+  std::sort(lines_.begin(), lines_.end(), [&](uint32_t a, uint32_t b) {
+    return energy_[a] > energy_[b] || (energy_[a] == energy_[b] && a < b);
   });
-  // Contiguous copy in visit order: the kernels stream it linearly and
-  // only gather through order_ on the candidate side.
-  ordered_query_.resize(query.size());
-  for (size_t i = 0; i < order_.size(); ++i) {
-    ordered_query_[i] = query_[order_[i]];
+  ranked_query_.assign(blocks * kLine, 0.0f);
+  for (size_t r = 0; r < blocks; ++r) {
+    const size_t first = size_t{lines_[r]} * kLine;
+    std::copy_n(query.data() + first, std::min(kLine, length_ - first),
+                ranked_query_.data() + r * kLine);
   }
 }
 
@@ -43,10 +54,9 @@ QueryOrder& ScratchQueryOrder(SeriesView query) {
 }
 
 double QueryOrder::Distance(SeriesView candidate, double bound) const {
-  HYDRA_DCHECK(candidate.size() == query_.size());
-  return simd::ActiveKernels().euclidean_sq_reordered(
-      ordered_query_.data(), candidate.data(), order_.data(), order_.size(),
-      bound);
+  HYDRA_DCHECK(candidate.size() == length_);
+  return simd::ActiveKernels().euclidean_sq_lines(
+      ranked_query_.data(), candidate.data(), lines_.data(), length_, bound);
 }
 
 }  // namespace hydra::core

@@ -3,12 +3,14 @@
 // Every kernel family ships in up to five implementations ("kernel sets"):
 //   scalar   — the permanent reference, verbatim the pre-SIMD loops.
 //   portable — 4-wide stripe-unrolled plain C++ (any CPU, any ISA).
-//   avx2     — 256-bit AVX2+FMA (8 floats / 4 doubles per step, gathers).
+//   avx2     — 256-bit AVX2+FMA (8 floats / 4 doubles per step, gathers
+//              in the summary kernels).
 //   avx512   — 512-bit AVX-512 F+DQ raw-series kernels (summary kernels
 //              reuse the AVX2 table forms, which are already memory-bound).
 //   neon     — AArch64 Advanced SIMD raw-series kernels (8 floats per step
-//              over four 2-lane double accumulators); summary and
-//              reordered kernels alias scalar (NEON has no gather).
+//              over four 2-lane double accumulators); summary kernels
+//              alias scalar (NEON has no gather), the line kernel aliases
+//              the portable form.
 //
 // Dispatch is resolved once per process from cpuid (best supported set
 // wins), overridable via the HYDRA_KERNELS environment variable or
@@ -24,14 +26,16 @@
 //    VaPlusQuantizer::QueryBounds and transform::IsaxQueryTable, pinned to
 //    scalar references outside the dispatch.)
 //  - Raw-series kernels (euclidean_sq, euclidean_sq_abandon,
-//    euclidean_sq_reordered) may use multiple accumulators; sets with
+//    euclidean_sq_lines) may use multiple accumulators; sets with
 //    raw_order_preserved == false agree with the reference to relative
 //    error <= 16 * n * 2^-53 (all terms are nonnegative, so the sum is
 //    perfectly conditioned and lane reassociation is the only error
 //    source).
 //  - Within any one set, euclidean_sq_abandon(a, b, n, +inf) is
 //    bit-identical to euclidean_sq(a, b, n), and a non-abandoned return
-//    (<= bound) always equals the full distance of that set.
+//    (<= bound) always equals the full distance of that set. Likewise a
+//    non-abandoned euclidean_sq_lines return equals the same set's
+//    euclidean_sq_lines(..., +inf), bit for bit.
 #ifndef HYDRA_CORE_SIMD_KERNELS_H_
 #define HYDRA_CORE_SIMD_KERNELS_H_
 
@@ -44,6 +48,10 @@
 #include "util/status.h"
 
 namespace hydra::core::simd {
+
+/// Values per block of euclidean_sq_lines: one 64-byte cache line of
+/// floats.
+inline constexpr size_t kLineValues = 16;
 
 /// One dispatchable implementation of every hot kernel. All pointers are
 /// always non-null; sets that have no specialized form for a kernel alias
@@ -67,14 +75,18 @@ struct KernelSet {
   double (*euclidean_sq_abandon)(const Value* a, const Value* b, size_t n,
                                  double bound);
 
-  /// Reordered early abandon: dimension i contributes
-  /// (q_ordered[i] - candidate[order[i]])^2, visiting i in ascending order
-  /// (callers pre-sort `order` by decreasing |q|). Same abandon semantics
-  /// as euclidean_sq_abandon.
-  double (*euclidean_sq_reordered)(const Value* q_ordered,
-                                   const Value* candidate,
-                                   const uint32_t* order, size_t n,
-                                   double bound);
+  /// Line-ranked early abandon (reordered early abandoning by blocks).
+  /// The `n` values split into ceil(n / kLineValues) blocks; block b is
+  /// [b * kLineValues, min((b + 1) * kLineValues, n)), so only the last
+  /// may be partial. Rank r = 0, 1, ... compares block lines[r] of
+  /// `candidate`, loaded contiguously, with q_ranked[r * kLineValues, ...),
+  /// which holds the same block of the query, zero-padded to kLineValues
+  /// (QueryOrder ranks the blocks by decreasing query energy). The bound is
+  /// checked after every block; same abandon semantics as
+  /// euclidean_sq_abandon.
+  double (*euclidean_sq_lines)(const Value* q_ranked, const Value* candidate,
+                               const uint32_t* lines, size_t n,
+                               double bound);
 
   /// sum_i (a[i] - b[i])^2 over doubles — the PAA lower-bound core
   /// (callers scale by points-per-segment). Order-preserving in every set.

@@ -21,18 +21,21 @@
 namespace hydra::core::simd::internal {
 namespace {
 
-// Deterministic horizontal sum: fixed pairwise tree over the 4 lanes.
+// Deterministic horizontal sum: the fixed pairwise tree
+// (t0 + t1) + (t2 + t3), kept in registers (the line kernel runs it once
+// per 16 values).
 inline double Hsum4(__m256d v) {
-  alignas(32) double t[4];
-  _mm256_store_pd(t, v);
-  return (t[0] + t[1]) + (t[2] + t[3]);
+  const __m256d pairs = _mm256_hadd_pd(v, v);  // t0+t1 | t2+t3 per half
+  return _mm_cvtsd_f64(_mm_add_sd(_mm256_castpd256_pd128(pairs),
+                                  _mm256_extractf128_pd(pairs, 1)));
 }
 
-// acc0 += (a-b)^2 over lanes 0..3, acc1 over lanes 4..7 of an 8-float step.
-inline void Step8(const Value* a, const Value* b, size_t i, __m256d* acc0,
-                  __m256d* acc1) {
-  const __m256 va = _mm256_loadu_ps(a + i);
-  const __m256 vb = _mm256_loadu_ps(b + i);
+// acc0 += (a-b)^2 over lanes 0..3, acc1 over lanes 4..7 of an 8-float
+// step whose `b` half is already in a register (the line kernel's masked
+// tail loads it so).
+inline void Step8Loaded(const Value* a, __m256 vb, __m256d* acc0,
+                        __m256d* acc1) {
+  const __m256 va = _mm256_loadu_ps(a);
   const __m256d a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(va));
   const __m256d a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(va, 1));
   const __m256d b_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(vb));
@@ -43,22 +46,9 @@ inline void Step8(const Value* a, const Value* b, size_t i, __m256d* acc0,
   *acc1 = _mm256_fmadd_pd(d_hi, d_hi, *acc1);
 }
 
-// Same step shape with the candidate gathered through `order`.
-inline void GatherStep8(const Value* q_ordered, const Value* candidate,
-                        const uint32_t* order, size_t i, __m256d* acc0,
-                        __m256d* acc1) {
-  const __m256i idx =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(order + i));
-  const __m256 vq = _mm256_loadu_ps(q_ordered + i);
-  const __m256 vc = _mm256_i32gather_ps(candidate, idx, 4);
-  const __m256d q_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(vq));
-  const __m256d q_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(vq, 1));
-  const __m256d c_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(vc));
-  const __m256d c_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(vc, 1));
-  const __m256d d_lo = _mm256_sub_pd(q_lo, c_lo);
-  const __m256d d_hi = _mm256_sub_pd(q_hi, c_hi);
-  *acc0 = _mm256_fmadd_pd(d_lo, d_lo, *acc0);
-  *acc1 = _mm256_fmadd_pd(d_hi, d_hi, *acc1);
+inline void Step8(const Value* a, const Value* b, size_t i, __m256d* acc0,
+                  __m256d* acc1) {
+  Step8Loaded(a + i, _mm256_loadu_ps(b + i), acc0, acc1);
 }
 
 // Shared body (see kernels_portable.cc): kAbandon adds a partial-sum check
@@ -96,31 +86,35 @@ double Avx2EuclideanSqAbandon(const Value* a, const Value* b, size_t n,
   return EuclideanImpl<true>(a, b, n, bound);
 }
 
-double Avx2EuclideanSqReordered(const Value* q_ordered, const Value* candidate,
-                                const uint32_t* order, size_t n,
-                                double bound) {
-  if (n < kMinGatherWidth) {
-    return ScalarEuclideanSqReordered(q_ordered, candidate, order, n, bound);
-  }
+// A block is two Step8s. The partial last block masks its candidate loads
+// (no read past the series); the query is zero-padded, so masked lanes add
+// (0 - 0)^2 = +0.
+double Avx2EuclideanSqLines(const Value* q_ranked, const Value* candidate,
+                            const uint32_t* lines, size_t n, double bound) {
+  const size_t blocks = (n + kLineValues - 1) / kLineValues;
+  const int tail = static_cast<int>(n % kLineValues);
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i mask_lo = _mm256_cmpgt_epi32(_mm256_set1_epi32(tail), lane);
+  const __m256i mask_hi =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(tail - 8), lane);
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
-  size_t i = 0;
-  while (i + 16 <= n) {
-    GatherStep8(q_ordered, candidate, order, i, &acc0, &acc1);
-    GatherStep8(q_ordered, candidate, order, i + 8, &acc0, &acc1);
-    i += 16;
-    const double partial = Hsum4(_mm256_add_pd(acc0, acc1));
+  double partial = 0.0;
+  for (size_t r = 0; r < blocks; ++r) {
+    const size_t first = size_t{lines[r]} * kLineValues;
+    const Value* q = q_ranked + r * kLineValues;
+    const Value* c = candidate + first;
+    if (first + kLineValues <= n) {
+      Step8(q, c, 0, &acc0, &acc1);
+      Step8(q, c, 8, &acc0, &acc1);
+    } else {
+      Step8Loaded(q, _mm256_maskload_ps(c, mask_lo), &acc0, &acc1);
+      Step8Loaded(q + 8, _mm256_maskload_ps(c + 8, mask_hi), &acc0, &acc1);
+    }
+    partial = Hsum4(_mm256_add_pd(acc0, acc1));
     if (partial > bound) return partial;
   }
-  for (; i + 8 <= n; i += 8) {
-    GatherStep8(q_ordered, candidate, order, i, &acc0, &acc1);
-  }
-  double total = Hsum4(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) {
-    const double diff = static_cast<double>(q_ordered[i]) - candidate[order[i]];
-    total += diff * diff;
-  }
-  return total;
+  return partial;
 }
 
 // Branchless interval distance, bit-identical to the scalar branches for
@@ -277,7 +271,7 @@ const KernelSet* Avx2KernelsImpl() {
       /*raw_order_preserved=*/false,
       &Avx2EuclideanSq,
       &Avx2EuclideanSqAbandon,
-      &Avx2EuclideanSqReordered,
+      &Avx2EuclideanSqLines,
       &Avx2SumSqDiff,
       &Avx2BoxDistSq,
       &Avx2SfaLbSq,

@@ -16,18 +16,24 @@
 namespace hydra::core::simd::internal {
 namespace {
 
-// Deterministic horizontal sum: fixed pairwise tree over the 8 lanes.
+// Deterministic horizontal sum: the fixed pairwise tree
+// ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)), kept in registers
+// (the line kernel runs it once per 16 values).
 inline double Hsum8(__m512d v) {
-  alignas(64) double t[8];
-  _mm512_store_pd(t, v);
-  return ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]));
+  // t0+t1 | t4+t5 | t2+t3 | t6+t7
+  const __m256d pairs = _mm256_hadd_pd(_mm512_castpd512_pd256(v),
+                                       _mm512_extractf64x4_pd(v, 1));
+  const __m128d quads = _mm_add_pd(_mm256_castpd256_pd128(pairs),
+                                   _mm256_extractf128_pd(pairs, 1));
+  return _mm_cvtsd_f64(_mm_add_sd(quads, _mm_unpackhi_pd(quads, quads)));
 }
 
-// acc0 += (a-b)^2 over lanes 0..7, acc1 over lanes 8..15 of a 16-float step.
-inline void Step16(const Value* a, const Value* b, size_t i, __m512d* acc0,
-                   __m512d* acc1) {
-  const __m512 va = _mm512_loadu_ps(a + i);
-  const __m512 vb = _mm512_loadu_ps(b + i);
+// acc0 += (a-b)^2 over lanes 0..7, acc1 over lanes 8..15 of a 16-float
+// step whose `b` half is already in a register (the line kernel's masked
+// tail loads it so).
+inline void Step16Loaded(const Value* a, __m512 vb, __m512d* acc0,
+                         __m512d* acc1) {
+  const __m512 va = _mm512_loadu_ps(a);
   const __m512d a_lo = _mm512_cvtps_pd(_mm512_castps512_ps256(va));
   const __m512d a_hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(va, 1));
   const __m512d b_lo = _mm512_cvtps_pd(_mm512_castps512_ps256(vb));
@@ -38,21 +44,9 @@ inline void Step16(const Value* a, const Value* b, size_t i, __m512d* acc0,
   *acc1 = _mm512_fmadd_pd(d_hi, d_hi, *acc1);
 }
 
-inline void GatherStep16(const Value* q_ordered, const Value* candidate,
-                         const uint32_t* order, size_t i, __m512d* acc0,
-                         __m512d* acc1) {
-  const __m512i idx =
-      _mm512_loadu_si512(reinterpret_cast<const void*>(order + i));
-  const __m512 vq = _mm512_loadu_ps(q_ordered + i);
-  const __m512 vc = _mm512_i32gather_ps(idx, candidate, 4);
-  const __m512d q_lo = _mm512_cvtps_pd(_mm512_castps512_ps256(vq));
-  const __m512d q_hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(vq, 1));
-  const __m512d c_lo = _mm512_cvtps_pd(_mm512_castps512_ps256(vc));
-  const __m512d c_hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(vc, 1));
-  const __m512d d_lo = _mm512_sub_pd(q_lo, c_lo);
-  const __m512d d_hi = _mm512_sub_pd(q_hi, c_hi);
-  *acc0 = _mm512_fmadd_pd(d_lo, d_lo, *acc0);
-  *acc1 = _mm512_fmadd_pd(d_hi, d_hi, *acc1);
+inline void Step16(const Value* a, const Value* b, size_t i, __m512d* acc0,
+                   __m512d* acc1) {
+  Step16Loaded(a + i, _mm512_loadu_ps(b + i), acc0, acc1);
 }
 
 // Shared body (see kernels_portable.cc): kAbandon adds a partial-sum check
@@ -90,32 +84,30 @@ double Avx512EuclideanSqAbandon(const Value* a, const Value* b, size_t n,
   return EuclideanImpl<true>(a, b, n, bound);
 }
 
-double Avx512EuclideanSqReordered(const Value* q_ordered,
-                                  const Value* candidate,
-                                  const uint32_t* order, size_t n,
-                                  double bound) {
-  if (n < kMinGatherWidth) {
-    return ScalarEuclideanSqReordered(q_ordered, candidate, order, n, bound);
-  }
+// A block is one Step16 (one cache line when the candidate is aligned).
+// The partial last block masks its candidate load (no read past the
+// series); the query is zero-padded, so masked lanes add (0 - 0)^2 = +0.
+double Avx512EuclideanSqLines(const Value* q_ranked, const Value* candidate,
+                              const uint32_t* lines, size_t n, double bound) {
+  const size_t blocks = (n + kLineValues - 1) / kLineValues;
+  const __mmask16 tail =
+      static_cast<__mmask16>((1u << (n % kLineValues)) - 1u);
   __m512d acc0 = _mm512_setzero_pd();
   __m512d acc1 = _mm512_setzero_pd();
-  size_t i = 0;
-  while (i + 32 <= n) {
-    GatherStep16(q_ordered, candidate, order, i, &acc0, &acc1);
-    GatherStep16(q_ordered, candidate, order, i + 16, &acc0, &acc1);
-    i += 32;
-    const double partial = Hsum8(_mm512_add_pd(acc0, acc1));
+  double partial = 0.0;
+  for (size_t r = 0; r < blocks; ++r) {
+    const size_t first = size_t{lines[r]} * kLineValues;
+    const Value* q = q_ranked + r * kLineValues;
+    if (first + kLineValues <= n) {
+      Step16(q, candidate + first, 0, &acc0, &acc1);
+    } else {
+      Step16Loaded(q, _mm512_maskz_loadu_ps(tail, candidate + first), &acc0,
+                   &acc1);
+    }
+    partial = Hsum8(_mm512_add_pd(acc0, acc1));
     if (partial > bound) return partial;
   }
-  for (; i + 16 <= n; i += 16) {
-    GatherStep16(q_ordered, candidate, order, i, &acc0, &acc1);
-  }
-  double total = Hsum8(_mm512_add_pd(acc0, acc1));
-  for (; i < n; ++i) {
-    const double diff = static_cast<double>(q_ordered[i]) - candidate[order[i]];
-    total += diff * diff;
-  }
-  return total;
+  return partial;
 }
 
 }  // namespace
@@ -126,7 +118,7 @@ const KernelSet* Avx512KernelsImpl() {
       /*raw_order_preserved=*/false,
       &Avx512EuclideanSq,
       &Avx512EuclideanSqAbandon,
-      &Avx512EuclideanSqReordered,
+      &Avx512EuclideanSqLines,
       &Avx2SumSqDiff,
       &Avx2BoxDistSq,
       &Avx2SfaLbSq,

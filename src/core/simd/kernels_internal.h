@@ -17,10 +17,8 @@ namespace hydra::core::simd::internal {
 double ScalarEuclideanSq(const Value* a, const Value* b, size_t n);
 double ScalarEuclideanSqAbandon(const Value* a, const Value* b, size_t n,
                                 double bound);
-double ScalarEuclideanSqReordered(const Value* q_ordered,
-                                  const Value* candidate,
-                                  const uint32_t* order, size_t n,
-                                  double bound);
+double ScalarEuclideanSqLines(const Value* q_ranked, const Value* candidate,
+                              const uint32_t* lines, size_t n, double bound);
 double ScalarSumSqDiff(const double* a, const double* b, size_t n);
 double ScalarBoxDistSq(const double* q, const double* lo, const double* hi,
                        size_t n);
@@ -28,6 +26,12 @@ double ScalarSfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,
                      const double* edges, size_t stride);
 double ScalarEapcaNodeLbSq(const double* q_stats, const double* env,
                            const uint32_t* ends, size_t segments);
+
+// The portable line kernel (kernels_portable.cc), which the NEON set
+// aliases.
+double PortableEuclideanSqLines(const Value* q_ranked, const Value* candidate,
+                                const uint32_t* lines, size_t n,
+                                double bound);
 
 // AVX2 summary kernels (kernels_avx2.cc) — also used by the AVX-512 set,
 // whose extra width does not pay for these short, gather-bound loops.
@@ -47,11 +51,6 @@ const KernelSet& PortableKernelsImpl();
 const KernelSet* Avx2KernelsImpl();
 const KernelSet* Avx512KernelsImpl();
 const KernelSet* NeonKernelsImpl();
-
-/// Reordered (gather-based) kernels fall back to the scalar loop below
-/// this width: the gather setup only pays off on wide series, and the
-/// existing scalar-path tests pin behavior at short widths.
-inline constexpr size_t kMinGatherWidth = 48;
 
 }  // namespace hydra::core::simd::internal
 

@@ -5,9 +5,10 @@
 // every 16 dimensions, mirroring the AVX2 stripe shape, so
 // abandon(+inf) == plain holds bitwise within the set.
 //
-// NEON has no gather instruction, so the reordered kernel and every
-// summary (table-walking) lower-bound kernel alias the scalar reference —
-// which also keeps them order-preserving, the pruning-soundness anchor.
+// NEON has no gather instruction, so every summary (table-walking)
+// lower-bound kernel aliases the scalar reference — which also keeps them
+// order-preserving, the pruning-soundness anchor. The line kernel aliases
+// the portable form: CI has no ARM runner to verify a NEON body.
 //
 // AArch64 makes Advanced SIMD baseline, so this TU needs no target flags —
 // only -ffp-contract=off like every kernel TU, so the scalar tail loops
@@ -104,7 +105,7 @@ const KernelSet* NeonKernelsImpl() {
       /*raw_order_preserved=*/false,
       &NeonEuclideanSq,
       &NeonEuclideanSqAbandon,
-      &ScalarEuclideanSqReordered,  // no gather on NEON
+      &PortableEuclideanSqLines,
       &ScalarSumSqDiff,
       &ScalarBoxDistSq,
       &ScalarSfaLbSq,

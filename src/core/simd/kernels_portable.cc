@@ -24,18 +24,6 @@ inline void Stripe4(const Value* a, const Value* b, size_t i, double* acc) {
   acc[3] += d3 * d3;
 }
 
-inline void Stripe4Reordered(const Value* q_ordered, const Value* candidate,
-                             const uint32_t* order, size_t i, double* acc) {
-  const double d0 = static_cast<double>(q_ordered[i + 0]) - candidate[order[i + 0]];
-  const double d1 = static_cast<double>(q_ordered[i + 1]) - candidate[order[i + 1]];
-  const double d2 = static_cast<double>(q_ordered[i + 2]) - candidate[order[i + 2]];
-  const double d3 = static_cast<double>(q_ordered[i + 3]) - candidate[order[i + 3]];
-  acc[0] += d0 * d0;
-  acc[1] += d1 * d1;
-  acc[2] += d2 * d2;
-  acc[3] += d3 * d3;
-}
-
 inline double Combine(const double* acc) {
   return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
@@ -77,34 +65,36 @@ double PortableEuclideanSqAbandon(const Value* a, const Value* b, size_t n,
   return EuclideanImpl<true>(a, b, n, bound);
 }
 
-double PortableEuclideanSqReordered(const Value* q_ordered,
-                                    const Value* candidate,
-                                    const uint32_t* order, size_t n,
-                                    double bound) {
-  if (n < kMinGatherWidth) {
-    return ScalarEuclideanSqReordered(q_ordered, candidate, order, n, bound);
-  }
+}  // namespace
+
+// Each block is four stripes into the lane accumulators (a partial block
+// feeds its values to lane j % 4), then a combine and the bound check.
+double PortableEuclideanSqLines(const Value* q_ranked, const Value* candidate,
+                                const uint32_t* lines, size_t n,
+                                double bound) {
+  const size_t blocks = (n + kLineValues - 1) / kLineValues;
   double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  size_t i = 0;
-  while (i + 16 <= n) {
-    Stripe4Reordered(q_ordered, candidate, order, i, acc);
-    Stripe4Reordered(q_ordered, candidate, order, i + 4, acc);
-    Stripe4Reordered(q_ordered, candidate, order, i + 8, acc);
-    Stripe4Reordered(q_ordered, candidate, order, i + 12, acc);
-    i += 16;
-    const double partial = Combine(acc);
+  double partial = 0.0;
+  for (size_t r = 0; r < blocks; ++r) {
+    const size_t first = size_t{lines[r]} * kLineValues;
+    const Value* q = q_ranked + r * kLineValues;
+    const Value* c = candidate + first;
+    if (first + kLineValues <= n) {
+      Stripe4(q, c, 0, acc);
+      Stripe4(q, c, 4, acc);
+      Stripe4(q, c, 8, acc);
+      Stripe4(q, c, 12, acc);
+    } else {
+      for (size_t j = 0; j < n - first; ++j) {
+        const double d = static_cast<double>(q[j]) - c[j];
+        acc[j % 4] += d * d;
+      }
+    }
+    partial = Combine(acc);
     if (partial > bound) return partial;
   }
-  for (; i + 4 <= n; i += 4) Stripe4Reordered(q_ordered, candidate, order, i, acc);
-  double total = Combine(acc);
-  for (; i < n; ++i) {
-    const double diff = static_cast<double>(q_ordered[i]) - candidate[order[i]];
-    total += diff * diff;
-  }
-  return total;
+  return partial;
 }
-
-}  // namespace
 
 const KernelSet& PortableKernelsImpl() {
   static constexpr KernelSet kPortable = {
@@ -112,7 +102,7 @@ const KernelSet& PortableKernelsImpl() {
       /*raw_order_preserved=*/false,
       &PortableEuclideanSq,
       &PortableEuclideanSqAbandon,
-      &PortableEuclideanSqReordered,
+      &PortableEuclideanSqLines,
       &ScalarSumSqDiff,
       &ScalarBoxDistSq,
       &ScalarSfaLbSq,

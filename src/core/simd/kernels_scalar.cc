@@ -2,6 +2,8 @@
 // permanent reference every other set is differentially tested against.
 // Compiled with -ffp-contract=off so the reference semantics cannot drift
 // with compiler defaults.
+#include <algorithm>
+
 #include "core/simd/kernels.h"
 #include "core/simd/kernels_internal.h"
 
@@ -36,24 +38,22 @@ double ScalarEuclideanSqAbandon(const Value* a, const Value* b, size_t n,
   return acc;
 }
 
-double ScalarEuclideanSqReordered(const Value* q_ordered,
-                                  const Value* candidate,
-                                  const uint32_t* order, size_t n,
-                                  double bound) {
+// The line kernel's reference: blocks in rank order, each summed in
+// natural order into one accumulator.
+double ScalarEuclideanSqLines(const Value* q_ranked, const Value* candidate,
+                              const uint32_t* lines, size_t n, double bound) {
+  const size_t blocks = (n + kLineValues - 1) / kLineValues;
   double acc = 0.0;
-  size_t i = 0;
-  constexpr size_t kStride = 8;
-  while (i + kStride <= n) {
-    for (size_t j = 0; j < kStride; ++j, ++i) {
-      const double diff =
-          static_cast<double>(q_ordered[i]) - candidate[order[i]];
+  for (size_t r = 0; r < blocks; ++r) {
+    const size_t first = size_t{lines[r]} * kLineValues;
+    const size_t width = std::min(kLineValues, n - first);
+    const Value* q = q_ranked + r * kLineValues;
+    const Value* c = candidate + first;
+    for (size_t j = 0; j < width; ++j) {
+      const double diff = static_cast<double>(q[j]) - c[j];
       acc += diff * diff;
     }
     if (acc > bound) return acc;
-  }
-  for (; i < n; ++i) {
-    const double diff = static_cast<double>(q_ordered[i]) - candidate[order[i]];
-    acc += diff * diff;
   }
   return acc;
 }
@@ -135,7 +135,7 @@ const KernelSet& ScalarKernelsImpl() {
       /*raw_order_preserved=*/true,
       &ScalarEuclideanSq,
       &ScalarEuclideanSqAbandon,
-      &ScalarEuclideanSqReordered,
+      &ScalarEuclideanSqLines,
       &ScalarSumSqDiff,
       &ScalarBoxDistSq,
       &ScalarSfaLbSq,

@@ -153,7 +153,7 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
   core::KnnHeap heap(plan.k);
   core::KnnWorkers workers(&heap, &result.stats, plan);
   io::WorkerCursors cursors(data_, workers.workers());
-  const core::QueryOrder order(query);
+  const core::QueryOrder& order = core::ScratchQueryOrder(query);
   const auto paa = transform::Paa(query, options_.segments);
   const size_t pps = query.size() / options_.segments;
 
@@ -233,8 +233,8 @@ core::QueryResult AdsPlus::DoSearchRange(core::SeriesView query,
       candidates.ids.push_back(static_cast<core::SeriesId>(i));
     }
   }
-  core::RefineRange(candidates, *data_, plan, core::QueryOrder(query),
-                    &result);
+  core::RefineRange(candidates, *data_, plan,
+                    core::ScratchQueryOrder(query), &result);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }
@@ -244,7 +244,7 @@ core::QueryResult AdsPlus::DoSearchKnnNg(core::SeriesView query, size_t k) {
   util::WallTimer timer;
   core::QueryResult result;
   core::KnnHeap heap(k);
-  const core::QueryOrder order(query);
+  const core::QueryOrder& order = core::ScratchQueryOrder(query);
   const auto paa = transform::Paa(query, options_.segments);
   const size_t pps = query.size() / options_.segments;
 

@@ -52,8 +52,7 @@ core::SeriesView CountedStorage::FetchRun(core::SeriesId i,
     if (run_ == nullptr) {
       lent_ = source_->BorrowRun(source_->run_cap());
       run_capacity_ = std::max<size_t>(1, lent_);
-      run_ = std::make_unique_for_overwrite<core::Value[]>(run_capacity_ *
-                                                           length);
+      run_ = util::MakeLineAlignedArray<core::Value>(run_capacity_ * length);
     }
     // The run starts at i and takes in the planned candidates after it
     // while the gap to each stays small and the run fits the scratch.

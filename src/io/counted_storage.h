@@ -24,6 +24,7 @@
 #include "core/dataset.h"
 #include "core/search_stats.h"
 #include "core/types.h"
+#include "util/aligned.h"
 
 namespace hydra::io {
 
@@ -114,7 +115,7 @@ class CountedStorage {
 
  private:
   static constexpr int64_t kNoCursor = -2;
-  static constexpr uintptr_t kCacheLine = 64;
+  static constexpr uintptr_t kCacheLine = util::kCacheLineBytes;
 
   /// The one place bytes are fetched: as a run read when the dataset is
   /// file-backed, by dereference otherwise.
@@ -141,7 +142,7 @@ class CountedStorage {
   size_t run_count_ = 0;
   size_t run_capacity_ = 0;  // series; allocated on the first run
   size_t lent_ = 0;          // series of run_capacity_ borrowed from source_
-  std::unique_ptr<core::Value[]> run_;
+  util::LineAlignedArray<core::Value> run_;  // line-aligned, like Dataset
 };
 
 /// Geometry of a RunReader: the run scratch it may lend, and its largest

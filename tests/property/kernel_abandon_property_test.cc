@@ -4,16 +4,18 @@
 // floating-point near-tie band), while a non-abandoned result must be bit
 // identical to the same set's full distance. Bounds are drawn to land
 // below, around, and above the true distance, including exact ties.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/distance.h"
 #include "core/simd/kernels.h"
+#include "util/aligned.h"
 #include "util/rng.h"
 
 namespace hydra::core::simd {
@@ -84,37 +86,46 @@ TEST_P(KernelAbandonProperty, AbandonIsBoundComparableElseExact) {
   }
 }
 
-TEST_P(KernelAbandonProperty, ReorderedAbandonIsBoundComparableElseExact) {
+// The line kernel over the widths of every block-tail shape, candidates at
+// byte offsets {0, 4, 16, 60} from a cache line, and bounds 0, around the
+// answer (mid) and +inf.
+TEST_P(KernelAbandonProperty, LinesAbandonIsBoundComparableElseExact) {
   util::Rng rng(0xAB2 + GetParam());
   const KernelSet& scalar = ScalarKernels();
-  for (int iter = 0; iter < 4000; ++iter) {
-    const size_t n = static_cast<size_t>(rng.UniformInt(1, 160));
-    const auto q = RandomSeries(n, rng);
-    const auto c = RandomSeries(n, rng);
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
-      return std::fabs(q[x]) > std::fabs(q[y]);
-    });
-    std::vector<Value> q_ordered(n);
-    for (size_t i = 0; i < n; ++i) q_ordered[i] = q[order[i]];
-
-    const double full = set().euclidean_sq_reordered(
-        q_ordered.data(), c.data(), order.data(), n, kInf);
-    const double ref_full = scalar.euclidean_sq(q.data(), c.data(), n);
-    const double bound = DrawBound(ref_full, rng);
-    const double r = set().euclidean_sq_reordered(
-        q_ordered.data(), c.data(), order.data(), n, bound);
-    if (r <= bound) {
-      EXPECT_EQ(std::bit_cast<uint64_t>(r), std::bit_cast<uint64_t>(full))
-          << set().name << " n=" << n << " bound=" << bound;
-    } else {
-      EXPECT_GT(r, bound) << set().name << " n=" << n;
-      if (!NearTie(ref_full, bound)) {
-        EXPECT_GT(ref_full, bound)
-            << set().name << " reordered abandon disagrees with the "
-            << "reference distance " << ref_full << " under bound " << bound
-            << " (n=" << n << ")";
+  for (int iter = 0; iter < 100; ++iter) {
+    for (const size_t n :
+         {1u, 15u, 16u, 17u, 31u, 48u, 100u, 255u, 256u, 257u}) {
+      const auto q = RandomSeries(n, rng);
+      const auto c = RandomSeries(n, rng);
+      const QueryOrder order(q);
+      const double ref_full = scalar.euclidean_sq(q.data(), c.data(), n);
+      for (const size_t offset_bytes : {0u, 4u, 16u, 60u}) {
+        const size_t shift = offset_bytes / sizeof(Value);
+        util::LineAlignedArray<Value> buf =
+            util::MakeLineAlignedArray<Value>(shift + n);
+        std::copy(c.begin(), c.end(), buf.get() + shift);
+        const Value* cand = buf.get() + shift;
+        const double full = set().euclidean_sq_lines(
+            order.ranked_query().data(), cand, order.lines().data(), n, kInf);
+        for (const double bound :
+             {0.0, ref_full * rng.Uniform(0.1, 1.5), kInf}) {
+          const double r = set().euclidean_sq_lines(
+              order.ranked_query().data(), cand, order.lines().data(), n,
+              bound);
+          if (r <= bound) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(r),
+                      std::bit_cast<uint64_t>(full))
+                << set().name << " n=" << n << " bound=" << bound;
+          } else {
+            EXPECT_GT(r, bound) << set().name << " n=" << n;
+            if (!NearTie(ref_full, bound)) {
+              EXPECT_GT(ref_full, bound)
+                  << set().name << " line abandon disagrees with the "
+                  << "reference distance " << ref_full << " under bound "
+                  << bound << " (n=" << n << ")";
+            }
+          }
+        }
       }
     }
   }

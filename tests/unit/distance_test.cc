@@ -1,5 +1,8 @@
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -48,13 +51,61 @@ TEST(EarlyAbandon, AbandonsAboveBound) {
   EXPECT_LT(r, 64.0);  // but should not have computed everything
 }
 
-TEST(QueryOrder, OrdersByDecreasingMagnitude) {
-  const std::vector<Value> q = {0.1f, -5.0f, 2.0f, 0.0f};
+TEST(QueryOrder, RanksBlocksByEnergyTiesByIndex) {
+  // Four 16-value blocks with energies 1, 4, 4, 0: the tie between blocks
+  // 1 and 2 goes to the lower index.
+  std::vector<Value> q(64, 0.0f);
+  q[3] = 1.0f;
+  q[16] = 2.0f;
+  q[47] = -2.0f;
   QueryOrder order(q);
-  ASSERT_EQ(order.order().size(), 4u);
-  EXPECT_EQ(order.order()[0], 1u);  // |-5| largest
-  EXPECT_EQ(order.order()[1], 2u);
-  EXPECT_EQ(order.order()[3], 3u);
+  EXPECT_EQ(std::vector<uint32_t>(order.lines().begin(), order.lines().end()),
+            (std::vector<uint32_t>{1, 2, 0, 3}));
+  ASSERT_EQ(order.ranked_query().size(), 64u);
+  EXPECT_EQ(order.ranked_query()[0], 2.0f);    // block 1, value 0
+  EXPECT_EQ(order.ranked_query()[31], -2.0f);  // block 2, value 15
+  EXPECT_EQ(order.ranked_query()[35], 1.0f);   // block 0, value 3
+}
+
+TEST(QueryOrder, PartialLastBlockRankedLikeAnyOther) {
+  // 35 values: two full blocks and a 3-value block holding the largest
+  // energy, which ranks first and is zero-padded to a whole block.
+  std::vector<Value> q(35, 0.5f);
+  q[33] = 3.0f;
+  QueryOrder order(q);
+  EXPECT_EQ(std::vector<uint32_t>(order.lines().begin(), order.lines().end()),
+            (std::vector<uint32_t>{2, 0, 1}));
+  ASSERT_EQ(order.ranked_query().size(), 48u);
+  EXPECT_EQ(order.ranked_query()[0], 0.5f);
+  EXPECT_EQ(order.ranked_query()[1], 3.0f);
+  EXPECT_EQ(order.ranked_query()[2], 0.5f);
+  for (size_t i = 3; i < 16; ++i) EXPECT_EQ(order.ranked_query()[i], 0.0f);
+
+  std::vector<Value> c(35, 0.0f);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DOUBLE_EQ(order.Distance(c, inf), SquaredEuclidean(q, c));
+}
+
+TEST(QueryOrder, ResetReusesBuffers) {
+  util::Rng rng(5);
+  std::vector<Value> a(256);
+  std::vector<Value> b(256);
+  for (size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<Value>(rng.Gaussian());
+    b[i] = static_cast<Value>(rng.Gaussian());
+  }
+  QueryOrder order(a);
+  const uint32_t* lines = order.lines().data();
+  const Value* ranked = order.ranked_query().data();
+  order.Reset(b);
+  EXPECT_EQ(order.lines().data(), lines);
+  EXPECT_EQ(order.ranked_query().data(), ranked);
+  EXPECT_EQ(order.lines().size(), 16u);
+  // A shorter query fits the same buffers.
+  order.Reset(std::span<const Value>(a).first(100));
+  EXPECT_EQ(order.lines().data(), lines);
+  EXPECT_EQ(order.ranked_query().data(), ranked);
+  EXPECT_EQ(order.lines().size(), 7u);
 }
 
 TEST(QueryOrder, DistanceEqualsPlainWhenUnbounded) {

@@ -1,23 +1,25 @@
 // Differential kernel-conformance battery: every compiled kernel set runs
 // against the scalar reference across widths 1..130 (every vector-tail
-// remainder of the 4/8/16-lane shapes) on z-normalized and adversarial
+// remainder of the 4/8/16-lane shapes; the line kernel at the block-tail
+// widths 1..257 and four cache-line offsets) on z-normalized and adversarial
 // inputs (denormals, mixed magnitudes, +/-0, infinite box edges, exact
 // ties). Order-preserving kernels — all summary lower bounds, plus the
 // raw kernels of sets advertising raw_order_preserved — must match the
 // reference bit for bit; the remaining raw kernels must stay within the
 // documented relative tolerance 16 * n * 2^-53. Within each set,
 // abandon(+inf) must equal the set's own plain distance bit for bit.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/simd/kernels.h"
-#include "core/simd/kernels_internal.h"
+#include "core/distance.h"
+#include "util/aligned.h"
 #include "util/rng.h"
 
 namespace hydra::core::simd {
@@ -74,15 +76,6 @@ std::vector<double> AdversarialDoubles(size_t n, uint64_t seed) {
   return v;
 }
 
-std::vector<uint32_t> OrderByMagnitude(const std::vector<Value>& q) {
-  std::vector<uint32_t> order(q.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return std::fabs(q[a]) > std::fabs(q[b]);
-  });
-  return order;
-}
-
 class KernelConformanceTest : public ::testing::TestWithParam<size_t> {
  protected:
   const KernelSet& set() const { return *AllKernelSets()[GetParam()]; }
@@ -122,22 +115,51 @@ TEST_P(KernelConformanceTest, AbandonUnboundedIsBitIdenticalToPlain) {
   }
 }
 
-TEST_P(KernelConformanceTest, ReorderedMatchesReferenceOnAllWidths) {
-  for (size_t n = 1; n <= kMaxWidth; ++n) {
+// The line kernel over every block-tail shape (partial last blocks of 1,
+// 15 and 1 values, exact multiples, a single short block) with the
+// candidate at several byte offsets from a cache line, built through
+// QueryOrder exactly as the query paths build it. The candidate sits at the
+// end of its buffer, so a partial last block that read past the series
+// would show under the sanitizers.
+TEST_P(KernelConformanceTest, LinesMatchReferenceOnAllWidths) {
+  for (const size_t n : {1u, 15u, 16u, 17u, 31u, 48u, 100u, 255u, 256u, 257u}) {
     const auto q = AdversarialFloats(n, 500 + n);
     const auto c = AdversarialFloats(n, 600 + n);
-    const auto order = OrderByMagnitude(q);
-    std::vector<Value> q_ordered(n);
-    for (size_t i = 0; i < n; ++i) q_ordered[i] = q[order[i]];
-    const double want = ref().euclidean_sq_reordered(
-        q_ordered.data(), c.data(), order.data(), n, kInf);
-    const double got = set().euclidean_sq_reordered(
-        q_ordered.data(), c.data(), order.data(), n, kInf);
-    if (set().raw_order_preserved || n < internal::kMinGatherWidth) {
-      // Below the gather threshold every set takes the scalar path.
-      EXPECT_BITEQ(got, want) << set().name << " width " << n;
-    } else {
-      ExpectWithinRawTol(got, want, n);
+    const QueryOrder order(q);
+    for (const size_t offset_bytes : {0u, 4u, 16u, 60u}) {
+      const size_t shift = offset_bytes / sizeof(Value);
+      util::LineAlignedArray<Value> buf =
+          util::MakeLineAlignedArray<Value>(shift + n);
+      std::copy(c.begin(), c.end(), buf.get() + shift);
+      const Value* cand = buf.get() + shift;
+      const double full = ref().euclidean_sq(q.data(), c.data(), n);
+      for (const double bound : {0.0, full / 2, kInf}) {
+        const double want =
+            ref().euclidean_sq_lines(order.ranked_query().data(), cand,
+                                     order.lines().data(), n, bound);
+        const double got =
+            set().euclidean_sq_lines(order.ranked_query().data(), cand,
+                                     order.lines().data(), n, bound);
+        const double unbounded =
+            set().euclidean_sq_lines(order.ranked_query().data(), cand,
+                                     order.lines().data(), n, kInf);
+        if (bound == kInf) {
+          if (set().raw_order_preserved) {
+            EXPECT_BITEQ(got, want) << set().name << " width " << n;
+          } else {
+            ExpectWithinRawTol(got, want, n);
+          }
+          ExpectWithinRawTol(got, full, n);
+        } else if (got <= bound) {
+          // Not abandoned: the set's full line distance, bit for bit.
+          EXPECT_BITEQ(got, unbounded) << set().name << " width " << n;
+        } else {
+          EXPECT_GT(got, bound) << set().name << " width " << n;
+        }
+        if (bound == 0.0 && full > 0.0) {
+          EXPECT_GT(got, 0.0) << set().name << " width " << n;
+        }
+      }
     }
   }
 }
