@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "bench/harness.h"
 #include "bench/registry.h"
@@ -69,12 +71,13 @@ inline const char* ExtractJsonPath(int* argc, char** argv,
 /// dataset shape, shards, threads), measured build/load/query seconds,
 /// modeled HDD/SSD query seconds, and the summed query ledger — the
 /// machine-readable counterpart of every bench table row, so perf can be
-/// tracked across commits without scraping stdout.
-inline void JsonRunRecord(util::JsonWriter* json, const MethodRun& run,
-                          size_t shards, size_t threads,
-                          const core::Dataset& data,
-                          const io::DiskModel& hdd,
-                          const io::DiskModel& ssd) {
+/// tracked across commits without scraping stdout. `extra` adds measured
+/// figures of the row (key, seconds) before the ledger.
+inline void JsonRunRecord(
+    util::JsonWriter* json, const MethodRun& run, size_t shards,
+    size_t threads, const core::Dataset& data, const io::DiskModel& hdd,
+    const io::DiskModel& ssd,
+    std::initializer_list<std::pair<const char*, double>> extra = {}) {
   core::SearchStats total;
   for (const core::SearchStats& q : run.queries) total.Add(q);
   json->BeginObject();
@@ -100,6 +103,10 @@ inline void JsonRunRecord(util::JsonWriter* json, const MethodRun& run,
   json->Double(ExactWorkloadSeconds(run, hdd));
   json->Key("query_ssd_seconds");
   json->Double(ExactWorkloadSeconds(run, ssd));
+  for (const auto& [key, value] : extra) {
+    json->Key(key);
+    json->Double(value);
+  }
   json->Key("stats");
   json->BeginObject();
   for (const core::LedgerCounter& counter : core::kLedgerCounters) {

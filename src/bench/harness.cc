@@ -15,8 +15,8 @@ namespace hydra::bench {
 MethodRun RunMethod(core::SearchMethod* method, const core::Dataset& data,
                     const gen::Workload& workload, size_t k) {
   // The serial path is the parallel path at one thread (which never
-  // constructs a pool); keeping a single implementation is what makes the
-  // bit-identical guarantee trivially true.
+  // touches the process pool); keeping a single implementation is what
+  // makes the bit-identical guarantee trivially true.
   return RunMethodParallel(method, data, workload, k, /*threads=*/1);
 }
 
@@ -31,24 +31,14 @@ core::BatchResult SearchKnnBatch(core::SearchMethod* method,
   core::BatchResult batch;
   batch.queries.resize(count);
 
-  // The serial branch also covers an empty workload (a pool of
-  // min(threads, 0) workers would be invalid).
-  if (threads <= 1 || count == 0) {
-    for (size_t q = 0; q < count; ++q) {
-      batch.queries[q] = method->Execute(workload.queries[q], spec);
-    }
-  } else {
-    // Each worker answers whole queries and writes to its own slot; no
-    // state is shared between queries beyond the method's index (which
-    // only ADS+ writes, under its own lock). Never spawn more workers than
-    // there are queries — the extras would only be created and joined
-    // idle, and threads_used reports workers that actually ran.
-    util::ThreadPool pool(std::min(threads, count));
-    batch.threads_used = pool.size();
-    pool.ParallelFor(0, count, [&](size_t q) {
-      batch.queries[q] = method->Execute(workload.queries[q], spec);
-    });
-  }
+  // Each worker answers whole queries and writes to its own slot; no
+  // state is shared between queries beyond the method's index (which only
+  // ADS+ writes, under its own lock). The width never exceeds the query
+  // count, and one thread is the plain loop in workload order.
+  batch.threads_used = std::max<size_t>(1, std::min(threads, count));
+  util::ForkEach(threads, count, [&](size_t q) {
+    batch.queries[q] = method->Execute(workload.queries[q], spec);
+  });
   // Merge the per-query ledgers in workload order — deterministic no
   // matter which thread answered which query.
   for (const core::QueryResult& r : batch.queries) {
@@ -95,7 +85,7 @@ MethodRun RunMethodSharded(const std::string& method_name, size_t shards,
   const std::unique_ptr<core::SearchMethod> sharded =
       CreateShardedMethod(method_name, shards, threads);
   // threads=1 for the batch: sharded parallelism is intra-query (the
-  // fan-out pool inside the container), not across queries.
+  // container's shard fan-out), not across queries.
   return RunMethodParallel(sharded.get(), data, workload, k, /*threads=*/1);
 }
 

@@ -28,14 +28,15 @@ MethodRun RunMethod(core::SearchMethod* method, const core::Dataset& data,
 
 /// Answers every workload query over an already-built method, executing
 /// the same QuerySpec (k-NN kinds only) for each, running up to `threads`
-/// queries concurrently. Per-query entries stay in workload order and the
-/// merged `total` ledger accumulates in that order regardless of which
-/// thread answered which query, so results are bit-identical to calling
-/// Execute serially — except ADS+'s: its queries split the shared tree,
-/// so its approximate answers and counters depend on which query split
-/// first (its exact answers stay bit-identical). The merged ledger's
-/// answer_mode_delivered is the weakest guarantee delivered across the
-/// batch.
+/// queries concurrently (a util::ForkEach on the process pool, so a query
+/// that goes wide nests its own scan on the same pool). Per-query entries
+/// stay in workload order and the merged `total` ledger accumulates in
+/// that order regardless of which thread answered which query, so results
+/// are bit-identical to calling Execute serially — except ADS+'s: its
+/// queries split the shared tree, so its approximate answers and counters
+/// depend on which query split first (its exact answers stay
+/// bit-identical). The merged ledger's answer_mode_delivered is the
+/// weakest guarantee delivered across the batch.
 core::BatchResult SearchKnnBatch(core::SearchMethod* method,
                                  const gen::Workload& workload,
                                  const core::QuerySpec& spec, size_t threads);

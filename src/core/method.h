@@ -68,7 +68,8 @@ struct BatchResult {
   /// batch wall-clock time (which shrinks with threads). The merged
   /// answer_mode_delivered is the weakest guarantee of the batch.
   SearchStats total;
-  /// Worker threads the batch actually ran on.
+  /// Width of the batch's fork: min(threads, queries), at least 1. Its
+  /// helpers come from the process pool, so fewer may join.
   size_t threads_used = 1;
 };
 
@@ -110,6 +111,10 @@ struct MethodTraits {
   /// Human-readable reason when shardable is false (surfaced by the CLI's
   /// --shards refusal and by `hydra methods`).
   std::string shard_reason{};
+  /// Build needs a series length divisible by this: the segment count of
+  /// the methods that cut a series into equal PAA segments (ADS+, iSAX2+,
+  /// R*-tree), 1 elsewhere. The CLI refuses any other length up front.
+  size_t length_multiple = 1;
 
   /// Whether queries of mode `mode` run natively (kExact always does).
   bool SupportsMode(QualityMode mode) const {

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -44,15 +43,19 @@
 #include "core/types.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace hydra::core {
 
 /// Block-cyclic parallel scan over [0, count): `scan(w, begin, end)` is
 /// called for disjoint blocks of `block` indices, workers grabbing the next
-/// block off an atomic cursor. The serial path (workers <= 1) makes exactly
-/// one call, scan(0, 0, count), so a driver's old flat loop moves into the
-/// callback unchanged and stays bit-identical. ADS+'s summary pass, the
+/// block off an atomic cursor. The caller is worker 0 and helpers of the
+/// process pool (util::Fork) are the rest, so no call creates a thread,
+/// and a worker that joins late finds the cursor spent. The serial path
+/// (workers <= 1) makes exactly one call, scan(0, 0, count), so a driver's
+/// old flat loop moves into the callback unchanged and stays
+/// bit-identical. ADS+'s summary pass, the
 /// flat refine driver, the scans' series loops (see core/refine.h) and
 /// the tree driver's collected leaves use this.
 inline void ParallelScan(
@@ -60,25 +63,17 @@ inline void ParallelScan(
     const std::function<void(size_t, size_t, size_t)>& scan) {
   HYDRA_CHECK(block > 0);
   if (count == 0) return;
-  if (workers <= 1) {
-    HYDRA_OBS_SPAN_ARG("scan", "worker", 0);
-    scan(0, 0, count);
-    return;
-  }
+  // Width 1 takes everything as one block: a single scan(0, 0, count).
+  const size_t step = workers > 1 ? block : count;
   std::atomic<size_t> cursor{0};
-  auto worker_loop = [&](size_t w) {
+  util::Fork(workers, [&](size_t w) {
     HYDRA_OBS_SPAN_ARG("scan", "worker", w);
     for (;;) {
-      const size_t begin = cursor.fetch_add(block, std::memory_order_relaxed);
+      const size_t begin = cursor.fetch_add(step, std::memory_order_relaxed);
       if (begin >= count) return;
-      scan(w, begin, std::min(begin + block, count));
+      scan(w, begin, std::min(begin + step, count));
     }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (size_t w = 1; w < workers; ++w) threads.emplace_back(worker_loop, w);
-  worker_loop(0);
-  for (std::thread& t : threads) t.join();
+  });
 }
 
 /// Per-worker answer heaps and ledgers of one intra-query-parallel k-NN
@@ -87,9 +82,9 @@ inline void ParallelScan(
 /// Worker 0 runs on the calling thread and answers into `primary` (the
 /// driver's scratch heap, which the ng-descent bsf phase has usually
 /// already primed) with `primary_stats` (the result ledger, already
-/// carrying the descent's counters); workers 1..N-1 get engine-owned
-/// plain heaps and fresh ledgers (spawned threads must not touch the
-/// calling thread's thread_local scratch).
+/// carrying the descent's counters); workers 1..N-1 run on pool helpers
+/// and get engine-owned plain heaps and fresh ledgers (a helper must not
+/// touch the calling thread's thread_local scratch).
 ///
 /// Bound wiring: with one worker this attaches plan.shared_bound to the
 /// primary heap — exactly what the drivers did, a no-op when null. With

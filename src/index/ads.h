@@ -37,7 +37,8 @@ class AdsPlus : public core::SearchMethod {
             .supports_epsilon = true,
             .supports_delta_epsilon = true,
             .supports_persistence = true,
-            .shardable = true};
+            .shardable = true,
+            .length_multiple = options_.segments};
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;

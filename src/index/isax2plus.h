@@ -34,7 +34,8 @@ class Isax2Plus : public core::SearchMethod {
             .supports_delta_epsilon = true,
             .leaf_visit_budget = true,
             .supports_persistence = true,
-            .shardable = true};
+            .shardable = true,
+            .length_multiple = options_.segments};
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;

@@ -36,7 +36,8 @@ class RStarTree : public core::SearchMethod {
     return {.supports_epsilon = true,
             .leaf_visit_budget = true,
             .supports_persistence = true,
-            .shardable = true};
+            .shardable = true,
+            .length_multiple = options_.segments};
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;

@@ -11,7 +11,7 @@
 //     first use, to take a ring, and at exit, to hand it back).
 //   - Rings are recycled: an exiting thread's ring goes onto a free list
 //     and the next new thread adopts it and appends to it, so a process
-//     that spawns workers per query holds as many rings as it ever had
+//     whose threads come and go holds as many rings as it ever had
 //     threads alive at once, and no event is lost before a flush.
 //   - Rings are fixed capacity and overwrite-oldest on wrap; the total
 //     write index keeps counting, so the flusher reports exactly how many

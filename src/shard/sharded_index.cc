@@ -9,6 +9,7 @@
 #include "io/index_codec.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace hydra::shard {
@@ -144,21 +145,12 @@ void ShardedIndex::InstantiateShards(
     slices_.push_back(data.Slice(begin, count));
     shards_.push_back(factory_());
   }
-  const size_t threads =
-      options_.threads == 0
-          ? std::min(parts.size(), util::ThreadPool::HardwareConcurrency())
-          : options_.threads;
-  const size_t workers = std::min(threads, parts.size());
-  pool_ = workers > 1 ? std::make_unique<util::ThreadPool>(workers)
-                      : nullptr;
 }
 
 void ShardedIndex::ForEachShard(const std::function<void(size_t)>& fn) {
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(0, shards_.size(), fn);
-  } else {
-    for (size_t i = 0; i < shards_.size(); ++i) fn(i);
-  }
+  util::ForkEach(options_.threads == 0 ? util::ThreadPool::HardwareConcurrency()
+                                       : options_.threads,
+                 shards_.size(), fn);
 }
 
 int64_t ShardedIndex::SplitBudget(int64_t total, size_t shard) const {

@@ -18,7 +18,6 @@
 
 #include "core/dataset.h"
 #include "core/method.h"
-#include "util/thread_pool.h"
 
 namespace hydra::shard {
 
@@ -33,9 +32,10 @@ struct ShardedOptions {
   /// container's manifest overrides it at Open (like every persisted
   /// method option).
   size_t shards = 2;
-  /// Worker threads for the per-shard build fan-out and the per-query
-  /// shard fan-out. 0 = min(shard count, hardware concurrency); 1 = fully
-  /// serial (no pool). Answers are bit-identical at any thread count.
+  /// Width of the per-shard build fan-out and the per-query shard
+  /// fan-out, a util::ForkEach on the process pool. 0 = min(shard count,
+  /// hardware concurrency); 1 = fully serial. Answers are bit-identical at
+  /// any thread count.
   size_t threads = 0;
 };
 
@@ -84,8 +84,8 @@ class ShardedIndex : public core::SearchMethod {
   std::string name() const override;
 
   /// Mirrors the component's quality/budget traits: a fan-out delivers
-  /// exactly the guarantees its components do (the fan-out pool is
-  /// per-call state, so concurrent outer queries are as safe as component
+  /// exactly the guarantees its components do (the fan-out is per-call
+  /// state, so concurrent outer queries are as safe as component
   /// queries). Not itself shardable (no nested sharding) and persistent
   /// iff the component is.
   core::MethodTraits traits() const override;
@@ -117,10 +117,11 @@ class ShardedIndex : public core::SearchMethod {
 
  private:
   /// Cuts `data` into the given (begin, count) slices and instantiates the
-  /// per-shard methods and the fan-out pool.
+  /// per-shard methods.
   void InstantiateShards(const core::Dataset& data,
                          const std::vector<std::pair<size_t, size_t>>& parts);
-  /// Runs `fn(i)` for every shard, on the pool when one exists.
+  /// Runs `fn(i)` for every shard, options_.threads wide on the process
+  /// pool.
   void ForEachShard(const std::function<void(size_t)>& fn);
   /// The budget-split rule (see class comment).
   int64_t SplitBudget(int64_t total, size_t shard) const;
@@ -132,7 +133,6 @@ class ShardedIndex : public core::SearchMethod {
   std::vector<size_t> begins_;        // global id of each slice's start
   std::vector<core::Dataset> slices_; // borrow the built-over dataset
   std::vector<std::unique_ptr<core::SearchMethod>> shards_;
-  std::unique_ptr<util::ThreadPool> pool_;  // null = serial fan-out
 };
 
 }  // namespace hydra::shard

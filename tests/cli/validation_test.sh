@@ -340,6 +340,49 @@ expect_err "radius leading space" "radius must be a non-negative number" \
 expect_err "radius negative" "radius must be a non-negative number" \
   range "$d" DSTree -1 2
 
+# A series length the PAA-segment methods cannot cut into 16 equal
+# segments is refused before anything is built; compare skips them.
+d100="$tmp/d100.bin"
+"$bin" gen synth 300 100 7 "$d100" >/dev/null || {
+  echo "FAIL: could not generate the length-100 dataset"
+  exit 1
+}
+for m in "ADS+" "iSAX2+" "R*-tree"; do
+  expect_err "$m query at length 100" "needs a series length divisible by 16" \
+    query "$d100" "$m" 5 2
+  expect_err "$m sharded query at length 100" "divisible by 16" \
+    query "$d100" "$m" 5 2 --shards 2
+  expect_err "$m range at length 100" "divisible by 16" \
+    range "$d100" "$m" 5 2
+  expect_err "$m build at length 100" "divisible by 16" \
+    build "$d100" "$m" "$tmp/idx100"
+  expect_err "$m serve at length 100" "divisible by 16" \
+    serve "$d100" "$m" --port 0
+done
+expect_ok "DSTree query at length 100" query "$d100" DSTree 5 2
+out=$("$bin" compare "$d100" 2 2>&1)
+rc=$?
+if [ "$rc" -ne 0 ]; then
+  echo "FAIL (compare at length 100): exit $rc — output: $out"
+  fails=1
+fi
+for m in "ADS+" "iSAX2+"; do
+  case "$out" in
+    *"note: skipping $m, which needs a series length divisible by 16"*) ;;
+    *)
+      echo "FAIL (compare at length 100): no skip note for $m: $out"
+      fails=1
+      ;;
+  esac
+done
+case "$out" in
+  *"| DSTree"*) ;;
+  *)
+    echo "FAIL (compare at length 100): DSTree row missing: $out"
+    fails=1
+    ;;
+esac
+
 # Valid specs run end to end.
 expect_ok "exact default" query "$d" DSTree 3 2
 expect_ok "explicit exact" query "$d" DSTree 3 2 --mode exact

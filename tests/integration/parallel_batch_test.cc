@@ -165,9 +165,9 @@ TEST_F(ParallelBatchFixture, HugeKStaysCheap) {
 
 TEST_F(ParallelBatchFixture, SpecBatchIsDeterministicAt1And2And8Threads) {
   // Batch execution through a QuerySpec (epsilon quality plus a raw-series
-  // budget) honors the spec deterministically at any thread count: same
-  // answers, same counters, same delivered guarantees as the serial
-  // Execute loop.
+  // budget) honors the spec deterministically at any thread count and any
+  // requested query width: same answers, same counters, same delivered
+  // guarantees as the serial Execute loop.
   core::QuerySpec spec = core::QuerySpec::Epsilon(/*k=*/5, /*epsilon=*/0.5);
   spec.max_raw_series = 400;
   for (const std::string name : {"DSTree", "iSAX2+", "SFA", "VA+file"}) {
@@ -179,10 +179,13 @@ TEST_F(ParallelBatchFixture, SpecBatchIsDeterministicAt1And2And8Threads) {
       serial.push_back(method->Execute(workload_.queries[q], spec));
     }
 
-    for (const size_t threads : {1u, 2u, 8u}) {
+    for (const size_t threads : {1u, 2u, 8u})
+    for (const size_t query_threads : {1u, 4u}) {
+      spec.query_threads = query_threads;
       const core::BatchResult batch =
           SearchKnnBatch(method.get(), workload_, spec, threads);
-      const std::string run = name + " spec @" + std::to_string(threads);
+      const std::string run = name + " spec @" + std::to_string(threads) +
+                              "x" + std::to_string(query_threads);
       ASSERT_EQ(batch.queries.size(), serial.size()) << run;
       for (size_t q = 0; q < serial.size(); ++q) {
         const std::string context = run + " query " + std::to_string(q);
@@ -211,6 +214,34 @@ TEST_F(ParallelBatchFixture, SpecBatchIsDeterministicAt1And2And8Threads) {
           << run;
       EXPECT_EQ(batch.total.budget_exhausted, manual.budget_exhausted) << run;
     }
+  }
+}
+
+TEST_F(ParallelBatchFixture, ExactBatchNestsQueryWorkersOnOnePool) {
+  // Exact plans go wide inside each query, so every batch worker forks its
+  // query's scan on the same process pool. Answers stay bit-identical to
+  // the serial loop (ADS+'s exact ones too); the work counters depend on
+  // bound-arrival timing.
+  core::QuerySpec spec = core::QuerySpec::Knn(5);
+  for (const std::string& name : AllMethodNames()) {
+    auto method = CreateMethod(name, 64);
+    method->Build(data_);
+    std::vector<core::QueryResult> serial;
+    for (size_t q = 0; q < workload_.queries.size(); ++q) {
+      serial.push_back(method->Execute(workload_.queries[q], spec));
+    }
+    spec.query_threads = 4;
+    for (const size_t threads : {2u, 8u}) {
+      const core::BatchResult batch =
+          SearchKnnBatch(method.get(), workload_, spec, threads);
+      ASSERT_EQ(batch.queries.size(), serial.size()) << name;
+      for (size_t q = 0; q < serial.size(); ++q) {
+        ExpectSameNeighbors(batch.queries[q], serial[q],
+                            name + " @" + std::to_string(threads) +
+                                "x4 query " + std::to_string(q));
+      }
+    }
+    spec.query_threads = 1;
   }
 }
 

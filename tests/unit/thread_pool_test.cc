@@ -1,6 +1,13 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <future>
+#include <latch>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -8,6 +15,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "core/traversal.h"
 
 namespace hydra::util {
 namespace {
@@ -133,6 +142,8 @@ TEST(ThreadPoolTest, ParallelForFromConcurrentCallers) {
 }
 
 TEST(ThreadPoolTest, TasksRunOnWorkerThreads) {
+  // The caller of ParallelFor takes part, so the indices run on at most
+  // size() + 1 distinct threads, the caller's included.
   ThreadPool pool(2);
   std::mutex mu;
   std::set<std::thread::id> ids;
@@ -141,8 +152,93 @@ TEST(ThreadPoolTest, TasksRunOnWorkerThreads) {
     ids.insert(std::this_thread::get_id());
   });
   EXPECT_GE(ids.size(), 1u);
-  EXPECT_LE(ids.size(), 2u);
-  EXPECT_EQ(ids.count(std::this_thread::get_id()), 0u);
+  EXPECT_LE(ids.size(), pool.size() + 1);
+}
+
+TEST(ThreadPoolTest, HardwareConcurrencyFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(ThreadPool::HardwareConcurrency(),
+            static_cast<size_t>(CPU_COUNT(&saved)));
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const size_t pinned = ThreadPool::HardwareConcurrency();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+}
+
+TEST(ThreadPoolTest, NestedForkAndParallelForInsideATaskComplete) {
+  // The task holds the pool's only worker, so every nested helper sits in
+  // the queue until its caller has done the work alone: a join that waited
+  // on queued helpers would never return, and one whose late helpers still
+  // ran their body would count extra fork bodies.
+  ThreadPool pool(1);
+  std::atomic<int> fork_bodies{0};
+  std::atomic<int> leaves{0};
+  std::promise<void> done;
+  pool.Submit([&] {
+    pool.ParallelFor(0, 3, [&](size_t) {
+      pool.Fork(3, [&](size_t) {
+        fork_bodies.fetch_add(1);
+        pool.ParallelFor(0, 3, [&](size_t) { leaves.fetch_add(1); });
+      });
+    });
+    done.set_value();
+  });
+  ASSERT_EQ(done.get_future().wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_EQ(fork_bodies.load(), 3);
+  EXPECT_EQ(leaves.load(), 9);
+}
+
+TEST(ThreadPoolTest, HelperThatStartsAfterTheCallerReturnedDoesNothing) {
+  ThreadPool pool(1);
+  std::latch release(1);
+  pool.Submit([&release] { release.wait(); });  // holds the only worker
+  std::atomic<int> helper_calls{0};
+  std::atomic<int> caller_calls{0};
+  pool.Fork(2, [&](size_t w) {
+    (w == 0 ? caller_calls : helper_calls).fetch_add(1);
+  });
+  EXPECT_EQ(caller_calls.load(), 1);
+  release.count_down();
+  // FIFO: once this marker has run, the queued helper has run too.
+  std::promise<void> drained;
+  pool.Submit([&drained] { drained.set_value(); });
+  drained.get_future().wait();
+  EXPECT_EQ(helper_calls.load(), 0);
+}
+
+size_t ThreadsInProcess() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ThreadPoolTest, ParallelScanCreatesNoThreadPerCall) {
+  // Kernel thread ids are not reused right away, so a scan that started a
+  // thread per call would show hundreds of distinct ids here.
+  const size_t before = ThreadsInProcess();
+  std::mutex mu;
+  std::set<pid_t> tids;
+  for (int call = 0; call < 100; ++call) {
+    core::ParallelScan(4, 64, 4, [&](size_t, size_t, size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      std::lock_guard<std::mutex> lock(mu);
+      tids.insert(gettid());
+    });
+  }
+  const size_t hw = ThreadPool::HardwareConcurrency();
+  EXPECT_LE(ThreadsInProcess(), before + hw);
+  EXPECT_LE(tids.size(), hw + 1);
 }
 
 }  // namespace

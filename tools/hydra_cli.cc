@@ -230,7 +230,7 @@ struct FlagRow {
 };
 
 // Rows in FlagId order, which is also the order flags are gated in. The
-// caps keep absurd values from aborting inside std::thread creation or
+// caps keep absurd values from aborting in per-worker allocations or
 // overflowing a size_t byte budget.
 constexpr FlagRow kFlags[] = {
     {.id = kShards, .name = "--shards", .kind = FlagKind::kUint,
@@ -576,7 +576,7 @@ bool ParseQueries(const Cli& cli, size_t i, uint64_t* queries) {
 
 /// Creates the method a data command runs once the name is known and the
 /// trait gates pass: the plain method, or a sharded container over it
-/// whose fan-out pool is --threads wide. Returns null after printing the
+/// whose shard fan-out is --threads wide. Returns null after printing the
 /// refusal.
 std::unique_ptr<core::SearchMethod> MakeMethod(const std::string& name,
                                                const Cli& cli) {
@@ -707,6 +707,16 @@ int CmdGen(const Cli& cli) {
   return 0;
 }
 
+/// Empty when `method` can index series of `data`'s length; otherwise
+/// what it needs (MethodTraits::length_multiple).
+std::string LengthRefusal(const core::SearchMethod& method,
+                          const core::Dataset& data) {
+  const size_t multiple = method.traits().length_multiple;
+  if (data.length() % multiple == 0) return "";
+  return "needs a series length divisible by " + std::to_string(multiple) +
+         " (this file's is " + std::to_string(data.length()) + ")";
+}
+
 /// Builds or opens the method over `data` depending on `index_dir`
 /// (nullptr = fresh build). Prints the phase line; returns false (after
 /// printing an error) when opening the persisted index failed.
@@ -752,6 +762,12 @@ bool OpenData(const Cli& cli, core::SearchMethod* method,
     return false;
   }
   *stored = std::move(opened).value();
+  const std::string refusal = LengthRefusal(*method, stored->dataset());
+  if (!refusal.empty()) {
+    std::fprintf(stderr, "error: %s %s\n", method->name().c_str(),
+                 refusal.c_str());
+    return false;
+  }
   if (stored->backend() == storage::StorageBackend::kMmap) std::printf("%s\n", stored->Describe().c_str());
   if (!BuildOrOpen(method, stored->dataset(), cli.text(kIndex))) return false;
   const auto* sharded = dynamic_cast<const shard::ShardedIndex*>(method);
@@ -967,18 +983,11 @@ int CmdQuery(const Cli& cli) {
                 core::QualityModeName(spec.mode),
                 spec.has_budget() ? " budgeted" : "");
   }
-  if (query_threads > 1 && threads > 1 && !sharded) {
-    std::printf("note: %llu batch threads x %llu query workers = %llu "
-                "total threads at peak\n",
-                static_cast<unsigned long long>(threads),
-                static_cast<unsigned long long>(query_threads),
-                static_cast<unsigned long long>(threads * query_threads));
-  }
   storage::StorageHandle stored;
   if (!OpenData(cli, method.get(), &stored)) return 1;
   const gen::Workload probe = gen::CtrlWorkload(stored.dataset(), queries, 1);
-  // With --shards, the parallelism lives inside each query (the fan-out
-  // pool); the batch itself runs serially.
+  // With --shards, the parallelism lives inside each query (the shard
+  // fan-out); the batch itself runs serially.
   const size_t batch_threads = sharded ? 1 : static_cast<size_t>(threads);
   util::WallTimer timer;
   const core::BatchResult batch =
@@ -1087,6 +1096,12 @@ int CmdCompare(const Cli& cli) {
   const auto ssd = io::DiskModel::Ssd();
   for (const std::string& name : bench::BestSixNames()) {
     auto method = bench::CreateMethod(name);
+    const std::string refusal = LengthRefusal(*method, data);
+    if (!refusal.empty()) {
+      std::printf("note: skipping %s, which %s\n", name.c_str(),
+                  refusal.c_str());
+      continue;
+    }
     const bench::MethodRun run = bench::RunMethodParallel(
         method.get(), data, probe, /*k=*/1, static_cast<size_t>(threads));
     table.AddRow({name, util::Table::Num(bench::IndexSeconds(run, hdd), 3),

@@ -36,20 +36,31 @@ events = doc["traceEvents"]
 other = doc["otherData"]
 names = {}
 for e in events:
-    assert e["ph"] == "X", e
-    assert e["ts"] >= 0 and e["dur"] >= 0, e
-    assert "depth" in e["args"], e
+    assert e["ph"] == "X", f"event phase: want 'X', got {e['ph']!r} in {e}"
+    assert e["ts"] >= 0 and e["dur"] >= 0, \
+        f"event time: want ts >= 0 and dur >= 0, got {e}"
+    assert "depth" in e["args"], f"event depth: no 'depth' arg in {e}"
     names.setdefault(e["name"], []).append(e)
 for required in ("execute", "shard_search", "shard_merge", "traversal",
                  "leaf_verify", "pool_miss_pread"):
     assert required in names, f"missing span: {required} (have {sorted(names)})"
-assert len(names["execute"]) == 4, names["execute"]
-assert all(e["args"]["depth"] == 0 for e in names["execute"])
-assert len(names["shard_search"]) == 12  # 4 queries x 3 shards
-assert any(e["args"]["depth"] > 0 for e in names["leaf_verify"])
-assert other["dropped_events"] == 0, other
-assert other["command"] == "query" and other["method"] == "DSTree", other
-assert "kernels" in other, other
+assert len(names["execute"]) == 4, \
+    f"execute count: want 4, got {len(names['execute'])}: {names['execute']}"
+execute_depths = [e["args"]["depth"] for e in names["execute"]]
+assert all(d == 0 for d in execute_depths), \
+    f"execute depth: want all 0, got {execute_depths}"
+assert len(names["shard_search"]) == 12, \
+    f"shard_search count: want 12 (4 queries x 3 shards), got " \
+    f"{len(names['shard_search'])}"
+verify_depths = sorted({e["args"]["depth"] for e in names["leaf_verify"]})
+assert any(d > 0 for d in verify_depths), \
+    f"leaf_verify depth: want some > 0, got depths {verify_depths} over " \
+    f"{len(names['leaf_verify'])} spans"
+assert other["dropped_events"] == 0, \
+    f"dropped events: want 0, got {other['dropped_events']}: {other}"
+assert other["command"] == "query" and other["method"] == "DSTree", \
+    f"trace meta: want command 'query' and method 'DSTree', got {other}"
+assert "kernels" in other, f"trace meta: no 'kernels' key in {other}"
 print("trace OK:", len(events), "events,", len(names), "span names")
 EOF
 
@@ -59,8 +70,13 @@ EOF
 "$HYDRA" query "$TMP/data.bin" DSTree 5 4 --shards 3 --threads 2 \
   --query-threads 2 --storage mmap --pool-mb 1 > "$TMP/untraced.txt"
 answers() { grep '^query' | sed 's/ \[.*\]$//'; }
-diff <(answers < "$TMP/query.txt") <(answers < "$TMP/untraced.txt") \
-  || { echo "FAIL: tracing changed the answers"; exit 1; }
+if ! diff <(answers < "$TMP/query.txt") <(answers < "$TMP/untraced.txt") \
+    > "$TMP/answers.diff"; then
+  echo "FAIL: answers diff: the traced run (<) and the untraced twin (>)" \
+    "answered differently:"
+  cat "$TMP/answers.diff"
+  exit 1
+fi
 echo "OK traced query: valid JSON, full hierarchy, answers unchanged"
 
 # Serve: trace the daemon itself, drive it with queryd (which stamps
@@ -87,23 +103,31 @@ python3 - "$TMP/stats.json" << 'EOF' || exit 1
 import json, sys
 doc = json.load(open(sys.argv[1]))
 lat = doc["latency"]
-assert lat["samples"] == 4, lat
-assert 0 < lat["p50_ms"] <= lat["p95_ms"] <= lat["p99_ms"], lat
-assert abs(lat["quantile_error_bound"] - 0.189207) < 1e-6, lat
-assert len(lat["bucket_bounds_seconds"]) == len(lat["bucket_counts"]) > 0
-assert sum(lat["bucket_counts"]) == 4, lat
+assert lat["samples"] == 4, f"latency samples: want 4, got {lat}"
+assert 0 < lat["p50_ms"] <= lat["p95_ms"] <= lat["p99_ms"], \
+    f"latency quantiles: want 0 < p50 <= p95 <= p99, got {lat}"
+assert abs(lat["quantile_error_bound"] - 0.189207) < 1e-6, \
+    f"quantile error bound: want 0.189207, got {lat}"
+assert len(lat["bucket_bounds_seconds"]) == len(lat["bucket_counts"]) > 0, \
+    f"latency buckets: want equal non-empty bounds and counts, got {lat}"
+assert sum(lat["bucket_counts"]) == 4, \
+    f"latency bucket counts: want a sum of 4, got {lat['bucket_counts']}"
 slow = doc["slow_queries"]
-assert 0 < len(slow) <= 8, slow
+assert 0 < len(slow) <= 8, f"flight records: want 1..8, got {len(slow)}: {slow}"
 # queryd stamps ids 1..N; every record carries the five serve phases.
-assert sorted(r["request_id"] for r in slow) == [1, 2, 3, 4], slow
+ids = sorted(r["request_id"] for r in slow)
+assert ids == [1, 2, 3, 4], f"flight record ids: want [1, 2, 3, 4], got {ids}"
+phases = {"decode", "queue_wait", "cache_lookup", "execute", "encode_write"}
 for r in slow:
-    assert set(r["phases"]) == {"decode", "queue_wait", "cache_lookup",
-                                "execute", "encode_write"}, r
-    assert r["total_ms"] > 0, r
+    assert set(r["phases"]) == phases, \
+        f"flight record phases: want {sorted(phases)}, got {r}"
+    assert r["total_ms"] > 0, f"flight record total: want > 0, got {r}"
 metrics = doc["metrics"]
-assert metrics["counters"]["serve.queries"] == 4, metrics
-assert "serve.latency_seconds" in metrics["histograms"], metrics
-assert "serve.cpu_seconds" in metrics["histograms"], metrics
+assert metrics["counters"]["serve.queries"] == 4, \
+    f"serve.queries: want 4, got {metrics['counters']}"
+for histogram in ("serve.latency_seconds", "serve.cpu_seconds"):
+    assert histogram in metrics["histograms"], \
+        f"histograms: no {histogram} in {sorted(metrics['histograms'])}"
 print("stats OK: quantiles, buckets, flight records, registry")
 EOF
 
@@ -126,8 +150,11 @@ python3 - "$TMP/serve_trace.json" << 'EOF' || exit 1
 import json, sys
 doc = json.load(open(sys.argv[1]))
 reqs = [e for e in doc["traceEvents"] if e["name"] == "serve_request"]
-assert len(reqs) == 4, [e["name"] for e in doc["traceEvents"]]
-assert sorted(r["args"]["request_id"] for r in reqs) == [1, 2, 3, 4], reqs
+assert len(reqs) == 4, \
+    f"serve_request spans: want 4, got {len(reqs)} among " \
+    f"{[e['name'] for e in doc['traceEvents']]}"
+ids = sorted(r["args"]["request_id"] for r in reqs)
+assert ids == [1, 2, 3, 4], f"serve_request ids: want [1, 2, 3, 4], got {ids}"
 print("serve trace OK:", len(doc["traceEvents"]), "events")
 EOF
 echo "OK serve: flight recorder, stats --full, traced drain"
