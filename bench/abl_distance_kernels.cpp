@@ -1,14 +1,19 @@
 // Ablation: the paper applies three optimizations to all methods — no
 // square root, early abandoning, reordered early abandoning (here by whole
 // 16-value cache lines ranked by query energy, core::QueryOrder, whose
-// per-query Reset cost is printed too). This exhibit quantifies each, and since the distance layer now dispatches to SIMD
-// kernel sets, it sweeps every set the CPU supports (scalar, portable,
-// avx2, avx512) against the scalar reference: throughput per op and
-// series length, speedup versus scalar, and an inline conformance check
-// (bit identity for order-preserving sets, the documented 16*n*2^-53
-// relative tolerance otherwise).
+// per-query Reset cost is printed too). This exhibit quantifies each, and
+// since the distance layer dispatches to SIMD kernel sets, it sweeps every
+// set the CPU supports (scalar, portable, avx2, avx512) against the scalar
+// reference: throughput per op and series length, speedup versus scalar,
+// and an inline conformance check (bit identity for order-preserving sets,
+// the documented 16*n*2^-53 relative tolerance otherwise).
 //
-// Usage: abl_distance_kernels [count] [reps] [--json <path>]
+// Every row is timed under the exhibits' repeat rule (TimeRepeats in
+// bench_common.h) with kRowMinWall per repeat: the median of kRepeats
+// repeats and their spread, so two sets rank only where their medians
+// differ by more than the spreads.
+//
+// Usage: abl_distance_kernels [count] [--json <path>]
 // Writes the machine-readable sweep to BENCH_kernels.json by default.
 #include <cmath>
 #include <cstdlib>
@@ -22,7 +27,6 @@
 #include "core/distance.h"
 #include "core/simd/kernels.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace hydra::bench {
 namespace {
@@ -31,6 +35,9 @@ using core::Value;
 using core::simd::KernelSet;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Seconds per repeat. Below the exhibits' kMinRepeatWall because the
+// sweep has 36 rows: 36 x kRepeats x 0.05 s keeps a run near 10 s.
+constexpr double kRowMinWall = 0.05;
 
 struct Workbench {
   explicit Workbench(core::Dataset d) : data(std::move(d)) {}
@@ -81,20 +88,24 @@ double RunOp(const KernelSet& set, const std::string& op, const Workbench& w) {
   return acc;
 }
 
-// Mean wall time of one QueryOrder::Reset on the workbench query: the
-// per-query cost of ranking its lines (buffers warm, as in ScratchQueryOrder).
-double ResetMicros(const Workbench& w, size_t reps) {
+// Median wall time of one QueryOrder::Reset on the workbench query: the
+// per-query cost of ranking its lines (buffers warm, as in
+// ScratchQueryOrder). A batch is kResetCalls calls.
+double ResetMicros(const Workbench& w) {
+  constexpr size_t kResetCalls = 1000;
   core::QueryOrder order(w.query);
-  const size_t calls = 1000 * reps;
+  size_t calls = 0;
   size_t sink = 0;
-  util::WallTimer timer;
-  for (size_t i = 0; i < calls; ++i) {
-    order.Reset(w.query);
-    sink += order.lines()[0];
-  }
-  const double secs = timer.Seconds();
+  const RepeatTiming timing = TimeRepeats(
+      [&] {
+        for (size_t i = 0; i < kResetCalls; ++i, ++calls) {
+          order.Reset(w.query);
+          sink += order.lines()[0];
+        }
+      },
+      kRowMinWall);
   HYDRA_CHECK(sink < calls * w.length);
-  return secs * 1e6 / static_cast<double>(calls);
+  return timing.median * 1e6 / static_cast<double>(kResetCalls);
 }
 
 // Inline conformance: the full (non-abandoning) distance of every series
@@ -127,20 +138,21 @@ bool Conforms(const KernelSet& set, const Workbench& w) {
 int Run(int argc, char** argv) {
   const char* json_path = ExtractJsonPath(&argc, argv, "BENCH_kernels.json");
   const size_t count = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4000;
-  const size_t reps = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 20;
-  HYDRA_CHECK_MSG(count > 0 && reps > 0, "count/reps must be positive");
+  HYDRA_CHECK_MSG(count > 0, "count must be positive");
 
   Banner("Distance-kernel ablation",
-         "series/s per kernel set, op, and length; speedup vs scalar",
-         "early abandoning and reordering dominate on long series; SIMD "
-         "sets add a further multiple on the plain distance, shrinking "
-         "(by design) on abandoning ops that cut most of the work");
+         "median series/s per kernel set, op, and length; spread; speedup "
+         "vs scalar",
+         "none (the paper applies the three optimizations to every method "
+         "and times no kernel). Each row is the median of 5 repeats of at "
+         "least 0.05 s and spread_pct their max - min as a share of it: "
+         "rank two rows only where their medians differ by more than "
+         "their spreads");
 
   const auto sets = core::simd::SupportedKernelSets();
   std::printf("kernel sets compiled in and supported here:");
   for (const KernelSet* s : sets) std::printf(" %s", s->name);
-  std::printf("\ndataset: %zu random walks per length, %zu reps\n\n", count,
-              reps);
+  std::printf("\ndataset: %zu random walks per length\n\n", count);
 
   util::JsonWriter json;
   json.BeginObject();
@@ -148,31 +160,33 @@ int Run(int argc, char** argv) {
   json.String("distance_kernels");
   json.Key("series_count");
   json.Uint(count);
+  json.Key("min_repeat_wall_s");
+  json.Double(kRowMinWall);
+  json.Key("repeats");
+  json.Uint(kRepeats);
   json.Key("runs");
   json.BeginArray();
 
-  util::Table table(
-      {"set", "op", "length", "series_per_s", "vs_scalar", "conforms"});
+  util::Table table({"set", "op", "length", "series_per_s", "spread_pct",
+                     "vs_scalar", "conforms"});
   util::Table reset_rows({"length", "reset_us"});
   std::vector<std::pair<size_t, double>> json_resets;
   bool all_conform = true;
   for (const size_t length : {64u, 256u, 1024u}) {
     const Workbench w = MakeWorkbench(count, length, 1000 + length);
-    const double reset_us = ResetMicros(w, reps);
+    const double reset_us = ResetMicros(w);
     reset_rows.AddRow({util::Table::Num(static_cast<double>(length), 0),
                        util::Table::Num(reset_us, 3)});
     json_resets.push_back({length, reset_us});
     for (const char* op : {"euclidean", "early_abandon", "line_abandon"}) {
       double scalar_rate = 0.0;
       for (const KernelSet* set : sets) {
-        // One warm-up sweep, then timed reps.
-        double sink = RunOp(*set, op, w);
-        util::WallTimer timer;
-        for (size_t r = 0; r < reps; ++r) sink += RunOp(*set, op, w);
-        const double secs = timer.Seconds();
+        double sink = 0.0;
+        const RepeatTiming timing =
+            TimeRepeats([&] { sink += RunOp(*set, op, w); }, kRowMinWall);
         HYDRA_CHECK(std::isfinite(sink));
-        const double rate =
-            static_cast<double>(reps) * static_cast<double>(count) / secs;
+        const double rate = static_cast<double>(count) / timing.median;
+        const double spread_pct = 100.0 * timing.spread / timing.median;
         if (std::strcmp(set->name, "scalar") == 0) scalar_rate = rate;
         const bool ok = Conforms(*set, w);
         all_conform = all_conform && ok;
@@ -180,6 +194,7 @@ int Run(int argc, char** argv) {
         table.AddRow({set->name, op,
                       util::Table::Num(static_cast<double>(length), 0),
                       util::Table::Num(rate, 0),
+                      util::Table::Num(spread_pct, 1),
                       util::Table::Num(rate / scalar_rate, 2),
                       ok ? "yes" : "NO"});
         json.BeginObject();
@@ -191,6 +206,8 @@ int Run(int argc, char** argv) {
         json.Uint(length);
         json.Key("series_per_second");
         json.Double(rate);
+        json.Key("spread_pct");
+        json.Double(spread_pct);
         json.Key("speedup_vs_scalar");
         json.Double(rate / scalar_rate);
         json.Key("raw_order_preserved");

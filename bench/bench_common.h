@@ -12,6 +12,7 @@
 #include <initializer_list>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench/harness.h"
 #include "bench/registry.h"
@@ -21,6 +22,7 @@
 #include "io/disk_model.h"
 #include "util/json.h"
 #include "util/table.h"
+#include "util/timer.h"
 
 namespace hydra::bench {
 
@@ -42,6 +44,36 @@ inline void Banner(const char* exhibit, const char* what,
   std::printf("%s — %s\n", exhibit, what);
   std::printf("Paper expectation: %s\n", paper_expectation);
   std::printf("=====================================================\n");
+}
+
+/// The repeat rule of the timed exhibits: one repeat runs batches until
+/// at least `min_wall` seconds have passed and yields its mean batch wall;
+/// a row reports the median of kRepeats repeats and their spread
+/// (max - min), so two rows rank only where their medians differ by more
+/// than their spreads.
+inline constexpr double kMinRepeatWall = 0.25;  // seconds per repeat
+inline constexpr size_t kRepeats = 5;
+
+struct RepeatTiming {
+  double median = 0.0;  // seconds per batch
+  double spread = 0.0;  // seconds, max - min over the repeats
+};
+
+/// Times `batch()` under the repeat rule.
+template <typename Batch>
+RepeatTiming TimeRepeats(Batch&& batch, double min_wall = kMinRepeatWall) {
+  std::vector<double> walls;
+  for (size_t repeat = 0; repeat < kRepeats; ++repeat) {
+    util::WallTimer timer;
+    size_t batches = 0;
+    do {
+      batch();
+      ++batches;
+    } while (timer.Seconds() < min_wall);
+    walls.push_back(timer.Seconds() / static_cast<double>(batches));
+  }
+  std::sort(walls.begin(), walls.end());
+  return {walls[walls.size() / 2], walls.back() - walls.front()};
 }
 
 /// Extracts a `--json <path>` pair from (argc, argv), returning the path

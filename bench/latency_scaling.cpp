@@ -10,14 +10,14 @@
 // at every worker count (asserted here on every pass), so any latency win
 // is accuracy-free.
 //
-// Each point repeats the query batch until at least kMinRepeatWall of wall
-// has passed and takes the mean batch wall of that repeat; it reports the
-// median of kRepeats repeats and their spread (max - min), so two builds
-// can be ranked by points whose medians differ by more than the spread.
+// Each point times the query batch under the exhibits' repeat rule
+// (TimeRepeats in bench_common.h): at least kMinRepeatWall of batches per
+// repeat, the median of kRepeats repeats and their spread (max - min), so
+// two builds can be ranked by points whose medians differ by more than
+// the spread.
 //
 // Usage: latency_scaling [count] [length] [queries] [--json <path>]
 // Writes the machine-readable sweep to BENCH_latency.json by default.
-#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -25,13 +25,9 @@
 #include "bench_common.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace hydra::bench {
 namespace {
-
-constexpr double kMinRepeatWall = 0.25;  // seconds of batches per repeat
-constexpr size_t kRepeats = 5;
 
 using Answers = std::vector<std::vector<core::Neighbor>>;
 
@@ -52,8 +48,7 @@ bool SameAnswers(const Answers& a, const Answers& b) {
 /// batch walls, the first batch's ledger, and the answers of every batch
 /// checked against `reference` (taken from the first batch when empty).
 struct Point {
-  double median = 0.0;
-  double spread = 0.0;
+  RepeatTiming timing;
   MethodRun run;
   bool identical = true;
 };
@@ -63,33 +58,25 @@ Point Measure(core::SearchMethod* method, const gen::Workload& workload,
               Answers* reference) {
   Point point;
   point.run = base_run;
-  std::vector<double> walls;
-  for (size_t repeat = 0; repeat < kRepeats; ++repeat) {
-    util::WallTimer timer;
-    size_t batches = 0;
-    do {
-      Answers answers;
-      answers.reserve(workload.queries.size());
-      for (size_t q = 0; q < workload.queries.size(); ++q) {
-        core::QueryResult r = method->Execute(workload.queries[q], spec);
-        if (repeat == 0 && batches == 0) {
-          point.run.queries.push_back(r.stats);
-          point.run.nn_dists_sq.push_back(r.neighbors.front().dist_sq);
-        }
-        answers.push_back(std::move(r.neighbors));
+  bool first = true;
+  point.timing = TimeRepeats([&] {
+    Answers answers;
+    answers.reserve(workload.queries.size());
+    for (size_t q = 0; q < workload.queries.size(); ++q) {
+      core::QueryResult r = method->Execute(workload.queries[q], spec);
+      if (first) {
+        point.run.queries.push_back(r.stats);
+        point.run.nn_dists_sq.push_back(r.neighbors.front().dist_sq);
       }
-      // Bit-identity caveat: exact ties at the k-th distance break by id
-      // in the merge but first-visited in a single search; on this
-      // continuous random-walk data such ties are measure-zero.
-      if (reference->empty()) *reference = answers;
-      point.identical = point.identical && SameAnswers(answers, *reference);
-      ++batches;
-    } while (timer.Seconds() < kMinRepeatWall);
-    walls.push_back(timer.Seconds() / static_cast<double>(batches));
-  }
-  std::sort(walls.begin(), walls.end());
-  point.median = walls[walls.size() / 2];
-  point.spread = walls.back() - walls.front();
+      answers.push_back(std::move(r.neighbors));
+    }
+    first = false;
+    // Bit-identity caveat: exact ties at the k-th distance break by id
+    // in the merge but first-visited in a single search; on this
+    // continuous random-walk data such ties are measure-zero.
+    if (reference->empty()) *reference = answers;
+    point.identical = point.identical && SameAnswers(answers, *reference);
+  });
   return point;
 }
 
@@ -150,17 +137,17 @@ int Run(int argc, char** argv) {
       spec.query_threads = query_threads;
       const Point point =
           Measure(method.get(), workload, spec, base_run, &reference);
-      if (query_threads == 1) base_wall = point.median;
+      if (query_threads == 1) base_wall = point.timing.median;
       all_identical = all_identical && point.identical;
       table.AddRow({name,
                     util::Table::Num(static_cast<double>(query_threads), 0),
-                    util::Table::Num(point.median, 4),
-                    util::Table::Num(point.spread, 4),
-                    util::Table::Num(base_wall / point.median, 2),
+                    util::Table::Num(point.timing.median, 4),
+                    util::Table::Num(point.timing.spread, 4),
+                    util::Table::Num(base_wall / point.timing.median, 2),
                     point.identical ? "yes" : "NO"});
       JsonRunRecord(&json, point.run, /*shards=*/0, query_threads, data, hdd,
-                    ssd, {{"query_wall_s", point.median},
-                          {"query_wall_spread_s", point.spread}});
+                    ssd, {{"query_wall_s", point.timing.median},
+                          {"query_wall_spread_s", point.timing.spread}});
     }
   }
   table.Print(

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "util/check.h"
 #include "util/json.h"
 
 namespace hydra::obs {
@@ -55,46 +54,11 @@ double Histogram::Quantile(double q) const {
   return BucketBound(kBuckets - 1);
 }
 
-Registry& Registry::Get() {
-  static Registry* registry = new Registry();  // never destroyed: metric
-  return *registry;                            // pointers outlive main
-}
-
-Counter* Registry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  HYDRA_CHECK_MSG(gauges_.count(name) == 0 && histograms_.count(name) == 0,
-                  "metric name registered as a different kind");
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return slot.get();
-}
-
-Gauge* Registry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  HYDRA_CHECK_MSG(counters_.count(name) == 0 && histograms_.count(name) == 0,
-                  "metric name registered as a different kind");
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
-Histogram* Registry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  HYDRA_CHECK_MSG(counters_.count(name) == 0 && gauges_.count(name) == 0,
-                  "metric name registered as a different kind");
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return slot.get();
-}
-
 std::string Registry::TextDump() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream out;
   for (const auto& [name, counter] : counters_) {
     out << "counter " << name << " " << counter->value() << "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out << "gauge " << name << " " << gauge->value() << "\n";
   }
   for (const auto& [name, histogram] : histograms_) {
     out << "histogram " << name << " count=" << histogram->count()
@@ -119,13 +83,6 @@ void Registry::AppendJson(util::JsonWriter* json) const {
   for (const auto& [name, counter] : counters_) {
     json->Key(name);
     json->Int(counter->value());
-  }
-  json->EndObject();
-  json->Key("gauges");
-  json->BeginObject();
-  for (const auto& [name, gauge] : gauges_) {
-    json->Key(name);
-    json->Double(gauge->value());
   }
   json->EndObject();
   json->Key("histograms");
@@ -163,24 +120,6 @@ void Registry::AppendJson(util::JsonWriter* json) const {
   }
   json->EndObject();
   json->EndObject();
-}
-
-void Registry::ResetForTest() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
-void PublishSearchStats(const core::SearchStats& stats,
-                        const std::string& prefix) {
-  Registry& registry = Registry::Get();
-  registry.GetCounter(prefix + ".queries")->Add(1);
-  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
-    registry.GetCounter(prefix + "." + counter.name)
-        ->Add(stats.*counter.member);
-  }
-  registry.GetHistogram(prefix + ".cpu_seconds")->Observe(stats.cpu_seconds);
 }
 
 }  // namespace hydra::obs

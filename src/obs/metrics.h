@@ -1,9 +1,9 @@
-// Unified metrics registry: named counters, gauges, and fixed-bucket
-// log-scale histograms, shared by the serve daemon's STATS document and
-// the CLI's `hydra stats --full` text dump.
+// Metrics registry: named counters and fixed-bucket log-scale
+// histograms. Each serve::Server owns one; its STATS document and the
+// `hydra stats --full` text dump render from it.
 //
-// Objects are created on first use and owned by the registry for the
-// process lifetime, so callers hold raw pointers and update them with
+// Objects are created on first use and owned by the registry for its
+// lifetime, so callers resolve raw pointers once and update them with
 // lock-free atomics; the registry mutex guards only name lookup and
 // snapshotting. Histograms use a fixed logarithmic grid (first bound
 // 1 microsecond, ratio 2^(1/4) per bucket, 128 buckets ≈ up to 71 min),
@@ -21,7 +21,7 @@
 #include <mutex>
 #include <string>
 
-#include "core/search_stats.h"
+#include "util/check.h"
 
 namespace hydra::util {
 class JsonWriter;
@@ -29,27 +29,21 @@ class JsonWriter;
 
 namespace hydra::obs {
 
-/// Monotonic counter. Lock-free; relaxed ordering (metrics are
-/// statistical, not synchronization).
+/// Monotonic counter. Lock-free; relaxed ordering by default (metrics are
+/// statistical). A counter that publishes other metrics passes
+/// release to Add and acquire to value().
 class Counter {
  public:
-  void Add(int64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+  void Add(int64_t delta,
+           std::memory_order order = std::memory_order_relaxed) {
+    value_.fetch_add(delta, order);
   }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  int64_t value(std::memory_order order = std::memory_order_relaxed) const {
+    return value_.load(order);
+  }
 
  private:
   std::atomic<int64_t> value_{0};
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 /// Fixed log-scale histogram for durations in seconds.
@@ -59,11 +53,14 @@ class Gauge {
 /// values beyond the last bound clamp into the final bucket (recorded,
 /// never dropped). Quantile() returns the upper bound of the bucket
 /// holding the target rank, so it never underestimates and overestimates
-/// by at most kGrowth - 1 ≈ 18.9% relative (plus clamping at the ends).
+/// by at most kRelativeError (plus clamping at the ends).
 class Histogram {
  public:
   static constexpr size_t kBuckets = 128;
   static constexpr double kFirstBound = 1e-6;  // seconds
+  /// The bucket growth ratio minus one, 2^(1/4) - 1: the largest relative
+  /// overestimate of a bucketed quantile.
+  static constexpr double kRelativeError = 0.18920711500272106;
 
   /// Upper bound of bucket `index`, in seconds.
   static double BucketBound(size_t index);
@@ -87,48 +84,50 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Process-wide name -> metric map. Names are dotted lowercase paths
-/// ("serve.latency_seconds", "query.pool_misses"). A name is one kind
+/// Name -> metric map. Names are dotted lowercase paths
+/// ("serve.latency_seconds", "serve.pool_misses"). A name is one kind
 /// forever — asking for an existing name as a different kind CHECK-aborts
 /// (metric registration is programmer-controlled, not user input).
+/// Pointers it hands out live as long as the registry.
 class Registry {
  public:
-  static Registry& Get();
-
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
-  Histogram* GetHistogram(const std::string& name);
+  Counter* GetCounter(const std::string& name) {
+    return FindOrAdd(&counters_, histograms_, name);
+  }
+  Histogram* GetHistogram(const std::string& name) {
+    return FindOrAdd(&histograms_, counters_, name);
+  }
 
   /// Human-readable dump, one metric per line, sorted by name; histograms
   /// list count/sum/bucketed p50/p95/p99 plus their non-empty buckets.
   std::string TextDump() const;
 
   /// Writes the registry as the *value* of a pending key: an object with
-  /// "counters", "gauges", and "histograms" sections.
+  /// "counters" and "histograms" sections.
   void AppendJson(util::JsonWriter* json) const;
 
-  /// Drops every registered metric. Tests only — outstanding pointers
-  /// from earlier GetCounter/... calls dangle after this.
-  void ResetForTest();
-
  private:
-  Registry() = default;
+  /// Metric `name` of `metrics`, created on first use; `other_kind` must
+  /// not hold the name.
+  template <typename Metric, typename OtherKind>
+  Metric* FindOrAdd(std::map<std::string, std::unique_ptr<Metric>>* metrics,
+                    const OtherKind& other_kind, const std::string& name) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    HYDRA_CHECK_MSG(other_kind.count(name) == 0,
+                    "metric name registered as a different kind");
+    std::unique_ptr<Metric>& slot = (*metrics)[name];
+    if (!slot) slot = std::make_unique<Metric>();
+    return slot.get();
+  }
 
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-/// Folds one query's SearchStats ledger into the registry: a counter
-/// `<prefix>.<name>` per core::kLedgerCounters row (e.g.
-/// "query.distance_computations"), `<prefix>.queries` and the
-/// `<prefix>.cpu_seconds` histogram, for CLI runs and the serve daemon.
-void PublishSearchStats(const core::SearchStats& stats,
-                        const std::string& prefix);
 
 }  // namespace hydra::obs
 

@@ -1,139 +1,106 @@
 // Implementation of the serve daemon's metrics and STATS rendering.
 #include "serve/metrics.h"
 
-#include <algorithm>
+#include <atomic>
+#include <cstdint>
 
 #include "util/json.h"
 
 namespace hydra::serve {
 
-ServerMetrics::ServerMetrics() = default;
+ServerMetrics::ServerMetrics()
+    : completed_(registry_.GetCounter("serve.completed")),
+      rejected_(registry_.GetCounter("serve.rejected")),
+      bad_queries_(registry_.GetCounter("serve.bad_queries")),
+      malformed_(registry_.GetCounter("serve.malformed")),
+      pings_(registry_.GetCounter("serve.pings")),
+      stats_requests_(registry_.GetCounter("serve.stats_requests")),
+      queries_(registry_.GetCounter("serve.queries")),
+      latency_(registry_.GetHistogram("serve.latency_seconds")),
+      cpu_seconds_(registry_.GetHistogram("serve.cpu_seconds")) {
+  for (size_t i = 0; i < ledger_.size(); ++i) {
+    ledger_[i] = registry_.GetCounter(std::string("serve.") +
+                                      core::kLedgerCounters[i].name);
+  }
+}
 
 void ServerMetrics::RecordQuery(double latency_seconds,
                                 const core::SearchStats& stats,
                                 bool cache_hit) {
-  latency_.Observe(latency_seconds);
-  // Mirror into the process-wide registry so `hydra stats --full` (and
-  // the STATS "metrics" section) report serve latency alongside every
-  // other registered metric.
-  obs::Registry::Get()
-      .GetHistogram("serve.latency_seconds")
-      ->Observe(latency_seconds);
-  // A hit replays a ledger already counted at its miss: no work merges.
-  if (!cache_hit) obs::PublishSearchStats(stats, "serve");
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++completed_;
-  if (cache_hit) ++cache_hits_;
-  if (!cache_hit) merged_.Add(stats);
-}
-
-void ServerMetrics::RecordRejected() {
-  obs::Registry::Get().GetCounter("serve.rejected")->Add(1);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++rejected_;
-}
-
-void ServerMetrics::RecordBadQuery() {
-  obs::Registry::Get().GetCounter("serve.bad_queries")->Add(1);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++bad_queries_;
-}
-
-void ServerMetrics::RecordMalformed() {
-  obs::Registry::Get().GetCounter("serve.malformed")->Add(1);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++malformed_;
-}
-
-void ServerMetrics::RecordPing() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++pings_;
-}
-
-void ServerMetrics::RecordStatsRequest() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_requests_;
-}
-
-ServerMetrics::Snapshot ServerMetrics::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Snapshot s;
-  s.uptime_seconds = uptime_.Seconds();
-  s.completed = completed_;
-  s.rejected = rejected_;
-  s.bad_queries = bad_queries_;
-  s.malformed = malformed_;
-  s.pings = pings_;
-  s.stats_requests = stats_requests_;
-  s.cache_hits = cache_hits_;
-  if (s.uptime_seconds > 0.0) {
-    s.qps = static_cast<double>(completed_) / s.uptime_seconds;
+  latency_->Observe(latency_seconds);
+  // A hit replays a ledger already counted at its miss: no work adds.
+  if (!cache_hit) {
+    queries_->Add(1);
+    for (size_t i = 0; i < ledger_.size(); ++i) {
+      ledger_[i]->Add(stats.*core::kLedgerCounters[i].member);
+    }
+    cpu_seconds_->Observe(stats.cpu_seconds);
   }
-  s.latency_samples = latency_.count();
-  if (s.latency_samples > 0) {
-    s.p50_ms = latency_.Quantile(0.50) * 1e3;
-    s.p95_ms = latency_.Quantile(0.95) * 1e3;
-    s.p99_ms = latency_.Quantile(0.99) * 1e3;
-  }
-  for (size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
-    const uint64_t count = latency_.bucket_count(i);
-    if (count == 0) continue;
-    s.bucket_bounds.push_back(obs::Histogram::BucketBound(i));
-    s.bucket_counts.push_back(count);
-  }
-  s.merged = merged_;
-  return s;
+  // Completed counts last, with release: a STATS render that reads this
+  // count with acquire sees every add above. (Ordered operations rather
+  // than fences: ThreadSanitizer does not model atomic_thread_fence.)
+  completed_->Add(1, std::memory_order_release);
 }
 
-std::string StatsJson(const ServerMetrics::Snapshot& snapshot,
-                      const AnswerCache::Counters& cache,
-                      std::string_view method_name,
-                      const std::vector<obs::FlightRecord>& slow_queries) {
+std::string ServerMetrics::StatsJson(
+    const AnswerCache::Counters& cache, std::string_view method_name,
+    const std::vector<obs::FlightRecord>& slow_queries) const {
+  const int64_t completed = completed_->value(std::memory_order_acquire);
+  const double uptime_seconds = uptime_.Seconds();
   util::JsonWriter json;
   json.BeginObject();
   json.Key("uptime_seconds");
-  json.Double(snapshot.uptime_seconds);
+  json.Double(uptime_seconds);
   json.Key("qps");
-  json.Double(snapshot.qps);
+  json.Double(uptime_seconds > 0.0
+                  ? static_cast<double>(completed) / uptime_seconds
+                  : 0.0);
 
   json.Key("requests");
   json.BeginObject();
   json.Key("completed");
-  json.Uint(snapshot.completed);
+  json.Int(completed);
   json.Key("rejected");
-  json.Uint(snapshot.rejected);
+  json.Int(rejected_->value());
   json.Key("bad_queries");
-  json.Uint(snapshot.bad_queries);
+  json.Int(bad_queries_->value());
   json.Key("malformed");
-  json.Uint(snapshot.malformed);
+  json.Int(malformed_->value());
   json.Key("pings");
-  json.Uint(snapshot.pings);
+  json.Int(pings_->value());
   json.Key("stats");
-  json.Uint(snapshot.stats_requests);
+  json.Int(stats_requests_->value());
   json.EndObject();
 
+  // Percentiles are bucketed, in milliseconds: each is its bucket's upper
+  // bound, so it never underestimates and overestimates by at most
+  // quantile_error_bound relative. Quantile() reads 0 while empty.
   json.Key("latency");
   json.BeginObject();
   json.Key("p50_ms");
-  json.Double(snapshot.p50_ms);
+  json.Double(latency_->Quantile(0.50) * 1e3);
   json.Key("p95_ms");
-  json.Double(snapshot.p95_ms);
+  json.Double(latency_->Quantile(0.95) * 1e3);
   json.Key("p99_ms");
-  json.Double(snapshot.p99_ms);
+  json.Double(latency_->Quantile(0.99) * 1e3);
   json.Key("samples");
-  json.Uint(snapshot.latency_samples);
-  // Percentiles are bucketed: each is its bucket's upper bound, so it
-  // never underestimates and overestimates by at most this relative
-  // factor (the histogram's bucket growth ratio, 2^(1/4) - 1).
+  json.Uint(latency_->count());
   json.Key("quantile_error_bound");
-  json.Double(0.189207);
+  json.Double(obs::Histogram::kRelativeError);
+  // Non-empty buckets: parallel arrays of upper bounds and counts.
+  std::vector<uint64_t> counts;
   json.Key("bucket_bounds_seconds");
   json.BeginArray();
-  for (const double bound : snapshot.bucket_bounds) json.Double(bound);
+  for (size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
+    const uint64_t count = latency_->bucket_count(i);
+    if (count == 0) continue;
+    json.Double(obs::Histogram::BucketBound(i));
+    counts.push_back(count);
+  }
   json.EndArray();
   json.Key("bucket_counts");
   json.BeginArray();
-  for (const uint64_t count : snapshot.bucket_counts) json.Uint(count);
+  for (const uint64_t count : counts) json.Uint(count);
   json.EndArray();
   json.EndObject();
 
@@ -169,12 +136,12 @@ std::string StatsJson(const ServerMetrics::Snapshot& snapshot,
   json.BeginObject();
   // Table order: modeled counters, then the measured pool counters (all
   // zero when the daemon serves the in-RAM backend).
-  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
-    json.Key(counter.name);
-    json.Int(snapshot.merged.*counter.member);
+  for (size_t i = 0; i < ledger_.size(); ++i) {
+    json.Key(core::kLedgerCounters[i].name);
+    json.Int(ledger_[i]->value());
   }
   json.Key("cpu_seconds");
-  json.Double(snapshot.merged.cpu_seconds);
+  json.Double(cpu_seconds_->sum());
   json.EndObject();
   json.EndObject();
 
@@ -203,9 +170,8 @@ std::string StatsJson(const ServerMetrics::Snapshot& snapshot,
   }
   json.EndArray();
 
-  // The process-wide metrics registry (counters/gauges/histograms).
   json.Key("metrics");
-  obs::Registry::Get().AppendJson(&json);
+  registry_.AppendJson(&json);
 
   json.EndObject();
   return json.str();

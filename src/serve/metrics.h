@@ -1,18 +1,16 @@
-// Observability of the serve daemon: monotonic request counters, the
-// merged SearchStats ledger of every query executed, and a log-scale
-// latency histogram (obs::Histogram) from which the STATS reply derives
-// bucketed p50/p95/p99 — whole-lifetime, with a documented quantile error
-// bound (<= 18.9% relative, one histogram bucket ratio) instead of the
-// sampling noise of the old fixed-size latency ring. One instance per
-// Server, written by every worker, snapshotted by STATS; observations are
-// mirrored into the process-wide obs::Registry ("serve.latency_seconds")
-// so `hydra stats --full` sees them too.
+// Observability of the serve daemon: request counters, the summed
+// SearchStats ledger of every executed query, and a log-scale latency
+// histogram (obs::Histogram) from which the STATS reply derives bucketed
+// p50/p95/p99 — whole-lifetime, with the documented quantile error bound
+// (obs::Histogram::kRelativeError, one bucket ratio) instead of the
+// sampling noise of a fixed-size latency ring. Each number is kept once,
+// in the server's own obs::Registry: STATS and the `hydra stats --full`
+// text dump both render from it.
 #ifndef HYDRA_SERVE_METRICS_H_
 #define HYDRA_SERVE_METRICS_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <mutex>
+#include <array>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,10 +23,15 @@
 
 namespace hydra::serve {
 
-/// Thread-safe request-level metrics. Counters and the merged ledger are
-/// guarded by one mutex; the latency histogram is lock-free and
-/// whole-lifetime (bucket counts never decay — an operator watching a
-/// live daemon reads rates by diffing snapshots).
+/// Request-level metrics of one Server. Every metric is resolved in the
+/// registry once, at construction, so recording is relaxed atomic adds:
+/// no lock, no name lookup. The registry names are `serve.completed`,
+/// `serve.rejected`, `serve.bad_queries`, `serve.malformed`,
+/// `serve.pings`, `serve.stats_requests`, `serve.queries` (executed
+/// queries), one `serve.<name>` per core::kLedgerCounters row, and the
+/// histograms `serve.latency_seconds` and `serve.cpu_seconds`. Bucket
+/// counts never decay — an operator watching a live daemon reads rates
+/// by diffing STATS documents.
 class ServerMetrics {
  public:
   ServerMetrics();
@@ -38,76 +41,50 @@ class ServerMetrics {
 
   /// One answered query: wall seconds from admission to response written,
   /// the query's stats ledger, and whether the answer came from the cache.
-  /// Latency goes to the histogram and the obs::Registry; only an executed
-  /// answer merges and publishes ("serve.*") its ledger, since a hit
-  /// replays work already counted at its miss.
+  /// Every answer observes its latency; only an executed one adds its
+  /// ledger, since a hit replays work already counted at its miss.
   void RecordQuery(double latency_seconds, const core::SearchStats& stats,
                    bool cache_hit);
   /// One request refused by admission control (RESOURCE_EXHAUSTED).
-  void RecordRejected();
+  void RecordRejected() { rejected_->Add(1); }
   /// One request refused by semantic validation (BAD_QUERY).
-  void RecordBadQuery();
+  void RecordBadQuery() { bad_queries_->Add(1); }
   /// One connection dropped for malformed bytes (bad magic/CRC/version).
-  void RecordMalformed();
-  void RecordPing();
-  void RecordStatsRequest();
+  void RecordMalformed() { malformed_->Add(1); }
+  void RecordPing() { pings_->Add(1); }
+  void RecordStatsRequest() { stats_requests_->Add(1); }
 
-  /// Consistent copy of everything, taken under the one metrics lock
-  /// (histogram reads are relaxed — bucketed quantiles tolerate a
-  /// concurrent observation landing mid-snapshot).
-  struct Snapshot {
-    double uptime_seconds = 0.0;
-    uint64_t completed = 0;
-    uint64_t rejected = 0;
-    uint64_t bad_queries = 0;
-    uint64_t malformed = 0;
-    uint64_t pings = 0;
-    uint64_t stats_requests = 0;
-    uint64_t cache_hits = 0;
-    /// completed / uptime_seconds (0 while nothing completed).
-    double qps = 0.0;
-    /// Bucketed tail percentiles of the latency histogram, milliseconds.
-    /// Each is the upper bound of its quantile's bucket: never an
-    /// underestimate, at most 2^(1/4)-1 ≈ 18.9% relative over.
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
-    /// Total latency observations (whole daemon lifetime).
-    uint64_t latency_samples = 0;
-    /// Non-empty histogram buckets: parallel arrays of upper bounds
-    /// (seconds) and observation counts.
-    std::vector<double> bucket_bounds;
-    std::vector<uint64_t> bucket_counts;
-    /// Every executed query's ledger, accumulated (cache hits add none).
-    core::SearchStats merged;
-  };
-  Snapshot snapshot() const;
+  /// The STATS reply document: uptime, QPS, bucketed latency percentiles
+  /// with the histogram's non-empty buckets and error bound, request
+  /// counters, cache counters with the derived hit rate, the summed
+  /// SearchStats ledger keyed by the served method's name, the slow-query
+  /// flight records, and the registry itself. A document reporting
+  /// `completed` = N includes the ledgers of all N answers.
+  std::string StatsJson(const AnswerCache::Counters& cache,
+                        std::string_view method_name,
+                        const std::vector<obs::FlightRecord>& slow_queries)
+      const;
+
+  const obs::Registry& registry() const { return registry_; }
 
  private:
-  mutable std::mutex mutex_;
+  obs::Registry registry_;
   util::WallTimer uptime_;
-  /// Admission-to-answer latency, seconds. Owned per server (snapshot
-  /// percentiles describe *this* daemon); mirrored into the registry.
-  obs::Histogram latency_;
-  uint64_t completed_ = 0;
-  uint64_t rejected_ = 0;
-  uint64_t bad_queries_ = 0;
-  uint64_t malformed_ = 0;
-  uint64_t pings_ = 0;
-  uint64_t stats_requests_ = 0;
-  uint64_t cache_hits_ = 0;
-  core::SearchStats merged_;
+  obs::Counter* const completed_;
+  obs::Counter* const rejected_;
+  obs::Counter* const bad_queries_;
+  obs::Counter* const malformed_;
+  obs::Counter* const pings_;
+  obs::Counter* const stats_requests_;
+  obs::Counter* const queries_;
+  /// Admission-to-answer latency of every answer, seconds.
+  obs::Histogram* const latency_;
+  /// Measured compute seconds of every executed query; its sum is the
+  /// ledger's cpu_seconds.
+  obs::Histogram* const cpu_seconds_;
+  /// One counter per core::kLedgerCounters row, in table order.
+  std::array<obs::Counter*, std::size(core::kLedgerCounters)> ledger_;
 };
-
-/// Renders the STATS reply document: uptime, QPS, bucketed latency
-/// percentiles with the histogram's non-empty buckets and error bound,
-/// request counters, cache counters with the derived hit rate, the merged
-/// SearchStats ledger keyed by the served method's name, the slow-query
-/// flight records, and the process-wide metrics registry.
-std::string StatsJson(const ServerMetrics::Snapshot& snapshot,
-                      const AnswerCache::Counters& cache,
-                      std::string_view method_name,
-                      const std::vector<obs::FlightRecord>& slow_queries);
 
 }  // namespace hydra::serve
 

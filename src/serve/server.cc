@@ -12,7 +12,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -171,8 +170,8 @@ void Server::Shutdown() {
 }
 
 std::string Server::StatsJson() const {
-  return serve::StatsJson(metrics_.snapshot(), cache_.counters(),
-                          method_name_, recorder_.Snapshot());
+  return metrics_.StatsJson(cache_.counters(), method_name_,
+                            recorder_.Snapshot());
 }
 
 void Server::AcceptLoop() {
@@ -251,12 +250,12 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                 Frame{FrameType::kStatsReply, EncodeStatsResponse(StatsJson())});
       return true;
     case FrameType::kStatsFull:
-      // The full process-wide metrics registry as plain text (`hydra
-      // stats --full`), alongside — not replacing — the JSON kStats.
+      // The server's metrics registry as plain text (`hydra stats
+      // --full`), alongside — not replacing — the JSON kStats.
       metrics_.RecordStatsRequest();
       SendFrame(conn, Frame{FrameType::kStatsReply,
                             EncodeStatsResponse(
-                                obs::Registry::Get().TextDump())});
+                                metrics_.registry().TextDump())});
       return true;
     case FrameType::kQuery:
       HandleQuery(conn, frame);

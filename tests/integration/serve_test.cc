@@ -4,7 +4,8 @@
 // a serial run); a cache hit returns the identical answer bytes;
 // approximate and budgeted queries bypass the cache; admission control
 // answers overload with an explicit rejection frame; a cache hit
-// merges no work into STATS; a pooled daemon's answers carry their
+// merges no work into STATS; each server's STATS counts only its own
+// queries; a pooled daemon's answers carry their
 // measured pool counters; malformed bytes get an error frame and a closed
 // connection, never a crash; and Reload swaps the index without dropping
 // the listener.
@@ -382,6 +383,48 @@ TEST_F(ServeFixture, CacheHitsMergeNoWorkIntoStats) {
         << counter.name;
   }
   server.Shutdown();
+}
+
+/// Counter `name` of the registry section of a STATS document (-1 if
+/// absent).
+int64_t StatsMetricsCounter(const std::string& json, const std::string& name) {
+  const size_t block = json.find("\"metrics\"");
+  if (block == std::string::npos) return -1;
+  const std::string key = "\"" + name + "\":";
+  const size_t at = json.find(key, block);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + key.size()));
+}
+
+TEST_F(ServeFixture, EachServerKeepsItsOwnMetrics) {
+  // Two servers in one process, one after the other, one exact query each:
+  // the second server's STATS counts only its own query, and its ledger
+  // and its registry counters agree.
+  std::string json;
+  AnswerResponse answer;
+  for (size_t q = 0; q < 2; ++q) {
+    Server server(ServerOptions{});
+    ASSERT_TRUE(server.Start(BuildMethod(), &data_).ok());
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    ASSERT_TRUE(client
+                    .Query(RequestFor(3 + q, core::QuerySpec::Knn(3)),
+                           &answer, nullptr)
+                    .ok());
+    ASSERT_FALSE(answer.cached);
+    json = StatsAfter(&client, 1);
+    server.Shutdown();
+  }
+  EXPECT_EQ(StatsMetricsCounter(json, "serve.queries"), 1) << json;
+  ASSERT_GT(answer.result.stats.distance_computations, 0);
+  for (const core::LedgerCounter& counter : core::kLedgerCounters) {
+    EXPECT_EQ(StatsLedgerValue(json, counter.name),
+              answer.result.stats.*counter.member)
+        << counter.name;
+    EXPECT_EQ(StatsMetricsCounter(json, std::string("serve.") + counter.name),
+              StatsLedgerValue(json, counter.name))
+        << counter.name;
+  }
 }
 
 TEST_F(ServeFixture, PooledAnswersCarryTheirMeasuredPoolCounters) {

@@ -79,7 +79,6 @@
 #include "gen/workload.h"
 #include "io/disk_model.h"
 #include "io/series_file.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -1021,7 +1020,6 @@ int CmdQuery(const Cli& cli) {
     }
   }
   PrintStorageSummary(stored, batch.total);
-  obs::PublishSearchStats(batch.total, "query");
   return 0;
 }
 
@@ -1050,7 +1048,6 @@ int CmdRange(const Cli& cli) {
                 static_cast<long long>(r.stats.raw_series_examined));
   }
   PrintStorageSummary(stored, total);
-  obs::PublishSearchStats(total, "range");
   return 0;
 }
 
