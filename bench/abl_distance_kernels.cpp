@@ -8,10 +8,12 @@
 // and an inline conformance check (bit identity for order-preserving sets,
 // the documented 16*n*2^-53 relative tolerance otherwise).
 //
-// Every row is timed under the exhibits' repeat rule (TimeRepeats in
-// bench_common.h) with kRowMinWall per repeat: the median of kRepeats
-// repeats and their spread, so two sets rank only where their medians
-// differ by more than the spreads.
+// Every row is timed under the exhibits' repeat rule (bench_common.h)
+// with kRowMinWall per repeat: the median of kRepeats repeats and their
+// spread, so two sets rank only where their medians differ by more than
+// the spreads. The sets of one (op, length) are timed round-robin
+// (TimeRoundRobin): each repeat times every set once, so a drift of the
+// host lands on all of them alike.
 //
 // Usage: abl_distance_kernels [count] [--json <path>]
 // Writes the machine-readable sweep to BENCH_kernels.json by default.
@@ -179,12 +181,15 @@ int Run(int argc, char** argv) {
                        util::Table::Num(reset_us, 3)});
     json_resets.push_back({length, reset_us});
     for (const char* op : {"euclidean", "early_abandon", "line_abandon"}) {
+      double sink = 0.0;
+      const std::vector<RepeatTiming> timings = TimeRoundRobin(
+          sets.size(), [&](size_t s) { sink += RunOp(*sets[s], op, w); },
+          kRowMinWall);
+      HYDRA_CHECK(std::isfinite(sink));
       double scalar_rate = 0.0;
-      for (const KernelSet* set : sets) {
-        double sink = 0.0;
-        const RepeatTiming timing =
-            TimeRepeats([&] { sink += RunOp(*set, op, w); }, kRowMinWall);
-        HYDRA_CHECK(std::isfinite(sink));
+      for (size_t s = 0; s < sets.size(); ++s) {
+        const KernelSet* set = sets[s];
+        const RepeatTiming& timing = timings[s];
         const double rate = static_cast<double>(count) / timing.median;
         const double spread_pct = 100.0 * timing.spread / timing.median;
         if (std::strcmp(set->name, "scalar") == 0) scalar_rate = rate;

@@ -59,21 +59,37 @@ struct RepeatTiming {
   double spread = 0.0;  // seconds, max - min over the repeats
 };
 
+/// Times the `rows` batches `batch(row)` under the repeat rule,
+/// round-robin: each repeat times every row once, in row order, so a
+/// drift of the host between repeats lands on all rows alike instead of
+/// on the rows timed last. Returns one timing per row.
+template <typename Batch>
+std::vector<RepeatTiming> TimeRoundRobin(size_t rows, Batch&& batch,
+                                         double min_wall = kMinRepeatWall) {
+  std::vector<std::vector<double>> walls(rows);
+  for (size_t repeat = 0; repeat < kRepeats; ++repeat) {
+    for (size_t row = 0; row < rows; ++row) {
+      util::WallTimer timer;
+      size_t batches = 0;
+      do {
+        batch(row);
+        ++batches;
+      } while (timer.Seconds() < min_wall);
+      walls[row].push_back(timer.Seconds() / static_cast<double>(batches));
+    }
+  }
+  std::vector<RepeatTiming> timings;
+  for (std::vector<double>& row : walls) {
+    std::sort(row.begin(), row.end());
+    timings.push_back({row[row.size() / 2], row.back() - row.front()});
+  }
+  return timings;
+}
+
 /// Times `batch()` under the repeat rule.
 template <typename Batch>
 RepeatTiming TimeRepeats(Batch&& batch, double min_wall = kMinRepeatWall) {
-  std::vector<double> walls;
-  for (size_t repeat = 0; repeat < kRepeats; ++repeat) {
-    util::WallTimer timer;
-    size_t batches = 0;
-    do {
-      batch();
-      ++batches;
-    } while (timer.Seconds() < min_wall);
-    walls.push_back(timer.Seconds() / static_cast<double>(batches));
-  }
-  std::sort(walls.begin(), walls.end());
-  return {walls[walls.size() / 2], walls.back() - walls.front()};
+  return TimeRoundRobin(1, [&](size_t) { batch(); }, min_wall)[0];
 }
 
 /// Extracts a `--json <path>` pair from (argc, argv), returning the path

@@ -28,7 +28,9 @@
 namespace hydra::index {
 
 /// The member bound of a leaf without per-series summaries: every member
-/// is verified.
+/// is verified. Every other member bound is a batch call `(ids, out)`
+/// that writes to out[i] a squared-distance lower bound of series ids[i]
+/// from an in-memory summary.
 struct NoMemberBound {};
 
 /// Member bound from full-resolution iSAX words: `words` holds
@@ -38,9 +40,8 @@ struct IsaxMemberBound {
   const transform::IsaxQueryTable* table;
   const uint8_t* words;
 
-  double operator()(core::SeriesId id) const {
-    return table->LowerBoundSq(words +
-                               static_cast<size_t>(id) * table->segments());
+  void operator()(std::span<const core::SeriesId> ids, double* out) const {
+    table->LowerBoundsSq(words, ids, out);
   }
 };
 
@@ -81,16 +82,20 @@ struct LeafRefine {
 /// core::RefineLoop against the sink's live bound, stopping when the
 /// raw-series budget fires.
 ///
-/// With a `member_lb(id)` (a squared-distance lower bound from an
-/// in-memory summary), a filter pass bounds every member once — one
-/// lower-bound computation each — and keeps those `W::MemberAdmits` at
-/// leaf entry; the refine loop re-checks each stored bound against the
-/// live sink just before its distance. The sink's bound only tightens, so
-/// a member dropped at entry would also be dropped live: the answer, the
-/// bsf trajectory and every counter are those of a member-by-member loop,
-/// except the lower bounds of a leaf that the raw cap interrupts (the
-/// filter pass has bounded all of its members). Skipped members spend no
-/// raw budget. Without a member bound every member survives.
+/// With a member bound, a filter pass bounds every member once — one
+/// batch call, one lower-bound computation each — and keeps those
+/// `W::MemberAdmits` at leaf entry; the refine loop re-checks each stored
+/// bound against the live sink just before its distance. The filter has
+/// no branch on the admission test: it writes every id and bound and
+/// advances the write position by the test's 0 or 1, because about three
+/// members in four are dropped in no predictable order. The sink's bound
+/// only tightens, so a member dropped at entry would also be dropped
+/// live: the answer, the bsf trajectory and every counter are those of a
+/// member-by-member loop, except the lower bounds of a leaf that the raw
+/// cap interrupts (the filter pass has bounded all of its members).
+/// Skipped members spend no raw budget. Without a member bound every
+/// member survives. The survivors and their bounds are left in
+/// ScratchLeafSurvivors().
 template <typename W, typename MemberBound = NoMemberBound>
 void ScanLeaf(std::span<const core::SeriesId> ids, io::CountedStorage& raw,
               const core::QueryOrder& order, const W& w,
@@ -103,12 +108,22 @@ void ScanLeaf(std::span<const core::SeriesId> ids, io::CountedStorage& raw,
   std::span<const double> bounds;
   if constexpr (!std::is_same_v<MemberBound, NoMemberBound>) {
     core::Candidates& scratch = ScratchLeafSurvivors();
-    scratch.Clear();
-    for (const core::SeriesId id : ids) {
-      const double lb = member_lb(id);
-      ++stats.lower_bound_computations;
-      if (w.MemberAdmits(lb)) scratch.Add(id, lb);
+    scratch.ids.resize(ids.size());
+    scratch.bounds.resize(ids.size());
+    member_lb(ids, scratch.bounds.data());
+    stats.lower_bound_computations += static_cast<int64_t>(ids.size());
+    // In place: the write position never passes the read position.
+    core::SeriesId* kept_ids = scratch.ids.data();
+    double* lbs = scratch.bounds.data();
+    size_t kept = 0;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const double lb = lbs[i];
+      kept_ids[kept] = ids[i];
+      lbs[kept] = lb;
+      kept += w.MemberAdmits(lb) ? 1 : 0;
     }
+    scratch.ids.resize(kept);
+    scratch.bounds.resize(kept);
     survivors = scratch.ids;
     bounds = scratch.bounds;
   }

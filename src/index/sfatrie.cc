@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "core/distance.h"
 #include "core/simd/kernels.h"
@@ -309,6 +310,26 @@ double SfaTrie::NodeLowerBound(std::span<const double> q_dft,
       q_dft.data(), node.mbr_min.data(), node.mbr_max.data(), q_dft.size());
 }
 
+namespace {
+
+/// Member bound from stored SFA words (`quantizer->dims()` symbols per
+/// series id): SfaQuantizer::LowerBoundSq, once per member.
+struct SfaMemberBound {
+  const transform::SfaQuantizer* quantizer;
+  std::span<const double> q_dft;
+  const uint8_t* words;
+
+  void operator()(std::span<const core::SeriesId> ids, double* out) const {
+    const size_t dims = quantizer->dims();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      out[i] = quantizer->LowerBoundSq(
+          q_dft, {words + static_cast<size_t>(ids[i]) * dims, dims});
+    }
+  }
+};
+
+}  // namespace
+
 /// The SFA trie's TreeSearch policy: DFT-MBR lower bounds, the
 /// word-routed descent as home, and leaf members bounded by their stored
 /// SFA words once the traversal starts.
@@ -381,13 +402,8 @@ class SfaTrie::Search : public core::TreePolicy<SfaTrie::Node> {
       ScanLeaf(leaf.node->ids, raw, order_, w);
       return;
     }
-    const size_t dims = trie_.quantizer_.dims();
     ScanLeaf(leaf.node->ids, raw, order_, w,
-             [this, dims](core::SeriesId id) {
-               return trie_.quantizer_.LowerBoundSq(
-                   q_dft_, {trie_.words_.data() + static_cast<size_t>(id) * dims,
-                           dims});
-             });
+             SfaMemberBound{&trie_.quantizer_, q_dft_, trie_.words_.data()});
   }
 
  private:

@@ -144,6 +144,35 @@ void IsaxQueryTable::Reset(std::span<const double> paa_q,
   }
 }
 
+void IsaxQueryTable::LowerBoundsSq(const uint8_t* words,
+                                   std::span<const core::SeriesId> ids,
+                                   double* out) const {
+  const auto word = [&](size_t i) {
+    return words + static_cast<size_t>(ids[i]) * segments_;
+  };
+  const double* full = terms_.data() + (kSymbols - 1);
+  size_t i = 0;
+  for (; i + 4 <= ids.size(); i += 4) {
+    const uint8_t* w0 = word(i);
+    const uint8_t* w1 = word(i + 1);
+    const uint8_t* w2 = word(i + 2);
+    const uint8_t* w3 = word(i + 3);
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    const double* row = full;
+    for (size_t s = 0; s < segments_; ++s, row += kRow) {
+      a0 += row[w0[s]];
+      a1 += row[w1[s]];
+      a2 += row[w2[s]];
+      a3 += row[w3[s]];
+    }
+    out[i] = a0 * points_per_segment_;
+    out[i + 1] = a1 * points_per_segment_;
+    out[i + 2] = a2 * points_per_segment_;
+    out[i + 3] = a3 * points_per_segment_;
+  }
+  for (; i < ids.size(); ++i) out[i] = LowerBoundSq(word(i));
+}
+
 IsaxQueryTable& ScratchIsaxQueryTable() {
   thread_local IsaxQueryTable table;
   return table;

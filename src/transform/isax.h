@@ -101,6 +101,15 @@ class IsaxQueryTable {
     return acc * points_per_segment_;
   }
 
+  /// Writes LowerBoundSq(words + ids[i] * segments()) to out[i] for every
+  /// i, four words side by side: four independent accumulators, each
+  /// summed in segment order and then scaled, so every bound is bit for
+  /// bit the single-word one (a tail of fewer than four takes that form).
+  /// The four chains of table loads overlap instead of running one after
+  /// another.
+  void LowerBoundsSq(const uint8_t* words, std::span<const core::SeriesId> ids,
+                     double* out) const;
+
   /// Equals IsaxMinDistSq(paa_q, w, points_per_segment) of the last Reset
   /// for a node word of any per-segment cardinality.
   double NodeBoundSq(const IsaxWord& w) const {

@@ -143,7 +143,13 @@ double QueryValue(util::Rng& rng) {
   }
 }
 
+// Both word forms of the table — one word (LowerBoundSq) and a batch of
+// ids into a flat word array (LowerBoundsSq, four words side by side) —
+// against the scalar reference. Batches of 0..9 ids cover every tail
+// length after the groups of four; the ids repeat and skip words, as a
+// leaf's members do in the array of all series.
 TEST(IsaxQueryTable, BoundsEqualMinDistBitForBit) {
+  constexpr size_t kWords = 12;
   util::Rng rng(33);
   IsaxQueryTable table;  // one table, re-armed for every query
   for (const size_t segments : {16u, 8u, 24u}) {
@@ -162,6 +168,27 @@ TEST(IsaxQueryTable, BoundsEqualMinDistBitForBit) {
         }
         const double got = table.LowerBoundSq(w.symbols.data());
         ASSERT_EQ(got, IsaxMinDistSq(paa_q, w, pps));
+      }
+
+      std::vector<uint8_t> words(kWords * segments);
+      for (uint8_t& sym : words) {
+        sym = static_cast<uint8_t>(rng.UniformInt(0, 255));
+      }
+      for (size_t batch = 0; batch <= 9; ++batch) {
+        std::vector<core::SeriesId> ids(batch);
+        for (core::SeriesId& id : ids) {
+          id = static_cast<core::SeriesId>(rng.UniformInt(0, kWords - 1));
+        }
+        // One slot past the batch must stay untouched.
+        std::vector<double> out(batch + 1, -1.0);
+        table.LowerBoundsSq(words.data(), ids, out.data());
+        for (size_t i = 0; i < batch; ++i) {
+          w.symbols.assign(words.begin() + ids[i] * segments,
+                           words.begin() + (ids[i] + 1) * segments);
+          ASSERT_EQ(out[i], IsaxMinDistSq(paa_q, w, pps))
+              << "segments " << segments << " batch " << batch << " i " << i;
+        }
+        ASSERT_EQ(out[batch], -1.0);
       }
     }
   }
