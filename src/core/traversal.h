@@ -273,10 +273,17 @@ class TreeWorker {
   /// d < Bound(), a range collector d <= r^2), so a rejected member could
   /// never have been kept.
   bool MemberAdmits(double lb_sq) const {
+    return MemberAdmits(lb_sq, sink_->Bound());
+  }
+
+  /// The same rule against a sink bound `bound` read once, for a loop
+  /// over many members (a leaf's filter pass) that should not reload the
+  /// live bound per member.
+  static bool MemberAdmits(double lb_sq, double bound) {
     if constexpr (kRange) {
-      return lb_sq <= sink_->Bound();
+      return lb_sq <= bound;
     } else {
-      return lb_sq < sink_->Bound();
+      return lb_sq < bound;
     }
   }
 

@@ -112,6 +112,11 @@ void ScanLeaf(std::span<const core::SeriesId> ids, io::CountedStorage& raw,
     scratch.bounds.resize(ids.size());
     member_lb(ids, scratch.bounds.data());
     stats.lower_bound_computations += static_cast<int64_t>(ids.size());
+    // The sink's bound, read once per leaf. Serially nothing can move it
+    // during the filter; at width > 1 another worker may tighten the
+    // shared bound meanwhile, and the stale one only admits members the
+    // refine loop re-checks live before any distance.
+    const double sink_bound = w.sink().Bound();
     // In place: the write position never passes the read position.
     core::SeriesId* kept_ids = scratch.ids.data();
     double* lbs = scratch.bounds.data();
@@ -120,7 +125,7 @@ void ScanLeaf(std::span<const core::SeriesId> ids, io::CountedStorage& raw,
       const double lb = lbs[i];
       kept_ids[kept] = ids[i];
       lbs[kept] = lb;
-      kept += w.MemberAdmits(lb) ? 1 : 0;
+      kept += W::MemberAdmits(lb, sink_bound) ? 1 : 0;
     }
     scratch.ids.resize(kept);
     scratch.bounds.resize(kept);

@@ -23,12 +23,15 @@ struct FlightPhase {
 
 /// One completed request: the client-propagated request id, a compact
 /// human label of the query (k, mode, budgets), the end-to-end latency,
-/// and the phase breakdown in request order.
+/// whether it was a cache hit and whether the connection's reader answered
+/// it inline (no pool hop, so its queue_wait is 0), and the phase
+/// breakdown in request order.
 struct FlightRecord {
   uint64_t request_id = 0;
   std::string label;
   double total_seconds = 0.0;
   bool cache_hit = false;
+  bool answered_inline = false;
   std::vector<FlightPhase> phases;
 };
 

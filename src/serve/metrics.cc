@@ -159,6 +159,8 @@ std::string ServerMetrics::StatsJson(
     json.Double(record.total_seconds * 1e3);
     json.Key("cache_hit");
     json.Bool(record.cache_hit);
+    json.Key("inline");
+    json.Bool(record.answered_inline);
     json.Key("phases");
     json.BeginObject();
     for (const obs::FlightPhase& phase : record.phases) {

@@ -309,34 +309,46 @@ void Server::HandleQuery(const std::shared_ptr<Connection>& conn,
     }
     ++inflight_;
   }
-  const double admitted_at = clock_.Seconds();
-  const double decode_seconds = decode_timer.Seconds();
-  pool_->Submit([this, conn, request = std::move(request), admitted_at,
-                 decode_seconds] {
-    ExecuteQuery(conn, request, admitted_at, decode_seconds);
+  AdmittedQuery query;
+  query.request = std::move(request);
+  query.admitted_at = clock_.Seconds();
+  query.decode_seconds = decode_timer.Seconds();
+  // The request's one cache lookup; a miss carries its key to the insert.
+  util::WallTimer lookup_timer;
+  if (AnswerCache::Cacheable(query.request.spec)) {
+    query.key = AnswerCache::Key(fingerprint_, query.request.spec,
+                                 query.request.query);
+    query.response.cached =
+        cache_.Lookup(query.key, &query.response.result);
+  }
+  query.lookup_seconds = lookup_timer.Seconds();
+  // A hit runs no search and an ng search visits one leaf: the hop to a
+  // worker would cost about as much as the answer, so the reader answers
+  // them itself. Everything else goes to the pool.
+  if (query.response.cached ||
+      query.request.spec.mode == core::QualityMode::kNgApprox) {
+    ExecuteQuery(conn, query, /*on_reader=*/true);
+    return;
+  }
+  pool_->Submit([this, conn, query = std::move(query)]() mutable {
+    ExecuteQuery(conn, query, /*on_reader=*/false);
   });
 }
 
 void Server::ExecuteQuery(const std::shared_ptr<Connection>& conn,
-                          const QueryRequest& request, double admitted_at,
-                          double decode_seconds) {
+                          AdmittedQuery& query, bool on_reader) {
+  const QueryRequest& request = query.request;
   // Trace span + flight record for this request; the client's request id
   // ties both back to the call that issued it.
   HYDRA_OBS_SPAN_ARG("serve_request", "request_id",
                      static_cast<int64_t>(request.request_id));
-  const double queue_wait = clock_.Seconds() - admitted_at;
-  if (options_.execute_hook) options_.execute_hook();
-  const bool cacheable = AnswerCache::Cacheable(request.spec);
-  std::string key;
-  AnswerResponse response;
-  bool hit = false;
+  const double queue_wait =
+      on_reader ? 0.0
+                : clock_.Seconds() - query.admitted_at - query.lookup_seconds;
+  AnswerResponse& response = query.response;
+  const bool hit = response.cached;
+  if (!hit && options_.execute_hook) options_.execute_hook();
   util::WallTimer phase_timer;
-  if (cacheable) {
-    key = AnswerCache::Key(fingerprint_, request.spec, request.query);
-    hit = cache_.Lookup(key, &response.result);
-  }
-  const double cache_lookup = phase_timer.Seconds();
-  phase_timer.Reset();
   if (!hit) {
     // Snapshot the shared_ptr so a concurrent Reload cannot free the
     // index under this query.
@@ -346,34 +358,40 @@ void Server::ExecuteQuery(const std::shared_ptr<Connection>& conn,
       method = method_;
     }
     response.result = method->Execute(request.query, request.spec);
-    if (cacheable) cache_.Insert(key, response.result);
+    if (!query.key.empty()) cache_.Insert(query.key, response.result);
   }
   const double execute = phase_timer.Seconds();
   phase_timer.Reset();
-  response.cached = hit;
-  // The admission slot frees before the answer leaves, so a client holding
-  // its answer finds the slot free again (Shutdown still waits for this
-  // write: it joins the pool before closing connections).
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    --inflight_;
-    inflight_cv_.notify_all();
-  }
+  // A worker frees the admission slot before the answer leaves, so a
+  // client holding its answer finds the slot free again (Shutdown still
+  // waits for the write: it joins the pool before closing connections).
+  // The reader keeps its slot until the answer is written, so Shutdown's
+  // drain waits for the write; the connection's next request is read
+  // after it.
+  if (!on_reader) ReleaseAdmission();
   SendFrame(conn,
             Frame{FrameType::kAnswer, EncodeAnswerResponse(response)});
+  if (on_reader) ReleaseAdmission();
   const double encode_write = phase_timer.Seconds();
-  const double latency = clock_.Seconds() - admitted_at;
+  const double latency = clock_.Seconds() - query.admitted_at;
   metrics_.RecordQuery(latency, response.result.stats, hit);
   recorder_.Record(obs::FlightRecord{
       request.request_id,
       RequestLabel(request),
-      decode_seconds + latency,
+      query.decode_seconds + latency,
       hit,
-      {{"decode", decode_seconds},
+      on_reader,
+      {{"decode", query.decode_seconds},
        {"queue_wait", queue_wait},
-       {"cache_lookup", cache_lookup},
+       {"cache_lookup", query.lookup_seconds},
        {"execute", execute},
        {"encode_write", encode_write}}});
+}
+
+void Server::ReleaseAdmission() {
+  std::lock_guard<std::mutex> lock(inflight_mutex_);
+  --inflight_;
+  inflight_cv_.notify_all();
 }
 
 void Server::SendFrame(const std::shared_ptr<Connection>& conn,

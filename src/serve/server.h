@@ -4,10 +4,17 @@
 //
 //     acceptor thread ──> one reader thread per connection
 //         reader: frame decode -> validate -> admission control
-//             admitted  ──> util::ThreadPool worker: cache lookup ->
-//                           Execute -> cache insert -> answer frame
+//             admitted  ──> cache lookup (cacheable specs only)
+//                 hit or ng ──> answered on the reader: Execute (ng) ->
+//                               answer frame
+//                 otherwise ──> util::ThreadPool worker: Execute ->
+//                               cache insert -> answer frame
 //             refused   ──> RESOURCE_EXHAUSTED error frame, immediately
 //     STATS / PING answered inline by the reader (cheap, never queued)
+//
+// A cache hit runs no search and an ng search visits one leaf, so the
+// hop to a worker would cost about as much as the answer; both are
+// answered by the reader that decoded them, one hop from the client.
 //
 // Admission control bounds the in-flight query count (`max_inflight`):
 // overload is answered with an explicit rejection frame instead of
@@ -43,16 +50,19 @@ struct ServerOptions {
   /// TCP port to listen on (loopback only); 0 picks an ephemeral port,
   /// readable from Server::port() after Start.
   uint16_t port = 0;
-  /// Worker threads executing admitted queries.
+  /// Pool workers executing the admitted queries that a reader does not
+  /// answer itself (every one but cache hits and ng queries).
   size_t serve_threads = 1;
   /// Answer-cache byte budget; 0 disables caching.
   size_t cache_bytes = size_t{64} << 20;
   /// Admission-control bound: queries admitted (queued or executing) at
   /// once. Arrivals beyond it get a RESOURCE_EXHAUSTED frame.
   size_t max_inflight = 64;
-  /// Test seam: when set, workers call it right before executing a query
-  /// (after admission). Tests block it on a latch to hold queries
-  /// in-flight deterministically and observe admission rejections.
+  /// Test seam: when set, it is called right before Execute (after
+  /// admission and the cache lookup), on whichever thread executes: a
+  /// pool worker, or the reader for an ng query. A cache hit executes
+  /// nothing and does not call it. Tests block it on a latch to hold
+  /// queries in-flight deterministically and observe admission rejections.
   std::function<void()> execute_hook;
 };
 
@@ -114,14 +124,32 @@ class Server {
   /// Handles one decoded frame; false closes the connection.
   bool HandleFrame(const std::shared_ptr<Connection>& conn,
                    const Frame& frame);
+  /// One admitted query on its way to the answer frame: the request, the
+  /// reader's share of its flight record, and its one cache lookup.
+  struct AdmittedQuery {
+    QueryRequest request;
+    /// clock_ at admission.
+    double admitted_at = 0.0;
+    /// Reader wall time of decode, validation and admission.
+    double decode_seconds = 0.0;
+    /// Reader wall time of the cache lookup (0 when not cacheable).
+    double lookup_seconds = 0.0;
+    /// The cache key; empty when the spec is not cacheable.
+    std::string key;
+    /// On a hit, the cached answer with `cached` set.
+    AnswerResponse response;
+  };
+
   void HandleQuery(const std::shared_ptr<Connection>& conn,
                    const Frame& frame);
-  /// Runs one admitted query on a pool worker and answers it.
-  /// `decode_seconds` is the reader-side decode+validate wall time, folded
-  /// into the request's flight record as its first phase.
+  /// Answers one admitted query: executes it unless the lookup hit,
+  /// inserts a cacheable answer, writes the answer frame, frees the
+  /// admission slot and records the flight record. `on_reader` says it
+  /// runs on the connection's reader thread rather than a pool worker.
   void ExecuteQuery(const std::shared_ptr<Connection>& conn,
-                    const QueryRequest& request, double admitted_at,
-                    double decode_seconds);
+                    AdmittedQuery& query, bool on_reader);
+  /// Frees one admission slot and wakes Shutdown's drain.
+  void ReleaseAdmission();
   void SendFrame(const std::shared_ptr<Connection>& conn, const Frame& frame);
   void SendError(const std::shared_ptr<Connection>& conn, ErrorCode code,
                  const std::string& message);

@@ -4,8 +4,10 @@
 // a serial run); a cache hit returns the identical answer bytes;
 // approximate and budgeted queries bypass the cache; admission control
 // answers overload with an explicit rejection frame; a cache hit
-// merges no work into STATS; each server's STATS counts only its own
-// queries; a pooled daemon's answers carry their
+// merges no work into STATS; a cache hit and an ng query are answered
+// by the connection's reader while the only pool worker is held; each
+// server's STATS counts only its own queries; a pooled daemon's answers
+// carry their
 // measured pool counters; malformed bytes get an error frame and a closed
 // connection, never a crash; and Reload swaps the index without dropping
 // the listener.
@@ -552,6 +554,89 @@ TEST_F(ServeFixture, OverloadAnswersWithAnExplicitRejectionFrame) {
   std::string json;
   ASSERT_TRUE(overflow.Stats(&json).ok());
   EXPECT_NE(json.find("\"rejected\":1"), std::string::npos) << json;
+  server.Shutdown();
+}
+
+TEST_F(ServeFixture, InlineAnswersDoNotWaitBehindAHeldWorker) {
+  // One pool worker, held in the execute hook by an uncached exact query
+  // from connection A. A cache hit and an ng query from connection B need
+  // no worker: B's reader answers them while the worker is still held.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> release_future = release.get_future().share();
+  std::atomic<bool> armed{false};
+
+  ServerOptions options;
+  options.serve_threads = 1;
+  options.execute_hook = [&] {
+    if (!armed.exchange(false)) return;
+    entered.set_value();
+    release_future.wait();
+  };
+  std::shared_ptr<core::SearchMethod> method = BuildMethod();
+  Server server(options);
+  ASSERT_TRUE(server.Start(method, &data_).ok());
+
+  const QueryRequest cached = RequestFor(7, core::QuerySpec::Knn(3));
+  const QueryRequest held = RequestFor(8, core::QuerySpec::Knn(3));
+  const QueryRequest ng = RequestFor(9, core::QuerySpec::NgApprox(3));
+  Client b;
+  ASSERT_TRUE(b.Connect("127.0.0.1", server.port()).ok());
+  AnswerResponse warm;
+  ASSERT_TRUE(b.Query(cached, &warm, nullptr).ok());
+  ASSERT_FALSE(warm.cached);
+
+  armed = true;
+  util::Status held_status = util::Status::Ok();
+  AnswerResponse held_answer;
+  std::thread a([&] {
+    Client client;
+    held_status = client.Connect("127.0.0.1", server.port());
+    if (held_status.ok()) {
+      held_status = client.Query(held, &held_answer, nullptr);
+    }
+  });
+  entered.get_future().wait();  // the only worker is now held
+
+  AnswerResponse ng_answer, hit_answer;
+  std::future<util::Status> inline_answers =
+      std::async(std::launch::async, [&] {
+        const util::Status s = b.Query(ng, &ng_answer, nullptr);
+        return s.ok() ? b.Query(cached, &hit_answer, nullptr) : s;
+      });
+  // On a timeout, release the worker first, so the test fails instead of
+  // hanging.
+  const bool answered = inline_answers.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  release.set_value();
+  a.join();
+  ASSERT_TRUE(answered)
+      << "an ng query or a cache hit waited behind the held pool worker";
+  const util::Status inline_status = inline_answers.get();
+  ASSERT_TRUE(inline_status.ok()) << inline_status.message();
+  EXPECT_FALSE(ng_answer.cached);
+  EXPECT_EQ(ComparableBytes(ng_answer),
+            DirectBytes(method.get(), workload_.queries[9],
+                        core::QuerySpec::NgApprox(3)));
+  EXPECT_TRUE(hit_answer.cached);
+  EXPECT_EQ(AnswerBytes(hit_answer), AnswerBytes(warm));
+
+  ASSERT_TRUE(held_status.ok()) << held_status.message();
+  EXPECT_FALSE(held_answer.cached);
+  EXPECT_EQ(ComparableBytes(held_answer),
+            DirectBytes(method.get(), workload_.queries[8],
+                        core::QuerySpec::Knn(3)));
+
+  // Three cacheable requests (warm, held, hit), one lookup each.
+  const AnswerCache::Counters counters = server.cache_counters();
+  EXPECT_EQ(counters.hits, 1u);
+  EXPECT_EQ(counters.misses, 2u);
+  EXPECT_EQ(counters.hits + counters.misses, 3u);
+
+  // The flight records say which path each request took.
+  const std::string json = StatsAfter(&b, 4);
+  EXPECT_NE(json.find("\"inline\":true"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"inline\":false"), std::string::npos) << json;
   server.Shutdown();
 }
 

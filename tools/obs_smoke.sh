@@ -4,7 +4,8 @@
 # carrying the full span hierarchy (execute → shard_search → traversal →
 # leaf_verify, plus pool_miss_pread from the starved buffer pool); the
 # daemon must surface bucketed latency quantiles, the flight recorder
-# (request ids round-tripped from the client), and `stats --full`; and
+# (request ids round-tripped from the client, and which path each request
+# took: ng answered inline with no queue wait), and `stats --full`; and
 # every bad flag combination must exit 1 with a reason, never a crash.
 set -euo pipefail
 HYDRA="${1:?usage: obs_smoke.sh <path-to-hydra-binary>}"
@@ -121,6 +122,8 @@ phases = {"decode", "queue_wait", "cache_lookup", "execute", "encode_write"}
 for r in slow:
     assert set(r["phases"]) == phases, \
         f"flight record phases: want {sorted(phases)}, got {r}"
+    assert r.get("inline") is False, \
+        f"flight record path: want inline false for an exact miss, got {r}"
     assert r["total_ms"] > 0, f"flight record total: want > 0, got {r}"
 metrics = doc["metrics"]
 assert metrics["counters"]["serve.queries"] == 4, \
@@ -138,6 +141,35 @@ grep -q '^counter serve\.queries 4$' "$TMP/full.txt" \
 grep -q '^histogram serve\.latency_seconds count=4 ' "$TMP/full.txt" \
   || { echo "FAIL: stats --full lacks the latency histogram"; exit 1; }
 
+# ng queries are answered on the connection's reader thread: their flight
+# records say so, with no queue wait.
+"$HYDRA" queryd "$TMP/data.bin" 5 4 --mode ng --port "$PORT" > /dev/null \
+  || { echo "FAIL: ng queryd failed"; exit 1; }
+for _ in $(seq 1 100); do
+  "$HYDRA" stats --port "$PORT" > "$TMP/stats_ng.json"
+  grep -q '"completed":8,' "$TMP/stats_ng.json" && break
+  sleep 0.1
+done
+python3 - "$TMP/stats_ng.json" << 'EOF' || exit 1
+import json, sys
+doc = json.load(open(sys.argv[1]))
+slow = doc["slow_queries"]
+assert len(slow) == 8, f"flight records: want 8, got {len(slow)}: {slow}"
+for r in slow:
+    assert isinstance(r.get("inline"), bool), \
+        f"flight record path: want an 'inline' bool, got {r}"
+    ng = r["query"].endswith(" ng")
+    assert r["inline"] == ng, \
+        f"flight record path: want inline exactly for ng, got {r}"
+    if r["inline"]:
+        assert r["phases"]["queue_wait"] == 0, \
+            f"inline record queue_wait: want 0, got {r}"
+inline = sorted(r["request_id"] for r in slow if r["inline"])
+assert inline == [1, 2, 3, 4], \
+    f"inline record ids: want [1, 2, 3, 4], got {inline}"
+print("stats OK: ng answered inline with queue_wait 0")
+EOF
+
 # SIGTERM drain writes the daemon's own trace with per-request spans.
 kill -TERM "$SERVE_PID"
 for _ in $(seq 1 100); do
@@ -150,11 +182,12 @@ python3 - "$TMP/serve_trace.json" << 'EOF' || exit 1
 import json, sys
 doc = json.load(open(sys.argv[1]))
 reqs = [e for e in doc["traceEvents"] if e["name"] == "serve_request"]
-assert len(reqs) == 4, \
-    f"serve_request spans: want 4, got {len(reqs)} among " \
+assert len(reqs) == 8, \
+    f"serve_request spans: want 8 (4 exact, 4 ng), got {len(reqs)} among " \
     f"{[e['name'] for e in doc['traceEvents']]}"
 ids = sorted(r["args"]["request_id"] for r in reqs)
-assert ids == [1, 2, 3, 4], f"serve_request ids: want [1, 2, 3, 4], got {ids}"
+assert ids == [1, 1, 2, 2, 3, 3, 4, 4], \
+    f"serve_request ids: want [1, 1, 2, 2, 3, 3, 4, 4], got {ids}"
 print("serve trace OK:", len(doc["traceEvents"]), "events")
 EOF
 echo "OK serve: flight recorder, stats --full, traced drain"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Serve smoke: the daemon must answer concurrent socket clients exactly the
 # lines a direct `hydra query` run prints (same probe workload, same seed),
-# repeat queries from the answer cache (merging no work), report its traffic
+# repeat queries from the answer cache (merging no work), answer ng queries
+# like a direct ng run, report its traffic
 # over STATS, answer pings, and drain cleanly on SIGTERM — via the binary.
 set -euo pipefail
 HYDRA="${1:?usage: serve_smoke.sh <path-to-hydra-binary>}"
@@ -97,6 +98,16 @@ grep -q '"hits":' "$TMP/stats.json" && ! grep -q '"hits":0,' "$TMP/stats.json" \
        ledger "$TMP/stats_before.json"; ledger "$TMP/stats.json"; exit 1; }
 (( $(cache_hits "$TMP/stats.json") > $(cache_hits "$TMP/stats_before.json") )) \
   || { echo "FAIL: the cached pass did not grow cache.hits"; exit 1; }
+
+# ng queries are answered on the connection's reader thread, not a pool
+# worker: the stream must still diff empty against a direct ng run.
+"$HYDRA" query "$TMP/data.bin" DSTree 5 6 --mode ng | grep '^query' \
+  > "$TMP/ref_ng.txt"
+"$HYDRA" queryd "$TMP/data.bin" 5 6 --mode ng --port "$PORT" \
+  > "$TMP/ng.txt" || { echo "FAIL: ng queryd failed"; exit 1; }
+grep '^query' "$TMP/ng.txt" > "$TMP/served_ng.txt"
+diff "$TMP/ref_ng.txt" "$TMP/served_ng.txt" \
+  || { echo "FAIL: served ng answers differ from direct ng query"; exit 1; }
 
 # Graceful shutdown: SIGTERM drains and the daemon reports it stopped.
 kill -TERM "$SERVE_PID"
