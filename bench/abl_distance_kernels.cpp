@@ -1,7 +1,10 @@
 // Ablation: the paper applies three optimizations to all methods — no
 // square root, early abandoning, reordered early abandoning (here by whole
 // 16-value cache lines ranked by query energy, core::QueryOrder, whose
-// per-query Reset cost is printed too). This exhibit quantifies each, and
+// per-query Reset cost is printed too). Both abandoning ops run the line
+// kernel, which checks the bound after every 16 values: early_abandon
+// visits the lines in series order, line_abandon in rank order. This
+// exhibit quantifies each, and
 // since the distance layer dispatches to SIMD kernel sets, it sweeps every
 // set the CPU supports (scalar, portable, avx2, avx512) against the scalar
 // reference: throughput per op and series length, speedup versus scalar,
@@ -21,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,6 +51,10 @@ struct Workbench {
   size_t length = 0;
   std::vector<Value> query;
   core::QueryOrder order;  // the line ranking the query paths use
+  // The in-order form of the line kernel's inputs: the query zero-padded
+  // to whole lines, and the identity line order.
+  std::vector<Value> padded_query;
+  std::vector<uint32_t> in_order;
   double bound = 0.0;  // steady-state bsf: 1.1x the 1-NN distance
 };
 
@@ -56,6 +64,12 @@ Workbench MakeWorkbench(size_t count, size_t length, uint64_t seed) {
   const core::Dataset q = gen::RandomWalkDataset(1, length, seed + 1);
   w.query.assign(q[0].data(), q[0].data() + length);
   w.order.Reset(w.query);
+  const size_t lines =
+      (length + core::simd::kLineValues - 1) / core::simd::kLineValues;
+  w.padded_query = w.query;
+  w.padded_query.resize(lines * core::simd::kLineValues, 0.0f);
+  w.in_order.resize(lines);
+  std::iota(w.in_order.begin(), w.in_order.end(), 0u);
 
   const auto& scalar = core::simd::ScalarKernels();
   double best = kInf;
@@ -77,8 +91,8 @@ double RunOp(const KernelSet& set, const std::string& op, const Workbench& w) {
     }
   } else if (op == "early_abandon") {
     for (size_t i = 0; i < w.data.size(); ++i) {
-      acc += set.euclidean_sq_abandon(w.query.data(), w.data[i].data(), n,
-                                      w.bound);
+      acc += set.euclidean_sq_lines(w.padded_query.data(), w.data[i].data(),
+                                    w.in_order.data(), n, w.bound);
     }
   } else {
     for (size_t i = 0; i < w.data.size(); ++i) {

@@ -18,7 +18,7 @@ int main() {
   const size_t catalog_size = 40000;
   const size_t samples = 256;
   const core::Dataset catalog =
-      gen::AstroLikeDataset(catalog_size, samples, 21);
+      gen::MakeDataset("astro", catalog_size, samples, 21);
   std::printf("light-curve catalog: %zu curves of %zu samples\n",
               catalog_size, samples);
 

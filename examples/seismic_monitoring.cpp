@@ -20,7 +20,7 @@ int main() {
   std::printf("seismic archive: %zu windows of %zu samples\n", archive_size,
               window);
   const core::Dataset archive =
-      gen::SeismicLikeDataset(archive_size, window, 11);
+      gen::MakeDataset("seismic", archive_size, window, 11);
 
   // Easy queries: a recorded event plus light noise (repeated aftershock);
   // hard queries: heavily distorted events.

@@ -1,11 +1,9 @@
 #include "bench/harness.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <utility>
 
-#include "bench/registry.h"
 #include "util/check.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -77,16 +75,6 @@ MethodRun RunMethodParallel(core::SearchMethod* method,
       SearchKnnBatch(method, workload, core::QuerySpec::Knn(k), threads),
       &run);
   return run;
-}
-
-MethodRun RunMethodSharded(const std::string& method_name, size_t shards,
-                           size_t threads, const core::Dataset& data,
-                           const gen::Workload& workload, size_t k) {
-  const std::unique_ptr<core::SearchMethod> sharded =
-      CreateShardedMethod(method_name, shards, threads);
-  // threads=1 for the batch: sharded parallelism is intra-query (the
-  // container's shard fan-out), not across queries.
-  return RunMethodParallel(sharded.get(), data, workload, k, /*threads=*/1);
 }
 
 util::Result<MethodRun> RunMethodFromIndex(core::SearchMethod* method,

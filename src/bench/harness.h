@@ -52,17 +52,6 @@ MethodRun RunMethodParallel(core::SearchMethod* method,
                             const gen::Workload& workload, size_t k,
                             size_t threads);
 
-/// Sharded counterpart of RunMethod: builds a shard::ShardedIndex of
-/// `shards` per-shard instances of the named method over `data` (per-shard
-/// builds fan out over `threads` workers) and answers every workload query
-/// through the fan-out/merge path. Queries of the batch run serially —
-/// with sharding, the parallelism lives *inside* each query. The
-/// returned run's method is the container name ("Sharded[<name>]"); exact
-/// answers are bit-identical to the unsharded RunMethod.
-MethodRun RunMethodSharded(const std::string& method_name, size_t shards,
-                           size_t threads, const core::Dataset& data,
-                           const gen::Workload& workload, size_t k = 1);
-
 /// Open-instead-of-build counterpart of RunMethodParallel: rehydrates the
 /// index persisted under `index_dir` (SearchMethod::Open) and answers the
 /// workload, skipping construction entirely. The returned run's

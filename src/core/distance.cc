@@ -14,12 +14,6 @@ double SquaredEuclidean(SeriesView a, SeriesView b) {
   return simd::ActiveKernels().euclidean_sq(a.data(), b.data(), a.size());
 }
 
-double SquaredEuclideanEarlyAbandon(SeriesView a, SeriesView b, double bound) {
-  HYDRA_DCHECK(a.size() == b.size());
-  return simd::ActiveKernels().euclidean_sq_abandon(a.data(), b.data(),
-                                                    a.size(), bound);
-}
-
 void QueryOrder::Reset(SeriesView query) {
   constexpr size_t kLine = simd::kLineValues;
   length_ = query.size();

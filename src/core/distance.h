@@ -1,7 +1,7 @@
 // Euclidean distance kernels with the paper's shared optimizations:
 // (a) no square root, (b) early abandoning, (c) reordered early abandoning
 // (here by whole cache lines, see QueryOrder).
-// All three dispatch to the process-wide core::simd kernel set (see
+// Both entry points dispatch to the process-wide core::simd kernel set (see
 // core/simd/kernels.h for dispatch and the numerical contract).
 #ifndef HYDRA_CORE_DISTANCE_H_
 #define HYDRA_CORE_DISTANCE_H_
@@ -17,12 +17,6 @@ namespace hydra::core {
 /// Plain *squared* Euclidean distance (no square root is ever taken on a
 /// hot path; compare against squared bounds).
 double SquaredEuclidean(SeriesView a, SeriesView b);
-
-/// Squared Euclidean distance that abandons once the partial sum exceeds
-/// `bound` (a *squared* threshold); returns a value > `bound` when
-/// abandoned, which is NOT the true distance — only its relation to
-/// `bound` is meaningful.
-double SquaredEuclideanEarlyAbandon(SeriesView a, SeriesView b, double bound);
 
 /// Per-query line ranking for reordered early abandoning. The series is
 /// split into blocks of simd::kLineValues (16) values, one 64-byte cache

@@ -1,6 +1,8 @@
 // Runtime-dispatched kernels for the distance and lower-bound hot loops.
 //
-// Every kernel family ships in up to five implementations ("kernel sets"):
+// Five kernel families (the raw distances euclidean_sq and
+// euclidean_sq_lines; the summary bounds box_dist_sq, sfa_lb_sq and
+// eapca_node_lb_sq), each in up to five implementations ("kernel sets"):
 //   scalar   — the permanent reference, verbatim the pre-SIMD loops.
 //   portable — 4-wide stripe-unrolled plain C++ (any CPU, any ISA).
 //   avx2     — 256-bit AVX2+FMA (8 floats / 4 doubles per step, gathers
@@ -18,24 +20,21 @@
 // available and always the conformance baseline.
 //
 // Numerical contract (pinned by tests/unit/kernel_conformance_test.cc):
-//  - Summary lower-bound kernels (sum_sq_diff, box_dist_sq, sfa_lb_sq,
+//  - Summary lower-bound kernels (box_dist_sq, sfa_lb_sq,
 //    eapca_node_lb_sq) preserve the scalar reduction order and are
 //    bit-identical to the reference in every set. Pruning decisions
 //    therefore never depend on the dispatch level. (VA+file and iSAX need
 //    no kernel: their bounds are per-query tables, see
 //    VaPlusQuantizer::QueryBounds and transform::IsaxQueryTable, pinned to
 //    scalar references outside the dispatch.)
-//  - Raw-series kernels (euclidean_sq, euclidean_sq_abandon,
-//    euclidean_sq_lines) may use multiple accumulators; sets with
-//    raw_order_preserved == false agree with the reference to relative
-//    error <= 16 * n * 2^-53 (all terms are nonnegative, so the sum is
-//    perfectly conditioned and lane reassociation is the only error
-//    source).
-//  - Within any one set, euclidean_sq_abandon(a, b, n, +inf) is
-//    bit-identical to euclidean_sq(a, b, n), and a non-abandoned return
-//    (<= bound) always equals the full distance of that set. Likewise a
-//    non-abandoned euclidean_sq_lines return equals the same set's
-//    euclidean_sq_lines(..., +inf), bit for bit.
+//  - Raw-series kernels (euclidean_sq, euclidean_sq_lines) may use
+//    multiple accumulators; sets with raw_order_preserved == false agree
+//    with the reference to relative error <= 16 * n * 2^-53 (all terms
+//    are nonnegative, so the sum is perfectly conditioned and lane
+//    reassociation is the only error source).
+//  - Within any one set, a non-abandoned euclidean_sq_lines return
+//    (<= bound) equals the same set's euclidean_sq_lines(..., +inf), bit
+//    for bit.
 #ifndef HYDRA_CORE_SIMD_KERNELS_H_
 #define HYDRA_CORE_SIMD_KERNELS_H_
 
@@ -69,12 +68,6 @@ struct KernelSet {
   /// Plain squared Euclidean distance over `n` float values.
   double (*euclidean_sq)(const Value* a, const Value* b, size_t n);
 
-  /// Early-abandoning squared Euclidean: returns a value > `bound` once a
-  /// blockwise partial sum exceeds it (that value is NOT the distance);
-  /// otherwise returns exactly euclidean_sq(a, b, n) of the same set.
-  double (*euclidean_sq_abandon)(const Value* a, const Value* b, size_t n,
-                                 double bound);
-
   /// Line-ranked early abandon (reordered early abandoning by blocks).
   /// The `n` values split into ceil(n / kLineValues) blocks; block b is
   /// [b * kLineValues, min((b + 1) * kLineValues, n)), so only the last
@@ -82,15 +75,11 @@ struct KernelSet {
   /// `candidate`, loaded contiguously, with q_ranked[r * kLineValues, ...),
   /// which holds the same block of the query, zero-padded to kLineValues
   /// (QueryOrder ranks the blocks by decreasing query energy). The bound is
-  /// checked after every block; same abandon semantics as
-  /// euclidean_sq_abandon.
+  /// checked after every block: once the partial sum exceeds it, that sum
+  /// (> `bound`, NOT the distance) is returned.
   double (*euclidean_sq_lines)(const Value* q_ranked, const Value* candidate,
                                const uint32_t* lines, size_t n,
                                double bound);
-
-  /// sum_i (a[i] - b[i])^2 over doubles — the PAA lower-bound core
-  /// (callers scale by points-per-segment). Order-preserving in every set.
-  double (*sum_sq_diff)(const double* a, const double* b, size_t n);
 
   /// Squared distance from point `q` to the box [lo, hi] per dimension:
   /// sum_i max(lo[i]-q[i], q[i]-hi[i], 0)^2. Accepts +/-inf box edges.
@@ -102,7 +91,7 @@ struct KernelSet {
   /// SFA lower-bound core: per dimension d, distance from q_dft[d] to the
   /// bin [edges[d*stride + word[d]], edges[d*stride + word[d] + 1]] of a
   /// padded row layout (row = [-inf, bins..., +inf], stride = alphabet+1;
-  /// see SfaQuantizer::FlatEdges). Order-preserving in every set.
+  /// see SfaQuantizer::flat_edges_). Order-preserving in every set.
   double (*sfa_lb_sq)(const double* q_dft, const uint8_t* word, size_t dims,
                       const double* edges, size_t stride);
 

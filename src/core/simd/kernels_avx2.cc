@@ -51,23 +51,10 @@ inline void Step8(const Value* a, const Value* b, size_t i, __m256d* acc0,
   Step8Loaded(a + i, _mm256_loadu_ps(b + i), acc0, acc1);
 }
 
-// Shared body (see kernels_portable.cc): kAbandon adds a partial-sum check
-// every 16 dimensions; the stripe sequence is otherwise identical, so
-// abandon(+inf) == plain, bitwise.
-template <bool kAbandon>
-double EuclideanImpl(const Value* a, const Value* b, size_t n, double bound) {
+double Avx2EuclideanSq(const Value* a, const Value* b, size_t n) {
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
   size_t i = 0;
-  if constexpr (kAbandon) {
-    while (i + 16 <= n) {
-      Step8(a, b, i, &acc0, &acc1);
-      Step8(a, b, i + 8, &acc0, &acc1);
-      i += 16;
-      const double partial = Hsum4(_mm256_add_pd(acc0, acc1));
-      if (partial > bound) return partial;
-    }
-  }
   for (; i + 8 <= n; i += 8) Step8(a, b, i, &acc0, &acc1);
   double total = Hsum4(_mm256_add_pd(acc0, acc1));
   for (; i < n; ++i) {
@@ -75,15 +62,6 @@ double EuclideanImpl(const Value* a, const Value* b, size_t n, double bound) {
     total += d * d;
   }
   return total;
-}
-
-double Avx2EuclideanSq(const Value* a, const Value* b, size_t n) {
-  return EuclideanImpl<false>(a, b, n, 0.0);
-}
-
-double Avx2EuclideanSqAbandon(const Value* a, const Value* b, size_t n,
-                              double bound) {
-  return EuclideanImpl<true>(a, b, n, bound);
 }
 
 // A block is two Step8s. The partial last block masks its candidate loads
@@ -145,21 +123,6 @@ inline __m128i Load4U8(const uint8_t* p) {
 }
 
 }  // namespace
-
-double Avx2SumSqDiff(const double* a, const double* b, size_t n) {
-  double acc = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(a + i),
-                                    _mm256_loadu_pd(b + i));
-    FoldOrdered(_mm256_mul_pd(d, d), &acc);
-  }
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
-}
 
 double Avx2BoxDistSq(const double* q, const double* lo, const double* hi,
                      size_t n) {
@@ -270,9 +233,7 @@ const KernelSet* Avx2KernelsImpl() {
       "avx2",
       /*raw_order_preserved=*/false,
       &Avx2EuclideanSq,
-      &Avx2EuclideanSqAbandon,
       &Avx2EuclideanSqLines,
-      &Avx2SumSqDiff,
       &Avx2BoxDistSq,
       &Avx2SfaLbSq,
       &Avx2EapcaNodeLbSq,

@@ -49,23 +49,10 @@ inline void Step16(const Value* a, const Value* b, size_t i, __m512d* acc0,
   Step16Loaded(a + i, _mm512_loadu_ps(b + i), acc0, acc1);
 }
 
-// Shared body (see kernels_portable.cc): kAbandon adds a partial-sum check
-// every 32 dimensions; the step sequence is otherwise identical, so
-// abandon(+inf) == plain, bitwise.
-template <bool kAbandon>
-double EuclideanImpl(const Value* a, const Value* b, size_t n, double bound) {
+double Avx512EuclideanSq(const Value* a, const Value* b, size_t n) {
   __m512d acc0 = _mm512_setzero_pd();
   __m512d acc1 = _mm512_setzero_pd();
   size_t i = 0;
-  if constexpr (kAbandon) {
-    while (i + 32 <= n) {
-      Step16(a, b, i, &acc0, &acc1);
-      Step16(a, b, i + 16, &acc0, &acc1);
-      i += 32;
-      const double partial = Hsum8(_mm512_add_pd(acc0, acc1));
-      if (partial > bound) return partial;
-    }
-  }
   for (; i + 16 <= n; i += 16) Step16(a, b, i, &acc0, &acc1);
   double total = Hsum8(_mm512_add_pd(acc0, acc1));
   for (; i < n; ++i) {
@@ -73,15 +60,6 @@ double EuclideanImpl(const Value* a, const Value* b, size_t n, double bound) {
     total += d * d;
   }
   return total;
-}
-
-double Avx512EuclideanSq(const Value* a, const Value* b, size_t n) {
-  return EuclideanImpl<false>(a, b, n, 0.0);
-}
-
-double Avx512EuclideanSqAbandon(const Value* a, const Value* b, size_t n,
-                                double bound) {
-  return EuclideanImpl<true>(a, b, n, bound);
 }
 
 // A block is one Step16 (one cache line when the candidate is aligned).
@@ -117,9 +95,7 @@ const KernelSet* Avx512KernelsImpl() {
       "avx512",
       /*raw_order_preserved=*/false,
       &Avx512EuclideanSq,
-      &Avx512EuclideanSqAbandon,
       &Avx512EuclideanSqLines,
-      &Avx2SumSqDiff,
       &Avx2BoxDistSq,
       &Avx2SfaLbSq,
       &Avx2EapcaNodeLbSq,

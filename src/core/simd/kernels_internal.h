@@ -15,11 +15,8 @@ namespace hydra::core::simd::internal {
 
 // Reference kernels (kernels_scalar.cc) — verbatim the pre-SIMD loops.
 double ScalarEuclideanSq(const Value* a, const Value* b, size_t n);
-double ScalarEuclideanSqAbandon(const Value* a, const Value* b, size_t n,
-                                double bound);
 double ScalarEuclideanSqLines(const Value* q_ranked, const Value* candidate,
                               const uint32_t* lines, size_t n, double bound);
-double ScalarSumSqDiff(const double* a, const double* b, size_t n);
 double ScalarBoxDistSq(const double* q, const double* lo, const double* hi,
                        size_t n);
 double ScalarSfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,
@@ -36,7 +33,6 @@ double PortableEuclideanSqLines(const Value* q_ranked, const Value* candidate,
 // AVX2 summary kernels (kernels_avx2.cc) — also used by the AVX-512 set,
 // whose extra width does not pay for these short, gather-bound loops.
 // Declared unconditionally; only referenced when the AVX2 set exists.
-double Avx2SumSqDiff(const double* a, const double* b, size_t n);
 double Avx2BoxDistSq(const double* q, const double* lo, const double* hi,
                      size_t n);
 double Avx2SfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,

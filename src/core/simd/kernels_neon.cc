@@ -1,9 +1,7 @@
 // The NEON (AArch64 Advanced SIMD) kernel set. Raw-series kernels process
 // 8 floats per step (widened to double across four 2-lane accumulators via
 // vcvt_f64_f32 / vcvt_high_f64_f32, fused with vfmaq_f64) and are
-// therefore NOT order-preserving; the early-abandon check fires blockwise
-// every 16 dimensions, mirroring the AVX2 stripe shape, so
-// abandon(+inf) == plain holds bitwise within the set.
+// therefore NOT order-preserving.
 //
 // NEON has no gather instruction, so every summary (table-walking)
 // lower-bound kernel aliases the scalar reference — which also keeps them
@@ -60,25 +58,12 @@ inline void Step8(const Value* a, const Value* b, size_t i,
   *acc3 = vfmaq_f64(*acc3, d3, d3);
 }
 
-// Shared body (see kernels_avx2.cc): kAbandon adds a partial-sum check
-// every 16 dimensions; the stripe sequence is otherwise identical, so
-// abandon(+inf) == plain, bitwise.
-template <bool kAbandon>
-double EuclideanImpl(const Value* a, const Value* b, size_t n, double bound) {
+double NeonEuclideanSq(const Value* a, const Value* b, size_t n) {
   float64x2_t acc0 = vdupq_n_f64(0.0);
   float64x2_t acc1 = vdupq_n_f64(0.0);
   float64x2_t acc2 = vdupq_n_f64(0.0);
   float64x2_t acc3 = vdupq_n_f64(0.0);
   size_t i = 0;
-  if constexpr (kAbandon) {
-    while (i + 16 <= n) {
-      Step8(a, b, i, &acc0, &acc1, &acc2, &acc3);
-      Step8(a, b, i + 8, &acc0, &acc1, &acc2, &acc3);
-      i += 16;
-      const double partial = Hsum8(acc0, acc1, acc2, acc3);
-      if (partial > bound) return partial;
-    }
-  }
   for (; i + 8 <= n; i += 8) Step8(a, b, i, &acc0, &acc1, &acc2, &acc3);
   double total = Hsum8(acc0, acc1, acc2, acc3);
   for (; i < n; ++i) {
@@ -88,15 +73,6 @@ double EuclideanImpl(const Value* a, const Value* b, size_t n, double bound) {
   return total;
 }
 
-double NeonEuclideanSq(const Value* a, const Value* b, size_t n) {
-  return EuclideanImpl<false>(a, b, n, 0.0);
-}
-
-double NeonEuclideanSqAbandon(const Value* a, const Value* b, size_t n,
-                              double bound) {
-  return EuclideanImpl<true>(a, b, n, bound);
-}
-
 }  // namespace
 
 const KernelSet* NeonKernelsImpl() {
@@ -104,9 +80,7 @@ const KernelSet* NeonKernelsImpl() {
       "neon",
       /*raw_order_preserved=*/false,
       &NeonEuclideanSq,
-      &NeonEuclideanSqAbandon,
       &PortableEuclideanSqLines,
-      &ScalarSumSqDiff,
       &ScalarBoxDistSq,
       &ScalarSfaLbSq,
       &ScalarEapcaNodeLbSq,

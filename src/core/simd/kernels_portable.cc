@@ -12,7 +12,7 @@ namespace hydra::core::simd::internal {
 namespace {
 
 // One 4-wide stripe step: acc[j] += (a[i+j] - b[i+j])^2. Shared by the
-// plain and abandoning kernels so abandon(+inf) is bit-identical to plain.
+// plain and line kernels.
 inline void Stripe4(const Value* a, const Value* b, size_t i, double* acc) {
   const double d0 = static_cast<double>(a[i + 0]) - b[i + 0];
   const double d1 = static_cast<double>(a[i + 1]) - b[i + 1];
@@ -28,25 +28,9 @@ inline double Combine(const double* acc) {
   return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
-// Shared body: kAbandon selects blockwise partial-sum checks (every 16
-// dimensions, i.e. 4 stripes). The non-abandoning instantiation performs
-// the exact same stripe sequence, so the two agree bitwise when no block
-// ever exceeds `bound`.
-template <bool kAbandon>
-double EuclideanImpl(const Value* a, const Value* b, size_t n, double bound) {
+double PortableEuclideanSq(const Value* a, const Value* b, size_t n) {
   double acc[4] = {0.0, 0.0, 0.0, 0.0};
   size_t i = 0;
-  if constexpr (kAbandon) {
-    while (i + 16 <= n) {
-      Stripe4(a, b, i, acc);
-      Stripe4(a, b, i + 4, acc);
-      Stripe4(a, b, i + 8, acc);
-      Stripe4(a, b, i + 12, acc);
-      i += 16;
-      const double partial = Combine(acc);
-      if (partial > bound) return partial;
-    }
-  }
   for (; i + 4 <= n; i += 4) Stripe4(a, b, i, acc);
   double total = Combine(acc);
   for (; i < n; ++i) {
@@ -54,15 +38,6 @@ double EuclideanImpl(const Value* a, const Value* b, size_t n, double bound) {
     total += d * d;
   }
   return total;
-}
-
-double PortableEuclideanSq(const Value* a, const Value* b, size_t n) {
-  return EuclideanImpl<false>(a, b, n, 0.0);
-}
-
-double PortableEuclideanSqAbandon(const Value* a, const Value* b, size_t n,
-                                  double bound) {
-  return EuclideanImpl<true>(a, b, n, bound);
 }
 
 }  // namespace
@@ -101,9 +76,7 @@ const KernelSet& PortableKernelsImpl() {
       "portable",
       /*raw_order_preserved=*/false,
       &PortableEuclideanSq,
-      &PortableEuclideanSqAbandon,
       &PortableEuclideanSqLines,
-      &ScalarSumSqDiff,
       &ScalarBoxDistSq,
       &ScalarSfaLbSq,
       &ScalarEapcaNodeLbSq,

@@ -18,26 +18,6 @@ double ScalarEuclideanSq(const Value* a, const Value* b, size_t n) {
   return acc;
 }
 
-double ScalarEuclideanSqAbandon(const Value* a, const Value* b, size_t n,
-                                double bound) {
-  double acc = 0.0;
-  size_t i = 0;
-  // Check the abandon condition every 8 dimensions to amortize the branch.
-  constexpr size_t kStride = 8;
-  while (i + kStride <= n) {
-    for (size_t j = 0; j < kStride; ++j, ++i) {
-      const double d = static_cast<double>(a[i]) - b[i];
-      acc += d * d;
-    }
-    if (acc > bound) return acc;
-  }
-  for (; i < n; ++i) {
-    const double d = static_cast<double>(a[i]) - b[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
 // The line kernel's reference: blocks in rank order, each summed in
 // natural order into one accumulator.
 double ScalarEuclideanSqLines(const Value* q_ranked, const Value* candidate,
@@ -54,15 +34,6 @@ double ScalarEuclideanSqLines(const Value* q_ranked, const Value* candidate,
       acc += diff * diff;
     }
     if (acc > bound) return acc;
-  }
-  return acc;
-}
-
-double ScalarSumSqDiff(const double* a, const double* b, size_t n) {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
   }
   return acc;
 }
@@ -134,9 +105,7 @@ const KernelSet& ScalarKernelsImpl() {
       "scalar",
       /*raw_order_preserved=*/true,
       &ScalarEuclideanSq,
-      &ScalarEuclideanSqAbandon,
       &ScalarEuclideanSqLines,
-      &ScalarSumSqDiff,
       &ScalarBoxDistSq,
       &ScalarSfaLbSq,
       &ScalarEapcaNodeLbSq,

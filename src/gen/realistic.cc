@@ -179,26 +179,6 @@ core::Dataset EmitAll(SeriesEmitter* emitter, size_t count) {
 
 }  // namespace
 
-core::Dataset SeismicLikeDataset(size_t count, size_t length, uint64_t seed) {
-  SeismicEmitter emitter(length, seed);
-  return EmitAll(&emitter, count);
-}
-
-core::Dataset AstroLikeDataset(size_t count, size_t length, uint64_t seed) {
-  AstroEmitter emitter(length, seed);
-  return EmitAll(&emitter, count);
-}
-
-core::Dataset SaldLikeDataset(size_t count, size_t length, uint64_t seed) {
-  SaldEmitter emitter(length, seed);
-  return EmitAll(&emitter, count);
-}
-
-core::Dataset DeepLikeDataset(size_t count, size_t length, uint64_t seed) {
-  DeepEmitter emitter(length, seed);
-  return EmitAll(&emitter, count);
-}
-
 std::unique_ptr<SeriesEmitter> MakeEmitter(const std::string& family,
                                            size_t length, uint64_t seed) {
   for (const FamilyEntry& entry : kFamilyTable) {

@@ -17,25 +17,17 @@
 
 namespace hydra::gen {
 
-/// Seismic-like series: background noise plus a few damped oscillatory
-/// bursts (transient events), like instrument recordings around quakes.
-core::Dataset SeismicLikeDataset(size_t count, size_t length, uint64_t seed);
-
-/// Astronomy-like series: periodic light curves (a few harmonics with
-/// random period/phase) plus observation noise.
-core::Dataset AstroLikeDataset(size_t count, size_t length, uint64_t seed);
-
-/// SALD-like (MRI) series: smooth, strongly autocorrelated signals —
-/// an AR(1) process with slow drift. Highly summarizable.
-core::Dataset SaldLikeDataset(size_t count, size_t length, uint64_t seed);
-
-/// Deep1B-like vectors: low-rank correlated embeddings (random linear maps
-/// of a lower-dimensional latent) plus isotropic noise — hard to
-/// summarize with few coefficients, like CNN descriptors.
-core::Dataset DeepLikeDataset(size_t count, size_t length, uint64_t seed);
-
 /// Dispatch by name: "synth", "seismic", "astro", "sald", "deep".
 /// The family must satisfy IsKnownFamily.
+///  - seismic: background noise plus a few damped oscillatory bursts
+///    (transient events), like instrument recordings around quakes.
+///  - astro: periodic light curves (a few harmonics with random
+///    period/phase) plus observation noise.
+///  - sald (MRI): smooth, strongly autocorrelated signals, an AR(1)
+///    process with slow drift. Highly summarizable.
+///  - deep (Deep1B): low-rank correlated embeddings (random linear maps of
+///    a lower-dimensional latent) plus isotropic noise, hard to summarize
+///    with few coefficients, like CNN descriptors.
 core::Dataset MakeDataset(const std::string& family, size_t count,
                           size_t length, uint64_t seed);
 

@@ -13,6 +13,7 @@ ServerMetrics::ServerMetrics()
       rejected_(registry_.GetCounter("serve.rejected")),
       bad_queries_(registry_.GetCounter("serve.bad_queries")),
       malformed_(registry_.GetCounter("serve.malformed")),
+      accept_failures_(registry_.GetCounter("serve.accept_failures")),
       pings_(registry_.GetCounter("serve.pings")),
       stats_requests_(registry_.GetCounter("serve.stats_requests")),
       queries_(registry_.GetCounter("serve.queries")),

@@ -27,7 +27,8 @@ namespace hydra::serve {
 /// registry once, at construction, so recording is relaxed atomic adds:
 /// no lock, no name lookup. The registry names are `serve.completed`,
 /// `serve.rejected`, `serve.bad_queries`, `serve.malformed`,
-/// `serve.pings`, `serve.stats_requests`, `serve.queries` (executed
+/// `serve.accept_failures`, `serve.pings`, `serve.stats_requests`,
+/// `serve.queries` (executed
 /// queries), one `serve.<name>` per core::kLedgerCounters row, and the
 /// histograms `serve.latency_seconds` and `serve.cpu_seconds`. Bucket
 /// counts never decay — an operator watching a live daemon reads rates
@@ -51,6 +52,9 @@ class ServerMetrics {
   void RecordBadQuery() { bad_queries_->Add(1); }
   /// One connection dropped for malformed bytes (bad magic/CRC/version).
   void RecordMalformed() { malformed_->Add(1); }
+  /// One failed accept (out of fds or memory, or a peer that reset); the
+  /// acceptor backs off and retries.
+  void RecordAcceptFailure() { accept_failures_->Add(1); }
   void RecordPing() { pings_->Add(1); }
   void RecordStatsRequest() { stats_requests_->Add(1); }
 
@@ -74,6 +78,7 @@ class ServerMetrics {
   obs::Counter* const rejected_;
   obs::Counter* const bad_queries_;
   obs::Counter* const malformed_;
+  obs::Counter* const accept_failures_;
   obs::Counter* const pings_;
   obs::Counter* const stats_requests_;
   obs::Counter* const queries_;

@@ -7,9 +7,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "obs/trace.h"
@@ -140,11 +143,12 @@ void Server::Shutdown() {
     stopping_ = true;
   }
   if (!started_) return;
-  // 1. Close the listener: the acceptor's accept() fails and it exits.
-  //    shutdown() first so a blocked accept wakes on every platform.
+  // 1. Shut the listener down: the acceptor's accept() fails, it sees
+  //    stopping_ and exits. The fd closes after the join, so its number
+  //    cannot be reused under an accept still in flight.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
   acceptor_.join();
+  ::close(listen_fd_);
   // 2. Drain: admitted queries finish (new ones are refused because
   //    stopping_ is set), then the pool's workers are joined, which
   //    finishes the answer writes still in progress — the connection
@@ -179,8 +183,18 @@ void Server::AcceptLoop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed (shutdown) or broken — stop accepting
+      {
+        std::lock_guard<std::mutex> lock(inflight_mutex_);
+        if (stopping_) return;  // Shutdown woke the listener
+      }
+      // The listener is fine but this accept is not (EMFILE, ENFILE,
+      // ENOBUFS, ENOMEM, or a peer that reset first, ECONNABORTED): the
+      // connection waits in the backlog, so back off and retry.
+      metrics_.RecordAcceptFailure();
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
     }
+    JoinFinishedReaders();
     std::lock_guard<std::mutex> lock(conns_mutex_);
     {
       std::lock_guard<std::mutex> inflight_lock(inflight_mutex_);
@@ -191,7 +205,30 @@ void Server::AcceptLoop() {
     }
     auto conn = std::make_shared<Connection>(fd);
     connections_.push_back(conn);
-    readers_.emplace_back(&Server::ReaderLoop, this, conn);
+    try {
+      readers_.emplace_back(&Server::ReaderLoop, this, conn);
+    } catch (const std::system_error& e) {
+      // No thread for this client: refuse it alone and keep serving.
+      connections_.pop_back();
+      SendError(conn, ErrorCode::kResourceExhausted,
+                std::string("no reader thread: ") + e.what());
+    }
+  }
+}
+
+void Server::JoinFinishedReaders() {
+  std::vector<std::thread::id> finished;
+  {
+    std::lock_guard<std::mutex> lock(conns_mutex_);
+    finished.swap(finished_readers_);
+  }
+  for (const std::thread::id id : finished) {
+    const auto reader =
+        std::find_if(readers_.begin(), readers_.end(),
+                     [id](const std::thread& t) { return t.get_id() == id; });
+    HYDRA_DCHECK(reader != readers_.end());
+    reader->join();
+    readers_.erase(reader);
   }
 }
 
@@ -235,6 +272,7 @@ void Server::DropConnection(const std::shared_ptr<Connection>& conn) {
   ::shutdown(conn->fd, SHUT_RDWR);
   std::lock_guard<std::mutex> lock(conns_mutex_);
   std::erase(connections_, conn);
+  finished_readers_.push_back(std::this_thread::get_id());
 }
 
 bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,

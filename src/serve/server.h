@@ -117,9 +117,12 @@ class Server {
   };
 
   void AcceptLoop();
+  /// Joins the readers that have announced their exit (acceptor only).
+  void JoinFinishedReaders();
   void ReaderLoop(std::shared_ptr<Connection> conn);
-  /// Reader-exit cleanup: EOF the peer and forget the connection (a
-  /// long-lived daemon must not hold dead sockets until shutdown).
+  /// Reader-exit cleanup: EOF the peer, forget the connection and announce
+  /// the exit (a long-lived daemon must hold neither dead sockets nor dead
+  /// readers' stacks until shutdown).
   void DropConnection(const std::shared_ptr<Connection>& conn);
   /// Handles one decoded frame; false closes the connection.
   bool HandleFrame(const std::shared_ptr<Connection>& conn,
@@ -178,6 +181,9 @@ class Server {
 
   std::mutex conns_mutex_;
   std::vector<std::shared_ptr<Connection>> connections_;
+  /// Readers that have left ReaderLoop's work and wait to be joined.
+  std::vector<std::thread::id> finished_readers_;
+  /// The acceptor's alone until Shutdown joins it; no lock.
   std::vector<std::thread> readers_;
 
   std::mutex inflight_mutex_;

@@ -38,16 +38,6 @@ util::Result<StorageBackend> ParseStorageBackend(const std::string& token) {
                              "' (expected ram or mmap)");
 }
 
-const char* StorageBackendName(StorageBackend backend) {
-  switch (backend) {
-    case StorageBackend::kRam:
-      return "ram";
-    case StorageBackend::kMmap:
-      return "mmap";
-  }
-  return "?";
-}
-
 util::Result<StorageHandle> StorageHandle::Open(const std::string& path,
                                                 const std::string& name,
                                                 const StorageOptions& options) {

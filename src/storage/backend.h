@@ -27,7 +27,6 @@ enum class StorageBackend {
 
 /// Parses "ram" / "mmap". Returns an error Status naming the bad token.
 util::Result<StorageBackend> ParseStorageBackend(const std::string& token);
-const char* StorageBackendName(StorageBackend backend);
 
 struct StorageOptions {
   StorageBackend backend = StorageBackend::kRam;

@@ -70,18 +70,4 @@ double EapcaNodeLbSq(std::span<const SegmentStats> q,
       seg.segments());
 }
 
-double EapcaNodeUbSq(std::span<const SegmentStats> q,
-                     std::span<const SegmentRange> node,
-                     const Segmentation& seg) {
-  HYDRA_DCHECK(q.size() == node.size() && q.size() == seg.segments());
-  double acc = 0.0;
-  for (size_t s = 0; s < q.size(); ++s) {
-    const double dm = std::max(std::fabs(q[s].mean - node[s].min_mean),
-                               std::fabs(q[s].mean - node[s].max_mean));
-    const double ds = q[s].stddev + node[s].max_std;
-    acc += static_cast<double>(seg.length_of(s)) * (dm * dm + ds * ds);
-  }
-  return acc;
-}
-
 }  // namespace hydra::transform

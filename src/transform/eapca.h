@@ -67,12 +67,6 @@ double EapcaNodeLbSq(std::span<const SegmentStats> q,
                      std::span<const SegmentRange> node,
                      const Segmentation& seg);
 
-/// Upper bound on ED^2 between the query and any series inside the node
-/// envelope (used by DSTree to tighten the best-so-far without raw reads).
-double EapcaNodeUbSq(std::span<const SegmentStats> q,
-                     std::span<const SegmentRange> node,
-                     const Segmentation& seg);
-
 }  // namespace hydra::transform
 
 #endif  // HYDRA_TRANSFORM_EAPCA_H_

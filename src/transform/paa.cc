@@ -1,6 +1,5 @@
 #include "transform/paa.h"
 
-#include "core/simd/kernels.h"
 #include "util/check.h"
 
 namespace hydra::transform {
@@ -25,9 +24,12 @@ void Paa(core::SeriesView x, size_t segments, double* out) {
 double PaaLowerBoundSq(std::span<const double> a, std::span<const double> b,
                        size_t points_per_segment) {
   HYDRA_DCHECK(a.size() == b.size());
-  return core::simd::ActiveKernels().sum_sq_diff(a.data(), b.data(),
-                                                 a.size()) *
-         static_cast<double>(points_per_segment);
+  double acc = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    acc += d * d;
+  }
+  return acc * static_cast<double>(points_per_segment);
 }
 
 }  // namespace hydra::transform

@@ -41,7 +41,7 @@ SfaQuantizer SfaQuantizer::Train(
       }
     }
   }
-  q.BuildFlatEdges();
+  q.BuildEdgeTable();
   return q;
 }
 
@@ -55,11 +55,11 @@ SfaQuantizer SfaQuantizer::FromBreakpoints(
   SfaQuantizer q;
   q.alphabet_ = alphabet;
   q.bins_ = std::move(bins);
-  q.BuildFlatEdges();
+  q.BuildEdgeTable();
   return q;
 }
 
-void SfaQuantizer::BuildFlatEdges() {
+void SfaQuantizer::BuildEdgeTable() {
   const size_t stride = FlatStride();
   const double inf = std::numeric_limits<double>::infinity();
   flat_edges_.resize(bins_.size() * stride);

@@ -44,11 +44,7 @@ class SfaQuantizer {
   /// Breakpoints of dimension `d` (alphabet-1 ascending values).
   std::span<const double> BreakpointsFor(size_t d) const { return bins_[d]; }
 
-  /// Flat padded bin-edge table for the kernel layer: dimension d occupies
-  /// the FlatStride() doubles starting at d * FlatStride(), laid out as
-  /// [-inf, breakpoints..., +inf], so symbol w spans
-  /// [row[w], row[w + 1]].
-  const double* FlatEdges() const { return flat_edges_.data(); }
+  /// Row stride of flat_edges_: alphabet + 1 doubles per dimension.
   size_t FlatStride() const { return static_cast<size_t>(alphabet_) + 1; }
 
   /// Resident size of the breakpoint tables in bytes.
@@ -56,10 +52,14 @@ class SfaQuantizer {
 
  private:
   /// Rebuilds flat_edges_ from bins_; every constructor path ends here.
-  void BuildFlatEdges();
+  void BuildEdgeTable();
 
   std::vector<std::vector<double>> bins_;
-  std::vector<double> flat_edges_;  // dims * (alphabet + 1) padded rows
+  // Flat padded bin-edge table for the sfa_lb_sq kernel: dimension d
+  // occupies the FlatStride() doubles starting at d * FlatStride(), laid
+  // out as [-inf, breakpoints..., +inf], so symbol w spans
+  // [row[w], row[w + 1]].
+  std::vector<double> flat_edges_;
   int alphabet_ = 0;
 };
 

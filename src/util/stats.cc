@@ -46,15 +46,6 @@ Summary Summarize(std::span<const double> xs) {
   return s;
 }
 
-Percentiles TailPercentiles(std::span<const double> xs) {
-  Percentiles p;
-  if (xs.empty()) return p;
-  p.p50 = Quantile(xs, 0.50);
-  p.p95 = Quantile(xs, 0.95);
-  p.p99 = Quantile(xs, 0.99);
-  return p;
-}
-
 double TrimmedMean(std::span<const double> xs, size_t trim) {
   HYDRA_CHECK_MSG(xs.size() > 2 * trim, "TrimmedMean: sample too small");
   std::vector<double> sorted(xs.begin(), xs.end());

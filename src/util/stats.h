@@ -35,17 +35,6 @@ Summary Summarize(std::span<const double> xs);
 /// (the paper's 10K-query extrapolation drops the best and worst 5 of 100).
 double TrimmedMean(std::span<const double> xs, size_t trim);
 
-/// The three tail quantiles every latency report wants (serve STATS, the
-/// throughput bench). All 0 for an empty sample.
-struct Percentiles {
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-/// Computes p50/p95/p99 of `xs` with the same interpolation as Quantile.
-Percentiles TailPercentiles(std::span<const double> xs);
-
 }  // namespace hydra::util
 
 #endif  // HYDRA_UTIL_STATS_H_

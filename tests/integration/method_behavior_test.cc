@@ -99,7 +99,7 @@ TEST(DsTreeBehavior, VerticalSplittingNeverHurtsAndCanHelp) {
   // they clearly beat the best horizontal split, so allowing them must not
   // degrade pruning; from a deliberately coarse 2-segment start on bursty
   // data they engage and improve it.
-  const auto data = gen::SeismicLikeDataset(6000, 128, 8108);
+  const auto data = gen::MakeDataset("seismic", 6000, 128, 8108);
   const auto w = gen::CtrlWorkload(data, 10, 8109, 0.1, 0.3);
   int64_t adaptive = 0;
   int64_t frozen = 0;
@@ -178,7 +178,7 @@ TEST(StepwiseBehavior, EveryLevelTightensTheFilter) {
 TEST(MTreeBehavior, TriangleFilterSavesDistanceComputations) {
   // The number of full distance computations must be well below the
   // dataset size on clustered data (routing-ball pruning).
-  const auto data = gen::SaldLikeDataset(2000, 128, 8115);
+  const auto data = gen::MakeDataset("sald", 2000, 128, 8115);
   index::MTree mtree;
   mtree.Build(data);
   const auto w = gen::CtrlWorkload(data, 6, 8116, 0.05, 0.2);

@@ -349,14 +349,15 @@ TEST(ShardedErrors, ForeignAndGarbledContainersFailCleanly) {
   EXPECT_FALSE(corrupt_open.ok());
 }
 
-TEST(ShardedHarness, RunMethodShardedMatchesRunMethod) {
+TEST(ShardedHarness, ShardedRunMatchesRunMethod) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
   auto reference = bench::CreateMethod("SFA");
   const bench::MethodRun serial =
       bench::RunMethod(reference.get(), data, workload, kK);
+  auto container = bench::CreateShardedMethod("SFA", 3, 2);
   const bench::MethodRun sharded =
-      bench::RunMethodSharded("SFA", 3, 2, data, workload, kK);
+      bench::RunMethod(container.get(), data, workload, kK);
   EXPECT_EQ(sharded.method, "Sharded[SFA]");
   ASSERT_EQ(sharded.nn_dists_sq.size(), serial.nn_dists_sq.size());
   for (size_t q = 0; q < serial.nn_dists_sq.size(); ++q) {

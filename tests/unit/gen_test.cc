@@ -70,8 +70,8 @@ double MeanPrefixEnergy(const core::Dataset& d, size_t coeffs) {
 
 TEST(RealisticFamilies, SpectralConcentrationOrdering) {
   const size_t len = 128;
-  const auto sald = SaldLikeDataset(60, len, 5);
-  const auto deep = DeepLikeDataset(60, len, 5);
+  const auto sald = MakeDataset("sald", 60, len, 5);
+  const auto deep = MakeDataset("deep", 60, len, 5);
   const auto walk = RandomWalkDataset(60, len, 5);
   const double e_sald = MeanPrefixEnergy(sald, 16);
   const double e_deep = MeanPrefixEnergy(deep, 16);
@@ -117,7 +117,7 @@ TEST(Workload, LowNoiseQueriesStayCloseToSource) {
 }
 
 TEST(Workload, CtrlNamesFollowDataset) {
-  const auto data = SeismicLikeDataset(20, 64, 16);
+  const auto data = MakeDataset("seismic", 20, 64, 16);
   const auto w = CtrlWorkload(data, 3, 17);
   EXPECT_EQ(w.name, "Seismic-Ctrl");
 }
