@@ -116,14 +116,14 @@ inline const char* ExtractJsonPath(int* argc, char** argv,
 }
 
 /// Serializes one measured run as a flat JSON record: identity (method,
-/// dataset shape, shards, threads), measured build/load/query seconds,
-/// modeled HDD/SSD query seconds, and the summed query ledger — the
+/// dataset shape, threads), measured build/load/query seconds, modeled
+/// HDD/SSD query seconds, and the summed query ledger — the
 /// machine-readable counterpart of every bench table row, so perf can be
 /// tracked across commits without scraping stdout. `extra` adds measured
 /// figures of the row (key, seconds) before the ledger.
 inline void JsonRunRecord(
-    util::JsonWriter* json, const MethodRun& run, size_t shards,
-    size_t threads, const core::Dataset& data, const io::DiskModel& hdd,
+    util::JsonWriter* json, const MethodRun& run, size_t threads,
+    const core::Dataset& data, const io::DiskModel& hdd,
     const io::DiskModel& ssd,
     std::initializer_list<std::pair<const char*, double>> extra = {}) {
   core::SearchStats total;
@@ -135,8 +135,6 @@ inline void JsonRunRecord(
   json->Uint(data.size());
   json->Key("series_length");
   json->Uint(data.length());
-  json->Key("shards");
-  json->Uint(shards);
   json->Key("threads");
   json->Uint(threads);
   json->Key("queries");

@@ -145,9 +145,9 @@ int Run(int argc, char** argv) {
                     util::Table::Num(point.timing.spread, 4),
                     util::Table::Num(base_wall / point.timing.median, 2),
                     point.identical ? "yes" : "NO"});
-      JsonRunRecord(&json, point.run, /*shards=*/0, query_threads, data, hdd,
-                    ssd, {{"query_wall_s", point.timing.median},
-                          {"query_wall_spread_s", point.timing.spread}});
+      JsonRunRecord(&json, point.run, query_threads, data, hdd, ssd,
+                    {{"query_wall_s", point.timing.median},
+                     {"query_wall_spread_s", point.timing.spread}});
     }
   }
   table.Print(

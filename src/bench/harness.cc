@@ -48,21 +48,6 @@ core::BatchResult SearchKnnBatch(core::SearchMethod* method,
   return batch;
 }
 
-namespace {
-
-/// Folds a batch's per-query answers into the run (shared by the fresh
-/// build and open-from-disk paths).
-void FillRunQueries(core::BatchResult batch, MethodRun* run) {
-  run->queries.reserve(batch.queries.size());
-  run->nn_dists_sq.reserve(batch.queries.size());
-  for (core::QueryResult& r : batch.queries) {
-    run->queries.push_back(r.stats);
-    run->nn_dists_sq.push_back(r.neighbors.front().dist_sq);
-  }
-}
-
-}  // namespace
-
 MethodRun RunMethodParallel(core::SearchMethod* method,
                             const core::Dataset& data,
                             const gen::Workload& workload, size_t k,
@@ -71,26 +56,14 @@ MethodRun RunMethodParallel(core::SearchMethod* method,
   MethodRun run;
   run.method = method->name();
   run.build = method->Build(data);
-  FillRunQueries(
-      SearchKnnBatch(method, workload, core::QuerySpec::Knn(k), threads),
-      &run);
-  return run;
-}
-
-util::Result<MethodRun> RunMethodFromIndex(core::SearchMethod* method,
-                                           const std::string& index_dir,
-                                           const core::Dataset& data,
-                                           const gen::Workload& workload,
-                                           size_t k, size_t threads) {
-  HYDRA_CHECK(method != nullptr);
-  util::Result<core::BuildStats> opened = method->Open(index_dir, data);
-  if (!opened.ok()) return opened.status();
-  MethodRun run;
-  run.method = method->name();
-  run.build = opened.value();
-  FillRunQueries(
-      SearchKnnBatch(method, workload, core::QuerySpec::Knn(k), threads),
-      &run);
+  const core::BatchResult batch =
+      SearchKnnBatch(method, workload, core::QuerySpec::Knn(k), threads);
+  run.queries.reserve(batch.queries.size());
+  run.nn_dists_sq.reserve(batch.queries.size());
+  for (const core::QueryResult& r : batch.queries) {
+    run.queries.push_back(r.stats);
+    run.nn_dists_sq.push_back(r.neighbors.front().dist_sq);
+  }
   return run;
 }
 

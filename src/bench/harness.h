@@ -10,7 +10,6 @@
 #include "core/method.h"
 #include "gen/workload.h"
 #include "io/disk_model.h"
-#include "util/status.h"
 
 namespace hydra::bench {
 
@@ -51,20 +50,6 @@ MethodRun RunMethodParallel(core::SearchMethod* method,
                             const core::Dataset& data,
                             const gen::Workload& workload, size_t k,
                             size_t threads);
-
-/// Open-instead-of-build counterpart of RunMethodParallel: rehydrates the
-/// index persisted under `index_dir` (SearchMethod::Open) and answers the
-/// workload, skipping construction entirely. The returned run's
-/// BuildStats carries load_seconds (measured index load time) with
-/// cpu_seconds 0 — load time and build time are reported separately,
-/// never mixed. Errors (missing/corrupt index, fingerprint mismatch,
-/// method without persistence support) surface as a Status; nothing
-/// CHECK-aborts on a bad index file.
-util::Result<MethodRun> RunMethodFromIndex(core::SearchMethod* method,
-                                           const std::string& index_dir,
-                                           const core::Dataset& data,
-                                           const gen::Workload& workload,
-                                           size_t k = 1, size_t threads = 1);
 
 /// Sum over queries of modeled total time (CPU + I/O) on `disk`.
 double ExactWorkloadSeconds(const MethodRun& run, const io::DiskModel& disk);

@@ -147,14 +147,6 @@ inline constexpr LedgerCounter kLedgerCounters[] = {
 static_assert(sizeof(SearchStats) == (std::size(kLedgerCounters) + 2) * 8,
               "every int64_t member of SearchStats needs a table row");
 
-/// The table name of `member` ("" if it has no row).
-constexpr const char* CounterName(int64_t SearchStats::*member) {
-  for (const LedgerCounter& counter : kLedgerCounters) {
-    if (counter.member == member) return counter.name;
-  }
-  return "";
-}
-
 inline void SearchStats::Add(const SearchStats& other) {
   for (const LedgerCounter& counter : kLedgerCounters) {
     this->*counter.member += other.*counter.member;

@@ -1,10 +1,9 @@
-// The Build / Save / Open lifecycle contract for every persistent method:
-// an opened index answers every supported QuerySpec mode bit-identically
-// (ids, distances, and work counters) to the freshly built one, its
-// footprint reconciles with the built index and the serialized bytes with
-// the file on disk, serialization is deterministic, corrupt or mismatched
-// index files fail with a clean error status (never a CHECK abort), and
-// lifecycle misuse (Save before Build, double Open) dies loudly.
+// The Build / Save / Open lifecycle beyond answer identity (the identity
+// oracle's lifecycle axis): which methods persist, a DSTree cut into ten
+// segments round-trips, serialization is deterministic, an opened tree
+// counts the leaves it loads, corrupt, crafted or mismatched index files
+// fail with a clean error status (never a CHECK abort), and lifecycle
+// misuse (Save before Build, double Open) dies loudly.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -18,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bench/harness.h"
 #include "bench/registry.h"
 #include "core/method.h"
 #include "core/query_spec.h"
@@ -123,46 +121,6 @@ TEST(PersistenceRegistry, SevenIndexMethodsPersistScansDoNot) {
     if (scan) {
       EXPECT_FALSE(t.persistence_reason.empty()) << name;
     }
-  }
-}
-
-TEST(PersistenceRoundTrip, OpenedIndexAnswersBitIdentically) {
-  const core::Dataset data = TestData();
-  const gen::Workload workload = TestQueries();
-  int ordinal = 0;
-  for (const std::string& name : bench::PersistentCapableNames()) {
-    const std::string dir =
-        FreshDir("roundtrip_" + std::to_string(ordinal++));
-    auto built = bench::CreateMethod(name, kLeaf);
-    built->Build(data);
-    const auto saved = built->Save(dir);
-    ASSERT_TRUE(saved.ok()) << name << ": " << saved.status().message();
-    // The reported byte count reconciles with the real file.
-    EXPECT_EQ(static_cast<uint64_t>(saved.value()),
-              std::filesystem::file_size(io::IndexFilePath(dir)))
-        << name;
-    const core::Footprint built_fp = built->footprint();
-
-    // Open into a *differently configured* instance: the persisted
-    // options must win, or a replica with other defaults would answer
-    // from a different tree shape.
-    auto opened = bench::CreateMethod(name);
-    const auto open_stats = opened->Open(dir, data);
-    ASSERT_TRUE(open_stats.ok()) << name << ": "
-                                 << open_stats.status().message();
-    EXPECT_TRUE(opened->built()) << name;
-    EXPECT_EQ(open_stats.value().cpu_seconds, 0.0) << name;
-    EXPECT_EQ(open_stats.value().bytes_read, saved.value()) << name;
-    ExpectSameFootprint(opened->footprint(), built_fp, name);
-
-    const auto built_answers = RunBattery(built.get(), workload);
-    const auto opened_answers = RunBattery(opened.get(), workload);
-    ASSERT_EQ(built_answers.size(), opened_answers.size()) << name;
-    for (size_t i = 0; i < built_answers.size(); ++i) {
-      ExpectBitIdentical(built_answers[i], opened_answers[i],
-                         name + " battery entry " + std::to_string(i));
-    }
-    std::filesystem::remove_all(dir);
   }
 }
 
@@ -892,35 +850,6 @@ TEST(PersistenceErrors, ScansRefuseSaveAndOpenHonestly) {
     auto fresh = bench::CreateMethod(name);
     EXPECT_FALSE(fresh->Open(FreshDir("scan_open"), data).ok()) << name;
   }
-}
-
-TEST(PersistenceHarness, RunMethodFromIndexSkipsBuild) {
-  const core::Dataset data = TestData();
-  const gen::Workload workload = TestQueries();
-  auto built = bench::CreateMethod("VA+file");
-  const bench::MethodRun fresh =
-      bench::RunMethod(built.get(), data, workload, /*k=*/3);
-  const std::string dir = FreshDir("harness");
-  ASSERT_TRUE(built->Save(dir).ok());
-
-  auto reopened = bench::CreateMethod("VA+file");
-  const auto run = bench::RunMethodFromIndex(reopened.get(), dir, data,
-                                             workload, /*k=*/3);
-  ASSERT_TRUE(run.ok()) << run.status().message();
-  // Load time is recorded separately; no build time is charged.
-  EXPECT_EQ(run.value().build.cpu_seconds, 0.0);
-  EXPECT_GE(run.value().build.load_seconds, 0.0);
-  ASSERT_EQ(run.value().nn_dists_sq.size(), fresh.nn_dists_sq.size());
-  for (size_t i = 0; i < fresh.nn_dists_sq.size(); ++i) {
-    EXPECT_EQ(run.value().nn_dists_sq[i], fresh.nn_dists_sq[i]);
-  }
-  // And the error path surfaces as a status, not an abort.
-  auto broken = bench::CreateMethod("VA+file");
-  EXPECT_FALSE(
-      bench::RunMethodFromIndex(broken.get(), FreshDir("gone"), data,
-                                workload, 3)
-          .ok());
-  std::filesystem::remove_all(dir);
 }
 
 using PersistenceDeathTest = ::testing::Test;

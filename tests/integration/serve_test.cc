@@ -1,7 +1,6 @@
 // The serve daemon's end-to-end promises, driven through real loopback
 // sockets: concurrent clients receive answers bit-identical to a direct
-// Execute on the same index (for adaptive ADS+, exact answers identical to
-// a serial run); a cache hit returns the identical answer bytes;
+// Execute on the same index; a cache hit returns the identical answer bytes;
 // approximate and budgeted queries bypass the cache; admission control
 // answers overload with an explicit rejection frame; a cache hit
 // merges no work into STATS; a cache hit and an ng query are answered
@@ -25,7 +24,6 @@
 #include <fstream>
 #include <future>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,13 +36,11 @@
 #include "core/search_stats.h"
 #include "gen/random_walk.h"
 #include "gen/workload.h"
-#include "index/isax2plus.h"
 #include "io/series_file.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "storage/backend.h"
-#include "transform/isax.h"
 
 namespace hydra::serve {
 namespace {
@@ -148,170 +144,6 @@ TEST_F(ServeFixture, EightConcurrentClientsAreBitIdenticalToDirectExecute) {
   }
   for (std::thread& t : clients) t.join();
   for (size_t c = 0; c < kClients; ++c) {
-    EXPECT_EQ(failures[c], "") << "client " << c;
-  }
-  server.Shutdown();
-}
-
-TEST_F(ServeFixture, AdsDaemonSplitsUnderConcurrentClientsWithExactAnswers) {
-  // ADS+ splits its shared tree as it answers, now from every serve
-  // worker at once. Its exact answers must equal a serial reference's;
-  // the ledger depends on which query split first, so it is not compared.
-  const auto build = [&] {
-    std::shared_ptr<core::SearchMethod> method =
-        bench::CreateMethod("ADS+", 64);
-    method->Build(data_);
-    return method;
-  };
-  auto method = build();
-  auto reference = build();
-  const int64_t leaves_built = method->footprint().leaf_nodes;
-  const core::QuerySpec spec = core::QuerySpec::Knn(5);
-  std::vector<std::vector<core::Neighbor>> expected;
-  for (size_t q = 0; q < workload_.queries.size(); ++q) {
-    expected.push_back(
-        reference->Execute(workload_.queries[q], spec).neighbors);
-  }
-
-  ServerOptions options;
-  options.serve_threads = 4;
-  options.cache_bytes = 0;  // every request executes
-  Server server(options);
-  ASSERT_TRUE(server.Start(method, &data_).ok());
-  constexpr size_t kClients = 4;
-  std::vector<std::string> failures(kClients);
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      Client client;
-      const util::Status connected =
-          client.Connect("127.0.0.1", server.port());
-      if (!connected.ok()) {
-        failures[c] = connected.message();
-        return;
-      }
-      // Every client walks the workload in the same order, so concurrent
-      // requests race for the same leaves' splits.
-      for (size_t q = 0; q < workload_.queries.size(); ++q) {
-        AnswerResponse answer;
-        const util::Status s =
-            client.Query(RequestFor(q, spec), &answer, nullptr);
-        if (!s.ok()) {
-          failures[c] = s.message();
-          return;
-        }
-        const std::vector<core::Neighbor>& got = answer.result.neighbors;
-        bool same = got.size() == expected[q].size();
-        for (size_t n = 0; same && n < got.size(); ++n) {
-          same = got[n].id == expected[q][n].id &&
-                 got[n].dist_sq == expected[q][n].dist_sq;
-        }
-        if (!same) {
-          failures[c] = "answer to query " + std::to_string(q) +
-                        " differs from the serial reference";
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  server.Shutdown();
-  for (size_t c = 0; c < kClients; ++c) {
-    EXPECT_EQ(failures[c], "") << "client " << c;
-  }
-  EXPECT_GT(method->footprint().leaf_nodes, leaves_built);
-}
-
-TEST_F(ServeFixture, IsaxNgFallbackIsIdenticalFromThreadsAndServer) {
-  // iSAX2+'s ng fallback scans one flat first-level array shared by every
-  // concurrent query. Queries whose first-level key no series has take
-  // that path; from 4 query threads and through a 4-worker server their
-  // answers must equal the serial ones.
-  std::shared_ptr<core::SearchMethod> method =
-      bench::CreateMethod("iSAX2+", 64);
-  method->Build(data_);
-  const size_t segments = index::Isax2PlusOptions{}.segments;
-  const auto key_of = [&](core::SeriesView x) {
-    std::vector<uint8_t> word(segments);
-    transform::EncodeFullWord(x, segments, word.data());
-    uint32_t key = 0;
-    for (const uint8_t symbol : word) key = (key << 1) | (symbol >> 7);
-    return key;
-  };
-  std::set<uint32_t> keys;
-  for (size_t i = 0; i < data_.size(); ++i) keys.insert(key_of(data_[i]));
-  const gen::Workload queries = gen::RandWorkload(48, data_.length(), 2023);
-  size_t fallbacks = 0;
-  for (size_t q = 0; q < queries.queries.size(); ++q) {
-    fallbacks += keys.count(key_of(queries.queries[q])) == 0 ? 1 : 0;
-  }
-  ASSERT_GE(fallbacks, queries.queries.size() / 2);
-
-  const core::QuerySpec spec = core::QuerySpec::NgApprox(3);
-  std::vector<std::string> expected;
-  for (size_t q = 0; q < queries.queries.size(); ++q) {
-    expected.push_back(DirectBytes(method.get(), queries.queries[q], spec));
-  }
-  const auto request = [&](size_t q) {
-    const core::SeriesView view = queries.queries[q];
-    return QueryRequest{spec,
-                        std::vector<core::Value>(view.begin(), view.end())};
-  };
-
-  constexpr size_t kThreads = 4;
-  std::vector<std::string> failures(kThreads);
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (size_t i = 0; i < queries.queries.size(); ++i) {
-        const size_t q = (t + i) % queries.queries.size();
-        const std::string got =
-            DirectBytes(method.get(), queries.queries[q], spec);
-        if (got != expected[q]) {
-          failures[t] = "query " + std::to_string(q) + " differs";
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(failures[t], "") << "query thread " << t;
-  }
-
-  ServerOptions options;
-  options.serve_threads = 4;
-  Server server(options);
-  ASSERT_TRUE(server.Start(method, &data_).ok());
-  threads.clear();
-  failures.assign(kThreads, "");
-  for (size_t c = 0; c < kThreads; ++c) {
-    threads.emplace_back([&, c] {
-      Client client;
-      const util::Status connected =
-          client.Connect("127.0.0.1", server.port());
-      if (!connected.ok()) {
-        failures[c] = connected.message();
-        return;
-      }
-      for (size_t i = 0; i < queries.queries.size(); ++i) {
-        const size_t q = (c + i) % queries.queries.size();
-        AnswerResponse answer;
-        const util::Status s = client.Query(request(q), &answer, nullptr);
-        if (!s.ok()) {
-          failures[c] = s.message();
-          return;
-        }
-        if (ComparableBytes(answer) != expected[q]) {
-          failures[c] = "answer to query " + std::to_string(q) +
-                        " differs from the serial Execute";
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (size_t c = 0; c < kThreads; ++c) {
     EXPECT_EQ(failures[c], "") << "client " << c;
   }
   server.Shutdown();

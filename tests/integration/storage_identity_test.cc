@@ -1,11 +1,10 @@
-// Backend bit-identity battery: every answer produced over the mmap +
-// buffer-pool backend must equal the in-RAM answer bit for bit — same
-// neighbor ids, same squared distances — for all seven index methods,
-// across exact / epsilon / budgeted specs, range queries, sharded
-// composition, and intra-query parallelism, with a pool budget far below
-// the dataset and below what eight workers' run scratch would take. Also
-// pins that the pool caches nothing: no method ever hits or evicts, and an
-// identical second pass preads exactly the bytes of the first.
+// The mmap backend's read path: planned refinements read their candidates
+// as run preads, every verified series comes from a run read, and only
+// the bytes' path changes — the modeled ledger equals the in-RAM run's.
+// Also pins that the pool caches nothing: no method ever hits or evicts,
+// and an identical second pass preads exactly the bytes of the first.
+// Answer identity across backends is the identity oracle's storage axis
+// (identity_oracle_test).
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -71,140 +70,11 @@ class StorageIdentityTest : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  // Runs the same spec sequence over both backends on fresh instances of
-  // `name` and asserts bit-identical answers. The sequence matters for
-  // ADS+ (adaptive: each query refines the index), so both backends must
-  // execute it in the same order.
-  void CheckMethod(const std::string& name,
-                   const std::vector<core::QuerySpec>& specs) {
-    auto on_ram = bench::CreateMethod(name, kLeaf);
-    auto on_mmap = bench::CreateMethod(name, kLeaf);
-    on_ram->Build(ram_.dataset());
-    on_mmap->Build(mmap_.dataset());
-    core::SearchStats mmap_stats;
-    for (const core::QuerySpec& spec : specs) {
-      for (size_t qi = 0; qi < workload_.queries.size(); ++qi) {
-      const core::SeriesView query = workload_.queries[qi];
-        core::QueryResult a = on_ram->Execute(query, spec);
-        core::QueryResult b = on_mmap->Execute(query, spec);
-        ExpectSameAnswers(a.neighbors, b.neighbors, name);
-        EXPECT_EQ(a.stats.pool_misses, 0) << name;  // RAM never pools
-        EXPECT_EQ(a.stats.pool_hits, 0) << name;
-        mmap_stats.Add(b.stats);
-      }
-    }
-    if (name == "M-tree") {
-      // The memory-resident M-tree reads the mapping in place: no pool.
-      for (const core::LedgerCounter& counter : core::kLedgerCounters) {
-        if (counter.kind != core::CounterKind::kMeasured) continue;
-        EXPECT_EQ(mmap_stats.*counter.member, 0) << counter.name;
-      }
-      return;
-    }
-    // The mmap run went through the pool: misses are real preads.
-    EXPECT_GT(mmap_stats.pool_misses, 0) << name;
-    EXPECT_EQ(mmap_stats.pool_bytes_read > 0, mmap_stats.pool_misses > 0)
-        << name;
-  }
-
   std::string path_;
   gen::Workload workload_;
   storage::StorageHandle ram_;
   storage::StorageHandle mmap_;
 };
-
-TEST_F(StorageIdentityTest, AllMethodsExactEpsilonAndBudgeted) {
-  core::QuerySpec budgeted = core::QuerySpec::Knn(5);
-  budgeted.max_raw_series = 200;  // binds for every method
-  const std::vector<core::QuerySpec> specs = {
-      core::QuerySpec::Knn(5), core::QuerySpec::Epsilon(5, 0.1), budgeted};
-  for (const std::string& name : bench::ShardableNames()) {
-    SCOPED_TRACE(name);
-    CheckMethod(name, specs);
-  }
-}
-
-TEST_F(StorageIdentityTest, RangeQueriesMatch) {
-  for (const std::string& name : bench::ShardableNames()) {
-    SCOPED_TRACE(name);
-    auto on_ram = bench::CreateMethod(name, kLeaf);
-    auto on_mmap = bench::CreateMethod(name, kLeaf);
-    on_ram->Build(ram_.dataset());
-    on_mmap->Build(mmap_.dataset());
-    for (size_t qi = 0; qi < workload_.queries.size(); ++qi) {
-      const core::SeriesView query = workload_.queries[qi];
-      // A radius at the 5th neighbor guarantees a non-trivial match set.
-      const auto truth = core::BruteForceKnn(ram_.dataset(), query, 5);
-      const double radius = std::sqrt(truth.back().dist_sq) + 1e-6;
-      core::QueryResult a =
-          on_ram->Execute(query, core::QuerySpec::Range(radius));
-      core::QueryResult b =
-          on_mmap->Execute(query, core::QuerySpec::Range(radius));
-      ASSERT_GE(a.neighbors.size(), 5u) << name;
-      ExpectSameAnswers(a.neighbors, b.neighbors, name);
-    }
-  }
-}
-
-TEST_F(StorageIdentityTest, ShardedCompositionMatches) {
-  // Sharded slices of a file-backed dataset address the pool through
-  // their slice base — zero copies, same answers — for page reads and
-  // for the planned run reads of VA+file and ADS+ alike.
-  for (const std::string name : {"DSTree", "SFA", "VA+file", "ADS+"}) {
-    SCOPED_TRACE(name);
-    auto on_ram = bench::CreateShardedMethod(name, 3, 2, kLeaf);
-    auto on_mmap = bench::CreateShardedMethod(name, 3, 2, kLeaf);
-    on_ram->Build(ram_.dataset());
-    on_mmap->Build(mmap_.dataset());
-    for (size_t qi = 0; qi < workload_.queries.size(); ++qi) {
-      const core::SeriesView query = workload_.queries[qi];
-      core::QueryResult a = on_ram->Execute(query, core::QuerySpec::Knn(5));
-      core::QueryResult b = on_mmap->Execute(query, core::QuerySpec::Knn(5));
-      ExpectSameAnswers(a.neighbors, b.neighbors, name);
-      EXPECT_GT(b.stats.pool_misses, 0) << name;
-    }
-  }
-}
-
-// VA+file and ADS+ read their candidates through planned run reads over
-// the pool. Only the bytes' path may change: per query, the work counters
-// and the modeled I/O ledger must equal the RAM run's exactly.
-TEST_F(StorageIdentityTest, PlannedRunReadsKeepWorkAndModeledLedger) {
-  core::QuerySpec budgeted = core::QuerySpec::Knn(5);
-  budgeted.max_raw_series = 200;
-  for (const std::string name : {"VA+file", "ADS+"}) {
-    SCOPED_TRACE(name);
-    auto on_ram = bench::CreateMethod(name, kLeaf);
-    auto on_mmap = bench::CreateMethod(name, kLeaf);
-    on_ram->Build(ram_.dataset());
-    on_mmap->Build(mmap_.dataset());
-    int64_t direct_reads = 0;
-    for (size_t qi = 0; qi < workload_.queries.size(); ++qi) {
-      const core::SeriesView query = workload_.queries[qi];
-      const auto truth = core::BruteForceKnn(ram_.dataset(), query, 5);
-      const double radius = std::sqrt(truth.back().dist_sq) + 1e-6;
-      for (const core::QuerySpec& spec :
-           {core::QuerySpec::Knn(5), core::QuerySpec::Epsilon(5, 0.1),
-            budgeted, core::QuerySpec::Range(radius)}) {
-        const core::QueryResult a = on_ram->Execute(query, spec);
-        const core::QueryResult b = on_mmap->Execute(query, spec);
-        ExpectSameAnswers(a.neighbors, b.neighbors, name);
-        EXPECT_EQ(a.stats.random_seeks, b.stats.random_seeks);
-        EXPECT_EQ(a.stats.sequential_reads, b.stats.sequential_reads);
-        EXPECT_EQ(a.stats.bytes_read, b.stats.bytes_read);
-        EXPECT_EQ(a.stats.raw_series_examined, b.stats.raw_series_examined);
-        EXPECT_EQ(a.stats.distance_computations,
-                  b.stats.distance_computations);
-        EXPECT_EQ(a.stats.pool_direct_reads, 0);
-        if (name == "VA+file") {  // every VA+file raw read is planned
-          EXPECT_EQ(b.stats.pool_direct_reads, b.stats.raw_series_examined);
-        }
-        direct_reads += b.stats.pool_direct_reads;
-      }
-    }
-    EXPECT_GT(direct_reads, 0);
-  }
-}
 
 // Every filter-and-refine path verifies its candidates on the shared
 // refine loop through one planned cursor per worker — a leaf's filter
@@ -254,28 +124,6 @@ TEST_F(StorageIdentityTest, RefineLoopReadsRunsAndKeepsModeledLedger) {
               << counter.name;
         }
         EXPECT_EQ(a.stats.budget_exhausted, b.stats.budget_exhausted);
-      }
-    }
-  }
-}
-
-// Eight workers outnumber the four run scratches the pool's budget lends:
-// the other four read one series per run, and none of them waits.
-TEST_F(StorageIdentityTest, IntraQueryParallelMatches) {
-  for (const size_t query_threads : {2, 8}) {
-    core::QuerySpec spec = core::QuerySpec::Knn(5);
-    spec.query_threads = query_threads;
-    for (const std::string& name : bench::AllMethodNames()) {
-      SCOPED_TRACE(name + " query_threads=" + std::to_string(query_threads));
-      auto on_ram = bench::CreateMethod(name, kLeaf);
-      auto on_mmap = bench::CreateMethod(name, kLeaf);
-      on_ram->Build(ram_.dataset());
-      on_mmap->Build(mmap_.dataset());
-      for (size_t qi = 0; qi < workload_.queries.size(); ++qi) {
-        const core::SeriesView query = workload_.queries[qi];
-        core::QueryResult a = on_ram->Execute(query, spec);
-        core::QueryResult b = on_mmap->Execute(query, spec);
-        ExpectSameAnswers(a.neighbors, b.neighbors, name);
       }
     }
   }
